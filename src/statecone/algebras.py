@@ -28,11 +28,10 @@ coefficient map is an isometry.  The basis layout per factor is:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-
-from .jacobi import jacobi_eigh
 
 __all__ = [
     "Algebra",
@@ -243,76 +242,70 @@ def element_from_reps(algebra: Algebra, reps: Sequence) -> JordanElement:
 _SQRT2 = np.sqrt(2.0)
 
 
-def _offdiag_pairs(n):
-    return [(i, j) for i in range(n) for j in range(i + 1, n)]
+@lru_cache(maxsize=None)
+def _offdiag_indices(n):
+    """Row and column indices of the pairs ``i < j`` in row-major order."""
+    rows, cols = np.triu_indices(n, 1)
+    rows.flags.writeable = False
+    cols.flags.writeable = False
+    return rows, cols
 
 
 def _real_to_rep(c, n):
+    rows, cols = _offdiag_indices(n)
     m = np.zeros((n, n))
     m[np.diag_indices(n)] = c[:n]
-    k = n
-    for i, j in _offdiag_pairs(n):
-        m[i, j] = m[j, i] = c[k] / _SQRT2
-        k += 1
+    m[rows, cols] = m[cols, rows] = c[n:] / _SQRT2
     return m
 
 
 def _real_to_coeffs(m, n):
+    rows, cols = _offdiag_indices(n)
     c = np.empty(n * (n + 1) // 2)
     c[:n] = np.diag(m).real
-    k = n
-    for i, j in _offdiag_pairs(n):
-        c[k] = _SQRT2 * 0.5 * (m[i, j] + m[j, i]).real
-        k += 1
+    c[n:] = _SQRT2 * 0.5 * (m[rows, cols] + m[cols, rows]).real
     return c
 
 
 def _complex_to_rep(c, n):
+    rows, cols = _offdiag_indices(n)
     m = np.zeros((n, n), dtype=complex)
     m[np.diag_indices(n)] = c[:n]
-    k = n
-    for i, j in _offdiag_pairs(n):
-        m[i, j] = (c[k] + 1j * c[k + 1]) / _SQRT2
-        m[j, i] = np.conj(m[i, j])
-        k += 2
+    upper = (c[n::2] + 1j * c[n + 1::2]) / _SQRT2
+    m[rows, cols] = upper
+    m[cols, rows] = np.conj(upper)
     return m
 
 
 def _complex_to_coeffs(m, n):
+    rows, cols = _offdiag_indices(n)
     c = np.empty(n * n)
     c[:n] = np.diag(m).real
-    k = n
-    for i, j in _offdiag_pairs(n):
-        upper = 0.5 * (m[i, j] + np.conj(m[j, i]))
-        c[k] = _SQRT2 * upper.real
-        c[k + 1] = _SQRT2 * upper.imag
-        k += 2
+    upper = 0.5 * (m[rows, cols] + np.conj(m[cols, rows]))
+    c[n::2] = _SQRT2 * upper.real
+    c[n + 1::2] = _SQRT2 * upper.imag
     return c
 
 
 def _quaternion_to_rep(c, n):
     """Stack of the four real component matrices (1, i, j, k parts)."""
+    rows, cols = _offdiag_indices(n)
     m = np.zeros((4, n, n))
     m[0][np.diag_indices(n)] = c[:n]
-    k = n
-    for i, j in _offdiag_pairs(n):
-        m[0, i, j] = m[0, j, i] = c[k] / _SQRT2
-        for part in (1, 2, 3):
-            m[part, i, j] = c[k + part] / _SQRT2
-            m[part, j, i] = -c[k + part] / _SQRT2
-        k += 4
+    parts = (c[n:] / _SQRT2).reshape(-1, 4).T
+    m[:, rows, cols] = parts
+    m[0, cols, rows] = parts[0]
+    m[1:, cols, rows] = -parts[1:]
     return m
 
 
 def _quaternion_to_coeffs(m, n):
+    rows, cols = _offdiag_indices(n)
     c = np.empty(n * (2 * n - 1))
     c[:n] = np.diag(m[0])
-    k = n
-    for i, j in _offdiag_pairs(n):
-        c[k] = _SQRT2 * 0.5 * (m[0, i, j] + m[0, j, i])
-        for part in (1, 2, 3):
-            c[k + part] = _SQRT2 * 0.5 * (m[part, i, j] - m[part, j, i])
-        k += 4
+    upper, lower = m[:, rows, cols], m[:, cols, rows]
+    lower[0] = -lower[0]  # the real part is symmetric, the others skew
+    c[n:] = (_SQRT2 * 0.5 * (upper - lower)).T.ravel()
     return c
 
 
@@ -499,17 +492,6 @@ def _group_indices(values: np.ndarray, group_tol: float) -> list[np.ndarray]:
     return groups
 
 
-def _complex_to_real_embedding(m: np.ndarray) -> np.ndarray:
-    x, y = m.real, m.imag
-    return np.block([[x, -y], [y, x]])
-
-
-def _real_projection_to_complex(p: np.ndarray, n: int) -> np.ndarray:
-    xp = 0.5 * (p[:n, :n] + p[n:, n:])
-    yp = 0.5 * (p[n:, :n] - p[:n, n:])
-    return xp + 1j * yp
-
-
 def _quaternion_to_complex_embedding(m: np.ndarray) -> np.ndarray:
     a0, a1, a2, a3 = m
     return np.block([
@@ -554,30 +536,19 @@ def _spectral_pairs(kind, rep, size, group_tol):
         bottom = np.concatenate(([0.5], -0.5 * axis))
         return [(t + r, top), (t - r, bottom)]
 
-    if kind == "real":
-        w, vecs = jacobi_eigh(rep)
-        unembed = None
-        n_embed = size
-    elif kind == "complex":
-        w, vecs = jacobi_eigh(_complex_to_real_embedding(rep))
-        unembed = lambda p: _real_projection_to_complex(p, size)
-        n_embed = 2 * size
-    else:  # quaternion
-        cm = _quaternion_to_complex_embedding(rep)
-        w, vecs = jacobi_eigh(_complex_to_real_embedding(cm))
-        unembed = lambda p: _complex_projection_to_quaternion(
-            _real_projection_to_complex(p, 2 * size), size
-        )
-        n_embed = 4 * size
-
+    # LAPACK on the native matrix; quaternionic matrices go through their
+    # complex symplectic embedding, whose eigenvalues come in equal pairs
+    quaternion = kind == "quaternion"
+    matrix = _quaternion_to_complex_embedding(rep) if quaternion else rep
+    w, vecs = np.linalg.eigh(matrix)
     w = w[::-1]
     vecs = vecs[:, ::-1]
     pairs = []
     for idx in _group_indices(w, group_tol):
         cols = vecs[:, idx]
-        proj = cols @ cols.T
-        if unembed is not None:
-            proj = unembed(proj)
+        proj = cols @ cols.conj().T
+        if quaternion:
+            proj = _complex_projection_to_quaternion(proj, size)
         pairs.append((float(np.mean(w[idx])), proj))
     return pairs
 

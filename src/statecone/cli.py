@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -53,7 +54,15 @@ def _scrub(value):
 
 def _emit(report: dict, pretty: bool) -> None:
     indent = 2 if pretty else None
-    print(json.dumps(_scrub(report), sort_keys=True, indent=indent))
+    try:
+        print(json.dumps(_scrub(report), sort_keys=True, indent=indent))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader is gone (``statecone ... | head``).  Point stdout at
+        # the null device so the interpreter's final flush stays quiet.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _report(command: str, config: dict, results, passed=None) -> dict:
@@ -206,6 +215,8 @@ _SUITES = ("mono", "suff", "local", "identity", "additivity", "marginal",
 
 
 def _cmd_suite(args) -> int:
+    if args.trials < 1:
+        raise CliError(f"--trials must be at least 1, got {args.trials}")
     algebra, layout = sz.parse_algebra_spec(args.algebra)
     F = _generator(args.generator)
     tol = args.tol

@@ -125,6 +125,8 @@ def element_from_json(doc) -> JordanElement:
             f"coefficient count {coeffs.shape} does not match "
             f"algebra dimension {algebra.dim}"
         )
+    if not np.all(np.isfinite(coeffs)):
+        raise FormatError("coefficients must be finite numbers")
     return JordanElement(algebra, coeffs)
 
 

@@ -175,8 +175,10 @@ class State:
         Eigenvalues in ``[-clip_tol, 0)`` are treated as solver noise and
         clipped to zero; anything more negative is rejected.
         """
+        if not np.all(np.isfinite(element.coeffs)):
+            raise StateValidationError("state coefficients must be finite")
         tr = trace(element)
-        if abs(tr - 1.0) > 1e-8:
+        if not abs(tr - 1.0) <= 1e-8:
             raise StateValidationError(f"trace {tr!r} is not 1")
         dec = spectral_decompose(element)
         lo = float(np.min(dec.eigenvalues))

@@ -361,3 +361,223 @@ def test_immutability():
         el.coeffs = np.zeros(4)
     with pytest.raises(ValueError):
         el.coeffs[0] = 1.0
+
+
+# ---------------------------------------------------------------------------
+# the README coefficient basis, built here independently of the package
+# ---------------------------------------------------------------------------
+
+# quaternion units 1, i, j, k as 2x2 complex matrices
+_QUATERNION_UNITS = (
+    np.eye(2, dtype=complex),
+    np.diag([1j, -1j]),
+    np.array([[0, 1], [-1, 0]], dtype=complex),
+    np.array([[0, 1j], [1j, 0]]),
+)
+# scalar parts of the units' conjugates: conj(1) = 1, conj(i) = -i, ...
+_CONJUGATE_SIGN = (1, -1, -1, -1)
+MATRIX_KINDS = ("real", "complex", "quaternion")
+
+
+def readme_basis(kind, n):
+    """Basis matrices in the README order.  Quaternionic entries are
+    written as 2x2 complex blocks, so each quaternionic n x n matrix
+    becomes a complex 2n x 2n one with every eigenvalue doubled."""
+    parts = {"real": 1, "complex": 2, "quaternion": 4}[kind]
+    block = 2 if kind == "quaternion" else 1
+
+    def matrix(entries):
+        m = np.zeros((block * n, block * n), dtype=complex)
+        for (i, j), value in entries.items():
+            m[block * i:block * (i + 1), block * j:block * (j + 1)] = value
+        return m
+
+    unit_blocks = _QUATERNION_UNITS if kind == "quaternion" \
+        else (1.0, 1j)
+    basis = [matrix({(i, i): unit_blocks[0]}) for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            for p in range(parts):
+                u = unit_blocks[p] / np.sqrt(2)
+                sign = _CONJUGATE_SIGN[p]
+                basis.append(matrix({(i, j): u, (j, i): sign * u}))
+    return basis
+
+
+def readme_matrix(kind, n, coeffs):
+    return sum(c * b for c, b in zip(coeffs, readme_basis(kind, n)))
+
+
+def readme_coeffs(kind, n, m):
+    """Coefficients of a Hermitian matrix in the orthonormal basis."""
+    scale = 2.0 if kind == "quaternion" else 1.0
+    return np.array([np.trace(b @ m).real / scale
+                     for b in readme_basis(kind, n)])
+
+
+def factor_algebra(kind, n):
+    return ja.Algebra((ja.SimpleFactor(kind, n),))
+
+
+def random_projection(kind, n, rank, rng):
+    """A rank-``rank`` projection, as a README-layout matrix."""
+    if kind == "quaternion":
+        # quaternionic vectors x come with their Kramers partners J conj(x)
+        J = np.kron(np.eye(n), _QUATERNION_UNITS[2])
+        cols = []
+        for _ in range(rank):
+            x = rng.normal(size=2 * n) + 1j * rng.normal(size=2 * n)
+            for c in cols:
+                x = x - c * (c.conj() @ x)
+            x = x / np.linalg.norm(x)
+            cols += [x, J @ x.conj()]
+        v = np.array(cols).T
+    else:
+        g = rng.normal(size=(n, n))
+        if kind == "complex":
+            g = g + 1j * rng.normal(size=(n, n))
+        v = np.linalg.qr(g)[0][:, :rank]
+    return v @ v.conj().T
+
+
+def sorted_spectrum(kind, m):
+    """Ascending eigenvalues of a README-layout matrix, one per
+    quaternionic Kramers pair."""
+    w = np.linalg.eigvalsh(m)
+    return w[::2] if kind == "quaternion" else w
+
+
+def assert_valid_decomposition(el, dec):
+    algebra = el.algebra
+    assert np.all(np.diff(dec.eigenvalues) < 0)
+    total = ja.zero(algebra)
+    for i, e in enumerate(dec.idempotents):
+        assert ja.norm(ja.jordan_product(e, e) - e) < 1e-10
+        for f in dec.idempotents[:i]:
+            assert ja.norm(ja.jordan_product(e, f)) < 1e-10
+        total = total + e
+    assert ja.norm(total - ja.unit(algebra)) < 1e-10
+    assert ja.norm(dec.reconstruct() - el) < 1e-10 * max(1.0, ja.norm(el))
+
+
+class TestNativeSpectral:
+    @pytest.mark.parametrize("kind", MATRIX_KINDS)
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_basis_is_orthonormal_and_matches_reps(self, kind, n):
+        algebra = factor_algebra(kind, n)
+        basis = readme_basis(kind, n)
+        assert len(basis) == algebra.dim
+        for k, b in enumerate(basis):
+            np.testing.assert_allclose(
+                readme_coeffs(kind, n, b), np.eye(algebra.dim)[k],
+                atol=1e-15,
+            )
+            rep = ja.basis_element(algebra, k).reps()[0]
+            if kind == "quaternion":
+                rep = sum(np.kron(part, unit) for part, unit
+                          in zip(rep, _QUATERNION_UNITS))
+            np.testing.assert_allclose(rep, b, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("kind", MATRIX_KINDS)
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_random_spectrum_matches_eigvalsh(self, kind, n):
+        algebra = factor_algebra(kind, n)
+        rng = np.random.default_rng([MATRIX_KINDS.index(kind), n])
+        coeffs = rng.normal(size=algebra.dim)
+        el = ja.JordanElement(algebra, coeffs)
+        dec = ja.spectral_decompose(el)
+        expected = sorted_spectrum(kind, readme_matrix(kind, n, coeffs))
+        np.testing.assert_allclose(
+            np.sort(dec.fine_spectrum()), expected, atol=1e-10
+        )
+        # generic spectra are simple; quaternionic Kramers pairs count once
+        np.testing.assert_allclose(dec.multiplicities, 1.0, atol=1e-10)
+        assert_valid_decomposition(el, dec)
+
+    @pytest.mark.parametrize("kind", MATRIX_KINDS)
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_unit_is_one_idempotent(self, kind, n):
+        u = ja.unit(factor_algebra(kind, n))
+        dec = ja.spectral_decompose(u)
+        np.testing.assert_allclose(dec.eigenvalues, [1.0], atol=1e-12)
+        assert dec.multiplicities[0] == pytest.approx(n, abs=1e-10)
+        assert ja.norm(dec.idempotents[0] - u) < 1e-10
+        np.testing.assert_allclose(dec.fine_spectrum(), np.ones(n),
+                                   atol=1e-12)
+
+    @pytest.mark.parametrize("kind", MATRIX_KINDS)
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_rank_deficient_projection(self, kind, n):
+        rng = np.random.default_rng([7, n, MATRIX_KINDS.index(kind)])
+        rank = int(rng.integers(1, n))
+        p = random_projection(kind, n, rank, rng)
+        np.testing.assert_allclose(
+            sorted_spectrum(kind, p), [0.0] * (n - rank) + [1.0] * rank,
+            atol=1e-12,
+        )
+        el = ja.JordanElement(factor_algebra(kind, n),
+                              readme_coeffs(kind, n, p))
+        dec = ja.spectral_decompose(el)
+        np.testing.assert_allclose(dec.eigenvalues, [1.0, 0.0], atol=1e-10)
+        np.testing.assert_allclose(dec.multiplicities, [rank, n - rank],
+                                   atol=1e-10)
+        assert ja.norm(dec.idempotents[0] - el) < 1e-10
+        assert_valid_decomposition(el, dec)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_degenerate_quaternion_eigenvalues(self, n):
+        # a quaternionic eigenvalue of multiplicity 2 is four-fold in the
+        # complex embedding and must still come out as one idempotent
+        rng = np.random.default_rng([11, n])
+        p = random_projection("quaternion", n, 2, rng)
+        m = 0.3 * np.eye(2 * n) + 0.5 * p
+        el = ja.JordanElement(factor_algebra("quaternion", n),
+                              readme_coeffs("quaternion", n, m))
+        dec = ja.spectral_decompose(el)
+        expected = [0.8, 0.3] if n > 2 else [0.8]
+        np.testing.assert_allclose(dec.eigenvalues, expected, atol=1e-10)
+        np.testing.assert_allclose(dec.multiplicities,
+                                   [2, n - 2][:len(expected)], atol=1e-10)
+        assert_valid_decomposition(el, dec)
+
+
+class TestBasisMaps:
+    @pytest.mark.parametrize("kind", MATRIX_KINDS)
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_round_trip(self, kind, n):
+        algebra = factor_algebra(kind, n)
+        el = random_element(algebra, [13, n])
+        back = ja.element_from_reps(algebra, el.reps())
+        np.testing.assert_allclose(back.coeffs, el.coeffs, rtol=0,
+                                   atol=1e-14 * ja.norm(el))
+
+    def test_round_trip_direct_sum(self):
+        algebra = ja.Algebra(tuple(
+            ja.SimpleFactor(kind, n) for kind, n in
+            (("real", 3), ("complex", 2), ("quaternion", 3), ("spin", 3),
+             ("classical", 2))
+        ))
+        el = random_element(algebra, 14)
+        back = ja.element_from_reps(algebra, el.reps())
+        np.testing.assert_allclose(back.coeffs, el.coeffs, rtol=0,
+                                   atol=1e-14 * ja.norm(el))
+
+    @pytest.mark.parametrize("kind", MATRIX_KINDS)
+    def test_symmetrizes_non_hermitian_input(self, kind):
+        # coefficients of a matrix are those of its Hermitian part
+        n = 4
+        rng = np.random.default_rng(15)
+        algebra = factor_algebra(kind, n)
+        el = random_element(algebra, 16)
+        rep = el.reps()[0]
+        skew = rng.normal(size=rep.shape[-2:])
+        skew = skew - skew.T
+        noisy = rep.copy()
+        if kind == "quaternion":
+            noisy[0] = noisy[0] + skew
+        else:
+            noisy = noisy + skew
+        np.testing.assert_allclose(
+            ja.element_from_reps(algebra, [noisy]).coeffs, el.coeffs,
+            atol=1e-14 * ja.norm(el),
+        )

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -180,3 +184,57 @@ class TestOtherCommands:
         bad.write_text('{"broken": ')
         code, _ = run_cli(capsys, "entropy", "--state", str(bad))
         assert code == 2
+
+
+def run_cli_error(capsys, *argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return code, json.loads(captured.err)
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("index,value", [
+        (0, float("nan")),            # diagonal
+        (2, float("nan")),            # real part of the off-diagonal
+        (1, float("inf")),
+        (3, float("-inf")),
+    ])
+    def test_non_finite_coefficient(self, capsys, tmp_path, index, value):
+        doc = sz.state_to_json(st.maximally_mixed(ja.complex_hermitian(2)))
+        doc["coeffs"][index] = value
+        path = tmp_path / "bad_state.json"
+        path.write_text(json.dumps(doc))
+        code, error = run_cli_error(capsys, "entropy", "--state", str(path))
+        assert code == 2
+        assert "finite" in error["error"]
+
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_suite_needs_a_trial(self, capsys, trials):
+        code, error = run_cli_error(
+            capsys, "suite", "--property", "mono", "--algebra", "C2",
+            "--trials", trials,
+        )
+        assert code == 2
+        assert "--trials" in error["error"]
+
+
+def test_closed_pipe_exits_quietly():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "statecone.cli", "suite", "--property",
+         "identity", "--algebra", "C2", "--trials", "2", "--pretty"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    # the reader goes away before the report is written
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    proc.wait(timeout=60)
+    proc.stderr.close()
+    assert "Traceback" not in stderr
+    assert "BrokenPipeError" not in stderr
+    assert proc.returncode == 0

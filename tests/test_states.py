@@ -39,6 +39,15 @@ class TestStateValidation:
         with pytest.raises(st.StateValidationError):
             st.State.make(el)
 
+    @pytest.mark.parametrize("index,value", [
+        (0, np.nan), (2, np.nan), (3, np.inf), (1, -np.inf),
+    ])
+    def test_rejects_non_finite_coefficients(self, index, value):
+        coeffs = st.maximally_mixed(C2).element.coeffs.copy()
+        coeffs[index] = value
+        with pytest.raises(st.StateValidationError, match="finite"):
+            st.State.make(ja.JordanElement(C2, coeffs))
+
 
 class TestMeasurement:
     def test_computational_basis_probabilities(self):
