@@ -36,7 +36,7 @@ from .algebras import (
     unit,
 )
 from . import states as st
-from .states import State
+from .states import SUPPORT_CUTOFF, State
 
 __all__ = [
     "Action",
@@ -57,11 +57,10 @@ __all__ = [
     "neg_entropy",
     "random_orthogonal_triple",
     "regret",
+    "run_trials",
     "tangent_action",
     "trace_power",
 ]
-
-SUPPORT_CUTOFF = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -406,6 +405,49 @@ def _trial_rng(seed, trial: int, stream: int = 0) -> np.random.Generator:
     return np.random.default_rng([int(seed), int(trial), int(stream)])
 
 
+def run_trials(
+    trial_fn: Callable[[np.random.Generator, int], dict],
+    n_trials: int,
+    seed: int,
+    tols: dict[str, float],
+) -> dict[str, PropertyVerdict]:
+    """Run a randomized suite and judge each of its checks.
+
+    ``trial_fn(rng, trial)`` computes one trial from a generator derived
+    from ``(seed, trial)`` alone, so any trial replays by itself.  It
+    returns the violation of every check named in ``tols``; its other
+    keys are copied into the witnesses of that trial.  A check passes
+    when its worst violation stays below its tolerance, and every trial
+    over the tolerance is recorded as a witness.
+    """
+    if n_trials < 1:
+        raise ValueError(f"a suite needs at least one trial, got {n_trials}")
+    worst = dict.fromkeys(tols, -math.inf)
+    witnesses = {check: [] for check in tols}
+    for trial in range(n_trials):
+        result = trial_fn(_trial_rng(seed, trial), trial)
+        extras = {k: v for k, v in result.items() if k not in tols}
+        for check, tol in tols.items():
+            violation = result[check]
+            if violation > worst[check]:
+                worst[check] = violation
+            if violation > tol:
+                witnesses[check].append(
+                    {"trial": trial, "seed": seed, "violation": violation,
+                     **extras}
+                )
+    return {
+        check: PropertyVerdict(
+            property=check,
+            trials=n_trials,
+            worst_violation=worst[check],
+            tolerance=tol,
+            witnesses=witnesses[check],
+        )
+        for check, tol in tols.items()
+    }
+
+
 def _full_pair(algebra: Algebra, rng) -> tuple[State, State]:
     return (
         st.random_state(algebra, seed=rng),
@@ -428,8 +470,7 @@ def _monotonicity_catalog(algebra, seed):
     return catalog
 
 
-def _monotonicity_trial(F, algebra, catalog, seed, trial):
-    rng = _trial_rng(seed, trial)
+def _monotonicity_trial(F, algebra, catalog, rng, trial):
     use_random = _supports_random_channels(algebra) and trial % 3 != 2
     if use_random:
         env = 1 + trial % algebra.summands[0].size
@@ -483,10 +524,8 @@ def check_identity(
     Every third trial uses an affine combination with a negative weight,
     rejection-sampled to stay inside the cone.
     """
-    worst = -math.inf
-    witnesses = []
-    for trial in range(n_trials):
-        rng = _trial_rng(seed, trial)
+
+    def one_trial(rng, trial):
         sigma = st.random_state(algebra, seed=rng)
         k = 2 + int(rng.integers(0, 2))
         states = [st.random_state(algebra, seed=rng) for _ in range(k)]
@@ -508,20 +547,11 @@ def check_identity(
                 weights = rng.dirichlet(np.ones(k))
         else:
             weights = rng.dirichlet(np.ones(k))
-        residual = check_bregman_identity(F, states, weights, sigma)
-        if residual > worst:
-            worst = residual
-        if residual > tol:
-            witnesses.append(
-                {"trial": trial, "seed": seed, "violation": residual}
-            )
-    return PropertyVerdict(
-        property="bregman-identity",
-        trials=n_trials,
-        worst_violation=worst,
-        tolerance=tol,
-        witnesses=witnesses,
-    )
+        return {"bregman-identity":
+                check_bregman_identity(F, states, weights, sigma)}
+
+    return run_trials(one_trial, n_trials, seed,
+                      {"bregman-identity": tol})["bregman-identity"]
 
 
 def check_monotonicity(
@@ -538,34 +568,24 @@ def check_monotonicity(
     exist, which the verdict records.
     """
     catalog = _monotonicity_catalog(algebra, seed)
-    worst = -math.inf
-    witnesses = []
-    for trial in range(n_trials):
-        violation, name = _monotonicity_trial(F, algebra, catalog, seed, trial)
-        if violation > worst:
-            worst = violation
-        if violation > tol:
-            witnesses.append(
-                {"trial": trial, "seed": seed, "violation": violation,
-                 "channel": name}
-            )
-    details = {}
+
+    def one_trial(rng, trial):
+        violation, name = _monotonicity_trial(F, algebra, catalog, rng, trial)
+        return {"monotonicity": violation, "channel": name}
+
+    verdict = run_trials(one_trial, n_trials, seed,
+                         {"monotonicity": tol})["monotonicity"]
     if not _supports_random_channels(algebra):
-        details["channel_pool"] = "catalog-only"
-    return PropertyVerdict(
-        property="monotonicity",
-        trials=n_trials,
-        worst_violation=worst,
-        tolerance=tol,
-        witnesses=witnesses,
-        details=details,
-    )
+        verdict.details["channel_pool"] = "catalog-only"
+    return verdict
 
 
 def replay_monotonicity_trial(F, algebra, seed, trial):
     """Recompute the violation of a recorded witness."""
     catalog = _monotonicity_catalog(algebra, seed)
-    violation, _ = _monotonicity_trial(F, algebra, catalog, seed, trial)
+    violation, _ = _monotonicity_trial(
+        F, algebra, catalog, _trial_rng(seed, trial), trial
+    )
     return violation
 
 
@@ -588,10 +608,8 @@ def check_sufficiency(
         if c.recovery is not None
         and (F.algebra is None or c.affinity.source == algebra)
     ]
-    worst = -math.inf
-    witnesses = []
-    for trial in range(n_trials):
-        rng = _trial_rng(seed, trial)
+
+    def one_trial(rng, trial):
         entry = catalog[trial % len(catalog)]
         if entry.pair_sampler is not None:
             rho, sigma = entry.pair_sampler(rng)
@@ -612,21 +630,10 @@ def check_sufficiency(
             entry.affinity.apply_element(rho.element),
             entry.affinity.apply_element(sigma.element),
         )
-        violation = _gap(after, before)
-        if violation > worst:
-            worst = violation
-        if violation > tol:
-            witnesses.append(
-                {"trial": trial, "seed": seed, "violation": violation,
-                 "channel": entry.name}
-            )
-    return PropertyVerdict(
-        property="sufficiency",
-        trials=n_trials,
-        worst_violation=worst,
-        tolerance=tol,
-        witnesses=witnesses,
-    )
+        return {"sufficiency": _gap(after, before), "channel": entry.name}
+
+    return run_trials(one_trial, n_trials, seed,
+                      {"sufficiency": tol})["sufficiency"]
 
 
 def random_orthogonal_triple(algebra: Algebra, rng):
@@ -705,42 +712,33 @@ def check_statistical_locality(
     For the plain entropy generator the common value is also checked
     against ``-ln(1-t)``.
     """
-    worst = -math.inf
-    value_worst = 0.0
-    witnesses = []
     pure_entropy = F.entropy_weight == 1.0 and F.name == "neg-entropy"
-    for trial in range(n_trials):
-        rng = _trial_rng(seed, trial)
+    tols = {"statistical-locality": tol}
+    if pure_entropy:
+        # tracked but never judged: an infinite tolerance keeps no witness
+        tols["value_residual"] = math.inf
+
+    def one_trial(rng, trial):
         rho, sig1, sig2 = random_orthogonal_triple(algebra, rng)
         t = float(rng.uniform(0.05, 0.95))
         mix1 = State.make((1.0 - t) * rho.element + t * sig1.element)
         mix2 = State.make((1.0 - t) * rho.element + t * sig2.element)
         d1 = bregman_divergence(F, rho, mix1)
         d2 = bregman_divergence(F, rho, mix2)
-        violation = _gap(d1, d2)
+        out = {"statistical-locality": _gap(d1, d2), "t": t}
         if pure_entropy:
-            value_worst = max(
-                value_worst,
-                abs(d1 + math.log1p(-t)),
-                abs(d2 + math.log1p(-t)),
+            out["value_residual"] = max(
+                abs(d1 + math.log1p(-t)), abs(d2 + math.log1p(-t))
             )
-        if violation > worst:
-            worst = violation
-        if violation > tol:
-            witnesses.append(
-                {"trial": trial, "seed": seed, "violation": violation, "t": t}
-            )
-    details = {}
+        return out
+
+    verdicts = run_trials(one_trial, n_trials, seed, tols)
+    verdict = verdicts["statistical-locality"]
     if pure_entropy:
-        details["value_residual"] = value_worst
-    return PropertyVerdict(
-        property="statistical-locality",
-        trials=n_trials,
-        worst_violation=worst,
-        tolerance=tol,
-        witnesses=witnesses,
-        details=details,
-    )
+        verdict.details["value_residual"] = (
+            verdicts["value_residual"].worst_violation
+        )
+    return verdict
 
 
 def check_locality_theorem(

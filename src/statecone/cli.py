@@ -10,6 +10,7 @@ or input errors.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import os
@@ -210,8 +211,35 @@ def _cmd_cmi(args) -> int:
     return 0
 
 
-_SUITES = ("mono", "suff", "local", "identity", "additivity", "marginal",
-           "separoid", "dpi")
+# property -> (factors the algebra spec needs, None for a simple
+# algebra; the suite run).  Suites are looked up on their modules at call
+# time, so wrappers installed there by profilers apply.
+_SUITES = {
+    "mono": (None, lambda F, algebra, layout, **kw:
+             br.check_monotonicity(F, algebra, **kw)),
+    "suff": (None, lambda F, algebra, layout, **kw:
+             br.check_sufficiency(F, algebra, **kw)),
+    "local": (None, lambda F, algebra, layout, **kw:
+              br.check_statistical_locality(F, algebra, **kw)),
+    "identity": (None, lambda F, algebra, layout, **kw:
+                 br.check_identity(F, algebra, **kw)),
+    "additivity": (2, lambda F, algebra, layout, **kw:
+                   mp.run_additivity_suite(F, layout, **kw)),
+    "marginal": (2, lambda F, algebra, layout, **kw:
+                 mp.run_marginal_identity_suite(F, layout, **kw)),
+    "separoid": (4, lambda F, algebra, layout, **kw:
+                 mp.check_separoid(F, layout.embedding, layout.sizes, **kw)),
+    "dpi": (2, lambda F, algebra, layout, **kw:
+            mp.run_dpi_suite(F, layout, **kw)),
+}
+
+
+def _separoid_tolerances() -> str:
+    params = inspect.signature(mp.check_separoid).parameters.values()
+    return ", ".join(
+        f"{p.name.removesuffix('_tol')} {p.default:g}"
+        for p in params if p.name.endswith("_tol")
+    )
 
 
 def _cmd_suite(args) -> int:
@@ -219,73 +247,36 @@ def _cmd_suite(args) -> int:
         raise CliError(f"--trials must be at least 1, got {args.trials}")
     algebra, layout = sz.parse_algebra_spec(args.algebra)
     F = _generator(args.generator)
-    tol = args.tol
-
-    def need_layout(n_factors=None):
+    n_factors, run = _SUITES[args.property]
+    if n_factors is not None:
         if layout is None:
             raise CliError(
                 f"property {args.property!r} needs a composite algebra "
                 f"spec such as C2x2"
             )
-        if n_factors is not None and len(layout.factors) != n_factors:
+        if len(layout.factors) != n_factors:
             raise CliError(
                 f"property {args.property!r} needs {n_factors} factors"
             )
+    kwargs = {"n_trials": args.trials, "seed": args.seed}
+    if args.tol is not None:
+        if args.property == "separoid":
+            raise CliError(
+                "--tol does not apply to separoid, which judges with fixed "
+                f"tolerances: {_separoid_tolerances()}"
+            )
+        kwargs["tol"] = args.tol
 
-    if args.property == "mono":
-        verdicts = {"monotonicity": br.check_monotonicity(
-            F, algebra, n_trials=args.trials, seed=args.seed,
-            tol=tol if tol is not None else 1e-8,
-        )}
-    elif args.property == "suff":
-        verdicts = {"sufficiency": br.check_sufficiency(
-            F, algebra, n_trials=args.trials, seed=args.seed,
-            tol=tol if tol is not None else 1e-8,
-        )}
-    elif args.property == "local":
-        verdicts = {"statistical-locality": br.check_statistical_locality(
-            F, algebra, n_trials=args.trials, seed=args.seed,
-            tol=tol if tol is not None else 1e-8,
-        )}
-    elif args.property == "identity":
-        verdicts = {"bregman-identity": br.check_identity(
-            F, algebra, n_trials=args.trials, seed=args.seed,
-            tol=tol if tol is not None else 1e-9,
-        )}
-    elif args.property == "additivity":
-        need_layout(2)
-        verdicts = {"additivity": mp.run_additivity_suite(
-            F, layout, n_trials=args.trials, seed=args.seed,
-            tol=tol if tol is not None else 1e-8,
-        )}
-    elif args.property == "marginal":
-        need_layout(2)
-        verdicts = {"marginal-identity": mp.run_marginal_identity_suite(
-            F, layout, n_trials=args.trials, seed=args.seed,
-            tol=tol if tol is not None else 1e-8,
-        )}
-    elif args.property == "separoid":
-        need_layout(4)
-        verdicts = mp.check_separoid(
-            F, layout.embedding, layout.sizes,
-            n_trials=args.trials, seed=args.seed,
-        )
-    elif args.property == "dpi":
-        need_layout(2)
-        verdicts = {"data-processing": mp.run_dpi_suite(
-            F, layout, n_trials=args.trials, seed=args.seed,
-            tol=tol if tol is not None else 1e-8,
-        )}
-    else:
-        raise CliError(f"unknown property {args.property!r}")
-
+    verdicts = run(F, algebra, layout, **kwargs)
+    if isinstance(verdicts, br.PropertyVerdict):
+        verdicts = {verdicts.property: verdicts}
     passed = all(v.passed for v in verdicts.values())
     _emit(
         _report(
             "suite",
             {"property": args.property, "generator": args.generator,
              "algebra": args.algebra, "trials": args.trials,
-             "seed": args.seed, "tol": tol},
+             "seed": args.seed, "tol": args.tol},
             {key: v.as_dict() for key, v in verdicts.items()},
             passed=passed,
         ),
@@ -295,6 +286,10 @@ def _cmd_suite(args) -> int:
 
 
 def _cmd_explore(args) -> int:
+    if args.generators < 1:
+        raise CliError(
+            f"--generators must be at least 1, got {args.generators}"
+        )
     report = br.explore_additivity_conjecture(
         n_generators=args.generators,
         n_trials=args.trials,
@@ -432,7 +427,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("suite", help="randomized property suite")
     common(p)
-    p.add_argument("--property", required=True, choices=_SUITES)
+    p.add_argument("--property", required=True, choices=tuple(_SUITES))
     p.add_argument("--generator", default="neg-entropy")
     p.add_argument("--algebra", default="C3",
                    help="algebra spec, e.g. C2, R4, H2, S3, P4, C2x4")

@@ -17,7 +17,7 @@ import numpy as np
 from . import algebras as alg
 from .algebras import Algebra, JordanElement, spectral_decompose
 from . import states as st
-from .states import Measurement, State, Test, measure
+from .states import SUPPORT_CUTOFF, Measurement, State, Test, measure
 
 __all__ = [
     "EntropyBoundError",
@@ -30,7 +30,6 @@ __all__ = [
     "spectral_entropy",
 ]
 
-ZERO_CUTOFF = 1e-12
 SQUEEZE_TOL = 1e-9
 
 
@@ -65,7 +64,7 @@ def shannon_entropy(p, tol: float = 1e-8) -> float:
     if abs(total - 1.0) > tol:
         raise ValueError(f"probabilities sum to {total!r}")
     p = np.clip(p, 0.0, None) / total
-    mask = p > ZERO_CUTOFF
+    mask = p > SUPPORT_CUTOFF
     return float(-np.sum(p[mask] * np.log(p[mask])))
 
 
@@ -82,7 +81,7 @@ def spectral_entropy(sigma: State) -> float:
     dec = spectral_decompose(sigma.element)
     lam = dec.eigenvalues
     mult = dec.multiplicities
-    mask = lam > ZERO_CUTOFF
+    mask = lam > SUPPORT_CUTOFF
     return float(-np.sum(mult[mask] * lam[mask] * np.log(lam[mask])))
 
 
@@ -119,7 +118,7 @@ def _pure_vectors(sigma: State):
     dec = spectral_decompose(sigma.element)
     weights, vectors = [], []
     for lam, e in zip(dec.eigenvalues, dec.idempotents):
-        if lam <= ZERO_CUTOFF:
+        if lam <= SUPPORT_CUTOFF:
             continue
         for p in st.primitive_split(e):
             weights.append(lam)
@@ -146,7 +145,7 @@ def sample_pure_decomposition(sigma: State, rng):
         p = sigma.element.reps()[0]
         weights, elements = [], []
         for j, pj in enumerate(p):
-            if pj <= ZERO_CUTOFF:
+            if pj <= SUPPORT_CUTOFF:
                 continue
             t = rng.uniform(0.2, 0.8)
             for portion in (t * pj, (1 - t) * pj):
@@ -305,7 +304,7 @@ def random_fine_grained_measurement(algebra: Algebra, rng) -> Measurement:
 
 
 def _entropy_of_probs(p: np.ndarray) -> float:
-    mask = p > ZERO_CUTOFF
+    mask = p > SUPPORT_CUTOFF
     return float(-np.sum(p[mask] * np.log(p[mask])))
 
 

@@ -17,7 +17,13 @@ import numpy as np
 
 from . import algebras as alg
 from . import states as st
-from .bregman import BregmanGenerator, PropertyVerdict, bregman_divergence, _gap
+from .bregman import (
+    BregmanGenerator,
+    PropertyVerdict,
+    _gap,
+    bregman_divergence,
+    run_trials,
+)
 from .states import CompositeLayout, State
 
 __all__ = [
@@ -253,14 +259,11 @@ def check_separoid(
     labels = ("A", "B", "C", "D")
     tols = {"positivity": positivity_tol, "symmetry": symmetry_tol,
             "chain": chain_tol}
-    worst = {key: -math.inf for key in tols}
-    witnesses = {key: [] for key in tols}
 
-    for trial in range(n_trials):
+    def one_trial(rng, trial):
         rank_cap = 1 if trial % 4 == 3 else None
         p = random_partitioned_state(
-            embedding, sizes, labels,
-            seed=np.random.default_rng([seed, trial]), rank_cap=rank_cap,
+            embedding, sizes, labels, seed=rng, rank_cap=rank_cap,
         )
         ab_c = conditional_mutual_information(F, p, ["A"], ["B"], ["C"])
         ba_c = conditional_mutual_information(F, p, ["B"], ["A"], ["C"])
@@ -284,25 +287,12 @@ def check_separoid(
             )
         else:
             checks["chain"] = math.inf
+        return checks
 
-        for key, value in checks.items():
-            if value > worst[key]:
-                worst[key] = value
-            if value > tols[key]:
-                witnesses[key].append(
-                    {"trial": trial, "seed": seed, "violation": value}
-                )
-
-    return {
-        key: PropertyVerdict(
-            property=f"separoid-{key}",
-            trials=n_trials,
-            worst_violation=worst[key],
-            tolerance=tols[key],
-            witnesses=witnesses[key],
-        )
-        for key in tols
-    }
+    verdicts = run_trials(one_trial, n_trials, seed, tols)
+    for check, verdict in verdicts.items():
+        verdict.property = f"separoid-{check}"
+    return verdicts
 
 
 def run_additivity_suite(
@@ -313,28 +303,18 @@ def run_additivity_suite(
     tol: float = 1e-8,
 ) -> PropertyVerdict:
     """Additivity residuals over random product quadruples."""
-    worst = -math.inf
-    witnesses = []
-    for trial in range(n_trials):
-        rng = np.random.default_rng([seed, trial])
+
+    def one_trial(rng, trial):
         rho_a = st.random_state(layout.factors[0], seed=rng)
         rho_b = st.random_state(layout.factors[1], seed=rng)
         sigma_a = st.random_state(layout.factors[0], seed=rng)
         sigma_b = st.random_state(layout.factors[1], seed=rng)
-        residual = check_additivity(F, rho_a, rho_b, sigma_a, sigma_b, layout)
-        if residual > worst:
-            worst = residual
-        if residual > tol:
-            witnesses.append(
-                {"trial": trial, "seed": seed, "violation": residual}
-            )
-    return PropertyVerdict(
-        property="additivity",
-        trials=n_trials,
-        worst_violation=worst,
-        tolerance=tol,
-        witnesses=witnesses,
-    )
+        return {"additivity": check_additivity(
+            F, rho_a, rho_b, sigma_a, sigma_b, layout
+        )}
+
+    return run_trials(one_trial, n_trials, seed,
+                      {"additivity": tol})["additivity"]
 
 
 def run_marginal_identity_suite(
@@ -346,27 +326,17 @@ def run_marginal_identity_suite(
 ) -> PropertyVerdict:
     """Marginal-identity residuals over random joint states and full-rank
     product references."""
-    worst = -math.inf
-    witnesses = []
-    for trial in range(n_trials):
-        rng = np.random.default_rng([seed, trial])
+
+    def one_trial(rng, trial):
         sigma_ab = st.random_state(layout.ambient, seed=rng, layout=layout)
         rho_a = st.random_state(layout.factors[0], seed=rng)
         rho_b = st.random_state(layout.factors[1], seed=rng)
-        residual = check_marginal_identity(F, sigma_ab, rho_a, rho_b)
-        if residual > worst:
-            worst = residual
-        if residual > tol:
-            witnesses.append(
-                {"trial": trial, "seed": seed, "violation": residual}
-            )
-    return PropertyVerdict(
-        property="marginal-identity",
-        trials=n_trials,
-        worst_violation=worst,
-        tolerance=tol,
-        witnesses=witnesses,
-    )
+        return {"marginal-identity": check_marginal_identity(
+            F, sigma_ab, rho_a, rho_b
+        )}
+
+    return run_trials(one_trial, n_trials, seed,
+                      {"marginal-identity": tol})["marginal-identity"]
 
 
 def maximally_entangled_state(layout: CompositeLayout) -> State:
@@ -413,22 +383,20 @@ def run_dpi_suite(
             ("A", "B"),
         )
     )
-    per_state = max(1, n_trials // len(states))
-    worst = -math.inf
-    witnesses = []
-    for idx, pstate in enumerate(states):
-        verdict = check_data_processing(
+    # one trial per state at least, unless the run asks for none
+    per_state = max(min(n_trials, 1), n_trials // len(states))
+    verdicts = [
+        check_data_processing(
             F, pstate, n_trials=per_state, seed=seed + idx, tol=tol
         )
-        if verdict.worst_violation > worst:
-            worst = verdict.worst_violation
-        witnesses.extend(verdict.witnesses)
+        for idx, pstate in enumerate(states)
+    ]
     return PropertyVerdict(
         property="data-processing",
         trials=per_state * len(states),
-        worst_violation=worst,
+        worst_violation=max(v.worst_violation for v in verdicts),
         tolerance=tol,
-        witnesses=witnesses,
+        witnesses=[w for v in verdicts for w in v.witnesses],
     )
 
 
@@ -446,10 +414,8 @@ def check_data_processing(
         raise ValueError("data processing runs on bipartite states")
     a_label, b_label = pstate.labels
     before = mutual_information(F, pstate, [a_label], [b_label])
-    worst = -math.inf
-    witnesses = []
-    for trial in range(n_trials):
-        rng = np.random.default_rng([seed, trial])
+
+    def one_trial(rng, trial):
         phi = st.random_channel(layout.factors[1], seed=rng)
         lifted = st.extend_to_factor(phi, layout, 1)
         moved = State(lifted.apply_element(pstate.state.element), layout)
@@ -458,16 +424,7 @@ def check_data_processing(
         violation = after - before if math.isfinite(after) else (
             0.0 if math.isinf(before) else math.inf
         )
-        if violation > worst:
-            worst = violation
-        if violation > tol:
-            witnesses.append(
-                {"trial": trial, "seed": seed, "violation": violation}
-            )
-    return PropertyVerdict(
-        property="data-processing",
-        trials=n_trials,
-        worst_violation=worst,
-        tolerance=tol,
-        witnesses=witnesses,
-    )
+        return {"data-processing": violation}
+
+    return run_trials(one_trial, n_trials, seed,
+                      {"data-processing": tol})["data-processing"]

@@ -125,9 +125,13 @@ def element_from_json(doc) -> JordanElement:
             f"coefficient count {coeffs.shape} does not match "
             f"algebra dimension {algebra.dim}"
         )
-    if not np.all(np.isfinite(coeffs)):
-        raise FormatError("coefficients must be finite numbers")
+    _require_finite(coeffs, "coefficients")
     return JordanElement(algebra, coeffs)
+
+
+def _require_finite(values: np.ndarray, what: str) -> None:
+    if not np.all(np.isfinite(values)):
+        raise FormatError(f"{what} must be finite numbers")
 
 
 def _layout_to_json(layout: CompositeLayout) -> dict:
@@ -185,6 +189,7 @@ def measurement_from_json(doc) -> Measurement:
     outcomes = []
     for entry in doc["outcomes"]:
         coeffs = np.asarray(entry["coeffs"], dtype=float)
+        _require_finite(coeffs, "outcome coefficients")
         outcomes.append(
             (entry["label"], Test(JordanElement(algebra, coeffs)))
         )
@@ -208,6 +213,7 @@ def channel_from_json(doc) -> Affinity:
     source = algebra_from_json(doc["source"])
     target = algebra_from_json(doc["target"])
     matrix = np.asarray(doc["matrix"], dtype=float)
+    _require_finite(matrix, "channel matrix entries")
     return Affinity(
         matrix, source, target,
         name=doc.get("name", ""),

@@ -69,6 +69,8 @@ __all__ = [
 ]
 
 CLIP_TOL = 1e-10
+# eigenvalues and probabilities at or below this count as exact zeros
+# for support and entropy purposes, in every module
 SUPPORT_CUTOFF = 1e-12
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from statecone import algebras as ja
 from statecone import bregman as br
+from statecone import multipartite as mp
 from statecone import states as st
 
 C2 = ja.complex_hermitian(2)
@@ -256,6 +257,61 @@ class TestBregmanIdentity:
         verdict = br.check_identity(NE, C2, n_trials=60, seed=21)
         assert verdict.passed
         assert verdict.trials == 60
+
+
+LAYOUT_22 = st.composite_layout(st.COMPLEX_TENSOR, (2, 2))
+
+SUITES = {
+    "mono": lambda n: br.check_monotonicity(NE, C2, n_trials=n),
+    "suff": lambda n: br.check_sufficiency(NE, C2, n_trials=n),
+    "local": lambda n: br.check_statistical_locality(NE, C3, n_trials=n),
+    "identity": lambda n: br.check_identity(NE, C2, n_trials=n),
+    "additivity": lambda n: mp.run_additivity_suite(NE, LAYOUT_22,
+                                                    n_trials=n),
+    "marginal": lambda n: mp.run_marginal_identity_suite(NE, LAYOUT_22,
+                                                          n_trials=n),
+    "separoid": lambda n: mp.check_separoid(
+        NE, st.CLASSICAL_TENSOR, (2, 2, 2, 2), n_trials=n),
+    "dpi": lambda n: mp.run_dpi_suite(NE, LAYOUT_22, n_trials=n),
+}
+
+
+class TestTrialDriver:
+    def test_worst_witnesses_and_extras_per_check(self):
+        values = {"a": [0.1, 0.7, -1.0], "b": [-2.0, -3.0, -1.0]}
+
+        def one_trial(rng, trial):
+            return {"a": values["a"][trial], "b": values["b"][trial],
+                    "tag": f"t{trial}"}
+
+        verdicts = br.run_trials(one_trial, 3, 5, {"a": 0.5, "b": 0.0})
+        assert verdicts["a"].worst_violation == 0.7
+        assert not verdicts["a"].passed
+        assert verdicts["a"].witnesses == [
+            {"trial": 1, "seed": 5, "violation": 0.7, "tag": "t1"}
+        ]
+        assert verdicts["b"].worst_violation == -1.0
+        assert verdicts["b"].passed and not verdicts["b"].witnesses
+        assert {v.property for v in verdicts.values()} == {"a", "b"}
+        assert {v.trials for v in verdicts.values()} == {3}
+
+    def test_trial_streams_match_seed_and_trial(self):
+        # every suite used to seed its trials with [seed, trial] or
+        # [seed, trial, 0]; both give the stream the driver hands out
+        drawn = br.run_trials(
+            lambda rng, trial: {"x": rng.random()}, 4, 11,
+            {"x": -math.inf},
+        )["x"].witnesses
+        for w in drawn:
+            for entropy in ([11, w["trial"]], [11, w["trial"], 0]):
+                assert w["violation"] == \
+                    np.random.default_rng(entropy).random()
+
+    @pytest.mark.parametrize("suite", sorted(SUITES))
+    @pytest.mark.parametrize("n_trials", [0, -3])
+    def test_empty_suite_is_rejected(self, suite, n_trials):
+        with pytest.raises(ValueError, match="at least one trial"):
+            SUITES[suite](n_trials)
 
 
 class TestMonotonicity:

@@ -140,6 +140,18 @@ class TestSuiteCommand:
         assert code == 0
         assert set(report["results"]) == {"positivity", "symmetry", "chain"}
 
+    @pytest.mark.parametrize("prop,algebra", [
+        ("mono", "C2"), ("suff", "C2"), ("local", "C3"), ("identity", "C2"),
+        ("additivity", "C2x2"), ("marginal", "C2x2"), ("dpi", "C2x2"),
+    ])
+    def test_tol_reaches_the_verdict(self, capsys, prop, algebra):
+        _, report = run_cli(
+            capsys, "suite", "--property", prop, "--algebra", algebra,
+            "--trials", "2", "--tol", "0.25",
+        )
+        assert report["config"]["tol"] == 0.25
+        assert [v["tolerance"] for v in report["results"].values()] == [0.25]
+
     def test_determinism(self, capsys):
         argv = ("suite", "--property", "identity", "--generator",
                 "trace-power-2", "--algebra", "C2", "--trials", "10",
@@ -217,6 +229,25 @@ class TestBadInput:
         )
         assert code == 2
         assert "--trials" in error["error"]
+
+    @pytest.mark.parametrize("argv,named", [
+        (("--generators", "0"), "--generators"),
+        (("--generators", "-2", "--trials", "3"), "--generators"),
+        (("--generators", "2", "--trials", "0"), "trial"),
+    ])
+    def test_explore_needs_generators_and_trials(self, capsys, argv, named):
+        code, error = run_cli_error(capsys, "explore", *argv)
+        assert code == 2
+        assert named in error["error"]
+
+    def test_separoid_rejects_tol(self, capsys):
+        code, error = run_cli_error(
+            capsys, "suite", "--property", "separoid",
+            "--algebra", "P2x2x2x2", "--trials", "2", "--tol", "1e-30",
+        )
+        assert code == 2
+        for fixed in ("positivity 1e-08", "symmetry 1e-10", "chain 1e-08"):
+            assert fixed in error["error"]
 
 
 def test_closed_pipe_exits_quietly():

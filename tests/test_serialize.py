@@ -108,6 +108,11 @@ class TestMeasurementsAndChannels:
         np.testing.assert_allclose(
             np.sort(probs), np.sort(st.measure(m, sigma)), atol=1e-12
         )
+        for bad in (np.nan, np.inf):
+            doc = sz.measurement_to_json(m)
+            doc["outcomes"][0]["coeffs"][1] = bad
+            with pytest.raises(sz.FormatError, match="finite"):
+                sz.measurement_from_json(doc)
 
     def test_channel_round_trip(self):
         phi = st.random_channel(ja.complex_hermitian(2), seed=4)
@@ -118,6 +123,11 @@ class TestMeasurementsAndChannels:
         assert ja.norm(
             back.apply_element(rho.element) - phi.apply_element(rho.element)
         ) < 1e-12
+        for bad in (np.nan, -np.inf):
+            doc = sz.channel_to_json(phi)
+            doc["matrix"][1][2] = bad
+            with pytest.raises(sz.FormatError, match="finite"):
+                sz.channel_from_json(doc)
 
 
 class TestBoxes:
