@@ -27,8 +27,8 @@ coefficient map is an isometry.  The basis layout per factor is:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -120,7 +120,7 @@ class Algebra:
         if not self.summands:
             raise ValueError("an algebra needs at least one summand")
 
-    @property
+    @cached_property
     def dim(self) -> int:
         return sum(s.dim for s in self.summands)
 
@@ -128,34 +128,61 @@ class Algebra:
     def rank(self) -> int:
         return sum(s.rank for s in self.summands)
 
-    def slices(self) -> list[slice]:
-        """Coefficient slice of each summand."""
+    @cached_property
+    def _slices(self) -> tuple[slice, ...]:
         out, start = [], 0
         for s in self.summands:
             out.append(slice(start, start + s.dim))
             start += s.dim
-        return out
+        return tuple(out)
+
+    def slices(self) -> list[slice]:
+        """Coefficient slice of each summand."""
+        return list(self._slices)
+
+    @cached_property
+    def trace_vector(self) -> np.ndarray:
+        """Read-only vector t with ``tr(x) = t . coeffs(x)``.
+
+        The basis is orthonormal for ``<a, b> = tr(a o b)``, so
+        ``tr(x) = <unit, x>`` and t holds the coefficients of the unit.
+        """
+        t = np.concatenate([
+            _COERCE_TO_COEFFS[s.kind](_unit_rep(s.kind, s.size), s.size)
+            for s in self.summands
+        ])
+        t.flags.writeable = False
+        return t
 
     def __str__(self):
         return "+".join(str(s) for s in self.summands)
 
 
+# Algebras are immutable, so each factory hands out one shared instance per
+# size, whose dimension, slices and trace vector are computed once.
+
+
+@lru_cache(maxsize=None)
 def real_hermitian(n: int) -> Algebra:
     return Algebra((SimpleFactor("real", n),))
 
 
+@lru_cache(maxsize=None)
 def complex_hermitian(n: int) -> Algebra:
     return Algebra((SimpleFactor("complex", n),))
 
 
+@lru_cache(maxsize=None)
 def quaternion_hermitian(n: int) -> Algebra:
     return Algebra((SimpleFactor("quaternion", n),))
 
 
+@lru_cache(maxsize=None)
 def spin_factor(d: int) -> Algebra:
     return Algebra((SimpleFactor("spin", d),))
 
 
+@lru_cache(maxsize=None)
 def classical(n: int) -> Algebra:
     return Algebra((SimpleFactor("classical", n),))
 
@@ -238,6 +265,9 @@ def element_from_reps(algebra: Algebra, reps: Sequence) -> JordanElement:
 # ---------------------------------------------------------------------------
 # basis maps per simple kind
 # ---------------------------------------------------------------------------
+#
+# Every map takes leading batch axes: a stack of coefficient vectors of
+# shape (..., dim) maps to a stack of representations and back.
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -253,65 +283,73 @@ def _offdiag_indices(n):
 
 def _real_to_rep(c, n):
     rows, cols = _offdiag_indices(n)
-    m = np.zeros((n, n))
-    m[np.diag_indices(n)] = c[:n]
-    m[rows, cols] = m[cols, rows] = c[n:] / _SQRT2
+    diag = np.arange(n)
+    m = np.zeros(c.shape[:-1] + (n, n))
+    m[..., diag, diag] = c[..., :n]
+    m[..., rows, cols] = m[..., cols, rows] = c[..., n:] / _SQRT2
     return m
 
 
 def _real_to_coeffs(m, n):
     rows, cols = _offdiag_indices(n)
-    c = np.empty(n * (n + 1) // 2)
-    c[:n] = np.diag(m).real
-    c[n:] = _SQRT2 * 0.5 * (m[rows, cols] + m[cols, rows]).real
+    c = np.empty(m.shape[:-2] + (n * (n + 1) // 2,))
+    c[..., :n] = np.diagonal(m, axis1=-2, axis2=-1).real
+    c[..., n:] = _SQRT2 * 0.5 * (m[..., rows, cols] + m[..., cols, rows]).real
     return c
 
 
 def _complex_to_rep(c, n):
     rows, cols = _offdiag_indices(n)
-    m = np.zeros((n, n), dtype=complex)
-    m[np.diag_indices(n)] = c[:n]
-    upper = (c[n::2] + 1j * c[n + 1::2]) / _SQRT2
-    m[rows, cols] = upper
-    m[cols, rows] = np.conj(upper)
+    diag = np.arange(n)
+    m = np.zeros(c.shape[:-1] + (n, n), dtype=complex)
+    m[..., diag, diag] = c[..., :n]
+    upper = (c[..., n::2] + 1j * c[..., n + 1::2]) / _SQRT2
+    m[..., rows, cols] = upper
+    m[..., cols, rows] = np.conj(upper)
     return m
 
 
 def _complex_to_coeffs(m, n):
     rows, cols = _offdiag_indices(n)
-    c = np.empty(n * n)
-    c[:n] = np.diag(m).real
-    upper = 0.5 * (m[rows, cols] + np.conj(m[cols, rows]))
-    c[n::2] = _SQRT2 * upper.real
-    c[n + 1::2] = _SQRT2 * upper.imag
+    c = np.empty(m.shape[:-2] + (n * n,))
+    c[..., :n] = np.diagonal(m, axis1=-2, axis2=-1).real
+    upper = 0.5 * (m[..., rows, cols] + np.conj(m[..., cols, rows]))
+    c[..., n::2] = _SQRT2 * upper.real
+    c[..., n + 1::2] = _SQRT2 * upper.imag
     return c
 
 
 def _quaternion_to_rep(c, n):
     """Stack of the four real component matrices (1, i, j, k parts)."""
     rows, cols = _offdiag_indices(n)
-    m = np.zeros((4, n, n))
-    m[0][np.diag_indices(n)] = c[:n]
-    parts = (c[n:] / _SQRT2).reshape(-1, 4).T
-    m[:, rows, cols] = parts
-    m[0, cols, rows] = parts[0]
-    m[1:, cols, rows] = -parts[1:]
+    batch = c.shape[:-1]
+    diag = np.arange(n)
+    m = np.zeros(batch + (4, n, n))
+    m[..., 0, diag, diag] = c[..., :n]
+    parts = np.swapaxes(
+        (c[..., n:] / _SQRT2).reshape(batch + (len(rows), 4)), -1, -2
+    )
+    m[..., rows, cols] = parts
+    m[..., 0, cols, rows] = parts[..., 0, :]
+    m[..., 1:, cols, rows] = -parts[..., 1:, :]
     return m
 
 
 def _quaternion_to_coeffs(m, n):
     rows, cols = _offdiag_indices(n)
-    c = np.empty(n * (2 * n - 1))
-    c[:n] = np.diag(m[0])
-    upper, lower = m[:, rows, cols], m[:, cols, rows]
-    lower[0] = -lower[0]  # the real part is symmetric, the others skew
-    c[n:] = (_SQRT2 * 0.5 * (upper - lower)).T.ravel()
+    batch = m.shape[:-3]
+    c = np.empty(batch + (n * (2 * n - 1),))
+    c[..., :n] = np.diagonal(m[..., 0, :, :], axis1=-2, axis2=-1)
+    upper, lower = m[..., rows, cols], m[..., cols, rows]
+    # the real part is symmetric, the others skew
+    lower[..., 0, :] = -lower[..., 0, :]
+    offdiag = np.swapaxes(_SQRT2 * 0.5 * (upper - lower), -1, -2)
+    c[..., n:] = offdiag.reshape(c[..., n:].shape)
     return c
 
 
 def _spin_to_rep(c, d):
-    rep = c / _SQRT2
-    return rep
+    return c / _SQRT2
 
 
 def _spin_to_coeffs(rep, d):
@@ -348,15 +386,16 @@ _COERCE_TO_COEFFS = {
 
 
 def _quaternion_matmul(a, b):
-    """Product of quaternionic matrices in 4-component representation."""
-    a0, a1, a2, a3 = a
-    b0, b1, b2, b3 = b
+    """Product of quaternionic matrices in 4-component representation,
+    or of stacks of them."""
+    a0, a1, a2, a3 = (a[..., k, :, :] for k in range(4))
+    b0, b1, b2, b3 = (b[..., k, :, :] for k in range(4))
     return np.stack([
         a0 @ b0 - a1 @ b1 - a2 @ b2 - a3 @ b3,
         a0 @ b1 + a1 @ b0 + a2 @ b3 - a3 @ b2,
         a0 @ b2 - a1 @ b3 + a2 @ b0 + a3 @ b1,
         a0 @ b3 + a1 @ b2 - a2 @ b1 + a3 @ b0,
-    ])
+    ], axis=-3)
 
 
 def _product_rep(kind, ra, rb):
@@ -369,16 +408,6 @@ def _product_rep(kind, ra, rb):
         t, v = rb[0], rb[1:]
         return np.concatenate(([s * t + u @ v], s * v + t * u))
     return ra * rb
-
-
-def _trace_rep(kind, rep):
-    if kind in ("real", "complex"):
-        return float(np.trace(rep).real)
-    if kind == "quaternion":
-        return float(np.trace(rep[0]))
-    if kind == "spin":
-        return 2.0 * float(rep[0])
-    return float(np.sum(rep))
 
 
 def _unit_rep(kind, size):
@@ -407,9 +436,7 @@ def jordan_product(a: JordanElement, b: JordanElement) -> JordanElement:
 
 
 def trace(a: JordanElement) -> float:
-    return sum(
-        _trace_rep(s.kind, rep) for s, rep in zip(a.algebra.summands, a.reps())
-    )
+    return float(a.coeffs @ a.algebra.trace_vector)
 
 
 def inner_product(a: JordanElement, b: JordanElement) -> float:
@@ -423,9 +450,7 @@ def norm(a: JordanElement) -> float:
 
 
 def unit(algebra: Algebra) -> JordanElement:
-    return element_from_reps(
-        algebra, [_unit_rep(s.kind, s.size) for s in algebra.summands]
-    )
+    return JordanElement(algebra, algebra.trace_vector)
 
 
 def zero(algebra: Algebra) -> JordanElement:
@@ -461,12 +486,7 @@ class SpectralDecomposition:
 
     eigenvalues: np.ndarray
     idempotents: tuple[JordanElement, ...]
-    multiplicities: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        if self.multiplicities is None:
-            mult = np.array([trace(e) for e in self.idempotents])
-            object.__setattr__(self, "multiplicities", mult)
+    multiplicities: np.ndarray
 
     def reconstruct(self) -> JordanElement:
         alg = self.idempotents[0].algebra
@@ -481,15 +501,41 @@ class SpectralDecomposition:
         return np.repeat(self.eigenvalues, reps)
 
 
-def _group_indices(values: np.ndarray, group_tol: float) -> list[np.ndarray]:
-    """Split sorted-descending values into groups of near-equal entries."""
-    groups = []
-    start = 0
-    for i in range(1, len(values) + 1):
-        if i == len(values) or values[start] - values[i] > group_tol:
-            groups.append(np.arange(start, i))
-            start = i
-    return groups
+def _group_starts(values: np.ndarray, group_tol: float) -> list[int]:
+    """Split sorted-descending values into groups of near-equal entries.
+
+    Returns the first index of each group, the offsets that
+    ``np.add.reduceat`` sums the groups over.  A group ends before the
+    first entry more than ``group_tol`` below the group's first entry.
+    """
+    starts = [0]
+    for i in range(1, len(values)):
+        if values[starts[-1]] - values[i] > group_tol:
+            starts.append(i)
+    return starts
+
+
+def _group_means(values: np.ndarray, starts: list[int]) -> np.ndarray:
+    counts = np.diff(starts + [len(values)])
+    return np.add.reduceat(values, starts) / counts
+
+
+def _merge_spectrum(values, mults, stack, group_tol):
+    """Sort eigenvalues descending and merge the near-equal ones.
+
+    ``mults`` and the rows of ``stack`` (projections, as coefficients or
+    reps) belong to ``values``.  Each group gets its multiplicity-weighted
+    mean eigenvalue, its total multiplicity and the sum of its rows.
+    """
+    order = np.argsort(-values, kind="stable")
+    values, mults = values[order], mults[order]
+    starts = _group_starts(values, group_tol)
+    total = np.add.reduceat(mults, starts)
+    return (
+        np.add.reduceat(values * mults, starts) / total,
+        total,
+        np.add.reduceat(stack[order], starts, axis=0),
+    )
 
 
 def _quaternion_to_complex_embedding(m: np.ndarray) -> np.ndarray:
@@ -501,40 +547,41 @@ def _quaternion_to_complex_embedding(m: np.ndarray) -> np.ndarray:
 
 
 def _complex_projection_to_quaternion(p: np.ndarray, n: int) -> np.ndarray:
-    b11, b12 = p[:n, :n], p[:n, n:]
-    b21, b22 = p[n:, :n], p[n:, n:]
+    b11, b12 = p[..., :n, :n], p[..., :n, n:]
+    b21, b22 = p[..., n:, :n], p[..., n:, n:]
     return np.stack([
         0.5 * (b11.real + b22.real),
         0.5 * (b11.imag - b22.imag),
         0.5 * (b12.real - b21.real),
         0.5 * (b12.imag + b21.imag),
-    ])
+    ], axis=-3)
 
 
-def _spectral_pairs(kind, rep, size, group_tol):
-    """Per-summand spectral data: list of (eigenvalue, projection rep).
+def _spectral_projections(kind, rep, size, group_tol):
+    """Per-summand spectral data: the eigenvalues, descending, and the
+    stack of their projection reps.
 
-    Eigenvalues are descending; projection traces carry multiplicities.
+    Eigenvalues closer than ``group_tol`` share one projection, whose
+    trace carries the multiplicity.
     """
     if kind == "classical":
         order = np.argsort(rep)[::-1]
         values = rep[order]
-        pairs = []
-        for idx in _group_indices(values, group_tol):
-            proj = np.zeros(size)
-            proj[order[idx]] = 1.0
-            pairs.append((float(np.mean(values[idx])), proj))
-        return pairs
+        starts = _group_starts(values, group_tol)
+        group = np.repeat(np.arange(len(starts)), np.diff(starts + [size]))
+        projs = np.zeros((len(starts), size))
+        projs[group, order] = 1.0
+        return _group_means(values, starts), projs
 
     if kind == "spin":
         t, v = rep[0], rep[1:]
         r = float(np.linalg.norm(v))
         if 2.0 * r <= group_tol:
-            return [(t, _unit_rep("spin", size))]
+            return np.array([t]), _unit_rep("spin", size)[np.newaxis]
         axis = v / r
         top = np.concatenate(([0.5], 0.5 * axis))
         bottom = np.concatenate(([0.5], -0.5 * axis))
-        return [(t + r, top), (t - r, bottom)]
+        return np.array([t + r, t - r]), np.stack([top, bottom])
 
     # LAPACK on the native matrix; quaternionic matrices go through their
     # complex symplectic embedding, whose eigenvalues come in equal pairs
@@ -543,14 +590,13 @@ def _spectral_pairs(kind, rep, size, group_tol):
     w, vecs = np.linalg.eigh(matrix)
     w = w[::-1]
     vecs = vecs[:, ::-1]
-    pairs = []
-    for idx in _group_indices(w, group_tol):
-        cols = vecs[:, idx]
-        proj = cols @ cols.conj().T
-        if quaternion:
-            proj = _complex_projection_to_quaternion(proj, size)
-        pairs.append((float(np.mean(w[idx])), proj))
-    return pairs
+    starts = _group_starts(w, group_tol)
+    # one rank-one projection per eigenvector, summed over each group
+    rank_one = np.einsum("ik,jk->kij", vecs, vecs.conj())
+    projs = np.add.reduceat(rank_one, starts, axis=0)
+    if quaternion:
+        projs = _complex_projection_to_quaternion(projs, size)
+    return _group_means(w, starts), projs
 
 
 def spectral_decompose(
@@ -559,42 +605,29 @@ def spectral_decompose(
     """Decompose into eigenvalues and orthogonal idempotents.
 
     Eigenvalues closer than ``group_tol`` are merged into a single
-    idempotent, also across direct summands.  Results are cached on the
-    element per tolerance.
+    idempotent, also across direct summands, at the multiplicity-weighted
+    mean eigenvalue.  Results are cached on the element per tolerance.
     """
     cached = a._spectral_cache.get(group_tol)
     if cached is not None:
         return cached
 
     alg = a.algebra
-    scattered = []  # (eigenvalue, summand index, projection rep)
-    for pos, (s, rep) in enumerate(zip(alg.summands, a.reps())):
-        for lam, proj in _spectral_pairs(s.kind, rep, s.size, group_tol):
-            scattered.append((lam, pos, proj))
-
-    scattered.sort(key=lambda item: -item[0])
-    values = np.array([item[0] for item in scattered])
-
-    eigenvalues = []
-    idempotents = []
-    for idx in _group_indices(values, group_tol):
-        group = [scattered[i] for i in idx]
-        reps = [
-            np.zeros_like(_unit_rep(s.kind, s.size)) for s in alg.summands
-        ]
-        lam = 0.0
-        total = 0.0
-        for value, pos, proj in group:
-            reps[pos] = reps[pos] + proj
-            mult = _trace_rep(alg.summands[pos].kind, proj)
-            lam += value * mult
-            total += mult
-        eigenvalues.append(lam / total)
-        idempotents.append(element_from_reps(alg, reps))
-
+    values, rows = [], []  # per summand: eigenvalues, projection coeffs
+    for s, sl, rep in zip(alg.summands, alg.slices(), a.reps()):
+        lam, projs = _spectral_projections(s.kind, rep, s.size, group_tol)
+        block = np.zeros((len(lam), alg.dim))
+        block[:, sl] = _COERCE_TO_COEFFS[s.kind](projs, s.size)
+        values.append(lam)
+        rows.append(block)
+    rows = np.concatenate(rows)
+    eigenvalues, multiplicities, idempotents = _merge_spectrum(
+        np.concatenate(values), rows @ alg.trace_vector, rows, group_tol
+    )
     decomposition = SpectralDecomposition(
-        eigenvalues=np.array(eigenvalues),
-        idempotents=tuple(idempotents),
+        eigenvalues=eigenvalues,
+        idempotents=tuple(JordanElement(alg, e) for e in idempotents),
+        multiplicities=multiplicities,
     )
     a._spectral_cache[group_tol] = decomposition
     return decomposition

@@ -260,6 +260,10 @@ def _cmd_suite(args) -> int:
             )
     kwargs = {"n_trials": args.trials, "seed": args.seed}
     if args.tol is not None:
+        if not (math.isfinite(args.tol) and args.tol >= 0.0):
+            raise CliError(
+                f"--tol must be a finite number >= 0, got {args.tol!r}"
+            )
         if args.property == "separoid":
             raise CliError(
                 "--tol does not apply to separoid, which judges with fixed "

@@ -13,6 +13,7 @@ since local measurements cannot resolve the ambient space).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -124,7 +125,7 @@ class CompositeLayout:
     def sizes(self) -> tuple[int, ...]:
         return tuple(f.summands[0].size for f in self.factors)
 
-    @property
+    @cached_property
     def ambient(self) -> Algebra:
         total = int(np.prod(self.sizes))
         if self.embedding == CLASSICAL_TENSOR:
@@ -216,10 +217,8 @@ def maximally_mixed(
 
 
 def trace_vector(algebra: Algebra) -> np.ndarray:
-    """Vector t with tr(x) = t . coeffs(x)."""
-    return np.array([
-        trace(alg.basis_element(algebra, k)) for k in range(algebra.dim)
-    ])
+    """Read-only vector t with tr(x) = t . coeffs(x)."""
+    return algebra.trace_vector
 
 
 # ---------------------------------------------------------------------------
@@ -337,9 +336,11 @@ def primitive_split(idempotent: JordanElement) -> list[JordanElement]:
     """Write an idempotent as a sum of primitive (trace-one) idempotents."""
     algebra = idempotent.algebra
     out = []
-    for pos, (s, rep) in enumerate(zip(algebra.summands, idempotent.reps())):
-        tr_here = alg._trace_rep(s.kind, rep)
-        rank = int(round(tr_here))
+    tvec = algebra.trace_vector
+    for pos, (s, sl, rep) in enumerate(
+        zip(algebra.summands, algebra.slices(), idempotent.reps())
+    ):
+        rank = int(round(idempotent.coeffs[sl] @ tvec[sl]))
         if rank == 0:
             continue
         if s.kind == "classical":
@@ -441,16 +442,12 @@ def singularity_witness(rho: State, sigma: State,
 # ---------------------------------------------------------------------------
 
 
-def _kron_reps(kind: str, reps: Sequence[np.ndarray]) -> np.ndarray:
-    if kind == "classical":
-        out = reps[0]
-        for r in reps[1:]:
-            out = np.outer(out, r).reshape(-1)
-        return out
-    out = reps[0]
-    for r in reps[1:]:
-        out = np.kron(out, r)
-    return out
+def _kron_stacks(kind: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product of every rep in the stack ``a`` with every rep in
+    the stack ``b``, ordered ``a``-major."""
+    spec = "ai,bk->abik" if kind == "classical" else "aij,bkl->abikjl"
+    shape = tuple(x * y for x, y in zip(a.shape[1:], b.shape[1:]))
+    return np.einsum(spec, a, b).reshape((len(a) * len(b),) + shape)
 
 
 def tensor_elements(
@@ -465,8 +462,10 @@ def tensor_elements(
                 f"factor element on {el.algebra} does not match layout {f}"
             )
     kind = layout.ambient.summands[0].kind
-    reps = [el.reps()[0] for el in elements]
-    return element_from_reps(layout.ambient, [_kron_reps(kind, reps)])
+    out = elements[0].reps()[0][np.newaxis]
+    for el in elements[1:]:
+        out = _kron_stacks(kind, out, el.reps()[0][np.newaxis])
+    return element_from_reps(layout.ambient, [out[0]])
 
 
 def _seed_product_spectrum(
@@ -474,37 +473,32 @@ def _seed_product_spectrum(
     factors: Sequence[JordanElement],
     layout: CompositeLayout,
 ) -> None:
-    """Build the product spectral decomposition from factor spectra."""
-    kind = layout.ambient.summands[0].kind
-    decs = [spectral_decompose(f) for f in factors]
-    combos = [(1.0, None)]
-    for dec in decs:
-        combos = [
-            (
-                lam * float(mu),
-                e.reps()[0] if rep is None else _kron_reps(kind, [rep, e.reps()[0]]),
-            )
-            for lam, rep in combos
-            for mu, e in zip(dec.eigenvalues, dec.idempotents)
-        ]
-    combos.sort(key=lambda item: -item[0])
-    values = np.array([lam for lam, _ in combos])
-    eigenvalues = []
-    idempotents = []
-    for idx in alg._group_indices(values, DEFAULT_GROUP_TOL):
-        group = [combos[i] for i in idx]
-        rep = group[0][1]
-        weighted = group[0][0] * alg._trace_rep(kind, group[0][1])
-        for lam, r in group[1:]:
-            rep = rep + r
-            weighted += lam * alg._trace_rep(kind, r)
-        e = element_from_reps(layout.ambient, [rep])
-        mult = trace(e)
-        eigenvalues.append(weighted / mult)
-        idempotents.append(e)
+    """Build the product spectral decomposition from factor spectra: the
+    products of factor idempotents, grouped by eigenvalue product."""
+    ambient = layout.ambient
+    s = ambient.summands[0]
+    values = mults = np.ones(1)
+    projs = None
+    for f in factors:
+        dec = spectral_decompose(f)
+        t = f.algebra.summands[0]
+        reps = alg._COERCE_TO_REP[t.kind](
+            np.array([e.coeffs for e in dec.idempotents]), t.size
+        )
+        values = np.multiply.outer(values, dec.eigenvalues).ravel()
+        mults = np.multiply.outer(mults, dec.multiplicities).ravel()
+        projs = reps if projs is None else _kron_stacks(s.kind, projs, reps)
+    eigenvalues, multiplicities, groups = alg._merge_spectrum(
+        values, mults, projs, DEFAULT_GROUP_TOL
+    )
+    idempotents = alg._COERCE_TO_COEFFS[s.kind](groups, s.size)
     seed_spectral_cache(
         product,
-        SpectralDecomposition(np.array(eigenvalues), tuple(idempotents)),
+        SpectralDecomposition(
+            eigenvalues,
+            tuple(JordanElement(ambient, e) for e in idempotents),
+            multiplicities,
+        ),
     )
 
 
@@ -563,13 +557,14 @@ def marginal(sigma: State, keep: Sequence[int]) -> State:
     return State.make(element_from_reps(ambient, [flat]), new_layout)
 
 
-def _permute_rep(rep, sizes, order, embedding):
-    if embedding == CLASSICAL_TENSOR:
-        return rep.reshape(sizes).transpose(order).reshape(-1)
+def _permute_reps(reps, sizes, order, embedding):
+    """Reorder the tensor factors of a stack of reps."""
     k = len(sizes)
-    perm = order + [k + i for i in order]
-    d = rep.shape[0]
-    return rep.reshape(sizes + sizes).transpose(perm).reshape(d, d)
+    axes = [1 + i for i in order]
+    if embedding != CLASSICAL_TENSOR:
+        axes += [1 + k + i for i in order]
+    shape = (len(reps),) + tuple(sizes) * (reps.ndim - 1)
+    return reps.reshape(shape).transpose([0] + axes).reshape(reps.shape)
 
 
 def permute_factors(sigma: State, order: Sequence[int]) -> State:
@@ -580,28 +575,28 @@ def permute_factors(sigma: State, order: Sequence[int]) -> State:
     if layout is None or layout.embedding == REAL_INTO_LARGER:
         raise UnsupportedAlgebraError("factor permutation needs a tensor layout")
     order = list(order)
-    sizes = layout.sizes
     new_layout = CompositeLayout(
         tuple(layout.factors[i] for i in order), layout.embedding
     )
-    rep = sigma.element.reps()[0]
-    element = element_from_reps(
-        new_layout.ambient,
-        [_permute_rep(rep, sizes, order, layout.embedding)],
-    )
+    ambient = new_layout.ambient
+    s = ambient.summands[0]
+    # the element and its cached idempotents move as one stack
     cached = sigma.element._spectral_cache.get(DEFAULT_GROUP_TOL)
+    stack = [sigma.element.coeffs]
     if cached is not None:
-        moved = tuple(
-            element_from_reps(
-                new_layout.ambient,
-                [_permute_rep(e.reps()[0], sizes, order, layout.embedding)],
-            )
-            for e in cached.idempotents
-        )
+        stack += [e.coeffs for e in cached.idempotents]
+    reps = alg._COERCE_TO_REP[s.kind](np.array(stack), s.size)
+    moved = alg._COERCE_TO_COEFFS[s.kind](
+        _permute_reps(reps, layout.sizes, order, layout.embedding), s.size
+    )
+    element = JordanElement(ambient, moved[0])
+    if cached is not None:
         seed_spectral_cache(
             element,
             SpectralDecomposition(
-                cached.eigenvalues, moved, cached.multiplicities
+                cached.eigenvalues,
+                tuple(JordanElement(ambient, e) for e in moved[1:]),
+                cached.multiplicities,
             ),
         )
     return State(element, new_layout)
@@ -663,16 +658,15 @@ def identity_affinity(algebra: Algebra) -> Affinity:
     return Affinity(np.eye(algebra.dim), algebra, algebra, name="identity")
 
 
-def affinity_from_element_map(
-    fn: Callable[[JordanElement], JordanElement],
-    source: Algebra,
-    target: Algebra,
-    name: str = "",
+def _affinity_from_rep_map(
+    fn: Callable[[np.ndarray], np.ndarray], algebra: Algebra, name: str
 ) -> Affinity:
-    cols = [
-        fn(alg.basis_element(source, k)).coeffs for k in range(source.dim)
-    ]
-    return Affinity(np.array(cols).T, source, target, name=name)
+    """Affinity of a linear map on a simple algebra, given as a map of
+    stacks of reps; one call maps every basis element."""
+    s = algebra.summands[0]
+    basis = alg._COERCE_TO_REP[s.kind](np.eye(algebra.dim), s.size)
+    images = alg._COERCE_TO_COEFFS[s.kind](fn(basis), s.size)
+    return Affinity(images.T, algebra, algebra, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -764,14 +758,11 @@ def random_channel(algebra: Algebra, env_dim: int | None = None,
     g = rng.normal(size=(n * env, n)) + 1j * rng.normal(size=(n * env, n))
     v, _ = np.linalg.qr(g)
 
-    def push(el: JordanElement) -> JordanElement:
-        m = el.reps()[0]
+    def push(m: np.ndarray) -> np.ndarray:
         big = v @ m @ v.conj().T
-        out = np.einsum("aebe->ab", big.reshape(n, env, n, env))
-        return element_from_reps(algebra, [out])
+        return np.einsum("xaebe->xab", big.reshape(-1, n, env, n, env))
 
-    phi = affinity_from_element_map(push, algebra, algebra, name="stinespring")
-    return phi
+    return _affinity_from_rep_map(push, algebra, "stinespring")
 
 
 # ---------------------------------------------------------------------------
@@ -857,30 +848,21 @@ def _automorphism(algebra: Algebra, rng) -> tuple[Affinity, Affinity]:
     if s.kind == "real":
         g = rng.normal(size=(n, n))
         q, _ = np.linalg.qr(g)
-        conj = lambda el: element_from_reps(algebra, [q @ el.reps()[0] @ q.T])
-        inv = lambda el: element_from_reps(algebra, [q.T @ el.reps()[0] @ q])
+        conj = lambda m: q @ m @ q.T
+        inv = lambda m: q.T @ m @ q
     elif s.kind == "complex":
         g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         q, _ = np.linalg.qr(g)
-        conj = lambda el: element_from_reps(
-            algebra, [q @ el.reps()[0] @ q.conj().T]
-        )
-        inv = lambda el: element_from_reps(
-            algebra, [q.conj().T @ el.reps()[0] @ q]
-        )
+        conj = lambda m: q @ m @ q.conj().T
+        inv = lambda m: q.conj().T @ m @ q
     else:
         q = _random_quaternion_unitary(n, rng)
         qh = _quaternion_conj_transpose(q)
-        conj = lambda el: element_from_reps(
-            algebra,
-            [alg._quaternion_matmul(alg._quaternion_matmul(q, el.reps()[0]), qh)],
-        )
-        inv = lambda el: element_from_reps(
-            algebra,
-            [alg._quaternion_matmul(alg._quaternion_matmul(qh, el.reps()[0]), q)],
-        )
-    fwd = affinity_from_element_map(conj, algebra, algebra, name="automorphism")
-    rev = affinity_from_element_map(inv, algebra, algebra, name="automorphism-inv")
+        qmul = alg._quaternion_matmul
+        conj = lambda m: qmul(qmul(q, m), qh)
+        inv = lambda m: qmul(qmul(qh, m), q)
+    fwd = _affinity_from_rep_map(conj, algebra, "automorphism")
+    rev = _affinity_from_rep_map(inv, algebra, "automorphism-inv")
     return fwd, rev
 
 
@@ -1141,36 +1123,31 @@ def extend_to_factor(
     sizes = layout.sizes
     k = len(sizes)
     ambient = layout.ambient
+    name = f"id*{phi.name}@{index}"
 
+    # each push maps a stack of reps; axis 0 is the stack
     if layout.embedding == CLASSICAL_TENSOR:
-        def push(el):
-            arr = el.reps()[0].reshape(sizes)
-            moved = np.moveaxis(arr, index, -1)
+        def push(reps):
+            arr = reps.reshape((-1,) + sizes)
+            moved = np.moveaxis(arr, 1 + index, -1)
             out = moved @ phi.matrix.T
-            out = np.moveaxis(out, -1, index)
-            return element_from_reps(ambient, [out.reshape(-1)])
+            out = np.moveaxis(out, -1, 1 + index)
+            return out.reshape(reps.shape)
 
-        return affinity_from_element_map(
-            push, ambient, ambient, name=f"id*{phi.name}@{index}"
-        )
+        return _affinity_from_rep_map(push, ambient, name)
 
     t = _complexified_tensor(phi)
     m = sizes[index]
     rest = int(np.prod(sizes)) // m
+    others = tuple(np.delete(sizes, index))
 
-    def push(el):
-        arr = el.reps()[0].reshape(sizes + sizes)
-        arr = np.moveaxis(arr, (index, k + index), (k - 1, 2 * k - 1))
-        arr = arr.reshape(rest, m, rest, m)
-        out = np.einsum("pqij,aibj->apbq", t, arr)
-        out = out.reshape(
-            tuple(np.delete(sizes, index)) + (m,)
-            + tuple(np.delete(sizes, index)) + (m,)
-        )
-        out = np.moveaxis(out, (k - 1, 2 * k - 1), (index, k + index))
-        d = int(np.prod(sizes))
-        return element_from_reps(ambient, [out.reshape(d, d)])
+    def push(reps):
+        arr = reps.reshape((-1,) + sizes + sizes)
+        arr = np.moveaxis(arr, (1 + index, 1 + k + index), (k, 2 * k))
+        arr = arr.reshape(-1, rest, m, rest, m)
+        out = np.einsum("pqij,xaibj->xapbq", t, arr)
+        out = out.reshape((-1,) + others + (m,) + others + (m,))
+        out = np.moveaxis(out, (k, 2 * k), (1 + index, 1 + k + index))
+        return out.reshape(reps.shape)
 
-    return affinity_from_element_map(
-        push, ambient, ambient, name=f"id*{phi.name}@{index}"
-    )
+    return _affinity_from_rep_map(push, ambient, name)

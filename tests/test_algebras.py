@@ -581,3 +581,135 @@ class TestBasisMaps:
             ja.element_from_reps(algebra, [noisy]).coeffs, el.coeffs,
             atol=1e-14 * ja.norm(el),
         )
+
+
+# every simple kind at sizes 1-6 (spin factors start at 2)
+ALL_FACTORS = [(kind, n) for kind in ja._KINDS for n in range(1, 7)
+               if not (kind == "spin" and n == 1)]
+_REP_SHAPES = {"real": lambda n: (n, n), "complex": lambda n: (n, n),
+               "quaternion": lambda n: (4, n, n),
+               "spin": lambda n: (n + 1,), "classical": lambda n: (n,)}
+
+
+def random_reps(kind, n, count, rng):
+    """A stack of arbitrary representations, Hermitian or not."""
+    reps = rng.normal(size=(count,) + _REP_SHAPES[kind](n))
+    if kind == "complex":
+        reps = reps + 1j * rng.normal(size=reps.shape)
+    return reps
+
+
+def rep_trace(kind, rep):
+    """The trace read off a concrete representation."""
+    if kind in ("real", "complex"):
+        return float(np.trace(rep).real)
+    if kind == "quaternion":
+        return float(np.trace(rep[0]))
+    if kind == "spin":
+        return 2.0 * float(rep[0])
+    return float(np.sum(rep))
+
+
+class TestBatchedLayer:
+    @pytest.mark.parametrize("kind,n", ALL_FACTORS)
+    def test_batched_maps_equal_rowwise_maps(self, kind, n):
+        to_rep = ja._COERCE_TO_REP[kind]
+        to_coeffs = ja._COERCE_TO_COEFFS[kind]
+        rng = np.random.default_rng([17, ja._KINDS.index(kind), n])
+        coeffs = rng.normal(size=(6, ja.SimpleFactor(kind, n).dim))
+        reps = random_reps(kind, n, 6, rng)
+        batched_reps = to_rep(coeffs, n)
+        batched_coeffs = to_coeffs(reps, n)
+        for k in range(6):
+            assert np.array_equal(batched_reps[k], to_rep(coeffs[k], n))
+            assert np.array_equal(batched_coeffs[k], to_coeffs(reps[k], n))
+        # two leading batch axes give the same rows
+        assert np.array_equal(
+            to_rep(coeffs.reshape(2, 3, -1), n).reshape(batched_reps.shape),
+            batched_reps,
+        )
+        assert np.array_equal(
+            to_coeffs(reps.reshape((2, 3) + reps.shape[1:]), n).reshape(
+                batched_coeffs.shape),
+            batched_coeffs,
+        )
+
+    @pytest.mark.parametrize("kind,n", ALL_FACTORS)
+    def test_trace_matches_reps(self, kind, n):
+        el = random_element(factor_algebra(kind, n), [18, n])
+        assert ja.trace(el) == pytest.approx(
+            rep_trace(kind, el.reps()[0]), rel=0, abs=1e-14
+        )
+
+    def test_trace_matches_reps_on_direct_sum(self):
+        algebra = ja.Algebra(tuple(
+            ja.SimpleFactor(kind, n) for kind, n in
+            (("real", 3), ("complex", 2), ("quaternion", 3), ("spin", 3),
+             ("classical", 2))
+        ))
+        el = random_element(algebra, 19)
+        expected = sum(rep_trace(s.kind, rep)
+                       for s, rep in zip(algebra.summands, el.reps()))
+        assert ja.trace(el) == pytest.approx(expected, rel=0, abs=1e-14)
+
+    def test_dim_and_slices_are_computed_once(self):
+        algebra = ja.Algebra(ja.real_hermitian(3).summands
+                             + ja.spin_factor(4).summands)
+        assert algebra.dim == 6 + 5
+        assert algebra.slices() == [slice(0, 6), slice(6, 11)]
+        assert algebra.slices() is not algebra.slices()
+        assert algebra._slices is algebra._slices
+        assert algebra == ja.Algebra(ja.real_hermitian(3).summands
+                                     + ja.spin_factor(4).summands)
+
+    @staticmethod
+    def _merged_across_summands():
+        # eigenvalue 0.5 on C2 and on P3, and 0.25 twice on P3
+        algebra = ja.Algebra(ja.complex_hermitian(2).summands
+                             + ja.classical(3).summands)
+        c2 = ja.element_from_reps(ja.complex_hermitian(2),
+                                  [np.diag([0.5, 0.125]).astype(complex)])
+        p3 = ja.element_from_reps(ja.classical(3), [np.array([0.25, 0.5,
+                                                              0.25])])
+        el = ja.direct_sum(c2, p3)
+        assert el.algebra == algebra
+        return el
+
+    @staticmethod
+    def _degenerate_quaternion():
+        rng = np.random.default_rng([11, 4])
+        p = random_projection("quaternion", 4, 2, rng)
+        m = 0.3 * np.eye(8) + 0.5 * p
+        return ja.JordanElement(factor_algebra("quaternion", 4),
+                                readme_coeffs("quaternion", 4, m))
+
+    @pytest.mark.parametrize("case", [
+        "R3", "C3", "H2", "S3", "P4", "spin-unit", "merged", "quaternion",
+    ])
+    def test_multiplicities_are_idempotent_traces(self, case):
+        simple = {str(a): a for a in ALL_SIMPLE}
+        if case in simple:
+            el = random_element(simple[case], 20)
+        elif case == "spin-unit":
+            el = ja.unit(ja.spin_factor(3))
+        elif case == "merged":
+            el = self._merged_across_summands()
+        else:
+            el = self._degenerate_quaternion()
+        dec = ja.spectral_decompose(el)
+        traces = [ja.trace(e) for e in dec.idempotents]
+        np.testing.assert_allclose(dec.multiplicities, traces, rtol=0,
+                                   atol=1e-12)
+        np.testing.assert_allclose(dec.multiplicities,
+                                   np.rint(dec.multiplicities), atol=1e-10)
+        assert_valid_decomposition(el, dec)
+        if case == "merged":
+            np.testing.assert_allclose(dec.eigenvalues, [0.5, 0.25, 0.125],
+                                       atol=1e-15)
+            np.testing.assert_allclose(dec.multiplicities, [2, 2, 1],
+                                       atol=1e-12)
+        if case == "quaternion":
+            np.testing.assert_allclose(dec.multiplicities, [2, 2],
+                                       atol=1e-10)
+        if case == "spin-unit":
+            np.testing.assert_allclose(dec.multiplicities, [2], atol=1e-15)

@@ -240,6 +240,15 @@ class TestBadInput:
         assert code == 2
         assert named in error["error"]
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1", "-1e-12"])
+    def test_suite_rejects_bad_tol(self, capsys, tol):
+        code, error = run_cli_error(
+            capsys, "suite", "--property", "identity", "--algebra", "C2",
+            "--trials", "2", f"--tol={tol}",
+        )
+        assert code == 2
+        assert "--tol must be a finite number >= 0" in error["error"]
+
     def test_separoid_rejects_tol(self, capsys):
         code, error = run_cli_error(
             capsys, "suite", "--property", "separoid",

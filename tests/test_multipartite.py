@@ -370,6 +370,64 @@ class TestSeparoid:
         assert left.value == pytest.approx(right, abs=1e-9)
 
 
+def qubit_entropy(rho, keep):
+    """Von Neumann entropy of the marginal on ``keep`` of a 4-qubit
+    density matrix, from numpy partial traces and ``eigvalsh``."""
+    t = rho.reshape((2,) * 8)
+    for i in reversed([i for i in range(4) if i not in keep]):
+        t = np.trace(t, axis1=i, axis2=i + t.ndim // 2)
+    d = 2 ** len(keep)
+    w = np.linalg.eigvalsh(t.reshape(d, d))
+    w = w[w > 1e-12]
+    return float(-(w * np.log(w)).sum())
+
+
+def reference_cmi(rho, a, b, c):
+    """I(a;b|c) = S(ac) + S(bc) - S(abc) - S(c)."""
+    return (qubit_entropy(rho, sorted(a + c))
+            + qubit_entropy(rho, sorted(b + c))
+            - qubit_entropy(rho, sorted(a + b + c))
+            - qubit_entropy(rho, sorted(c)))
+
+
+class TestSeparoidChainDefect:
+    """Trial 3 of ``suite separoid C2x2x2x2 --seed 3045832050``, a globally
+    pure state, fails its chain check by 4.1e-8."""
+
+    @staticmethod
+    def trial_state():
+        rng = np.random.default_rng([3045832050, 3, 0])
+        return mp.random_partitioned_state(
+            st.COMPLEX_TENSOR, (2, 2, 2, 2), ("A", "B", "C", "D"),
+            seed=rng, rank_cap=1,
+        )
+
+    @pytest.mark.parametrize("a,b,c", [
+        (["A"], ["B", "C"], ["D"]),
+        (["A"], ["B"], ["D"]),
+    ])
+    def test_other_chain_terms_match_reference(self, a, b, c):
+        p = self.trial_state()
+        index = {"A": 0, "B": 1, "C": 2, "D": 3}
+        expected = reference_cmi(p.state.element.reps()[0],
+                                 *([index[l] for l in s] for s in (a, b, c)))
+        cmi = mp.conditional_mutual_information(NE, p, a, b, c)
+        assert cmi.value == pytest.approx(expected, rel=0, abs=1e-9)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "the absolute 1e-8 group tolerance (DEFAULT_GROUP_TOL) merges the "
+        "eigenvalues 8.92e-9 and 1.76e-8 of rho_A x rho_C x rho_BD into "
+        "one group at 1.33e-8, so D(rho || rho_A x rho_C x rho_BD) comes "
+        "out 1.85728097 against 1.85728093 and I(A;C|BD) 4.1e-8 too high"
+    ))
+    def test_chain_cmi_with_merged_product_eigenvalues(self):
+        p = self.trial_state()
+        expected = reference_cmi(p.state.element.reps()[0], [0], [2], [1, 3])
+        cmi = mp.conditional_mutual_information(NE, p, ["A"], ["C"],
+                                                ["B", "D"])
+        assert cmi.value == pytest.approx(expected, rel=0, abs=1e-9)
+
+
 class TestDataProcessing:
     def test_identity_channel_is_equality(self):
         p = bell_partitioned()

@@ -260,6 +260,42 @@ class TestTensorMarginal:
                 - st.marginal(after, [0]).element
             ) < 1e-10
 
+    @pytest.mark.parametrize("embedding,sizes,index", [
+        (st.COMPLEX_TENSOR, (2, 3), 0),
+        (st.COMPLEX_TENSOR, (2, 3, 2), 1),
+        (st.CLASSICAL_TENSOR, (2, 3, 2), 1),
+    ])
+    def test_lifted_channel_matches_per_element_push(self, embedding, sizes,
+                                                     index):
+        layout = st.composite_layout(embedding, sizes)
+        factor = layout.factors[index]
+        phi = st.random_channel(factor, seed=41)
+        lifted = st.extend_to_factor(phi, layout, index)
+        # the lift, pushed through one basis element at a time
+        ambient = layout.ambient
+        k = len(sizes)
+        m = sizes[index]
+        others = tuple(np.delete(sizes, index))
+        rest = ambient.summands[0].size // m
+        cols = []
+        for b in range(ambient.dim):
+            rep = ja.basis_element(ambient, b).reps()[0]
+            if embedding == st.CLASSICAL_TENSOR:
+                arr = np.moveaxis(rep.reshape(sizes), index, -1)
+                out = np.moveaxis(arr @ phi.matrix.T, -1, index).reshape(-1)
+            else:
+                arr = np.moveaxis(rep.reshape(sizes + sizes),
+                                  (index, k + index), (k - 1, 2 * k - 1))
+                out = np.einsum("pqij,aibj->apbq",
+                                st._complexified_tensor(phi),
+                                arr.reshape(rest, m, rest, m))
+                out = out.reshape(others + (m,) + others + (m,))
+                out = np.moveaxis(out, (k - 1, 2 * k - 1),
+                                  (index, k + index)).reshape(rep.shape)
+            cols.append(ja.element_from_reps(ambient, [out]).coeffs)
+        np.testing.assert_allclose(lifted.matrix, np.array(cols).T, rtol=0,
+                                   atol=1e-14)
+
     def test_real_embedding_has_no_marginal(self):
         layout = st.composite_layout(st.REAL_INTO_LARGER, (2, 2))
         a = st.random_state(layout.factors[0], seed=13)
@@ -280,6 +316,46 @@ class TestTensorMarginal:
             np.sort(ja.spectral_decompose(fresh).fine_spectrum()),
             atol=1e-9,
         )
+
+    @pytest.mark.parametrize("embedding,sizes", [
+        (st.COMPLEX_TENSOR, (2, 3, 2)),
+        (st.CLASSICAL_TENSOR, (2, 3, 2)),
+    ])
+    def test_product_spectrum_reconstructs_product(self, embedding, sizes):
+        layout = st.composite_layout(embedding, sizes)
+        parts = [st.random_state(f, seed=70 + k)
+                 for k, f in enumerate(layout.factors)]
+        joint = st.tensor_state(parts, layout)
+        dec = ja.spectral_decompose(joint.element)  # the seeded spectrum
+        # generic factor spectra: every product is its own group
+        assert len(dec.eigenvalues) == np.prod(sizes)
+        np.testing.assert_allclose(dec.multiplicities, 1.0, rtol=0,
+                                   atol=1e-12)
+        assert ja.norm(dec.reconstruct() - joint.element) < 1e-12
+        for e in dec.idempotents:
+            assert ja.norm(ja.jordan_product(e, e) - e) < 1e-12
+
+    def test_permuted_spectrum_follows_the_factors(self):
+        layout = st.composite_layout(st.COMPLEX_TENSOR, (2, 3, 2))
+        joint = st.random_state(layout.ambient, seed=16, layout=layout)
+        dec = ja.spectral_decompose(joint.element)
+        order = [2, 0, 1]
+        moved = st.permute_factors(joint, order)
+        moved_dec = ja.spectral_decompose(moved.element)
+        assert moved_dec.eigenvalues is dec.eigenvalues
+
+        def permuted(rep):
+            t = rep.reshape((2, 3, 2) * 2)
+            return t.transpose(order + [3 + i for i in order]).reshape(12, 12)
+
+        np.testing.assert_allclose(
+            moved.element.reps()[0], permuted(joint.element.reps()[0]),
+            rtol=0, atol=1e-15,
+        )
+        for e, f in zip(dec.idempotents, moved_dec.idempotents):
+            np.testing.assert_allclose(f.reps()[0], permuted(e.reps()[0]),
+                                       rtol=0, atol=1e-15)
+        assert ja.norm(moved_dec.reconstruct() - moved.element) < 1e-12
 
     def test_permutation_round_trip(self):
         layout = st.composite_layout(st.COMPLEX_TENSOR, (2, 3))
@@ -364,6 +440,25 @@ class TestRandomChannels:
         with pytest.raises(st.UnsupportedAlgebraError):
             st.random_channel(ja.quaternion_hermitian(2), seed=0)
 
+    @pytest.mark.parametrize("n,env", [(2, None), (3, None), (4, None),
+                                       (3, 2)])
+    def test_stinespring_matrix_matches_per_element_push(self, n, env):
+        algebra = ja.complex_hermitian(n)
+        phi = st.random_channel(algebra, env_dim=env, seed=80 + n)
+        # the same isometry, pushed through one basis element at a time
+        env = n if env is None else env
+        rng = np.random.default_rng(80 + n)
+        g = rng.normal(size=(n * env, n)) + 1j * rng.normal(size=(n * env, n))
+        v, _ = np.linalg.qr(g)
+        cols = []
+        for k in range(algebra.dim):
+            m = ja.basis_element(algebra, k).reps()[0]
+            big = v @ m @ v.conj().T
+            out = np.einsum("aebe->ab", big.reshape(n, env, n, env))
+            cols.append(ja.element_from_reps(algebra, [out]).coeffs)
+        np.testing.assert_allclose(phi.matrix, np.array(cols).T, rtol=0,
+                                   atol=1e-14)
+
     def test_unital_iff_preserves_maximally_mixed(self):
         phi = st.random_channel(C2, env_dim=1, seed=22)  # unitary: unital
         mm = st.maximally_mixed(C2)
@@ -410,6 +505,45 @@ class TestCatalog:
                 out = entry.affinity.apply_element(rho.element)
                 eigs = ja.spectral_decompose(out).eigenvalues
                 assert np.min(eigs) >= -1e-10, entry.name
+
+    @pytest.mark.parametrize("algebra", [
+        ja.real_hermitian(3), C3, ja.quaternion_hermitian(3),
+    ])
+    def test_automorphism_matrix_matches_per_element_map(self, algebra):
+        fwd, rev = st._automorphism(algebra, np.random.default_rng(31))
+        s = algebra.summands[0]
+        n = s.size
+        rng = np.random.default_rng(31)
+        if s.kind == "quaternion":
+            q = st._random_quaternion_unitary(n, rng)
+            qh = st._quaternion_conj_transpose(q)
+            qmul = ja._quaternion_matmul
+            conj = lambda m, a, b: qmul(qmul(a, m), b)
+        else:
+            g = rng.normal(size=(n, n))
+            if s.kind == "complex":
+                g = g + 1j * rng.normal(size=(n, n))
+            q = np.linalg.qr(g)[0]
+            qh = q.conj().T
+            conj = lambda m, a, b: a @ m @ b
+        for phi, (a, b) in ((fwd, (q, qh)), (rev, (qh, q))):
+            cols = [
+                ja.element_from_reps(algebra, [
+                    conj(ja.basis_element(algebra, k).reps()[0], a, b)
+                ]).coeffs
+                for k in range(algebra.dim)
+            ]
+            np.testing.assert_allclose(phi.matrix, np.array(cols).T,
+                                       rtol=0, atol=1e-14)
+
+    def test_trace_vector_is_the_algebras_own(self):
+        for algebra in ALL_SIMPLE + [ja.Algebra(C2.summands
+                                                + ja.spin_factor(3).summands)]:
+            t = st.trace_vector(algebra)
+            assert t is algebra.trace_vector
+            assert not t.flags.writeable
+            # tr(x) = <unit, x> in the orthonormal basis
+            np.testing.assert_array_equal(t, ja.unit(algebra).coeffs)
 
     def test_automorphism_inverse_composes_to_identity(self):
         cat = st.channel_catalog(C3, seed=0)
