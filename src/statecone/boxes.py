@@ -207,34 +207,44 @@ def _correlation_tensor(state: State) -> np.ndarray:
     return t
 
 
-def _chsh_from_tensor(t: np.ndarray, angles) -> float:
-    def c(theta):
-        return np.array([math.cos(theta), math.sin(theta)])
-
-    a0, a1 = c(angles[0]), c(angles[1])
-    b0, b1 = c(angles[2]), c(angles[3])
-    return float(a0 @ t @ b0 + a0 @ t @ b1 + a1 @ t @ b0 - a1 @ t @ b1)
+def _direction(theta: float) -> tuple[float, float]:
+    return math.cos(theta), math.sin(theta)
 
 
-def _golden_section(f, lo, hi, tol=1e-10, max_iter=200):
-    """Maximize a unimodal-enough section by golden ratio search."""
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(max_iter):
-        if b - a < tol:
-            break
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = f(d)
-    return (a + b) / 2.0
+def _chsh_of_directions(t, d) -> float:
+    """CHSH objective ``a0.T(b0 + b1) + a1.T(b0 - b1)`` of the vectors
+    ``d = (a0, a1, b0, b1)`` and the correlation tensor ``T``.  With
+    ``t`` None, ``d`` also holds the vectors ``u``, ``w`` of the X-Z
+    plane pure states whose product is measured; its tensor is
+    ``u w^T``."""
+    a0, a1, b0, b1 = d[:4]
+    if t is None:
+        u, w = d[4], d[5]
+        t = ((u[0] * w[0], u[0] * w[1]), (u[1] * w[0], u[1] * w[1]))
+    value = 0.0
+    for a, sign in ((a0, 1.0), (a1, -1.0)):
+        b = (b0[0] + sign * b1[0], b0[1] + sign * b1[1])
+        value += a[0] * (t[0][0] * b[0] + t[0][1] * b[1]) \
+            + a[1] * (t[1][0] * b[0] + t[1][1] * b[1])
+    return value
+
+
+def _best_angle(t, d, i: int, center: float) -> float:
+    """The exact maximiser of the objective along angle ``i``.
+
+    The objective is affine in each vector ``d[i] = (cos v, sin v)``,
+    so along one angle it is ``A cos v + B sin v + C``, with ``C`` its
+    value at ``d[i] = 0`` and ``A``, ``B`` the rises to ``(1, 0)`` and
+    ``(0, 1)``.  The maximiser ``atan2(B, A)`` is moved by whole turns
+    into ``[center - pi, center + pi]``.
+    """
+    q = list(d)
+    f = []
+    for x in ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)):
+        q[i] = x
+        f.append(_chsh_of_directions(t, q))
+    v = math.atan2(f[2] - f[0], f[1] - f[0])
+    return v + 2.0 * math.pi * round((center - v) / (2.0 * math.pi))
 
 
 def maximize_quantum_chsh(
@@ -248,53 +258,36 @@ def maximize_quantum_chsh(
 
     With ``entangled`` the maximally entangled state is used; otherwise
     the search also optimizes a product state's two preparation angles,
-    whose ceiling is the classical value 2.
+    whose ceiling is the classical value 2.  Along each angle the
+    objective is a sinusoid, so every step moves that angle to its exact
+    maximiser; a restart stops when a round gains less than
+    ``value_tol`` or after ``max_rounds`` rounds.
     """
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
     rng = np.random.default_rng(seed)
-    best_value = -math.inf
-    best_strategy = None
-    bell_tensor = _correlation_tensor(bell_state()) if entangled else None
+    state = bell_state() if entangled else None
+    tensor = _correlation_tensor(state).tolist() if entangled else None
+    n_params = 4 if entangled else 6
+    best_value, best = -math.inf, None
 
-    for _ in range(max(1, restarts)):
-        n_params = 4 if entangled else 6
-
-        def objective(p):
-            if entangled:
-                return _chsh_from_tensor(bell_tensor, p[:4])
-            # product strategy: correlators factorize into local overlaps
-            return (
-                math.cos(p[0] - p[4]) * math.cos(p[2] - p[5])
-                + math.cos(p[0] - p[4]) * math.cos(p[3] - p[5])
-                + math.cos(p[1] - p[4]) * math.cos(p[2] - p[5])
-                - math.cos(p[1] - p[4]) * math.cos(p[3] - p[5])
-            )
-
-        params = rng.uniform(0.0, 2.0 * math.pi, size=n_params)
-        current = objective(params)
+    for _ in range(restarts):
+        params = rng.uniform(0.0, 2.0 * math.pi, size=n_params).tolist()
+        dirs = [_direction(v) for v in params]
+        current = _chsh_of_directions(tensor, dirs)
         for _ in range(max_rounds):
             previous = current
             for i in range(n_params):
-                def line(v, i=i):
-                    trial = params.copy()
-                    trial[i] = v
-                    return objective(trial)
-
-                width = math.pi if i < 4 else 2.0 * math.pi
-                params[i] = _golden_section(
-                    line, params[i] - width, params[i] + width
-                )
-                current = objective(params)
+                params[i] = _best_angle(tensor, dirs, i, params[i])
+                dirs[i] = _direction(params[i])
+            current = _chsh_of_directions(tensor, dirs)
             if current - previous < value_tol:
                 break
         if current > best_value:
-            best_value = current
-            state = (
-                bell_state() if entangled
-                else product_strategy_state(params[4], params[5])
-            )
-            best_strategy = QuantumStrategy(
-                state,
-                (params[0], params[1]),
-                (params[2], params[3]),
-            )
-    return best_value, best_strategy
+            best_value, best = current, params
+
+    if not entangled:
+        state = product_strategy_state(best[4], best[5])
+    return best_value, QuantumStrategy(
+        state, (best[0], best[1]), (best[2], best[3])
+    )

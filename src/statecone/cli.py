@@ -114,7 +114,13 @@ def _maybe_bits(value: float, bits: bool) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _check_at_least_one(name: str, value: int) -> None:
+    if value < 1:
+        raise CliError(f"{name} must be at least 1, got {value}")
+
+
 def _cmd_entropy(args) -> int:
+    _check_at_least_one("--samples", args.samples)
     state = sz.state_from_json(_load(args.state))
     report = en.fine_grained_entropy_bound(
         state, n_samples=args.samples, seed=args.seed
@@ -243,8 +249,7 @@ def _separoid_tolerances() -> str:
 
 
 def _cmd_suite(args) -> int:
-    if args.trials < 1:
-        raise CliError(f"--trials must be at least 1, got {args.trials}")
+    _check_at_least_one("--trials", args.trials)
     algebra, layout = sz.parse_algebra_spec(args.algebra)
     F = _generator(args.generator)
     n_factors, run = _SUITES[args.property]
@@ -290,10 +295,7 @@ def _cmd_suite(args) -> int:
 
 
 def _cmd_explore(args) -> int:
-    if args.generators < 1:
-        raise CliError(
-            f"--generators must be at least 1, got {args.generators}"
-        )
+    _check_at_least_one("--generators", args.generators)
     report = br.explore_additivity_conjecture(
         n_generators=args.generators,
         n_trials=args.trials,
@@ -312,6 +314,7 @@ def _cmd_explore(args) -> int:
 
 
 def _cmd_chsh(args) -> int:
+    _check_at_least_one("--restarts", args.restarts)
     if args.box == "pr":
         box = bx.pr_box()
         results = {"chsh": bx.chsh_value(box)}
@@ -356,6 +359,7 @@ def _cmd_chsh(args) -> int:
 
 
 def _cmd_audit_example1(args) -> int:
+    _check_at_least_one("--samples", args.samples)
     audit = st.real_embedding_dimension_audit(
         n_samples=args.samples, seed=args.seed
     )

@@ -315,8 +315,8 @@ def _peel_matrix_projection(p: np.ndarray, rank: int) -> list[np.ndarray]:
 
 
 def _quaternion_conj_transpose(m: np.ndarray) -> np.ndarray:
-    out = np.transpose(m, (0, 2, 1)).copy()
-    out[1:] = -out[1:]
+    out = np.swapaxes(m, -1, -2).copy()
+    out[..., 1:, :, :] = -out[..., 1:, :, :]
     return out
 
 
@@ -856,7 +856,7 @@ def _automorphism(algebra: Algebra, rng) -> tuple[Affinity, Affinity]:
         conj = lambda m: q @ m @ q.conj().T
         inv = lambda m: q.conj().T @ m @ q
     else:
-        q = _random_quaternion_unitary(n, rng)
+        q = _random_quaternion_unitary(rng.normal(size=(4, n, n)))
         qh = _quaternion_conj_transpose(q)
         qmul = alg._quaternion_matmul
         conj = lambda m: qmul(qmul(q, m), qh)
@@ -866,17 +866,19 @@ def _automorphism(algebra: Algebra, rng) -> tuple[Affinity, Affinity]:
     return fwd, rev
 
 
-def _random_quaternion_unitary(n: int, rng) -> np.ndarray:
-    """Gram-Schmidt of a random quaternionic matrix, columnwise."""
-    g = rng.normal(size=(4, n, n))
-    for j in range(n):
+def _random_quaternion_unitary(g: np.ndarray) -> np.ndarray:
+    """Columnwise Gram-Schmidt of quaternionic matrices ``g`` of shape
+    ``(..., 4, n, n)``, any leading axes a batch.  Fed standard normal
+    draws, it returns random quaternionic unitaries."""
+    g = np.array(g, dtype=float)
+    for j in range(g.shape[-1]):
         for i in range(j):
-            u = g[:, :, i:i + 1]
-            v = g[:, :, j:j + 1]
+            u = g[..., i:i + 1]
+            v = g[..., j:j + 1]
             overlap = alg._quaternion_matmul(_quaternion_conj_transpose(u), v)
-            g[:, :, j:j + 1] = v - alg._quaternion_matmul(u, overlap)
-        nrm = np.sqrt(np.sum(g[:, :, j] ** 2))
-        g[:, :, j] /= nrm
+            g[..., j:j + 1] = v - alg._quaternion_matmul(u, overlap)
+        nrm = np.sqrt(np.sum(g[..., j] ** 2, axis=(-2, -1)))
+        g[..., j] /= nrm[..., None, None]
     return g
 
 

@@ -105,7 +105,8 @@ class TestQuantumBoxes:
         t = bx._correlation_tensor(bx.bell_state())
         for _ in range(10):
             angles = rng.uniform(0, 2 * math.pi, 4)
-            assert bx._chsh_from_tensor(t, angles) == pytest.approx(
+            directions = [bx._direction(v) for v in angles]
+            assert bx._chsh_of_directions(t, directions) == pytest.approx(
                 bx._chsh_of_angles(bx.bell_state(), angles), abs=1e-10
             )
 
@@ -141,3 +142,82 @@ class TestOptimizer:
         quantum, _ = bx.maximize_quantum_chsh(seed=5, restarts=10)
         assert deterministic == 2.0
         assert deterministic < quantum < bx.chsh_value(bx.pr_box())
+
+
+def _reference_objective(p, tensor):
+    """CHSH at the angles p, with each angle a numpy array: against the
+    tensor, or (tensor None) for the product state at p[4], p[5]."""
+    if tensor is None:
+        ca = [np.cos(p[x] - p[4]) for x in (0, 1)]
+        cb = [np.cos(p[2 + y] - p[5]) for y in (0, 1)]
+        return ca[0] * cb[0] + ca[0] * cb[1] + ca[1] * cb[0] - ca[1] * cb[1]
+    a = [(np.cos(p[x]), np.sin(p[x])) for x in (0, 1)]
+    b = [(np.cos(p[2 + y]), np.sin(p[2 + y])) for y in (0, 1)]
+
+    def corr(u, v):
+        return sum(u[i] * tensor[i, j] * v[j]
+                   for i in (0, 1) for j in (0, 1))
+
+    return (corr(a[0], b[0]) + corr(a[0], b[1]) + corr(a[1], b[0])
+            - corr(a[1], b[1]))
+
+
+class TestExactCoordinateSteps:
+    @pytest.mark.parametrize("entangled", [True, False])
+    def test_closed_form_angle_beats_the_grid(self, entangled):
+        tensor = bx._correlation_tensor(bx.bell_state()) if entangled \
+            else None
+        t = tensor.tolist() if entangled else None
+        n_params = 4 if entangled else 6
+        rng = np.random.default_rng(30)
+        for _ in range(25):
+            p = rng.uniform(-10.0, 10.0, size=n_params)
+            dirs = [(math.cos(v), math.sin(v)) for v in p]
+            for i in range(n_params):
+                v = bx._best_angle(t, dirs, i, p[i])
+                assert p[i] - math.pi <= v <= p[i] + math.pi
+                at_v = p.copy()
+                at_v[i] = v
+                grid = np.linspace(p[i] - math.pi, p[i] + math.pi, 4096)
+                on_grid = [np.full_like(grid, x) for x in p]
+                on_grid[i] = grid
+                best_on_grid = np.max(_reference_objective(on_grid, tensor))
+                assert _reference_objective(at_v, tensor) \
+                    >= best_on_grid - 1e-12
+
+    def test_objective_matches_reference(self):
+        tensor = bx._correlation_tensor(bx.bell_state())
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            p = rng.uniform(0, 2 * math.pi, 6)
+            d = [bx._direction(v) for v in p]
+            assert bx._chsh_of_directions(tensor.tolist(), d[:4]) == \
+                pytest.approx(_reference_objective(p, tensor), abs=1e-14)
+            assert bx._chsh_of_directions(None, d) == \
+                pytest.approx(_reference_objective(p, None), abs=1e-14)
+
+
+class TestOptimizerInputs:
+    @pytest.mark.parametrize("restarts", [0, -4])
+    def test_needs_a_restart(self, restarts):
+        with pytest.raises(ValueError, match="restarts"):
+            bx.maximize_quantum_chsh(restarts=restarts)
+
+    @pytest.mark.parametrize("entangled,builder", [
+        (True, "bell_state"), (False, "product_strategy_state"),
+    ])
+    def test_state_built_once(self, monkeypatch, entangled, builder):
+        calls = []
+        original = getattr(bx, builder)
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(bx, builder, counted)
+        value, strategy = bx.maximize_quantum_chsh(
+            seed=6, restarts=5, entangled=entangled
+        )
+        assert len(calls) == 1
+        box_value = bx.chsh_value(bx.box_from_quantum(strategy))
+        assert box_value == pytest.approx(value, abs=1e-9)

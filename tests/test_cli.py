@@ -249,6 +249,26 @@ class TestBadInput:
         assert code == 2
         assert "--tol must be a finite number >= 0" in error["error"]
 
+    @pytest.mark.parametrize("restarts", ["0", "-4"])
+    def test_chsh_needs_a_restart(self, capsys, restarts):
+        code, error = run_cli_error(
+            capsys, "chsh", "--box", "quantum-opt", "--restarts", restarts,
+        )
+        assert code == 2
+        assert "--restarts must be at least 1" in error["error"]
+
+    @pytest.mark.parametrize("argv", [
+        ("entropy", "--samples", "-3"),
+        ("entropy", "--samples", "0"),
+        ("audit-example1", "--samples", "0"),
+    ])
+    def test_samples_at_least_one(self, capsys, state_files, argv):
+        if argv[0] == "entropy":
+            argv += ("--state", str(state_files["mixed"]))
+        code, error = run_cli_error(capsys, *argv)
+        assert code == 2
+        assert "--samples must be at least 1" in error["error"]
+
     def test_separoid_rejects_tol(self, capsys):
         code, error = run_cli_error(
             capsys, "suite", "--property", "separoid",

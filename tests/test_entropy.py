@@ -150,14 +150,18 @@ class TestFineGrainedBound:
         assert report.fine_grained_upper == pytest.approx(0.0, abs=1e-9)
 
     def test_maximally_mixed_qubit_projective_values(self):
-        # every rank-one projective basis scores exactly ln 2
+        # every rank-one projective basis scores exactly ln 2, one basis
+        # at a time and as one stack
         mm = st.maximally_mixed(C2)
+        m = mm.element.reps()[0]
         rng = np.random.default_rng(14)
-        for _ in range(30):
-            probs = en._projective_probs("complex", 2, mm.element.reps()[0],
-                                         rng)
-            assert en._entropy_of_probs(np.clip(probs, 0, None)) \
-                == pytest.approx(np.log(2), abs=1e-10)
+        draws = [en._draw_basis("complex", 2, rng) for _ in range(30)]
+        inputs = [[d] for d in draws] + [draws]
+        for batch in inputs:
+            probs = en._basis_probs("complex", m, batch)
+            assert probs.shape == (len(batch), 2)
+            for h in en._row_entropies(np.clip(probs, 0, None)):
+                assert h == pytest.approx(np.log(2), abs=1e-10)
 
     def test_seventy_thirty_attained_by_eigenbasis(self):
         sigma = st._diag_state(C2, np.array([0.7, 0.3]))
@@ -194,3 +198,123 @@ class TestRandomFineGrainedMeasurements:
         for _ in range(10):
             m = en.random_fine_grained_measurement(algebra, rng)
             assert en.shannon_entropy(st.measure(m, rho)) >= h - 1e-9
+
+
+def _reference_basis_probs(kind, size, m, rng):
+    """One random projective basis drawn and scored on its own."""
+    if kind == "classical":
+        return m.copy()
+    if kind == "spin":
+        u = rng.normal(size=size)
+        u /= np.linalg.norm(u)
+        overlap = float(u @ m[1:])
+        return np.array([0.5 + overlap, 0.5 - overlap])
+    if kind == "real":
+        q, _ = np.linalg.qr(rng.normal(size=(size, size)))
+        return np.einsum("ji,jk,ki->i", q, m, q)
+    if kind == "complex":
+        g = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+        q, _ = np.linalg.qr(g)
+        return np.einsum("ji,jk,ki->i", q.conj(), m, q).real
+    q = st._random_quaternion_unitary(rng.normal(size=(4, size, size)))
+    full = ja._quaternion_matmul(
+        st._quaternion_conj_transpose(q), ja._quaternion_matmul(m, q)
+    )
+    return np.diag(full[0]).copy()
+
+
+def _reference_fine_entropies(sigma, n_samples, rng):
+    """Per-sample loop: a basis, a coin, and for a blend ``t`` and a
+    second basis; returns the entropies and the number of blends."""
+    s = sigma.algebra.summands[0]
+    m = sigma.element.reps()[0]
+    values, blends = [], 0
+    for _ in range(n_samples):
+        first = _reference_basis_probs(s.kind, s.size, m, rng)
+        if rng.uniform() < 0.5:
+            probs = first
+        else:
+            blends += 1
+            t = rng.uniform(0.2, 0.8)
+            second = first if s.kind == "classical" else \
+                _reference_basis_probs(s.kind, s.size, m, rng)
+            probs = np.concatenate([t * first, (1.0 - t) * second])
+        probs = np.clip(probs, 0.0, None)
+        mask = probs > st.SUPPORT_CUTOFF
+        values.append(float(-np.sum(probs[mask] * np.log(probs[mask]))))
+    return np.array(values), blends
+
+
+BATCHED_ALGEBRAS = [
+    ja.real_hermitian(3),
+    ja.real_hermitian(5),
+    ja.complex_hermitian(3),
+    ja.complex_hermitian(4),
+    ja.quaternion_hermitian(2),
+    ja.quaternion_hermitian(3),
+    ja.classical(4),
+    ja.spin_factor(3),
+]
+
+
+class TestBatchedSampler:
+    @pytest.mark.parametrize("algebra", BATCHED_ALGEBRAS,
+                             ids=lambda a: a.summands[0].kind
+                             + str(a.summands[0].size))
+    @pytest.mark.parametrize("rank_cap", [None, 1])
+    def test_matches_per_sample_loop(self, algebra, rank_cap):
+        exact = algebra.summands[0].kind != "spin"
+        for seed in (0, 5):
+            sigma = st.random_state(algebra, rank_cap=rank_cap, seed=seed + 21)
+            rng_batched = np.random.default_rng(seed)
+            rng_loop = np.random.default_rng(seed)
+            batched = en._fine_entropies(sigma, 60, rng_batched)
+            loop, blends = _reference_fine_entropies(sigma, 60, rng_loop)
+            assert 0 < blends < 60  # both branches were taken
+            if exact:
+                np.testing.assert_array_equal(batched, loop)
+            else:
+                np.testing.assert_allclose(batched, loop, rtol=0, atol=1e-15)
+            # the batched sampler leaves the stream where the loop does
+            assert rng_batched.uniform() == rng_loop.uniform()
+
+    def test_reduction_matches_rowwise_sum_on_partial_support(self):
+        # rows of eight outcomes with entries at and below the cutoff:
+        # a zero-filled row would sum in another order than its support
+        rng = np.random.default_rng(22)
+        p = rng.dirichlet(np.ones(8), size=40)
+        p[rng.uniform(size=p.shape) < 0.3] = 0.0
+        p[::7, 2] = 0.5 * st.SUPPORT_CUTOFF
+        got = en._row_entropies(p)
+        for row, h in zip(p, got):
+            support = row[row > st.SUPPORT_CUTOFF]
+            assert h == -np.sum(support * np.log(support))
+
+    @pytest.mark.parametrize("chunk", [1, 7, en.SAMPLE_CHUNK])
+    def test_undercut_raises_on_first_bad_sample(self, monkeypatch, chunk):
+        # no state undercuts its spectral entropy, so raise the spectral
+        # value (and the value its measurement attains) to the third
+        # lowest sample: samples 23 and 30 (the lowest) undercut, and 23
+        # is reported.  Chunks must keep the draws and the sample index.
+        monkeypatch.setattr(en, "SAMPLE_CHUNK", chunk)
+        sigma = st.random_state(ja.complex_hermitian(3), seed=23)
+        values, _ = _reference_fine_entropies(
+            sigma, 50, np.random.default_rng(28)
+        )
+        raised = float(np.sort(values)[2])
+        monkeypatch.setattr(en, "spectral_entropy", lambda s: raised)
+        monkeypatch.setattr(en, "shannon_entropy", lambda p: raised)
+        bad = np.flatnonzero(values < raised - en.SQUEEZE_TOL)
+        assert list(bad) == [23, 30] and np.argmin(values) == 30
+        first = 23
+        with pytest.raises(en.EntropyBoundError) as caught:
+            en.fine_grained_entropy_bound(sigma, n_samples=50, seed=28)
+        message = str(caught.value)
+        assert f"at entropy {values[first]} " in message
+        assert f"(sample {first})" in message
+
+    def test_needs_a_sample(self):
+        mm = st.maximally_mixed(C2)
+        for n in (0, -3):
+            with pytest.raises(ValueError, match="n_samples"):
+                en.fine_grained_entropy_bound(mm, n_samples=n)

@@ -414,6 +414,22 @@ class TestRandomStates:
         assert abs(vals.mean() - 1.0 / 3.0) < 3.0 * se + 1e-3
 
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_stacked_quaternion_unitaries_equal_slices(self, n):
+        g = np.random.default_rng(40 + n).normal(size=(3, 2, 4, n, n))
+        kept = g.copy()
+        stacked = st._random_quaternion_unitary(g)
+        assert np.array_equal(g, kept)  # the draws are not overwritten
+        assert stacked.shape == g.shape
+        eye = np.zeros((4, n, n))
+        eye[0] = np.eye(n)
+        for index in np.ndindex(3, 2):
+            q = stacked[index]
+            assert np.array_equal(q, st._random_quaternion_unitary(g[index]))
+            gram = ja._quaternion_matmul(st._quaternion_conj_transpose(q), q)
+            np.testing.assert_allclose(gram, eye, atol=1e-12)
+
+
 class TestRandomChannels:
     def test_env_one_is_unitary_conjugation(self):
         phi = st.random_channel(C2, env_dim=1, seed=19)
@@ -515,7 +531,7 @@ class TestCatalog:
         n = s.size
         rng = np.random.default_rng(31)
         if s.kind == "quaternion":
-            q = st._random_quaternion_unitary(n, rng)
+            q = st._random_quaternion_unitary(rng.normal(size=(4, n, n)))
             qh = st._quaternion_conj_transpose(q)
             qmul = ja._quaternion_matmul
             conj = lambda m, a, b: qmul(qmul(a, m), b)
