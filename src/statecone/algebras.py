@@ -40,6 +40,7 @@ __all__ = [
     "JordanElement",
     "SimpleFactor",
     "SpectralDecomposition",
+    "Spectrum",
     "apply_function",
     "basis_element",
     "classical",
@@ -191,12 +192,13 @@ class JordanElement:
     """An algebra element, stored as coefficients in the fixed basis.
 
     Instances are immutable; the coefficient array is marked read-only.
-    A per-instance cache holds spectral decompositions keyed by grouping
-    tolerance, which is safe to share between threads because entries are
-    only ever computed from the immutable coefficients.
+    One slot caches the spectral decomposition, which is safe to share
+    between threads because it is only ever computed from the immutable
+    coefficients (or, for products and clipped states, installed with
+    them by exact means).
     """
 
-    __slots__ = ("algebra", "coeffs", "_spectral_cache")
+    __slots__ = ("algebra", "coeffs", "_spectral")
 
     def __init__(self, algebra: Algebra, coeffs: np.ndarray):
         coeffs = np.asarray(coeffs, dtype=float)
@@ -209,10 +211,12 @@ class JordanElement:
         coeffs.flags.writeable = False
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "_spectral_cache", {})
+        object.__setattr__(self, "_spectral", None)
 
     def __setattr__(self, name, value):
-        raise AttributeError("JordanElement is immutable")
+        if name != "_spectral":
+            raise AttributeError("JordanElement is immutable")
+        object.__setattr__(self, name, value)
 
     # -- vector-space sugar ------------------------------------------------
 
@@ -474,68 +478,111 @@ def direct_sum(a: JordanElement, b: JordanElement) -> JordanElement:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Eigenvalues (distinct, descending) with orthogonal idempotents.
+@dataclass(frozen=True, eq=False)
+class Spectrum:
+    """Fine eigenvalues with their weights, the traces of their rows.
 
-    ``multiplicities[i]`` is the trace of ``idempotents[i]``; merged
-    eigenvalue groups give idempotents of trace larger than one, so the
-    fine spectrum is recovered by weighting each eigenvalue with its
-    multiplicity.
+    ``f(values) @ weights`` is the trace of ``f`` of the element.  The
+    grouped spectrum, with near-equal eigenvalues merged, is built on
+    first access; it only shapes Jordan frames.
     """
 
-    eigenvalues: np.ndarray
-    idempotents: tuple[JordanElement, ...]
-    multiplicities: np.ndarray
+    values: np.ndarray
+    weights: np.ndarray
+
+    @cached_property
+    def groups(self) -> tuple[np.ndarray, list[int]]:
+        """The descending order of the values and the first index (in that
+        order) of each group of near-equal ones.
+
+        A group ends before the first value more than ``DEFAULT_GROUP_TOL``
+        below the group's first value.
+        """
+        order = np.argsort(-self.values, kind="stable")
+        values = self.values[order]
+        starts = [0]
+        for i in range(1, len(values)):
+            if values[starts[-1]] - values[i] > DEFAULT_GROUP_TOL:
+                starts.append(i)
+        return order, starts
+
+    @cached_property
+    def multiplicities(self) -> np.ndarray:
+        order, starts = self.groups
+        return np.add.reduceat(self.weights[order], starts)
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """The weighted mean of each group, descending."""
+        order, starts = self.groups
+        weighted = (self.values * self.weights)[order]
+        return np.add.reduceat(weighted, starts) / self.multiplicities
+
+
+@dataclass(frozen=True, eq=False)
+class SpectralDecomposition:
+    """Fine eigenvalues with the stack of their rank-one projections.
+
+    Row ``k`` of ``rows`` holds the coefficients of the projection that
+    belongs to ``values[k]``, so a function of the element is
+    ``f(values) @ rows`` and a pairing with ``y`` is
+    ``f(values) @ (rows @ y.coeffs)``.  Rows are primitive idempotents,
+    except on quaternionic factors: there each eigenpair of the ``2n``
+    complex symplectic embedding gives half a primitive idempotent, of
+    weight 1/2, and a Kramers pair gives the whole one.
+
+    ``eigenvalues`` (distinct, descending), ``multiplicities`` and
+    ``idempotents`` view the same data grouped for Jordan frames:
+    eigenvalues within ``DEFAULT_GROUP_TOL`` merge at their weighted mean,
+    also across direct summands, and their rows sum to one idempotent
+    whose trace is the multiplicity.  The spectrum is its own object so
+    that a factor permutation, which moves only the rows, shares it and
+    its grouping with the decomposition it came from.
+    """
+
+    spectrum: Spectrum
+    rows: np.ndarray
+    algebra: Algebra
+
+    @classmethod
+    def from_rows(cls, values: np.ndarray, rows: np.ndarray,
+                  algebra: Algebra) -> "SpectralDecomposition":
+        return cls(Spectrum(values, rows @ algebra.trace_vector), rows, algebra)
+
+    @property
+    def values(self) -> np.ndarray:
+        return self.spectrum.values
+
+    @property
+    def weights(self) -> np.ndarray:
+        return self.spectrum.weights
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        return self.spectrum.eigenvalues
+
+    @property
+    def multiplicities(self) -> np.ndarray:
+        return self.spectrum.multiplicities
+
+    @cached_property
+    def idempotents(self) -> tuple[JordanElement, ...]:
+        order, starts = self.spectrum.groups
+        sums = np.add.reduceat(self.rows[order], starts, axis=0)
+        return tuple(JordanElement(self.algebra, e) for e in sums)
 
     def reconstruct(self) -> JordanElement:
-        alg = self.idempotents[0].algebra
-        coeffs = np.zeros(alg.dim)
-        for lam, e in zip(self.eigenvalues, self.idempotents):
-            coeffs += lam * e.coeffs
-        return JordanElement(alg, coeffs)
+        return JordanElement(self.algebra, self.values @ self.rows)
 
     def fine_spectrum(self) -> np.ndarray:
-        """Eigenvalues repeated with (rounded) multiplicity, descending."""
-        reps = np.rint(self.multiplicities).astype(int)
-        return np.repeat(self.eigenvalues, reps)
+        """One eigenvalue per primitive idempotent, descending.
 
-
-def _group_starts(values: np.ndarray, group_tol: float) -> list[int]:
-    """Split sorted-descending values into groups of near-equal entries.
-
-    Returns the first index of each group, the offsets that
-    ``np.add.reduceat`` sums the groups over.  A group ends before the
-    first entry more than ``group_tol`` below the group's first entry.
-    """
-    starts = [0]
-    for i in range(1, len(values)):
-        if values[starts[-1]] - values[i] > group_tol:
-            starts.append(i)
-    return starts
-
-
-def _group_means(values: np.ndarray, starts: list[int]) -> np.ndarray:
-    counts = np.diff(starts + [len(values)])
-    return np.add.reduceat(values, starts) / counts
-
-
-def _merge_spectrum(values, mults, stack, group_tol):
-    """Sort eigenvalues descending and merge the near-equal ones.
-
-    ``mults`` and the rows of ``stack`` (projections, as coefficients or
-    reps) belong to ``values``.  Each group gets its multiplicity-weighted
-    mean eigenvalue, its total multiplicity and the sum of its rows.
-    """
-    order = np.argsort(-values, kind="stable")
-    values, mults = values[order], mults[order]
-    starts = _group_starts(values, group_tol)
-    total = np.add.reduceat(mults, starts)
-    return (
-        np.add.reduceat(values * mults, starts) / total,
-        total,
-        np.add.reduceat(stack[order], starts, axis=0),
-    )
+        Each value is listed ``2 * weight`` times and every second entry
+        of the sorted list is kept, so a row of weight one counts once and
+        so does a Kramers pair of half rows.
+        """
+        doubled = np.repeat(self.values, np.rint(2 * self.weights).astype(int))
+        return np.sort(doubled)[::-1][::2]
 
 
 def _quaternion_to_complex_embedding(m: np.ndarray) -> np.ndarray:
@@ -557,28 +604,17 @@ def _complex_projection_to_quaternion(p: np.ndarray, n: int) -> np.ndarray:
     ], axis=-3)
 
 
-def _spectral_projections(kind, rep, size, group_tol):
-    """Per-summand spectral data: the eigenvalues, descending, and the
-    stack of their projection reps.
-
-    Eigenvalues closer than ``group_tol`` share one projection, whose
-    trace carries the multiplicity.
-    """
+def _spectral_projections(kind, rep, size):
+    """Per-summand fine eigenvalues and the stack of their rank-one
+    projection reps."""
     if kind == "classical":
-        order = np.argsort(rep)[::-1]
-        values = rep[order]
-        starts = _group_starts(values, group_tol)
-        group = np.repeat(np.arange(len(starts)), np.diff(starts + [size]))
-        projs = np.zeros((len(starts), size))
-        projs[group, order] = 1.0
-        return _group_means(values, starts), projs
+        return rep, np.eye(size)
 
     if kind == "spin":
         t, v = rep[0], rep[1:]
         r = float(np.linalg.norm(v))
-        if 2.0 * r <= group_tol:
-            return np.array([t]), _unit_rep("spin", size)[np.newaxis]
-        axis = v / r
+        # at r == 0 both eigenvalues are t and any ball axis will do
+        axis = v / r if r > 0.0 else np.eye(size)[0]
         top = np.concatenate(([0.5], 0.5 * axis))
         bottom = np.concatenate(([0.5], -0.5 * axis))
         return np.array([t + r, t - r]), np.stack([top, bottom])
@@ -588,81 +624,53 @@ def _spectral_projections(kind, rep, size, group_tol):
     quaternion = kind == "quaternion"
     matrix = _quaternion_to_complex_embedding(rep) if quaternion else rep
     w, vecs = np.linalg.eigh(matrix)
-    w = w[::-1]
-    vecs = vecs[:, ::-1]
-    starts = _group_starts(w, group_tol)
-    # one rank-one projection per eigenvector, summed over each group
-    rank_one = np.einsum("ik,jk->kij", vecs, vecs.conj())
-    projs = np.add.reduceat(rank_one, starts, axis=0)
+    projs = np.einsum("ik,jk->kij", vecs, vecs.conj())
     if quaternion:
         projs = _complex_projection_to_quaternion(projs, size)
-    return _group_means(w, starts), projs
+    return w, projs
 
 
-def spectral_decompose(
-    a: JordanElement, group_tol: float = DEFAULT_GROUP_TOL
-) -> SpectralDecomposition:
-    """Decompose into eigenvalues and orthogonal idempotents.
+def spectral_decompose(a: JordanElement) -> SpectralDecomposition:
+    """Decompose into fine eigenvalues and rank-one projections.
 
-    Eigenvalues closer than ``group_tol`` are merged into a single
-    idempotent, also across direct summands, at the multiplicity-weighted
-    mean eigenvalue.  Results are cached on the element per tolerance.
+    The result is cached on the element.
     """
-    cached = a._spectral_cache.get(group_tol)
-    if cached is not None:
-        return cached
-
+    if a._spectral is not None:
+        return a._spectral
     alg = a.algebra
     values, rows = [], []  # per summand: eigenvalues, projection coeffs
     for s, sl, rep in zip(alg.summands, alg.slices(), a.reps()):
-        lam, projs = _spectral_projections(s.kind, rep, s.size, group_tol)
+        lam, projs = _spectral_projections(s.kind, rep, s.size)
         block = np.zeros((len(lam), alg.dim))
         block[:, sl] = _COERCE_TO_COEFFS[s.kind](projs, s.size)
         values.append(lam)
         rows.append(block)
-    rows = np.concatenate(rows)
-    eigenvalues, multiplicities, idempotents = _merge_spectrum(
-        np.concatenate(values), rows @ alg.trace_vector, rows, group_tol
+    a._spectral = SpectralDecomposition.from_rows(
+        np.concatenate(values), np.concatenate(rows), alg
     )
-    decomposition = SpectralDecomposition(
-        eigenvalues=eigenvalues,
-        idempotents=tuple(JordanElement(alg, e) for e in idempotents),
-        multiplicities=multiplicities,
-    )
-    a._spectral_cache[group_tol] = decomposition
-    return decomposition
-
-
-def seed_spectral_cache(
-    a: JordanElement,
-    decomposition: SpectralDecomposition,
-    group_tol: float = DEFAULT_GROUP_TOL,
-) -> None:
-    """Install a decomposition computed by other exact means (tensor
-    products, clipping) so later spectral calls reuse it."""
-    a._spectral_cache[group_tol] = decomposition
+    return a._spectral
 
 
 def apply_function(
     a: JordanElement,
     f: Callable[[float], float],
     domain: Callable[[float], bool] | None = None,
-    group_tol: float = DEFAULT_GROUP_TOL,
 ) -> JordanElement:
     """Evaluate a scalar function through the spectral decomposition.
 
     When ``domain`` is given, every eigenvalue must satisfy it; the first
     offender is reported in a :class:`DomainError`.
     """
-    dec = spectral_decompose(a, group_tol)
-    coeffs = np.zeros(a.algebra.dim)
-    for lam, e in zip(dec.eigenvalues, dec.idempotents):
-        if domain is not None and not domain(lam):
-            raise DomainError(
-                f"eigenvalue {lam!r} outside the domain of {f!r}", value=lam
-            )
-        coeffs += float(f(lam)) * e.coeffs
-    return JordanElement(a.algebra, coeffs)
+    dec = spectral_decompose(a)
+    if domain is not None:
+        for lam in dec.values:
+            if not domain(lam):
+                raise DomainError(
+                    f"eigenvalue {lam!r} outside the domain of {f!r}",
+                    value=lam,
+                )
+    image = np.array([f(lam) for lam in dec.values], dtype=float)
+    return JordanElement(a.algebra, image @ dec.rows)
 
 
 def embed_quaternion(a: JordanElement) -> JordanElement:

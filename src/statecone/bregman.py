@@ -97,22 +97,20 @@ def _xlogx(lam: np.ndarray) -> np.ndarray:
 
 def _entropy_value(x: JordanElement) -> float:
     dec = spectral_decompose(x)
-    if np.any(dec.eigenvalues < -1e-9):
+    if np.any(dec.values < -1e-9):
         raise DomainError(
             "negative element outside the entropy domain",
-            value=float(dec.eigenvalues.min()),
+            value=float(dec.values.min()),
         )
-    return float(dec.multiplicities @ _xlogx(np.clip(dec.eigenvalues, 0, None)))
+    return float(_xlogx(np.clip(dec.values, 0, None)) @ dec.weights)
 
 
 def log_on_support(x: JordanElement) -> JordanElement:
     """Spectral logarithm with kernel directions mapped to zero."""
     dec = spectral_decompose(x)
-    coeffs = np.zeros(x.algebra.dim)
-    for lam, e in zip(dec.eigenvalues, dec.idempotents):
-        if lam > SUPPORT_CUTOFF:
-            coeffs += math.log(lam) * e.coeffs
-    return JordanElement(x.algebra, coeffs)
+    logs = np.log(dec.values, out=np.zeros_like(dec.values),
+                  where=dec.values > SUPPORT_CUTOFF)
+    return JordanElement(x.algebra, logs @ dec.rows)
 
 
 def neg_entropy() -> BregmanGenerator:
@@ -141,7 +139,7 @@ def trace_power(p: int) -> BregmanGenerator:
 
     def value(x: JordanElement) -> float:
         dec = spectral_decompose(x)
-        return float(dec.multiplicities @ dec.eigenvalues ** p)
+        return float(dec.values ** p @ dec.weights)
 
     def gradient(x: JordanElement) -> JordanElement:
         if p == 2:
@@ -235,10 +233,7 @@ def _supported_in(rho: JordanElement, sigma: JordanElement,
                   tol: float = 1e-9) -> bool:
     """Whether rho has (numerically) no mass outside the support of sigma."""
     dec = spectral_decompose(sigma)
-    outside = 0.0
-    for lam, e in zip(dec.eigenvalues, dec.idempotents):
-        if lam <= SUPPORT_CUTOFF:
-            outside += inner_product(e, rho)
+    outside = (dec.values <= SUPPORT_CUTOFF) @ (dec.rows @ rho.coeffs)
     return abs(outside) <= tol
 
 
@@ -250,7 +245,7 @@ def bregman_divergence(
     y = sigma.element if isinstance(sigma, State) else sigma
     x._require_same(y)
     if F.support_sensitive:
-        eigs = spectral_decompose(y).eigenvalues
+        eigs = spectral_decompose(y).values
         if np.any(eigs < -1e-9):
             raise DomainError(
                 "second argument is not in the positive cone",
@@ -277,7 +272,7 @@ def information_divergence(
     if not _supported_in(x, y):
         return math.inf
     dx = spectral_decompose(x)
-    value = float(dx.multiplicities @ _xlogx(np.clip(dx.eigenvalues, 0, None)))
+    value = float(_xlogx(np.clip(dx.values, 0, None)) @ dx.weights)
     value -= inner_product(log_on_support(y), x)
     value -= trace(x) - trace(y)
     return value
@@ -540,7 +535,7 @@ def check_identity(
                     for t, s in zip(weights, states)
                 )
                 candidate = alg.JordanElement(algebra, mean)
-                eigs = spectral_decompose(candidate).eigenvalues
+                eigs = spectral_decompose(candidate).values
                 if float(np.min(eigs)) >= 0.0:
                     break
             else:

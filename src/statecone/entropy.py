@@ -71,21 +71,12 @@ def shannon_entropy(p, tol: float = 1e-8) -> float:
     return float(-np.sum(p[mask] * np.log(p[mask])))
 
 
-def _fine_weights(sigma: State) -> np.ndarray:
-    dec = spectral_decompose(sigma.element)
-    weights = []
-    for lam, mult in zip(dec.eigenvalues, dec.multiplicities):
-        weights.extend([lam] * int(round(mult)))
-    return np.array(weights)
-
-
 def spectral_entropy(sigma: State) -> float:
     """Entropy from the spectrum, eigenvalues below cutoff contributing 0."""
     dec = spectral_decompose(sigma.element)
-    lam = dec.eigenvalues
-    mult = dec.multiplicities
+    lam, weights = dec.values, dec.weights
     mask = lam > SUPPORT_CUTOFF
-    return float(-np.sum(mult[mask] * lam[mask] * np.log(lam[mask])))
+    return float(-np.sum(weights[mask] * lam[mask] * np.log(lam[mask])))
 
 
 def decomposition_entropy(
@@ -97,7 +88,11 @@ def decomposition_entropy(
     ``cross_check_samples`` is positive, random pure decompositions are
     sampled and each must stay above the returned value.
     """
-    value = shannon_entropy(np.clip(_fine_weights(sigma), 0.0, None))
+    if cross_check_samples < 0:
+        raise ValueError(
+            f"cross_check_samples must be at least 0, got {cross_check_samples}"
+        )
+    value = shannon_entropy(np.clip(sigma.spectrum(), 0.0, None))
     if cross_check_samples:
         rng = st._as_rng(seed)
         for k in range(cross_check_samples):

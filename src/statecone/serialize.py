@@ -60,13 +60,20 @@ def algebra_to_json(algebra: Algebra) -> list:
     return [{"type": s.kind, "n": s.size} for s in algebra.summands]
 
 
+def _size(value) -> int:
+    """A factor size, which JSON must give as an integer."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"size {value!r} is not an integer")
+    return value
+
+
 def algebra_from_json(doc) -> Algebra:
     if not isinstance(doc, list) or not doc:
         raise FormatError("algebra must be a non-empty list of summands")
     summands = []
     for entry in doc:
         try:
-            summands.append(SimpleFactor(entry["type"], int(entry["n"])))
+            summands.append(SimpleFactor(entry["type"], _size(entry["n"])))
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"bad summand {entry!r}: {exc}") from exc
     return Algebra(tuple(summands))
@@ -118,7 +125,7 @@ def element_from_json(doc) -> JordanElement:
     try:
         algebra = algebra_from_json(doc["algebra"])
         coeffs = np.asarray(doc["coeffs"], dtype=float)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise FormatError(f"bad element document: {exc}") from exc
     if coeffs.shape != (algebra.dim,):
         raise FormatError(
@@ -143,7 +150,8 @@ def _layout_to_json(layout: CompositeLayout) -> dict:
 
 def _layout_from_json(doc) -> CompositeLayout:
     try:
-        return st.composite_layout(doc["embedding"], doc["sizes"])
+        sizes = [_size(n) for n in doc["sizes"]]
+        return st.composite_layout(doc["embedding"], sizes)
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad layout document: {exc}") from exc
 
@@ -156,9 +164,15 @@ def state_to_json(state: State) -> dict:
     return doc
 
 
+def _require_kind(doc, kind: str) -> None:
+    if not isinstance(doc, dict) or doc.get("kind") != kind:
+        raise FormatError(
+            f'{kind} documents are JSON objects with "kind": "{kind}"'
+        )
+
+
 def state_from_json(doc) -> State:
-    if doc.get("kind") != "state":
-        raise FormatError('state documents need "kind": "state"')
+    _require_kind(doc, "state")
     element = element_from_json(doc)
     layout = _layout_from_json(doc["layout"]) if "layout" in doc else None
     if layout is not None and layout.ambient != element.algebra:
@@ -183,8 +197,7 @@ def measurement_to_json(m: Measurement) -> dict:
 
 
 def measurement_from_json(doc) -> Measurement:
-    if doc.get("kind") != "measurement":
-        raise FormatError('measurement documents need "kind": "measurement"')
+    _require_kind(doc, "measurement")
     algebra = algebra_from_json(doc["algebra"])
     outcomes = []
     for entry in doc["outcomes"]:
@@ -208,8 +221,7 @@ def channel_to_json(phi: Affinity) -> dict:
 
 
 def channel_from_json(doc) -> Affinity:
-    if doc.get("kind") != "channel":
-        raise FormatError('channel documents need "kind": "channel"')
+    _require_kind(doc, "channel")
     source = algebra_from_json(doc["source"])
     target = algebra_from_json(doc["target"])
     matrix = np.asarray(doc["matrix"], dtype=float)
@@ -231,8 +243,7 @@ def box_to_json(box: NoSignalingBox) -> dict:
 
 
 def box_from_json(doc) -> NoSignalingBox:
-    if doc.get("kind") != "box":
-        raise FormatError('box documents need "kind": "box"')
+    _require_kind(doc, "box")
     box = NoSignalingBox(np.asarray(doc["table"], dtype=float))
     box.validate(tol=1e-10)
     return box

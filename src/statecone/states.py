@@ -22,16 +22,15 @@ from . import algebras as alg
 from .algebras import (
     Algebra,
     AlgebraMismatchError,
-    DEFAULT_GROUP_TOL,
     JordanElement,
     SimpleFactor,
     SpectralDecomposition,
+    Spectrum,
     classical,
     complex_hermitian,
     element_from_reps,
     inner_product,
     real_hermitian,
-    seed_spectral_cache,
     spectral_decompose,
     trace,
     unit,
@@ -184,28 +183,21 @@ class State:
         if not abs(tr - 1.0) <= 1e-8:
             raise StateValidationError(f"trace {tr!r} is not 1")
         dec = spectral_decompose(element)
-        lo = float(np.min(dec.eigenvalues))
+        lo = float(np.min(dec.values))
         if lo < -clip_tol:
             raise StateValidationError(
                 f"minimum eigenvalue {lo!r} below -{clip_tol}"
             )
         if lo < 0.0:
-            clipped = np.maximum(dec.eigenvalues, 0.0)
-            coeffs = np.zeros(element.algebra.dim)
-            for lam, e in zip(clipped, dec.idempotents):
-                coeffs += lam * e.coeffs
-            element = JordanElement(element.algebra, coeffs)
-            seed_spectral_cache(
-                element,
-                SpectralDecomposition(
-                    eigenvalues=clipped,
-                    idempotents=dec.idempotents,
-                    multiplicities=dec.multiplicities,
-                ),
+            clipped = np.maximum(dec.values, 0.0)
+            element = JordanElement(element.algebra, clipped @ dec.rows)
+            element._spectral = SpectralDecomposition(
+                Spectrum(clipped, dec.weights), dec.rows, dec.algebra
             )
         return cls(element, layout)
 
     def spectrum(self) -> np.ndarray:
+        """One eigenvalue per primitive idempotent, descending."""
         return spectral_decompose(self.element).fine_spectrum()
 
 
@@ -236,7 +228,7 @@ class Test:
         return inner_product(self.element, state.element)
 
     def is_valid(self, tol: float = CLIP_TOL) -> bool:
-        eigs = spectral_decompose(self.element).eigenvalues
+        eigs = spectral_decompose(self.element).values
         return bool(np.all(eigs >= -tol) and np.all(eigs <= 1.0 + tol))
 
 
@@ -421,11 +413,7 @@ def are_singular(rho: State, sigma: State, tol: float = CLIP_TOL) -> bool:
 def support_projection(element: JordanElement,
                        cutoff: float = SUPPORT_CUTOFF) -> JordanElement:
     dec = spectral_decompose(element)
-    coeffs = np.zeros(element.algebra.dim)
-    for lam, e in zip(dec.eigenvalues, dec.idempotents):
-        if lam > cutoff:
-            coeffs += e.coeffs
-    return JordanElement(element.algebra, coeffs)
+    return JordanElement(element.algebra, (dec.values > cutoff) @ dec.rows)
 
 
 def singularity_witness(rho: State, sigma: State,
@@ -468,45 +456,29 @@ def tensor_elements(
     return element_from_reps(layout.ambient, [out[0]])
 
 
-def _seed_product_spectrum(
-    product: JordanElement,
-    factors: Sequence[JordanElement],
-    layout: CompositeLayout,
-) -> None:
-    """Build the product spectral decomposition from factor spectra: the
-    products of factor idempotents, grouped by eigenvalue product."""
-    ambient = layout.ambient
-    s = ambient.summands[0]
-    values = mults = np.ones(1)
+def _product_spectrum(
+    factors: Sequence[JordanElement], layout: CompositeLayout
+) -> SpectralDecomposition:
+    """The product spectral decomposition from factor spectra: products of
+    factor eigenvalues with Kronecker products of factor rows."""
+    s = layout.ambient.summands[0]
+    values = np.ones(1)
     projs = None
     for f in factors:
         dec = spectral_decompose(f)
         t = f.algebra.summands[0]
-        reps = alg._COERCE_TO_REP[t.kind](
-            np.array([e.coeffs for e in dec.idempotents]), t.size
-        )
-        values = np.multiply.outer(values, dec.eigenvalues).ravel()
-        mults = np.multiply.outer(mults, dec.multiplicities).ravel()
+        reps = alg._COERCE_TO_REP[t.kind](dec.rows, t.size)
+        values = np.multiply.outer(values, dec.values).ravel()
         projs = reps if projs is None else _kron_stacks(s.kind, projs, reps)
-    eigenvalues, multiplicities, groups = alg._merge_spectrum(
-        values, mults, projs, DEFAULT_GROUP_TOL
-    )
-    idempotents = alg._COERCE_TO_COEFFS[s.kind](groups, s.size)
-    seed_spectral_cache(
-        product,
-        SpectralDecomposition(
-            eigenvalues,
-            tuple(JordanElement(ambient, e) for e in idempotents),
-            multiplicities,
-        ),
-    )
+    rows = alg._COERCE_TO_COEFFS[s.kind](projs, s.size)
+    return SpectralDecomposition.from_rows(values, rows, layout.ambient)
 
 
 def tensor_state(states: Sequence[State], layout: CompositeLayout) -> State:
     elements = [s.element for s in states]
     product = tensor_elements(elements, layout)
     if layout.embedding != REAL_INTO_LARGER:
-        _seed_product_spectrum(product, elements, layout)
+        product._spectral = _product_spectrum(elements, layout)
     return State(product, layout)
 
 
@@ -569,8 +541,8 @@ def _permute_reps(reps, sizes, order, embedding):
 
 def permute_factors(sigma: State, order: Sequence[int]) -> State:
     """Reorder tensor factors; ``order[i]`` is the old position of the new
-    factor ``i``.  A cached spectral decomposition rides along, since the
-    permutation only relabels idempotents."""
+    factor ``i``.  A cached spectral decomposition rides along: the
+    permutation moves its rows and keeps its spectrum."""
     layout = sigma.layout
     if layout is None or layout.embedding == REAL_INTO_LARGER:
         raise UnsupportedAlgebraError("factor permutation needs a tensor layout")
@@ -580,24 +552,19 @@ def permute_factors(sigma: State, order: Sequence[int]) -> State:
     )
     ambient = new_layout.ambient
     s = ambient.summands[0]
-    # the element and its cached idempotents move as one stack
-    cached = sigma.element._spectral_cache.get(DEFAULT_GROUP_TOL)
-    stack = [sigma.element.coeffs]
+    # the element and its cached rows move as one stack
+    cached = sigma.element._spectral
+    stack = sigma.element.coeffs[np.newaxis]
     if cached is not None:
-        stack += [e.coeffs for e in cached.idempotents]
-    reps = alg._COERCE_TO_REP[s.kind](np.array(stack), s.size)
+        stack = np.concatenate([stack, cached.rows])
+    reps = alg._COERCE_TO_REP[s.kind](stack, s.size)
     moved = alg._COERCE_TO_COEFFS[s.kind](
         _permute_reps(reps, layout.sizes, order, layout.embedding), s.size
     )
     element = JordanElement(ambient, moved[0])
     if cached is not None:
-        seed_spectral_cache(
-            element,
-            SpectralDecomposition(
-                cached.eigenvalues,
-                tuple(JordanElement(ambient, e) for e in moved[1:]),
-                cached.multiplicities,
-            ),
+        element._spectral = SpectralDecomposition(
+            cached.spectrum, moved[1:], ambient
         )
     return State(element, new_layout)
 

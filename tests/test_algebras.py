@@ -224,7 +224,7 @@ class TestSpectral:
     def test_grouping_merges_close_eigenvalues(self):
         algebra = ja.classical(3)
         el = ja.JordanElement(algebra, np.array([0.5, 0.5 + 1e-12, 0.1]))
-        dec = ja.spectral_decompose(el, group_tol=1e-8)
+        dec = ja.spectral_decompose(el)
         assert len(dec.eigenvalues) == 2
         assert dec.multiplicities[0] == pytest.approx(2.0)
 

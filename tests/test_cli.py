@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from statecone import algebras as ja
 from statecone import multipartite as mp
@@ -140,6 +145,17 @@ class TestSuiteCommand:
         assert code == 0
         assert set(report["results"]) == {"positivity", "symmetry", "chain"}
 
+    def test_separoid_chain_on_pure_four_qubits(self, capsys):
+        # trial 3 is a globally pure state whose product references have
+        # eigenvalues 8.92e-9 and 1.76e-8, closer than the grouping 1e-8
+        code, report = run_cli(
+            capsys, "suite", "--property", "separoid",
+            "--algebra", "C2x2x2x2", "--trials", "4", "--seed", "3045832050",
+        )
+        assert code == 0
+        assert report["pass"] is True
+        assert report["results"]["chain"]["worst_violation"] < 1e-9
+
     @pytest.mark.parametrize("prop,algebra", [
         ("mono", "C2"), ("suff", "C2"), ("local", "C3"), ("identity", "C2"),
         ("additivity", "C2x2"), ("marginal", "C2x2"), ("dpi", "C2x2"),
@@ -269,6 +285,24 @@ class TestBadInput:
         assert code == 2
         assert "--samples must be at least 1" in error["error"]
 
+    @pytest.mark.parametrize("doc", [[1, 2], "x", None])
+    def test_state_file_must_hold_an_object(self, capsys, tmp_path, doc):
+        path = tmp_path / "not_an_object.json"
+        path.write_text(json.dumps(doc))
+        code, error = run_cli_error(capsys, "entropy", "--state", str(path))
+        assert code == 2
+        assert "JSON objects" in error["error"]
+
+    def test_factor_size_must_be_an_integer(self, capsys, tmp_path):
+        path = tmp_path / "half_qubit.json"
+        path.write_text(json.dumps({
+            "kind": "state", "algebra": [{"type": "complex", "n": 1.5}],
+            "coeffs": [1.0],
+        }))
+        code, error = run_cli_error(capsys, "entropy", "--state", str(path))
+        assert code == 2
+        assert "not an integer" in error["error"]
+
     def test_separoid_rejects_tol(self, capsys):
         code, error = run_cli_error(
             capsys, "suite", "--property", "separoid",
@@ -277,6 +311,85 @@ class TestBadInput:
         assert code == 2
         for fixed in ("positivity 1e-08", "symmetry 1e-10", "chain 1e-08"):
             assert fixed in error["error"]
+
+
+# ---------------------------------------------------------------------------
+# fuzzed state files
+# ---------------------------------------------------------------------------
+
+_JSON = hst.recursive(
+    hst.none() | hst.booleans() | hst.integers() | hst.floats()
+    | hst.text(max_size=6),
+    lambda inner: hst.lists(inner, max_size=4)
+    | hst.dictionaries(hst.text(max_size=6), inner, max_size=4),
+    max_leaves=8,
+)
+_SIZES = hst.integers(-1, 3) | hst.floats(0, 3) | hst.booleans() \
+    | hst.text(max_size=2)
+_STATE_LIKE = hst.fixed_dictionaries({
+    "kind": hst.sampled_from(["state", "box"]),
+    "algebra": hst.lists(hst.fixed_dictionaries({
+        "type": hst.sampled_from(
+            ["real", "complex", "quaternion", "spin", "classical", "x"]
+        ),
+        "n": _SIZES,
+    }), max_size=2),
+    "coeffs": hst.lists(hst.floats(), max_size=10),
+}, optional={"layout": hst.fixed_dictionaries({
+    "embedding": hst.sampled_from(
+        [st.COMPLEX_TENSOR, st.CLASSICAL_TENSOR, st.REAL_INTO_LARGER]
+    ),
+    "sizes": hst.lists(_SIZES, max_size=3),
+})})
+_SPECS = ["C2", "R3", "H2", "S3", "P3", "C2x2", "P2x3", "C2x2x2", "P2x2x2"]
+
+
+@hst.composite
+def _valid_states(draw):
+    """A random state document, as it is or with one coefficient or the
+    layout replaced."""
+    algebra, layout = sz.parse_algebra_spec(draw(hst.sampled_from(_SPECS)))
+    state = st.random_state(
+        algebra, seed=draw(hst.integers(0, 2 ** 32 - 1)), layout=layout,
+        rank_cap=draw(hst.none() | hst.integers(1, 3)),
+    )
+    doc = sz.state_to_json(state)
+    # most documents stay valid, so the commands run to the end
+    change = draw(hst.sampled_from([None] * 4 + ["coeffs", "layout"]))
+    if change == "coeffs":
+        index = draw(hst.integers(0, len(doc["coeffs"]) - 1))
+        doc["coeffs"][index] = draw(_JSON)
+    elif change == "layout":
+        doc["layout"] = draw(_JSON)
+    return doc
+
+
+def _run_quietly(argv) -> tuple[int, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(doc=_valid_states() | _STATE_LIKE | _JSON)
+def test_file_commands_exit_cleanly_on_any_state_file(doc):
+    """Every command that reads a state file exits 0 or 2 with a JSON
+    error, whatever the file holds; an exception fails the test."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "state.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        for argv in (
+            ["entropy", "--state", path, "--samples", "3"],
+            ["divergence", "--rho", path, "--sigma", path],
+            ["mi", "--state", path, "--a", "A", "--b", "B"],
+            ["cmi", "--state", path, "--a", "A", "--b", "B", "--c", "C"],
+        ):
+            code, err = _run_quietly(argv)
+            assert code in (0, 2), (argv[0], code)
+            if code == 2:
+                assert "error" in json.loads(err)
 
 
 def test_closed_pipe_exits_quietly():

@@ -69,6 +69,17 @@ class TestSpectralEntropy:
             en.shannon_entropy([0.7, 0.3]), abs=1e-12
         )
 
+    @pytest.mark.parametrize("algebra", [
+        ja.complex_hermitian(4), ja.quaternion_hermitian(4), ja.classical(4),
+    ])
+    def test_near_equal_eigenvalues_keep_their_values(self, algebra):
+        # 1.76e-8 and 8.92e-9 lie within the 1e-8 eigenvalue grouping
+        p = np.array([0.6, 0.4 - 1.76e-8 - 8.92e-9, 1.76e-8, 8.92e-9])
+        sigma = st._diag_state(algebra, p)
+        assert en.spectral_entropy(sigma) == pytest.approx(
+            -np.sum(p * np.log(p)), rel=0, abs=1e-15
+        )
+
     def test_concavity(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
@@ -119,6 +130,14 @@ class TestDecompositionEntropy:
         rho = st.random_state(algebra, seed=7)
         # raises if any sampled decomposition undercuts the value
         en.decomposition_entropy(rho, cross_check_samples=20, seed=8)
+
+    def test_negative_cross_check_count_is_rejected(self):
+        rho = st.random_state(C3, seed=12)
+        with pytest.raises(ValueError, match="cross_check_samples"):
+            en.decomposition_entropy(rho, cross_check_samples=-3)
+        # zero still means no cross-check
+        assert en.decomposition_entropy(rho, cross_check_samples=0) == \
+            pytest.approx(en.spectral_entropy(rho), abs=1e-12)
 
     def test_uniform_qubit_cross_check(self):
         mm = st.maximally_mixed(C2)

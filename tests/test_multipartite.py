@@ -392,7 +392,9 @@ def reference_cmi(rho, a, b, c):
 
 class TestSeparoidChainDefect:
     """Trial 3 of ``suite separoid C2x2x2x2 --seed 3045832050``, a globally
-    pure state, fails its chain check by 4.1e-8."""
+    pure state: rho_A x rho_C x rho_BD has the eigenvalues 8.92e-9 and
+    1.76e-8, closer than the 1e-8 eigenvalue grouping, and every chain
+    term must still match a dense reference within 1e-9."""
 
     @staticmethod
     def trial_state():
@@ -414,12 +416,6 @@ class TestSeparoidChainDefect:
         cmi = mp.conditional_mutual_information(NE, p, a, b, c)
         assert cmi.value == pytest.approx(expected, rel=0, abs=1e-9)
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "the absolute 1e-8 group tolerance (DEFAULT_GROUP_TOL) merges the "
-        "eigenvalues 8.92e-9 and 1.76e-8 of rho_A x rho_C x rho_BD into "
-        "one group at 1.33e-8, so D(rho || rho_A x rho_C x rho_BD) comes "
-        "out 1.85728097 against 1.85728093 and I(A;C|BD) 4.1e-8 too high"
-    ))
     def test_chain_cmi_with_merged_product_eigenvalues(self):
         p = self.trial_state()
         expected = reference_cmi(p.state.element.reps()[0], [0], [2], [1, 3])

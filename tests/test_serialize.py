@@ -24,6 +24,11 @@ class TestAlgebraDescriptors:
         with pytest.raises(sz.FormatError):
             sz.algebra_from_json([{"type": "octonion", "n": 3}])
 
+    @pytest.mark.parametrize("n", [1.5, 2.0, "2", True, None])
+    def test_size_must_be_an_integer(self, n):
+        with pytest.raises(sz.FormatError, match="not an integer"):
+            sz.algebra_from_json([{"type": "complex", "n": n}])
+
 
 class TestAlgebraSpecGrammar:
     @pytest.mark.parametrize("spec,kind,size", [
@@ -79,6 +84,21 @@ class TestElementsAndStates:
         state = st.random_state(ja.complex_hermitian(2), seed=2)
         doc = sz.element_to_json(state.element)
         with pytest.raises(sz.FormatError):
+            sz.state_from_json(doc)
+
+    @pytest.mark.parametrize("load", [
+        sz.state_from_json, sz.measurement_from_json,
+        sz.channel_from_json, sz.box_from_json,
+    ])
+    @pytest.mark.parametrize("doc", [[1, 2], "x", None, 3.5, {"kind": 7}])
+    def test_documents_must_be_objects_of_their_kind(self, load, doc):
+        with pytest.raises(sz.FormatError, match="JSON objects"):
+            load(doc)
+
+    def test_layout_sizes_must_be_integers(self):
+        doc = sz.state_to_json(st.maximally_mixed(ja.complex_hermitian(2)))
+        doc["layout"] = {"embedding": st.COMPLEX_TENSOR, "sizes": [2, 1.0]}
+        with pytest.raises(sz.FormatError, match="not an integer"):
             sz.state_from_json(doc)
 
     def test_coefficient_length_checked(self):
