@@ -192,13 +192,20 @@ class JordanElement:
     """An algebra element, stored as coefficients in the fixed basis.
 
     Instances are immutable; the coefficient array is marked read-only.
-    One slot caches the spectral decomposition, which is safe to share
-    between threads because it is only ever computed from the immutable
-    coefficients (or, for products and clipped states, installed with
-    them by exact means).
+    Two slots cache what is derived from the coefficients, and both are
+    safe to share between threads because they are only ever computed
+    from the immutable coefficients:
+
+    * ``_spectral`` holds the spectral decomposition (for products and
+      clipped states it is installed with the coefficients by exact
+      means);
+    * ``_reps`` holds the per-summand representations, filled by the
+      first :meth:`reps` call with read-only arrays, so every later call
+      returns the same bits.  :func:`element_from_reps` never seeds it:
+      the round trip through the coefficients is not bit-exact.
     """
 
-    __slots__ = ("algebra", "coeffs", "_spectral")
+    __slots__ = ("algebra", "coeffs", "_spectral", "_reps")
 
     def __init__(self, algebra: Algebra, coeffs: np.ndarray):
         coeffs = np.asarray(coeffs, dtype=float)
@@ -212,6 +219,7 @@ class JordanElement:
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "_spectral", None)
+        object.__setattr__(self, "_reps", None)
 
     def __setattr__(self, name, value):
         if name != "_spectral":
@@ -251,11 +259,16 @@ class JordanElement:
     # -- representations ---------------------------------------------------
 
     def reps(self) -> list:
-        """Concrete representation of each summand (matrix, 4-stack, ...)."""
-        return [
-            _COERCE_TO_REP[s.kind](self.coeffs[sl], s.size)
-            for s, sl in zip(self.algebra.summands, self.algebra.slices())
-        ]
+        """Concrete representation of each summand (matrix, 4-stack, ...),
+        as read-only arrays converted once per element."""
+        if self._reps is None:
+            reps = []
+            for s, sl in zip(self.algebra.summands, self.algebra.slices()):
+                rep = _COERCE_TO_REP[s.kind](self.coeffs[sl], s.size)
+                rep.flags.writeable = False
+                reps.append(rep)
+            object.__setattr__(self, "_reps", tuple(reps))
+        return list(self._reps)
 
 
 def element_from_reps(algebra: Algebra, reps: Sequence) -> JordanElement:

@@ -30,6 +30,7 @@ __all__ = [
     "CmiReport",
     "OverlapError",
     "PartitionedState",
+    "UnknownLabelError",
     "check_additivity",
     "check_data_processing",
     "check_marginal_identity",
@@ -48,13 +49,27 @@ class OverlapError(ValueError):
     """Label sets handed to an information quantity overlap."""
 
 
+class UnknownLabelError(KeyError):
+    """A label set names a factor the state does not have."""
+
+    def __str__(self):
+        # a KeyError's str is the repr of its message; keep the message
+        return str(self.args[0])
+
+
 @dataclass(frozen=True)
 class PartitionedState:
-    """A composite state with named factors and cached marginals."""
+    """A composite state with named factors and cached marginals.
+
+    Marginals and product references are cached by label names, so a
+    sub-state made by :meth:`restrict` shares them with its parent and
+    each is computed once per state, whichever quantity asks first.
+    """
 
     state: State
     labels: tuple[str, ...]
     _marginals: dict = field(default_factory=dict, compare=False, repr=False)
+    _products: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         layout = self.state.layout
@@ -66,23 +81,34 @@ class PartitionedState:
             )
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("labels must be distinct")
+        self._marginals.setdefault(self.labels, self.state)
 
     def indices(self, subset: Sequence[str]) -> tuple[int, ...]:
         try:
             return tuple(sorted(self.labels.index(l) for l in subset))
         except ValueError as exc:
-            raise KeyError(f"unknown label in {subset!r}") from exc
+            raise UnknownLabelError(f"unknown label in {subset!r}") from exc
+
+    def _key(self, subset: Sequence[str]) -> tuple[str, ...]:
+        """The labels of ``subset`` in factor order, without repeats."""
+        idx = set(self.indices(subset))
+        return tuple(l for i, l in enumerate(self.labels) if i in idx)
 
     def marginal(self, subset: Sequence[str]) -> State:
-        idx = self.indices(subset)
-        cached = self._marginals.get(idx)
+        key = self._key(subset)
+        cached = self._marginals.get(key)
         if cached is None:
-            if len(idx) == len(self.labels):
-                cached = self.state
-            else:
-                cached = st.marginal(self.state, idx)
-            self._marginals[idx] = cached
+            cached = st.marginal(self.state, self.indices(key))
+            self._marginals[key] = cached
         return cached
+
+    def restrict(self, subset: Sequence[str]) -> "PartitionedState":
+        """The marginal on ``subset`` as a partitioned state that shares
+        this state's caches."""
+        key = self._key(subset)
+        return PartitionedState(
+            self.marginal(key), key, self._marginals, self._products
+        )
 
 
 def random_partitioned_state(
@@ -101,12 +127,19 @@ def random_partitioned_state(
 
 def _group_product(pstate: PartitionedState,
                    groups: Sequence[Sequence[str]]) -> State:
-    """Tensor the group marginals, permuted to ascending factor order."""
+    """Tensor the group marginals, permuted to ascending factor order.
+
+    Products are cached on the partitioned state by the ordered groups.
+    """
+    key = tuple(pstate._key(g) for g in groups)
+    cached = pstate._products.get(key)
+    if cached is not None:
+        return cached
     layout = pstate.state.layout
-    group_idx = [pstate.indices(g) for g in groups]
+    group_idx = [pstate.indices(g) for g in key]
     concat = [i for idx in group_idx for i in idx]
     target = sorted(concat)
-    marginals = [pstate.marginal(g) for g in groups]
+    marginals = [pstate.marginal(g) for g in key]
     # tensor at group granularity (each group marginal is one factor of
     # the coarse layout), then reinterpret at single-factor granularity
     coarse = CompositeLayout(
@@ -120,6 +153,7 @@ def _group_product(pstate: PartitionedState,
     if concat != target:
         order = [concat.index(i) for i in target]
         product = st.permute_factors(product, order)
+    pstate._products[key] = product
     return product
 
 
@@ -218,12 +252,7 @@ def conditional_mutual_information(
     _check_disjoint(a_labels, b_labels, c_labels)
     a, b, c = list(a_labels), list(b_labels), list(c_labels)
 
-    if len(a + b + c) == len(pstate.labels):
-        sub = pstate
-    else:
-        joint = pstate.marginal(a + b + c)
-        kept = tuple(l for l in pstate.labels if l in set(a + b + c))
-        sub = PartitionedState(joint, kept)
+    sub = pstate.restrict(a + b + c)
     term0 = bregman_divergence(
         F, sub.marginal(a + b + c), _group_product(sub, [a, b, c])
     )

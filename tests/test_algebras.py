@@ -562,6 +562,34 @@ class TestBasisMaps:
         np.testing.assert_allclose(back.coeffs, el.coeffs, rtol=0,
                                    atol=1e-14 * ja.norm(el))
 
+    @pytest.mark.parametrize("algebra", ALL_SIMPLE + [ja.Algebra(
+        ja.complex_hermitian(2).summands + ja.spin_factor(3).summands
+        + ja.classical(2).summands
+    )], ids=str)
+    def test_reps_cached_read_only(self, algebra):
+        el = random_element(algebra, 17)
+        first = el.reps()
+        fresh = [ja._COERCE_TO_REP[s.kind](el.coeffs[sl], s.size)
+                 for s, sl in zip(algebra.summands, algebra.slices())]
+        for cached, again, expected in zip(first, el.reps(), fresh):
+            assert cached is again
+            np.testing.assert_array_equal(cached, expected, strict=True)
+            assert not cached.flags.writeable
+            with pytest.raises(ValueError):
+                cached[...] = 0.0
+
+    @pytest.mark.parametrize("algebra", ALL_SIMPLE, ids=str)
+    def test_element_from_reps_does_not_alias(self, algebra):
+        el = random_element(algebra, 18)
+        reps = [rep.copy() for rep in el.reps()]
+        built = ja.element_from_reps(algebra, reps)
+        assert built._reps is None  # the round trip is not bit-exact
+        coeffs = built.coeffs.copy()
+        assert built.reps()[0] is not reps[0]
+        reps[0][...] = 0.0
+        np.testing.assert_array_equal(built.coeffs, coeffs)
+        assert np.any(built.reps()[0] != 0.0)
+
     @pytest.mark.parametrize("kind", MATRIX_KINDS)
     def test_symmetrizes_non_hermitian_input(self, kind):
         # coefficients of a matrix are those of its Hermitian part

@@ -102,6 +102,13 @@ class TestInformationCommands:
         )
         assert code == 2
 
+    def test_unknown_label_is_usage_error(self, capsys, state_files):
+        code = main(["mi", "--state", str(state_files["bell"]),
+                     "--a", "A", "--b", "Z"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert json.loads(err) == {"error": "unknown label in ['A', 'Z']"}
+
     def test_simple_state_has_no_layout(self, capsys, state_files):
         code, _ = run_cli(
             capsys, "mi", "--state", str(state_files["rho"]),

@@ -370,6 +370,87 @@ class TestSeparoid:
         assert left.value == pytest.approx(right, abs=1e-9)
 
 
+# the (a, b, c) of each separoid trial, in the suite's order
+SEPAROID_CMIS = [
+    (["A"], ["B"], ["C"]),
+    (["B"], ["A"], ["C"]),
+    (["A"], ["B", "C"], ["D"]),
+    (["A"], ["B"], ["D"]),
+    (["A"], ["C"], ["B", "D"]),
+]
+
+
+class TestSharedCaches:
+    """Sub-states share their parent's marginals and product references,
+    so each is computed once per state."""
+
+    @staticmethod
+    def four_party(embedding, seed, rank_cap=None):
+        return mp.random_partitioned_state(
+            embedding, (2, 2, 2, 2), ("A", "B", "C", "D"),
+            seed=np.random.default_rng(seed), rank_cap=rank_cap,
+        )
+
+    @pytest.mark.parametrize("embedding",
+                             [st.COMPLEX_TENSOR, st.CLASSICAL_TENSOR])
+    @pytest.mark.parametrize("rank_cap", [None, 1])
+    @pytest.mark.parametrize("outer,inners", [
+        ([0, 1, 2], [[0], [1], [2], [0, 2], [1, 2]]),
+        ([0, 1, 3], [[0], [1], [3], [0, 3], [1, 3]]),
+    ])
+    def test_nested_marginals_match_direct(self, embedding, rank_cap,
+                                           outer, inners):
+        sigma = self.four_party(embedding, 31, rank_cap).state
+        outer_state = st.marginal(sigma, outer)
+        for inner in inners:
+            nested = st.marginal(outer_state, [outer.index(i) for i in inner])
+            direct = st.marginal(sigma, inner)
+            np.testing.assert_allclose(nested.element.coeffs,
+                                       direct.element.coeffs,
+                                       rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("embedding",
+                             [st.COMPLEX_TENSOR, st.CLASSICAL_TENSOR])
+    def test_cmi_matches_fresh_substate(self, embedding):
+        p = self.four_party(embedding, 32)
+        for a, b, c in SEPAROID_CMIS:
+            shared = mp.conditional_mutual_information(NE, p, a, b, c)
+            kept = tuple(l for l in p.labels if l in a + b + c)
+            fresh = mp.PartitionedState(
+                st.marginal(p.state, p.indices(kept)), kept
+            )
+            alone = mp.conditional_mutual_information(NE, fresh, a, b, c)
+            assert shared.value == pytest.approx(alone.value, rel=0,
+                                                 abs=1e-13)
+
+    def test_substate_shares_caches(self):
+        p = self.four_party(st.COMPLEX_TENSOR, 33)
+        sub = p.restrict(["B", "A", "D"])
+        assert sub.labels == ("A", "B", "D")
+        assert sub.state is p.marginal(["A", "B", "D"])
+        assert sub.marginal(["D", "A"]) is p.marginal(["A", "D"])
+        assert p.restrict(["A", "B", "C", "D"]).state is p.state
+
+    def test_one_eigensolve_per_marginal(self, monkeypatch):
+        counts = {"eigh": 0, "marginal": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "eigh",
+                            counting("eigh", np.linalg.eigh))
+        monkeypatch.setattr(st, "marginal", counting("marginal", st.marginal))
+        verdicts = mp.check_separoid(
+            NE, st.COMPLEX_TENSOR, (2, 2, 2, 2), n_trials=1, seed=34
+        )
+        assert all(v.passed for v in verdicts.values())
+        # one random state and its 11 distinct proper marginals
+        assert counts == {"eigh": 12, "marginal": 11}
+
+
 def qubit_entropy(rho, keep):
     """Von Neumann entropy of the marginal on ``keep`` of a 4-qubit
     density matrix, from numpy partial traces and ``eigvalsh``."""
