@@ -155,6 +155,11 @@ class Algebra:
         t.flags.writeable = False
         return t
 
+    def __reduce__(self):
+        # rebuild from the summands, so the cached read-only trace vector
+        # is computed afresh rather than restored writeable
+        return Algebra, (self.summands,)
+
     def __str__(self):
         return "+".join(str(s) for s in self.summands)
 
@@ -225,6 +230,11 @@ class JordanElement:
         if name != "_spectral":
             raise AttributeError("JordanElement is immutable")
         object.__setattr__(self, name, value)
+
+    def __reduce__(self):
+        # pickling and copying rebuild from the coefficients; the lazy
+        # slots refill on demand
+        return JordanElement, (self.algebra, self.coeffs)
 
     # -- vector-space sugar ------------------------------------------------
 
@@ -493,15 +503,14 @@ def direct_sum(a: JordanElement, b: JordanElement) -> JordanElement:
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Fine eigenvalues with their weights, the traces of their rows.
+    """Fine eigenvalues, one per primitive idempotent.
 
-    ``f(values) @ weights`` is the trace of ``f`` of the element.  The
-    grouped spectrum, with near-equal eigenvalues merged, is built on
-    first access; it only shapes Jordan frames.
+    ``f(values).sum()`` is the trace of ``f`` of the element.  The grouped
+    spectrum, with near-equal eigenvalues merged, is built on first
+    access; it only shapes the distinct-eigenvalue view.
     """
 
     values: np.ndarray
-    weights: np.ndarray
 
     @cached_property
     def groups(self) -> tuple[np.ndarray, list[int]]:
@@ -521,54 +530,44 @@ class Spectrum:
 
     @cached_property
     def multiplicities(self) -> np.ndarray:
-        order, starts = self.groups
-        return np.add.reduceat(self.weights[order], starts)
+        """The size of each group."""
+        _, starts = self.groups
+        return np.diff(starts + [len(self.values)])
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
-        """The weighted mean of each group, descending."""
+        """The mean of each group, descending."""
         order, starts = self.groups
-        weighted = (self.values * self.weights)[order]
-        return np.add.reduceat(weighted, starts) / self.multiplicities
+        sums = np.add.reduceat(self.values[order], starts)
+        return sums / self.multiplicities
 
 
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
-    """Fine eigenvalues with the stack of their rank-one projections.
+    """Fine eigenvalues with the stack of their primitive idempotents.
 
-    Row ``k`` of ``rows`` holds the coefficients of the projection that
-    belongs to ``values[k]``, so a function of the element is
-    ``f(values) @ rows`` and a pairing with ``y`` is
-    ``f(values) @ (rows @ y.coeffs)``.  Rows are primitive idempotents,
-    except on quaternionic factors: there each eigenpair of the ``2n``
-    complex symplectic embedding gives half a primitive idempotent, of
-    weight 1/2, and a Kramers pair gives the whole one.
+    Row ``k`` of ``rows`` holds the coefficients of the primitive
+    idempotent that belongs to ``values[k]``; the rows are a Jordan frame.
+    A function of the element is ``f(values) @ rows``, its trace is
+    ``f(values).sum()`` and a pairing with ``y`` is
+    ``f(values) @ (rows @ y.coeffs)``.
 
     ``eigenvalues`` (distinct, descending), ``multiplicities`` and
-    ``idempotents`` view the same data grouped for Jordan frames:
-    eigenvalues within ``DEFAULT_GROUP_TOL`` merge at their weighted mean,
-    also across direct summands, and their rows sum to one idempotent
-    whose trace is the multiplicity.  The spectrum is its own object so
-    that a factor permutation, which moves only the rows, shares it and
-    its grouping with the decomposition it came from.
+    ``idempotents`` view the same data grouped: eigenvalues within
+    ``DEFAULT_GROUP_TOL`` merge at their mean, also across direct
+    summands, and their rows sum to one idempotent whose trace is the
+    multiplicity.  The spectrum is its own object so that a factor
+    permutation, which moves only the rows, shares it and its grouping
+    with the decomposition it came from.
     """
 
     spectrum: Spectrum
     rows: np.ndarray
     algebra: Algebra
 
-    @classmethod
-    def from_rows(cls, values: np.ndarray, rows: np.ndarray,
-                  algebra: Algebra) -> "SpectralDecomposition":
-        return cls(Spectrum(values, rows @ algebra.trace_vector), rows, algebra)
-
     @property
     def values(self) -> np.ndarray:
         return self.spectrum.values
-
-    @property
-    def weights(self) -> np.ndarray:
-        return self.spectrum.weights
 
     @property
     def eigenvalues(self) -> np.ndarray:
@@ -588,14 +587,8 @@ class SpectralDecomposition:
         return JordanElement(self.algebra, self.values @ self.rows)
 
     def fine_spectrum(self) -> np.ndarray:
-        """One eigenvalue per primitive idempotent, descending.
-
-        Each value is listed ``2 * weight`` times and every second entry
-        of the sorted list is kept, so a row of weight one counts once and
-        so does a Kramers pair of half rows.
-        """
-        doubled = np.repeat(self.values, np.rint(2 * self.weights).astype(int))
-        return np.sort(doubled)[::-1][::2]
+        """One eigenvalue per primitive idempotent, descending."""
+        return np.sort(self.values)[::-1]
 
 
 def _quaternion_to_complex_embedding(m: np.ndarray) -> np.ndarray:
@@ -617,9 +610,31 @@ def _complex_projection_to_quaternion(p: np.ndarray, n: int) -> np.ndarray:
     ], axis=-3)
 
 
+def _kramers_frame(vecs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pick ``n`` of the ``2n`` eigenvector columns of a symplectic
+    embedding whose Kramers pairs ``(v, Jv)`` span the space.
+
+    The embedding commutes with ``J(x, y) = (-conj(y), conj(x))``, so
+    projecting a picked ``v`` and its partner ``Jv`` out of every column
+    keeps each column in its own eigenspace.  Returns the picked column
+    indices, ascending, and the normalised vectors as rows.
+    """
+    cols = vecs.copy()
+    picked, frame = [], []
+    for _ in range(n):
+        k = int(np.argmax(np.einsum("ij,ij->j", cols.conj(), cols).real))
+        v = cols[:, k] / np.linalg.norm(cols[:, k])
+        jv = np.concatenate((-v[n:].conj(), v[:n].conj()))
+        cols -= np.outer(v, v.conj() @ cols) + np.outer(jv, jv.conj() @ cols)
+        picked.append(k)
+        frame.append(v)
+    order = np.argsort(picked)
+    return np.array(picked)[order], np.array(frame)[order]
+
+
 def _spectral_projections(kind, rep, size):
-    """Per-summand fine eigenvalues and the stack of their rank-one
-    projection reps."""
+    """Per-summand fine eigenvalues and the stack of their primitive
+    idempotent reps."""
     if kind == "classical":
         return rep, np.eye(size)
 
@@ -632,34 +647,36 @@ def _spectral_projections(kind, rep, size):
         bottom = np.concatenate(([0.5], -0.5 * axis))
         return np.array([t + r, t - r]), np.stack([top, bottom])
 
-    # LAPACK on the native matrix; quaternionic matrices go through their
-    # complex symplectic embedding, whose eigenvalues come in equal pairs
-    quaternion = kind == "quaternion"
-    matrix = _quaternion_to_complex_embedding(rep) if quaternion else rep
-    w, vecs = np.linalg.eigh(matrix)
-    projs = np.einsum("ik,jk->kij", vecs, vecs.conj())
-    if quaternion:
-        projs = _complex_projection_to_quaternion(projs, size)
-    return w, projs
+    if kind == "quaternion":
+        # LAPACK on the complex symplectic embedding, whose eigenvalues
+        # come in Kramers pairs; one vector of each pair, mapped back and
+        # doubled, is a primitive idempotent of trace one
+        w, vecs = np.linalg.eigh(_quaternion_to_complex_embedding(rep))
+        picked, frame = _kramers_frame(vecs, size)
+        projs = np.einsum("ki,kj->kij", frame, frame.conj())
+        return w[picked], 2.0 * _complex_projection_to_quaternion(projs, size)
+
+    w, vecs = np.linalg.eigh(rep)
+    return w, np.einsum("ik,jk->kij", vecs, vecs.conj())
 
 
 def spectral_decompose(a: JordanElement) -> SpectralDecomposition:
-    """Decompose into fine eigenvalues and rank-one projections.
+    """Decompose into fine eigenvalues and a Jordan frame.
 
     The result is cached on the element.
     """
     if a._spectral is not None:
         return a._spectral
     alg = a.algebra
-    values, rows = [], []  # per summand: eigenvalues, projection coeffs
+    values, rows = [], []  # per summand: eigenvalues, idempotent coeffs
     for s, sl, rep in zip(alg.summands, alg.slices(), a.reps()):
         lam, projs = _spectral_projections(s.kind, rep, s.size)
         block = np.zeros((len(lam), alg.dim))
         block[:, sl] = _COERCE_TO_COEFFS[s.kind](projs, s.size)
         values.append(lam)
         rows.append(block)
-    a._spectral = SpectralDecomposition.from_rows(
-        np.concatenate(values), np.concatenate(rows), alg
+    a._spectral = SpectralDecomposition(
+        Spectrum(np.concatenate(values)), np.concatenate(rows), alg
     )
     return a._spectral
 

@@ -102,7 +102,7 @@ def _entropy_value(x: JordanElement) -> float:
             "negative element outside the entropy domain",
             value=float(dec.values.min()),
         )
-    return float(_xlogx(np.clip(dec.values, 0, None)) @ dec.weights)
+    return float(_xlogx(np.clip(dec.values, 0, None)).sum())
 
 
 def log_on_support(x: JordanElement) -> JordanElement:
@@ -139,7 +139,7 @@ def trace_power(p: int) -> BregmanGenerator:
 
     def value(x: JordanElement) -> float:
         dec = spectral_decompose(x)
-        return float(dec.values ** p @ dec.weights)
+        return float((dec.values ** p).sum())
 
     def gradient(x: JordanElement) -> JordanElement:
         if p == 2:
@@ -272,7 +272,7 @@ def information_divergence(
     if not _supported_in(x, y):
         return math.inf
     dx = spectral_decompose(x)
-    value = float(_xlogx(np.clip(dx.values, 0, None)) @ dx.weights)
+    value = float(_xlogx(np.clip(dx.values, 0, None)).sum())
     value -= inner_product(log_on_support(y), x)
     value -= trace(x) - trace(y)
     return value

