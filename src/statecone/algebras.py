@@ -23,6 +23,11 @@ coefficient map is an isometry.  The basis layout per factor is:
 * spin: ``unit/sqrt(2)`` first, then the ``d`` ball axes scaled by
   ``1/sqrt(2)``;
 * classical: the canonical coordinates.
+
+The concrete representation (``reps``) of a matrix factor is its matrix.
+A quaternionic ``n x n`` matrix is stored as its ``2n x 2n`` complex
+embedding, each entry a 2x2 complex block, so products, functions and
+eigensolves of quaternionic factors run on the complex code path.
 """
 
 from __future__ import annotations
@@ -269,8 +274,10 @@ class JordanElement:
     # -- representations ---------------------------------------------------
 
     def reps(self) -> list:
-        """Concrete representation of each summand (matrix, 4-stack, ...),
-        as read-only arrays converted once per element."""
+        """Concrete representation of each summand (the matrix, the
+        ``2n x 2n`` complex embedding of a quaternionic matrix, the spin
+        pair or the classical vector), as read-only arrays converted once
+        per element."""
         if self._reps is None:
             reps = []
             for s, sl in zip(self.algebra.summands, self.algebra.slices()):
@@ -282,7 +289,10 @@ class JordanElement:
 
 
 def element_from_reps(algebra: Algebra, reps: Sequence) -> JordanElement:
-    """Assemble an element from per-summand concrete representations."""
+    """Assemble an element from per-summand concrete representations, in
+    the layout of :meth:`JordanElement.reps`; a matrix contributes its
+    Hermitian part, and a quaternionic embedding the part that commutes
+    with ``J``."""
     coeffs = np.empty(algebra.dim)
     for s, sl, rep in zip(algebra.summands, algebra.slices(), reps):
         coeffs[sl] = _COERCE_TO_COEFFS[s.kind](rep, s.size)
@@ -347,7 +357,7 @@ def _complex_to_coeffs(m, n):
 
 
 def _quaternion_to_rep(c, n):
-    """Stack of the four real component matrices (1, i, j, k parts)."""
+    """The ``2n x 2n`` complex embedding (see :func:`_quaternion_embedding`)."""
     rows, cols = _offdiag_indices(n)
     batch = c.shape[:-1]
     diag = np.arange(n)
@@ -359,20 +369,46 @@ def _quaternion_to_rep(c, n):
     m[..., rows, cols] = parts
     m[..., 0, cols, rows] = parts[..., 0, :]
     m[..., 1:, cols, rows] = -parts[..., 1:, :]
-    return m
+    return _quaternion_embedding(m)
 
 
 def _quaternion_to_coeffs(m, n):
     rows, cols = _offdiag_indices(n)
-    batch = m.shape[:-3]
+    batch = m.shape[:-2]
+    # the four real component matrices of the part of m that commutes
+    # with J, read off each 2x2 block
+    b = m.reshape(batch + (n, 2, n, 2))
+    z = 0.5 * (b[..., :, 0, :, 0] + np.conj(b[..., :, 1, :, 1]))
+    w = 0.5 * (b[..., :, 0, :, 1] - np.conj(b[..., :, 1, :, 0]))
+    parts = np.stack([z.real, z.imag, w.real, w.imag], axis=-3)
     c = np.empty(batch + (n * (2 * n - 1),))
-    c[..., :n] = np.diagonal(m[..., 0, :, :], axis1=-2, axis2=-1)
-    upper, lower = m[..., rows, cols], m[..., cols, rows]
+    c[..., :n] = np.diagonal(parts[..., 0, :, :], axis1=-2, axis2=-1)
+    upper, lower = parts[..., rows, cols], parts[..., cols, rows]
     # the real part is symmetric, the others skew
     lower[..., 0, :] = -lower[..., 0, :]
     offdiag = np.swapaxes(_SQRT2 * 0.5 * (upper - lower), -1, -2)
     c[..., n:] = offdiag.reshape(c[..., n:].shape)
     return c
+
+
+def _quaternion_embedding(parts):
+    """Complex embedding of quaternionic matrices, or stacks of them,
+    given by their four real component matrices ``(..., 4, n, m)``.
+
+    The entry ``a0 + a1 i + a2 j + a3 k`` becomes the 2x2 block
+    ``[[a0 + i a1, a2 + i a3], [-a2 + i a3, a0 - i a1]]``, so column
+    ``2q + 1`` is the Kramers partner of column ``2q`` (see
+    :func:`_kramers_partner`).
+    """
+    z = parts[..., 0, :, :] + 1j * parts[..., 1, :, :]
+    w = parts[..., 2, :, :] + 1j * parts[..., 3, :, :]
+    batch, (n, m) = z.shape[:-2], z.shape[-2:]
+    out = np.empty(batch + (n, 2, m, 2), dtype=complex)
+    out[..., :, 0, :, 0] = z
+    out[..., :, 0, :, 1] = w
+    out[..., :, 1, :, 0] = -np.conj(w)
+    out[..., :, 1, :, 1] = np.conj(z)
+    return out.reshape(batch + (2 * n, 2 * m))
 
 
 def _spin_to_rep(c, d):
@@ -412,24 +448,9 @@ _COERCE_TO_COEFFS = {
 # ---------------------------------------------------------------------------
 
 
-def _quaternion_matmul(a, b):
-    """Product of quaternionic matrices in 4-component representation,
-    or of stacks of them."""
-    a0, a1, a2, a3 = (a[..., k, :, :] for k in range(4))
-    b0, b1, b2, b3 = (b[..., k, :, :] for k in range(4))
-    return np.stack([
-        a0 @ b0 - a1 @ b1 - a2 @ b2 - a3 @ b3,
-        a0 @ b1 + a1 @ b0 + a2 @ b3 - a3 @ b2,
-        a0 @ b2 - a1 @ b3 + a2 @ b0 + a3 @ b1,
-        a0 @ b3 + a1 @ b2 - a2 @ b1 + a3 @ b0,
-    ], axis=-3)
-
-
 def _product_rep(kind, ra, rb):
-    if kind in ("real", "complex"):
+    if kind in ("real", "complex", "quaternion"):
         return 0.5 * (ra @ rb + rb @ ra)
-    if kind == "quaternion":
-        return 0.5 * (_quaternion_matmul(ra, rb) + _quaternion_matmul(rb, ra))
     if kind == "spin":
         s, u = ra[0], ra[1:]
         t, v = rb[0], rb[1:]
@@ -438,18 +459,15 @@ def _product_rep(kind, ra, rb):
 
 
 def _unit_rep(kind, size):
-    if kind in ("real", "complex"):
-        dtype = float if kind == "real" else complex
-        return np.eye(size, dtype=dtype)
-    if kind == "quaternion":
-        m = np.zeros((4, size, size))
-        m[0] = np.eye(size)
-        return m
     if kind == "spin":
         rep = np.zeros(size + 1)
         rep[0] = 1.0
         return rep
-    return np.ones(size)
+    if kind == "classical":
+        return np.ones(size)
+    if kind == "quaternion":
+        return np.eye(2 * size, dtype=complex)
+    return np.eye(size, dtype=float if kind == "real" else complex)
 
 
 def jordan_product(a: JordanElement, b: JordanElement) -> JordanElement:
@@ -591,45 +609,84 @@ class SpectralDecomposition:
         return np.sort(self.values)[::-1]
 
 
-def _quaternion_to_complex_embedding(m: np.ndarray) -> np.ndarray:
-    a0, a1, a2, a3 = m
-    return np.block([
-        [a0 + 1j * a1, a2 + 1j * a3],
-        [-a2 + 1j * a3, a0 - 1j * a1],
-    ])
+def _kramers_partner(x):
+    """``J`` on the column vectors ``x`` of shape ``(..., 2n, m)``: each
+    row pair ``(a, b)`` becomes ``(-conj(b), conj(a))``.
+
+    ``J`` is antiunitary and commutes with every quaternionic embedding,
+    and ``Jx`` is orthogonal to ``x``.
+    """
+    jx = np.empty_like(x)
+    jx[..., 0::2, :] = -np.conj(x[..., 1::2, :])
+    jx[..., 1::2, :] = np.conj(x[..., 0::2, :])
+    return jx
 
 
-def _complex_projection_to_quaternion(p: np.ndarray, n: int) -> np.ndarray:
-    b11, b12 = p[..., :n, :n], p[..., :n, n:]
-    b21, b22 = p[..., n:, :n], p[..., n:, n:]
-    return np.stack([
-        0.5 * (b11.real + b22.real),
-        0.5 * (b11.imag - b22.imag),
-        0.5 * (b12.real - b21.real),
-        0.5 * (b12.imag + b21.imag),
-    ], axis=-3)
+def _kramers_pairs(x):
+    """The columns ``x`` of shape ``(..., 2n, m)``, each followed by its
+    Kramers partner, as in the quaternionic embedding."""
+    out = np.empty(x.shape[:-1] + (2 * x.shape[-1],), dtype=complex)
+    out[..., 0::2] = x
+    out[..., 1::2] = _kramers_partner(x)
+    return out
 
 
-def _kramers_frame(vecs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pick ``n`` of the ``2n`` eigenvector columns of a symplectic
+def _remove_kramers_pair(cols, v):
+    """Project the unit column ``v`` and its partner ``Jv`` out of every
+    column of ``cols``; with ``cols`` in a ``J``-invariant subspace the
+    result stays in it."""
+    for u in (v, _kramers_partner(v)):
+        cols = cols - u @ (np.swapaxes(u.conj(), -1, -2) @ cols)
+    return cols
+
+
+def _kramers_frame(vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pick ``n`` of the ``2n`` eigenvector columns of a quaternionic
     embedding whose Kramers pairs ``(v, Jv)`` span the space.
 
-    The embedding commutes with ``J(x, y) = (-conj(y), conj(x))``, so
-    projecting a picked ``v`` and its partner ``Jv`` out of every column
-    keeps each column in its own eigenspace.  Returns the picked column
-    indices, ascending, and the normalised vectors as rows.
+    The embedding commutes with ``J``, so projecting a picked pair out of
+    every column keeps each column in its own eigenspace.  Returns the
+    picked column indices, ascending, and the normalised vectors as the
+    columns of a ``2n x n`` matrix.
     """
     cols = vecs.copy()
     picked, frame = [], []
-    for _ in range(n):
+    for _ in range(len(vecs) // 2):
         k = int(np.argmax(np.einsum("ij,ij->j", cols.conj(), cols).real))
-        v = cols[:, k] / np.linalg.norm(cols[:, k])
-        jv = np.concatenate((-v[n:].conj(), v[:n].conj()))
-        cols -= np.outer(v, v.conj() @ cols) + np.outer(jv, jv.conj() @ cols)
+        v = cols[:, k:k + 1] / np.linalg.norm(cols[:, k])
+        cols = _remove_kramers_pair(cols, v)
         picked.append(k)
         frame.append(v)
     order = np.argsort(picked)
-    return np.array(picked)[order], np.array(frame)[order]
+    return np.array(picked)[order], np.concatenate(frame, axis=1)[:, order]
+
+
+def _kramers_orthonormalize(g: np.ndarray) -> np.ndarray:
+    """Modified Gram-Schmidt of the quaternionic columns of embedded
+    matrices ``g`` of shape ``(..., 2n, 2m)``, any leading axes a batch.
+
+    Each column pair ``(x, Jx)`` becomes an orthonormal pair ``(u, Ju)``
+    orthogonal to the pairs before it, in the layout of the embedding.
+    Fed embedded Gaussian quaternionic draws, it gives random
+    quaternionic unitaries.
+    """
+    x = np.array(g[..., ::2], dtype=complex)
+    for j in range(x.shape[-1]):
+        v = x[..., j:j + 1]
+        v = v / np.linalg.norm(v, axis=(-2, -1), keepdims=True)
+        x[..., j:j + 1] = v
+        x[..., j + 1:] = _remove_kramers_pair(x[..., j + 1:], v)
+    return _kramers_pairs(x)
+
+
+def _frame_projections(kind, q):
+    """The primitive idempotent reps of a frame: the projections onto the
+    columns of ``q``, or onto its Kramers pairs of columns on quaternionic
+    factors."""
+    if kind == "quaternion":
+        pairs = q.reshape(q.shape[:-1] + (-1, 2))
+        return np.einsum("ikp,jkp->kij", pairs, pairs.conj())
+    return np.einsum("ik,jk->kij", q, q.conj())
 
 
 def _spectral_projections(kind, rep, size):
@@ -647,17 +704,13 @@ def _spectral_projections(kind, rep, size):
         bottom = np.concatenate(([0.5], -0.5 * axis))
         return np.array([t + r, t - r]), np.stack([top, bottom])
 
-    if kind == "quaternion":
-        # LAPACK on the complex symplectic embedding, whose eigenvalues
-        # come in Kramers pairs; one vector of each pair, mapped back and
-        # doubled, is a primitive idempotent of trace one
-        w, vecs = np.linalg.eigh(_quaternion_to_complex_embedding(rep))
-        picked, frame = _kramers_frame(vecs, size)
-        projs = np.einsum("ki,kj->kij", frame, frame.conj())
-        return w[picked], 2.0 * _complex_projection_to_quaternion(projs, size)
-
     w, vecs = np.linalg.eigh(rep)
-    return w, np.einsum("ik,jk->kij", vecs, vecs.conj())
+    if kind == "quaternion":
+        # the eigenvalues of the embedding come in Kramers pairs; each
+        # picked vector with its partner spans a primitive idempotent
+        picked, frame = _kramers_frame(vecs)
+        return w[picked], _frame_projections(kind, _kramers_pairs(frame))
+    return w, _frame_projections(kind, vecs)
 
 
 def spectral_decompose(a: JordanElement) -> SpectralDecomposition:
@@ -715,5 +768,4 @@ def embed_quaternion(a: JordanElement) -> JordanElement:
             f"expected a single quaternion summand, got {a.algebra}"
         )
     n = a.algebra.summands[0].size
-    cm = _quaternion_to_complex_embedding(a.reps()[0])
-    return element_from_reps(complex_hermitian(2 * n), [cm])
+    return element_from_reps(complex_hermitian(2 * n), a.reps())

@@ -643,8 +643,7 @@ def random_orthogonal_triple(algebra: Algebra, rng):
     kind, n = s.kind, s.size
 
     if kind == "spin":
-        u = rng.normal(size=n)
-        u /= np.linalg.norm(u)
+        u = st._random_frames(kind, st._draw_basis(kind, n, rng))
         top = alg.element_from_reps(algebra, [np.concatenate(([0.5], 0.5 * u))])
         bottom = alg.element_from_reps(
             algebra, [np.concatenate(([0.5], -0.5 * u))]
@@ -672,21 +671,12 @@ def random_orthogonal_triple(algebra: Algebra, rng):
             for w in out
         )
 
-    if kind == "real":
-        q, _ = np.linalg.qr(rng.normal(size=(n, n)))
-        make = lambda w: alg.element_from_reps(
-            algebra, [(q * w) @ q.T]
-        )
-    elif kind == "complex":
-        g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        q, _ = np.linalg.qr(g)
-        make = lambda w: alg.element_from_reps(
-            algebra, [(q * w) @ q.conj().T]
-        )
-    else:
+    if kind not in ("real", "complex"):
         raise st.UnsupportedAlgebraError(
             f"singular triples are not sampled on {kind} factors"
         )
+    q = st._random_frames(kind, st._draw_basis(kind, n, rng))
+    make = lambda w: alg.element_from_reps(algebra, [(q * w) @ q.conj().T])
     return (
         State.make(make(weights(head))),
         State.make(make(weights(tail))),

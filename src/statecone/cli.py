@@ -19,7 +19,6 @@ import sys
 import numpy as np
 
 from . import __version__
-from . import algebras as alg
 from . import boxes as bx
 from . import bregman as br
 from . import entropy as en
@@ -475,12 +474,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return 2
-    except (sz.FormatError, alg.AlgebraMismatchError,
-            st.StateValidationError, st.UnsupportedAlgebraError,
-            mp.OverlapError, ValueError, KeyError) as exc:
+    except (CliError, ValueError, KeyError) as exc:
+        # every library error (format, mismatch, validation, unsupported
+        # algebra, overlap) is a ValueError
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
 

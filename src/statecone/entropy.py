@@ -155,8 +155,7 @@ def sample_pure_decomposition(sigma: State, rng):
         d = algebra.summands[0].size
         rep = sigma.element.reps()[0]
         v = rep[1:]
-        u = rng.normal(size=d)
-        u /= np.linalg.norm(u)
+        u = st._random_frames(kind, st._draw_basis(kind, d, rng))
         # chord through 2v in direction pair (u, w): p*u + (1-p)*w = 2v
         p = (1.0 - 4.0 * v @ v) / (2.0 - 4.0 * (u @ v))
         p = float(np.clip(p, 0.0, 1.0))
@@ -175,50 +174,28 @@ def sample_pure_decomposition(sigma: State, rng):
         )
 
     weights, projections = _pure_vectors(sigma)
-    r = len(weights)
-    size = algebra.summands[0].size
+    # a unit vector in the range of each projection: its fullest column,
+    # scaled
+    columns = []
+    for p in projections:
+        rep = p.reps()[0]
+        j = int(np.argmax(np.real(np.diag(rep))))
+        columns.append(rep[:, j] / np.sqrt(np.real(rep[j, j])))
+    columns = np.stack(columns, axis=1)
+    mix = st._random_frames(kind, st._draw_basis(kind, len(weights), rng))
+    step = len(mix) // len(weights)  # 2 for Kramers pairs of columns
+    if kind == "quaternion":
+        columns = alg._kramers_pairs(columns)
+    phi = (columns * np.repeat(np.sqrt(weights), step)) @ mix
     out_weights, out_elements = [], []
-
-    if kind == "quaternion":
-        mix = st._random_quaternion_unitary(rng.normal(size=(4, r, r)))
-        columns = [_projection_column(p, kind) for p in projections]
-        for j in range(r):
-            phi = np.zeros((4, size, 1))
-            for i in range(r):
-                scalar = np.sqrt(weights[i]) * mix[:, i, j].reshape(4, 1, 1)
-                phi = phi + alg._quaternion_matmul(columns[i], scalar)
-            qj = float(np.sum(phi ** 2))
-            proj = alg._quaternion_matmul(
-                phi, st._quaternion_conj_transpose(phi)
-            ) / qj
-            out_weights.append(qj)
-            out_elements.append(alg.element_from_reps(algebra, [proj]))
-        return np.array(out_weights), out_elements
-
-    if kind == "real":
-        mix, _ = np.linalg.qr(rng.normal(size=(r, r)))
-    else:
-        g = rng.normal(size=(r, r)) + 1j * rng.normal(size=(r, r))
-        mix, _ = np.linalg.qr(g)
-    columns = [_projection_column(p, kind) for p in projections]
-    for j in range(r):
-        phi = np.zeros(size, dtype=complex if kind == "complex" else float)
-        for i in range(r):
-            phi = phi + np.sqrt(weights[i]) * mix[i, j] * columns[i]
-        qj = float(np.real(phi @ phi.conj()))
-        proj = np.outer(phi, phi.conj()) / qj
+    for j in range(0, len(mix), step):
+        pair = phi[:, j:j + step]
+        qj = float(np.real(pair[:, 0] @ pair[:, 0].conj()))
         out_weights.append(qj)
-        out_elements.append(alg.element_from_reps(algebra, [proj]))
+        out_elements.append(
+            alg.element_from_reps(algebra, [pair @ pair.conj().T / qj])
+        )
     return np.array(out_weights), out_elements
-
-
-def _projection_column(projection: JordanElement, kind: str):
-    rep = projection.reps()[0]
-    if kind == "quaternion":
-        j = int(np.argmax(np.diag(rep[0])))
-        return rep[:, :, j:j + 1] / np.sqrt(rep[0, j, j])
-    j = int(np.argmax(np.real(np.diag(rep))))
-    return rep[:, j] / np.sqrt(np.real(rep[j, j]))
 
 
 # ---------------------------------------------------------------------------
@@ -226,63 +203,22 @@ def _projection_column(projection: JordanElement, kind: str):
 # ---------------------------------------------------------------------------
 
 
-def _projective_from_basis(algebra: Algebra, columns) -> Measurement:
-    outcomes = []
-    for k, col in enumerate(columns):
-        outcomes.append((k, Test(col)))
-    return Measurement(tuple(outcomes))
-
-
-def _draw_basis(kind: str, size: int, rng):
-    """The Gaussian draw behind one random rank-one projective basis
-    (``None`` on classical factors, whose basis is fixed)."""
-    if kind == "spin":
-        return rng.normal(size=size)
-    if kind == "real":
-        return rng.normal(size=(size, size))
-    if kind == "complex":
-        return rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
-    if kind == "quaternion":
-        return rng.normal(size=(4, size, size))
-    return None
-
-
 def _random_projective(algebra: Algebra, rng) -> Measurement:
     s = algebra.summands[0]
     n = s.size
     if s.kind == "classical":
-        outcomes = []
-        for j in range(n):
-            e = np.zeros(n)
-            e[j] = 1.0
-            outcomes.append((j, Test(alg.element_from_reps(algebra, [e]))))
-        return Measurement(tuple(outcomes))
-    g = _draw_basis(s.kind, n, rng)
-    if s.kind == "spin":
-        u = g / np.linalg.norm(g)
-        top = np.concatenate(([0.5], 0.5 * u))
-        bottom = np.concatenate(([0.5], -0.5 * u))
-        return _projective_from_basis(algebra, [
-            alg.element_from_reps(algebra, [top]),
-            alg.element_from_reps(algebra, [bottom]),
-        ])
-    if s.kind in ("real", "complex"):
-        q, _ = np.linalg.qr(g)
-        cols = [
-            alg.element_from_reps(
-                algebra, [np.outer(q[:, j], q[:, j].conj())]
-            )
-            for j in range(n)
-        ]
-        return _projective_from_basis(algebra, cols)
-    # quaternion: primitive idempotents of a random symplectic basis
-    q = st._random_quaternion_unitary(g)
-    cols = []
-    for j in range(n):
-        col = q[:, :, j:j + 1]
-        proj = alg._quaternion_matmul(col, st._quaternion_conj_transpose(col))
-        cols.append(alg.element_from_reps(algebra, [proj]))
-    return _projective_from_basis(algebra, cols)
+        rows = np.eye(n)
+    else:
+        q = st._random_frames(s.kind, st._draw_basis(s.kind, n, rng))
+        if s.kind == "spin":
+            reps = np.array([np.concatenate(([0.5], 0.5 * q)),
+                             np.concatenate(([0.5], -0.5 * q))])
+        else:
+            reps = alg._frame_projections(s.kind, q)
+        rows = alg._COERCE_TO_COEFFS[s.kind](reps, n)
+    return Measurement(tuple(
+        (k, Test(JordanElement(algebra, row))) for k, row in enumerate(rows)
+    ))
 
 
 def random_fine_grained_measurement(algebra: Algebra, rng) -> Measurement:
@@ -310,24 +246,14 @@ def _basis_probs(kind: str, m: np.ndarray, draws) -> np.ndarray:
     in the bases built from a sequence of draws, one row per basis."""
     if kind == "classical":
         return np.tile(m, (len(draws), 1))
+    q = st._random_frames(kind, np.stack(draws))
     if kind == "spin":
-        # (1, d) @ (d, 1) products per row sum as the 1-D dots of one
-        # vector do; norm(axis=-1) or a matrix-vector product would not
-        u = np.stack(draws)[:, None, :]
-        u = u / np.sqrt(u @ np.swapaxes(u, -1, -2))
-        overlap = (u @ m[1:, None])[:, 0, 0]
+        # a matrix-vector product would not sum as the 1-D dots do
+        overlap = (q[:, None, :] @ m[1:, None])[:, 0, 0]
         return np.stack([0.5 + overlap, 0.5 - overlap], axis=-1)
-    if kind == "real":
-        q, _ = np.linalg.qr(np.stack(draws))
-        return np.einsum("sji,jk,ski->si", q, m, q)
-    if kind == "complex":
-        q, _ = np.linalg.qr(np.stack(draws))
-        return np.einsum("sji,jk,ski->si", q.conj(), m, q).real
-    # quaternion: diagonal of Q^* M Q in quaternion arithmetic
-    q = st._random_quaternion_unitary(np.stack(draws))
-    mq = alg._quaternion_matmul(m, q)
-    full = alg._quaternion_matmul(st._quaternion_conj_transpose(q), mq)
-    return np.diagonal(full[:, 0], axis1=-2, axis2=-1)
+    if kind == "quaternion":
+        q = q[..., ::2]  # both vectors of a Kramers pair score the same
+    return np.einsum("sji,jk,ski->si", q.conj(), m, q).real
 
 
 def _row_entropies(p: np.ndarray) -> np.ndarray:
@@ -364,13 +290,13 @@ def _fine_entropies(sigma: State, n_samples: int, rng) -> np.ndarray:
     draws, first, second, t = [], [], [], []
     for _ in range(n_samples):
         first.append(len(draws))
-        draws.append(_draw_basis(s.kind, s.size, rng))
+        draws.append(st._draw_basis(s.kind, s.size, rng))
         if rng.uniform() < 0.5:
             t.append(1.0)  # projective: all weight on the first basis
         else:
             t.append(rng.uniform(0.2, 0.8))
             if s.kind != "classical":
-                draws.append(_draw_basis(s.kind, s.size, rng))
+                draws.append(st._draw_basis(s.kind, s.size, rng))
         second.append(len(draws) - 1)
     probs = _basis_probs(s.kind, m, draws)
     t = np.array(t)[:, None]

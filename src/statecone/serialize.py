@@ -134,7 +134,7 @@ def _coeffs(algebra: Algebra, values, what: str) -> np.ndarray:
     """Finite coefficients of an element of ``algebra``."""
     try:
         coeffs = np.asarray(values, dtype=float)
-    except (TypeError, OverflowError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"bad {what}: {exc}") from exc
     if coeffs.shape != (algebra.dim,):
         raise FormatError(
@@ -234,9 +234,21 @@ def channel_to_json(phi: Affinity) -> dict:
 
 def channel_from_json(doc) -> Affinity:
     _require_kind(doc, "channel")
-    source = algebra_from_json(doc["source"])
-    target = algebra_from_json(doc["target"])
-    matrix = np.asarray(doc["matrix"], dtype=float)
+    try:
+        source = algebra_from_json(doc["source"])
+        target = algebra_from_json(doc["target"])
+        values = doc["matrix"]
+    except (KeyError, TypeError) as exc:
+        raise FormatError(f"bad channel document: missing {exc}") from exc
+    try:
+        matrix = np.asarray(values, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise FormatError(f"bad channel matrix: {exc}") from exc
+    if matrix.shape != (target.dim, source.dim):
+        raise FormatError(
+            f"channel matrix of shape {matrix.shape} does not map "
+            f"{source} to {target}"
+        )
     _require_finite(matrix, "channel matrix entries")
     return Affinity(
         matrix, source, target,

@@ -292,12 +292,6 @@ def spectral_measurement(sigma: State) -> Measurement:
 # ---------------------------------------------------------------------------
 
 
-def _quaternion_conj_transpose(m: np.ndarray) -> np.ndarray:
-    out = np.swapaxes(m, -1, -2).copy()
-    out[..., 1:, :, :] = -out[..., 1:, :, :]
-    return out
-
-
 def is_fine_grained(m: Measurement, tol: float = 1e-8) -> bool:
     """True when every test is a nonnegative multiple of a primitive
     idempotent (spectral rank one after normalization)."""
@@ -607,11 +601,11 @@ def _random_summand_rep(s: SimpleFactor, rank_cap, rng):
         return m / np.trace(m)
     if s.kind == "complex":
         g = rng.normal(size=(n, r)) + 1j * rng.normal(size=(n, r))
-        m = g @ g.conj().T
-        return m / np.trace(m).real
-    g = rng.normal(size=(4, n, r))
-    m = alg._quaternion_matmul(g, _quaternion_conj_transpose(g))
-    return m / np.trace(m[0])
+    else:
+        g = alg._quaternion_embedding(rng.normal(size=(4, n, r)))
+    m = g @ g.conj().T
+    # a quaternionic embedding carries every eigenvalue twice
+    return m / np.trace(m).real * (len(m) // n)
 
 
 def random_state(
@@ -628,10 +622,6 @@ def random_state(
         weights = rng.dirichlet(np.ones(len(reps)))
         reps = [w * rep for w, rep in zip(weights, reps)]
     return State.make(element_from_reps(algebra, reps), layout)
-
-
-def random_pure_state(algebra: Algebra, seed=None) -> State:
-    return random_state(algebra, rank_cap=1, seed=seed)
 
 
 def random_channel(algebra: Algebra, env_dim: int | None = None,
@@ -694,17 +684,14 @@ class CatalogChannel:
 
 
 def _diag_state(algebra: Algebra, probs: np.ndarray) -> State:
+    """The state with diagonal ``probs``; the diagonal units come first
+    in the basis of every matrix kind."""
     s = algebra.summands[0]
-    if s.kind == "classical":
-        return State.make(element_from_reps(algebra, [probs]))
-    if s.kind in ("real", "complex", "quaternion"):
-        rep = alg._unit_rep(s.kind, s.size) * 0.0
-        if s.kind == "quaternion":
-            rep[0][np.diag_indices(s.size)] = probs
-        else:
-            rep[np.diag_indices(s.size)] = probs
-        return State.make(element_from_reps(algebra, [rep]))
-    raise UnsupportedAlgebraError("no diagonal states on spin factors")
+    if s.kind == "spin":
+        raise UnsupportedAlgebraError("no diagonal states on spin factors")
+    coeffs = np.zeros(algebra.dim)
+    coeffs[:s.size] = probs
+    return State.make(JordanElement(algebra, coeffs))
 
 
 def _diag_pair_sampler(algebra, support):
@@ -745,48 +732,50 @@ def _automorphism(algebra: Algebra, rng) -> tuple[Affinity, Affinity]:
         rev = Affinity(m.T, algebra, algebra, name="permutation-inv")
         return fwd, rev
     if s.kind == "spin":
-        g = rng.normal(size=(n, n))
-        q, _ = np.linalg.qr(g)
         m = np.eye(n + 1)
-        m[1:, 1:] = q
+        m[1:, 1:] = _random_frames("real", _draw_basis("real", n, rng))
         fwd = Affinity(m, algebra, algebra, name="ball-rotation")
         rev = Affinity(m.T, algebra, algebra, name="ball-rotation-inv")
         return fwd, rev
-    if s.kind == "real":
-        g = rng.normal(size=(n, n))
-        q, _ = np.linalg.qr(g)
-        conj = lambda m: q @ m @ q.T
-        inv = lambda m: q.T @ m @ q
-    elif s.kind == "complex":
-        g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        q, _ = np.linalg.qr(g)
-        conj = lambda m: q @ m @ q.conj().T
-        inv = lambda m: q.conj().T @ m @ q
-    else:
-        q = _random_quaternion_unitary(rng.normal(size=(4, n, n)))
-        qh = _quaternion_conj_transpose(q)
-        qmul = alg._quaternion_matmul
-        conj = lambda m: qmul(qmul(q, m), qh)
-        inv = lambda m: qmul(qmul(qh, m), q)
-    fwd = _affinity_from_rep_map(conj, algebra, "automorphism")
-    rev = _affinity_from_rep_map(inv, algebra, "automorphism-inv")
+    q = _random_frames(s.kind, _draw_basis(s.kind, n, rng))
+    qh = q.conj().T
+    fwd = _affinity_from_rep_map(lambda m: q @ m @ qh, algebra, "automorphism")
+    rev = _affinity_from_rep_map(lambda m: qh @ m @ q, algebra,
+                                 "automorphism-inv")
     return fwd, rev
 
 
-def _random_quaternion_unitary(g: np.ndarray) -> np.ndarray:
-    """Columnwise Gram-Schmidt of quaternionic matrices ``g`` of shape
-    ``(..., 4, n, n)``, any leading axes a batch.  Fed standard normal
-    draws, it returns random quaternionic unitaries."""
-    g = np.array(g, dtype=float)
-    for j in range(g.shape[-1]):
-        for i in range(j):
-            u = g[..., i:i + 1]
-            v = g[..., j:j + 1]
-            overlap = alg._quaternion_matmul(_quaternion_conj_transpose(u), v)
-            g[..., j:j + 1] = v - alg._quaternion_matmul(u, overlap)
-        nrm = np.sqrt(np.sum(g[..., j] ** 2, axis=(-2, -1)))
-        g[..., j] /= nrm[..., None, None]
-    return g
+def _draw_basis(kind: str, size: int, rng):
+    """The Gaussian draw behind one random frame of :func:`_random_frames`
+    (``None`` on classical factors, whose basis is fixed): a vector on
+    spin factors, a square matrix on real and complex ones, and the four
+    real component matrices of a quaternionic one."""
+    if kind == "spin":
+        return rng.normal(size=size)
+    if kind == "real":
+        return rng.normal(size=(size, size))
+    if kind == "complex":
+        return rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+    if kind == "quaternion":
+        return rng.normal(size=(4, size, size))
+    return None
+
+
+def _random_frames(kind: str, draws: np.ndarray) -> np.ndarray:
+    """Orthonormalize draws of :func:`_draw_basis`, any leading axes a
+    batch: the unit vector on spin factors, else the unitary, in the
+    layout of the reps, whose columns (Kramers pairs of columns on
+    quaternionic factors) are the frame.  Each frame is the one its draw
+    alone gives."""
+    if kind == "spin":
+        # (1, d) @ (d, 1) products per row sum as the 1-D dots of one
+        # vector do, so a stack normalizes as each vector on its own
+        u = draws[..., None, :]
+        return (u / np.sqrt(u @ np.swapaxes(u, -1, -2)))[..., 0, :]
+    if kind == "quaternion":
+        return alg._kramers_orthonormalize(alg._quaternion_embedding(draws))
+    q, _ = np.linalg.qr(draws)
+    return q
 
 
 def _depolarize(algebra: Algebra, t: float) -> Affinity:
@@ -819,32 +808,19 @@ def _split_merge(algebra: Algebra) -> tuple[Affinity, Affinity] | None:
     if s.kind not in ("real", "complex", "quaternion", "classical") or n < 3:
         return None
 
-    def basis_diag(j):
-        probs = np.zeros(n)
-        probs[j] = 1.0
-        return _diag_state(algebra, probs).element.coeffs
-
-    e0 = basis_diag(0)
-    e1 = basis_diag(1)
-    omega = 0.5 * (basis_diag(1) + basis_diag(2))
-
-    # Diagonal coefficients come first in the basis, so row k of the map
-    # reads off the k-th diagonal entry.
-    rows = [_diag_state_row(algebra, k) for k in range(n)]
-    split = np.outer(e0, rows[0])
+    # Diagonal coefficients come first in the basis, so e[k] is the k-th
+    # diagonal pure state and, as a row of the map, reads off the k-th
+    # diagonal entry.
+    e = np.eye(algebra.dim)
+    omega = 0.5 * (e[1] + e[2])
+    split = np.outer(e[0], e[0])
     for k in range(1, n):
-        split += np.outer(omega, rows[k])
-    merge = np.outer(e0, rows[0]) + np.outer(e1, sum(rows[1:]))
+        split += np.outer(omega, e[k])
+    merge = np.outer(e[0], e[0]) + np.outer(e[1], sum(e[1:n]))
     return (
         Affinity(split, algebra, algebra, name="split"),
         Affinity(merge, algebra, algebra, name="merge"),
     )
-
-
-def _diag_state_row(algebra: Algebra, k: int) -> np.ndarray:
-    row = np.zeros(algebra.dim)
-    row[k] = 1.0
-    return row
 
 
 def _classical_section(algebra: Algebra) -> tuple[Affinity, Affinity] | None:

@@ -404,6 +404,16 @@ def readme_basis(kind, n):
     return basis
 
 
+def embed_quaternion_parts(parts):
+    """The README-layout complex matrix of a quaternionic matrix, or a
+    stack of them, given by its four real component matrices
+    ``(..., 4, n, m)``."""
+    n, m = parts.shape[-2:]
+    blocks = np.einsum("...kij,kab->...iajb", parts,
+                       np.array(_QUATERNION_UNITS))
+    return blocks.reshape(parts.shape[:-3] + (2 * n, 2 * m))
+
+
 def readme_matrix(kind, n, coeffs):
     return sum(c * b for c, b in zip(coeffs, readme_basis(kind, n)))
 
@@ -490,9 +500,6 @@ class TestNativeSpectral:
                 atol=1e-15,
             )
             rep = ja.basis_element(algebra, k).reps()[0]
-            if kind == "quaternion":
-                rep = sum(np.kron(part, unit) for part, unit
-                          in zip(rep, _QUATERNION_UNITS))
             np.testing.assert_allclose(rep, b, rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("kind", MATRIX_KINDS)
@@ -645,13 +652,8 @@ class TestBasisMaps:
         algebra = factor_algebra(kind, n)
         el = random_element(algebra, 16)
         rep = el.reps()[0]
-        skew = rng.normal(size=rep.shape[-2:])
-        skew = skew - skew.T
-        noisy = rep.copy()
-        if kind == "quaternion":
-            noisy[0] = noisy[0] + skew
-        else:
-            noisy = noisy + skew
+        skew = rng.normal(size=rep.shape)
+        noisy = rep + (skew - skew.T)
         np.testing.assert_allclose(
             ja.element_from_reps(algebra, [noisy]).coeffs, el.coeffs,
             atol=1e-14 * ja.norm(el),
@@ -662,14 +664,14 @@ class TestBasisMaps:
 ALL_FACTORS = [(kind, n) for kind in ja._KINDS for n in range(1, 7)
                if not (kind == "spin" and n == 1)]
 _REP_SHAPES = {"real": lambda n: (n, n), "complex": lambda n: (n, n),
-               "quaternion": lambda n: (4, n, n),
+               "quaternion": lambda n: (2 * n, 2 * n),
                "spin": lambda n: (n + 1,), "classical": lambda n: (n,)}
 
 
 def random_reps(kind, n, count, rng):
     """A stack of arbitrary representations, Hermitian or not."""
     reps = rng.normal(size=(count,) + _REP_SHAPES[kind](n))
-    if kind == "complex":
+    if kind in ("complex", "quaternion"):
         reps = reps + 1j * rng.normal(size=reps.shape)
     return reps
 
@@ -679,7 +681,8 @@ def rep_trace(kind, rep):
     if kind in ("real", "complex"):
         return float(np.trace(rep).real)
     if kind == "quaternion":
-        return float(np.trace(rep[0]))
+        # the complex embedding carries every eigenvalue twice
+        return 0.5 * float(np.trace(rep).real)
     if kind == "spin":
         return 2.0 * float(rep[0])
     return float(np.sum(rep))

@@ -4,6 +4,7 @@ import pytest
 from statecone import algebras as ja
 from statecone import entropy as en
 from statecone import states as st
+from test_algebras import embed_quaternion_parts, kramers_columns, readme_coeffs
 
 C2 = ja.complex_hermitian(2)
 C3 = ja.complex_hermitian(3)
@@ -161,17 +162,13 @@ class TestDecompositionEntropy:
 
 
 def degenerate_quaternion_state(n, probs, seed):
-    """``U diag(probs) U*`` for a random quaternionic unitary U."""
-    u = st._random_quaternion_unitary(
-        np.random.default_rng(seed).normal(size=(4, n, n))
-    )
-    d = np.zeros((4, n, n))
-    d[0] = np.diag(probs)
-    rep = ja._quaternion_matmul(ja._quaternion_matmul(u, d),
-                                st._quaternion_conj_transpose(u))
-    return st.State.make(
-        ja.element_from_reps(ja.quaternion_hermitian(n), [rep])
-    )
+    """``U diag(probs) U*`` for a random quaternionic unitary U, built as
+    a README-layout matrix whose columns come in Kramers pairs."""
+    u = kramers_columns(n, n, np.random.default_rng(seed))
+    m = (u * np.repeat(probs, 2)) @ u.conj().T
+    return st.State.make(ja.JordanElement(
+        ja.quaternion_hermitian(n), readme_coeffs("quaternion", n, m)
+    ))
 
 
 class TestDegenerateQuaternionFrames:
@@ -220,7 +217,7 @@ class TestFineGrainedBound:
         mm = st.maximally_mixed(C2)
         m = mm.element.reps()[0]
         rng = np.random.default_rng(14)
-        draws = [en._draw_basis("complex", 2, rng) for _ in range(30)]
+        draws = [st._draw_basis("complex", 2, rng) for _ in range(30)]
         inputs = [[d] for d in draws] + [draws]
         for batch in inputs:
             probs = en._basis_probs("complex", m, batch)
@@ -281,11 +278,10 @@ def _reference_basis_probs(kind, size, m, rng):
         g = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
         q, _ = np.linalg.qr(g)
         return np.einsum("ji,jk,ki->i", q.conj(), m, q).real
-    q = st._random_quaternion_unitary(rng.normal(size=(4, size, size)))
-    full = ja._quaternion_matmul(
-        st._quaternion_conj_transpose(q), ja._quaternion_matmul(m, q)
-    )
-    return np.diag(full[0]).copy()
+    # one vector of each Kramers pair of the orthonormalized draw
+    g = embed_quaternion_parts(rng.normal(size=(4, size, size)))
+    q = ja._kramers_orthonormalize(g)[:, ::2]
+    return np.einsum("ji,jk,ki->i", q.conj(), m, q).real
 
 
 def _reference_fine_entropies(sigma, n_samples, rng):

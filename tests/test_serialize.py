@@ -181,6 +181,37 @@ class TestMeasurementsAndChannels:
             with pytest.raises(sz.FormatError, match="finite"):
                 sz.channel_from_json(doc)
 
+    @pytest.mark.parametrize("case", [
+        "no-source", "no-target", "no-matrix", "ragged-matrix",
+        "text-matrix", "wrong-shape",
+    ])
+    def test_bad_channel_documents(self, case):
+        doc = sz.channel_to_json(st.identity_affinity(ja.complex_hermitian(2)))
+        if case in ("no-source", "no-target", "no-matrix"):
+            del doc[case[3:]]
+        elif case == "ragged-matrix":
+            doc["matrix"][1] = doc["matrix"][1][:2]
+        elif case == "text-matrix":
+            doc["matrix"][0][0] = "one"
+        else:
+            doc["matrix"] = doc["matrix"][:3]
+        with pytest.raises(sz.FormatError):
+            sz.channel_from_json(doc)
+
+    def test_channel_document_without_target(self):
+        doc = {"kind": "channel", "source": [{"type": "complex", "n": 2}]}
+        with pytest.raises(sz.FormatError, match="target"):
+            sz.channel_from_json(doc)
+
+    @pytest.mark.parametrize("coeffs", [[1.0, [0.0], 0.0, 0.0],
+                                        ["one", 0.0, 0.0, 0.0]])
+    def test_unreadable_outcome_coefficients(self, coeffs):
+        doc = {"kind": "measurement",
+               "algebra": [{"type": "complex", "n": 2}],
+               "outcomes": [{"label": 0, "coeffs": coeffs}]}
+        with pytest.raises(sz.FormatError, match="bad outcome coefficients"):
+            sz.measurement_from_json(doc)
+
 
 class TestBoxes:
     def test_box_round_trip(self):

@@ -3,6 +3,7 @@ import pytest
 
 from statecone import algebras as ja
 from statecone import states as st
+from test_algebras import embed_quaternion_parts
 
 C2 = ja.complex_hermitian(2)
 C3 = ja.complex_hermitian(3)
@@ -17,6 +18,41 @@ ALL_SIMPLE = [
 
 def diag_state(algebra, probs):
     return st._diag_state(algebra, np.asarray(probs, dtype=float))
+
+
+def _quaternion_matmul(a, b):
+    """Product of quaternionic matrices in their four real component
+    matrices ``(..., 4, n, m)``."""
+    a0, a1, a2, a3 = (a[..., k, :, :] for k in range(4))
+    b0, b1, b2, b3 = (b[..., k, :, :] for k in range(4))
+    return np.stack([
+        a0 @ b0 - a1 @ b1 - a2 @ b2 - a3 @ b3,
+        a0 @ b1 + a1 @ b0 + a2 @ b3 - a3 @ b2,
+        a0 @ b2 - a1 @ b3 + a2 @ b0 + a3 @ b1,
+        a0 @ b3 + a1 @ b2 - a2 @ b1 + a3 @ b0,
+    ], axis=-3)
+
+
+def _quaternion_conj_transpose(m):
+    out = np.swapaxes(m, -1, -2).copy()
+    out[..., 1:, :, :] = -out[..., 1:, :, :]
+    return out
+
+
+def quaternion_gram_schmidt(g):
+    """Columnwise Gram-Schmidt of quaternionic matrices in component form
+    ``(..., 4, n, n)``, in quaternion arithmetic: the construction the
+    random quaternionic unitaries are pinned to."""
+    g = np.array(g, dtype=float)
+    for j in range(g.shape[-1]):
+        for i in range(j):
+            u = g[..., i:i + 1]
+            v = g[..., j:j + 1]
+            overlap = _quaternion_matmul(_quaternion_conj_transpose(u), v)
+            g[..., j:j + 1] = v - _quaternion_matmul(u, overlap)
+        nrm = np.sqrt(np.sum(g[..., j] ** 2, axis=(-2, -1)))
+        g[..., j] /= nrm[..., None, None]
+    return g
 
 
 class TestStateValidation:
@@ -423,16 +459,24 @@ class TestRandomStates:
     def test_stacked_quaternion_unitaries_equal_slices(self, n):
         g = np.random.default_rng(40 + n).normal(size=(3, 2, 4, n, n))
         kept = g.copy()
-        stacked = st._random_quaternion_unitary(g)
+        stacked = st._random_frames("quaternion", g)
         assert np.array_equal(g, kept)  # the draws are not overwritten
-        assert stacked.shape == g.shape
-        eye = np.zeros((4, n, n))
-        eye[0] = np.eye(n)
+        assert stacked.shape == (3, 2, 2 * n, 2 * n)
+        eye = np.eye(2 * n)
         for index in np.ndindex(3, 2):
             q = stacked[index]
-            assert np.array_equal(q, st._random_quaternion_unitary(g[index]))
-            gram = ja._quaternion_matmul(st._quaternion_conj_transpose(q), q)
+            assert np.array_equal(q, st._random_frames("quaternion", g[index]))
+            gram = q.conj().T @ q
             np.testing.assert_allclose(gram, eye, atol=1e-12)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_quaternion_unitaries_match_quaternion_gram_schmidt(self, n):
+        # a seed gives the quaternionic unitary that Gram-Schmidt in
+        # quaternion arithmetic gives, in its complex embedding
+        g = np.random.default_rng(50 + n).normal(size=(4, 3, 4, n, n))
+        got = st._random_frames("quaternion", g)
+        expected = embed_quaternion_parts(quaternion_gram_schmidt(g))
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-14)
 
 
 class TestRandomChannels:
@@ -536,21 +580,19 @@ class TestCatalog:
         n = s.size
         rng = np.random.default_rng(31)
         if s.kind == "quaternion":
-            q = st._random_quaternion_unitary(rng.normal(size=(4, n, n)))
-            qh = st._quaternion_conj_transpose(q)
-            qmul = ja._quaternion_matmul
-            conj = lambda m, a, b: qmul(qmul(a, m), b)
+            q = embed_quaternion_parts(
+                quaternion_gram_schmidt(rng.normal(size=(4, n, n)))
+            )
         else:
             g = rng.normal(size=(n, n))
             if s.kind == "complex":
                 g = g + 1j * rng.normal(size=(n, n))
             q = np.linalg.qr(g)[0]
-            qh = q.conj().T
-            conj = lambda m, a, b: a @ m @ b
+        qh = q.conj().T
         for phi, (a, b) in ((fwd, (q, qh)), (rev, (qh, q))):
             cols = [
                 ja.element_from_reps(algebra, [
-                    conj(ja.basis_element(algebra, k).reps()[0], a, b)
+                    a @ ja.basis_element(algebra, k).reps()[0] @ b
                 ]).coeffs
                 for k in range(algebra.dim)
             ]
