@@ -574,9 +574,7 @@ class SpectralDecomposition:
     ``idempotents`` view the same data grouped: eigenvalues within
     ``DEFAULT_GROUP_TOL`` merge at their mean, also across direct
     summands, and their rows sum to one idempotent whose trace is the
-    multiplicity.  The spectrum is its own object so that a factor
-    permutation, which moves only the rows, shares it and its grouping
-    with the decomposition it came from.
+    multiplicity.
     """
 
     spectrum: Spectrum

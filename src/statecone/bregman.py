@@ -1,9 +1,14 @@
 """Bregman divergences over state cones and the condition suites.
 
-A generator is a differentiable convex function on the cone together
-with its gradient.  The divergence of a pair is the first-order gap
+A generator is a spectral function plus an affine part,
+``F(x) = sum f(lam) + <a, x> + t tr x`` over the fine eigenvalues
+``lam`` of ``x``.  The divergence of a pair is the first-order gap
 
-    D(rho, sigma) = F(rho) - F(sigma) - <grad F(sigma), rho - sigma>.
+    D(rho, sigma) = F(rho) - F(sigma) - <grad F(sigma), rho - sigma>,
+
+in which the affine part cancels: with ``mu`` the fine eigenvalues of
+sigma and ``p`` the weights rho puts on their idempotents it is
+``sum f(lam) - sum f(mu) - f'(mu) . (p - mu)``.
 
 Generators whose value contains an ``<x, ln x>`` part are support
 sensitive: the divergence is ``+inf`` when the first argument has mass
@@ -70,64 +75,75 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BregmanGenerator:
-    """Convex generator on the state cone with an explicit gradient.
+    """Convex generator ``F(x) = sum f(lam) + <a, x> + tilt * tr x``.
 
-    ``algebra`` pins generators that only make sense on one algebra
-    (affine tilts); ``None`` means the formula works on any algebra.
+    ``f`` and its derivative ``df`` act elementwise on arrays of fine
+    eigenvalues, so ``sum f(lam)`` is a trace functional.  ``affine``
+    pins generators that only make sense on one algebra; without it the
+    formula works on any algebra.
     """
 
     name: str
-    value: Callable[[JordanElement], float]
-    gradient: Callable[[JordanElement], JordanElement]
-    domain_note: str = ""
+    f: Callable[[np.ndarray], np.ndarray]
+    df: Callable[[np.ndarray], np.ndarray]
+    affine: JordanElement | None = None
+    tilt: float = 0.0
     entropy_weight: float = 0.0
-    algebra: Algebra | None = None
+
+    @property
+    def algebra(self) -> Algebra | None:
+        return None if self.affine is None else self.affine.algebra
 
     @property
     def support_sensitive(self) -> bool:
         return self.entropy_weight != 0.0
 
+    def _affine_part(self, algebra: Algebra) -> JordanElement:
+        out = self.tilt * unit(algebra)
+        return out if self.affine is None else out + self.affine
+
+    def value(self, x: JordanElement) -> float:
+        lam = spectral_decompose(x).values
+        return float(self.f(lam).sum()) + inner_product(
+            self._affine_part(x.algebra), x
+        )
+
+    def gradient(self, x: JordanElement) -> JordanElement:
+        dec = spectral_decompose(x)
+        return (JordanElement(x.algebra, self.df(dec.values) @ dec.rows)
+                + self._affine_part(x.algebra))
+
+
+def _log_on_support(lam: np.ndarray) -> np.ndarray:
+    return np.log(lam, out=np.zeros_like(lam), where=lam > SUPPORT_CUTOFF)
+
 
 def _xlogx(lam: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(lam)
-    mask = lam > SUPPORT_CUTOFF
-    out[mask] = lam[mask] * np.log(lam[mask])
-    return out
+    return lam * _log_on_support(lam)
 
 
-def _entropy_value(x: JordanElement) -> float:
-    dec = spectral_decompose(x)
-    if np.any(dec.values < -1e-9):
+def _entropy_f(lam: np.ndarray) -> np.ndarray:
+    if np.any(lam < -1e-9):
         raise DomainError(
             "negative element outside the entropy domain",
-            value=float(dec.values.min()),
+            value=float(lam.min()),
         )
-    return float(_xlogx(np.clip(dec.values, 0, None)).sum())
+    return _xlogx(np.clip(lam, 0, None))
 
 
 def log_on_support(x: JordanElement) -> JordanElement:
     """Spectral logarithm with kernel directions mapped to zero."""
     dec = spectral_decompose(x)
-    logs = np.log(dec.values, out=np.zeros_like(dec.values),
-                  where=dec.values > SUPPORT_CUTOFF)
-    return JordanElement(x.algebra, logs @ dec.rows)
+    return JordanElement(x.algebra, _log_on_support(dec.values) @ dec.rows)
 
 
 def neg_entropy() -> BregmanGenerator:
     """Generator ``<x, ln x>`` whose divergence is the information
     divergence (relative entropy)."""
-
-    def value(x: JordanElement) -> float:
-        return _entropy_value(x)
-
-    def gradient(x: JordanElement) -> JordanElement:
-        return log_on_support(x) + unit(x.algebra)
-
     return BregmanGenerator(
         name="neg-entropy",
-        value=value,
-        gradient=gradient,
-        domain_note="finite on the positive cone; gradient on the support",
+        f=_entropy_f,
+        df=lambda lam: _log_on_support(lam) + 1.0,
         entropy_weight=1.0,
     )
 
@@ -136,23 +152,10 @@ def trace_power(p: int) -> BregmanGenerator:
     """Generator ``tr(x^p)`` for integer p >= 2."""
     if p < 2:
         raise ValueError("trace powers need p >= 2")
-
-    def value(x: JordanElement) -> float:
-        dec = spectral_decompose(x)
-        return float((dec.values ** p).sum())
-
-    def gradient(x: JordanElement) -> JordanElement:
-        if p == 2:
-            return 2.0 * x
-        if p == 3:
-            return 3.0 * alg.jordan_product(x, x)
-        return float(p) * alg.apply_function(x, lambda lam: lam ** (p - 1))
-
     return BregmanGenerator(
         name=f"trace-power-{p}",
-        value=value,
-        gradient=gradient,
-        domain_note="smooth everywhere; convex on the positive cone",
+        f=lambda lam: lam ** p,
+        df=lambda lam: p * lam ** (p - 1),
     )
 
 
@@ -160,20 +163,8 @@ def affine_plus_entropy(scale: float, affine: JordanElement) -> BregmanGenerator
     """Generator ``scale * <x, ln x> + <a, x>``."""
     if scale <= 0:
         raise ValueError("the entropy coefficient must be positive")
-
-    def value(x: JordanElement) -> float:
-        return scale * _entropy_value(x) + inner_product(affine, x)
-
-    def gradient(x: JordanElement) -> JordanElement:
-        return scale * (log_on_support(x) + unit(x.algebra)) + affine
-
-    return BregmanGenerator(
-        name=f"entropy-affine-{scale}",
-        value=value,
-        gradient=gradient,
-        entropy_weight=scale,
-        algebra=affine.algebra,
-    )
+    return combine_generators([scale], [neg_entropy()], affine=affine,
+                              name=f"entropy-affine-{scale}")
 
 
 def combine_generators(
@@ -186,41 +177,29 @@ def combine_generators(
     """Nonnegative combination of generators plus an affine term.
 
     ``affine`` pins the result to one algebra; ``trace_tilt`` adds the
-    algebra-independent affine part ``tilt * tr(x)`` instead.
+    algebra-independent affine part ``tilt * tr(x)`` instead.  The
+    result is flat: its ``f``, ``df``, affine element and tilt are the
+    weighted sums of the parts'.
     """
-    coeffs = [float(c) for c in coeffs]
+    terms = [(float(c), g) for c, g in zip(coeffs, generators) if c]
+    for c, g in terms:
+        if g.affine is not None:
+            part = c * g.affine
+            affine = part if affine is None else affine + part
 
-    def value(x: JordanElement) -> float:
-        out = sum(c * g.value(x) for c, g in zip(coeffs, generators) if c)
-        if affine is not None:
-            out += inner_product(affine, x)
-        if trace_tilt:
-            out += trace_tilt * trace(x)
-        return out
+    def f(lam):
+        return sum((c * g.f(lam) for c, g in terms), np.zeros_like(lam))
 
-    def gradient(x: JordanElement) -> JordanElement:
-        out = alg.zero(x.algebra) if affine is None else affine
-        if trace_tilt:
-            out = out + trace_tilt * unit(x.algebra)
-        for c, g in zip(coeffs, generators):
-            if c:
-                out = out + c * g.gradient(x)
-        return out
+    def df(lam):
+        return sum((c * g.df(lam) for c, g in terms), np.zeros_like(lam))
 
-    weight = sum(
-        c * g.entropy_weight for c, g in zip(coeffs, generators)
-    )
-    pinned = affine.algebra if affine is not None else None
-    for g in generators:
-        pinned = pinned or g.algebra
     return BregmanGenerator(
-        name=name or "+".join(
-            f"{c:g}*{g.name}" for c, g in zip(coeffs, generators) if c
-        ),
-        value=value,
-        gradient=gradient,
-        entropy_weight=weight,
-        algebra=pinned,
+        name=name or "+".join(f"{c:g}*{g.name}" for c, g in terms),
+        f=f,
+        df=df,
+        affine=affine,
+        tilt=trace_tilt + sum(c * g.tilt for c, g in terms),
+        entropy_weight=sum(c * g.entropy_weight for c, g in terms),
     )
 
 
@@ -229,12 +208,29 @@ def combine_generators(
 # ---------------------------------------------------------------------------
 
 
-def _supported_in(rho: JordanElement, sigma: JordanElement,
-                  tol: float = 1e-9) -> bool:
-    """Whether rho has (numerically) no mass outside the support of sigma."""
-    dec = spectral_decompose(sigma)
-    outside = (dec.values <= SUPPORT_CUTOFF) @ (dec.rows @ rho.coeffs)
-    return abs(outside) <= tol
+def _divergence(F: BregmanGenerator, x: JordanElement, mu: np.ndarray,
+                p: np.ndarray) -> float:
+    """The Bregman gap of ``x`` from a reference with fine eigenvalues
+    ``mu``, where ``p[k]`` is the weight ``x`` puts on the reference's
+    idempotent ``k``: ``sum f(lam_x) - sum f(mu) - f'(mu) . (p - mu)``.
+
+    The affine and tilt parts of the generator cancel in the gap.  For
+    support-sensitive generators a reference outside the positive cone
+    raises, and mass of ``x`` outside the reference's support gives
+    ``inf``.
+    """
+    if F.affine is not None:
+        F.affine._require_same(x)
+    if F.support_sensitive:
+        if np.any(mu < -1e-9):
+            raise DomainError(
+                "second argument is not in the positive cone",
+                value=float(mu.min()),
+            )
+        if abs((mu <= SUPPORT_CUTOFF) @ p) > 1e-9:
+            return math.inf
+    lam = spectral_decompose(x).values
+    return float(F.f(lam).sum() - F.f(mu).sum() - F.df(mu) @ (p - mu))
 
 
 def bregman_divergence(
@@ -244,17 +240,8 @@ def bregman_divergence(
     x = rho.element if isinstance(rho, State) else rho
     y = sigma.element if isinstance(sigma, State) else sigma
     x._require_same(y)
-    if F.support_sensitive:
-        eigs = spectral_decompose(y).values
-        if np.any(eigs < -1e-9):
-            raise DomainError(
-                "second argument is not in the positive cone",
-                value=float(eigs.min()),
-            )
-        if not _supported_in(x, y):
-            return math.inf
-    value = F.value(x) - F.value(y) - inner_product(F.gradient(y), x - y)
-    return value
+    dec = spectral_decompose(y)
+    return _divergence(F, x, dec.values, dec.rows @ x.coeffs)
 
 
 def information_divergence(
@@ -269,7 +256,9 @@ def information_divergence(
     x = rho.element if isinstance(rho, State) else rho
     y = sigma.element if isinstance(sigma, State) else sigma
     x._require_same(y)
-    if not _supported_in(x, y):
+    dy = spectral_decompose(y)
+    outside = (dy.values <= SUPPORT_CUTOFF) @ (dy.rows @ x.coeffs)
+    if abs(outside) > 1e-9:
         return math.inf
     dx = spectral_decompose(x)
     value = float(_xlogx(np.clip(dx.values, 0, None)).sum())
@@ -635,9 +624,10 @@ def random_orthogonal_triple(algebra: Algebra, rng):
     """A state with two companions singular to it.
 
     The companions share the complement of the first state's support and
-    may overlap each other.  On rank-2 algebras the complement is a
+    may overlap each other.  On spin factors (rank 2) the complement is a
     single pure state, so the companions coincide and comparisons there
-    are vacuous.
+    are vacuous; the other kinds need rank at least 3 and raise
+    :class:`~statecone.states.UnsupportedAlgebraError` below it.
     """
     s = algebra.summands[0]
     kind, n = s.kind, s.size
@@ -671,12 +661,11 @@ def random_orthogonal_triple(algebra: Algebra, rng):
             for w in out
         )
 
-    if kind not in ("real", "complex"):
-        raise st.UnsupportedAlgebraError(
-            f"singular triples are not sampled on {kind} factors"
-        )
     q = st._random_frames(kind, st._draw_basis(kind, n, rng))
-    make = lambda w: alg.element_from_reps(algebra, [(q * w) @ q.conj().T])
+    # a quaternionic weight sits on a Kramers pair of columns
+    make = lambda w: alg.element_from_reps(
+        algebra, [(q * np.repeat(w, len(q) // n)) @ q.conj().T]
+    )
     return (
         State.make(make(weights(head))),
         State.make(make(weights(tail))),
@@ -761,7 +750,7 @@ def check_locality_theorem(
 # ---------------------------------------------------------------------------
 
 
-def _explorer_family(layout, n_generators, rng):
+def _explorer_family(n_generators, rng):
     """Mixtures of entropy and trace powers plus trace-proportional
     tilts (the only affine parts defined across all the algebras an
     additivity check touches); the first entries are deterministic
@@ -810,7 +799,7 @@ def explore_additivity_conjecture(
 
     layout = st.composite_layout(st.COMPLEX_TENSOR, sizes)
     rng = np.random.default_rng([seed, 99])
-    generators = _explorer_family(layout, n_generators, rng)
+    generators = _explorer_family(n_generators, rng)
 
     rows = []
     table = {(True, True): 0, (True, False): 0,

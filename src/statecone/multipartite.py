@@ -1,9 +1,13 @@
 """Mutual information and conditional mutual information on composites.
 
 Information quantities are differences of divergences against product
-references.  All computations share one support convention: a divergence
-with mass outside the reference support is infinite, and a conditional
-mutual information with any infinite component is reported as undefined
+references.  A product reference is never built: its fine eigenvalues
+are the products of the group marginals' ones, and the weight the joint
+marginal puts on each of its primitive idempotents is read with one
+contraction of the joint's matrix against the marginals' idempotents.
+All computations share one support convention: a divergence with mass
+outside the reference support is infinite, and a conditional mutual
+information with any infinite component is reported as undefined
 instead of being assembled from infinities.
 """
 
@@ -20,6 +24,7 @@ from . import states as st
 from .bregman import (
     BregmanGenerator,
     PropertyVerdict,
+    _divergence,
     _gap,
     bregman_divergence,
     run_trials,
@@ -61,15 +66,13 @@ class UnknownLabelError(KeyError):
 class PartitionedState:
     """A composite state with named factors and cached marginals.
 
-    Marginals and product references are cached by label names, so a
-    sub-state made by :meth:`restrict` shares them with its parent and
-    each is computed once per state, whichever quantity asks first.
+    Marginals are cached by label names, so each is computed once per
+    state, whichever quantity asks first.
     """
 
     state: State
     labels: tuple[str, ...]
     _marginals: dict = field(default_factory=dict, compare=False, repr=False)
-    _products: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         layout = self.state.layout
@@ -102,14 +105,6 @@ class PartitionedState:
             self._marginals[key] = cached
         return cached
 
-    def restrict(self, subset: Sequence[str]) -> "PartitionedState":
-        """The marginal on ``subset`` as a partitioned state that shares
-        this state's caches."""
-        key = self._key(subset)
-        return PartitionedState(
-            self.marginal(key), key, self._marginals, self._products
-        )
-
 
 def random_partitioned_state(
     embedding: str,
@@ -125,36 +120,42 @@ def random_partitioned_state(
     return PartitionedState(state, tuple(labels))
 
 
-def _group_product(pstate: PartitionedState,
-                   groups: Sequence[Sequence[str]]) -> State:
-    """Tensor the group marginals, permuted to ascending factor order.
+def _product_divergence(F: BregmanGenerator, pstate: PartitionedState,
+                        groups: Sequence[Sequence[str]]) -> float:
+    """Divergence of the joint marginal on ``groups`` from the product of
+    the group marginals, read from their spectra.
 
-    Products are cached on the partitioned state by the ordered groups.
+    The product's fine eigenvalues are the outer product of the groups'
+    ones.  The joint's weight on each product idempotent is one
+    ``einsum`` of the joint's rep with the stacks of the groups'
+    idempotent reps.  Every factor has its own axes, so groups may
+    interleave in factor order.
     """
-    key = tuple(pstate._key(g) for g in groups)
-    cached = pstate._products.get(key)
-    if cached is not None:
-        return cached
-    layout = pstate.state.layout
-    group_idx = [pstate.indices(g) for g in key]
-    concat = [i for idx in group_idx for i in idx]
-    target = sorted(concat)
-    marginals = [pstate.marginal(g) for g in key]
-    # tensor at group granularity (each group marginal is one factor of
-    # the coarse layout), then reinterpret at single-factor granularity
-    coarse = CompositeLayout(
-        tuple(m.algebra for m in marginals), layout.embedding
-    )
-    product = st.tensor_state(marginals, coarse)
-    fine = CompositeLayout(
-        tuple(layout.factors[i] for i in concat), layout.embedding
-    )
-    product = State(product.element, fine)
-    if concat != target:
-        order = [concat.index(i) for i in target]
-        product = st.permute_factors(product, order)
-    pstate._products[key] = product
-    return product
+    labels = pstate._key([l for g in groups for l in g])
+    keys = [pstate._key(g) for g in groups]
+    joint = pstate.marginal(labels)
+    sizes = [pstate.state.layout.sizes[i] for i in pstate.indices(labels)]
+    # a classical rep has one axis per factor; a matrix rep has its rows
+    # on axes 0..k-1 and its columns on k..2k-1, and the trace pairs them
+    # with the columns and rows of the idempotents
+    k = len(labels)
+    matrix = joint.algebra.summands[0].kind != "classical"
+    shape = sizes * 2 if matrix else sizes
+    operands = [joint.element.reps()[0].reshape(shape),
+                list(range(len(shape)))]
+    mu = np.ones(1)
+    for g, key in enumerate(keys):
+        dec = alg.spectral_decompose(pstate.marginal(key).element)
+        s = dec.algebra.summands[0]
+        idem = alg._COERCE_TO_REP[s.kind](dec.rows, s.size)
+        own = [labels.index(l) for l in key]
+        if matrix:
+            own = [k + i for i in own] + own
+        operands += [idem.reshape([len(idem)] + [shape[i] for i in own]),
+                     [len(shape) + g] + own]
+        mu = np.multiply.outer(mu, dec.values).ravel()
+    p = np.einsum(*operands, [len(shape) + g for g in range(len(keys))])
+    return _divergence(F, joint.element, mu, p.real.ravel())
 
 
 def _check_disjoint(*label_sets):
@@ -213,9 +214,7 @@ def mutual_information(
 ) -> float:
     """Divergence of the joint marginal from the product of marginals."""
     _check_disjoint(a_labels, b_labels)
-    joint = pstate.marginal(list(a_labels) + list(b_labels))
-    reference = _group_product(pstate, [a_labels, b_labels])
-    return bregman_divergence(F, joint, reference)
+    return _product_divergence(F, pstate, [a_labels, b_labels])
 
 
 @dataclass(frozen=True)
@@ -252,19 +251,14 @@ def conditional_mutual_information(
     _check_disjoint(a_labels, b_labels, c_labels)
     a, b, c = list(a_labels), list(b_labels), list(c_labels)
 
-    sub = pstate.restrict(a + b + c)
-    term0 = bregman_divergence(
-        F, sub.marginal(a + b + c), _group_product(sub, [a, b, c])
+    components = (
+        _product_divergence(F, pstate, [a, b, c]),
+        _product_divergence(F, pstate, [a, c]),
+        _product_divergence(F, pstate, [b, c]),
     )
-    term1 = bregman_divergence(
-        F, sub.marginal(a + c), _group_product(sub, [a, c])
-    )
-    term2 = bregman_divergence(
-        F, sub.marginal(b + c), _group_product(sub, [b, c])
-    )
-    components = (term0, term1, term2)
     if not all(map(math.isfinite, components)):
         return CmiReport(math.nan, components, defined=False)
+    term0, term1, term2 = components
     return CmiReport(term0 - term1 - term2, components)
 
 
@@ -377,10 +371,8 @@ def maximally_entangled_state(layout: CompositeLayout) -> State:
     ):
         raise ValueError("needs two complex factors of equal size")
     n = layout.sizes[0]
-    vec = np.zeros(n * n, dtype=complex)
-    for i in range(n):
-        vec[i * n + i] = 1.0 / math.sqrt(n)
-    rep = np.outer(vec, vec.conj())
+    vec = np.eye(n).ravel() / math.sqrt(n)
+    rep = np.outer(vec, vec)
     return State.make(
         alg.element_from_reps(layout.ambient, [rep]), layout
     )

@@ -54,7 +54,6 @@ __all__ = [
     "marginal",
     "maximally_mixed",
     "measure",
-    "permute_factors",
     "random_channel",
     "random_state",
     "real_embedding_dimension_audit",
@@ -461,46 +460,6 @@ def marginal(sigma: State, keep: Sequence[int]) -> State:
     new_layout = layout.keep(keep)
     ambient = new_layout.ambient if new_layout else layout.factors[keep[0]]
     return State.make(element_from_reps(ambient, [flat]), new_layout)
-
-
-def _permute_reps(reps, sizes, order, embedding):
-    """Reorder the tensor factors of a stack of reps."""
-    k = len(sizes)
-    axes = [1 + i for i in order]
-    if embedding != CLASSICAL_TENSOR:
-        axes += [1 + k + i for i in order]
-    shape = (len(reps),) + tuple(sizes) * (reps.ndim - 1)
-    return reps.reshape(shape).transpose([0] + axes).reshape(reps.shape)
-
-
-def permute_factors(sigma: State, order: Sequence[int]) -> State:
-    """Reorder tensor factors; ``order[i]`` is the old position of the new
-    factor ``i``.  A cached spectral decomposition rides along: the
-    permutation moves its rows and keeps its spectrum."""
-    layout = sigma.layout
-    if layout is None or layout.embedding == REAL_INTO_LARGER:
-        raise UnsupportedAlgebraError("factor permutation needs a tensor layout")
-    order = list(order)
-    new_layout = CompositeLayout(
-        tuple(layout.factors[i] for i in order), layout.embedding
-    )
-    ambient = new_layout.ambient
-    s = ambient.summands[0]
-    # the element and its cached rows move as one stack
-    cached = sigma.element._spectral
-    stack = sigma.element.coeffs[np.newaxis]
-    if cached is not None:
-        stack = np.concatenate([stack, cached.rows])
-    reps = alg._COERCE_TO_REP[s.kind](stack, s.size)
-    moved = alg._COERCE_TO_COEFFS[s.kind](
-        _permute_reps(reps, layout.sizes, order, layout.embedding), s.size
-    )
-    element = JordanElement(ambient, moved[0])
-    if cached is not None:
-        element._spectral = SpectralDecomposition(
-            cached.spectrum, moved[1:], ambient
-        )
-    return State(element, new_layout)
 
 
 # ---------------------------------------------------------------------------

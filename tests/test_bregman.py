@@ -86,6 +86,14 @@ class TestDivergenceValues:
         assert math.isinf(br.bregman_divergence(NE, rho, sigma))
         assert math.isinf(br.information_divergence(rho, sigma))
 
+    def test_pinned_generator_rejects_another_algebra(self):
+        tilt = st.random_state(C3, seed=47).element
+        F = br.affine_plus_entropy(1.5, tilt)
+        rho = st.random_state(C2, seed=48)
+        sigma = st.random_state(C2, seed=49)
+        with pytest.raises(ja.AlgebraMismatchError):
+            br.bregman_divergence(F, rho, sigma)
+
     def test_quantum_matches_matrix_formula(self):
         rng = np.random.default_rng(6)
         rho = st.random_state(C3, seed=rng)
@@ -387,6 +395,27 @@ class TestStatisticalLocality:
         verdict = br.check_statistical_locality(NE, C3, n_trials=80, seed=32)
         assert verdict.passed
         assert verdict.details["value_residual"] < 1e-8
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_entropy_passes_on_quaternions(self, n):
+        verdict = br.check_statistical_locality(
+            NE, ja.quaternion_hermitian(n), n_trials=12, seed=50
+        )
+        assert verdict.passed, verdict.worst_violation
+        assert verdict.details["value_residual"] < 1e-12
+
+    @pytest.mark.parametrize("algebra", [
+        ja.real_hermitian(4), ja.complex_hermitian(4),
+        ja.quaternion_hermitian(4), ja.classical(4),
+    ])
+    def test_companions_are_singular_states(self, algebra):
+        rng = np.random.default_rng(51)
+        for _ in range(5):
+            rho, sig1, sig2 = br.random_orthogonal_triple(algebra, rng)
+            for sig in (sig1, sig2):
+                assert ja.inner_product(rho.element, sig.element) == \
+                    pytest.approx(0.0, abs=1e-12)
+                assert ja.trace(sig.element) == pytest.approx(1.0, abs=1e-12)
 
     def test_explicit_qubit_example(self):
         rho = diag_state(C2, [1.0, 0.0])

@@ -127,6 +127,14 @@ class TestSuiteCommand:
         assert code == 0
         assert report["pass"] is True
 
+    def test_locality_runs_on_quaternions(self, capsys):
+        code, report = run_cli(
+            capsys, "suite", "--property", "local", "--algebra", "H3",
+            "--trials", "6",
+        )
+        assert code == 0
+        assert report["pass"] is True
+
     def test_failing_suite_exits_one_with_witnesses(self, capsys):
         code, report = run_cli(
             capsys, "suite", "--property", "mono",

@@ -328,6 +328,91 @@ class TestConditionalMutualInformation:
         assert cmi.value == pytest.approx(mi, abs=1e-9)
 
 
+def built_product(pstate, groups):
+    """The product of the group marginals as an element on the factors of
+    the joint marginal, in factor order: ``tensor_state`` of the
+    marginals, then the rep's axes transposed back to factor order."""
+    order = [l for g in groups for l in sorted(g, key=pstate.labels.index)]
+    labels = sorted(order, key=pstate.labels.index)
+    marginals = [pstate.marginal(g) for g in groups]
+    layout = pstate.state.layout
+    coarse = st.CompositeLayout(
+        tuple(m.algebra for m in marginals), layout.embedding
+    )
+    rep = st.tensor_state(marginals, coarse).element.reps()[0]
+    sizes = [layout.sizes[pstate.labels.index(l)] for l in order]
+    perm = [order.index(l) for l in labels]
+    if layout.embedding == st.CLASSICAL_TENSOR:
+        moved = rep.reshape(sizes).transpose(perm).reshape(-1)
+    else:
+        k = len(sizes)
+        moved = rep.reshape(sizes * 2).transpose(
+            perm + [k + i for i in perm]
+        ).reshape(rep.shape)
+    return ja.element_from_reps(pstate.marginal(labels).algebra, [moved])
+
+
+def assert_same_divergence(got, want):
+    assert math.isinf(got) == math.isinf(want)
+    if math.isfinite(want):
+        assert got == pytest.approx(want, rel=0, abs=1e-12)
+
+
+class TestProductReader:
+    """Mutual and conditional mutual informations read the product
+    reference from the marginals' spectra; each must match the divergence
+    from a product that the test builds itself."""
+
+    CASES = {
+        (2, 3, 2): (
+            [(["A", "C"], ["B"]), (["B"], ["C", "A"]), (["C"], ["A"])],
+            [(["A"], ["C"], ["B"]), (["C"], ["A"], ["B"])],
+        ),
+        (2, 3, 2, 2): (
+            [(["D", "A"], ["C", "B"]), (["A", "C"], ["B"])],
+            [(["D"], ["B"], ["A", "C"]), (["A"], ["C"], ["B", "D"])],
+        ),
+    }
+
+    @pytest.mark.parametrize("F", [NE, br.trace_power(3)],
+                             ids=["neg-entropy", "trace-power-3"])
+    @pytest.mark.parametrize("rank_cap", [None, 1])
+    @pytest.mark.parametrize("embedding",
+                             [st.COMPLEX_TENSOR, st.CLASSICAL_TENSOR])
+    @pytest.mark.parametrize("sizes", sorted(CASES))
+    def test_matches_built_product(self, F, rank_cap, embedding, sizes):
+        labels = ("A", "B", "C", "D")[:len(sizes)]
+        p = mp.random_partitioned_state(
+            embedding, sizes, labels,
+            seed=np.random.default_rng([45, len(sizes)]), rank_cap=rank_cap,
+        )
+        mis, cmis = self.CASES[sizes]
+        for a, b in mis:
+            assert_same_divergence(
+                mp.mutual_information(F, p, a, b),
+                br.bregman_divergence(
+                    F, p.marginal(a + b), built_product(p, [a, b])
+                ),
+            )
+        for a, b, c in cmis:
+            report = mp.conditional_mutual_information(F, p, a, b, c)
+            for got, groups in zip(report.components,
+                                   ([a, b, c], [a, c], [b, c])):
+                joint = p.marginal([l for g in groups for l in g])
+                assert_same_divergence(
+                    got,
+                    br.bregman_divergence(F, joint, built_product(p, groups)),
+                )
+
+    def test_pinned_generator_on_another_algebra(self):
+        F = br.affine_plus_entropy(1.5, ja.zero(ja.complex_hermitian(4)))
+        p = mp.random_partitioned_state(
+            st.COMPLEX_TENSOR, (2, 3), ("A", "B"), seed=46
+        )
+        with pytest.raises(ja.AlgebraMismatchError):
+            mp.mutual_information(F, p, ["A"], ["B"])
+
+
 class TestSeparoid:
     def test_four_qubit_small_run(self):
         verdicts = mp.check_separoid(
@@ -383,8 +468,8 @@ SEPAROID_CMIS = [
 
 
 class TestSharedCaches:
-    """Sub-states share their parent's marginals and product references,
-    so each is computed once per state."""
+    """Marginals are cached on the state by label names, so each is
+    computed once per state."""
 
     @staticmethod
     def four_party(embedding, seed, rank_cap=None):
@@ -425,13 +510,11 @@ class TestSharedCaches:
             assert shared.value == pytest.approx(alone.value, rel=0,
                                                  abs=1e-13)
 
-    def test_substate_shares_caches(self):
+    def test_marginals_are_cached_by_label_names(self):
         p = self.four_party(st.COMPLEX_TENSOR, 33)
-        sub = p.restrict(["B", "A", "D"])
-        assert sub.labels == ("A", "B", "D")
-        assert sub.state is p.marginal(["A", "B", "D"])
-        assert sub.marginal(["D", "A"]) is p.marginal(["A", "D"])
-        assert p.restrict(["A", "B", "C", "D"]).state is p.state
+        assert p.marginal(["D", "A"]) is p.marginal(["A", "D"])
+        assert p.marginal(["B", "A", "D"]) is p.marginal(["A", "B", "D"])
+        assert p.marginal(["D", "C", "B", "A"]) is p.state
 
     def test_one_eigensolve_per_marginal(self, monkeypatch):
         counts = {"eigh": 0, "marginal": 0}
@@ -605,7 +688,7 @@ class TestPickling:
         report = mp.conditional_mutual_information(
             NE, pstate, ["A"], ["B"], ["C"]
         )
-        assert len(pstate._marginals) > 1 and pstate._products
+        assert len(pstate._marginals) > 1
         back = ROUND_TRIPS[how](pstate)
         assert back.labels == pstate.labels
         assert set(back._marginals) == set(pstate._marginals)

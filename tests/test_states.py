@@ -376,36 +376,6 @@ class TestTensorMarginal:
         for e in dec.idempotents:
             assert ja.norm(ja.jordan_product(e, e) - e) < 1e-12
 
-    def test_permuted_spectrum_follows_the_factors(self):
-        layout = st.composite_layout(st.COMPLEX_TENSOR, (2, 3, 2))
-        joint = st.random_state(layout.ambient, seed=16, layout=layout)
-        dec = ja.spectral_decompose(joint.element)
-        order = [2, 0, 1]
-        moved = st.permute_factors(joint, order)
-        moved_dec = ja.spectral_decompose(moved.element)
-        assert moved_dec.eigenvalues is dec.eigenvalues
-
-        def permuted(rep):
-            t = rep.reshape((2, 3, 2) * 2)
-            return t.transpose(order + [3 + i for i in order]).reshape(12, 12)
-
-        np.testing.assert_allclose(
-            moved.element.reps()[0], permuted(joint.element.reps()[0]),
-            rtol=0, atol=1e-15,
-        )
-        for e, f in zip(dec.idempotents, moved_dec.idempotents):
-            np.testing.assert_allclose(f.reps()[0], permuted(e.reps()[0]),
-                                       rtol=0, atol=1e-15)
-        assert ja.norm(moved_dec.reconstruct() - moved.element) < 1e-12
-
-    def test_permutation_round_trip(self):
-        layout = st.composite_layout(st.COMPLEX_TENSOR, (2, 3))
-        joint = st.random_state(layout.ambient, seed=15, layout=layout)
-        swapped = st.permute_factors(joint, [1, 0])
-        assert swapped.layout.sizes == (3, 2)
-        back = st.permute_factors(swapped, [1, 0])
-        assert ja.norm(back.element - joint.element) < 1e-12
-
 
 class TestExample1Audit:
     def test_dimension_gap(self):
