@@ -594,6 +594,21 @@ class SpectralDecomposition:
         return self.spectrum.multiplicities
 
     @cached_property
+    def row_reps(self) -> np.ndarray:
+        """The rows as a read-only stack of concrete representations, in
+        the layout of :meth:`JordanElement.reps`, converted once; simple
+        algebras only."""
+        (s,) = self.algebra.summands
+        reps = _COERCE_TO_REP[s.kind](self.rows, s.size)
+        reps.flags.writeable = False
+        return reps
+
+    def __reduce__(self):
+        # the cached read-only stacks are computed afresh rather than
+        # restored writeable
+        return SpectralDecomposition, (self.spectrum, self.rows, self.algebra)
+
+    @cached_property
     def idempotents(self) -> tuple[JordanElement, ...]:
         order, starts = self.spectrum.groups
         sums = np.add.reduceat(self.rows[order], starts, axis=0)

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -131,6 +132,23 @@ def _entropy_f(lam: np.ndarray) -> np.ndarray:
     return _xlogx(np.clip(lam, 0, None))
 
 
+def _entropy_df(lam: np.ndarray) -> np.ndarray:
+    return _log_on_support(lam) + 1.0
+
+
+def _power(lam: np.ndarray, p: int) -> np.ndarray:
+    return lam ** p
+
+
+def _power_df(lam: np.ndarray, p: int) -> np.ndarray:
+    return p * lam ** (p - 1)
+
+
+def _weighted_sum(terms, lam: np.ndarray) -> np.ndarray:
+    """``sum c * fn(lam)`` over the ``(c, fn)`` pairs of ``terms``."""
+    return sum((c * fn(lam) for c, fn in terms), np.zeros_like(lam))
+
+
 def log_on_support(x: JordanElement) -> JordanElement:
     """Spectral logarithm with kernel directions mapped to zero."""
     dec = spectral_decompose(x)
@@ -143,7 +161,7 @@ def neg_entropy() -> BregmanGenerator:
     return BregmanGenerator(
         name="neg-entropy",
         f=_entropy_f,
-        df=lambda lam: _log_on_support(lam) + 1.0,
+        df=_entropy_df,
         entropy_weight=1.0,
     )
 
@@ -154,8 +172,8 @@ def trace_power(p: int) -> BregmanGenerator:
         raise ValueError("trace powers need p >= 2")
     return BregmanGenerator(
         name=f"trace-power-{p}",
-        f=lambda lam: lam ** p,
-        df=lambda lam: p * lam ** (p - 1),
+        f=partial(_power, p=p),
+        df=partial(_power_df, p=p),
     )
 
 
@@ -186,17 +204,10 @@ def combine_generators(
         if g.affine is not None:
             part = c * g.affine
             affine = part if affine is None else affine + part
-
-    def f(lam):
-        return sum((c * g.f(lam) for c, g in terms), np.zeros_like(lam))
-
-    def df(lam):
-        return sum((c * g.df(lam) for c, g in terms), np.zeros_like(lam))
-
     return BregmanGenerator(
         name=name or "+".join(f"{c:g}*{g.name}" for c, g in terms),
-        f=f,
-        df=df,
+        f=partial(_weighted_sum, tuple((c, g.f) for c, g in terms)),
+        df=partial(_weighted_sum, tuple((c, g.df) for c, g in terms)),
         affine=affine,
         tilt=trace_tilt + sum(c * g.tilt for c, g in terms),
         entropy_weight=sum(c * g.entropy_weight for c, g in terms),

@@ -10,6 +10,7 @@ or input errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import json
 import math
@@ -381,8 +382,20 @@ def _cmd_audit_example1(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors as :class:`CliError`, so that :func:`main`
+    reports them as JSON with exit code 2; ``--help`` and ``--version``
+    still exit 0."""
+
+    def error(self, message):
+        raise CliError(f"{self.prog}: {message}")
+
+
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The parser, built once per process.  Every default is immutable
+    and each parse fills a fresh namespace, so calls share nothing."""
+    parser = _Parser(
         prog="statecone",
         description="entropy, divergences and information quantities on "
                     "Jordan-algebra state spaces",
@@ -403,7 +416,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--bits", action="store_true",
                    help="report in bits instead of nats")
-    p.set_defaults(func=_cmd_entropy)
 
     p = sub.add_parser("divergence", help="divergence between two states")
     common(p)
@@ -411,7 +423,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", required=True)
     p.add_argument("--generator", default="neg-entropy")
     p.add_argument("--bits", action="store_true")
-    p.set_defaults(func=_cmd_divergence)
 
     p = sub.add_parser("mi", help="mutual information between label sets")
     common(p)
@@ -420,7 +431,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", required=True)
     p.add_argument("--generator", default="neg-entropy")
     p.add_argument("--bits", action="store_true")
-    p.set_defaults(func=_cmd_mi)
 
     p = sub.add_parser("cmi", help="conditional mutual information")
     common(p)
@@ -430,7 +440,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", required=True)
     p.add_argument("--generator", default="neg-entropy")
     p.add_argument("--bits", action="store_true")
-    p.set_defaults(func=_cmd_cmi)
 
     p = sub.add_parser("suite", help="randomized property suite")
     common(p)
@@ -441,13 +450,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--tol", type=float, default=None,
                    help="override the property's default tolerance")
-    p.set_defaults(func=_cmd_suite)
 
     p = sub.add_parser("explore", help="monotone-vs-additive generator scan")
     common(p)
     p.add_argument("--generators", type=int, default=50)
     p.add_argument("--trials", type=int, default=40)
-    p.set_defaults(func=_cmd_explore)
 
     p = sub.add_parser("chsh", help="CHSH value of a named box")
     common(p)
@@ -456,7 +463,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=10)
     p.add_argument("--table", action="store_true",
                    help="include the full probability table")
-    p.set_defaults(func=_cmd_chsh)
 
     p = sub.add_parser(
         "audit-example1",
@@ -464,16 +470,25 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common(p)
     p.add_argument("--samples", type=int, default=80)
-    p.set_defaults(func=_cmd_audit_example1)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        args = _build_parser().parse_args(argv)
+        # looked up on each call, so wrappers installed on this module apply
+        command = {
+            "entropy": _cmd_entropy,
+            "divergence": _cmd_divergence,
+            "mi": _cmd_mi,
+            "cmi": _cmd_cmi,
+            "suite": _cmd_suite,
+            "explore": _cmd_explore,
+            "chsh": _cmd_chsh,
+            "audit-example1": _cmd_audit_example1,
+        }[args.subcommand]
+        return command(args)
     except (CliError, ValueError, KeyError) as exc:
         # every library error (format, mismatch, validation, unsupported
         # algebra, overlap) is a ValueError

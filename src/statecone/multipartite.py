@@ -146,8 +146,7 @@ def _product_divergence(F: BregmanGenerator, pstate: PartitionedState,
     mu = np.ones(1)
     for g, key in enumerate(keys):
         dec = alg.spectral_decompose(pstate.marginal(key).element)
-        s = dec.algebra.summands[0]
-        idem = alg._COERCE_TO_REP[s.kind](dec.rows, s.size)
+        idem = dec.row_reps
         own = [labels.index(l) for l in key]
         if matrix:
             own = [k + i for i in own] + own

@@ -399,8 +399,7 @@ def _product_spectrum(
     projs = None
     for f in factors:
         dec = spectral_decompose(f)
-        t = f.algebra.summands[0]
-        reps = alg._COERCE_TO_REP[t.kind](dec.rows, t.size)
+        reps = dec.row_reps
         values = np.multiply.outer(values, dec.values).ravel()
         projs = reps if projs is None else _kron_stacks(s.kind, projs, reps)
     rows = alg._COERCE_TO_COEFFS[s.kind](projs, s.size)

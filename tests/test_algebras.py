@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -631,6 +633,20 @@ class TestBasisMaps:
             assert not cached.flags.writeable
             with pytest.raises(ValueError):
                 cached[...] = 0.0
+
+    @pytest.mark.parametrize("algebra", ALL_SIMPLE, ids=str)
+    def test_row_reps_cached_read_only(self, algebra):
+        dec = ja.spectral_decompose(random_element(algebra, 19))
+        s = algebra.summands[0]
+        expected = ja._COERCE_TO_REP[s.kind](dec.rows, s.size)
+        assert dec.row_reps is dec.row_reps
+        np.testing.assert_array_equal(dec.row_reps, expected, strict=True)
+        assert not dec.row_reps.flags.writeable
+        with pytest.raises(ValueError):
+            dec.row_reps[...] = 0.0
+        back = pickle.loads(pickle.dumps(dec))
+        assert not back.row_reps.flags.writeable
+        np.testing.assert_array_equal(back.row_reps, expected, strict=True)
 
     @pytest.mark.parametrize("algebra", ALL_SIMPLE, ids=str)
     def test_element_from_reps_does_not_alias(self, algebra):

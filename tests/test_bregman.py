@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -502,3 +503,25 @@ class TestExplorer:
             C2, n_trials=60, seed=41,
         )
         assert plain.passed == scaled.passed
+
+
+@pytest.mark.parametrize("make", [
+    br.neg_entropy,
+    lambda: br.trace_power(2),
+    lambda: br.trace_power(3),
+    lambda: br.affine_plus_entropy(
+        1.5, st.random_state(C3, seed=7).element
+    ),
+    lambda: br.combine_generators(
+        [0.5, 2.0, 1.0], [NE, T2, T3], trace_tilt=0.1
+    ),
+], ids=["neg-entropy", "trace-power-2", "trace-power-3", "entropy-affine",
+        "combined"])
+def test_generators_pickle(make):
+    F = make()
+    back = pickle.loads(pickle.dumps(F))
+    assert back.name == F.name
+    rho = st.random_state(C3, seed=8)
+    sigma = st.random_state(C3, seed=9)
+    assert br.bregman_divergence(back, rho, sigma) \
+        == br.bregman_divergence(F, rho, sigma)

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -327,6 +328,101 @@ class TestBadInput:
         for fixed in ("positivity 1e-08", "symmetry 1e-10", "chain 1e-08"):
             assert fixed in error["error"]
 
+    @pytest.mark.parametrize("argv,named", [
+        (("suite", "--property", "nope"), "invalid choice: 'nope'"),
+        (("entropy",), "required: --state"),
+        (("suite", "--property", "mono", "--trials", "abc"),
+         "invalid int value: 'abc'"),
+        (("nosuch",), "invalid choice: 'nosuch'"),
+        ((), "required: subcommand"),
+        (("chsh", "--box", "pr", "--extra"), "unrecognized arguments"),
+    ], ids=["unknown-property", "missing-option", "bad-int",
+            "unknown-command", "no-command", "extra-argument"])
+    def test_argument_errors_are_json(self, capsys, argv, named):
+        code, error = run_cli_error(capsys, *argv)
+        assert code == 2
+        assert named in error["error"]
+
+    @pytest.mark.parametrize("argv", [("--help",), ("--version",),
+                                      ("suite", "--help")])
+    def test_help_and_version_exit_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(list(argv))
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out
+
+
+def _cli_env() -> dict:
+    """The environment with this checkout's ``src`` on ``PYTHONPATH``."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    return env
+
+
+class TestParserReuse:
+    """One parser serves every ``main`` call in a process."""
+
+    def test_built_once(self, capsys, monkeypatch):
+        main(["chsh", "--box", "pr"])
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def recording(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", recording)
+        assert main(["chsh", "--box", "pr"]) == 0
+        assert built == []
+
+    def test_no_state_between_calls(self, capsys, state_files):
+        mixed = str(state_files["mixed"])
+        run_cli(capsys, "entropy", "--state", mixed, "--samples", "5",
+                "--bits")
+        _, report = run_cli(capsys, "entropy", "--state", mixed,
+                            "--samples", "5")
+        assert report["config"]["bits"] is False
+        assert report["results"]["spectral"] == pytest.approx(
+            np.log(2), abs=1e-9
+        )
+
+        suite = ("suite", "--property", "identity", "--algebra", "C2",
+                 "--trials", "2")
+        run_cli(capsys, *suite, "--tol", "0.5")
+        _, report = run_cli(capsys, *suite)
+        assert report["config"]["tol"] is None
+
+        run_cli(capsys, "chsh", "--box", "pr", "--table")
+        _, report = run_cli(capsys, "chsh", "--box", "pr")
+        assert "table" not in report["results"]
+
+        run_cli_error(capsys, "suite", "--property", "nope")
+        code, report = run_cli(capsys, "chsh", "--box", "pr")
+        assert code == 0 and report["results"]["chsh"] == 4.0
+
+    def test_matches_fresh_processes(self, capsys, state_files):
+        argvs = [
+            ["entropy", "--state", str(state_files["rho"]), "--samples",
+             "20", "--bits"],
+            ["suite", "--property", "mono", "--algebra", "C2", "--trials",
+             "3", "--seed", "4"],
+            ["chsh", "--box", "white", "--table", "--pretty"],
+        ]
+        in_process = []
+        for argv in argvs:
+            assert main(argv) == 0
+            in_process.append(capsys.readouterr().out)
+        for argv, out in zip(argvs, in_process):
+            fresh = subprocess.run(
+                [sys.executable, "-m", "statecone.cli", *argv],
+                capture_output=True, text=True, env=_cli_env(), timeout=120,
+            )
+            assert fresh.returncode == 0
+            assert fresh.stdout == out
+
 
 # ---------------------------------------------------------------------------
 # fuzzed state files
@@ -408,15 +504,10 @@ def test_file_commands_exit_cleanly_on_any_state_file(doc):
 
 
 def test_closed_pipe_exits_quietly():
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-    )
     proc = subprocess.Popen(
         [sys.executable, "-m", "statecone.cli", "suite", "--property",
          "identity", "--algebra", "C2", "--trials", "2", "--pretty"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_cli_env(),
     )
     # the reader goes away before the report is written
     proc.stdout.close()

@@ -404,6 +404,21 @@ class TestProductReader:
                     br.bregman_divergence(F, joint, built_product(p, groups)),
                 )
 
+    def test_each_decomposition_converts_once(self, monkeypatch):
+        seen = []
+        convert = ja._COERCE_TO_REP["complex"]
+
+        def recording(c, n):
+            seen.append(c)  # held, so no two recorded arrays share an id
+            return convert(c, n)
+
+        monkeypatch.setitem(ja._COERCE_TO_REP, "complex", recording)
+        mp.check_separoid(
+            NE, st.COMPLEX_TENSOR, (2, 2, 2, 2), n_trials=2, seed=27
+        )
+        assert seen
+        assert len({id(c) for c in seen}) == len(seen)
+
     def test_pinned_generator_on_another_algebra(self):
         F = br.affine_plus_entropy(1.5, ja.zero(ja.complex_hermitian(4)))
         p = mp.random_partitioned_state(
