@@ -12,7 +12,7 @@ spin         pairs (t, v) with v in R^d                 d + 1       2
 classical    R^n with the pointwise product             n           n
 ===========  =========================================  ==========  ====
 
-Elements are stored as real coefficient vectors in a fixed basis that is
+Elements have real coefficient vectors in a fixed basis that is
 orthonormal for the trace inner product ``<a, b> = tr(a o b)``, so the
 coefficient map is an isometry.  The basis layout per factor is:
 
@@ -25,9 +25,11 @@ coefficient map is an isometry.  The basis layout per factor is:
 * classical: the canonical coordinates.
 
 The concrete representation (``reps``) of a matrix factor is its matrix.
-A quaternionic ``n x n`` matrix is stored as its ``2n x 2n`` complex
+A quaternionic ``n x n`` matrix is represented by its ``2n x 2n`` complex
 embedding, each entry a 2x2 complex block, so products, functions and
-eigensolves of quaternionic factors run on the complex code path.
+eigensolves of quaternionic factors run on the complex code path.  An
+element keeps whichever of the two views it was built from and converts
+to the other only when something reads it.
 """
 
 from __future__ import annotations
@@ -199,23 +201,21 @@ def classical(n: int) -> Algebra:
 
 
 class JordanElement:
-    """An algebra element, stored as coefficients in the fixed basis.
+    """An algebra element, held as coefficients in the fixed basis or as
+    per-summand concrete representations.
 
-    Instances are immutable; the coefficient array is marked read-only.
-    Two slots cache what is derived from the coefficients, and both are
-    safe to share between threads because they are only ever computed
-    from the immutable coefficients:
-
-    * ``_spectral`` holds the spectral decomposition (for products and
-      clipped states it is installed with the coefficients by exact
-      means);
-    * ``_reps`` holds the per-summand representations, filled by the
-      first :meth:`reps` call with read-only arrays, so every later call
-      returns the same bits.  :func:`element_from_reps` never seeds it:
-      the round trip through the coefficients is not bit-exact.
+    Instances are immutable.  An element stores the view it was built
+    from -- coefficients from :class:`JordanElement`, representations
+    from :func:`element_from_reps` -- and fills the other on first
+    access, as a read-only array converted once.  ``_spectral`` caches
+    the spectral decomposition (for products and clipped states it is
+    installed by exact means).  The lazy fills are safe to share between
+    threads: each is a deterministic function of the stored view, which
+    never changes, so two racing fills produce the same bits and either
+    may land.
     """
 
-    __slots__ = ("algebra", "coeffs", "_spectral", "_reps")
+    __slots__ = ("algebra", "_coeffs", "_reps", "_spectral")
 
     def __init__(self, algebra: Algebra, coeffs: np.ndarray):
         coeffs = np.asarray(coeffs, dtype=float)
@@ -227,9 +227,9 @@ class JordanElement:
         coeffs = coeffs.copy()
         coeffs.flags.writeable = False
         object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "_spectral", None)
+        object.__setattr__(self, "_coeffs", coeffs)
         object.__setattr__(self, "_reps", None)
+        object.__setattr__(self, "_spectral", None)
 
     def __setattr__(self, name, value):
         if name != "_spectral":
@@ -237,9 +237,23 @@ class JordanElement:
         object.__setattr__(self, name, value)
 
     def __reduce__(self):
-        # pickling and copying rebuild from the coefficients; the lazy
-        # slots refill on demand
-        return JordanElement, (self.algebra, self.coeffs)
+        # pickling and copying rebuild from the stored view; the other
+        # view and the spectral decomposition refill on demand
+        if self._coeffs is None:
+            return _element_with_reps, (self.algebra, self._reps)
+        return JordanElement, (self.algebra, self._coeffs)
+
+    @property
+    def coeffs(self) -> np.ndarray:
+        """The read-only coefficient vector."""
+        if self._coeffs is None:
+            coeffs = np.empty(self.algebra.dim)
+            for s, sl, rep in zip(self.algebra.summands,
+                                  self.algebra.slices(), self._reps):
+                coeffs[sl] = _COERCE_TO_COEFFS[s.kind](rep, s.size)
+            coeffs.flags.writeable = False
+            object.__setattr__(self, "_coeffs", coeffs)
+        return self._coeffs
 
     # -- vector-space sugar ------------------------------------------------
 
@@ -276,27 +290,56 @@ class JordanElement:
     def reps(self) -> list:
         """Concrete representation of each summand (the matrix, the
         ``2n x 2n`` complex embedding of a quaternionic matrix, the spin
-        pair or the classical vector), as read-only arrays converted once
-        per element."""
+        pair or the classical vector), as read-only arrays converted at
+        most once per element."""
         if self._reps is None:
-            reps = []
-            for s, sl in zip(self.algebra.summands, self.algebra.slices()):
-                rep = _COERCE_TO_REP[s.kind](self.coeffs[sl], s.size)
+            reps = tuple(
+                _COERCE_TO_REP[s.kind](self.coeffs[sl], s.size)
+                for s, sl in zip(self.algebra.summands, self.algebra.slices())
+            )
+            for rep in reps:
                 rep.flags.writeable = False
-                reps.append(rep)
-            object.__setattr__(self, "_reps", tuple(reps))
+            object.__setattr__(self, "_reps", reps)
         return list(self._reps)
+
+
+def _element_with_reps(algebra: Algebra, reps: Sequence) -> JordanElement:
+    """An element that stores ``reps`` as they are, marked read-only;
+    the caller hands over arrays nothing else writes to."""
+    el = object.__new__(JordanElement)
+    for rep in reps:
+        rep.flags.writeable = False
+    object.__setattr__(el, "algebra", algebra)
+    object.__setattr__(el, "_coeffs", None)
+    object.__setattr__(el, "_reps", tuple(reps))
+    object.__setattr__(el, "_spectral", None)
+    return el
 
 
 def element_from_reps(algebra: Algebra, reps: Sequence) -> JordanElement:
     """Assemble an element from per-summand concrete representations, in
-    the layout of :meth:`JordanElement.reps`; a matrix contributes its
-    Hermitian part, and a quaternionic embedding the part that commutes
-    with ``J``."""
-    coeffs = np.empty(algebra.dim)
-    for s, sl, rep in zip(algebra.summands, algebra.slices(), reps):
-        coeffs[sl] = _COERCE_TO_COEFFS[s.kind](rep, s.size)
-    return JordanElement(algebra, coeffs)
+    the layout of :meth:`JordanElement.reps`.
+
+    The element stores a copy of each representation's symmetric part:
+    a matrix contributes its Hermitian part, and a quaternionic embedding
+    the part that also commutes with ``J``.  The coefficients are derived
+    from it on first access.
+    """
+    if len(reps) != len(algebra.summands):
+        raise ValueError(
+            f"{len(reps)} representations for the {len(algebra.summands)} "
+            f"summands of {algebra}"
+        )
+    parts = []
+    for s, rep in zip(algebra.summands, reps):
+        part = _SYMMETRIC_PART[s.kind](rep)
+        if part.shape != _rep_shape(s.kind, s.size):
+            raise ValueError(
+                f"representation of shape {part.shape} does not match "
+                f"summand {s}"
+            )
+        parts.append(part)
+    return _element_with_reps(algebra, parts)
 
 
 # ---------------------------------------------------------------------------
@@ -372,14 +415,32 @@ def _quaternion_to_rep(c, n):
     return _quaternion_embedding(m)
 
 
+def _kramers_blocks(m):
+    """The blocks ``z`` and ``w`` of the part of the ``2n x 2n`` complex
+    matrices ``m`` that commutes with ``J``, read off each 2x2 block (see
+    :func:`_quaternion_embedding`)."""
+    n = m.shape[-1] // 2
+    b = m.reshape(m.shape[:-2] + (n, 2, n, 2))
+    z = _halve(b[..., :, 0, :, 0] + np.conj(b[..., :, 1, :, 1]))
+    w = _halve(b[..., :, 0, :, 1] - np.conj(b[..., :, 1, :, 0]))
+    return z, w
+
+
+def _halve(x):
+    """Half the complex array ``x``, computed on its real and imaginary
+    parts as floats: as a complex product an infinite entry would gain a
+    NaN part.  Overwrites ``x`` when it is C-contiguous."""
+    parts = np.ascontiguousarray(x).view(np.float64)
+    np.multiply(parts, 0.5, out=parts)
+    return parts.view(complex)
+
+
 def _quaternion_to_coeffs(m, n):
     rows, cols = _offdiag_indices(n)
     batch = m.shape[:-2]
     # the four real component matrices of the part of m that commutes
-    # with J, read off each 2x2 block
-    b = m.reshape(batch + (n, 2, n, 2))
-    z = 0.5 * (b[..., :, 0, :, 0] + np.conj(b[..., :, 1, :, 1]))
-    w = 0.5 * (b[..., :, 0, :, 1] - np.conj(b[..., :, 1, :, 0]))
+    # with J
+    z, w = _kramers_blocks(m)
     parts = np.stack([z.real, z.imag, w.real, w.imag], axis=-3)
     c = np.empty(batch + (n * (2 * n - 1),))
     c[..., :n] = np.diagonal(parts[..., 0, :, :], axis1=-2, axis2=-1)
@@ -400,8 +461,12 @@ def _quaternion_embedding(parts):
     ``2q + 1`` is the Kramers partner of column ``2q`` (see
     :func:`_kramers_partner`).
     """
-    z = parts[..., 0, :, :] + 1j * parts[..., 1, :, :]
-    w = parts[..., 2, :, :] + 1j * parts[..., 3, :, :]
+    return _embed_blocks(parts[..., 0, :, :] + 1j * parts[..., 1, :, :],
+                         parts[..., 2, :, :] + 1j * parts[..., 3, :, :])
+
+
+def _embed_blocks(z, w):
+    """The embedding with 2x2 blocks ``[[z, w], [-conj(w), conj(z)]]``."""
     batch, (n, m) = z.shape[:-2], z.shape[-2:]
     out = np.empty(batch + (n, 2, m, 2), dtype=complex)
     out[..., :, 0, :, 0] = z
@@ -425,6 +490,45 @@ def _classical_to_rep(c, n):
 
 def _classical_to_coeffs(rep, n):
     return np.asarray(rep, dtype=float).copy()
+
+
+def _real_symmetric_part(m):
+    m = np.real(m)
+    return 0.5 * (m + np.swapaxes(m, -1, -2))
+
+
+def _complex_hermitian_part(m):
+    m = np.asarray(m, dtype=complex)
+    return _halve(m + np.conj(np.swapaxes(m, -1, -2)))
+
+
+def _quaternion_hermitian_part(m):
+    return _embed_blocks(*_kramers_blocks(_complex_hermitian_part(m)))
+
+
+def _vector_copy(rep):
+    return np.array(rep, dtype=float)
+
+
+# the projection of an arbitrary representation onto the algebra, as a
+# new array: the map rep -> coeffs -> rep without the coefficients
+_SYMMETRIC_PART = {
+    "real": _real_symmetric_part,
+    "complex": _complex_hermitian_part,
+    "quaternion": _quaternion_hermitian_part,
+    "spin": _vector_copy,
+    "classical": _vector_copy,
+}
+
+
+def _rep_shape(kind, size):
+    if kind == "spin":
+        return (size + 1,)
+    if kind == "classical":
+        return (size,)
+    if kind == "quaternion":
+        return (2 * size, 2 * size)
+    return (size, size)
 
 
 _COERCE_TO_REP = {
@@ -560,7 +664,6 @@ class Spectrum:
         return sums / self.multiplicities
 
 
-@dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
     """Fine eigenvalues with the stack of their primitive idempotents.
 
@@ -568,7 +671,16 @@ class SpectralDecomposition:
     idempotent that belongs to ``values[k]``; the rows are a Jordan frame.
     A function of the element is ``f(values) @ rows``, its trace is
     ``f(values).sum()`` and a pairing with ``y`` is
-    ``f(values) @ (rows @ y.coeffs)``.
+    ``f(values) @ (rows @ y.coeffs)``.  ``row_reps`` holds the same
+    idempotents as concrete representations, in the layout of
+    :meth:`JordanElement.reps`; it exists on simple algebras only.
+
+    A decomposition stores the stack it was computed as -- ``row_reps``
+    on simple algebras, where the eigensolver yields matrices, ``rows``
+    on direct sums -- and derives the other on first read as a read-only
+    array.  As on :class:`JordanElement`, the fill is a deterministic
+    function of the stored stack, which never changes, so it is safe to
+    share between threads.
 
     ``eigenvalues`` (distinct, descending), ``multiplicities`` and
     ``idempotents`` view the same data grouped: eigenvalues within
@@ -577,9 +689,22 @@ class SpectralDecomposition:
     multiplicity.
     """
 
-    spectrum: Spectrum
-    rows: np.ndarray
-    algebra: Algebra
+    def __init__(self, spectrum: Spectrum, algebra: Algebra,
+                 rows: np.ndarray | None = None,
+                 row_reps: np.ndarray | None = None):
+        for stack in (rows, row_reps):
+            if stack is not None:
+                stack.flags.writeable = False
+        self.spectrum = spectrum
+        self.algebra = algebra
+        self._rows = rows
+        self._row_reps = row_reps
+
+    def __reduce__(self):
+        # rebuild from the stored stacks, so they are read-only again
+        return SpectralDecomposition, (
+            self.spectrum, self.algebra, self._rows, self._row_reps
+        )
 
     @property
     def values(self) -> np.ndarray:
@@ -593,20 +718,28 @@ class SpectralDecomposition:
     def multiplicities(self) -> np.ndarray:
         return self.spectrum.multiplicities
 
-    @cached_property
-    def row_reps(self) -> np.ndarray:
-        """The rows as a read-only stack of concrete representations, in
-        the layout of :meth:`JordanElement.reps`, converted once; simple
-        algebras only."""
-        (s,) = self.algebra.summands
-        reps = _COERCE_TO_REP[s.kind](self.rows, s.size)
-        reps.flags.writeable = False
-        return reps
+    @property
+    def rows(self) -> np.ndarray:
+        if self._rows is None:
+            (s,) = self.algebra.summands
+            rows = _COERCE_TO_COEFFS[s.kind](self._row_reps, s.size)
+            rows.flags.writeable = False
+            self._rows = rows
+        return self._rows
 
-    def __reduce__(self):
-        # the cached read-only stacks are computed afresh rather than
-        # restored writeable
-        return SpectralDecomposition, (self.spectrum, self.rows, self.algebra)
+    @property
+    def row_reps(self) -> np.ndarray:
+        if self._row_reps is None:
+            (s,) = self.algebra.summands
+            reps = _COERCE_TO_REP[s.kind](self._rows, s.size)
+            reps.flags.writeable = False
+            self._row_reps = reps
+        return self._row_reps
+
+    def with_values(self, values: np.ndarray) -> "SpectralDecomposition":
+        """The same Jordan frame with other fine eigenvalues."""
+        return SpectralDecomposition(Spectrum(values), self.algebra,
+                                     self._rows, self._row_reps)
 
     @cached_property
     def idempotents(self) -> tuple[JordanElement, ...]:
@@ -615,7 +748,14 @@ class SpectralDecomposition:
         return tuple(JordanElement(self.algebra, e) for e in sums)
 
     def reconstruct(self) -> JordanElement:
-        return JordanElement(self.algebra, self.values @ self.rows)
+        """The element ``sum values[k] * row k``, built in the stored
+        view."""
+        if self._row_reps is None:
+            return JordanElement(self.algebra, self.values @ self._rows)
+        reps = self._row_reps
+        flat = self.values @ reps.reshape(len(reps), -1)
+        return _element_with_reps(self.algebra,
+                                  [flat.reshape(reps.shape[1:])])
 
     def fine_spectrum(self) -> np.ndarray:
         """One eigenvalue per primitive idempotent, descending."""
@@ -734,16 +874,23 @@ def spectral_decompose(a: JordanElement) -> SpectralDecomposition:
     if a._spectral is not None:
         return a._spectral
     alg = a.algebra
-    values, rows = [], []  # per summand: eigenvalues, idempotent coeffs
-    for s, sl, rep in zip(alg.summands, alg.slices(), a.reps()):
-        lam, projs = _spectral_projections(s.kind, rep, s.size)
-        block = np.zeros((len(lam), alg.dim))
-        block[:, sl] = _COERCE_TO_COEFFS[s.kind](projs, s.size)
-        values.append(lam)
-        rows.append(block)
-    a._spectral = SpectralDecomposition(
-        Spectrum(np.concatenate(values)), np.concatenate(rows), alg
-    )
+    parts = [_spectral_projections(s.kind, rep, s.size)
+             for s, rep in zip(alg.summands, a.reps())]
+    spectrum = Spectrum(np.concatenate([lam for lam, _ in parts]))
+    if len(parts) == 1:
+        a._spectral = SpectralDecomposition(spectrum, alg,
+                                            row_reps=parts[0][1])
+        return a._spectral
+    # a direct sum keeps the idempotents' coefficients, zero outside
+    # their own summand
+    rows = np.zeros((len(spectrum.values), alg.dim))
+    start = 0
+    for s, sl, (lam, projs) in zip(alg.summands, alg.slices(), parts):
+        rows[start:start + len(lam), sl] = _COERCE_TO_COEFFS[s.kind](
+            projs, s.size
+        )
+        start += len(lam)
+    a._spectral = SpectralDecomposition(spectrum, alg, rows=rows)
     return a._spectral
 
 

@@ -124,12 +124,14 @@ def _xlogx(lam: np.ndarray) -> np.ndarray:
 
 
 def _entropy_f(lam: np.ndarray) -> np.ndarray:
-    if np.any(lam < -1e-9):
+    # fmin skips NaN, so this is true exactly when some value is below
+    # the cutoff; the multiply in _xlogx keeps a NaN value NaN
+    if np.fmin.reduce(lam, initial=np.inf) < -1e-9:
         raise DomainError(
             "negative element outside the entropy domain",
             value=float(lam.min()),
         )
-    return _xlogx(np.clip(lam, 0, None))
+    return _xlogx(np.maximum(lam, 0.0))
 
 
 def _entropy_df(lam: np.ndarray) -> np.ndarray:

@@ -404,8 +404,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def common(p):
-        p.add_argument("--json", action="store_true", default=True,
-                       help="emit a JSON report (the default)")
         p.add_argument("--pretty", action="store_true",
                        help="indent the JSON report")
         p.add_argument("--seed", type=int, default=0)

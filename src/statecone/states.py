@@ -173,11 +173,19 @@ class State:
         """Validate positivity and trace, clipping eigenvalue jitter.
 
         Eigenvalues in ``[-clip_tol, 0)`` are treated as solver noise and
-        clipped to zero; anything more negative is rejected.
+        clipped to zero; anything more negative is rejected.  An element
+        built from its representations is checked on them, and its trace
+        is the sum of its fine eigenvalues, so no coefficients are
+        derived.
         """
-        if not np.all(np.isfinite(element.coeffs)):
+        rep_built = element._coeffs is None
+        stored = element.reps() if rep_built else [element.coeffs]
+        if not all(np.isfinite(x).all() for x in stored):
             raise StateValidationError("state coefficients must be finite")
-        tr = trace(element)
+        if rep_built:
+            tr = float(spectral_decompose(element).values.sum())
+        else:
+            tr = trace(element)
         if not abs(tr - 1.0) <= 1e-8:
             raise StateValidationError(f"trace {tr!r} is not 1")
         dec = spectral_decompose(element)
@@ -187,11 +195,9 @@ class State:
                 f"minimum eigenvalue {lo!r} below -{clip_tol}"
             )
         if lo < 0.0:
-            clipped = np.maximum(dec.values, 0.0)
-            element = JordanElement(element.algebra, clipped @ dec.rows)
-            element._spectral = SpectralDecomposition(
-                Spectrum(clipped), dec.rows, dec.algebra
-            )
+            dec = dec.with_values(np.maximum(dec.values, 0.0))
+            element = dec.reconstruct()
+            element._spectral = dec
         return cls(element, layout)
 
     def spectrum(self) -> np.ndarray:
@@ -393,17 +399,18 @@ def _product_spectrum(
     factors: Sequence[JordanElement], layout: CompositeLayout
 ) -> SpectralDecomposition:
     """The product spectral decomposition from factor spectra: products of
-    factor eigenvalues with Kronecker products of factor rows."""
-    s = layout.ambient.summands[0]
+    factor eigenvalues with Kronecker products of the factors' idempotent
+    matrices, kept as the decomposition's ``row_reps``."""
+    kind = layout.ambient.summands[0].kind
     values = np.ones(1)
     projs = None
     for f in factors:
         dec = spectral_decompose(f)
         reps = dec.row_reps
         values = np.multiply.outer(values, dec.values).ravel()
-        projs = reps if projs is None else _kron_stacks(s.kind, projs, reps)
-    rows = alg._COERCE_TO_COEFFS[s.kind](projs, s.size)
-    return SpectralDecomposition(Spectrum(values), rows, layout.ambient)
+        projs = reps if projs is None else _kron_stacks(kind, projs, reps)
+    return SpectralDecomposition(Spectrum(values), layout.ambient,
+                                 row_reps=projs)
 
 
 def tensor_state(states: Sequence[State], layout: CompositeLayout) -> State:

@@ -636,29 +636,71 @@ class TestBasisMaps:
 
     @pytest.mark.parametrize("algebra", ALL_SIMPLE, ids=str)
     def test_row_reps_cached_read_only(self, algebra):
+        # a simple algebra's decomposition stores the idempotent reps the
+        # eigensolver gave and derives the coefficient rows on first read
         dec = ja.spectral_decompose(random_element(algebra, 19))
         s = algebra.summands[0]
-        expected = ja._COERCE_TO_REP[s.kind](dec.rows, s.size)
-        assert dec.row_reps is dec.row_reps
-        np.testing.assert_array_equal(dec.row_reps, expected, strict=True)
-        assert not dec.row_reps.flags.writeable
-        with pytest.raises(ValueError):
-            dec.row_reps[...] = 0.0
+        assert dec._rows is None
+        stored = dec.row_reps
+        assert dec.row_reps is stored and dec._rows is None
+        rows = dec.rows
+        assert dec.rows is rows
+        np.testing.assert_array_equal(
+            rows, ja._COERCE_TO_COEFFS[s.kind](stored, s.size), strict=True
+        )
+        np.testing.assert_allclose(
+            stored, ja._COERCE_TO_REP[s.kind](rows, s.size),
+            rtol=0, atol=1e-15,
+        )
+        for stack in (stored, rows):
+            assert not stack.flags.writeable
+            with pytest.raises(ValueError):
+                stack[...] = 0.0
         back = pickle.loads(pickle.dumps(dec))
-        assert not back.row_reps.flags.writeable
-        np.testing.assert_array_equal(back.row_reps, expected, strict=True)
+        for got, want in ((back.row_reps, stored), (back.rows, rows)):
+            assert not got.flags.writeable
+            np.testing.assert_array_equal(got, want, strict=True)
+
+    def test_direct_sum_rows_stored_row_reps_refused(self):
+        algebra = ja.Algebra(ja.complex_hermitian(2).summands
+                             + ja.classical(2).summands)
+        dec = ja.spectral_decompose(random_element(algebra, 20))
+        assert dec._row_reps is None and not dec.rows.flags.writeable
+        with pytest.raises(ValueError):
+            dec.row_reps
 
     @pytest.mark.parametrize("algebra", ALL_SIMPLE, ids=str)
     def test_element_from_reps_does_not_alias(self, algebra):
         el = random_element(algebra, 18)
         reps = [rep.copy() for rep in el.reps()]
         built = ja.element_from_reps(algebra, reps)
-        assert built._reps is None  # the round trip is not bit-exact
-        coeffs = built.coeffs.copy()
-        assert built.reps()[0] is not reps[0]
+        stored = built.reps()
+        # the reps are stored as given (they are already Hermitian) and
+        # the coefficients stay unset until read
+        assert built._coeffs is None
+        assert not np.shares_memory(stored[0], reps[0])
+        assert not stored[0].flags.writeable
+        np.testing.assert_array_equal(stored[0], el.reps()[0], strict=True)
         reps[0][...] = 0.0
-        np.testing.assert_array_equal(built.coeffs, coeffs)
-        assert np.any(built.reps()[0] != 0.0)
+        np.testing.assert_array_equal(built.reps()[0], el.reps()[0])
+        assert built.reps()[0] is stored[0]
+        coeffs = built.coeffs
+        assert built.coeffs is coeffs and not coeffs.flags.writeable
+        s = algebra.summands[0]
+        np.testing.assert_array_equal(
+            coeffs, ja._COERCE_TO_COEFFS[s.kind](stored[0], s.size),
+            strict=True,
+        )
+        np.testing.assert_allclose(coeffs, el.coeffs, rtol=0,
+                                   atol=1e-14 * ja.norm(el))
+
+    @pytest.mark.parametrize("algebra", ALL_SIMPLE, ids=str)
+    def test_element_from_reps_rejects_wrong_shapes(self, algebra):
+        rep = random_element(algebra, 21).reps()[0]
+        with pytest.raises(ValueError):
+            ja.element_from_reps(algebra, [rep, rep])
+        with pytest.raises(ValueError):
+            ja.element_from_reps(algebra, [rep[:-1]])
 
     @pytest.mark.parametrize("kind", MATRIX_KINDS)
     def test_symmetrizes_non_hermitian_input(self, kind):
@@ -673,6 +715,35 @@ class TestBasisMaps:
         np.testing.assert_allclose(
             ja.element_from_reps(algebra, [noisy]).coeffs, el.coeffs,
             atol=1e-14 * ja.norm(el),
+        )
+
+    @pytest.mark.parametrize("kind", MATRIX_KINDS)
+    def test_non_hermitian_input_spectrum(self, kind):
+        # eigh reads one triangle only, so the stored rep must already be
+        # the Hermitian part (on quaternionic embeddings the part that
+        # also commutes with J) for the spectrum to be the element's
+        n = 3
+        rng = np.random.default_rng(22)
+        algebra = factor_algebra(kind, n)
+        el = random_element(algebra, 23)
+        rep = el.reps()[0]
+        skew = rng.normal(size=rep.shape)
+        noise = skew - skew.T
+        if kind != "real":
+            sym = rng.normal(size=rep.shape)
+            noise = noise + 1j * (sym + sym.T)
+        if kind == "quaternion":
+            # a Hermitian part that anticommutes with J: (h - J h J^-1) / 2,
+            # where J v = u conj(v) and J^-1 = -J
+            u = np.kron(np.eye(n), [[0.0, -1.0], [1.0, 0.0]])
+            h = rng.normal(size=rep.shape) + 1j * rng.normal(size=rep.shape)
+            h = h + h.conj().T
+            noise = noise + 0.5 * (h + u @ h.conj() @ u)
+        built = ja.element_from_reps(algebra, [rep + noise])
+        np.testing.assert_allclose(
+            ja.spectral_decompose(built).fine_spectrum(),
+            ja.spectral_decompose(el).fine_spectrum(),
+            rtol=0, atol=1e-13 * ja.norm(el),
         )
 
 

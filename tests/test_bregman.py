@@ -441,6 +441,58 @@ class TestStatisticalLocality:
         assert d1 == d2
 
 
+def _entropy_f_reference(lam):
+    """The entropy spectral function as first written: an elementwise
+    domain check and a clip before the multiply."""
+    if np.any(lam < -1e-9):
+        raise ja.DomainError(
+            "negative element outside the entropy domain",
+            value=float(lam.min()),
+        )
+    c = np.clip(lam, 0, None)
+    return c * np.log(c, out=np.zeros_like(c), where=c > st.SUPPORT_CUTOFF)
+
+
+def _entropy_f_cases():
+    rng = np.random.default_rng(49)
+    cut = st.SUPPORT_CUTOFF
+    cases = [rng.dirichlet(np.ones(n)) for n in (1, 2, 3, 16, 64)]
+    cases += [rng.uniform(-1e-9, 1.0, size=20), rng.random(256)]
+    cases += [np.array(v) for v in (
+        [0.0, 0.0, 1.0], [-0.0, 0.5, 0.5], [-1e-12, 0.3, 0.7],
+        [cut, np.nextafter(cut, 0.0), np.nextafter(cut, 1.0), 1.0],
+        [-cut, 0.0], [-1e-9, 1.0], [np.nan, 0.5], [np.nan, 0.0, -0.0],
+        [np.nan, np.nan], [np.inf, 0.0], [0.5, np.nan, -1e-12], [],
+    )]
+    return cases
+
+
+class TestEntropyFunction:
+    @pytest.mark.parametrize("lam", _entropy_f_cases(), ids=repr)
+    def test_bit_identical_to_reference(self, lam):
+        got = br._entropy_f(lam)
+        assert got.dtype == lam.dtype and got.shape == lam.shape
+        assert got.tobytes() == _entropy_f_reference(lam).tobytes()
+
+    def test_nan_eigenvalue_stays_nan(self):
+        got = br._entropy_f(np.array([np.nan, 0.0, 0.25]))
+        assert np.isnan(got[0]) and np.isnan(got.sum())
+
+    @pytest.mark.parametrize("lam", [
+        [-2e-9, 0.5], [np.nextafter(-1e-9, -1.0), 1.0], [-0.1, np.nan],
+        [np.nan, -1.0, 2.0], [-np.inf, 1.0],
+    ], ids=repr)
+    def test_domain_error_unchanged(self, lam):
+        lam = np.array(lam)
+        with pytest.raises(ja.DomainError) as want:
+            _entropy_f_reference(lam)
+        with pytest.raises(ja.DomainError) as got:
+            br._entropy_f(lam)
+        assert str(got.value) == str(want.value)
+        assert np.array_equal([got.value.value], [want.value.value],
+                              equal_nan=True)
+
+
 class TestLocalityTheoremFit:
     def test_entropy_fits_itself(self):
         c, residual = br.check_locality_theorem(NE, C3, n_states=150, seed=34)

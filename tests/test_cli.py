@@ -336,12 +336,24 @@ class TestBadInput:
         (("nosuch",), "invalid choice: 'nosuch'"),
         ((), "required: subcommand"),
         (("chsh", "--box", "pr", "--extra"), "unrecognized arguments"),
+        (("chsh", "--box", "pr", "--json"),
+         "unrecognized arguments: --json"),
     ], ids=["unknown-property", "missing-option", "bad-int",
-            "unknown-command", "no-command", "extra-argument"])
+            "unknown-command", "no-command", "extra-argument",
+            "removed-json-flag"])
     def test_argument_errors_are_json(self, capsys, argv, named):
         code, error = run_cli_error(capsys, *argv)
         assert code == 2
         assert named in error["error"]
+
+    def test_pretty_indents(self, capsys):
+        assert main(["chsh", "--box", "pr"]) == 0
+        plain = capsys.readouterr().out
+        assert main(["chsh", "--box", "pr", "--pretty"]) == 0
+        pretty = capsys.readouterr().out
+        assert "\n" not in plain.rstrip("\n")
+        assert pretty.startswith('{\n  "')
+        assert json.loads(pretty) == json.loads(plain)
 
     @pytest.mark.parametrize("argv", [("--help",), ("--version",),
                                       ("suite", "--help")])

@@ -404,20 +404,20 @@ class TestProductReader:
                     br.bregman_divergence(F, joint, built_product(p, groups)),
                 )
 
-    def test_each_decomposition_converts_once(self, monkeypatch):
-        seen = []
-        convert = ja._COERCE_TO_REP["complex"]
+    def test_separoid_run_converts_at_most_eight_times(self, monkeypatch):
+        # states, marginals and their Jordan frames stay matrices from the
+        # sampler to the divergence, so coefficients are rarely derived
+        calls = []
+        for table in (ja._COERCE_TO_REP, ja._COERCE_TO_COEFFS):
+            def recording(c, n, convert=table["complex"]):
+                calls.append(c.shape)
+                return convert(c, n)
 
-        def recording(c, n):
-            seen.append(c)  # held, so no two recorded arrays share an id
-            return convert(c, n)
-
-        monkeypatch.setitem(ja._COERCE_TO_REP, "complex", recording)
+            monkeypatch.setitem(table, "complex", recording)
         mp.check_separoid(
-            NE, st.COMPLEX_TENSOR, (2, 2, 2, 2), n_trials=2, seed=27
+            NE, st.COMPLEX_TENSOR, (2, 2, 2, 2), n_trials=4, seed=27
         )
-        assert seen
-        assert len({id(c) for c in seen}) == len(seen)
+        assert len(calls) <= 8, calls
 
     def test_pinned_generator_on_another_algebra(self):
         F = br.affine_plus_entropy(1.5, ja.zero(ja.complex_hermitian(4)))
@@ -681,6 +681,40 @@ class TestPickling:
             np.testing.assert_array_equal(rep, again)
         unit = ja.unit(ja.complex_hermitian(2))
         assert_same_element(ROUND_TRIPS[how](unit), unit)
+
+    @pytest.mark.parametrize("how", sorted(ROUND_TRIPS))
+    def test_rep_built_element(self, how):
+        algebra = ja.Algebra(ja.complex_hermitian(2).summands
+                             + ja.quaternion_hermitian(2).summands
+                             + ja.spin_factor(2).summands)
+        source = ja.JordanElement(
+            algebra, np.random.default_rng(47).normal(size=algebra.dim)
+        )
+        el = ja.element_from_reps(algebra, source.reps())
+        dec = ja.spectral_decompose(el)
+        back = ROUND_TRIPS[how](el)
+        assert back is not el and back._spectral is None
+        assert back._coeffs is None and el._coeffs is None
+        for rep, again in zip(back.reps(), el.reps()):
+            assert not rep.flags.writeable
+            np.testing.assert_array_equal(rep, again, strict=True)
+        np.testing.assert_array_equal(
+            ja.spectral_decompose(back).values, dec.values
+        )
+        assert_same_element(back, el)
+
+    @pytest.mark.parametrize("how", sorted(ROUND_TRIPS))
+    def test_decomposition_with_unread_rows(self, how):
+        dec = ja.spectral_decompose(st.random_state(C2, seed=48).element)
+        assert dec._rows is None
+        back = ROUND_TRIPS[how](dec)
+        assert back is not dec and back._rows is None
+        assert not back.row_reps.flags.writeable
+        np.testing.assert_array_equal(back.row_reps, dec.row_reps,
+                                      strict=True)
+        np.testing.assert_array_equal(back.values, dec.values)
+        np.testing.assert_array_equal(back.rows, dec.rows, strict=True)
+        assert not back.rows.flags.writeable
 
     @pytest.mark.parametrize("how", sorted(ROUND_TRIPS))
     def test_state(self, how):

@@ -84,6 +84,30 @@ class TestStateValidation:
         with pytest.raises(st.StateValidationError, match="finite"):
             st.State.make(ja.JordanElement(C2, coeffs))
 
+    @pytest.mark.parametrize("algebra", ALL_SIMPLE + [ja.Algebra(
+        C2.summands + ja.spin_factor(2).summands
+    )], ids=str)
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_reps(self, algebra, value, monkeypatch):
+        # checked on the stored rep, before the eigensolver sees it
+        def no_eigensolve(*args, **kwargs):
+            raise AssertionError("eigensolver called on a non-finite rep")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigensolve)
+        reps = [rep.copy() for rep in
+                st.maximally_mixed(algebra).element.reps()]
+        reps[-1].flat[-1] = value
+        el = ja.element_from_reps(algebra, reps)
+        with pytest.raises(st.StateValidationError) as info:
+            st.State.make(el)
+        assert str(info.value) == "state coefficients must be finite"
+
+    def test_rep_built_trace_from_spectrum(self):
+        el = ja.element_from_reps(C2, [np.diag([0.5, 0.4]).astype(complex)])
+        with pytest.raises(st.StateValidationError, match="trace 0.9"):
+            st.State.make(el)
+        assert el._coeffs is None
+
 
 class TestMeasurement:
     def test_computational_basis_probabilities(self):
