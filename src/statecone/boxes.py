@@ -32,6 +32,8 @@ __all__ = [
 ]
 
 BOX_TOL = 1e-12
+# boxes read from files or handed to chsh_value are checked this loosely
+INPUT_BOX_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -75,7 +77,7 @@ class NoSignalingBox:
 
 def chsh_value(box: NoSignalingBox) -> float:
     """E00 + E01 + E10 - E11 with parity correlators."""
-    box.validate(tol=1e-10)
+    box.validate(tol=INPUT_BOX_TOL)
     return (
         box.correlator(0, 0)
         + box.correlator(0, 1)

@@ -42,7 +42,7 @@ from .algebras import (
     unit,
 )
 from . import states as st
-from .states import SUPPORT_CUTOFF, State
+from .states import SUPPORT_CUTOFF, SUPPORT_TOL, State
 
 __all__ = [
     "Action",
@@ -126,7 +126,7 @@ def _xlogx(lam: np.ndarray) -> np.ndarray:
 def _entropy_f(lam: np.ndarray) -> np.ndarray:
     # fmin skips NaN, so this is true exactly when some value is below
     # the cutoff; the multiply in _xlogx keeps a NaN value NaN
-    if np.fmin.reduce(lam, initial=np.inf) < -1e-9:
+    if np.fmin.reduce(lam, initial=np.inf) < -SUPPORT_TOL:
         raise DomainError(
             "negative element outside the entropy domain",
             value=float(lam.min()),
@@ -235,12 +235,12 @@ def _divergence(F: BregmanGenerator, x: JordanElement, mu: np.ndarray,
     if F.affine is not None:
         F.affine._require_same(x)
     if F.support_sensitive:
-        if np.any(mu < -1e-9):
+        if np.any(mu < -SUPPORT_TOL):
             raise DomainError(
                 "second argument is not in the positive cone",
                 value=float(mu.min()),
             )
-        if abs((mu <= SUPPORT_CUTOFF) @ p) > 1e-9:
+        if abs((mu <= SUPPORT_CUTOFF) @ p) > SUPPORT_TOL:
             return math.inf
     lam = spectral_decompose(x).values
     return float(F.f(lam).sum() - F.f(mu).sum() - F.df(mu) @ (p - mu))
@@ -271,7 +271,7 @@ def information_divergence(
     x._require_same(y)
     dy = spectral_decompose(y)
     outside = (dy.values <= SUPPORT_CUTOFF) @ (dy.rows @ x.coeffs)
-    if abs(outside) > 1e-9:
+    if abs(outside) > SUPPORT_TOL:
         return math.inf
     dx = spectral_decompose(x)
     value = float(_xlogx(np.clip(dx.values, 0, None)).sum())

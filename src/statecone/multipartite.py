@@ -66,8 +66,8 @@ class UnknownLabelError(KeyError):
 class PartitionedState:
     """A composite state with named factors and cached marginals.
 
-    Marginals are cached by label names, so each is computed once per
-    state, whichever quantity asks first.
+    Marginals are cached by their sorted factor indices, so each is
+    computed once per state, whichever quantity asks first.
     """
 
     state: State
@@ -84,25 +84,25 @@ class PartitionedState:
             )
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("labels must be distinct")
-        self._marginals.setdefault(self.labels, self.state)
+        self._marginals.setdefault(tuple(range(len(self.labels))), self.state)
 
     def indices(self, subset: Sequence[str]) -> tuple[int, ...]:
+        """The factor indices of the labels in ``subset``, sorted, each
+        once."""
         try:
-            return tuple(sorted(self.labels.index(l) for l in subset))
+            return tuple(sorted({self.labels.index(l) for l in subset}))
         except ValueError as exc:
             raise UnknownLabelError(f"unknown label in {subset!r}") from exc
 
-    def _key(self, subset: Sequence[str]) -> tuple[str, ...]:
-        """The labels of ``subset`` in factor order, without repeats."""
-        idx = set(self.indices(subset))
-        return tuple(l for i, l in enumerate(self.labels) if i in idx)
-
     def marginal(self, subset: Sequence[str]) -> State:
-        key = self._key(subset)
-        cached = self._marginals.get(key)
+        return self._marginal(self.indices(subset))
+
+    def _marginal(self, indices: tuple[int, ...]) -> State:
+        """The marginal on sorted, distinct factor indices."""
+        cached = self._marginals.get(indices)
         if cached is None:
-            cached = st.marginal(self.state, self.indices(key))
-            self._marginals[key] = cached
+            cached = st.marginal(self.state, indices)
+            self._marginals[indices] = cached
         return cached
 
 
@@ -120,50 +120,54 @@ def random_partitioned_state(
     return PartitionedState(state, tuple(labels))
 
 
+def _disjoint_indices(pstate: PartitionedState,
+                      *label_sets: Sequence[str]) -> list[tuple[int, ...]]:
+    """The factor indices of each label set, once the sets are checked to
+    be disjoint; an unknown label is reported with every label of the
+    call."""
+    every = [l for labels in label_sets for l in labels]
+    seen = set()
+    for l in every:
+        if l in seen:
+            raise OverlapError(f"label {l!r} appears in two subsets")
+        seen.add(l)
+    try:
+        return [pstate.indices(labels) for labels in label_sets]
+    except UnknownLabelError as exc:
+        raise UnknownLabelError(f"unknown label in {every!r}") from exc
+
+
 def _product_divergence(F: BregmanGenerator, pstate: PartitionedState,
-                        groups: Sequence[Sequence[str]]) -> float:
-    """Divergence of the joint marginal on ``groups`` from the product of
-    the group marginals, read from their spectra.
+                        groups: Sequence[tuple[int, ...]]) -> float:
+    """Divergence of the joint marginal on the factor index ``groups``
+    from the product of the group marginals, read from their spectra.
 
     The product's fine eigenvalues are the outer product of the groups'
     ones.  The joint's weight on each product idempotent is one
     ``einsum`` of the joint's rep with the stacks of the groups'
-    idempotent reps.  Every factor has its own axes, so groups may
-    interleave in factor order.
+    idempotent reps, each factor on its axes of the factor-axis map, so
+    groups may interleave in factor order.
     """
-    labels = pstate._key([l for g in groups for l in g])
-    keys = [pstate._key(g) for g in groups]
-    joint = pstate.marginal(labels)
-    sizes = [pstate.state.layout.sizes[i] for i in pstate.indices(labels)]
-    # a classical rep has one axis per factor; a matrix rep has its rows
-    # on axes 0..k-1 and its columns on k..2k-1, and the trace pairs them
-    # with the columns and rows of the idempotents
-    k = len(labels)
-    matrix = joint.algebra.summands[0].kind != "classical"
-    shape = sizes * 2 if matrix else sizes
-    operands = [joint.element.reps()[0].reshape(shape),
-                list(range(len(shape)))]
+    joined = tuple(sorted(i for g in groups for i in g))
+    joint = pstate._marginal(joined)
+    layout = pstate.state.layout
+    shape, axes = layout._axes
+    # the trace pairs the joint's rows with the idempotents' columns; a
+    # classical axis pairs with itself
+    flip = {a: b for own in axes for a, b in zip(own, own[::-1])}
+    own = layout._axes_of(joined)
+    operands = [joint.element.reps()[0].reshape([shape[a] for a in own]),
+                [flip[a] for a in own]]
     mu = np.ones(1)
-    for g, key in enumerate(keys):
-        dec = alg.spectral_decompose(pstate.marginal(key).element)
+    for g, indices in enumerate(groups):
+        dec = alg.spectral_decompose(pstate._marginal(indices).element)
         idem = dec.row_reps
-        own = [labels.index(l) for l in key]
-        if matrix:
-            own = [k + i for i in own] + own
-        operands += [idem.reshape([len(idem)] + [shape[i] for i in own]),
+        own = layout._axes_of(indices)
+        operands += [idem.reshape([len(idem)] + [shape[a] for a in own]),
                      [len(shape) + g] + own]
         mu = np.multiply.outer(mu, dec.values).ravel()
-    p = np.einsum(*operands, [len(shape) + g for g in range(len(keys))])
+    p = np.einsum(*operands, [len(shape) + g for g in range(len(groups))])
     return _divergence(F, joint.element, mu, p.real.ravel())
-
-
-def _check_disjoint(*label_sets):
-    seen = set()
-    for labels in label_sets:
-        for l in labels:
-            if l in seen:
-                raise OverlapError(f"label {l!r} appears in two subsets")
-            seen.add(l)
 
 
 def check_additivity(
@@ -212,8 +216,8 @@ def mutual_information(
     b_labels: Sequence[str],
 ) -> float:
     """Divergence of the joint marginal from the product of marginals."""
-    _check_disjoint(a_labels, b_labels)
-    return _product_divergence(F, pstate, [a_labels, b_labels])
+    groups = _disjoint_indices(pstate, a_labels, b_labels)
+    return _product_divergence(F, pstate, groups)
 
 
 @dataclass(frozen=True)
@@ -247,8 +251,7 @@ def conditional_mutual_information(
     If any component is infinite the report is marked undefined rather
     than subtracting infinities.
     """
-    _check_disjoint(a_labels, b_labels, c_labels)
-    a, b, c = list(a_labels), list(b_labels), list(c_labels)
+    a, b, c = _disjoint_indices(pstate, a_labels, b_labels, c_labels)
 
     components = (
         _product_divergence(F, pstate, [a, b, c]),
@@ -361,13 +364,14 @@ def run_marginal_identity_suite(
                       {"marginal-identity": tol})["marginal-identity"]
 
 
+def _pairs_equal_complex_factors(layout: CompositeLayout) -> bool:
+    return (layout.embedding == st.COMPLEX_TENSOR
+            and len(layout.sizes) == 2 and layout.sizes[0] == layout.sizes[1])
+
+
 def maximally_entangled_state(layout: CompositeLayout) -> State:
     """Uniform superposition pairing two complex factors of equal size."""
-    if (
-        layout.embedding != st.COMPLEX_TENSOR
-        or len(layout.factors) != 2
-        or layout.sizes[0] != layout.sizes[1]
-    ):
+    if not _pairs_equal_complex_factors(layout):
         raise ValueError("needs two complex factors of equal size")
     n = layout.sizes[0]
     vec = np.eye(n).ravel() / math.sqrt(n)
@@ -386,11 +390,7 @@ def run_dpi_suite(
 ) -> PropertyVerdict:
     """Data processing over both maximally entangled and random states."""
     states = []
-    if (
-        layout.embedding == st.COMPLEX_TENSOR
-        and len(layout.factors) == 2
-        and layout.sizes[0] == layout.sizes[1]
-    ):
+    if _pairs_equal_complex_factors(layout):
         states.append(
             PartitionedState(maximally_entangled_state(layout), ("A", "B"))
         )

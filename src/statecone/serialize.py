@@ -21,7 +21,7 @@ from . import algebras as alg
 from .algebras import Algebra, JordanElement, SimpleFactor
 from . import states as st
 from .states import Affinity, CompositeLayout, Measurement, State, Test
-from .boxes import NoSignalingBox
+from .boxes import INPUT_BOX_TOL, NoSignalingBox
 
 __all__ = [
     "FormatError",
@@ -271,5 +271,5 @@ def box_from_json(doc) -> NoSignalingBox:
     if "table" not in doc:
         raise FormatError('box documents need a "table"')
     box = NoSignalingBox(np.asarray(doc["table"], dtype=float))
-    box.validate(tol=1e-10)
+    box.validate(tol=INPUT_BOX_TOL)
     return box

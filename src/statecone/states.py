@@ -13,7 +13,7 @@ since local measurements cannot resolve the ambient space).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Callable, Sequence
 
 import numpy as np
@@ -70,6 +70,9 @@ CLIP_TOL = 1e-10
 # eigenvalues and probabilities at or below this count as exact zeros
 # for support and entropy purposes, in every module
 SUPPORT_CUTOFF = 1e-12
+# eigenvalues down to -SUPPORT_TOL stay in the entropy domain and the
+# cone; mass up to SUPPORT_TOL outside a reference's support counts as none
+SUPPORT_TOL = 1e-9
 
 
 class StateValidationError(ValueError):
@@ -131,6 +134,23 @@ class CompositeLayout:
             return complex_hermitian(total)
         return real_hermitian(4)
 
+    @cached_property
+    def _axes(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        """The factor-axis map: the shape an ambient rep reshapes to, and
+        the axes of each factor in it.  A classical factor has one axis;
+        a matrix factor has a row axis among the first ``k`` axes and a
+        column axis among the last ``k``.  A rep of some of the factors
+        has their axes in increasing order (see :meth:`_axes_of`)."""
+        k = len(self.factors)
+        per_factor = 1 if self.embedding == CLASSICAL_TENSOR else 2
+        return (self.sizes * per_factor,
+                tuple(tuple(range(i, per_factor * k, k)) for i in range(k)))
+
+    def _axes_of(self, indices: Sequence[int]) -> list[int]:
+        """The axes of the factors ``indices``, in the order a rep of
+        just those factors has them."""
+        return sorted(a for i in indices for a in self._axes[1][i])
+
     def keep(self, indices: Sequence[int]) -> "CompositeLayout | None":
         kept = tuple(self.factors[i] for i in sorted(indices))
         if len(kept) == 1:
@@ -173,22 +193,20 @@ class State:
         """Validate positivity and trace, clipping eigenvalue jitter.
 
         Eigenvalues in ``[-clip_tol, 0)`` are treated as solver noise and
-        clipped to zero; anything more negative is rejected.  An element
-        built from its representations is checked on them, and its trace
-        is the sum of its fine eigenvalues, so no coefficients are
-        derived.
+        clipped to zero; anything more negative is rejected.  The element
+        is checked on its representations, which the eigensolve reads
+        anyway, and its trace is the sum of its fine eigenvalues.
         """
-        rep_built = element._coeffs is None
-        stored = element.reps() if rep_built else [element.coeffs]
-        if not all(np.isfinite(x).all() for x in stored):
+        # a non-finite coefficient gives a non-finite rep entry (an
+        # infinite imaginary part becomes NaN on the way)
+        with np.errstate(invalid="ignore"):
+            reps = element.reps()
+        if not all(np.isfinite(x).all() for x in reps):
             raise StateValidationError("state coefficients must be finite")
-        if rep_built:
-            tr = float(spectral_decompose(element).values.sum())
-        else:
-            tr = trace(element)
+        dec = spectral_decompose(element)
+        tr = float(dec.values.sum())
         if not abs(tr - 1.0) <= 1e-8:
             raise StateValidationError(f"trace {tr!r} is not 1")
-        dec = spectral_decompose(element)
         lo = float(np.min(dec.values))
         if lo < -clip_tol:
             raise StateValidationError(
@@ -369,12 +387,21 @@ def singularity_witness(rho: State, sigma: State,
 # ---------------------------------------------------------------------------
 
 
-def _kron_stacks(kind: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of every rep in the stack ``a`` with every rep in
-    the stack ``b``, ordered ``a``-major."""
-    spec = "ai,bk->abik" if kind == "classical" else "aij,bkl->abikjl"
-    shape = tuple(x * y for x, y in zip(a.shape[1:], b.shape[1:]))
-    return np.einsum(spec, a, b).reshape((len(a) * len(b),) + shape)
+def _kron_stacks(layout: CompositeLayout,
+                 stacks: Sequence[np.ndarray]) -> np.ndarray:
+    """Kronecker products of one rep from each factor's stack, for every
+    choice, the first factor's stack index slowest.  Each stack is
+    broadcast onto a stack axis of its own and its factor's axes of the
+    factor-axis map, so one product of the broadcasts makes them all."""
+    shape, axes = layout._axes
+    out = 1
+    for f, (stack, own) in enumerate(zip(stacks, axes)):
+        dims = [1] * len(stacks) + [n if a in own else 1
+                                    for a, n in enumerate(shape)]
+        dims[f] = len(stack)
+        out = out * stack.reshape(dims)
+    d = int(np.prod(layout.sizes))
+    return out.reshape((-1,) + (d,) * len(axes[0]))
 
 
 def tensor_elements(
@@ -388,11 +415,8 @@ def tensor_elements(
             raise AlgebraMismatchError(
                 f"factor element on {el.algebra} does not match layout {f}"
             )
-    kind = layout.ambient.summands[0].kind
-    out = elements[0].reps()[0][np.newaxis]
-    for el in elements[1:]:
-        out = _kron_stacks(kind, out, el.reps()[0][np.newaxis])
-    return element_from_reps(layout.ambient, [out[0]])
+    stacks = [el.reps()[0][np.newaxis] for el in elements]
+    return element_from_reps(layout.ambient, [_kron_stacks(layout, stacks)[0]])
 
 
 def _product_spectrum(
@@ -401,16 +425,12 @@ def _product_spectrum(
     """The product spectral decomposition from factor spectra: products of
     factor eigenvalues with Kronecker products of the factors' idempotent
     matrices, kept as the decomposition's ``row_reps``."""
-    kind = layout.ambient.summands[0].kind
-    values = np.ones(1)
-    projs = None
-    for f in factors:
-        dec = spectral_decompose(f)
-        reps = dec.row_reps
-        values = np.multiply.outer(values, dec.values).ravel()
-        projs = reps if projs is None else _kron_stacks(kind, projs, reps)
-    return SpectralDecomposition(Spectrum(values), layout.ambient,
-                                 row_reps=projs)
+    decs = [spectral_decompose(f) for f in factors]
+    values = reduce(np.multiply.outer, [d.values for d in decs], np.ones(1))
+    return SpectralDecomposition(
+        Spectrum(values.ravel()), layout.ambient,
+        row_reps=_kron_stacks(layout, [d.row_reps for d in decs]),
+    )
 
 
 def tensor_state(states: Sequence[State], layout: CompositeLayout) -> State:
@@ -442,29 +462,20 @@ def marginal(sigma: State, keep: Sequence[int]) -> State:
     keep = sorted(set(int(k) for k in keep))
     if not keep or any(k < 0 or k >= len(layout.factors) for k in keep):
         raise ValueError(f"invalid keep set {keep}")
-    sizes = layout.sizes
-    drop = [i for i in range(len(sizes)) if i not in keep]
-
+    shape, axes = layout._axes
+    # a dropped factor's axes share one subscript, so a classical axis is
+    # summed and a (row, column) pair is traced
+    subs = list(range(len(shape)))
+    for i, own in enumerate(axes):
+        if i not in keep:
+            for a in own:
+                subs[a] = own[0]
     rep = sigma.element.reps()[0]
-    if layout.embedding == CLASSICAL_TENSOR:
-        tensor_rep = rep.reshape(sizes)
-        reduced = np.sum(tensor_rep, axis=tuple(drop)) if drop else tensor_rep
-        flat = reduced.reshape(-1)
-        new_layout = layout.keep(keep)
-        ambient = (
-            new_layout.ambient if new_layout else layout.factors[keep[0]]
-        )
-        return State.make(element_from_reps(ambient, [flat]), new_layout)
-
-    tensor_rep = rep.reshape(sizes + sizes)
-    k = len(sizes)
-    for i in reversed(drop):
-        tensor_rep = np.trace(tensor_rep, axis1=i, axis2=i + k)
-        k -= 1
-    d = int(np.prod([sizes[i] for i in keep]))
-    flat = tensor_rep.reshape(d, d)
+    reduced = np.einsum(rep.reshape(shape), subs, layout._axes_of(keep))
+    d = int(np.prod(reduced.shape[:len(keep)]))
     new_layout = layout.keep(keep)
     ambient = new_layout.ambient if new_layout else layout.factors[keep[0]]
+    flat = reduced.reshape((d,) * rep.ndim)
     return State.make(element_from_reps(ambient, [flat]), new_layout)
 
 
@@ -934,28 +945,26 @@ def real_embedding_dimension_audit(
 # ---------------------------------------------------------------------------
 
 
-def _complexified_tensor(phi: Affinity) -> np.ndarray:
-    """Action of the map on arbitrary complex matrices, as a 4-tensor
-    T[p, q, i, j] with Phi(M)[p, q] = sum_ij T[p, q, i, j] M[i, j]."""
-    m = phi.source.summands[0].size
-    algebra = phi.source
-    t = np.zeros((m, m, m, m), dtype=complex)
-    for i in range(m):
-        for j in range(m):
-            h1 = np.zeros((m, m), dtype=complex)
-            h1[i, j] += 0.5
-            h1[j, i] += 0.5
-            h2 = np.zeros((m, m), dtype=complex)
-            h2[i, j] += -0.5j
-            h2[j, i] += 0.5j
-            out1 = phi.apply_element(
-                element_from_reps(algebra, [h1])
-            ).reps()[0]
-            out2 = phi.apply_element(
-                element_from_reps(algebra, [h2])
-            ).reps()[0]
-            t[:, :, i, j] = out1 + 1j * out2
-    return t
+def _factor_kernel(phi: Affinity) -> np.ndarray:
+    """A factor channel on the factor's rep axes, output axes first.
+
+    On a classical factor this is ``phi.matrix``.  On a complex factor it
+    is ``Phi(E_ij)`` for every matrix unit ``E_ij``, read in one batched
+    call as ``F(X) + i F(-iX)``, where ``F`` (the basis maps around
+    ``phi.matrix``) reads the Hermitian part of its argument.
+    """
+    s = phi.source.summands[0]
+    if s.kind == "classical":
+        return phi.matrix
+    m = s.size
+
+    def f(x):
+        coeffs = alg._COERCE_TO_COEFFS[s.kind](x, m)
+        return alg._COERCE_TO_REP[s.kind](coeffs @ phi.matrix.T, m)
+
+    units = np.eye(m * m).reshape(m * m, m, m)
+    images = (f(units) + 1j * f(-1j * units)).reshape(m, m, m, m)
+    return np.moveaxis(images, (0, 1), (2, 3))
 
 
 def extend_to_factor(
@@ -970,34 +979,19 @@ def extend_to_factor(
         raise AlgebraMismatchError(
             "channel must act on the selected factor algebra"
         )
-    sizes = layout.sizes
-    k = len(sizes)
-    ambient = layout.ambient
-    name = f"id*{phi.name}@{index}"
-
-    # each push maps a stack of reps; axis 0 is the stack
-    if layout.embedding == CLASSICAL_TENSOR:
-        def push(reps):
-            arr = reps.reshape((-1,) + sizes)
-            moved = np.moveaxis(arr, 1 + index, -1)
-            out = moved @ phi.matrix.T
-            out = np.moveaxis(out, -1, 1 + index)
-            return out.reshape(reps.shape)
-
-        return _affinity_from_rep_map(push, ambient, name)
-
-    t = _complexified_tensor(phi)
-    m = sizes[index]
-    rest = int(np.prod(sizes)) // m
-    others = tuple(np.delete(sizes, index))
+    shape, axes = layout._axes
+    kernel = _factor_kernel(phi)
+    # the factor's axes are contracted with the kernel's input axes and
+    # replaced by its output axes; the leading axis is the stack of reps
+    mine = list(axes[index])
+    fresh = [len(shape) + t for t in range(len(mine))]
+    subs = list(range(len(shape)))
+    out = [fresh[mine.index(a)] if a in mine else a for a in subs]
 
     def push(reps):
-        arr = reps.reshape((-1,) + sizes + sizes)
-        arr = np.moveaxis(arr, (1 + index, 1 + k + index), (k, 2 * k))
-        arr = arr.reshape(-1, rest, m, rest, m)
-        out = np.einsum("pqij,xaibj->xapbq", t, arr)
-        out = out.reshape((-1,) + others + (m,) + others + (m,))
-        out = np.moveaxis(out, (k, 2 * k), (1 + index, 1 + k + index))
-        return out.reshape(reps.shape)
+        arr = reps.reshape((-1,) + shape)
+        moved = np.einsum(kernel, fresh + mine, arr, [..., *subs], [..., *out])
+        return moved.reshape(reps.shape)
 
-    return _affinity_from_rep_map(push, ambient, name)
+    return _affinity_from_rep_map(push, layout.ambient,
+                                  f"id*{phi.name}@{index}")

@@ -20,6 +20,45 @@ def diag_state(algebra, probs):
     return st._diag_state(algebra, np.asarray(probs, dtype=float))
 
 
+def complexified_tensor(phi):
+    """Action of the map on arbitrary complex matrices, as a 4-tensor
+    T[p, q, i, j] with Phi(M)[p, q] = sum_ij T[p, q, i, j] M[i, j]."""
+    m = phi.source.summands[0].size
+    algebra = phi.source
+    t = np.zeros((m, m, m, m), dtype=complex)
+    for i in range(m):
+        for j in range(m):
+            h1 = np.zeros((m, m), dtype=complex)
+            h1[i, j] += 0.5
+            h1[j, i] += 0.5
+            h2 = np.zeros((m, m), dtype=complex)
+            h2[i, j] += -0.5j
+            h2[j, i] += 0.5j
+            out1 = phi.apply_element(
+                ja.element_from_reps(algebra, [h1])
+            ).reps()[0]
+            out2 = phi.apply_element(
+                ja.element_from_reps(algebra, [h2])
+            ).reps()[0]
+            t[:, :, i, j] = out1 + 1j * out2
+    return t
+
+
+def traced_out(rep, embedding, sizes, keep):
+    """Partial trace by one ``np.trace`` per dropped factor, or the
+    classical axis sum."""
+    drop = [i for i in range(len(sizes)) if i not in keep]
+    if embedding == st.CLASSICAL_TENSOR:
+        return np.sum(rep.reshape(sizes), axis=tuple(drop)).reshape(-1)
+    t = rep.reshape(sizes + sizes)
+    k = len(sizes)
+    for i in reversed(drop):
+        t = np.trace(t, axis1=i, axis2=i + k)
+        k -= 1
+    d = int(np.prod([sizes[i] for i in keep]))
+    return t.reshape(d, d)
+
+
 def _quaternion_matmul(a, b):
     """Product of quaternionic matrices in their four real component
     matrices ``(..., 4, n, m)``."""
@@ -250,6 +289,19 @@ class TestTensorMarginal:
             atol=1e-13,
         )
 
+    @pytest.mark.parametrize("embedding", [st.COMPLEX_TENSOR,
+                                           st.CLASSICAL_TENSOR])
+    def test_three_factor_kronecker_products(self, embedding):
+        layout = st.composite_layout(embedding, (2, 3, 2))
+        rng = np.random.default_rng(8)
+        parts = [st.random_state(f, seed=rng) for f in layout.factors]
+        joint = st.tensor_state(parts, layout)
+        expected = parts[0].element.reps()[0]
+        for part in parts[1:]:
+            expected = np.kron(expected, part.element.reps()[0])
+        np.testing.assert_allclose(joint.element.reps()[0], expected,
+                                   rtol=0, atol=1e-15)
+
     def test_mixed_units(self):
         layout = st.composite_layout(st.COMPLEX_TENSOR, (2, 2))
         quarter = st.tensor(
@@ -329,6 +381,8 @@ class TestTensorMarginal:
         (st.COMPLEX_TENSOR, (2, 3), 0),
         (st.COMPLEX_TENSOR, (2, 3, 2), 1),
         (st.CLASSICAL_TENSOR, (2, 3, 2), 1),
+        (st.COMPLEX_TENSOR, (2, 3, 2), 2),
+        (st.CLASSICAL_TENSOR, (2, 3), 0),
     ])
     def test_lifted_channel_matches_per_element_push(self, embedding, sizes,
                                                      index):
@@ -352,7 +406,7 @@ class TestTensorMarginal:
                 arr = np.moveaxis(rep.reshape(sizes + sizes),
                                   (index, k + index), (k - 1, 2 * k - 1))
                 out = np.einsum("pqij,aibj->apbq",
-                                st._complexified_tensor(phi),
+                                complexified_tensor(phi),
                                 arr.reshape(rest, m, rest, m))
                 out = out.reshape(others + (m,) + others + (m,))
                 out = np.moveaxis(out, (k - 1, 2 * k - 1),
@@ -360,6 +414,22 @@ class TestTensorMarginal:
             cols.append(ja.element_from_reps(ambient, [out]).coeffs)
         np.testing.assert_allclose(lifted.matrix, np.array(cols).T, rtol=0,
                                    atol=1e-14)
+
+    @pytest.mark.parametrize("embedding,sizes", [
+        (st.COMPLEX_TENSOR, (2, 2, 2, 2)),
+        (st.COMPLEX_TENSOR, (2, 3, 2)),
+        (st.CLASSICAL_TENSOR, (2, 3, 2)),
+    ])
+    @pytest.mark.parametrize("keep", [[0, 2], [1, 3], [0, 1, 3]])
+    def test_marginal_matches_trace_loop(self, embedding, sizes, keep):
+        keep = [i for i in keep if i < len(sizes)]  # 3 only on four factors
+        layout = st.composite_layout(embedding, sizes)
+        sigma = st.random_state(layout.ambient, seed=17, layout=layout)
+        reduced = st.marginal(sigma, keep).element.reps()[0]
+        expected = traced_out(sigma.element.reps()[0], embedding, sizes,
+                              keep)
+        assert reduced.shape == expected.shape
+        np.testing.assert_allclose(reduced, expected, rtol=0, atol=1e-14)
 
     def test_real_embedding_has_no_marginal(self):
         layout = st.composite_layout(st.REAL_INTO_LARGER, (2, 2))
