@@ -47,7 +47,6 @@ __all__ = [
     "JordanElement",
     "SimpleFactor",
     "SpectralDecomposition",
-    "Spectrum",
     "apply_function",
     "basis_element",
     "classical",
@@ -623,16 +622,63 @@ def direct_sum(a: JordanElement, b: JordanElement) -> JordanElement:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class Spectrum:
-    """Fine eigenvalues, one per primitive idempotent.
+# Frobenius pairing of two reps times this constant is the trace inner
+# product: the quaternionic embedding doubles traces, and a spin rep is
+# its coefficient vector over sqrt(2)
+_PAIRING_SCALE = {"real": 1.0, "complex": 1.0, "quaternion": 0.5,
+                  "spin": 2.0, "classical": 1.0}
 
-    ``f(values).sum()`` is the trace of ``f`` of the element.  The grouped
-    spectrum, with near-equal eigenvalues merged, is built on first
-    access; it only shapes the distinct-eigenvalue view.
+
+class SpectralDecomposition:
+    """Fine eigenvalues with the Jordan frame of their primitive
+    idempotents.
+
+    ``frame`` holds one read-only stack per summand: the representations,
+    in the layout of :meth:`JordanElement.reps`, of that summand's
+    primitive idempotents, and ``values`` their eigenvalues in the same
+    order, summand after summand.  A simple algebra is the one-summand
+    case.  The frame is read through two methods: :meth:`function` builds
+    ``sum values[k] E_k`` and :meth:`weights` pairs each ``E_k`` with an
+    element, so the trace of ``f`` of the element is ``f(values).sum()``
+    and its pairing with ``y`` is ``f(values) @ weights(y)``.
+
+    ``eigenvalues`` (distinct, descending), ``multiplicities`` and
+    ``idempotents`` view the same data grouped: eigenvalues within
+    ``DEFAULT_GROUP_TOL`` merge at their mean, also across direct
+    summands, and their idempotents sum to one whose trace is the
+    multiplicity.
     """
 
-    values: np.ndarray
+    def __init__(self, algebra: Algebra, values: np.ndarray,
+                 frame: Sequence[np.ndarray]):
+        for stack in frame:
+            stack.flags.writeable = False
+        self.algebra = algebra
+        self.values = values
+        self.frame = tuple(frame)
+
+    def __reduce__(self):
+        # rebuild from the stored frame, so it is read-only again
+        return SpectralDecomposition, (self.algebra, self.values, self.frame)
+
+    def function(self, values) -> JordanElement:
+        """The element ``sum values[k] E_k``, built in representations."""
+        reps, start = [], 0
+        for stack in self.frame:
+            k = len(stack)
+            flat = values[start:start + k] @ stack.reshape(k, -1)
+            reps.append(flat.reshape(stack.shape[1:]))
+            start += k
+        return _element_with_reps(self.algebra, reps)
+
+    def weights(self, x: JordanElement) -> np.ndarray:
+        """The trace inner products ``<E_k, x>``."""
+        return np.concatenate([
+            _PAIRING_SCALE[s.kind]
+            * (stack.reshape(len(stack), -1) @ rep.ravel().conj()).real
+            for s, stack, rep in zip(self.algebra.summands, self.frame,
+                                     x.reps())
+        ])
 
     @cached_property
     def groups(self) -> tuple[np.ndarray, list[int]]:
@@ -663,99 +709,16 @@ class Spectrum:
         sums = np.add.reduceat(self.values[order], starts)
         return sums / self.multiplicities
 
-
-class SpectralDecomposition:
-    """Fine eigenvalues with the stack of their primitive idempotents.
-
-    Row ``k`` of ``rows`` holds the coefficients of the primitive
-    idempotent that belongs to ``values[k]``; the rows are a Jordan frame.
-    A function of the element is ``f(values) @ rows``, its trace is
-    ``f(values).sum()`` and a pairing with ``y`` is
-    ``f(values) @ (rows @ y.coeffs)``.  ``row_reps`` holds the same
-    idempotents as concrete representations, in the layout of
-    :meth:`JordanElement.reps`; it exists on simple algebras only.
-
-    A decomposition stores the stack it was computed as -- ``row_reps``
-    on simple algebras, where the eigensolver yields matrices, ``rows``
-    on direct sums -- and derives the other on first read as a read-only
-    array.  As on :class:`JordanElement`, the fill is a deterministic
-    function of the stored stack, which never changes, so it is safe to
-    share between threads.
-
-    ``eigenvalues`` (distinct, descending), ``multiplicities`` and
-    ``idempotents`` view the same data grouped: eigenvalues within
-    ``DEFAULT_GROUP_TOL`` merge at their mean, also across direct
-    summands, and their rows sum to one idempotent whose trace is the
-    multiplicity.
-    """
-
-    def __init__(self, spectrum: Spectrum, algebra: Algebra,
-                 rows: np.ndarray | None = None,
-                 row_reps: np.ndarray | None = None):
-        for stack in (rows, row_reps):
-            if stack is not None:
-                stack.flags.writeable = False
-        self.spectrum = spectrum
-        self.algebra = algebra
-        self._rows = rows
-        self._row_reps = row_reps
-
-    def __reduce__(self):
-        # rebuild from the stored stacks, so they are read-only again
-        return SpectralDecomposition, (
-            self.spectrum, self.algebra, self._rows, self._row_reps
-        )
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.spectrum.values
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        return self.spectrum.eigenvalues
-
-    @property
-    def multiplicities(self) -> np.ndarray:
-        return self.spectrum.multiplicities
-
-    @property
-    def rows(self) -> np.ndarray:
-        if self._rows is None:
-            (s,) = self.algebra.summands
-            rows = _COERCE_TO_COEFFS[s.kind](self._row_reps, s.size)
-            rows.flags.writeable = False
-            self._rows = rows
-        return self._rows
-
-    @property
-    def row_reps(self) -> np.ndarray:
-        if self._row_reps is None:
-            (s,) = self.algebra.summands
-            reps = _COERCE_TO_REP[s.kind](self._rows, s.size)
-            reps.flags.writeable = False
-            self._row_reps = reps
-        return self._row_reps
-
-    def with_values(self, values: np.ndarray) -> "SpectralDecomposition":
-        """The same Jordan frame with other fine eigenvalues."""
-        return SpectralDecomposition(Spectrum(values), self.algebra,
-                                     self._rows, self._row_reps)
-
     @cached_property
     def idempotents(self) -> tuple[JordanElement, ...]:
-        order, starts = self.spectrum.groups
-        sums = np.add.reduceat(self.rows[order], starts, axis=0)
-        return tuple(JordanElement(self.algebra, e) for e in sums)
-
-    def reconstruct(self) -> JordanElement:
-        """The element ``sum values[k] * row k``, built in the stored
-        view."""
-        if self._row_reps is None:
-            return JordanElement(self.algebra, self.values @ self._rows)
-        reps = self._row_reps
-        flat = self.values @ reps.reshape(len(reps), -1)
-        return _element_with_reps(self.algebra,
-                                  [flat.reshape(reps.shape[1:])])
+        """The sum of each group's primitive idempotents."""
+        order, starts = self.groups
+        out = []
+        for lo, hi in zip(starts, starts[1:] + [len(order)]):
+            mask = np.zeros(len(order))
+            mask[order[lo:hi]] = 1.0
+            out.append(self.function(mask))
+        return tuple(out)
 
     def fine_spectrum(self) -> np.ndarray:
         """One eigenvalue per primitive idempotent, descending."""
@@ -871,26 +834,13 @@ def spectral_decompose(a: JordanElement) -> SpectralDecomposition:
 
     The result is cached on the element.
     """
-    if a._spectral is not None:
-        return a._spectral
-    alg = a.algebra
-    parts = [_spectral_projections(s.kind, rep, s.size)
-             for s, rep in zip(alg.summands, a.reps())]
-    spectrum = Spectrum(np.concatenate([lam for lam, _ in parts]))
-    if len(parts) == 1:
-        a._spectral = SpectralDecomposition(spectrum, alg,
-                                            row_reps=parts[0][1])
-        return a._spectral
-    # a direct sum keeps the idempotents' coefficients, zero outside
-    # their own summand
-    rows = np.zeros((len(spectrum.values), alg.dim))
-    start = 0
-    for s, sl, (lam, projs) in zip(alg.summands, alg.slices(), parts):
-        rows[start:start + len(lam), sl] = _COERCE_TO_COEFFS[s.kind](
-            projs, s.size
+    if a._spectral is None:
+        parts = [_spectral_projections(s.kind, rep, s.size)
+                 for s, rep in zip(a.algebra.summands, a.reps())]
+        a._spectral = SpectralDecomposition(
+            a.algebra, np.concatenate([lam for lam, _ in parts]),
+            [projs for _, projs in parts],
         )
-        start += len(lam)
-    a._spectral = SpectralDecomposition(spectrum, alg, rows=rows)
     return a._spectral
 
 
@@ -912,8 +862,7 @@ def apply_function(
                     f"eigenvalue {lam!r} outside the domain of {f!r}",
                     value=lam,
                 )
-    image = np.array([f(lam) for lam in dec.values], dtype=float)
-    return JordanElement(a.algebra, image @ dec.rows)
+    return dec.function(np.array([f(lam) for lam in dec.values], dtype=float))
 
 
 def embed_quaternion(a: JordanElement) -> JordanElement:

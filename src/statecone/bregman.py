@@ -111,8 +111,7 @@ class BregmanGenerator:
 
     def gradient(self, x: JordanElement) -> JordanElement:
         dec = spectral_decompose(x)
-        return (JordanElement(x.algebra, self.df(dec.values) @ dec.rows)
-                + self._affine_part(x.algebra))
+        return dec.function(self.df(dec.values)) + self._affine_part(x.algebra)
 
 
 def _log_on_support(lam: np.ndarray) -> np.ndarray:
@@ -154,7 +153,7 @@ def _weighted_sum(terms, lam: np.ndarray) -> np.ndarray:
 def log_on_support(x: JordanElement) -> JordanElement:
     """Spectral logarithm with kernel directions mapped to zero."""
     dec = spectral_decompose(x)
-    return JordanElement(x.algebra, _log_on_support(dec.values) @ dec.rows)
+    return dec.function(_log_on_support(dec.values))
 
 
 def neg_entropy() -> BregmanGenerator:
@@ -254,7 +253,7 @@ def bregman_divergence(
     y = sigma.element if isinstance(sigma, State) else sigma
     x._require_same(y)
     dec = spectral_decompose(y)
-    return _divergence(F, x, dec.values, dec.rows @ x.coeffs)
+    return _divergence(F, x, dec.values, dec.weights(x))
 
 
 def information_divergence(
@@ -270,12 +269,12 @@ def information_divergence(
     y = sigma.element if isinstance(sigma, State) else sigma
     x._require_same(y)
     dy = spectral_decompose(y)
-    outside = (dy.values <= SUPPORT_CUTOFF) @ (dy.rows @ x.coeffs)
-    if abs(outside) > SUPPORT_TOL:
+    p = dy.weights(x)
+    if abs((dy.values <= SUPPORT_CUTOFF) @ p) > SUPPORT_TOL:
         return math.inf
     dx = spectral_decompose(x)
     value = float(_xlogx(np.clip(dx.values, 0, None)).sum())
-    value -= inner_product(log_on_support(y), x)
+    value -= float(_log_on_support(dy.values) @ p)
     value -= trace(x) - trace(y)
     return value
 

@@ -18,7 +18,14 @@ import numpy as np
 from . import algebras as alg
 from .algebras import Algebra, JordanElement, spectral_decompose
 from . import states as st
-from .states import SUPPORT_CUTOFF, Measurement, State, Test, measure
+from .states import (
+    NORMALIZATION_TOL,
+    SUPPORT_CUTOFF,
+    Measurement,
+    State,
+    Test,
+    measure,
+)
 
 __all__ = [
     "EntropyBoundError",
@@ -55,7 +62,7 @@ class EntropyReport:
         return asdict(self)
 
 
-def shannon_entropy(p, tol: float = 1e-8) -> float:
+def shannon_entropy(p, tol: float = NORMALIZATION_TOL) -> float:
     """Shannon entropy in nats, with 0 ln 0 = 0.
 
     The vector is renormalized if its sum is within ``tol`` of one;
@@ -69,14 +76,14 @@ def shannon_entropy(p, tol: float = 1e-8) -> float:
         raise ValueError(f"probabilities sum to {total!r}")
     p = np.clip(p, 0.0, None) / total
     mask = p > SUPPORT_CUTOFF
-    return float(-np.sum(p[mask] * np.log(p[mask])))
+    return float(np.sum(-p[mask] * np.log(p[mask])))
 
 
 def spectral_entropy(sigma: State) -> float:
     """Entropy from the spectrum, eigenvalues below cutoff contributing 0."""
     lam = spectral_decompose(sigma.element).values
     mask = lam > SUPPORT_CUTOFF
-    return float(-np.sum(lam[mask] * np.log(lam[mask])))
+    return float(np.sum(-lam[mask] * np.log(lam[mask])))
 
 
 def decomposition_entropy(
@@ -115,11 +122,10 @@ def _pure_vectors(sigma: State):
     """The fine eigenvalues above the support cutoff with their primitive
     idempotents, by descending eigenvalue."""
     dec = spectral_decompose(sigma.element)
-    order, _ = dec.spectrum.groups
+    order, _ = dec.groups
     kept = order[dec.values[order] > SUPPORT_CUTOFF]
-    return dec.values[kept], [
-        JordanElement(sigma.algebra, row) for row in dec.rows[kept]
-    ]
+    one_hot = np.eye(len(order))
+    return dec.values[kept], [dec.function(one_hot[k]) for k in kept]
 
 
 def sample_pure_decomposition(sigma: State, rng):
@@ -265,13 +271,13 @@ def _row_entropies(p: np.ndarray) -> np.ndarray:
     be summed in another order).
     """
     mask = p > SUPPORT_CUTOFF
-    terms = p[mask] * np.log(p[mask])
+    terms = -p[mask] * np.log(p[mask])
     counts = mask.sum(axis=-1)
     starts = np.cumsum(counts) - counts
     h = np.empty(len(p))
     for k in np.unique(counts):
         rows = np.flatnonzero(counts == k)
-        h[rows] = -terms[starts[rows, None] + np.arange(k)].sum(axis=-1)
+        h[rows] = terms[starts[rows, None] + np.arange(k)].sum(axis=-1)
     return h
 
 

@@ -123,14 +123,21 @@ def random_partitioned_state(
 def _disjoint_indices(pstate: PartitionedState,
                       *label_sets: Sequence[str]) -> list[tuple[int, ...]]:
     """The factor indices of each label set, once the sets are checked to
-    be disjoint; an unknown label is reported with every label of the
-    call."""
+    be disjoint and free of repeats; an unknown label is reported with
+    every label of the call."""
     every = [l for labels in label_sets for l in labels]
     seen = set()
-    for l in every:
-        if l in seen:
-            raise OverlapError(f"label {l!r} appears in two subsets")
-        seen.add(l)
+    for labels in label_sets:
+        own = set()
+        for l in labels:
+            if l in own:
+                raise OverlapError(
+                    f"label {l!r} is repeated in the set {list(labels)!r}"
+                )
+            if l in seen:
+                raise OverlapError(f"label {l!r} appears in two subsets")
+            own.add(l)
+        seen |= own
     try:
         return [pstate.indices(labels) for labels in label_sets]
     except UnknownLabelError as exc:
@@ -161,7 +168,7 @@ def _product_divergence(F: BregmanGenerator, pstate: PartitionedState,
     mu = np.ones(1)
     for g, indices in enumerate(groups):
         dec = alg.spectral_decompose(pstate._marginal(indices).element)
-        idem = dec.row_reps
+        idem = dec.frame[0]
         own = layout._axes_of(indices)
         operands += [idem.reshape([len(idem)] + [shape[a] for a in own]),
                      [len(shape) + g] + own]

@@ -25,7 +25,6 @@ from .algebras import (
     JordanElement,
     SimpleFactor,
     SpectralDecomposition,
-    Spectrum,
     classical,
     complex_hermitian,
     element_from_reps,
@@ -73,6 +72,9 @@ SUPPORT_CUTOFF = 1e-12
 # eigenvalues down to -SUPPORT_TOL stay in the entropy domain and the
 # cone; mass up to SUPPORT_TOL outside a reference's support counts as none
 SUPPORT_TOL = 1e-9
+# state traces, measurement unit sums and probability vectors may miss
+# one by this much
+NORMALIZATION_TOL = 1e-8
 
 
 class StateValidationError(ValueError):
@@ -205,7 +207,7 @@ class State:
             raise StateValidationError("state coefficients must be finite")
         dec = spectral_decompose(element)
         tr = float(dec.values.sum())
-        if not abs(tr - 1.0) <= 1e-8:
+        if not abs(tr - 1.0) <= NORMALIZATION_TOL:
             raise StateValidationError(f"trace {tr!r} is not 1")
         lo = float(np.min(dec.values))
         if lo < -clip_tol:
@@ -213,9 +215,10 @@ class State:
                 f"minimum eigenvalue {lo!r} below -{clip_tol}"
             )
         if lo < 0.0:
-            dec = dec.with_values(np.maximum(dec.values, 0.0))
-            element = dec.reconstruct()
-            element._spectral = dec
+            values = np.maximum(dec.values, 0.0)
+            element = dec.function(values)
+            element._spectral = SpectralDecomposition(dec.algebra, values,
+                                                      dec.frame)
         return cls(element, layout)
 
     def spectrum(self) -> np.ndarray:
@@ -267,7 +270,7 @@ class Measurement:
         for _, t in self.outcomes[1:]:
             total = total + t.element
         gap = alg.norm(total - unit(total.algebra))
-        if gap > 1e-8:
+        if gap > NORMALIZATION_TOL:
             raise ValueError(f"tests sum to unit only within {gap:.3e}")
 
     @property
@@ -292,7 +295,8 @@ def measure(m: Measurement, sigma: State) -> np.ndarray:
             f"measurement on {m.algebra}, state on {sigma.algebra}"
         )
     probs = np.array([t(sigma) for _, t in m.outcomes])
-    if np.any(probs < -1e-8) or abs(probs.sum() - 1.0) > 1e-8:
+    if (np.any(probs < -NORMALIZATION_TOL)
+            or abs(probs.sum() - 1.0) > NORMALIZATION_TOL):
         raise ValueError(
             f"invalid outcome distribution {probs} (sum {probs.sum()!r})"
         )
@@ -303,10 +307,10 @@ def spectral_measurement(sigma: State) -> Measurement:
     """Measurement whose tests are the primitive idempotents of the
     state's Jordan frame, by descending eigenvalue."""
     dec = spectral_decompose(sigma.element)
-    order, _ = dec.spectrum.groups
+    order, _ = dec.groups
+    one_hot = np.eye(len(order))
     return Measurement(tuple(
-        (k, Test(JordanElement(dec.algebra, dec.rows[i])))
-        for k, i in enumerate(order)
+        (k, Test(dec.function(one_hot[i]))) for k, i in enumerate(order)
     ))
 
 
@@ -341,15 +345,15 @@ def fine_grain(m: Measurement) -> Measurement:
     outcomes = []
     for label, t in m.outcomes:
         dec = spectral_decompose(t.element)
-        order, starts = dec.spectrum.groups
+        order, starts = dec.groups
         bounds = starts + [len(order)]
+        scaled = np.diag(dec.values)
         for i, lam in enumerate(dec.eigenvalues):
             if lam <= SUPPORT_CUTOFF:
                 continue
             for j, k in enumerate(order[bounds[i]:bounds[i + 1]]):
-                row = dec.values[k] * dec.rows[k]
                 outcomes.append(
-                    ((label, i, j), Test(JordanElement(m.algebra, row)))
+                    ((label, i, j), Test(dec.function(scaled[k])))
                 )
     return Measurement(tuple(outcomes))
 
@@ -370,7 +374,7 @@ def are_singular(rho: State, sigma: State, tol: float = CLIP_TOL) -> bool:
 def support_projection(element: JordanElement,
                        cutoff: float = SUPPORT_CUTOFF) -> JordanElement:
     dec = spectral_decompose(element)
-    return JordanElement(element.algebra, (dec.values > cutoff) @ dec.rows)
+    return dec.function((dec.values > cutoff).astype(float))
 
 
 def singularity_witness(rho: State, sigma: State,
@@ -424,12 +428,12 @@ def _product_spectrum(
 ) -> SpectralDecomposition:
     """The product spectral decomposition from factor spectra: products of
     factor eigenvalues with Kronecker products of the factors' idempotent
-    matrices, kept as the decomposition's ``row_reps``."""
+    matrices as the frame."""
     decs = [spectral_decompose(f) for f in factors]
     values = reduce(np.multiply.outer, [d.values for d in decs], np.ones(1))
     return SpectralDecomposition(
-        Spectrum(values.ravel()), layout.ambient,
-        row_reps=_kron_stacks(layout, [d.row_reps for d in decs]),
+        layout.ambient, values.ravel(),
+        [_kron_stacks(layout, [d.frame[0] for d in decs])],
     )
 
 

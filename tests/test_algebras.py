@@ -195,7 +195,7 @@ class TestSpectral:
         np.testing.assert_allclose(dec.eigenvalues, [0.9, -0.1], atol=1e-12)
         for e in dec.idempotents:
             assert ja.norm(ja.jordan_product(e, e) - e) < 1e-12
-        assert ja.norm(dec.reconstruct() - el) < 1e-12
+        assert ja.norm(dec.function(dec.values) - el) < 1e-12
 
     @pytest.mark.parametrize("algebra", ALL_SIMPLE)
     def test_invariants(self, algebra):
@@ -211,7 +211,7 @@ class TestSpectral:
                     ja.jordan_product(e, dec.idempotents[j])
                 ) < 1e-10
         assert ja.norm(total - ja.unit(algebra)) < 1e-10
-        assert ja.norm(dec.reconstruct() - el) < 1e-10
+        assert ja.norm(dec.function(dec.values) - el) < 1e-10
 
     def test_reference_solver_agreement(self):
         rng = np.random.default_rng(3)
@@ -466,9 +466,9 @@ def sorted_spectrum(kind, m):
 
 def assert_valid_decomposition(el, dec):
     """The grouped idempotents are orthogonal and sum to the unit, and the
-    rows are a Jordan frame whose values reconstruct ``el``: rank many,
-    each of trace one and idempotent, pairwise orthogonal and summing to
-    the unit."""
+    frame is a Jordan frame whose values rebuild ``el``: rank many
+    primitive idempotents, each of trace one and idempotent, pairwise
+    orthogonal and summing to the unit."""
     algebra = el.algebra
     assert np.all(np.diff(dec.eigenvalues) < 0)
     total = ja.zero(algebra)
@@ -478,7 +478,7 @@ def assert_valid_decomposition(el, dec):
             assert ja.norm(ja.jordan_product(e, f)) < 1e-10
         total = total + e
     assert ja.norm(total - ja.unit(algebra)) < 1e-10
-    rows = [ja.JordanElement(algebra, row) for row in dec.rows]
+    rows = [dec.function(e) for e in np.eye(len(dec.values))]
     assert len(rows) == algebra.rank
     for i, p in enumerate(rows):
         assert ja.trace(p) == pytest.approx(1.0, rel=0, abs=1e-10)
@@ -486,7 +486,8 @@ def assert_valid_decomposition(el, dec):
         for q in rows[:i]:
             assert ja.norm(ja.jordan_product(p, q)) < 1e-10
     assert ja.norm(sum(rows[1:], rows[0]) - ja.unit(algebra)) < 1e-10
-    assert ja.norm(dec.reconstruct() - el) < 1e-10 * max(1.0, ja.norm(el))
+    assert (ja.norm(dec.function(dec.values) - el)
+            < 1e-10 * max(1.0, ja.norm(el)))
 
 
 class TestNativeSpectral:
@@ -597,6 +598,46 @@ class TestJordanFrame:
             assert_valid_decomposition(el, ja.spectral_decompose(el))
 
 
+def coefficient_rows(dec):
+    """The frame as coefficient rows, zero outside each idempotent's own
+    summand."""
+    rows, start = np.zeros((len(dec.values), dec.algebra.dim)), 0
+    for s, sl, stack in zip(dec.algebra.summands, dec.algebra.slices(),
+                            dec.frame):
+        rows[start:start + len(stack), sl] = ja._COERCE_TO_COEFFS[s.kind](
+            stack, s.size
+        )
+        start += len(stack)
+    return rows
+
+
+FRAME_ALGEBRAS = ALL_SIMPLE + [ja.Algebra(
+    ja.complex_hermitian(2).summands + ja.spin_factor(3).summands
+    + ja.classical(2).summands
+)]
+
+
+class TestFrameReaders:
+    """``weights`` and ``function`` agree with the coefficient rows of the
+    frame."""
+
+    @pytest.mark.parametrize("algebra", FRAME_ALGEBRAS, ids=str)
+    def test_weights_match_coefficient_rows(self, algebra):
+        dec = ja.spectral_decompose(random_element(algebra, 22))
+        x = random_element(algebra, 23)
+        np.testing.assert_allclose(dec.weights(x),
+                                   coefficient_rows(dec) @ x.coeffs,
+                                   rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("algebra", FRAME_ALGEBRAS, ids=str)
+    def test_function_matches_coefficient_build(self, algebra):
+        dec = ja.spectral_decompose(random_element(algebra, 24))
+        v = np.random.default_rng(25).normal(size=len(dec.values))
+        np.testing.assert_allclose(dec.function(v).coeffs,
+                                   v @ coefficient_rows(dec),
+                                   rtol=0, atol=1e-14)
+
+
 class TestBasisMaps:
     @pytest.mark.parametrize("kind", MATRIX_KINDS)
     @pytest.mark.parametrize("n", range(1, 7))
@@ -636,38 +677,39 @@ class TestBasisMaps:
 
     @pytest.mark.parametrize("algebra", ALL_SIMPLE, ids=str)
     def test_row_reps_cached_read_only(self, algebra):
-        # a simple algebra's decomposition stores the idempotent reps the
-        # eigensolver gave and derives the coefficient rows on first read
-        dec = ja.spectral_decompose(random_element(algebra, 19))
+        # a decomposition stores the idempotent reps the eigensolver gave,
+        # one stack per summand, read-only, and pickling restores them bit
+        # for bit and read-only again
+        el = random_element(algebra, 19)
+        dec = ja.spectral_decompose(el)
         s = algebra.summands[0]
-        assert dec._rows is None
-        stored = dec.row_reps
-        assert dec.row_reps is stored and dec._rows is None
-        rows = dec.rows
-        assert dec.rows is rows
+        (stored,) = dec.frame
+        assert len(stored) == algebra.rank
         np.testing.assert_array_equal(
-            rows, ja._COERCE_TO_COEFFS[s.kind](stored, s.size), strict=True
+            stored, ja._spectral_projections(s.kind, el.reps()[0], s.size)[1],
+            strict=True,
         )
-        np.testing.assert_allclose(
-            stored, ja._COERCE_TO_REP[s.kind](rows, s.size),
-            rtol=0, atol=1e-15,
-        )
-        for stack in (stored, rows):
-            assert not stack.flags.writeable
-            with pytest.raises(ValueError):
-                stack[...] = 0.0
+        assert not stored.flags.writeable
+        with pytest.raises(ValueError):
+            stored[...] = 0.0
         back = pickle.loads(pickle.dumps(dec))
-        for got, want in ((back.row_reps, stored), (back.rows, rows)):
-            assert not got.flags.writeable
-            np.testing.assert_array_equal(got, want, strict=True)
+        (got,) = back.frame
+        assert not got.flags.writeable
+        np.testing.assert_array_equal(got, stored, strict=True)
+        np.testing.assert_array_equal(back.values, dec.values, strict=True)
 
-    def test_direct_sum_rows_stored_row_reps_refused(self):
+    def test_direct_sum_frame_per_summand(self):
+        # a direct sum keeps one stack of idempotent reps per summand,
+        # with its values in summand order
         algebra = ja.Algebra(ja.complex_hermitian(2).summands
                              + ja.classical(2).summands)
-        dec = ja.spectral_decompose(random_element(algebra, 20))
-        assert dec._row_reps is None and not dec.rows.flags.writeable
-        with pytest.raises(ValueError):
-            dec.row_reps
+        el = random_element(algebra, 20)
+        dec = ja.spectral_decompose(el)
+        assert [stack.shape for stack in dec.frame] == [(2, 2, 2), (2, 2)]
+        for stack in dec.frame:
+            assert not stack.flags.writeable
+        np.testing.assert_array_equal(dec.values[2:], el.reps()[1])
+        assert ja.norm(dec.function(dec.values) - el) < 1e-14
 
     @pytest.mark.parametrize("algebra", ALL_SIMPLE, ids=str)
     def test_element_from_reps_does_not_alias(self, algebra):

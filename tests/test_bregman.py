@@ -354,6 +354,19 @@ class TestMonotonicity:
             )
             assert after == pytest.approx(before, abs=1e-10)
 
+    def test_mono_run_converts_at_most_147_times(self, monkeypatch):
+        # divergences pair the reference's frame with the first argument
+        # in reps, so no coefficient rows are derived
+        calls = []
+        for table in (ja._COERCE_TO_REP, ja._COERCE_TO_COEFFS):
+            def recording(c, n, convert=table["complex"]):
+                calls.append(c.shape)
+                return convert(c, n)
+
+            monkeypatch.setitem(table, "complex", recording)
+        br.check_monotonicity(NE, C3, n_trials=24, seed=0)
+        assert len(calls) <= 147, len(calls)
+
     def test_catalog_only_pool_is_reported(self):
         verdict = br.check_monotonicity(
             NE, ja.spin_factor(3), n_trials=40, seed=26

@@ -338,10 +338,15 @@ class TestBadInput:
         (("chsh", "--box", "pr", "--extra"), "unrecognized arguments"),
         (("chsh", "--box", "pr", "--json"),
          "unrecognized arguments: --json"),
+        (("mi", "--a", "A,A", "--b", "B"),
+         "label 'A' is repeated in the set ['A', 'A']"),
     ], ids=["unknown-property", "missing-option", "bad-int",
             "unknown-command", "no-command", "extra-argument",
-            "removed-json-flag"])
-    def test_argument_errors_are_json(self, capsys, argv, named):
+            "removed-json-flag", "label-repeated-in-a-set"])
+    def test_argument_errors_are_json(self, capsys, state_files, argv,
+                                      named):
+        if argv[:1] == ("mi",):
+            argv += ("--state", str(state_files["bell"]))
         code, error = run_cli_error(capsys, *argv)
         assert code == 2
         assert named in error["error"]

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -210,6 +212,23 @@ class TestFineGrainedBound:
         assert report.spectral == pytest.approx(0.0, abs=1e-9)
         assert report.decomposition == pytest.approx(0.0, abs=1e-9)
         assert report.fine_grained_upper == pytest.approx(0.0, abs=1e-9)
+
+    @pytest.mark.parametrize("algebra", [
+        ja.real_hermitian(3), C2, ja.quaternion_hermitian(2),
+        ja.spin_factor(3), ja.classical(3),
+    ], ids=str)
+    def test_pure_state_entropies_are_positive_zero(self, algebra):
+        # a zero entropy prints as 0.0, never as -0.0
+        if algebra.summands[0].kind == "spin":
+            pure = st.State.make(ja.element_from_reps(
+                algebra, [np.array([0.5, 0.5, 0.0, 0.0])]
+            ))
+        else:
+            pure = st._diag_state(algebra, np.eye(algebra.rank)[0])
+        report = en.fine_grained_entropy_bound(pure, n_samples=20, seed=0)
+        for value in (report.spectral, report.decomposition,
+                      report.fine_grained_upper, report.fine_grained_lower):
+            assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
     def test_maximally_mixed_qubit_projective_values(self):
         # every rank-one projective basis scores exactly ln 2, one basis

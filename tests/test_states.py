@@ -236,12 +236,12 @@ class TestFineGraining:
 
     @pytest.mark.parametrize("algebra", ALL_SIMPLE)
     def test_primitive_split(self, algebra):
-        # the rows of the unit's decomposition split it into rank
+        # the frame of the unit's decomposition splits it into rank
         # primitive idempotents
         u = ja.unit(algebra)
-        rows = ja.spectral_decompose(u).rows
-        assert len(rows) == algebra.rank
-        parts = [ja.JordanElement(algebra, row) for row in rows]
+        dec = ja.spectral_decompose(u)
+        assert len(dec.values) == algebra.rank
+        parts = [dec.function(e) for e in np.eye(algebra.rank)]
         total = ja.zero(algebra)
         for i, p in enumerate(parts):
             assert ja.trace(p) == pytest.approx(1.0, abs=1e-9)
@@ -466,7 +466,7 @@ class TestTensorMarginal:
         assert len(dec.eigenvalues) == np.prod(sizes)
         np.testing.assert_allclose(dec.multiplicities, 1.0, rtol=0,
                                    atol=1e-12)
-        assert ja.norm(dec.reconstruct() - joint.element) < 1e-12
+        assert ja.norm(dec.function(dec.values) - joint.element) < 1e-12
         for e in dec.idempotents:
             assert ja.norm(ja.jordan_product(e, e) - e) < 1e-12
 
