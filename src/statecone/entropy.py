@@ -247,12 +247,10 @@ def random_fine_grained_measurement(algebra: Algebra, rng) -> Measurement:
     return Measurement(tuple(outcomes))
 
 
-def _basis_probs(kind: str, m: np.ndarray, draws) -> np.ndarray:
+def _basis_probs(kind: str, m: np.ndarray, draws: np.ndarray) -> np.ndarray:
     """Outcome probabilities of the state with matrix representation ``m``
-    in the bases built from a sequence of draws, one row per basis."""
-    if kind == "classical":
-        return np.tile(m, (len(draws), 1))
-    q = st._random_frames(kind, np.stack(draws))
+    in the bases built from a stack of draws, one row per basis."""
+    q = st._random_frames(kind, draws)
     if kind == "spin":
         # a matrix-vector product would not sum as the 1-D dots do
         overlap = (q[:, None, :] @ m[1:, None])[:, 0, 0]
@@ -281,32 +279,35 @@ def _row_entropies(p: np.ndarray) -> np.ndarray:
     return h
 
 
-def _fine_entropies(sigma: State, n_samples: int, rng) -> np.ndarray:
+def _fine_entropies(sigma: State, n_samples: int, rng, bases) -> np.ndarray:
     """Entropies of ``n_samples`` random fine-grained measurements.
 
     Half the samples are projective bases, the other half overcomplete
     blends ``t * first + (1 - t) * second`` of two bases (except on
     classical factors, where splitting each coordinate of the fixed
-    basis plays that role).  The draws are taken per sample, in that
-    order; the probabilities of all bases are then computed in one
-    stacked step.
+    basis plays that role).  Two streams feed them, each read in sample
+    order: ``rng`` gives every sample a coin and a blend weight, and
+    ``bases`` gives each sample's first basis, then its second if it
+    blends.  Consecutive calls therefore draw what one call over all
+    their samples draws.  All bases are drawn in one call and scored as
+    one stack.
     """
     s = sigma.algebra.summands[0]
     m = sigma.element.reps()[0]
-    draws, first, second, t = [], [], [], []
-    for _ in range(n_samples):
-        first.append(len(draws))
-        draws.append(st._draw_basis(s.kind, s.size, rng))
-        if rng.uniform() < 0.5:
-            t.append(1.0)  # projective: all weight on the first basis
-        else:
-            t.append(rng.uniform(0.2, 0.8))
-            if s.kind != "classical":
-                draws.append(st._draw_basis(s.kind, s.size, rng))
-        second.append(len(draws) - 1)
-    probs = _basis_probs(s.kind, m, draws)
-    t = np.array(t)[:, None]
-    p = np.concatenate([t * probs[first], (1.0 - t) * probs[second]], axis=1)
+    coin, u = rng.uniform(size=(n_samples, 2)).T
+    blend = coin >= 0.5
+    # projective samples put all weight on the first basis
+    t = np.where(blend, 0.2 + 0.6 * u, 1.0)[:, None]
+    if s.kind == "classical":
+        first = second = m[None, :]
+    else:
+        count = 1 + blend
+        at = np.cumsum(count) - count
+        probs = _basis_probs(s.kind, m, st._draw_basis(
+            s.kind, s.size, bases, (int(count.sum()),)
+        ))
+        first, second = probs[at], probs[at + blend]
+    p = np.concatenate([t * first, (1.0 - t) * second], axis=1)
     return _row_entropies(np.clip(p, 0.0, None))
 
 
@@ -327,6 +328,7 @@ def fine_grained_entropy_bound(
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     rng = st._as_rng(seed)
+    bases = rng.spawn(1)[0]
     h_spec = spectral_entropy(sigma)
     h_dec = decomposition_entropy(sigma)
 
@@ -340,7 +342,7 @@ def fine_grained_entropy_bound(
 
     for start in range(0, n_samples, SAMPLE_CHUNK):
         sampled = _fine_entropies(
-            sigma, min(SAMPLE_CHUNK, n_samples - start), rng
+            sigma, min(SAMPLE_CHUNK, n_samples - start), rng, bases
         )
         under = np.flatnonzero(sampled < h_spec - SQUEEZE_TOL)
         if under.size:

@@ -725,19 +725,25 @@ def _automorphism(algebra: Algebra, rng) -> tuple[Affinity, Affinity]:
     return fwd, rev
 
 
-def _draw_basis(kind: str, size: int, rng):
+def _draw_basis(kind: str, size: int, rng, batch: tuple = ()):
     """The Gaussian draw behind one random frame of :func:`_random_frames`
     (``None`` on classical factors, whose basis is fixed): a vector on
     spin factors, a square matrix on real and complex ones, and the four
-    real component matrices of a quaternionic one."""
+    real component matrices of a quaternionic one.
+
+    A ``batch`` shape draws that many frames in one call, in row-major
+    order; they equal as many single draws made one after another and
+    leave ``rng`` where those leave it.  A complex matrix is its real
+    part then its imaginary part."""
     if kind == "spin":
-        return rng.normal(size=size)
+        return rng.normal(size=batch + (size,))
     if kind == "real":
-        return rng.normal(size=(size, size))
+        return rng.normal(size=batch + (size, size))
     if kind == "complex":
-        return rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+        g = rng.normal(size=batch + (2, size, size))
+        return g[..., 0, :, :] + 1j * g[..., 1, :, :]
     if kind == "quaternion":
-        return rng.normal(size=(4, size, size))
+        return rng.normal(size=batch + (4, size, size))
     return None
 
 

@@ -1,0 +1,120 @@
+"""Write the golden CLI reports that ``tests/test_golden.py`` replays.
+
+Run from the repository root:
+
+    PYTHONPATH=src python tests/golden/generate.py
+
+The state files under ``states/`` are inputs: they are written once,
+from fixed seeds, and kept as they are when present, so a later change
+to the random state samplers does not change them.  Every case is then
+run through ``statecone.cli.main`` in this process, and its exit code
+and parsed JSON output (the report on stdout, or the error on stderr)
+are written to ``expected.json``.  Regenerate only when a change means
+to alter a report, and say which entries changed and why.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import sys
+from functools import partial
+from pathlib import Path
+
+from statecone import serialize as sz
+from statecone import states as st
+from statecone.cli import main as cli_main
+
+HERE = Path(__file__).resolve().parent
+EXPECTED = HERE / "expected.json"
+
+# (file stem, algebra, seed of its full-rank and pure states)
+ALGEBRAS = [
+    ("R3", {"type": "real", "n": 3}, 31),
+    ("C2", {"type": "complex", "n": 2}, 32),
+    ("C4", {"type": "complex", "n": 4}, 33),
+    ("H2", {"type": "quaternion", "n": 2}, 34),
+    ("S3", {"type": "spin", "n": 3}, 35),
+    ("P4", {"type": "classical", "n": 4}, 36),
+]
+SHAPES = ("full", "pure", "mixed")
+# sample counts with their seeds; 1500 spans two sampling chunks
+SAMPLES = ((1, 5), (200, 0), (1500, 9))
+DIRECT_SUM = {
+    "algebra": [{"type": "complex", "n": 2}, {"type": "classical", "n": 2}],
+    "coeffs": [0.3, 0.2, 0.05, -0.02, 0.3, 0.2],
+    "kind": "state",
+}
+
+
+def _state_doc(spec: dict, shape: str, seed: int) -> dict:
+    algebra = sz.algebra_from_json([spec])
+    if shape == "mixed":
+        state = st.maximally_mixed(algebra)
+    else:
+        rank_cap = 1 if shape == "pure" else None
+        state = st.random_state(algebra, rank_cap=rank_cap, seed=seed)
+    return sz.state_to_json(state)
+
+
+def write_states() -> None:
+    """Write every missing state file; existing ones are kept."""
+    (HERE / "states").mkdir(exist_ok=True)
+    makers = {"C2+P2": lambda: DIRECT_SUM}
+    for stem, spec, seed in ALGEBRAS:
+        for shape in SHAPES:
+            makers[f"{stem}-{shape}"] = partial(_state_doc, spec, shape, seed)
+    for name, make in makers.items():
+        path = HERE / "states" / f"{name}.json"
+        if not path.exists():
+            path.write_text(json.dumps(make(), sort_keys=True) + "\n")
+
+
+def cases() -> list[list[str]]:
+    """Every argv, with state paths relative to this directory."""
+    argvs = []
+    for stem, _, _ in ALGEBRAS:
+        for shape in SHAPES:
+            path = f"states/{stem}-{shape}.json"
+            for samples, seed in SAMPLES:
+                argvs.append(["entropy", "--state", path, "--samples",
+                              str(samples), "--seed", str(seed)])
+        argvs.append(["entropy", "--state", f"states/{stem}-full.json",
+                      "--samples", "200", "--seed", "3", "--bits"])
+    # usage errors: exit 2 with a JSON error
+    argvs.append(["entropy", "--state", "states/C2-full.json",
+                  "--samples", "0"])
+    argvs.append(["entropy", "--state", "states/C2+P2.json"])
+    return argvs
+
+
+def run_case(argv: list[str]) -> dict:
+    """Exit code and parsed output of one CLI run, from this directory."""
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(HERE)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli_main(list(argv))
+    finally:
+        os.chdir(cwd)
+    return {
+        "argv": list(argv),
+        "exit": code,
+        "stdout": json.loads(out.getvalue()) if out.getvalue() else None,
+        "stderr": json.loads(err.getvalue()) if err.getvalue() else None,
+    }
+
+
+def main() -> int:
+    write_states()
+    entries = [run_case(argv) for argv in cases()]
+    EXPECTED.write_text(json.dumps(entries, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(entries)} entries to {EXPECTED}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -518,6 +518,35 @@ class TestRandomStates:
         se = vals.std(ddof=1) / np.sqrt(n_samples)
         assert abs(vals.mean() - 1.0 / 3.0) < 3.0 * se + 1e-3
 
+    @pytest.mark.parametrize("kind", ["real", "complex", "quaternion",
+                                      "spin", "classical"])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_batched_draw_equals_single_draws(self, kind, n):
+        batch_rng = np.random.default_rng(60 + n)
+        single_rng = np.random.default_rng(60 + n)
+        batched = st._draw_basis(kind, n, batch_rng, (7,))
+        singles = [st._draw_basis(kind, n, single_rng) for _ in range(7)]
+        if kind == "classical":
+            assert batched is None and singles == [None] * 7
+        else:
+            assert batched.shape == (7,) + singles[0].shape
+            assert np.array_equal(batched, np.stack(singles))
+        # both leave the generator at the same place
+        assert batch_rng.uniform() == single_rng.uniform()
+
+    def test_complex_draw_is_real_then_imaginary_part(self):
+        # pins the streams of random_state and random_channel on complex
+        # factors
+        rng = np.random.default_rng(62)
+        reference = np.random.default_rng(62)
+        g = st._draw_basis("complex", 3, rng)
+        assert np.array_equal(
+            g,
+            reference.normal(size=(3, 3))
+            + 1j * reference.normal(size=(3, 3)),
+        )
+        assert rng.uniform() == reference.uniform()
+
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_stacked_quaternion_unitaries_equal_slices(self, n):
