@@ -47,6 +47,12 @@ DIRECT_SUM = {
     "coeffs": [0.3, 0.2, 0.05, -0.02, 0.3, 0.2],
     "kind": "state",
 }
+# (property, trials, algebras, seeds) of the channel-suite cases
+CHANNEL_SUITES = (
+    ("mono", 24, ("C2", "C3", "C4", "R3", "H2", "S3", "P3"), range(5)),
+    ("suff", 12, ("C3", "H2", "P3"), (0,)),
+    ("dpi", 4, ("C2x3", "P2x3"), (0,)),
+)
 
 
 def _state_doc(spec: dict, shape: str, seed: int) -> dict:
@@ -87,6 +93,13 @@ def cases() -> list[list[str]]:
     argvs.append(["entropy", "--state", "states/C2-full.json",
                   "--samples", "0"])
     argvs.append(["entropy", "--state", "states/C2+P2.json"])
+    # channel suites: Stinespring, catalog and factor-lifted channels
+    for prop, trials, algebras, seeds in CHANNEL_SUITES:
+        for algebra in algebras:
+            for seed in seeds:
+                argvs.append(["suite", "--property", prop, "--algebra",
+                              algebra, "--trials", str(trials),
+                              "--seed", str(seed)])
     return argvs
 
 
