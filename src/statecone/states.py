@@ -488,30 +488,69 @@ def marginal(sigma: State, keep: Sequence[int]) -> State:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Affinity:
-    """Linear map between coefficient spaces of two algebras."""
+    """Linear map between coefficient spaces of two algebras.
 
-    matrix: np.ndarray
-    source: Algebra
-    target: Algebra
-    name: str = ""
-    trace_preserving: bool = True
+    Instances are immutable.  An affinity keeps the view it was built
+    from: a coefficient matrix from :class:`Affinity`, or a map of stacks
+    of reps of a simple algebra from :func:`_affinity_from_rep_map`.  A
+    rep map acts on an element's reps and builds the image from reps, so
+    applying it converts no basis; its coefficient matrix is derived on
+    the first read of :attr:`matrix`, by one batched push of the basis,
+    and kept.  As for elements, the fill is a deterministic function of
+    the stored map, so racing fills land the same bits.
+    """
 
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if m.shape != (self.target.dim, self.source.dim):
+    __slots__ = ("source", "target", "name", "trace_preserving",
+                 "_matrix", "_rep_map")
+
+    def __init__(self, matrix: np.ndarray, source: Algebra, target: Algebra,
+                 name: str = "", trace_preserving: bool = True):
+        m = np.asarray(matrix, dtype=float)
+        if m.shape != (target.dim, source.dim):
             raise ValueError(
-                f"matrix shape {m.shape} does not map {self.source} "
-                f"to {self.target}"
+                f"matrix shape {m.shape} does not map {source} to {target}"
             )
+        self._set(source, target, name, trace_preserving, m, None)
+
+    def _set(self, *values):
+        # one value per slot, in the order of __slots__
+        for slot, value in zip(self.__slots__, values):
+            object.__setattr__(self, slot, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Affinity is immutable")
+
+    def __reduce__(self):
+        # a rep map may be a closure, so pickling and copying go through
+        # the matrix; the copy applies it as a matrix
+        return Affinity, (self.matrix, self.source, self.target, self.name,
+                          self.trace_preserving)
+
+    def __repr__(self):
+        return f"Affinity({self.name!r}, {self.source} -> {self.target})"
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The coefficient matrix, derived once from a rep map."""
+        if self._matrix is None:
+            s = self.source.summands[0]
+            basis = alg._COERCE_TO_REP[s.kind](np.eye(self.source.dim),
+                                               s.size)
+            images = alg._COERCE_TO_COEFFS[s.kind](self._rep_map(basis),
+                                                   s.size)
+            object.__setattr__(self, "_matrix", images.T)
+        return self._matrix
 
     def apply_element(self, el: JordanElement) -> JordanElement:
         if el.algebra != self.source:
             raise AlgebraMismatchError(
                 f"affinity expects {self.source}, got {el.algebra}"
             )
-        return JordanElement(self.target, self.matrix @ el.coeffs)
+        if self._rep_map is None:
+            return JordanElement(self.target, self._matrix @ el.coeffs)
+        return element_from_reps(self.target,
+                                 [self._rep_map(el.reps()[0][None])[0]])
 
     def __call__(self, x):
         if isinstance(x, State):
@@ -521,13 +560,16 @@ class Affinity:
     def compose(self, inner: "Affinity") -> "Affinity":
         if inner.target != self.source:
             raise AlgebraMismatchError("composition spaces do not match")
-        return Affinity(
-            self.matrix @ inner.matrix,
-            inner.source,
-            self.target,
-            name=f"{self.name}*{inner.name}",
-            trace_preserving=self.trace_preserving and inner.trace_preserving,
-        )
+        name = f"{self.name}*{inner.name}"
+        trace_preserving = self.trace_preserving and inner.trace_preserving
+        if self._rep_map is not None and inner._rep_map is not None:
+            outer, first = self._rep_map, inner._rep_map
+            return _affinity_from_rep_map(lambda reps: outer(first(reps)),
+                                          inner.source, name,
+                                          trace_preserving)
+        return Affinity(self.matrix @ inner.matrix, inner.source,
+                        self.target, name=name,
+                        trace_preserving=trace_preserving)
 
     def check_trace_preserving(self, tol: float = CLIP_TOL) -> bool:
         t_src = trace_vector(self.source)
@@ -540,14 +582,14 @@ def identity_affinity(algebra: Algebra) -> Affinity:
 
 
 def _affinity_from_rep_map(
-    fn: Callable[[np.ndarray], np.ndarray], algebra: Algebra, name: str
+    fn: Callable[[np.ndarray], np.ndarray], algebra: Algebra, name: str,
+    trace_preserving: bool = True,
 ) -> Affinity:
     """Affinity of a linear map on a simple algebra, given as a map of
-    stacks of reps; one call maps every basis element."""
-    s = algebra.summands[0]
-    basis = alg._COERCE_TO_REP[s.kind](np.eye(algebra.dim), s.size)
-    images = alg._COERCE_TO_COEFFS[s.kind](fn(basis), s.size)
-    return Affinity(images.T, algebra, algebra, name=name)
+    stacks of reps (a leading axis indexes the stack)."""
+    phi = object.__new__(Affinity)
+    phi._set(algebra, algebra, name, trace_preserving, None, fn)
+    return phi
 
 
 # ---------------------------------------------------------------------------

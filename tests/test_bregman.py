@@ -354,9 +354,11 @@ class TestMonotonicity:
             )
             assert after == pytest.approx(before, abs=1e-10)
 
-    def test_mono_run_converts_at_most_147_times(self, monkeypatch):
+    def test_mono_run_converts_at_most_31_times(self, monkeypatch):
         # divergences pair the reference's frame with the first argument
-        # in reps, so no coefficient rows are derived
+        # in reps and rep-map channels act on reps, so only matrix-built
+        # channels convert: their inputs to coefficients, their images
+        # and coefficient-drawn pairs to reps; no matrix is derived
         calls = []
         for table in (ja._COERCE_TO_REP, ja._COERCE_TO_COEFFS):
             def recording(c, n, convert=table["complex"]):
@@ -364,8 +366,18 @@ class TestMonotonicity:
                 return convert(c, n)
 
             monkeypatch.setitem(table, "complex", recording)
+        derived = []
+        matrix = st.Affinity.matrix
+
+        def recording_matrix(phi):
+            if phi._matrix is None:
+                derived.append(phi.name)
+            return matrix.fget(phi)
+
+        monkeypatch.setattr(st.Affinity, "matrix", property(recording_matrix))
         br.check_monotonicity(NE, C3, n_trials=24, seed=0)
-        assert len(calls) <= 147, len(calls)
+        assert len(calls) <= 31, len(calls)
+        assert derived == []
 
     def test_catalog_only_pool_is_reported(self):
         verdict = br.check_monotonicity(

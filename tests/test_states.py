@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -727,15 +730,88 @@ class TestCatalog:
 
 
 class TestAffinity:
-    def test_composition_is_matrix_product(self):
-        phi = st.random_channel(C2, seed=27)
-        psi = st.random_channel(C2, seed=28)
+    @pytest.mark.parametrize("outer,inner", [
+        ("stinespring", "stinespring"), ("stinespring", "dephase"),
+        ("dephase", "stinespring"),
+    ])
+    def test_composition_is_matrix_product(self, outer, inner):
+        maps = {"stinespring": lambda seed: st.random_channel(C2, seed=seed),
+                "dephase": lambda seed: st._dephase(C2)}
+        phi, psi = maps[inner](27), maps[outer](28)
         both = psi.compose(phi)
         rho = st.random_state(C2, seed=29)
         direct = psi.apply_element(phi.apply_element(rho.element))
         assert ja.norm(both.apply_element(rho.element) - direct) < 1e-12
+        # two rep maps compose to a rep map, which derives no matrix
+        assert (both._matrix is None) == (outer == inner == "stinespring")
+        np.testing.assert_allclose(both.matrix, psi.matrix @ phi.matrix,
+                                   rtol=0, atol=1e-14)
+
+    def test_affinities_are_immutable(self):
+        phi = st.random_channel(C2, seed=106)
+        with pytest.raises(AttributeError):
+            phi.name = "other"
 
     def test_source_checked(self):
         phi = st.random_channel(C2, seed=30)
         with pytest.raises(ja.AlgebraMismatchError):
             phi.apply_element(st.random_state(C3, seed=0).element)
+
+
+def _rep_map_channels():
+    """Every affinity the package builds as a rep map, by label."""
+    channels = {}
+    for n in (2, 3, 4):
+        algebra = ja.complex_hermitian(n)
+        for env in range(1, n + 1):
+            channels[f"stinespring-C{n}-env{env}"] = st.random_channel(
+                algebra, env_dim=env, seed=90 + 10 * n + env)
+    for algebra in (ja.real_hermitian(3), C3, ja.quaternion_hermitian(2)):
+        fwd, rev = st._automorphism(algebra, np.random.default_rng(95))
+        channels[f"{fwd.name}-{algebra}"] = fwd
+        channels[f"{rev.name}-{algebra}"] = rev
+    layout = st.composite_layout(st.COMPLEX_TENSOR, (2, 3))
+    for index in (0, 1):
+        phi = st.random_channel(layout.factors[index], seed=96 + index)
+        channels[f"lift-C2x3@{index}"] = st.extend_to_factor(
+            phi, layout, index)
+    return channels
+
+
+REP_MAP_CHANNELS = _rep_map_channels()
+
+
+class TestRepMapAffinity:
+    @pytest.mark.parametrize("label", REP_MAP_CHANNELS)
+    def test_rep_map_matches_derived_matrix(self, label):
+        phi = REP_MAP_CHANNELS[label]
+        rng = np.random.default_rng(97)
+        elements = [st.random_state(phi.source, seed=rng).element
+                    for _ in range(3)]
+        elements.append(ja.JordanElement(
+            phi.source, rng.normal(size=phi.source.dim)))
+        images = [phi.apply_element(el) for el in elements]
+        for el, image in zip(elements, images):
+            expected = ja.JordanElement(phi.target, phi.matrix @ el.coeffs)
+            np.testing.assert_allclose(image.coeffs, expected.coeffs,
+                                       rtol=0, atol=1e-14)
+
+    def test_applying_derives_no_matrix(self):
+        for label, phi in _rep_map_channels().items():
+            rho = st.random_state(phi.source, seed=98)
+            phi(phi.apply_element(rho.element))
+            assert phi._matrix is None, label
+
+    @pytest.mark.parametrize("label", [*REP_MAP_CHANNELS, "depolarize"])
+    @pytest.mark.parametrize("round_trip", ["pickle", "copy", "deepcopy"])
+    def test_round_trips_apply_the_same_map(self, label, round_trip):
+        phi = REP_MAP_CHANNELS.get(label) or st._depolarize(C3, 0.3)
+        back = {"pickle": lambda x: pickle.loads(pickle.dumps(x)),
+                "copy": copy.copy, "deepcopy": copy.deepcopy}[round_trip](phi)
+        assert (back.source, back.target, back.name,
+                back.trace_preserving) == (phi.source, phi.target, phi.name,
+                                           phi.trace_preserving)
+        rho = st.random_state(phi.source, seed=105)
+        np.testing.assert_allclose(back.apply_element(rho.element).coeffs,
+                                   phi.apply_element(rho.element).coeffs,
+                                   rtol=0, atol=1e-14)
