@@ -560,16 +560,13 @@ class Affinity:
     def compose(self, inner: "Affinity") -> "Affinity":
         if inner.target != self.source:
             raise AlgebraMismatchError("composition spaces do not match")
-        name = f"{self.name}*{inner.name}"
-        trace_preserving = self.trace_preserving and inner.trace_preserving
-        if self._rep_map is not None and inner._rep_map is not None:
-            outer, first = self._rep_map, inner._rep_map
-            return _affinity_from_rep_map(lambda reps: outer(first(reps)),
-                                          inner.source, name,
-                                          trace_preserving)
-        return Affinity(self.matrix @ inner.matrix, inner.source,
-                        self.target, name=name,
-                        trace_preserving=trace_preserving)
+        return Affinity(
+            self.matrix @ inner.matrix,
+            inner.source,
+            self.target,
+            name=f"{self.name}*{inner.name}",
+            trace_preserving=self.trace_preserving and inner.trace_preserving,
+        )
 
     def check_trace_preserving(self, tol: float = CLIP_TOL) -> bool:
         t_src = trace_vector(self.source)
@@ -582,13 +579,12 @@ def identity_affinity(algebra: Algebra) -> Affinity:
 
 
 def _affinity_from_rep_map(
-    fn: Callable[[np.ndarray], np.ndarray], algebra: Algebra, name: str,
-    trace_preserving: bool = True,
+    fn: Callable[[np.ndarray], np.ndarray], algebra: Algebra, name: str
 ) -> Affinity:
     """Affinity of a linear map on a simple algebra, given as a map of
     stacks of reps (a leading axis indexes the stack)."""
     phi = object.__new__(Affinity)
-    phi._set(algebra, algebra, name, trace_preserving, None, fn)
+    phi._set(algebra, algebra, name, True, None, fn)
     return phi
 
 

@@ -742,8 +742,6 @@ class TestAffinity:
         rho = st.random_state(C2, seed=29)
         direct = psi.apply_element(phi.apply_element(rho.element))
         assert ja.norm(both.apply_element(rho.element) - direct) < 1e-12
-        # two rep maps compose to a rep map, which derives no matrix
-        assert (both._matrix is None) == (outer == inner == "stinespring")
         np.testing.assert_allclose(both.matrix, psi.matrix @ phi.matrix,
                                    rtol=0, atol=1e-14)
 
