@@ -52,7 +52,16 @@ CHANNEL_SUITES = (
     ("mono", 24, ("C2", "C3", "C4", "R3", "H2", "S3", "P3"), range(5)),
     ("suff", 12, ("C3", "H2", "P3"), (0,)),
     ("dpi", 4, ("C2x3", "P2x3"), (0,)),
+    ("separoid", 4, ("C2x2x2x2", "P2x2x2x2", "C2x3x2x2"), range(3)),
 )
+# (file stem, embedding, sizes, seed of its full-rank and pure states)
+COMPOSITES = [
+    ("C2x2x2", st.COMPLEX_TENSOR, (2, 2, 2), 37),
+    ("P2x3x2", st.CLASSICAL_TENSOR, (2, 3, 2), 38),
+]
+# label sets of the information cases, interleaved ones included
+MI_LABELS = (("A", "B"), ("B", "A,C"), ("C,A", "B"))
+CMI_LABELS = (("A", "B", "C"), ("A", "C", "B"), ("C", "A", "B"))
 
 
 def _state_doc(spec: dict, shape: str, seed: int) -> dict:
@@ -65,6 +74,14 @@ def _state_doc(spec: dict, shape: str, seed: int) -> dict:
     return sz.state_to_json(state)
 
 
+def _composite_doc(embedding: str, sizes, shape: str, seed: int) -> dict:
+    layout = st.composite_layout(embedding, sizes)
+    rank_cap = 1 if shape == "pure" else None
+    state = st.random_state(layout.ambient, rank_cap=rank_cap, seed=seed,
+                            layout=layout)
+    return sz.state_to_json(state)
+
+
 def write_states() -> None:
     """Write every missing state file; existing ones are kept."""
     (HERE / "states").mkdir(exist_ok=True)
@@ -72,6 +89,11 @@ def write_states() -> None:
     for stem, spec, seed in ALGEBRAS:
         for shape in SHAPES:
             makers[f"{stem}-{shape}"] = partial(_state_doc, spec, shape, seed)
+    for stem, embedding, sizes, seed in COMPOSITES:
+        for shape in ("full", "pure"):
+            makers[f"{stem}-{shape}"] = partial(
+                _composite_doc, embedding, sizes, shape, seed
+            )
     for name, make in makers.items():
         path = HERE / "states" / f"{name}.json"
         if not path.exists():
@@ -100,6 +122,22 @@ def cases() -> list[list[str]]:
                 argvs.append(["suite", "--property", prop, "--algebra",
                               algebra, "--trials", str(trials),
                               "--seed", str(seed)])
+    # mutual and conditional mutual informations on composite files
+    for stem, _, _, _ in COMPOSITES:
+        for shape in ("full", "pure"):
+            path = f"states/{stem}-{shape}.json"
+            for a, b in MI_LABELS:
+                argvs.append(["mi", "--state", path, "--a", a, "--b", b])
+            for a, b, c in CMI_LABELS:
+                argvs.append(["cmi", "--state", path, "--a", a, "--b", b,
+                              "--c", c])
+        argvs.append(["cmi", "--state", f"states/{stem}-full.json", "--a",
+                      "A", "--b", "B", "--c", "C", "--generator",
+                      "trace-power-2", "--bits"])
+    # overlapping and unknown labels: exit 2 with a JSON error
+    for b in ("A", "Q"):
+        argvs.append(["cmi", "--state", "states/C2x2x2-full.json", "--a",
+                      "A", "--b", b, "--c", "B"])
     return argvs
 
 
