@@ -3,8 +3,9 @@
 Information quantities are differences of divergences against product
 references.  A product reference is never built: its fine eigenvalues
 are the products of the group marginals' ones, and the weight the joint
-marginal puts on each of its primitive idempotents is read with one
-contraction of the joint's matrix against the marginals' idempotents.
+marginal puts on each of its primitive idempotents is read by
+contracting the joint's matrix with one marginal's idempotents at a
+time, following a plan derived once per layout and grouping.
 All computations share one support convention: a divergence with mass
 outside the reference support is infinite, and a conditional mutual
 information with any infinite component is reported as undefined
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -144,36 +146,62 @@ def _disjoint_indices(pstate: PartitionedState,
         raise UnknownLabelError(f"unknown label in {every!r}") from exc
 
 
+@lru_cache
+def _contraction_plan(layout: CompositeLayout,
+                      groups: tuple[tuple[int, ...], ...]) -> tuple:
+    """How :func:`_product_divergence` contracts the joint marginal on the
+    factor index ``groups`` with the groups' idempotent stacks.
+
+    Returns the joint's factor indices, its rep's shape on the
+    factor-axis map and the axis labels it carries, and per group the
+    shape its stack reshapes to, the stack's labels and the labels left
+    after that step.  Labels are factor axes, and the stack of group
+    ``g`` is labelled ``len(shape) + g``.  The trace pairs the joint's
+    rows with the idempotents' columns, so the joint carries each
+    factor's row and column labels swapped; a classical axis pairs with
+    itself.  A plan holds only labels and shapes.
+    """
+    shape, axes = layout._axes
+    flip = {a: b for own in axes for a, b in zip(own, own[::-1])}
+    joined = tuple(sorted(i for g in groups for i in g))
+    joint_axes = layout._axes_of(joined)
+    labels = tuple(flip[a] for a in joint_axes)
+    left, steps = labels, []
+    for g, indices in enumerate(groups):
+        own = layout._axes_of(indices)
+        left = tuple(a for a in left if a not in own) + (len(shape) + g,)
+        steps.append(((-1,) + tuple(shape[a] for a in own),
+                      (len(shape) + g,) + tuple(own), left))
+    return (joined, tuple(shape[a] for a in joint_axes), labels,
+            tuple(steps))
+
+
 def _product_divergence(F: BregmanGenerator, pstate: PartitionedState,
                         groups: Sequence[tuple[int, ...]]) -> float:
     """Divergence of the joint marginal on the factor index ``groups``
     from the product of the group marginals, read from their spectra.
 
     The product's fine eigenvalues are the outer product of the groups'
-    ones.  The joint's weight on each product idempotent is one
-    ``einsum`` of the joint's rep with the stacks of the groups'
-    idempotent reps, each factor on its axes of the factor-axis map, so
-    groups may interleave in factor order.
+    ones.  The joint's weight on each product idempotent is read group
+    by group: each step is one two-operand ``einsum`` that sums a
+    group's factor axes of the joint's rep against the stack of that
+    group's idempotent reps and appends the stack axis, so groups may
+    interleave in factor order.  The shapes and labels come from
+    :func:`_contraction_plan`, derived once per layout and grouping.
     """
-    joined = tuple(sorted(i for g in groups for i in g))
+    groups = tuple(groups)
+    joined, joint_shape, labels, steps = _contraction_plan(
+        pstate.state.layout, groups
+    )
     joint = pstate._marginal(joined)
-    layout = pstate.state.layout
-    shape, axes = layout._axes
-    # the trace pairs the joint's rows with the idempotents' columns; a
-    # classical axis pairs with itself
-    flip = {a: b for own in axes for a, b in zip(own, own[::-1])}
-    own = layout._axes_of(joined)
-    operands = [joint.element.reps()[0].reshape([shape[a] for a in own]),
-                [flip[a] for a in own]]
+    p = joint.element.reps()[0].reshape(joint_shape)
     mu = np.ones(1)
-    for g, indices in enumerate(groups):
+    for indices, (stack_shape, own, left) in zip(groups, steps):
         dec = alg.spectral_decompose(pstate._marginal(indices).element)
-        idem = dec.frame[0]
-        own = layout._axes_of(indices)
-        operands += [idem.reshape([len(idem)] + [shape[a] for a in own]),
-                     [len(shape) + g] + own]
+        p = np.einsum(p, labels, dec.frame[0].reshape(stack_shape), own,
+                      left)
+        labels = left
         mu = np.multiply.outer(mu, dec.values).ravel()
-    p = np.einsum(*operands, [len(shape) + g for g in range(len(groups))])
     return _divergence(F, joint.element, mu, p.real.ravel())
 
 

@@ -582,7 +582,9 @@ def _affinity_from_rep_map(
     fn: Callable[[np.ndarray], np.ndarray], algebra: Algebra, name: str
 ) -> Affinity:
     """Affinity of a linear map on a simple algebra, given as a map of
-    stacks of reps (a leading axis indexes the stack)."""
+    stacks of reps (a leading axis indexes the stack).  On a complex
+    algebra the map must be complex-linear: a factor lift pushes
+    non-Hermitian matrix units through it."""
     phi = object.__new__(Affinity)
     phi._set(algebra, algebra, name, True, None, fn)
     return phi
@@ -997,22 +999,26 @@ def _factor_kernel(phi: Affinity) -> np.ndarray:
     """A factor channel on the factor's rep axes, output axes first.
 
     On a classical factor this is ``phi.matrix``.  On a complex factor it
-    is ``Phi(E_ij)`` for every matrix unit ``E_ij``, read in one batched
-    call as ``F(X) + i F(-iX)``, where ``F`` (the basis maps around
-    ``phi.matrix``) reads the Hermitian part of its argument.
+    is ``Phi(E_ij)`` for every matrix unit ``E_ij``.  A rep map is
+    complex-linear, so it pushes the units in one batched call; a
+    matrix-built affinity reads them as ``F(X) + i F(-iX)``, where ``F``
+    (the basis maps around ``phi.matrix``) reads the Hermitian part of
+    its argument.
     """
     s = phi.source.summands[0]
     if s.kind == "classical":
         return phi.matrix
     m = s.size
-
-    def f(x):
-        coeffs = alg._COERCE_TO_COEFFS[s.kind](x, m)
-        return alg._COERCE_TO_REP[s.kind](coeffs @ phi.matrix.T, m)
-
     units = np.eye(m * m).reshape(m * m, m, m)
-    images = (f(units) + 1j * f(-1j * units)).reshape(m, m, m, m)
-    return np.moveaxis(images, (0, 1), (2, 3))
+    if phi._rep_map is not None:
+        images = phi._rep_map(units)
+    else:
+        def f(x):
+            coeffs = alg._COERCE_TO_COEFFS[s.kind](x, m)
+            return alg._COERCE_TO_REP[s.kind](coeffs @ phi.matrix.T, m)
+
+        images = f(units) + 1j * f(-1j * units)
+    return np.moveaxis(images.reshape(m, m, m, m), (0, 1), (2, 3))
 
 
 def extend_to_factor(

@@ -370,7 +370,8 @@ class TestProductReader:
         ),
         (2, 3, 2, 2): (
             [(["D", "A"], ["C", "B"]), (["A", "C"], ["B"])],
-            [(["D"], ["B"], ["A", "C"]), (["A"], ["C"], ["B", "D"])],
+            [(["D"], ["B"], ["A", "C"]), (["A"], ["C"], ["B", "D"]),
+             (["A"], ["B", "C"], ["D"])],
         ),
     }
 
@@ -418,6 +419,32 @@ class TestProductReader:
             NE, st.COMPLEX_TENSOR, (2, 2, 2, 2), n_trials=4, seed=27
         )
         assert len(calls) <= 8, calls
+
+    def test_equal_layouts_share_one_plan_of_labels_and_shapes(self):
+        # two states whose equal layouts were built separately
+        states = [
+            mp.random_partitioned_state(st.COMPLEX_TENSOR, (2, 3, 2, 2),
+                                        ("A", "B", "C", "D"), seed=seed)
+            for seed in (48, 49)
+        ]
+        assert states[0].state.layout is not states[1].state.layout
+        mp._contraction_plan.cache_clear()
+        for p in states:
+            mp.conditional_mutual_information(NE, p, ["A"], ["B", "C"], ["D"])
+        # one entry per grouping of the three terms, shared by both states
+        info = mp._contraction_plan.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (3, 3, 3)
+
+        def leaves(x):
+            if isinstance(x, tuple):
+                for y in x:
+                    yield from leaves(y)
+            else:
+                yield x
+
+        plan = mp._contraction_plan(states[1].state.layout,
+                                    ((0,), (1, 2), (3,)))
+        assert all(type(v) is int for v in leaves(plan)), plan
 
     def test_pinned_generator_on_another_algebra(self):
         F = br.affine_plus_entropy(1.5, ja.zero(ja.complex_hermitian(4)))
@@ -639,6 +666,31 @@ class TestDataProcessing:
     def test_suite_wrapper(self):
         verdict = mp.run_dpi_suite(NE, LAYOUT_22, n_trials=40, seed=32)
         assert verdict.passed
+
+    def test_dpi_run_converts_no_basis_and_derives_no_matrix(self,
+                                                           monkeypatch):
+        # a Stinespring channel is lifted by pushing the matrix units
+        # through its rep map, so the factor kernel needs no coefficients
+        calls = []
+        for table in (ja._COERCE_TO_REP, ja._COERCE_TO_COEFFS):
+            def recording(c, n, convert=table["complex"]):
+                calls.append(c.shape)
+                return convert(c, n)
+
+            monkeypatch.setitem(table, "complex", recording)
+        derived = []
+        matrix = st.Affinity.matrix
+
+        def recording_matrix(phi):
+            if phi._matrix is None:
+                derived.append(phi.name)
+            return matrix.fget(phi)
+
+        monkeypatch.setattr(st.Affinity, "matrix", property(recording_matrix))
+        verdict = mp.run_dpi_suite(NE, LAYOUT_23, n_trials=4, seed=0)
+        assert verdict.trials == 4
+        assert calls == []
+        assert derived == []
 
 
 def _pickled(x):
