@@ -6,11 +6,14 @@ Run from the repository root:
 
 The state files under ``states/`` are inputs: they are written once,
 from fixed seeds, and kept as they are when present, so a later change
-to the random state samplers does not change them.  Every case is then
-run through ``statecone.cli.main`` in this process, and its exit code
-and parsed JSON output (the report on stdout, or the error on stderr)
-are written to ``expected.json``.  Regenerate only when a change means
-to alter a report, and say which entries changed and why.
+to the random state samplers does not change them.  Every case that
+``expected.json`` does not hold yet is then run through
+``statecone.cli.main`` in this process, and its exit code and parsed
+JSON output (the report on stdout, or the error on stderr) are added to
+the file.  Committed entries are kept as they are, except those whose
+argv is listed in ``REGENERATE``: list an entry there only when a change
+means to alter its report, and say in ``CHANGES.md`` which entries
+changed and why.
 """
 
 from __future__ import annotations
@@ -30,6 +33,16 @@ from statecone.cli import main as cli_main
 HERE = Path(__file__).resolve().parent
 EXPECTED = HERE / "expected.json"
 
+# argvs whose committed entries are run again and rewritten; each one is
+# named with its reason in CHANGES.md
+REGENERATE = [
+    # its worst violation is roundoff of a difference of two
+    # divergences; the entry was committed before the channel
+    # composition was reordered, which moved it by 8.6e-13
+    ["suite", "--property", "mono", "--algebra", "R3", "--trials", "24",
+     "--seed", "4"],
+]
+
 # (file stem, algebra, seed of its full-rank and pure states)
 ALGEBRAS = [
     ("R3", {"type": "real", "n": 3}, 31),
@@ -47,6 +60,11 @@ DIRECT_SUM = {
     "coeffs": [0.3, 0.2, 0.05, -0.02, 0.3, 0.2],
     "kind": "state",
 }
+# seed of a full-rank random state on the direct sum's algebra
+DIRECT_SUM_SEED = 39
+# (rho shape, sigma shape) of the divergence cases; a pure reference
+# under a full-rank state gives an infinite divergence
+DIVERGENCE_PAIRS = (("full", "mixed"), ("pure", "full"), ("full", "pure"))
 # (property, trials, algebras, seeds) of the channel-suite cases
 CHANNEL_SUITES = (
     ("mono", 24, ("C2", "C3", "C4", "R3", "H2", "S3", "P3"), range(5)),
@@ -82,10 +100,18 @@ def _composite_doc(embedding: str, sizes, shape: str, seed: int) -> dict:
     return sz.state_to_json(state)
 
 
+def _direct_sum_doc(seed: int) -> dict:
+    algebra = sz.algebra_from_json(DIRECT_SUM["algebra"])
+    return sz.state_to_json(st.random_state(algebra, seed=seed))
+
+
 def write_states() -> None:
     """Write every missing state file; existing ones are kept."""
     (HERE / "states").mkdir(exist_ok=True)
-    makers = {"C2+P2": lambda: DIRECT_SUM}
+    makers = {
+        "C2+P2": lambda: DIRECT_SUM,
+        "C2+P2-full": partial(_direct_sum_doc, DIRECT_SUM_SEED),
+    }
     for stem, spec, seed in ALGEBRAS:
         for shape in SHAPES:
             makers[f"{stem}-{shape}"] = partial(_state_doc, spec, shape, seed)
@@ -138,6 +164,26 @@ def cases() -> list[list[str]]:
     for b in ("A", "Q"):
         argvs.append(["cmi", "--state", "states/C2x2x2-full.json", "--a",
                       "A", "--b", b, "--c", "B"])
+    # divergences on every kind and on a direct sum, both generators
+    for stem, _, _ in ALGEBRAS:
+        for rho, sigma in DIVERGENCE_PAIRS:
+            for generator in ("neg-entropy", "trace-power-2"):
+                argvs.append(["divergence", "--rho",
+                              f"states/{stem}-{rho}.json", "--sigma",
+                              f"states/{stem}-{sigma}.json", "--generator",
+                              generator])
+        argvs.append(["divergence", "--rho", f"states/{stem}-full.json",
+                      "--sigma", f"states/{stem}-mixed.json", "--bits"])
+    for rho, sigma in (("C2+P2-full", "C2+P2"), ("C2+P2", "C2+P2-full")):
+        for generator in ("neg-entropy", "trace-power-2"):
+            argvs.append(["divergence", "--rho", f"states/{rho}.json",
+                          "--sigma", f"states/{sigma}.json", "--generator",
+                          generator])
+    # mismatched algebras and an unknown generator: exit 2
+    argvs.append(["divergence", "--rho", "states/C2-full.json", "--sigma",
+                  "states/C4-full.json"])
+    argvs.append(["divergence", "--rho", "states/C2-full.json", "--sigma",
+                  "states/C2-mixed.json", "--generator", "nope"])
     return argvs
 
 
@@ -161,9 +207,19 @@ def run_case(argv: list[str]) -> dict:
 
 def main() -> int:
     write_states()
-    entries = [run_case(argv) for argv in cases()]
+    held = {}
+    if EXPECTED.exists():
+        held = {tuple(e["argv"]): e for e in json.loads(EXPECTED.read_text())}
+    for argv in REGENERATE:
+        held.pop(tuple(argv), None)
+    entries, added = [], 0
+    for argv in cases():
+        if tuple(argv) not in held:
+            held[tuple(argv)] = run_case(argv)
+            added += 1
+        entries.append(held[tuple(argv)])
     EXPECTED.write_text(json.dumps(entries, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(entries)} entries to {EXPECTED}")
+    print(f"wrote {added} of {len(entries)} entries to {EXPECTED}")
     return 0
 
 
