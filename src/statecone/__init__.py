@@ -31,7 +31,6 @@ from .states import (
     CompositeLayout,
     Measurement,
     State,
-    Test,
     are_singular,
     channel_catalog,
     fine_grain,

@@ -629,6 +629,13 @@ _PAIRING_SCALE = {"real": 1.0, "complex": 1.0, "quaternion": 0.5,
                   "spin": 2.0, "classical": 1.0}
 
 
+def _pairings(kind, stack, rep):
+    """The trace inner products of each rep of ``stack`` with ``rep``, on
+    one summand of kind ``kind``."""
+    flat = stack.reshape(len(stack), -1)
+    return _PAIRING_SCALE[kind] * (flat @ rep.ravel().conj()).real
+
+
 class SpectralDecomposition:
     """Fine eigenvalues with the Jordan frame of their primitive
     idempotents.
@@ -674,8 +681,7 @@ class SpectralDecomposition:
     def weights(self, x: JordanElement) -> np.ndarray:
         """The trace inner products ``<E_k, x>``."""
         return np.concatenate([
-            _PAIRING_SCALE[s.kind]
-            * (stack.reshape(len(stack), -1) @ rep.ravel().conj()).real
+            _pairings(s.kind, stack, rep)
             for s, stack, rep in zip(self.algebra.summands, self.frame,
                                      x.reps())
         ])

@@ -16,14 +16,13 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import algebras as alg
-from .algebras import Algebra, JordanElement, spectral_decompose
+from .algebras import Algebra, SimpleFactor, spectral_decompose
 from . import states as st
 from .states import (
     NORMALIZATION_TOL,
     SUPPORT_CUTOFF,
     Measurement,
     State,
-    Test,
     measure,
 )
 
@@ -119,13 +118,12 @@ def decomposition_entropy(
 
 
 def _pure_vectors(sigma: State):
-    """The fine eigenvalues above the support cutoff with their primitive
-    idempotents, by descending eigenvalue."""
+    """The fine eigenvalues above the support cutoff with the reps of
+    their primitive idempotents, by descending eigenvalue."""
     dec = spectral_decompose(sigma.element)
     order, _ = dec.groups
     kept = order[dec.values[order] > SUPPORT_CUTOFF]
-    one_hot = np.eye(len(order))
-    return dec.values[kept], [dec.function(one_hot[k]) for k in kept]
+    return dec.values[kept], dec.frame[0][kept]
 
 
 def sample_pure_decomposition(sigma: State, rng):
@@ -183,8 +181,7 @@ def sample_pure_decomposition(sigma: State, rng):
     # a unit vector in the range of each projection: its fullest column,
     # scaled
     columns = []
-    for p in projections:
-        rep = p.reps()[0]
+    for rep in projections:
         j = int(np.argmax(np.real(np.diag(rep))))
         columns.append(rep[:, j] / np.sqrt(np.real(rep[j, j])))
     columns = np.stack(columns, axis=1)
@@ -209,48 +206,66 @@ def sample_pure_decomposition(sigma: State, rng):
 # ---------------------------------------------------------------------------
 
 
-def _random_projective(algebra: Algebra, rng) -> Measurement:
-    s = algebra.summands[0]
-    n = s.size
+def _fine_draws(s: SimpleFactor, n_samples: int, rng, bases):
+    """The draws behind ``n_samples`` random fine-grained measurements on
+    the simple factor ``s``.
+
+    Half the samples are projective bases, the other half overcomplete
+    blends ``t * first + (1 - t) * second`` of two bases (except on
+    classical factors, where splitting each coordinate of the fixed
+    basis plays that role).  Two streams feed them, each read in sample
+    order: ``rng`` gives every sample a coin and a blend weight, and
+    ``bases`` gives each sample's first basis, then its second if it
+    blends.  Consecutive calls therefore draw what one call over all
+    their samples draws.  Returns which samples blend, each one's weight
+    ``t`` on its first basis (1 if it does not blend), and the frames of
+    all bases in draw order, made in one call (``None`` on classical
+    factors).
+    """
+    coin, u = rng.uniform(size=(n_samples, 2)).T
+    blend = coin >= 0.5
+    t = np.where(blend, 0.2 + 0.6 * u, 1.0)
     if s.kind == "classical":
-        rows = np.eye(n)
-    else:
-        q = st._random_frames(s.kind, st._draw_basis(s.kind, n, rng))
-        if s.kind == "spin":
-            reps = np.array([np.concatenate(([0.5], 0.5 * q)),
-                             np.concatenate(([0.5], -0.5 * q))])
-        else:
-            reps = alg._frame_projections(s.kind, q)
-        rows = alg._COERCE_TO_COEFFS[s.kind](reps, n)
-    return Measurement(tuple(
-        (k, Test(JordanElement(algebra, row))) for k, row in enumerate(rows)
-    ))
+        return blend, t, None
+    draws = st._draw_basis(s.kind, s.size, bases,
+                           (int(n_samples + blend.sum()),))
+    return blend, t, st._random_frames(s.kind, draws)
 
 
 def random_fine_grained_measurement(algebra: Algebra, rng) -> Measurement:
     """A random rank-one measurement: projective, or an overcomplete blend
-    of two projective bases."""
+    of two projective bases.
+
+    It is the first measurement that :func:`fine_grained_entropy_bound`
+    samples with seed ``rng``: ``rng`` draws the coin and the blend
+    weight, and a stream spawned from it the bases.
+    """
     if len(algebra.summands) != 1:
         raise st.UnsupportedAlgebraError(
             "fine-grained sampling works on simple algebras"
         )
-    first = _random_projective(algebra, rng)
-    if algebra.summands[0].kind == "classical" or rng.uniform() < 0.5:
-        return first
-    second = _random_projective(algebra, rng)
-    t = rng.uniform(0.2, 0.8)
-    outcomes = []
-    for k, (_, test) in enumerate(first.outcomes):
-        outcomes.append((("a", k), Test(test.element * t)))
-    for k, (_, test) in enumerate(second.outcomes):
-        outcomes.append((("b", k), Test(test.element * (1.0 - t))))
-    return Measurement(tuple(outcomes))
+    s = algebra.summands[0]
+    blend, t, frames = _fine_draws(s, 1, rng, rng.spawn(1)[0])
+    if frames is None:
+        bases = [np.eye(s.size)] * 2
+    elif s.kind == "spin":
+        bases = [0.5 * np.stack([np.insert(q, 0, 1.0), np.insert(-q, 0, 1.0)])
+                 for q in frames]
+    else:
+        bases = [alg._frame_projections(s.kind, q) for q in frames]
+    outcomes = range(len(bases[0]))
+    if not blend[0]:
+        return Measurement(algebra, tuple(outcomes), (bases[0],))
+    return Measurement(
+        algebra, tuple((tag, k) for tag in "ab" for k in outcomes),
+        (np.concatenate([t[0] * bases[0], (1.0 - t[0]) * bases[1]]),),
+    )
 
 
-def _basis_probs(kind: str, m: np.ndarray, draws: np.ndarray) -> np.ndarray:
-    """Outcome probabilities of the state with matrix representation ``m``
-    in the bases built from a stack of draws, one row per basis."""
-    q = st._random_frames(kind, draws)
+def _basis_probs(kind: str, m: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Outcome probabilities of the state with representation ``m`` in a
+    stack of frames of :func:`states._random_frames`, one row per
+    basis."""
     if kind == "spin":
         # a matrix-vector product would not sum as the 1-D dots do
         overlap = (q[:, None, :] @ m[1:, None])[:, 0, 0]
@@ -280,33 +295,19 @@ def _row_entropies(p: np.ndarray) -> np.ndarray:
 
 
 def _fine_entropies(sigma: State, n_samples: int, rng, bases) -> np.ndarray:
-    """Entropies of ``n_samples`` random fine-grained measurements.
-
-    Half the samples are projective bases, the other half overcomplete
-    blends ``t * first + (1 - t) * second`` of two bases (except on
-    classical factors, where splitting each coordinate of the fixed
-    basis plays that role).  Two streams feed them, each read in sample
-    order: ``rng`` gives every sample a coin and a blend weight, and
-    ``bases`` gives each sample's first basis, then its second if it
-    blends.  Consecutive calls therefore draw what one call over all
-    their samples draws.  All bases are drawn in one call and scored as
-    one stack.
-    """
+    """Entropies of ``n_samples`` random fine-grained measurements, drawn
+    by :func:`_fine_draws` and scored as one stack."""
     s = sigma.algebra.summands[0]
     m = sigma.element.reps()[0]
-    coin, u = rng.uniform(size=(n_samples, 2)).T
-    blend = coin >= 0.5
-    # projective samples put all weight on the first basis
-    t = np.where(blend, 0.2 + 0.6 * u, 1.0)[:, None]
-    if s.kind == "classical":
+    blend, t, frames = _fine_draws(s, n_samples, rng, bases)
+    if frames is None:
         first = second = m[None, :]
     else:
         count = 1 + blend
         at = np.cumsum(count) - count
-        probs = _basis_probs(s.kind, m, st._draw_basis(
-            s.kind, s.size, bases, (int(count.sum()),)
-        ))
+        probs = _basis_probs(s.kind, m, frames)
         first, second = probs[at], probs[at + blend]
+    t = t[:, None]
     p = np.concatenate([t * first, (1.0 - t) * second], axis=1)
     return _row_entropies(np.clip(p, 0.0, None))
 

@@ -1,4 +1,4 @@
-"""JSON formats for elements, states, measurements, channels and boxes.
+"""JSON formats for elements, states, channels and boxes.
 
 An element is stored as its algebra descriptor plus the coefficient
 vector in the documented basis:
@@ -6,9 +6,9 @@ vector in the documented basis:
     {"algebra": [{"type": "complex", "n": 2}], "coeffs": [...]}
 
 States add ``"kind": "state"`` and, for composites, a ``"layout"`` with
-the embedding name and factor sizes.  Measurements list labelled tests;
-channels carry the raw matrix with source and target descriptors; boxes
-are a 4x4 nesting indexed ``[x][y][a][b]``.
+the embedding name and factor sizes.  Channels carry the raw matrix
+with source and target descriptors; boxes are a 4x4 nesting indexed
+``[x][y][a][b]``.
 """
 
 from __future__ import annotations
@@ -17,10 +17,9 @@ import json
 
 import numpy as np
 
-from . import algebras as alg
 from .algebras import Algebra, JordanElement, SimpleFactor
 from . import states as st
-from .states import Affinity, CompositeLayout, Measurement, State, Test
+from .states import Affinity, CompositeLayout, State
 from .boxes import INPUT_BOX_TOL, NoSignalingBox
 
 __all__ = [
@@ -34,8 +33,6 @@ __all__ = [
     "element_from_json",
     "element_to_json",
     "load_json",
-    "measurement_from_json",
-    "measurement_to_json",
     "parse_algebra_spec",
     "state_from_json",
     "state_to_json",
@@ -127,22 +124,17 @@ def element_from_json(doc) -> JordanElement:
         values = doc["coeffs"]
     except (KeyError, TypeError) as exc:
         raise FormatError(f"bad element document: {exc}") from exc
-    return JordanElement(algebra, _coeffs(algebra, values, "coefficients"))
-
-
-def _coeffs(algebra: Algebra, values, what: str) -> np.ndarray:
-    """Finite coefficients of an element of ``algebra``."""
     try:
         coeffs = np.asarray(values, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise FormatError(f"bad {what}: {exc}") from exc
+        raise FormatError(f"bad coefficients: {exc}") from exc
     if coeffs.shape != (algebra.dim,):
         raise FormatError(
-            f"{what} of shape {coeffs.shape} do not match "
+            f"coefficients of shape {coeffs.shape} do not match "
             f"algebra dimension {algebra.dim}"
         )
-    _require_finite(coeffs, what)
-    return coeffs
+    _require_finite(coeffs, "coefficients")
+    return JordanElement(algebra, coeffs)
 
 
 def _require_finite(values: np.ndarray, what: str) -> None:
@@ -190,35 +182,8 @@ def state_from_json(doc) -> State:
 
 
 # ---------------------------------------------------------------------------
-# measurements and channels
+# channels
 # ---------------------------------------------------------------------------
-
-
-def measurement_to_json(m: Measurement) -> dict:
-    return {
-        "kind": "measurement",
-        "algebra": algebra_to_json(m.algebra),
-        "outcomes": [
-            {"label": str(label), "coeffs": t.element.coeffs.tolist()}
-            for label, t in m.outcomes
-        ],
-    }
-
-
-def measurement_from_json(doc) -> Measurement:
-    _require_kind(doc, "measurement")
-    try:
-        algebra = algebra_from_json(doc["algebra"])
-        entries = [(e["label"], e["coeffs"]) for e in doc["outcomes"]]
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"bad measurement document: {exc}") from exc
-    if not entries:
-        raise FormatError("a measurement needs at least one outcome")
-    outcomes = []
-    for label, values in entries:
-        coeffs = _coeffs(algebra, values, "outcome coefficients")
-        outcomes.append((label, Test(JordanElement(algebra, coeffs))))
-    return Measurement(tuple(outcomes))
 
 
 def channel_to_json(phi: Affinity) -> dict:

@@ -1,13 +1,14 @@
-"""States, tests, measurements, affinities and composite systems.
+"""States, measurements, affinities and composite systems.
 
-A state is a positive element of trace one.  Tests act on states through
-the trace inner product, measurements are families of tests summing to
-the unit, and affinities are positive trace-preserving linear maps
-between coefficient spaces.  Composite systems come in three layouts:
-tensors of classical factors, tensors of complex factors, and the single
-real-into-larger embedding of two 2x2 real factors inside 4x4 real
-symmetric matrices (where partial traces are deliberately unsupported,
-since local measurements cannot resolve the ambient space).
+A state is a positive element of trace one.  A measurement is a family
+of labelled effects summing to the unit, held as stacks of effect reps,
+which act on states through the trace inner product, and affinities are
+positive trace-preserving linear maps between coefficient spaces.
+Composite systems come in three layouts: tensors of classical factors,
+tensors of complex factors, and the single real-into-larger embedding of
+two 2x2 real factors inside 4x4 real symmetric matrices (where partial
+traces are deliberately unsupported, since local measurements cannot
+resolve the ambient space).
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ __all__ = [
     "Measurement",
     "State",
     "StateValidationError",
-    "Test",
     "UnsupportedAlgebraError",
     "are_singular",
     "channel_catalog",
@@ -239,53 +239,61 @@ def trace_vector(algebra: Algebra) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# tests and measurements
+# measurements
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Test:
-    """Dual-cone functional with values in [0, 1] on states."""
-
-    element: JordanElement
-
-    def __call__(self, state: State) -> float:
-        return inner_product(self.element, state.element)
-
-    def is_valid(self, tol: float = CLIP_TOL) -> bool:
-        eigs = spectral_decompose(self.element).values
-        return bool(np.all(eigs >= -tol) and np.all(eigs <= 1.0 + tol))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Measurement:
-    """Labelled tests that sum to the unit."""
+    """Labelled effects that sum to the unit.
 
-    outcomes: tuple[tuple[object, Test], ...]
+    ``frame`` holds one read-only stack of effect reps per summand, in
+    the layout of :meth:`JordanElement.reps`, shaped ``(len(labels),)``
+    plus the rep shape: outcome ``k`` is the element whose reps are
+    ``frame[s][k]``.
+    """
+
+    algebra: Algebra
+    labels: tuple
+    frame: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        if not self.outcomes:
+        if not self.labels:
             raise ValueError("a measurement needs at least one outcome")
-        total = self.outcomes[0][1].element
-        for _, t in self.outcomes[1:]:
-            total = total + t.element
-        gap = alg.norm(total - unit(total.algebra))
+        shapes = [(len(self.labels),) + alg._rep_shape(s.kind, s.size)
+                  for s in self.algebra.summands]
+        if [stack.shape for stack in self.frame] != shapes:
+            raise ValueError(
+                f"effect stacks of shapes {[x.shape for x in self.frame]} "
+                f"do not hold {len(self.labels)} effects on {self.algebra}"
+            )
+        squared = 0.0
+        for s, stack in zip(self.algebra.summands, self.frame):
+            stack.flags.writeable = False
+            diff = stack.sum(axis=0) - alg._unit_rep(s.kind, s.size)
+            squared += alg._pairings(s.kind, diff[None], diff)[0]
+        gap = np.sqrt(squared)
         if gap > NORMALIZATION_TOL:
-            raise ValueError(f"tests sum to unit only within {gap:.3e}")
+            raise ValueError(f"effects sum to unit only within {gap:.3e}")
 
-    @property
-    def algebra(self) -> Algebra:
-        return self.outcomes[0][1].element.algebra
-
-    @property
-    def labels(self):
-        return [label for label, _ in self.outcomes]
+    def effect(self, k: int) -> JordanElement:
+        """The effect of outcome ``k``."""
+        return element_from_reps(self.algebra,
+                                 [stack[k] for stack in self.frame])
 
 
 def measurement_from_elements(pairs) -> Measurement:
-    return Measurement(tuple(
-        (label, Test(el)) for label, el in pairs
-    ))
+    """The measurement with the effects of ``(label, element)`` pairs."""
+    pairs = list(pairs)
+    if not pairs:
+        raise ValueError("a measurement needs at least one outcome")
+    first = pairs[0][1]
+    for _, el in pairs[1:]:
+        first._require_same(el)
+    return Measurement(
+        first.algebra, tuple(label for label, _ in pairs),
+        tuple(np.stack(reps) for reps in zip(*(el.reps() for _, el in pairs))),
+    )
 
 
 def measure(m: Measurement, sigma: State) -> np.ndarray:
@@ -294,7 +302,11 @@ def measure(m: Measurement, sigma: State) -> np.ndarray:
         raise AlgebraMismatchError(
             f"measurement on {m.algebra}, state on {sigma.algebra}"
         )
-    probs = np.array([t(sigma) for _, t in m.outcomes])
+    probs = sum(
+        alg._pairings(s.kind, stack, rep)
+        for s, stack, rep in zip(m.algebra.summands, m.frame,
+                                 sigma.element.reps())
+    )
     if (np.any(probs < -NORMALIZATION_TOL)
             or abs(probs.sum() - 1.0) > NORMALIZATION_TOL):
         raise ValueError(
@@ -303,15 +315,28 @@ def measure(m: Measurement, sigma: State) -> np.ndarray:
     return np.clip(probs, 0.0, None)
 
 
+def _effect_stacks(frame: Sequence[np.ndarray], rows) -> list[np.ndarray]:
+    """The primitive idempotents ``rows`` of a Jordan frame, indices into
+    all of its summands' stacks in turn, as one stack per summand: each
+    idempotent is zero on the summands it is not in."""
+    rows = np.asarray(rows, dtype=int)
+    out, start = [], 0
+    for stack in frame:
+        block = np.zeros((len(rows),) + stack.shape[1:], dtype=stack.dtype)
+        mine = (rows >= start) & (rows < start + len(stack))
+        block[mine] = stack[rows[mine] - start]
+        out.append(block)
+        start += len(stack)
+    return out
+
+
 def spectral_measurement(sigma: State) -> Measurement:
-    """Measurement whose tests are the primitive idempotents of the
+    """Measurement whose effects are the primitive idempotents of the
     state's Jordan frame, by descending eigenvalue."""
     dec = spectral_decompose(sigma.element)
     order, _ = dec.groups
-    one_hot = np.eye(len(order))
-    return Measurement(tuple(
-        (k, Test(dec.function(one_hot[i]))) for k, i in enumerate(order)
-    ))
+    return Measurement(sigma.algebra, tuple(range(len(order))),
+                       tuple(_effect_stacks(dec.frame, order)))
 
 
 # ---------------------------------------------------------------------------
@@ -319,43 +344,42 @@ def spectral_measurement(sigma: State) -> Measurement:
 # ---------------------------------------------------------------------------
 
 
-def is_fine_grained(m: Measurement, tol: float = 1e-8) -> bool:
-    """True when every test is a nonnegative multiple of a primitive
+def is_fine_grained(m: Measurement,
+                    tol: float = alg.DEFAULT_GROUP_TOL) -> bool:
+    """True when every effect is a nonnegative multiple of a primitive
     idempotent (spectral rank one after normalization)."""
-    for _, t in m.outcomes:
-        dec = spectral_decompose(t.element)
-        if np.any(dec.eigenvalues < -tol):
-            return False
+    for k in range(len(m.labels)):
+        dec = spectral_decompose(m.effect(k))
         positive = dec.eigenvalues > tol
-        if np.count_nonzero(positive) != 1:
-            return False
-        mult = dec.multiplicities[positive][0]
-        if abs(mult - 1.0) > tol:
+        if (np.any(dec.eigenvalues < -tol)
+                or list(dec.multiplicities[positive]) != [1]):
             return False
     return True
 
 
 def fine_grain(m: Measurement) -> Measurement:
-    """Refine a measurement by spectrally splitting every test.
+    """Refine a measurement by spectrally splitting every effect.
 
     Output labels are ``(label, i, j)`` for eigenvalue group ``i`` and
-    primitive part ``j``; summing the refined tests per original label
-    recovers the original test.
+    primitive part ``j``; summing the refined effects per original label
+    recovers the original effect.
     """
-    outcomes = []
-    for label, t in m.outcomes:
-        dec = spectral_decompose(t.element)
+    labels, parts = [], []
+    for k, label in enumerate(m.labels):
+        dec = spectral_decompose(m.effect(k))
         order, starts = dec.groups
         bounds = starts + [len(order)]
-        scaled = np.diag(dec.values)
+        kept = []
         for i, lam in enumerate(dec.eigenvalues):
-            if lam <= SUPPORT_CUTOFF:
-                continue
-            for j, k in enumerate(order[bounds[i]:bounds[i + 1]]):
-                outcomes.append(
-                    ((label, i, j), Test(dec.function(scaled[k])))
-                )
-    return Measurement(tuple(outcomes))
+            if lam > SUPPORT_CUTOFF:
+                group = order[bounds[i]:bounds[i + 1]]
+                labels += [(label, i, j) for j in range(len(group))]
+                kept += list(group)
+        scale = dec.values[kept]
+        parts.append([scale.reshape((-1,) + (1,) * (x.ndim - 1)) * x
+                      for x in _effect_stacks(dec.frame, kept)])
+    return Measurement(m.algebra, tuple(labels),
+                       tuple(np.concatenate(x) for x in zip(*parts)))
 
 
 # ---------------------------------------------------------------------------
@@ -378,11 +402,12 @@ def support_projection(element: JordanElement,
 
 
 def singularity_witness(rho: State, sigma: State,
-                        tol: float = CLIP_TOL) -> Test | None:
-    """A test scoring 0 on rho and 1 on sigma, when one exists."""
+                        tol: float = CLIP_TOL) -> JordanElement | None:
+    """The support projection of sigma, an effect scoring 1 on sigma,
+    when it scores 0 on rho."""
     proj = support_projection(sigma.element)
     if inner_product(proj, rho.element) < tol:
-        return Test(proj)
+        return proj
     return None
 
 

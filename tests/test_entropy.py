@@ -1,10 +1,12 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from statecone import algebras as ja
 from statecone import entropy as en
+from statecone import serialize as sz
 from statecone import states as st
 from test_algebras import embed_quaternion_parts, kramers_columns, readme_coeffs
 
@@ -190,7 +192,7 @@ class TestDegenerateQuaternionFrames:
     def test_spectral_measurement(self, name):
         sigma = self.STATES[name]()
         m = st.spectral_measurement(sigma)
-        assert len(m.outcomes) == sigma.algebra.rank
+        assert len(m.labels) == sigma.algebra.rank
         assert st.is_fine_grained(m)
         assert en.shannon_entropy(st.measure(m, sigma)) == pytest.approx(
             en.spectral_entropy(sigma), rel=0, abs=1e-12
@@ -239,7 +241,8 @@ class TestFineGrainedBound:
         draws = [st._draw_basis("complex", 2, rng) for _ in range(30)]
         inputs = [[d] for d in draws] + [draws]
         for batch in inputs:
-            probs = en._basis_probs("complex", m, batch)
+            frames = st._random_frames("complex", np.array(batch))
+            probs = en._basis_probs("complex", m, frames)
             assert probs.shape == (len(batch), 2)
             for h in en._row_entropies(np.clip(probs, 0, None)):
                 assert h == pytest.approx(np.log(2), abs=1e-10)
@@ -262,6 +265,23 @@ class TestFineGrainedBound:
         )
         assert report.n_measurements_sampled == 100
 
+    @pytest.mark.parametrize("stem", ["C4", "R3", "H2", "S3", "P4"])
+    def test_entropy_run_converts_nothing_to_coefficients(self, monkeypatch,
+                                                          stem):
+        # the spectral measurement reuses the state's frame, and measures
+        # and checks its unit sum by pairing reps
+        states = Path(__file__).parent / "golden" / "states"
+        sigma = sz.state_from_json(sz.load_json(states / f"{stem}-full.json"))
+        calls = []
+        for kind, convert in list(ja._COERCE_TO_COEFFS.items()):
+            def recording(c, n, convert=convert):
+                calls.append(c.shape)
+                return convert(c, n)
+
+            monkeypatch.setitem(ja._COERCE_TO_COEFFS, kind, recording)
+        en.fine_grained_entropy_bound(sigma, n_samples=200, seed=0)
+        assert calls == []
+
 
 class TestRandomFineGrainedMeasurements:
     @pytest.mark.parametrize("algebra", SIX_ALGEBRAS)
@@ -270,6 +290,24 @@ class TestRandomFineGrainedMeasurements:
         for _ in range(5):
             m = en.random_fine_grained_measurement(algebra, rng)
             assert st.is_fine_grained(m)
+
+    @pytest.mark.parametrize("algebra", SIX_ALGEBRAS + [ja.classical(4)],
+                             ids=str)
+    def test_measurement_is_the_first_sample(self, algebra):
+        # the measurement scores what the stacked sampler gives the first
+        # sample of the same two streams, projective and blended alike
+        blends = set()
+        for seed in range(8):
+            sigma = st.random_state(algebra, seed=seed + 40)
+            m = en.random_fine_grained_measurement(
+                algebra, np.random.default_rng(seed)
+            )
+            rng = np.random.default_rng(seed)
+            want = en._fine_entropies(sigma, 1, rng, rng.spawn(1)[0])[0]
+            got = en.shannon_entropy(st.measure(m, sigma))
+            assert got == pytest.approx(want, rel=0, abs=1e-12)
+            blends.add(len(m.labels) > algebra.rank)
+        assert blends == {False, True}
 
     @pytest.mark.parametrize("algebra", SIX_ALGEBRAS)
     def test_object_and_fast_paths_agree_in_bounds(self, algebra):

@@ -87,8 +87,7 @@ class TestElementsAndStates:
             sz.state_from_json(doc)
 
     @pytest.mark.parametrize("load", [
-        sz.state_from_json, sz.measurement_from_json,
-        sz.channel_from_json, sz.box_from_json,
+        sz.state_from_json, sz.channel_from_json, sz.box_from_json,
     ])
     @pytest.mark.parametrize("doc", [[1, 2], "x", None, 3.5, {"kind": 7}])
     def test_documents_must_be_objects_of_their_kind(self, load, doc):
@@ -107,6 +106,13 @@ class TestElementsAndStates:
                 {"algebra": [{"type": "complex", "n": 2}], "coeffs": [1, 0]}
             )
 
+    @pytest.mark.parametrize("coeffs", [[1.0, [0.0], 0.0, 0.0],
+                                        ["one", 0.0, 0.0, 0.0]])
+    def test_unreadable_coefficients(self, coeffs):
+        doc = {"algebra": [{"type": "complex", "n": 2}], "coeffs": coeffs}
+        with pytest.raises(sz.FormatError, match="bad coefficients"):
+            sz.element_from_json(doc)
+
     def test_invalid_state_rejected(self):
         doc = {
             "kind": "state",
@@ -117,55 +123,7 @@ class TestElementsAndStates:
             sz.state_from_json(doc)
 
 
-class TestMeasurementsAndChannels:
-    def test_measurement_round_trip(self):
-        sigma = st.random_state(ja.complex_hermitian(3), seed=3)
-        m = st.spectral_measurement(sigma)
-        back = sz.measurement_from_json(
-            json.loads(json.dumps(sz.measurement_to_json(m)))
-        )
-        probs = st.measure(back, sigma)
-        np.testing.assert_allclose(
-            np.sort(probs), np.sort(st.measure(m, sigma)), atol=1e-12
-        )
-        for bad in (np.nan, np.inf):
-            doc = sz.measurement_to_json(m)
-            doc["outcomes"][0]["coeffs"][1] = bad
-            with pytest.raises(sz.FormatError, match="finite"):
-                sz.measurement_from_json(doc)
-
-    @pytest.mark.parametrize("case", [
-        "no-outcomes", "empty-outcomes", "no-coeffs", "no-label",
-        "short-coeffs", "long-coeffs", "outcome-not-object",
-    ])
-    def test_bad_measurement_documents(self, case):
-        doc = sz.measurement_to_json(
-            st.spectral_measurement(st.random_state(ja.complex_hermitian(2),
-                                                    seed=5))
-        )
-        first = doc["outcomes"][0]
-        if case == "no-outcomes":
-            del doc["outcomes"]
-        elif case == "empty-outcomes":
-            doc["outcomes"] = []
-        elif case == "no-coeffs":
-            del first["coeffs"]
-        elif case == "no-label":
-            del first["label"]
-        elif case == "short-coeffs":
-            first["coeffs"] = first["coeffs"][:3]
-        elif case == "long-coeffs":
-            first["coeffs"] = first["coeffs"] + [0.0]
-        else:
-            doc["outcomes"][0] = "0"
-        with pytest.raises(sz.FormatError):
-            sz.measurement_from_json(doc)
-
-    def test_measurement_needs_an_outcome(self):
-        with pytest.raises(ValueError,
-                           match="a measurement needs at least one outcome"):
-            st.Measurement(())
-
+class TestChannels:
     def test_channel_round_trip(self):
         phi = st.random_channel(ja.complex_hermitian(2), seed=4)
         back = sz.channel_from_json(
@@ -202,15 +160,6 @@ class TestMeasurementsAndChannels:
         doc = {"kind": "channel", "source": [{"type": "complex", "n": 2}]}
         with pytest.raises(sz.FormatError, match="target"):
             sz.channel_from_json(doc)
-
-    @pytest.mark.parametrize("coeffs", [[1.0, [0.0], 0.0, 0.0],
-                                        ["one", 0.0, 0.0, 0.0]])
-    def test_unreadable_outcome_coefficients(self, coeffs):
-        doc = {"kind": "measurement",
-               "algebra": [{"type": "complex", "n": 2}],
-               "outcomes": [{"label": 0, "coeffs": coeffs}]}
-        with pytest.raises(sz.FormatError, match="bad outcome coefficients"):
-            sz.measurement_from_json(doc)
 
 
 class TestBoxes:

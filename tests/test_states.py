@@ -17,6 +17,7 @@ ALL_SIMPLE = [
     ja.spin_factor(3),
     ja.classical(4),
 ]
+C2_P2 = ja.Algebra(C2.summands + ja.classical(2).summands)
 
 
 def diag_state(algebra, probs):
@@ -185,6 +186,60 @@ class TestMeasurement:
         with pytest.raises(ValueError):
             st.measurement_from_elements([("only", half)])
 
+    def test_measurement_needs_an_outcome(self):
+        for make in (lambda: st.Measurement(C2, (), (np.zeros((0, 2, 2)),)),
+                     lambda: st.measurement_from_elements([])):
+            with pytest.raises(ValueError,
+                               match="a measurement needs at least one "
+                                     "outcome"):
+                make()
+
+    @pytest.mark.parametrize("frame", [
+        (np.zeros((2, 3, 3)),), (np.zeros((2, 2, 2)), np.zeros((2, 2))),
+    ], ids=["wrong-shape", "extra-summand"])
+    def test_frame_must_fit_labels_and_algebra(self, frame):
+        with pytest.raises(ValueError, match="effect stacks"):
+            st.Measurement(C2, (0, 1), frame)
+
+    def test_elements_must_share_an_algebra(self):
+        with pytest.raises(ja.AlgebraMismatchError):
+            st.measurement_from_elements([
+                ("a", ja.unit(ja.real_hermitian(2)) * 0.5),
+                ("b", ja.unit(C2) * 0.5),
+            ])
+
+    def test_frame_is_read_only(self):
+        m = st.spectral_measurement(st.random_state(C2_P2, seed=9))
+        for stack in m.frame:
+            assert not stack.flags.writeable
+
+    @pytest.mark.parametrize("algebra", ALL_SIMPLE + [C2_P2], ids=str)
+    def test_pairing_matches_inner_product(self, algebra):
+        # the spectral measurement of one state, and the fine-graining of
+        # a two-outcome measurement, scored on another
+        rng = np.random.default_rng(13)
+        sigma = st.random_state(algebra, seed=rng)
+        x = st.random_state(algebra, seed=rng).element * 0.7
+        coarse = st.measurement_from_elements([("x", x),
+                                               ("rest", ja.unit(algebra) - x)])
+        for m in (st.spectral_measurement(st.random_state(algebra, seed=rng)),
+                  coarse, st.fine_grain(coarse)):
+            want = [ja.inner_product(m.effect(k), sigma.element)
+                    for k in range(len(m.labels))]
+            np.testing.assert_allclose(st.measure(m, sigma), want,
+                                       rtol=0, atol=1e-14)
+
+    def test_direct_sum_effects_sit_in_one_summand(self):
+        sigma = st.random_state(C2_P2, seed=14)
+        m = st.spectral_measurement(sigma)
+        assert m.labels == (0, 1, 2, 3)
+        # each primitive idempotent is zero on the other summand
+        support = [[bool(np.any(stack[k])) for stack in m.frame]
+                   for k in range(4)]
+        assert sorted(support) == [[False, True]] * 2 + [[True, False]] * 2
+        np.testing.assert_allclose(st.measure(m, sigma), sigma.spectrum(),
+                                   rtol=0, atol=1e-14)
+
     def test_spectral_measurement_matches_weights(self):
         rng = np.random.default_rng(3)
         sigma = st.random_state(C3, seed=rng)
@@ -207,7 +262,17 @@ class TestFineGraining:
         coarse = st.measurement_from_elements([("all", ja.unit(C2))])
         fine = st.fine_grain(coarse)
         assert st.is_fine_grained(fine)
-        assert len(fine.outcomes) == 2
+        assert len(fine.labels) == 2
+
+    def test_fine_grain_of_direct_sum_unit(self):
+        coarse = st.measurement_from_elements([("all", ja.unit(C2_P2))])
+        assert not st.is_fine_grained(coarse)
+        fine = st.fine_grain(coarse)
+        assert st.is_fine_grained(fine)
+        assert fine.labels == (("all", 0, 0), ("all", 0, 1), ("all", 0, 2),
+                               ("all", 0, 3))
+        sigma = st.random_state(C2_P2, seed=15)
+        assert st.measure(fine, sigma).sum() == pytest.approx(1.0, abs=1e-14)
 
     def test_refinement_preserves_probabilities(self):
         rng = np.random.default_rng(5)
@@ -231,7 +296,7 @@ class TestFineGraining:
         sigma = st.random_state(C2, seed=6)
         m = st.spectral_measurement(sigma)
         fine = st.fine_grain(m)
-        assert len(fine.outcomes) == len(m.outcomes)
+        assert len(fine.labels) == len(m.labels)
         probs = np.sort(st.measure(fine, sigma))
         np.testing.assert_allclose(
             probs, np.sort(st.measure(m, sigma)), atol=1e-10
@@ -261,9 +326,11 @@ class TestSingularity:
         b = diag_state(C2, [0, 1])
         assert st.are_singular(a, b)
         witness = st.singularity_witness(a, b)
-        assert witness is not None
-        assert witness(b) == pytest.approx(1.0, abs=1e-12)
-        assert witness(a) == pytest.approx(0.0, abs=1e-12)
+        assert isinstance(witness, ja.JordanElement)
+        assert ja.inner_product(witness, b.element) == pytest.approx(
+            1.0, abs=1e-12)
+        assert ja.inner_product(witness, a.element) == pytest.approx(
+            0.0, abs=1e-12)
 
     def test_state_not_singular_with_itself(self):
         rho = st.random_state(C3, seed=7)
@@ -343,11 +410,11 @@ class TestTensorMarginal:
         joint = st.tensor(a, b, layout)
         ma = st.spectral_measurement(a)
         mb = st.spectral_measurement(b)
-        pairs = [
-            ((la, lb), st.tensor_elements([ta.element, tb.element], layout))
-            for la, ta in ma.outcomes for lb, tb in mb.outcomes
-        ]
-        joint_m = st.measurement_from_elements(pairs)
+        joint_m = st.Measurement(
+            layout.ambient,
+            tuple((la, lb) for la in ma.labels for lb in mb.labels),
+            (st._kron_stacks(layout, [ma.frame[0], mb.frame[0]]),),
+        )
         np.testing.assert_allclose(
             st.measure(joint_m, joint),
             np.outer(st.measure(ma, a), st.measure(mb, b)).reshape(-1),
