@@ -35,13 +35,7 @@ EXPECTED = HERE / "expected.json"
 
 # argvs whose committed entries are run again and rewritten; each one is
 # named with its reason in CHANGES.md
-REGENERATE = [
-    # its worst violation is roundoff of a difference of two
-    # divergences; the entry was committed before the channel
-    # composition was reordered, which moved it by 8.6e-13
-    ["suite", "--property", "mono", "--algebra", "R3", "--trials", "24",
-     "--seed", "4"],
-]
+REGENERATE = []
 
 # (file stem, algebra, seed of its full-rank and pure states)
 ALGEBRAS = [
@@ -71,6 +65,18 @@ CHANNEL_SUITES = (
     ("suff", 12, ("C3", "H2", "P3"), (0,)),
     ("dpi", 4, ("C2x3", "P2x3"), (0,)),
     ("separoid", 4, ("C2x2x2x2", "P2x2x2x2", "C2x3x2x2"), range(3)),
+)
+# (generator, algebra, trials, seed) of monotonicity runs with witnesses
+# or on classical and composite algebras: a trace-power-3 witness on a
+# Stinespring channel of C4 at trial 37, trace-power-2 merge and
+# split-recovery witnesses on C3 (exit 1), and passing classical and C2x2
+# runs
+MONO_RUNS = (
+    ("trace-power-3", "C4", 48, 1),
+    ("trace-power-2", "C3", 24, 0),
+    ("trace-power-3", "P3", 24, 0),
+    ("neg-entropy", "P4", 24, 0),
+    ("neg-entropy", "C2x2", 12, 0),
 )
 # (file stem, embedding, sizes, seed of its full-rank and pure states)
 COMPOSITES = [
@@ -184,6 +190,13 @@ def cases() -> list[list[str]]:
                   "states/C4-full.json"])
     argvs.append(["divergence", "--rho", "states/C2-full.json", "--sigma",
                   "states/C2-mixed.json", "--generator", "nope"])
+    # monotonicity witnesses, and the conjecture explorer, whose mixtures
+    # run the monotonicity suite
+    for generator, algebra, trials, seed in MONO_RUNS:
+        argvs.append(["suite", "--property", "mono", "--generator", generator,
+                      "--algebra", algebra, "--trials", str(trials),
+                      "--seed", str(seed)])
+    argvs.append(["explore", "--generators", "6", "--trials", "8"])
     return argvs
 
 
