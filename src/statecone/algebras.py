@@ -627,12 +627,29 @@ def direct_sum(a: JordanElement, b: JordanElement) -> JordanElement:
 # its coefficient vector over sqrt(2)
 _PAIRING_SCALE = {"real": 1.0, "complex": 1.0, "quaternion": 0.5,
                   "spin": 2.0, "classical": 1.0}
+# the number of axes of one rep of each kind
+_REP_NDIM = {"real": 2, "complex": 2, "quaternion": 2, "spin": 1,
+             "classical": 1}
+
+
+def _dots(a, b):
+    """The dot products of the last axes of ``a`` and ``b``, any leading
+    axes a batch, each the bits of ``a @ b`` on its two vectors."""
+    if a.ndim == b.ndim == 1:
+        return a @ b
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 def _pairings(kind, stack, rep):
     """The trace inner products of each rep of ``stack`` with ``rep``, on
-    one summand of kind ``kind``."""
-    flat = stack.reshape(len(stack), -1)
+    one summand of kind ``kind``.  Leading axes of ``rep``, and the same
+    ones before the stack axis of ``stack``, are a batch; each batch entry
+    gets the bits it would get alone."""
+    lead = rep.shape[:rep.ndim - _REP_NDIM[kind]]
+    flat = stack.reshape(lead + (stack.shape[len(lead)], -1))
+    if lead:
+        column = rep.reshape(lead + (-1, 1)).conj()
+        return _PAIRING_SCALE[kind] * (flat @ column)[..., 0].real
     return _PAIRING_SCALE[kind] * (flat @ rep.ravel().conj()).real
 
 
@@ -804,18 +821,24 @@ def _kramers_orthonormalize(g: np.ndarray) -> np.ndarray:
 def _frame_projections(kind, q):
     """The primitive idempotent reps of a frame: the projections onto the
     columns of ``q``, or onto its Kramers pairs of columns on quaternionic
-    factors."""
+    factors.  Leading axes of ``q`` are a batch."""
     if kind == "quaternion":
         pairs = q.reshape(q.shape[:-1] + (-1, 2))
-        return np.einsum("ikp,jkp->kij", pairs, pairs.conj())
-    return np.einsum("ik,jk->kij", q, q.conj())
+        return np.einsum("...ikp,...jkp->...kij", pairs, pairs.conj())
+    return np.einsum("...ik,...jk->...kij", q, q.conj())
 
 
 def _spectral_projections(kind, rep, size):
     """Per-summand fine eigenvalues and the stack of their primitive
-    idempotent reps."""
+    idempotent reps.  On real, complex and classical factors leading axes
+    of ``rep`` are a batch: one stacked eigensolve decomposes them all,
+    and each entry gets the bits it would get alone.  Spin and
+    quaternionic factors take one rep."""
     if kind == "classical":
-        return rep, np.eye(size)
+        eye = np.eye(size)
+        if rep.ndim > 1:
+            eye = np.broadcast_to(eye, rep.shape + (size,))
+        return rep, eye
 
     if kind == "spin":
         t, v = rep[0], rep[1:]

@@ -17,9 +17,13 @@ support (the kernel never contributes because the support check has
 already passed).
 
 The randomized suites (monotonicity, sufficiency, statistical locality)
-draw their channels from :func:`statecone.states.random_channel` and the
-channel catalog; every trial is reproducible from ``(seed, trial)`` and
-failing trials are recorded as replayable witnesses.
+draw every trial from its own stream, so each is reproducible from
+``(seed, trial)``, and failing trials are recorded as replayable
+witnesses.  Their channels come from the channel catalog and, in the
+monotonicity suite, from the draws behind
+:func:`statecone.states.random_channel`: those trials are drawn one by
+one and then checked, pushed and compared as one stack, which gives
+each trial the violation it gets alone.
 """
 
 from __future__ import annotations
@@ -60,6 +64,7 @@ __all__ = [
     "explore_additivity_conjecture",
     "free_energy",
     "information_divergence",
+    "judge_trials",
     "neg_entropy",
     "random_orthogonal_triple",
     "regret",
@@ -67,6 +72,11 @@ __all__ = [
     "tangent_action",
     "trace_power",
 ]
+
+
+# the weights of an affine combination may miss summing to one by this
+# much
+WEIGHT_SUM_TOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +135,7 @@ def _xlogx(lam: np.ndarray) -> np.ndarray:
 def _entropy_f(lam: np.ndarray) -> np.ndarray:
     # fmin skips NaN, so this is true exactly when some value is below
     # the cutoff; the multiply in _xlogx keeps a NaN value NaN
-    if np.fmin.reduce(lam, initial=np.inf) < -SUPPORT_TOL:
+    if np.fmin.reduce(lam, axis=None, initial=np.inf) < -SUPPORT_TOL:
         raise DomainError(
             "negative element outside the entropy domain",
             value=float(lam.min()),
@@ -220,8 +230,7 @@ def combine_generators(
 # ---------------------------------------------------------------------------
 
 
-def _divergence(F: BregmanGenerator, x: JordanElement, mu: np.ndarray,
-                p: np.ndarray) -> float:
+def _divergence(F: BregmanGenerator, x, mu: np.ndarray, p: np.ndarray):
     """The Bregman gap of ``x`` from a reference with fine eigenvalues
     ``mu``, where ``p[k]`` is the weight ``x`` puts on the reference's
     idempotent ``k``: ``sum f(lam_x) - sum f(mu) - f'(mu) . (p - mu)``.
@@ -229,20 +238,32 @@ def _divergence(F: BregmanGenerator, x: JordanElement, mu: np.ndarray,
     The affine and tilt parts of the generator cancel in the gap.  For
     support-sensitive generators a reference outside the positive cone
     raises, and mass of ``x`` outside the reference's support gives
-    ``inf``.
+    ``inf``.  ``x`` is an element, decomposed only when its gap is
+    finite, or the fine eigenvalues ``lam_x`` of a stack of elements:
+    then ``mu`` and ``p`` carry the same leading axes, the gaps come back
+    as an array, and each gets the bits it would get alone.
     """
-    if F.affine is not None:
+    single = isinstance(x, JordanElement)
+    if single and F.affine is not None:
         F.affine._require_same(x)
+    inside = np.True_
     if F.support_sensitive:
-        if np.any(mu < -SUPPORT_TOL):
+        if (mu < -SUPPORT_TOL).any():
             raise DomainError(
                 "second argument is not in the positive cone",
                 value=float(mu.min()),
             )
-        if abs((mu <= SUPPORT_CUTOFF) @ p) > SUPPORT_TOL:
+        inside = ~(abs(alg._dots(mu <= SUPPORT_CUTOFF, p)) > SUPPORT_TOL)
+    if single:
+        if not inside:
             return math.inf
-    lam = spectral_decompose(x).values
-    return float(F.f(lam).sum() - F.f(mu).sum() - F.df(mu) @ (p - mu))
+        lam = spectral_decompose(x).values
+    else:
+        # an element outside the support is never read, as alone
+        lam = np.where(inside[..., None], x, 0.0)
+    gap = (F.f(lam).sum(axis=-1) - F.f(mu).sum(axis=-1)
+           - alg._dots(F.df(mu), p - mu))
+    return float(gap) if single else np.where(inside, gap, math.inf)
 
 
 def bregman_divergence(
@@ -331,7 +352,7 @@ def check_bregman_identity(F, states, weights, sigma: State) -> float:
     is a state.
     """
     weights = np.asarray(weights, dtype=float)
-    if abs(weights.sum() - 1.0) > 1e-10:
+    if abs(weights.sum() - 1.0) > WEIGHT_SUM_TOL:
         raise ValueError(f"weights sum to {weights.sum()!r}")
     mean = alg.zero(states[0].element.algebra)
     for t, s in zip(weights, states):
@@ -385,10 +406,12 @@ class PropertyVerdict:
         }
 
 
-def _violation(after: float, before: float) -> float:
-    if math.isinf(after) and math.isinf(before):
-        return 0.0
-    return after - before
+def _violation(after, before):
+    """The rise ``after - before``, elementwise; two infinite sides
+    agree."""
+    with np.errstate(invalid="ignore"):
+        return np.where(np.isinf(after) & np.isinf(before), 0.0,
+                        np.subtract(after, before))
 
 
 def _gap(a: float, b: float) -> float:
@@ -399,6 +422,11 @@ def _gap(a: float, b: float) -> float:
 
 def _trial_rng(seed, trial: int, stream: int = 0) -> np.random.Generator:
     return np.random.default_rng([int(seed), int(trial), int(stream)])
+
+
+def _require_trials(n_trials: int) -> None:
+    if n_trials < 1:
+        raise ValueError(f"a suite needs at least one trial, got {n_trials}")
 
 
 def run_trials(
@@ -412,22 +440,40 @@ def run_trials(
     ``trial_fn(rng, trial)`` computes one trial from a generator derived
     from ``(seed, trial)`` alone, so any trial replays by itself.  It
     returns the violation of every check named in ``tols``; its other
-    keys are copied into the witnesses of that trial.  A check passes
-    when its worst violation stays below its tolerance, and every trial
-    over the tolerance is recorded as a witness.
+    keys are copied into the witnesses of that trial.  The results are
+    judged by :func:`judge_trials`.
     """
-    if n_trials < 1:
-        raise ValueError(f"a suite needs at least one trial, got {n_trials}")
+    _require_trials(n_trials)
+    return judge_trials(
+        (trial_fn(_trial_rng(seed, trial), trial)
+         for trial in range(n_trials)),
+        seed, tols,
+    )
+
+
+def judge_trials(results, seed: int,
+                 tols: dict[str, float]) -> dict[str, PropertyVerdict]:
+    """Judge each check of a suite over its trial results, in trial order.
+
+    ``results`` yields one dict per trial with the violation of every
+    check named in ``tols``; its other keys are copied into the
+    witnesses of that trial.  A check passes when its worst violation
+    stays below its tolerance, and every trial over the tolerance is
+    recorded as a witness.  A NaN violation is worse than any number:
+    it becomes the worst violation and a witness, so the check fails.
+    """
     worst = dict.fromkeys(tols, -math.inf)
     witnesses = {check: [] for check in tols}
-    for trial in range(n_trials):
-        result = trial_fn(_trial_rng(seed, trial), trial)
+    trials = 0
+    for trial, result in enumerate(results):
+        trials += 1
         extras = {k: v for k, v in result.items() if k not in tols}
         for check, tol in tols.items():
             violation = result[check]
-            if violation > worst[check]:
+            failed = math.isnan(violation)
+            if failed or violation > worst[check]:
                 worst[check] = violation
-            if violation > tol:
+            if failed or violation > tol:
                 witnesses[check].append(
                     {"trial": trial, "seed": seed, "violation": violation,
                      **extras}
@@ -435,7 +481,7 @@ def run_trials(
     return {
         check: PropertyVerdict(
             property=check,
-            trials=n_trials,
+            trials=trials,
             worst_violation=worst[check],
             tolerance=tol,
             witnesses=witnesses[check],
@@ -452,8 +498,7 @@ def _full_pair(algebra: Algebra, rng) -> tuple[State, State]:
 
 
 def _supports_random_channels(algebra: Algebra) -> bool:
-    kind = algebra.summands[0].kind
-    return kind in ("complex", "classical")
+    return algebra.summands[0].kind in st._RANDOM_CHANNEL_NAMES
 
 
 def _monotonicity_catalog(algebra, seed):
@@ -466,18 +511,49 @@ def _monotonicity_catalog(algebra, seed):
     return catalog
 
 
-def _monotonicity_trial(F, algebra, catalog, rng, trial):
-    use_random = _supports_random_channels(algebra) and trial % 3 != 2
-    if use_random:
-        env = 1 + trial % algebra.summands[0].size
-        phi = st.random_channel(algebra, env_dim=env, seed=rng)
-        rho, sigma = _full_pair(algebra, rng)
-        before = bregman_divergence(F, rho, sigma)
-        after = bregman_divergence(
-            F, phi.apply_element(rho.element), phi.apply_element(sigma.element)
-        )
-        return _violation(after, before), f"random-{phi.name}-env{env}"
+def _random_channel_trials(F, algebra, seed, trials) -> list:
+    """The violations and channel names of the random-channel ``trials``.
 
+    Each trial draws from its own stream, in trial order: the channel of
+    :func:`~statecone.states.random_channel` with ``env = 1 + trial % n``
+    and then the two states of :func:`~statecone.states.random_state`.
+    The rest runs on the stack of all trials: one check of the states,
+    one push through the channels, one eigensolve of the images and the
+    divergences before and after over the trial axis.  Every trial gets
+    the violation, bit for bit, that it gets from those functions and
+    :func:`bregman_divergence` alone.
+    """
+    if not trials:
+        return []
+    if F.affine is not None and F.affine.algebra != algebra:
+        raise alg.AlgebraMismatchError(
+            f"operands live in {F.affine.algebra} and {algebra}"
+        )
+    s = st._random_channel_factor(algebra)
+    draws, reps = [], []
+    for trial in trials:
+        rng = _trial_rng(seed, trial)
+        draws.append(st._draw_channel(s, 1 + trial % s.size, rng))
+        reps.append([st._draw_state_reps(algebra, None, rng)[0]
+                     for _ in range(2)])
+    # axes (trial, rho or sigma) lead every stack from here on
+    reps, values, frames = st._checked_state_stack(s, np.array(reps))
+    images = st._random_channel_images(s, draws, reps)
+    img_values, img_frames = alg._spectral_projections(s.kind, images, s.size)
+
+    def divergences(pairs, spectra, projections):
+        p = alg._pairings(s.kind, projections[:, 1], pairs[:, 0])
+        return _divergence(F, spectra[:, 0], spectra[:, 1], p)
+
+    before = divergences(reps, values, frames)
+    after = divergences(images, img_values, img_frames)
+    name = st._RANDOM_CHANNEL_NAMES[s.kind]
+    return [(violation, f"random-{name}-env{1 + trial % s.size}")
+            for violation, trial in zip(_violation(after, before).tolist(),
+                                        trials)]
+
+
+def _catalog_trial(F, algebra, catalog, rng, trial):
     entry = catalog[(trial // 3) % len(catalog)]
     phi = entry.affinity
     if entry.stress_sampler is not None:
@@ -490,7 +566,7 @@ def _monotonicity_trial(F, algebra, catalog, rng, trial):
     img_rho = phi.apply_element(rho.element)
     img_sigma = phi.apply_element(sigma.element)
     after = bregman_divergence(F, img_rho, img_sigma)
-    violation = _violation(after, before)
+    violation = float(_violation(after, before))
     name = entry.name
     # A recovery map is itself a channel; applying it to the images turns
     # any drop of the divergence into a rise, so sufficiency failures
@@ -501,11 +577,36 @@ def _monotonicity_trial(F, algebra, catalog, rng, trial):
             entry.recovery.apply_element(img_rho),
             entry.recovery.apply_element(img_sigma),
         )
-        recovered = _violation(back, after)
+        recovered = float(_violation(back, after))
         if recovered > violation:
             violation = recovered
             name = f"{entry.name}-recovery"
     return violation, name
+
+
+# trials whose random-channel draws are held and stacked at once
+_MONOTONICITY_CHUNK = 512
+
+
+def _monotonicity_results(F, algebra, seed, trials):
+    """Yield the violation and channel name of each of ``trials``, in
+    order: the random-channel trials of each chunk of
+    ``_MONOTONICITY_CHUNK`` trials stacked, the catalog trials one by
+    one."""
+    catalog = _monotonicity_catalog(algebra, seed)
+    trials = list(trials)
+    for start in range(0, len(trials), _MONOTONICITY_CHUNK):
+        chunk = trials[start:start + _MONOTONICITY_CHUNK]
+        random = ([t for t in chunk if t % 3 != 2]
+                  if _supports_random_channels(algebra) else [])
+        stacked = dict(zip(random,
+                           _random_channel_trials(F, algebra, seed, random)))
+        for trial in chunk:
+            if trial in stacked:
+                yield stacked[trial]
+            else:
+                yield _catalog_trial(F, algebra, catalog,
+                                     _trial_rng(seed, trial), trial)
 
 
 def check_identity(
@@ -563,14 +664,13 @@ def check_monotonicity(
     random channels with the catalog; elsewhere only catalog channels
     exist, which the verdict records.
     """
-    catalog = _monotonicity_catalog(algebra, seed)
-
-    def one_trial(rng, trial):
-        violation, name = _monotonicity_trial(F, algebra, catalog, rng, trial)
-        return {"monotonicity": violation, "channel": name}
-
-    verdict = run_trials(one_trial, n_trials, seed,
-                         {"monotonicity": tol})["monotonicity"]
+    _require_trials(n_trials)
+    results = _monotonicity_results(F, algebra, seed, range(n_trials))
+    verdict = judge_trials(
+        ({"monotonicity": violation, "channel": name}
+         for violation, name in results),
+        seed, {"monotonicity": tol},
+    )["monotonicity"]
     if not _supports_random_channels(algebra):
         verdict.details["channel_pool"] = "catalog-only"
     return verdict
@@ -578,10 +678,7 @@ def check_monotonicity(
 
 def replay_monotonicity_trial(F, algebra, seed, trial):
     """Recompute the violation of a recorded witness."""
-    catalog = _monotonicity_catalog(algebra, seed)
-    violation, _ = _monotonicity_trial(
-        F, algebra, catalog, _trial_rng(seed, trial), trial
-    )
+    (violation, _), = _monotonicity_results(F, algebra, seed, [trial])
     return violation
 
 

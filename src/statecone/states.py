@@ -206,15 +206,7 @@ class State:
         if not all(np.isfinite(x).all() for x in reps):
             raise StateValidationError("state coefficients must be finite")
         dec = spectral_decompose(element)
-        tr = float(dec.values.sum())
-        if not abs(tr - 1.0) <= NORMALIZATION_TOL:
-            raise StateValidationError(f"trace {tr!r} is not 1")
-        lo = float(np.min(dec.values))
-        if lo < -clip_tol:
-            raise StateValidationError(
-                f"minimum eigenvalue {lo!r} below -{clip_tol}"
-            )
-        if lo < 0.0:
+        if _check_spectra(dec.values, clip_tol):
             values = np.maximum(dec.values, 0.0)
             element = dec.function(values)
             element._spectral = SpectralDecomposition(dec.algebra, values,
@@ -224,6 +216,50 @@ class State:
     def spectrum(self) -> np.ndarray:
         """One eigenvalue per primitive idempotent, descending."""
         return spectral_decompose(self.element).fine_spectrum()
+
+
+def _check_spectra(values: np.ndarray, clip_tol: float = CLIP_TOL):
+    """Check the fine spectra ``values`` (last axis; leading axes a stack)
+    of candidate states as :meth:`State.make` checks one: the trace, the
+    sum of the spectrum, must be one and no eigenvalue may lie below
+    ``-clip_tol``.  The first failing spectrum, in row-major order,
+    raises.  Returns where a spectrum has jitter in ``[-clip_tol, 0)``,
+    which the caller clips to zero."""
+    tr = values.sum(axis=-1)
+    lo = values.min(axis=-1)
+    if (~(abs(tr - 1.0) <= NORMALIZATION_TOL) | (lo < -clip_tol)).any():
+        for t, m in zip(np.ravel(tr), np.ravel(lo)):
+            if not abs(t - 1.0) <= NORMALIZATION_TOL:
+                raise StateValidationError(f"trace {float(t)!r} is not 1")
+            if m < -clip_tol:
+                raise StateValidationError(
+                    f"minimum eigenvalue {float(m)!r} below -{clip_tol}"
+                )
+    return lo < 0.0
+
+
+def _checked_state_stack(s: SimpleFactor, reps: np.ndarray):
+    """States from a stack of reps of the simple summand ``s``, checked
+    as :meth:`State.make` checks ``element_from_reps`` of each: their
+    symmetric parts, which must be finite, with the spectra of one
+    stacked decomposition checked by :func:`_check_spectra`.  Returns the
+    reps, their fine eigenvalues and their idempotent stacks, with
+    eigenvalue jitter clipped and the clipped reps rebuilt from their
+    spectra, as the states' elements and decompositions would hold
+    them.  ``s`` is real, complex or classical, the kinds whose stacks
+    :func:`~statecone.algebras._spectral_projections` decomposes."""
+    reps = alg._SYMMETRIC_PART[s.kind](reps)
+    if not np.isfinite(reps).all():
+        raise StateValidationError("state coefficients must be finite")
+    values, frames = alg._spectral_projections(s.kind, reps, s.size)
+    clipped = _check_spectra(values)
+    if clipped.any():
+        values = np.maximum(values, 0.0)
+        nd = alg._REP_NDIM[s.kind]
+        flat = frames[clipped].reshape(frames[clipped].shape[:-nd] + (-1,))
+        rebuilt = (values[clipped][..., None, :] @ flat)[..., 0, :]
+        reps[clipped] = rebuilt.reshape(reps[clipped].shape)
+    return reps, values, frames
 
 
 def maximally_mixed(
@@ -653,6 +689,16 @@ def _random_summand_rep(s: SimpleFactor, rank_cap, rng):
     return m / np.trace(m).real * (len(m) // n)
 
 
+def _draw_state_reps(algebra: Algebra, rank_cap, rng) -> list:
+    """The reps of one random state of :func:`random_state`, before its
+    symmetric part is taken and it is checked."""
+    reps = [_random_summand_rep(s, rank_cap, rng) for s in algebra.summands]
+    if len(reps) > 1:
+        weights = rng.dirichlet(np.ones(len(reps)))
+        reps = [w * rep for w, rep in zip(weights, reps)]
+    return reps
+
+
 def random_state(
     algebra: Algebra,
     rank_cap: int | None = None,
@@ -661,12 +707,50 @@ def random_state(
 ) -> State:
     """Seeded random state; Hilbert-Schmidt style GG* sampling on matrix
     factors, uniform ball sampling on spin factors."""
-    rng = _as_rng(seed)
-    reps = [_random_summand_rep(s, rank_cap, rng) for s in algebra.summands]
-    if len(reps) > 1:
-        weights = rng.dirichlet(np.ones(len(reps)))
-        reps = [w * rep for w, rep in zip(weights, reps)]
+    reps = _draw_state_reps(algebra, rank_cap, _as_rng(seed))
     return State.make(element_from_reps(algebra, reps), layout)
+
+
+# the name of the random channel on each kind that has one
+_RANDOM_CHANNEL_NAMES = {"classical": "random-stochastic",
+                        "complex": "stinespring"}
+
+
+def _random_channel_factor(algebra: Algebra) -> SimpleFactor:
+    """The summand of an algebra that carries random channels."""
+    if len(algebra.summands) != 1:
+        raise UnsupportedAlgebraError("random channels need a simple algebra")
+    s = algebra.summands[0]
+    if s.kind not in _RANDOM_CHANNEL_NAMES:
+        raise UnsupportedAlgebraError(
+            f"random channels are defined for complex and classical "
+            f"algebras, not {s.kind}"
+        )
+    return s
+
+
+def _draw_channel(s: SimpleFactor, env: int | None, rng) -> np.ndarray:
+    """The draw behind one random channel on ``s``: a column-stochastic
+    matrix on a classical factor, and on a complex one the Gaussian
+    ``(n * env) x n`` matrix whose orthonormalized columns are the
+    Stinespring isometry (``env`` defaults to ``n``)."""
+    n = s.size
+    if s.kind == "classical":
+        return np.stack([rng.dirichlet(np.ones(n)) for _ in range(n)], axis=1)
+    env = n if env is None else int(env)
+    if env < 1:
+        raise ValueError("environment dimension must be at least 1")
+    return rng.normal(size=(n * env, n)) + 1j * rng.normal(size=(n * env, n))
+
+
+def _stinespring_push(v: np.ndarray, m: np.ndarray, env: int) -> np.ndarray:
+    """Push the reps ``m`` through the isometries ``v`` into system x
+    environment and trace the environment out; leading axes of both
+    broadcast."""
+    n = v.shape[-1]
+    big = v @ m @ np.conj(np.swapaxes(v, -1, -2))
+    return np.einsum("...aebe->...ab",
+                     big.reshape(big.shape[:-2] + (n, env, n, env)))
 
 
 def random_channel(algebra: Algebra, env_dim: int | None = None,
@@ -678,33 +762,33 @@ def random_channel(algebra: Algebra, env_dim: int | None = None,
     get a column-stochastic matrix.  Other kinds only carry the explicit
     catalog channels, so they are rejected here.
     """
-    if len(algebra.summands) != 1:
-        raise UnsupportedAlgebraError("random channels need a simple algebra")
-    s = algebra.summands[0]
-    rng = _as_rng(seed)
+    s = _random_channel_factor(algebra)
+    draw = _draw_channel(s, env_dim, _as_rng(seed))
+    name = _RANDOM_CHANNEL_NAMES[s.kind]
     if s.kind == "classical":
-        n = s.size
-        matrix = np.stack(
-            [rng.dirichlet(np.ones(n)) for _ in range(n)], axis=1
-        )
-        return Affinity(matrix, algebra, algebra, name="random-stochastic")
-    if s.kind != "complex":
-        raise UnsupportedAlgebraError(
-            f"random channels are defined for complex and classical "
-            f"algebras, not {s.kind}"
-        )
-    n = s.size
-    env = n if env_dim is None else int(env_dim)
-    if env < 1:
-        raise ValueError("environment dimension must be at least 1")
-    g = rng.normal(size=(n * env, n)) + 1j * rng.normal(size=(n * env, n))
-    v, _ = np.linalg.qr(g)
+        return Affinity(draw, algebra, algebra, name=name)
+    env = len(draw) // s.size
+    v, _ = np.linalg.qr(draw)
+    return _affinity_from_rep_map(lambda m: _stinespring_push(v, m, env),
+                                  algebra, name)
 
-    def push(m: np.ndarray) -> np.ndarray:
-        big = v @ m @ v.conj().T
-        return np.einsum("xaebe->xab", big.reshape(-1, n, env, n, env))
 
-    return _affinity_from_rep_map(push, algebra, "stinespring")
+def _random_channel_images(s: SimpleFactor, draws: Sequence[np.ndarray],
+                           reps: np.ndarray) -> np.ndarray:
+    """The images of the stack ``reps[k]`` under the channel of
+    ``draws[k]``, as :func:`random_channel` builds and applies it: one
+    stacked orthonormalization and one stacked push per environment size.
+    Each image gets the bits it would get alone."""
+    if s.kind == "classical":
+        return (np.stack(draws)[:, None] @ reps[..., None])[..., 0]
+    images = np.empty_like(reps)
+    envs = [len(g) // s.size for g in draws]
+    for env in sorted(set(envs)):
+        group = [k for k, e in enumerate(envs) if e == env]
+        v, _ = np.linalg.qr(np.stack([draws[k] for k in group]))
+        pushed = _stinespring_push(v[:, None], reps[group], env)
+        images[group] = alg._SYMMETRIC_PART[s.kind](pushed)
+    return images
 
 
 # ---------------------------------------------------------------------------

@@ -848,6 +848,32 @@ class TestBatchedLayer:
             rep_trace(kind, el.reps()[0]), rel=0, abs=1e-14
         )
 
+    @pytest.mark.parametrize("kind,n", [
+        (kind, n) for kind, n in ALL_FACTORS
+        if kind in ("real", "complex", "classical")
+    ])
+    def test_stacked_spectral_projections_equal_single_ones(self, kind, n):
+        rng = np.random.default_rng([23, ja._KINDS.index(kind), n])
+        reps = ja._SYMMETRIC_PART[kind](random_reps(kind, n, 6, rng))
+        reps = reps.reshape((2, 3) + reps.shape[1:])
+        values, frames = ja._spectral_projections(kind, reps, n)
+        for index in np.ndindex(2, 3):
+            w, projs = ja._spectral_projections(kind, reps[index], n)
+            assert np.array_equal(values[index], w)
+            assert np.array_equal(frames[index], projs)
+
+    @pytest.mark.parametrize("kind,n", ALL_FACTORS)
+    def test_stacked_pairings_equal_single_ones(self, kind, n):
+        rng = np.random.default_rng([24, ja._KINDS.index(kind), n])
+        stacks = random_reps(kind, n, 12, rng).reshape(
+            (3, 4) + _REP_SHAPES[kind](n))
+        reps = random_reps(kind, n, 3, rng)
+        pairings = ja._pairings(kind, stacks, reps)
+        assert pairings.shape == (3, 4)
+        for k in range(3):
+            assert np.array_equal(pairings[k],
+                                  ja._pairings(kind, stacks[k], reps[k]))
+
     def test_trace_matches_reps_on_direct_sum(self):
         algebra = ja.Algebra(tuple(
             ja.SimpleFactor(kind, n) for kind, n in

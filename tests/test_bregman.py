@@ -7,6 +7,7 @@ import pytest
 from statecone import algebras as ja
 from statecone import bregman as br
 from statecone import multipartite as mp
+from statecone import serialize as sz
 from statecone import states as st
 
 C2 = ja.complex_hermitian(2)
@@ -106,6 +107,37 @@ class TestDivergenceValues:
         assert br.information_divergence(rho, sigma) == pytest.approx(
             expected, abs=1e-8
         )
+
+
+class TestStackedDivergence:
+    @pytest.mark.parametrize("F", [NE, T2, T3], ids=lambda F: F.name)
+    def test_stacked_gaps_equal_single_ones(self, F):
+        # full-rank pairs, and a pure reference under a full-rank state,
+        # whose entropy divergence is infinite
+        rng = np.random.default_rng(30)
+        pairs = [(st.random_state(C3, seed=rng),
+                  st.random_state(C3, rank_cap=cap, seed=rng))
+                 for cap in (None, None, 1, None)]
+        decs = [(ja.spectral_decompose(x.element),
+                 ja.spectral_decompose(y.element)) for x, y in pairs]
+        lam = np.array([dx.values for dx, _ in decs])
+        mu = np.array([dy.values for _, dy in decs])
+        p = np.array([dy.weights(x.element)
+                      for (x, _), (_, dy) in zip(pairs, decs)])
+        gaps = br._divergence(F, lam.reshape(2, 2, 3), mu.reshape(2, 2, 3),
+                              p.reshape(2, 2, 3)).ravel()
+        want = [br.bregman_divergence(F, x, y) for x, y in pairs]
+        assert gaps.tolist() == want
+        assert math.isinf(want[2]) == F.support_sensitive
+
+    def test_outside_the_support_is_not_read(self):
+        # alone, an element outside the reference's support is never
+        # decomposed, so no domain error; a stack masks it the same way
+        mu = np.array([[1.0, 0.0], [0.5, 0.5]])
+        p = np.array([[0.5, 0.5], [0.5, 0.5]])
+        lam = np.array([[1.5, -0.5], [0.5, 0.5]])
+        gaps = br._divergence(NE, lam, mu, p)
+        assert math.isinf(gaps[0]) and gaps[1] == 0.0
 
 
 class TestGradients:
@@ -304,6 +336,19 @@ class TestTrialDriver:
         assert {v.property for v in verdicts.values()} == {"a", "b"}
         assert {v.trials for v in verdicts.values()} == {3}
 
+    @pytest.mark.parametrize("values", [[0.5, math.nan, 2.0],
+                                        [math.nan] * 3])
+    def test_nan_violation_is_the_worst_and_a_witness(self, values):
+        # every comparison with NaN is false, so it used to pass unseen
+        verdict = br.run_trials(lambda rng, trial: {"x": values[trial]}, 3,
+                                0, {"x": 1e-8})["x"]
+        assert math.isnan(verdict.worst_violation)
+        assert not verdict.passed
+        assert [w["trial"] for w in verdict.witnesses] == [0, 1, 2]
+        report = verdict.as_dict()
+        assert report["worst_violation"] == "nan"
+        assert report["passed"] is False
+
     def test_trial_streams_match_seed_and_trial(self):
         # every suite used to seed its trials with [seed, trial] or
         # [seed, trial, 0]; both give the stream the driver hands out
@@ -335,9 +380,66 @@ class TestMonotonicity:
         verdict = br.check_monotonicity(T2, C3, n_trials=150, seed=23)
         assert not verdict.passed
         assert verdict.witnesses
-        w = verdict.witnesses[0]
-        replayed = br.replay_monotonicity_trial(T2, C3, w["seed"], w["trial"])
-        assert replayed == pytest.approx(w["violation"], abs=1e-12)
+        for w in verdict.witnesses:
+            replayed = br.replay_monotonicity_trial(T2, C3, w["seed"],
+                                                    w["trial"])
+            assert replayed == pytest.approx(w["violation"], abs=1e-12)
+
+    def test_random_channel_witness_replays(self):
+        C4 = ja.complex_hermitian(4)
+        verdict = br.check_monotonicity(T3, C4, n_trials=48, seed=1)
+        w = next(w for w in verdict.witnesses if w["trial"] == 37)
+        assert w["channel"] == "random-stinespring-env2"
+        assert br.replay_monotonicity_trial(T3, C4, 1, 37) == w["violation"]
+
+    @pytest.mark.parametrize("spec", ["C2", "C3", "C4", "P3", "C2x2"])
+    @pytest.mark.parametrize("F", [NE, T2], ids=lambda F: F.name)
+    def test_stacked_trials_equal_per_trial_functions(self, spec, F):
+        algebra, _ = sz.parse_algebra_spec(spec)
+        n = algebra.summands[0].size
+        seed = 7
+        # an infinite tolerance below every value keeps every trial
+        verdict = br.check_monotonicity(F, algebra, n_trials=30, seed=seed,
+                                        tol=-math.inf)
+        random = [w for w in verdict.witnesses if w["trial"] % 3 != 2]
+        assert len(random) == 20
+        for w in random:
+            rng = br._trial_rng(seed, w["trial"])
+            env = 1 + w["trial"] % n
+            phi = st.random_channel(algebra, env_dim=env, seed=rng)
+            rho = st.random_state(algebra, seed=rng)
+            sigma = st.random_state(algebra, seed=rng)
+            before = br.bregman_divergence(F, rho, sigma)
+            after = br.bregman_divergence(F, phi.apply_element(rho.element),
+                                          phi.apply_element(sigma.element))
+            want = (0.0 if math.isinf(after) and math.isinf(before)
+                    else after - before)
+            assert abs(w["violation"] - want) <= 1e-14, w
+            assert w["channel"] == f"random-{phi.name}-env{env}"
+
+    def test_mono_run_makes_at_most_48_eigensolves(self, monkeypatch):
+        # the 16 random trials of a 24-trial run check their 32 states in
+        # one stacked eigensolve and their 32 images in another; the 8
+        # catalog trials make 42 (64 + 42 = 106 trial by trial)
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting(*args, **kwargs):
+            calls.append(np.shape(args[0]))
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        br.check_monotonicity(NE, C3, n_trials=24, seed=0)
+        assert len(calls) <= 48, len(calls)
+        assert (16, 2, 3, 3) in calls
+
+    def test_chunks_do_not_change_the_verdict(self, monkeypatch):
+        whole = br.check_monotonicity(T2, C3, n_trials=40, seed=9,
+                                      tol=-math.inf)
+        monkeypatch.setattr(br, "_MONOTONICITY_CHUNK", 7)
+        chunked = br.check_monotonicity(T2, C3, n_trials=40, seed=9,
+                                        tol=-math.inf)
+        assert chunked.as_dict() == whole.as_dict()
 
     def test_automorphisms_preserve_divergence_exactly(self):
         cat = st.channel_catalog(C3, seed=24)

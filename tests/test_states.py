@@ -152,6 +152,46 @@ class TestStateValidation:
         assert el._coeffs is None
 
 
+    @pytest.mark.parametrize("algebra", [
+        a for a in ALL_SIMPLE
+        if a.summands[0].kind in ("real", "complex", "classical")
+    ] + [C2], ids=str)
+    def test_stacked_check_matches_make(self, algebra):
+        # full-rank and pure draws; pure ones carry eigenvalue jitter
+        # around zero, which both clip
+        s = algebra.summands[0]
+        rng = np.random.default_rng(40)
+        reps = np.array([st._draw_state_reps(algebra, cap, rng)[0]
+                         for cap in (None, 1, None, 1, 1, 1)])
+        reps = reps.reshape((2, 3) + reps.shape[1:])
+        checked, values, frames = st._checked_state_stack(s, reps)
+        clipped = 0
+        for index in np.ndindex(2, 3):
+            el = ja.element_from_reps(algebra, [reps[index]])
+            state = st.State.make(el)
+            clipped += state.element is not el
+            dec = ja.spectral_decompose(state.element)
+            assert np.array_equal(checked[index], state.element.reps()[0])
+            assert np.array_equal(values[index], dec.values)
+            assert np.array_equal(frames[index], dec.frame[0])
+        if s.kind != "classical":
+            assert clipped > 0
+
+    @pytest.mark.parametrize("bad,message", [
+        ([1.2, -0.2], "minimum eigenvalue -0.2"),
+        ([0.5, 0.4], "trace 0.9"),
+        ([np.nan, 1.0], "state coefficients must be finite"),
+    ])
+    def test_stacked_check_raises_as_make(self, bad, message):
+        good = np.diag([0.5, 0.5]).astype(complex)
+        wrong = np.diag([0.2, 0.2]).astype(complex)  # trace 0.4, later
+        reps = np.array([good, np.diag(bad).astype(complex), wrong])
+        with pytest.raises(st.StateValidationError, match=message):
+            st._checked_state_stack(C2.summands[0], reps)
+        with pytest.raises(st.StateValidationError, match=message):
+            st.State.make(ja.element_from_reps(C2, [reps[1]]))
+
+
 class TestMeasurement:
     def test_computational_basis_probabilities(self):
         sigma = diag_state(C2, [0.7, 0.3])
@@ -686,6 +726,25 @@ class TestRandomChannels:
             cols.append(ja.element_from_reps(algebra, [out]).coeffs)
         np.testing.assert_allclose(phi.matrix, np.array(cols).T, rtol=0,
                                    atol=1e-14)
+
+    @pytest.mark.parametrize("algebra", [C2, C3, ja.complex_hermitian(4),
+                                         ja.classical(3)], ids=str)
+    def test_stacked_images_equal_applied_channels(self, algebra):
+        # the draws behind random_channel, pushed as one stack, give the
+        # bits that apply_element gives channel by channel
+        s = algebra.summands[0]
+        draws, reps, want = [], [], []
+        for k in range(7):
+            env = 1 + k % s.size
+            phi = st.random_channel(algebra, env_dim=env, seed=[90, k])
+            draws.append(st._draw_channel(s, env,
+                                          np.random.default_rng([90, k])))
+            pair = [st.random_state(algebra, seed=[91, k, j]).element
+                    for j in range(2)]
+            reps.append([el.reps()[0] for el in pair])
+            want.append([phi.apply_element(el).reps()[0] for el in pair])
+        images = st._random_channel_images(s, draws, np.array(reps))
+        assert np.array_equal(images, np.array(want))
 
     def test_unital_iff_preserves_maximally_mixed(self):
         phi = st.random_channel(C2, env_dim=1, seed=22)  # unitary: unital
