@@ -830,10 +830,10 @@ def _frame_projections(kind, q):
 
 def _spectral_projections(kind, rep, size):
     """Per-summand fine eigenvalues and the stack of their primitive
-    idempotent reps.  On real, complex and classical factors leading axes
-    of ``rep`` are a batch: one stacked eigensolve decomposes them all,
-    and each entry gets the bits it would get alone.  Spin and
-    quaternionic factors take one rep."""
+    idempotent reps.  Leading axes of ``rep`` are a batch, and each entry
+    gets the bits it would get alone: on real, complex and classical
+    factors one stacked eigensolve decomposes them all, on spin and
+    quaternionic ones each rep goes through the single-rep code."""
     if kind == "classical":
         eye = np.eye(size)
         if rep.ndim > 1:
@@ -841,6 +841,8 @@ def _spectral_projections(kind, rep, size):
         return rep, eye
 
     if kind == "spin":
+        if rep.ndim > 1:
+            return _each_rep(kind, rep, size)
         t, v = rep[0], rep[1:]
         r = float(np.linalg.norm(v))
         # at r == 0 both eigenvalues are t and any ball axis will do
@@ -849,13 +851,28 @@ def _spectral_projections(kind, rep, size):
         bottom = np.concatenate(([0.5], -0.5 * axis))
         return np.array([t + r, t - r]), np.stack([top, bottom])
 
-    w, vecs = np.linalg.eigh(rep)
     if kind == "quaternion":
+        if rep.ndim > 2:
+            return _each_rep(kind, rep, size)
         # the eigenvalues of the embedding come in Kramers pairs; each
         # picked vector with its partner spans a primitive idempotent
+        w, vecs = np.linalg.eigh(rep)
         picked, frame = _kramers_frame(vecs)
         return w[picked], _frame_projections(kind, _kramers_pairs(frame))
+    w, vecs = np.linalg.eigh(rep)
     return w, _frame_projections(kind, vecs)
+
+
+def _each_rep(kind, reps, size):
+    """:func:`_spectral_projections` of each rep of the stack ``reps``
+    alone, stacked again."""
+    nd = _REP_NDIM[kind]
+    lead = reps.shape[:-nd]
+    parts = [_spectral_projections(kind, rep, size)
+             for rep in reps.reshape((-1,) + reps.shape[-nd:])]
+    values, frames = (np.stack(x) for x in zip(*parts))
+    return (values.reshape(lead + values.shape[1:]),
+            frames.reshape(lead + frames.shape[1:]))
 
 
 def spectral_decompose(a: JordanElement) -> SpectralDecomposition:

@@ -187,13 +187,6 @@ def box_from_quantum(strategy: QuantumStrategy) -> NoSignalingBox:
     return NoSignalingBox(np.clip(t, 0.0, None))
 
 
-def _chsh_of_angles(state: State, angles: np.ndarray) -> float:
-    strategy = QuantumStrategy(
-        state, (angles[0], angles[1]), (angles[2], angles[3])
-    )
-    return chsh_value(box_from_quantum(strategy))
-
-
 _Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 _X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 

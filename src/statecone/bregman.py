@@ -20,10 +20,11 @@ The randomized suites (monotonicity, sufficiency, statistical locality)
 draw every trial from its own stream, so each is reproducible from
 ``(seed, trial)``, and failing trials are recorded as replayable
 witnesses.  Their channels come from the channel catalog and, in the
-monotonicity suite, from the draws behind
-:func:`statecone.states.random_channel`: those trials are drawn one by
-one and then checked, pushed and compared as one stack, which gives
-each trial the violation it gets alone.
+monotonicity suite, also from the draws behind
+:func:`statecone.states.random_channel`.  The monotonicity suite draws
+its trials one by one, then checks, pushes and compares its
+random-channel trials as one stack and its catalog trials as another,
+which gives each trial the violation it gets alone.
 """
 
 from __future__ import annotations
@@ -158,12 +159,6 @@ def _power_df(lam: np.ndarray, p: int) -> np.ndarray:
 def _weighted_sum(terms, lam: np.ndarray) -> np.ndarray:
     """``sum c * fn(lam)`` over the ``(c, fn)`` pairs of ``terms``."""
     return sum((c * fn(lam) for c, fn in terms), np.zeros_like(lam))
-
-
-def log_on_support(x: JordanElement) -> JordanElement:
-    """Spectral logarithm with kernel directions mapped to zero."""
-    dec = spectral_decompose(x)
-    return dec.function(_log_on_support(dec.values))
 
 
 def neg_entropy() -> BregmanGenerator:
@@ -322,13 +317,6 @@ def tangent_action(F: BregmanGenerator, sigma: State) -> tuple[Action, float]:
     g = F.gradient(sigma.element)
     intercept = F.value(sigma.element) - inner_product(g, sigma.element)
     return Action(g), intercept
-
-
-def fold_intercept(action: Action, intercept: float) -> Action:
-    """Absorb an affine intercept into the functional; exact on trace-one
-    states since the unit evaluates to the trace."""
-    u = unit(action.functional.algebra)
-    return Action(action.functional + intercept * u)
 
 
 def free_energy(actions, rho: State) -> float:
@@ -511,6 +499,20 @@ def _monotonicity_catalog(algebra, seed):
     return catalog
 
 
+def _require_generator_on(F, algebra) -> None:
+    if F.affine is not None and F.affine.algebra != algebra:
+        raise alg.AlgebraMismatchError(
+            f"operands live in {F.affine.algebra} and {algebra}"
+        )
+
+
+def _stacked_divergences(F, kind, reps, values, frames):
+    """The divergences of a stack of pairs (axis 1: rho, sigma) from
+    their reps and decompositions, over the leading axes."""
+    p = alg._pairings(kind, frames[:, 1], reps[:, 0])
+    return _divergence(F, values[:, 0], values[:, 1], p)
+
+
 def _random_channel_trials(F, algebra, seed, trials) -> list:
     """The violations and channel names of the random-channel ``trials``.
 
@@ -525,10 +527,7 @@ def _random_channel_trials(F, algebra, seed, trials) -> list:
     """
     if not trials:
         return []
-    if F.affine is not None and F.affine.algebra != algebra:
-        raise alg.AlgebraMismatchError(
-            f"operands live in {F.affine.algebra} and {algebra}"
-        )
+    _require_generator_on(F, algebra)
     s = st._random_channel_factor(algebra)
     draws, reps = [], []
     for trial in trials:
@@ -539,74 +538,94 @@ def _random_channel_trials(F, algebra, seed, trials) -> list:
     # axes (trial, rho or sigma) lead every stack from here on
     reps, values, frames = st._checked_state_stack(s, np.array(reps))
     images = st._random_channel_images(s, draws, reps)
-    img_values, img_frames = alg._spectral_projections(s.kind, images, s.size)
-
-    def divergences(pairs, spectra, projections):
-        p = alg._pairings(s.kind, projections[:, 1], pairs[:, 0])
-        return _divergence(F, spectra[:, 0], spectra[:, 1], p)
-
-    before = divergences(reps, values, frames)
-    after = divergences(images, img_values, img_frames)
+    spectra = alg._spectral_projections(s.kind, images, s.size)
+    before = _stacked_divergences(F, s.kind, reps, values, frames)
+    after = _stacked_divergences(F, s.kind, images, *spectra)
     name = st._RANDOM_CHANNEL_NAMES[s.kind]
     return [(violation, f"random-{name}-env{1 + trial % s.size}")
             for violation, trial in zip(_violation(after, before).tolist(),
                                         trials)]
 
 
-def _catalog_trial(F, algebra, catalog, rng, trial):
-    entry = catalog[(trial // 3) % len(catalog)]
-    phi = entry.affinity
-    if entry.stress_sampler is not None:
-        rho, sigma = entry.stress_sampler(rng)
-    elif entry.pair_sampler is not None:
-        rho, sigma = entry.pair_sampler(rng)
-    else:
-        rho, sigma = _full_pair(algebra, rng)
-    before = bregman_divergence(F, rho, sigma)
-    img_rho = phi.apply_element(rho.element)
-    img_sigma = phi.apply_element(sigma.element)
-    after = bregman_divergence(F, img_rho, img_sigma)
-    violation = float(_violation(after, before))
-    name = entry.name
-    # A recovery map is itself a channel; applying it to the images turns
-    # any drop of the divergence into a rise, so sufficiency failures
-    # always surface here as monotonicity failures too.
-    if entry.recovery is not None and entry.recovery.source == algebra:
-        back = bregman_divergence(
-            F,
-            entry.recovery.apply_element(img_rho),
-            entry.recovery.apply_element(img_sigma),
-        )
-        recovered = float(_violation(back, after))
-        if recovered > violation:
-            violation = recovered
-            name = f"{entry.name}-recovery"
-    return violation, name
+def _pair_draws(entry, rng):
+    """The reps of the state pair a trial of the catalog ``entry`` draws
+    from ``rng``: by its stress sampler, else its pair sampler, else as
+    two states of :func:`~statecone.states.random_state` on its source."""
+    sampler = entry.stress_sampler or entry.pair_sampler
+    if sampler is not None:
+        return sampler(rng)
+    return [st._draw_state_reps(entry.affinity.source, None, rng)[0]
+            for _ in range(2)]
 
 
-# trials whose random-channel draws are held and stacked at once
+def _catalog_trials(F, algebra, catalog, seed, trials) -> list:
+    """The violations and channel names of the catalog ``trials``.
+
+    Trial ``t`` runs ``catalog[(t // 3) % len(catalog)]`` on the pair
+    :func:`_pair_draws` draws from its own stream, in trial order.  Every
+    entry maps the algebra to itself, so the rest runs on the stack of
+    all trials: one check of the pairs, one push per entry through its
+    map and its recovery map, one eigensolve of all the images and the
+    divergences over the trial axis.  A recovery map is itself a
+    channel; applying it to the images turns any drop of the divergence
+    into a rise, so sufficiency failures surface here as monotonicity
+    failures too, named ``<entry>-recovery`` where the rise is larger.
+    Every trial gets the violation and name, bit for bit, that
+    ``apply_element`` and :func:`bregman_divergence` give it alone.
+    """
+    if not trials:
+        return []
+    _require_generator_on(F, algebra)
+    s = algebra.summands[0]
+    picks = [(trial // 3) % len(catalog) for trial in trials]
+    reps = np.array([_pair_draws(catalog[k], _trial_rng(seed, trial))
+                     for k, trial in zip(picks, trials)])
+    # axes (trial, rho or sigma) lead every stack from here on
+    reps, values, frames = st._checked_state_stack(s, reps)
+    images = np.empty_like(reps)
+    recovered, backs = [], []
+    for k in sorted(set(picks)):
+        entry = catalog[k]
+        group = [i for i, pick in enumerate(picks) if pick == k]
+        pushed, coeffs = entry.affinity._push(reps[group])
+        images[group] = pushed
+        if entry.recovery is not None and entry.recovery.source == algebra:
+            recovered += group
+            backs.append(entry.recovery._push(pushed, coeffs)[0])
+    images = np.concatenate([images, *backs])
+    spectra = alg._spectral_projections(s.kind, images, s.size)
+    before = _stacked_divergences(F, s.kind, reps, values, frames)
+    gaps = _stacked_divergences(F, s.kind, images, *spectra)
+    after = gaps[:len(trials)]
+    violation = _violation(after, before)
+    rise = np.full(len(trials), -math.inf)
+    rise[recovered] = _violation(gaps[len(trials):], after[recovered])
+    worse = rise > violation
+    return [(v, f"{catalog[k].name}-recovery" if w else catalog[k].name)
+            for v, w, k in zip(np.where(worse, rise, violation).tolist(),
+                               worse.tolist(), picks)]
+
+
+# trials whose draws are held and stacked at once
 _MONOTONICITY_CHUNK = 512
 
 
 def _monotonicity_results(F, algebra, seed, trials):
     """Yield the violation and channel name of each of ``trials``, in
-    order: the random-channel trials of each chunk of
-    ``_MONOTONICITY_CHUNK`` trials stacked, the catalog trials one by
-    one."""
+    order: the random-channel trials and the catalog trials of each chunk
+    of ``_MONOTONICITY_CHUNK`` trials, each half as one stack."""
     catalog = _monotonicity_catalog(algebra, seed)
+    randoms = _supports_random_channels(algebra)
     trials = list(trials)
     for start in range(0, len(trials), _MONOTONICITY_CHUNK):
         chunk = trials[start:start + _MONOTONICITY_CHUNK]
-        random = ([t for t in chunk if t % 3 != 2]
-                  if _supports_random_channels(algebra) else [])
-        stacked = dict(zip(random,
+        random = [t for t in chunk if randoms and t % 3 != 2]
+        listed = [t for t in chunk if not randoms or t % 3 == 2]
+        results = dict(zip(random,
                            _random_channel_trials(F, algebra, seed, random)))
-        for trial in chunk:
-            if trial in stacked:
-                yield stacked[trial]
-            else:
-                yield _catalog_trial(F, algebra, catalog,
-                                     _trial_rng(seed, trial), trial)
+        results.update(zip(listed, _catalog_trials(F, algebra, catalog,
+                                                   seed, listed)))
+        yield from (results[trial] for trial in chunk)
 
 
 def check_identity(
@@ -704,10 +723,10 @@ def check_sufficiency(
 
     def one_trial(rng, trial):
         entry = catalog[trial % len(catalog)]
-        if entry.pair_sampler is not None:
-            rho, sigma = entry.pair_sampler(rng)
-        else:
-            rho, sigma = _full_pair(algebra, rng)
+        rho, sigma = (
+            State.make(alg.element_from_reps(entry.affinity.source, [rep]))
+            for rep in _pair_draws(entry, rng)
+        )
         for s in (rho, sigma):
             back = entry.recovery.apply_element(
                 entry.affinity.apply_element(s.element)
@@ -733,23 +752,13 @@ def random_orthogonal_triple(algebra: Algebra, rng):
     """A state with two companions singular to it.
 
     The companions share the complement of the first state's support and
-    may overlap each other.  On spin factors (rank 2) the complement is a
-    single pure state, so the companions coincide and comparisons there
-    are vacuous; the other kinds need rank at least 3 and raise
-    :class:`~statecone.states.UnsupportedAlgebraError` below it.
+    may overlap each other.  Below rank 3, spin factors included, that
+    complement is a single pure state, so the companions would coincide
+    and comparisons would be vacuous: those algebras raise
+    :class:`~statecone.states.UnsupportedAlgebraError`.
     """
     s = algebra.summands[0]
-    kind, n = s.kind, s.size
-
-    if kind == "spin":
-        u = st._random_frames(kind, st._draw_basis(kind, n, rng))
-        top = alg.element_from_reps(algebra, [np.concatenate(([0.5], 0.5 * u))])
-        bottom = alg.element_from_reps(
-            algebra, [np.concatenate(([0.5], -0.5 * u))]
-        )
-        return State(top), State(bottom), State(bottom)
-
-    rank = s.rank
+    kind, n, rank = s.kind, s.size, s.rank
     if rank < 3:
         raise st.UnsupportedAlgebraError(
             "singular companions with varying shape need rank at least 3"
@@ -918,20 +927,17 @@ def explore_additivity_conjecture(
         mono = check_monotonicity(
             G, layout.ambient, n_trials=n_trials, seed=seed + idx, tol=tol
         )
-        add_worst = -math.inf
-        add_witness = None
+        residuals = []
         for trial in range(n_trials):
             trial_rng = _trial_rng(seed + idx, trial, stream=7)
             rho_a, sigma_a = _full_pair(layout.factors[0], trial_rng)
             rho_b, sigma_b = _full_pair(layout.factors[1], trial_rng)
-            residual = mp.check_additivity(
+            residuals.append(mp.check_additivity(
                 G, rho_a, rho_b, sigma_a, sigma_b, layout
-            )
-            if residual > add_worst:
-                add_worst = residual
-                add_witness = {"trial": trial, "seed": seed + idx,
-                               "residual": residual}
-        additive = add_worst < tol
+            ))
+        add = judge_trials(({"additivity": r} for r in residuals),
+                           seed + idx, {"additivity": tol})["additivity"]
+        add_worst, additive = add.worst_violation, add.passed
         table[(mono.passed, additive)] += 1
         row = {
             "generator": G.name,
@@ -941,7 +947,12 @@ def explore_additivity_conjecture(
             "worst_additivity_residual": add_worst,
         }
         if mono.passed and not additive:
-            row["counterexample_witness"] = add_witness
+            # the first trial with the worst residual; a NaN is the worst
+            trial = next(t for t, r in enumerate(residuals)
+                         if r == add_worst or math.isnan(r))
+            row["counterexample_witness"] = {
+                "trial": trial, "seed": seed + idx,
+                "residual": residuals[trial]}
             flagged.append(row)
         rows.append(row)
 

@@ -246,8 +246,7 @@ def _checked_state_stack(s: SimpleFactor, reps: np.ndarray):
     reps, their fine eigenvalues and their idempotent stacks, with
     eigenvalue jitter clipped and the clipped reps rebuilt from their
     spectra, as the states' elements and decompositions would hold
-    them.  ``s`` is real, complex or classical, the kinds whose stacks
-    :func:`~statecone.algebras._spectral_projections` decomposes."""
+    them."""
     reps = alg._SYMMETRIC_PART[s.kind](reps)
     if not np.isfinite(reps).all():
         raise StateValidationError("state coefficients must be finite")
@@ -618,21 +617,22 @@ class Affinity:
             return State.make(self.apply_element(x.element), None)
         return self.apply_element(x)
 
-    def compose(self, inner: "Affinity") -> "Affinity":
-        if inner.target != self.source:
-            raise AlgebraMismatchError("composition spaces do not match")
-        return Affinity(
-            self.matrix @ inner.matrix,
-            inner.source,
-            self.target,
-            name=f"{self.name}*{inner.name}",
-            trace_preserving=self.trace_preserving and inner.trace_preserving,
-        )
-
-    def check_trace_preserving(self, tol: float = CLIP_TOL) -> bool:
-        t_src = trace_vector(self.source)
-        t_tgt = trace_vector(self.target)
-        return bool(np.max(np.abs(t_tgt @ self.matrix - t_src)) <= tol)
+    def _push(self, reps: np.ndarray, coeffs: np.ndarray | None = None):
+        """The images of a stack of reps of the simple source, each with
+        the bits :meth:`apply_element` gives it alone: a rep map pushes
+        the reps, a matrix the coefficients, read from the reps unless
+        ``coeffs`` holds those the stack was built from.  Returns the
+        image reps and, from a matrix, the image coefficients."""
+        s, t = self.source.summands[0], self.target.summands[0]
+        if self._rep_map is not None:
+            nd = alg._REP_NDIM[s.kind]
+            pushed = self._rep_map(reps.reshape((-1,) + reps.shape[-nd:]))
+            return (alg._SYMMETRIC_PART[t.kind](pushed).reshape(reps.shape),
+                    None)
+        if coeffs is None:
+            coeffs = alg._COERCE_TO_COEFFS[s.kind](reps, s.size)
+        out = (self._matrix @ coeffs[..., None])[..., 0]
+        return alg._COERCE_TO_REP[t.kind](out, t.size), out
 
 
 def identity_affinity(algebra: Algebra) -> Affinity:
@@ -800,9 +800,9 @@ def _random_channel_images(s: SimpleFactor, draws: Sequence[np.ndarray],
 class CatalogChannel:
     """A named affinity, optionally with a recovery map.
 
-    ``pair_sampler(rng)`` yields state pairs the recovery map restores,
-    and ``stress_sampler(rng)`` yields pairs that exercise the channel in
-    monotonicity searches.
+    ``pair_sampler(rng)`` draws the reps of a state pair on the source
+    that the recovery map restores, and ``stress_sampler(rng)`` those of
+    a pair that exercises the channel in monotonicity searches.
     """
 
     name: str
@@ -812,15 +812,13 @@ class CatalogChannel:
     stress_sampler: Callable | None = None
 
 
-def _diag_state(algebra: Algebra, probs: np.ndarray) -> State:
-    """The state with diagonal ``probs``; the diagonal units come first
-    in the basis of every matrix kind."""
+def _diag_rep(algebra: Algebra, probs: np.ndarray) -> np.ndarray:
+    """The rep of the state with diagonal ``probs``; the diagonal units
+    come first in the basis of every matrix kind."""
     s = algebra.summands[0]
-    if s.kind == "spin":
-        raise UnsupportedAlgebraError("no diagonal states on spin factors")
     coeffs = np.zeros(algebra.dim)
     coeffs[:s.size] = probs
-    return State.make(JordanElement(algebra, coeffs))
+    return alg._COERCE_TO_REP[s.kind](coeffs, s.size)
 
 
 def _diag_pair_sampler(algebra, support):
@@ -832,7 +830,7 @@ def _diag_pair_sampler(algebra, support):
             probs[list(support)] = rng.dirichlet(np.ones(len(support))) \
                 * 0.98 + 0.01
             probs[list(support)] /= probs.sum()
-            pair.append(_diag_state(algebra, probs))
+            pair.append(_diag_rep(algebra, probs))
         return tuple(pair)
     return sampler
 
@@ -847,7 +845,7 @@ def _merge_stress_sampler(algebra):
         jitter = rng.dirichlet(np.ones(n)) * 0.02
         p = (p + jitter) / (1 + 0.02)
         q = (q + jitter) / (1 + 0.02)
-        return _diag_state(algebra, p), _diag_state(algebra, q)
+        return _diag_rep(algebra, p), _diag_rep(algebra, q)
     return sampler
 
 
@@ -986,15 +984,10 @@ def _classical_section(algebra: Algebra) -> tuple[Affinity, Affinity] | None:
 
 
 def _classical_pair_sampler(r):
-    src = classical(r)
-
     def sampler(rng):
         a = rng.dirichlet(np.ones(r)) * 0.98 + 0.01 / r
         b = rng.dirichlet(np.ones(r)) * 0.98 + 0.01 / r
-        return (
-            State.make(element_from_reps(src, [a / a.sum()])),
-            State.make(element_from_reps(src, [b / b.sum()])),
-        )
+        return a / a.sum(), b / b.sum()
 
     return sampler
 

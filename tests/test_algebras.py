@@ -848,10 +848,7 @@ class TestBatchedLayer:
             rep_trace(kind, el.reps()[0]), rel=0, abs=1e-14
         )
 
-    @pytest.mark.parametrize("kind,n", [
-        (kind, n) for kind, n in ALL_FACTORS
-        if kind in ("real", "complex", "classical")
-    ])
+    @pytest.mark.parametrize("kind,n", ALL_FACTORS)
     def test_stacked_spectral_projections_equal_single_ones(self, kind, n):
         rng = np.random.default_rng([23, ja._KINDS.index(kind), n])
         reps = ja._SYMMETRIC_PART[kind](random_reps(kind, n, 6, rng))

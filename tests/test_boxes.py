@@ -107,7 +107,9 @@ class TestQuantumBoxes:
             angles = rng.uniform(0, 2 * math.pi, 4)
             directions = [bx._direction(v) for v in angles]
             assert bx._chsh_of_directions(t, directions) == pytest.approx(
-                bx._chsh_of_angles(bx.bell_state(), angles), abs=1e-10
+                bx.chsh_value(bx.box_from_quantum(bx.QuantumStrategy(
+                    bx.bell_state(), tuple(angles[:2]), tuple(angles[2:])))),
+                abs=1e-10
             )
 
 

@@ -9,16 +9,13 @@ from statecone import bregman as br
 from statecone import multipartite as mp
 from statecone import serialize as sz
 from statecone import states as st
+from test_states import diag_state, sampled_pair
 
 C2 = ja.complex_hermitian(2)
 C3 = ja.complex_hermitian(3)
 NE = br.neg_entropy()
 T2 = br.trace_power(2)
 T3 = br.trace_power(3)
-
-
-def diag_state(algebra, probs):
-    return st._diag_state(algebra, np.asarray(probs, dtype=float))
 
 
 class TestDivergenceValues:
@@ -160,7 +157,8 @@ class TestGradients:
     def test_entropy_gradient_is_log_plus_unit(self):
         sigma = st.random_state(C3, seed=8)
         g = NE.gradient(sigma.element)
-        expected = br.log_on_support(sigma.element) + ja.unit(C3)
+        dec = ja.spectral_decompose(sigma.element)
+        expected = dec.function(np.log(dec.values)) + ja.unit(C3)
         assert ja.norm(g - expected) < 1e-12
 
     def test_trace_derivative_identity(self):
@@ -232,11 +230,12 @@ class TestActions:
             br.free_energy([], rho)
 
     def test_fenchel_envelope_approximates_from_below(self):
-        actions = [
-            br.fold_intercept(*br.tangent_action(NE, st.random_state(
-                C2, seed=k)))
-            for k in range(120)
-        ]
+        # each tangent's intercept folded into its functional, exact on
+        # trace-one states since the unit evaluates to the trace
+        tangents = [br.tangent_action(NE, st.random_state(C2, seed=k))
+                    for k in range(120)]
+        actions = [br.Action(a.functional + c * ja.unit(C2))
+                   for a, c in tangents]
         rng = np.random.default_rng(15)
         mm = st.maximally_mixed(C2)
         for _ in range(10):
@@ -417,10 +416,55 @@ class TestMonotonicity:
             assert abs(w["violation"] - want) <= 1e-14, w
             assert w["channel"] == f"random-{phi.name}-env{env}"
 
-    def test_mono_run_makes_at_most_48_eigensolves(self, monkeypatch):
+    @pytest.mark.parametrize("spec", ["C2", "C3", "C4", "R3", "H2", "S3",
+                                      "P3", "P4"])
+    @pytest.mark.parametrize("F", [NE, T2, T3], ids=lambda F: F.name)
+    def test_stacked_catalog_trials_equal_per_trial_functions(self, spec, F):
+        algebra, _ = sz.parse_algebra_spec(spec)
+        seed = 5
+        # an infinite tolerance below every value keeps every trial
+        verdict = br.check_monotonicity(F, algebra, n_trials=30, seed=seed,
+                                        tol=-math.inf)
+        catalog = br._monotonicity_catalog(algebra, seed)
+        listed = [w for w in verdict.witnesses
+                  if not w["channel"].startswith("random-")]
+        randoms = verdict.details.get("channel_pool") != "catalog-only"
+        assert [w["trial"] for w in listed] == [
+            t for t in range(30) if not randoms or t % 3 == 2]
+
+        def rise(after, before):
+            return (0.0 if math.isinf(after) and math.isinf(before)
+                    else after - before)
+
+        for w in listed:
+            entry = catalog[(w["trial"] // 3) % len(catalog)]
+            rng = br._trial_rng(seed, w["trial"])
+            sampler = entry.stress_sampler or entry.pair_sampler
+            if sampler is None:
+                rho = st.random_state(algebra, seed=rng)
+                sigma = st.random_state(algebra, seed=rng)
+            else:
+                rho, sigma = (st.State.make(ja.element_from_reps(algebra, [r]))
+                              for r in sampler(rng))
+            images = [entry.affinity.apply_element(s.element)
+                      for s in (rho, sigma)]
+            after = br.bregman_divergence(F, *images)
+            want = rise(after, br.bregman_divergence(F, rho, sigma))
+            name = entry.name
+            if entry.recovery is not None:
+                back = br.bregman_divergence(
+                    F, *(entry.recovery.apply_element(x) for x in images))
+                if rise(back, after) > want:
+                    want, name = rise(back, after), f"{entry.name}-recovery"
+            assert w["violation"] == want, w
+            assert w["channel"] == name, w
+
+    def test_mono_run_makes_at_most_8_eigensolves(self, monkeypatch):
         # the 16 random trials of a 24-trial run check their 32 states in
         # one stacked eigensolve and their 32 images in another; the 8
-        # catalog trials make 42 (64 + 42 = 106 trial by trial)
+        # catalog trials check their 16 states in a third, and their 16
+        # images with the 10 that recovery maps bring back in a fourth
+        # (106 trial by trial)
         calls = []
         eigh = np.linalg.eigh
 
@@ -430,16 +474,33 @@ class TestMonotonicity:
 
         monkeypatch.setattr(np.linalg, "eigh", counting)
         br.check_monotonicity(NE, C3, n_trials=24, seed=0)
-        assert len(calls) <= 48, len(calls)
+        assert len(calls) <= 8, len(calls)
         assert (16, 2, 3, 3) in calls
+        assert (8, 2, 3, 3) in calls
 
-    def test_chunks_do_not_change_the_verdict(self, monkeypatch):
-        whole = br.check_monotonicity(T2, C3, n_trials=40, seed=9,
+    @pytest.mark.parametrize("spec", ["C3", "R3", "S3"])
+    def test_chunks_do_not_change_the_verdict(self, monkeypatch, spec):
+        algebra, _ = sz.parse_algebra_spec(spec)
+        whole = br.check_monotonicity(T2, algebra, n_trials=40, seed=9,
                                       tol=-math.inf)
+        # chunks of 7 split the stacks of both halves, and a replay runs
+        # a stack of one trial
         monkeypatch.setattr(br, "_MONOTONICITY_CHUNK", 7)
-        chunked = br.check_monotonicity(T2, C3, n_trials=40, seed=9,
+        chunked = br.check_monotonicity(T2, algebra, n_trials=40, seed=9,
                                         tol=-math.inf)
         assert chunked.as_dict() == whole.as_dict()
+        for w in whole.witnesses:
+            assert br.replay_monotonicity_trial(
+                T2, algebra, 9, w["trial"]) == w["violation"]
+
+    @pytest.mark.parametrize("spec,trials", [
+        ("C3", range(6)), ("C3", [2]), ("C3", [0]), ("R3", range(6)),
+    ], ids=["mixed", "catalog", "random", "catalog-only"])
+    def test_generator_pinned_elsewhere_raises(self, spec, trials):
+        algebra, _ = sz.parse_algebra_spec(spec)
+        F = br.affine_plus_entropy(1.0, st.random_state(C2, seed=1).element)
+        with pytest.raises(ja.AlgebraMismatchError):
+            list(br._monotonicity_results(F, algebra, 0, trials))
 
     def test_automorphisms_preserve_divergence_exactly(self):
         cat = st.channel_catalog(C3, seed=24)
@@ -456,11 +517,12 @@ class TestMonotonicity:
             )
             assert after == pytest.approx(before, abs=1e-10)
 
-    def test_mono_run_converts_at_most_31_times(self, monkeypatch):
+    def test_mono_run_converts_at_most_22_times(self, monkeypatch):
         # divergences pair the reference's frame with the first argument
         # in reps and rep-map channels act on reps, so only matrix-built
-        # channels convert: their inputs to coefficients, their images
-        # and coefficient-drawn pairs to reps; no matrix is derived
+        # channels convert, one stack per catalog entry: their inputs to
+        # coefficients and their images to reps; the samplers' diagonal
+        # pairs convert to reps one state at a time; no matrix is derived
         calls = []
         for table in (ja._COERCE_TO_REP, ja._COERCE_TO_COEFFS):
             def recording(c, n, convert=table["complex"]):
@@ -478,7 +540,7 @@ class TestMonotonicity:
 
         monkeypatch.setattr(st.Affinity, "matrix", property(recording_matrix))
         br.check_monotonicity(NE, C3, n_trials=24, seed=0)
-        assert len(calls) <= 31, len(calls)
+        assert len(calls) <= 22, len(calls)
         assert derived == []
 
     def test_catalog_only_pool_is_reported(self):
@@ -510,7 +572,7 @@ class TestSufficiency:
         cat = st.channel_catalog(C2, seed=30)
         sec = next(c for c in cat if c.name == "classical-section")
         rng = np.random.default_rng(31)
-        p, q = sec.pair_sampler(rng)
+        p, q = sampled_pair(sec, rng)
         img_p = sec.affinity.apply_element(p.element)
         img_q = sec.affinity.apply_element(q.element)
         assert br.bregman_divergence(NE, img_p, img_q) == pytest.approx(
@@ -674,6 +736,22 @@ class TestExplorer:
         assert not t2_row["monotone"]
         table = report["contingency"]
         assert sum(table.values()) == 6
+
+    def test_nan_residual_is_not_additive(self, monkeypatch):
+        monkeypatch.setattr(mp, "check_additivity",
+                            lambda *args, **kwargs: math.nan)
+        report = br.explore_additivity_conjecture(
+            n_generators=2, n_trials=3, seed=0
+        )
+        rows = report["generators"]
+        assert [row["additive"] for row in rows] == [False, False]
+        assert all(math.isnan(row["worst_additivity_residual"])
+                   for row in rows)
+        assert report["contingency"]["monotone_and_additive"] == 0
+        # the entropy rows stay monotone, so the NaN makes them flagged
+        witness = rows[0]["counterexample_witness"]
+        assert (witness["trial"], witness["seed"]) == (0, 0)
+        assert math.isnan(witness["residual"])
 
     def test_scaled_entropy_matches_plain_verdicts(self):
         plain = br.check_monotonicity(NE, C2, n_trials=60, seed=41)

@@ -319,6 +319,17 @@ class TestBadInput:
         assert code == 2
         assert "not an integer" in error["error"]
 
+    @pytest.mark.parametrize("algebra", ["C2", "H2", "P2", "R2", "S3", "S5"])
+    def test_locality_rejects_rank_two(self, capsys, algebra):
+        # a rank-2 algebra has one pure state singular to a given one, so
+        # the two companions would coincide and nothing would be compared
+        code, error = run_cli_error(
+            capsys, "suite", "--property", "local", "--algebra", algebra,
+            "--trials", "3",
+        )
+        assert code == 2
+        assert "need rank at least 3" in error["error"]
+
     def test_separoid_rejects_tol(self, capsys):
         code, error = run_cli_error(
             capsys, "suite", "--property", "separoid",

@@ -9,6 +9,7 @@ from statecone import entropy as en
 from statecone import serialize as sz
 from statecone import states as st
 from test_algebras import embed_quaternion_parts, kramers_columns, readme_coeffs
+from test_states import diag_state
 
 C2 = ja.complex_hermitian(2)
 C3 = ja.complex_hermitian(3)
@@ -69,7 +70,7 @@ class TestSpectralEntropy:
             )
 
     def test_matches_classical_formula(self):
-        sigma = st._diag_state(C2, np.array([0.7, 0.3]))
+        sigma = diag_state(C2, np.array([0.7, 0.3]))
         assert en.spectral_entropy(sigma) == pytest.approx(
             en.shannon_entropy([0.7, 0.3]), abs=1e-12
         )
@@ -80,7 +81,7 @@ class TestSpectralEntropy:
     def test_near_equal_eigenvalues_keep_their_values(self, algebra):
         # 1.76e-8 and 8.92e-9 lie within the 1e-8 eigenvalue grouping
         p = np.array([0.6, 0.4 - 1.76e-8 - 8.92e-9, 1.76e-8, 8.92e-9])
-        sigma = st._diag_state(algebra, p)
+        sigma = diag_state(algebra, p)
         assert en.spectral_entropy(sigma) == pytest.approx(
             -np.sum(p * np.log(p)), rel=0, abs=1e-15
         )
@@ -226,7 +227,7 @@ class TestFineGrainedBound:
                 algebra, [np.array([0.5, 0.5, 0.0, 0.0])]
             ))
         else:
-            pure = st._diag_state(algebra, np.eye(algebra.rank)[0])
+            pure = diag_state(algebra, np.eye(algebra.rank)[0])
         report = en.fine_grained_entropy_bound(pure, n_samples=20, seed=0)
         for value in (report.spectral, report.decomposition,
                       report.fine_grained_upper, report.fine_grained_lower):
@@ -248,7 +249,7 @@ class TestFineGrainedBound:
                 assert h == pytest.approx(np.log(2), abs=1e-10)
 
     def test_seventy_thirty_attained_by_eigenbasis(self):
-        sigma = st._diag_state(C2, np.array([0.7, 0.3]))
+        sigma = diag_state(C2, np.array([0.7, 0.3]))
         report = en.fine_grained_entropy_bound(sigma, n_samples=100, seed=15)
         assert report.fine_grained_upper == pytest.approx(
             0.6108643020548935, abs=1e-9

@@ -9,6 +9,7 @@ from statecone import algebras as ja
 from statecone import bregman as br
 from statecone import multipartite as mp
 from statecone import states as st
+from test_states import diag_state
 
 NE = br.neg_entropy()
 C2 = ja.complex_hermitian(2)
@@ -115,8 +116,8 @@ class TestMarginalIdentity:
         sab = st.State.make(
             ja.element_from_reps(layout.ambient, [table]), layout
         )
-        ra = st._diag_state(ja.classical(2), rng.dirichlet([2, 2]))
-        rb = st._diag_state(ja.classical(2), rng.dirichlet([2, 2]))
+        ra = diag_state(ja.classical(2), rng.dirichlet([2, 2]))
+        rb = diag_state(ja.classical(2), rng.dirichlet([2, 2]))
         assert mp.check_marginal_identity(NE, sab, ra, rb) < 1e-10
 
     def test_random_quantum_instances(self):

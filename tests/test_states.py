@@ -21,7 +21,22 @@ C2_P2 = ja.Algebra(C2.summands + ja.classical(2).summands)
 
 
 def diag_state(algebra, probs):
-    return st._diag_state(algebra, np.asarray(probs, dtype=float))
+    """The state with diagonal ``probs``; the diagonal units come first in
+    the basis of every matrix kind."""
+    coeffs = np.zeros(algebra.dim)
+    coeffs[:len(probs)] = probs
+    return st.State.make(ja.JordanElement(algebra, coeffs))
+
+
+def is_trace_preserving(phi):
+    t_src, t_tgt = st.trace_vector(phi.source), st.trace_vector(phi.target)
+    return np.max(np.abs(t_tgt @ phi.matrix - t_src)) <= st.CLIP_TOL
+
+
+def sampled_pair(entry, rng):
+    """The states of the reps an entry's pair sampler draws."""
+    return [st.State.make(ja.element_from_reps(entry.affinity.source, [rep]))
+            for rep in entry.pair_sampler(rng)]
 
 
 def complexified_tensor(phi):
@@ -152,10 +167,7 @@ class TestStateValidation:
         assert el._coeffs is None
 
 
-    @pytest.mark.parametrize("algebra", [
-        a for a in ALL_SIMPLE
-        if a.summands[0].kind in ("real", "complex", "classical")
-    ] + [C2], ids=str)
+    @pytest.mark.parametrize("algebra", ALL_SIMPLE + [C2], ids=str)
     def test_stacked_check_matches_make(self, algebra):
         # full-rank and pure draws; pure ones carry eigenvalue jitter
         # around zero, which both clip
@@ -174,7 +186,9 @@ class TestStateValidation:
             assert np.array_equal(checked[index], state.element.reps()[0])
             assert np.array_equal(values[index], dec.values)
             assert np.array_equal(frames[index], dec.frame[0])
-        if s.kind != "classical":
+        # classical draws carry no jitter, and these pure spin draws none
+        # below zero
+        if s.kind not in ("classical", "spin"):
             assert clipped > 0
 
     @pytest.mark.parametrize("bad,message", [
@@ -685,7 +699,7 @@ class TestRandomStates:
 class TestRandomChannels:
     def test_env_one_is_unitary_conjugation(self):
         phi = st.random_channel(C2, env_dim=1, seed=19)
-        assert phi.check_trace_preserving()
+        assert is_trace_preserving(phi)
         # invertible: matrix has full rank
         assert np.linalg.matrix_rank(phi.matrix) == C2.dim
 
@@ -698,7 +712,7 @@ class TestRandomChannels:
 
     def test_classical_channels_are_stochastic(self):
         phi = st.random_channel(ja.classical(4), seed=21)
-        assert phi.check_trace_preserving()
+        assert is_trace_preserving(phi)
         np.testing.assert_allclose(phi.matrix.sum(axis=0), 1.0, atol=1e-12)
         assert np.all(phi.matrix >= 0)
 
@@ -757,7 +771,7 @@ class TestCatalog:
     @pytest.mark.parametrize("algebra", ALL_SIMPLE)
     def test_entries_are_trace_preserving(self, algebra):
         for entry in st.channel_catalog(algebra, seed=0):
-            assert entry.affinity.check_trace_preserving(), entry.name
+            assert is_trace_preserving(entry.affinity), entry.name
 
     @pytest.mark.parametrize("algebra", ALL_SIMPLE)
     def test_recoveries_restore_compatible_pairs(self, algebra):
@@ -766,7 +780,7 @@ class TestCatalog:
             if entry.recovery is None:
                 continue
             if entry.pair_sampler is not None:
-                rho, sigma = entry.pair_sampler(rng)
+                rho, sigma = sampled_pair(entry, rng)
             else:
                 rho = st.random_state(algebra, seed=rng)
                 sigma = st.random_state(algebra, seed=rng)
@@ -833,14 +847,14 @@ class TestCatalog:
     def test_automorphism_inverse_composes_to_identity(self):
         cat = st.channel_catalog(C3, seed=0)
         auto = next(c for c in cat if c.name.startswith("automorphism"))
-        both = auto.recovery.compose(auto.affinity)
-        np.testing.assert_allclose(both.matrix, np.eye(C3.dim), atol=1e-12)
+        both = auto.recovery.matrix @ auto.affinity.matrix
+        np.testing.assert_allclose(both, np.eye(C3.dim), atol=1e-12)
 
     def test_section_retraction_on_classical_states(self):
         cat = st.channel_catalog(C2, seed=0)
         sec = next(c for c in cat if c.name == "classical-section")
         rng = np.random.default_rng(25)
-        p, _ = sec.pair_sampler(rng)
+        p, _ = sampled_pair(sec, rng)
         assert ja.norm(
             sec.recovery.apply_element(sec.affinity.apply_element(p.element))
             - p.element
@@ -856,21 +870,6 @@ class TestCatalog:
 
 
 class TestAffinity:
-    @pytest.mark.parametrize("outer,inner", [
-        ("stinespring", "stinespring"), ("stinespring", "dephase"),
-        ("dephase", "stinespring"),
-    ])
-    def test_composition_is_matrix_product(self, outer, inner):
-        maps = {"stinespring": lambda seed: st.random_channel(C2, seed=seed),
-                "dephase": lambda seed: st._dephase(C2)}
-        phi, psi = maps[inner](27), maps[outer](28)
-        both = psi.compose(phi)
-        rho = st.random_state(C2, seed=29)
-        direct = psi.apply_element(phi.apply_element(rho.element))
-        assert ja.norm(both.apply_element(rho.element) - direct) < 1e-12
-        np.testing.assert_allclose(both.matrix, psi.matrix @ phi.matrix,
-                                   rtol=0, atol=1e-14)
-
     def test_affinities_are_immutable(self):
         phi = st.random_channel(C2, seed=106)
         with pytest.raises(AttributeError):
