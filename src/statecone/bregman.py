@@ -22,9 +22,9 @@ draw every trial from its own stream, so each is reproducible from
 witnesses.  Their channels come from the channel catalog and, in the
 monotonicity suite, also from the draws behind
 :func:`statecone.states.random_channel`.  The monotonicity suite draws
-its trials one by one, then checks, pushes and compares its
-random-channel trials as one stack and its catalog trials as another,
-which gives each trial the violation it gets alone.
+its trials one by one, then checks, pushes and compares them all,
+random-channel and catalog trials alike, as one stack, which gives each
+trial the violation it gets alone.
 """
 
 from __future__ import annotations
@@ -446,8 +446,8 @@ def judge_trials(results, seed: int,
     ``results`` yields one dict per trial with the violation of every
     check named in ``tols``; its other keys are copied into the
     witnesses of that trial.  A check passes when its worst violation
-    stays below its tolerance, and every trial over the tolerance is
-    recorded as a witness.  A NaN violation is worse than any number:
+    stays below its tolerance, and every trial at or over the tolerance
+    is recorded as a witness.  A NaN violation is worse than any number:
     it becomes the worst violation and a witness, so the check fails.
     """
     worst = dict.fromkeys(tols, -math.inf)
@@ -458,10 +458,9 @@ def judge_trials(results, seed: int,
         extras = {k: v for k, v in result.items() if k not in tols}
         for check, tol in tols.items():
             violation = result[check]
-            failed = math.isnan(violation)
-            if failed or violation > worst[check]:
+            if math.isnan(violation) or violation > worst[check]:
                 worst[check] = violation
-            if failed or violation > tol:
+            if not violation < tol:
                 witnesses[check].append(
                     {"trial": trial, "seed": seed, "violation": violation,
                      **extras}
@@ -499,52 +498,11 @@ def _monotonicity_catalog(algebra, seed):
     return catalog
 
 
-def _require_generator_on(F, algebra) -> None:
-    if F.affine is not None and F.affine.algebra != algebra:
-        raise alg.AlgebraMismatchError(
-            f"operands live in {F.affine.algebra} and {algebra}"
-        )
-
-
 def _stacked_divergences(F, kind, reps, values, frames):
     """The divergences of a stack of pairs (axis 1: rho, sigma) from
     their reps and decompositions, over the leading axes."""
     p = alg._pairings(kind, frames[:, 1], reps[:, 0])
     return _divergence(F, values[:, 0], values[:, 1], p)
-
-
-def _random_channel_trials(F, algebra, seed, trials) -> list:
-    """The violations and channel names of the random-channel ``trials``.
-
-    Each trial draws from its own stream, in trial order: the channel of
-    :func:`~statecone.states.random_channel` with ``env = 1 + trial % n``
-    and then the two states of :func:`~statecone.states.random_state`.
-    The rest runs on the stack of all trials: one check of the states,
-    one push through the channels, one eigensolve of the images and the
-    divergences before and after over the trial axis.  Every trial gets
-    the violation, bit for bit, that it gets from those functions and
-    :func:`bregman_divergence` alone.
-    """
-    if not trials:
-        return []
-    _require_generator_on(F, algebra)
-    s = st._random_channel_factor(algebra)
-    draws, reps = [], []
-    for trial in trials:
-        rng = _trial_rng(seed, trial)
-        draws.append(st._draw_channel(s, 1 + trial % s.size, rng))
-        reps.append([st._draw_state_reps(algebra, None, rng)[0]
-                     for _ in range(2)])
-    # axes (trial, rho or sigma) lead every stack from here on
-    reps, values, frames = st._checked_state_stack(s, np.array(reps))
-    images = st._random_channel_images(s, draws, reps)
-    spectra = alg._spectral_projections(s.kind, images, s.size)
-    before = _stacked_divergences(F, s.kind, reps, values, frames)
-    after = _stacked_divergences(F, s.kind, images, *spectra)
-    name = st._RANDOM_CHANNEL_NAMES[s.kind]
-    return [(violation, f"random-{name}-env{1 + trial % s.size}")
-            for violation, trial in zip(_violation(after, before).tolist(),
-                                        trials)]
 
 
 def _pair_draws(entry, rng):
@@ -558,35 +516,54 @@ def _pair_draws(entry, rng):
             for _ in range(2)]
 
 
-def _catalog_trials(F, algebra, catalog, seed, trials) -> list:
-    """The violations and channel names of the catalog ``trials``.
+def _monotonicity_trials(F, algebra, catalog, seed, trials) -> list:
+    """The violations and channel names of ``trials``, in order.
 
-    Trial ``t`` runs ``catalog[(t // 3) % len(catalog)]`` on the pair
-    :func:`_pair_draws` draws from its own stream, in trial order.  Every
-    entry maps the algebra to itself, so the rest runs on the stack of
-    all trials: one check of the pairs, one push per entry through its
-    map and its recovery map, one eigensolve of all the images and the
-    divergences over the trial axis.  A recovery map is itself a
-    channel; applying it to the images turns any drop of the divergence
-    into a rise, so sufficiency failures surface here as monotonicity
-    failures too, named ``<entry>-recovery`` where the rise is larger.
-    Every trial gets the violation and name, bit for bit, that
+    Each trial draws from its own stream, in trial order.  On complex and
+    classical algebras two trials in three are random-channel trials: the
+    channel of :func:`~statecone.states.random_channel` with
+    ``env = 1 + trial % n`` and then the two states of
+    :func:`~statecone.states.random_state`.  Any other trial ``t`` runs
+    ``catalog[(t // 3) % len(catalog)]`` on the pair :func:`_pair_draws`
+    draws.  Every channel maps the algebra to itself, so the rest runs on
+    the stack of all trials: one check of the pairs, one push of the
+    random-channel trials and one per catalog entry through its map and
+    its recovery map, one eigensolve of all the images and the
+    divergences over the trial axis.  A recovery map is itself a channel;
+    applying it to the images turns any drop of the divergence into a
+    rise, so sufficiency failures surface here as monotonicity failures
+    too, named ``<entry>-recovery`` where the rise is larger.  Every trial
+    gets the violation and name, bit for bit, that its channel's
     ``apply_element`` and :func:`bregman_divergence` give it alone.
     """
-    if not trials:
-        return []
-    _require_generator_on(F, algebra)
-    s = algebra.summands[0]
-    picks = [(trial // 3) % len(catalog) for trial in trials]
-    reps = np.array([_pair_draws(catalog[k], _trial_rng(seed, trial))
-                     for k, trial in zip(picks, trials)])
+    if F.affine is not None and F.affine.algebra != algebra:
+        raise alg.AlgebraMismatchError(
+            f"operands live in {F.affine.algebra} and {algebra}"
+        )
+    randoms = _supports_random_channels(algebra)
+    s = st._random_channel_factor(algebra) if randoms else algebra.summands[0]
+    # a random-channel trial picks no catalog entry
+    picks, draws, reps = [], [], []
+    for trial in trials:
+        rng = _trial_rng(seed, trial)
+        if randoms and trial % 3 != 2:
+            picks.append(None)
+            draws.append(st._draw_channel(s, 1 + trial % s.size, rng))
+            reps.append([st._draw_state_reps(algebra, None, rng)[0]
+                         for _ in range(2)])
+        else:
+            picks.append((trial // 3) % len(catalog))
+            reps.append(_pair_draws(catalog[picks[-1]], rng))
     # axes (trial, rho or sigma) lead every stack from here on
-    reps, values, frames = st._checked_state_stack(s, reps)
+    reps, values, frames = st._checked_state_stack(s, np.array(reps))
     images = np.empty_like(reps)
     recovered, backs = [], []
-    for k in sorted(set(picks)):
-        entry = catalog[k]
+    for k in dict.fromkeys(picks):
         group = [i for i, pick in enumerate(picks) if pick == k]
+        if k is None:
+            images[group] = st._random_channel_images(s, draws, reps[group])
+            continue
+        entry = catalog[k]
         pushed, coeffs = entry.affinity._push(reps[group])
         images[group] = pushed
         if entry.recovery is not None and entry.recovery.source == algebra:
@@ -596,14 +573,18 @@ def _catalog_trials(F, algebra, catalog, seed, trials) -> list:
     spectra = alg._spectral_projections(s.kind, images, s.size)
     before = _stacked_divergences(F, s.kind, reps, values, frames)
     gaps = _stacked_divergences(F, s.kind, images, *spectra)
-    after = gaps[:len(trials)]
+    after = gaps[:len(picks)]
     violation = _violation(after, before)
-    rise = np.full(len(trials), -math.inf)
-    rise[recovered] = _violation(gaps[len(trials):], after[recovered])
+    rise = np.full(len(picks), -math.inf)
+    rise[recovered] = _violation(gaps[len(picks):], after[recovered])
     worse = rise > violation
-    return [(v, f"{catalog[k].name}-recovery" if w else catalog[k].name)
-            for v, w, k in zip(np.where(worse, rise, violation).tolist(),
-                               worse.tolist(), picks)]
+    random_name = st._RANDOM_CHANNEL_NAMES.get(s.kind)
+    return [
+        (v, f"random-{random_name}-env{1 + t % s.size}" if k is None
+         else f"{catalog[k].name}-recovery" if w else catalog[k].name)
+        for v, w, k, t in zip(np.where(worse, rise, violation).tolist(),
+                              worse.tolist(), picks, trials)
+    ]
 
 
 # trials whose draws are held and stacked at once
@@ -612,20 +593,13 @@ _MONOTONICITY_CHUNK = 512
 
 def _monotonicity_results(F, algebra, seed, trials):
     """Yield the violation and channel name of each of ``trials``, in
-    order: the random-channel trials and the catalog trials of each chunk
-    of ``_MONOTONICITY_CHUNK`` trials, each half as one stack."""
+    order, each chunk of ``_MONOTONICITY_CHUNK`` trials as one stack."""
     catalog = _monotonicity_catalog(algebra, seed)
-    randoms = _supports_random_channels(algebra)
     trials = list(trials)
     for start in range(0, len(trials), _MONOTONICITY_CHUNK):
-        chunk = trials[start:start + _MONOTONICITY_CHUNK]
-        random = [t for t in chunk if randoms and t % 3 != 2]
-        listed = [t for t in chunk if not randoms or t % 3 == 2]
-        results = dict(zip(random,
-                           _random_channel_trials(F, algebra, seed, random)))
-        results.update(zip(listed, _catalog_trials(F, algebra, catalog,
-                                                   seed, listed)))
-        yield from (results[trial] for trial in chunk)
+        yield from _monotonicity_trials(
+            F, algebra, catalog, seed,
+            trials[start:start + _MONOTONICITY_CHUNK])
 
 
 def check_identity(
@@ -807,7 +781,8 @@ def check_statistical_locality(
     pure_entropy = F.entropy_weight == 1.0 and F.name == "neg-entropy"
     tols = {"statistical-locality": tol}
     if pure_entropy:
-        # tracked but never judged: an infinite tolerance keeps no witness
+        # tracked but never judged: only an infinite residual reaches the
+        # infinite tolerance, and its witnesses are never reported
         tols["value_residual"] = math.inf
 
     def one_trial(rng, trial):

@@ -335,6 +335,15 @@ class TestTrialDriver:
         assert {v.property for v in verdicts.values()} == {"a", "b"}
         assert {v.trials for v in verdicts.values()} == {3}
 
+    def test_violation_at_the_tolerance_fails_with_a_witness(self):
+        # a check passes only below its tolerance, so a violation equal to
+        # it fails and must leave a trial to replay
+        verdict = br.run_trials(lambda rng, trial: {"x": [0.1, 0.5][trial]},
+                                2, 3, {"x": 0.5})["x"]
+        assert not verdict.passed
+        assert verdict.witnesses == [{"trial": 1, "seed": 3,
+                                      "violation": 0.5}]
+
     @pytest.mark.parametrize("values", [[0.5, math.nan, 2.0],
                                         [math.nan] * 3])
     def test_nan_violation_is_the_worst_and_a_witness(self, values):
@@ -459,12 +468,11 @@ class TestMonotonicity:
             assert w["violation"] == want, w
             assert w["channel"] == name, w
 
-    def test_mono_run_makes_at_most_8_eigensolves(self, monkeypatch):
-        # the 16 random trials of a 24-trial run check their 32 states in
-        # one stacked eigensolve and their 32 images in another; the 8
-        # catalog trials check their 16 states in a third, and their 16
-        # images with the 10 that recovery maps bring back in a fourth
-        # (106 trial by trial)
+    def test_mono_run_makes_at_most_2_eigensolves(self, monkeypatch):
+        # the 24 trials of a run, random-channel and catalog trials alike,
+        # check their 48 states in one stacked eigensolve; a second one
+        # decomposes their 48 images with the 10 that recovery maps bring
+        # back (106 trial by trial)
         calls = []
         eigh = np.linalg.eigh
 
@@ -474,9 +482,23 @@ class TestMonotonicity:
 
         monkeypatch.setattr(np.linalg, "eigh", counting)
         br.check_monotonicity(NE, C3, n_trials=24, seed=0)
-        assert len(calls) <= 8, len(calls)
-        assert (16, 2, 3, 3) in calls
-        assert (8, 2, 3, 3) in calls
+        assert len(calls) <= 2, len(calls)
+        assert (24, 2, 3, 3) in calls
+        assert (29, 2, 3, 3) in calls
+
+    def test_shuffled_mixed_trials_equal_their_replays(self):
+        # random-channel, catalog and recovery-named trials out of order
+        # in one stack each get the violation they get alone
+        trials = [17, 2, 9, 0, 5, 14, 23, 11]
+        results = list(br._monotonicity_results(T2, C3, 4, trials))
+        names = [name for _, name in results]
+        assert any(name.startswith("random-") for name in names)
+        assert any(name.endswith("-recovery") for name in names)
+        assert any(not name.startswith("random-")
+                   and not name.endswith("-recovery") for name in names)
+        for trial, (violation, _) in zip(trials, results):
+            assert violation == br.replay_monotonicity_trial(T2, C3, 4,
+                                                             trial), trial
 
     @pytest.mark.parametrize("spec", ["C3", "R3", "S3"])
     def test_chunks_do_not_change_the_verdict(self, monkeypatch, spec):

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from statecone import algebras as ja
+from statecone import bregman as br
 from statecone import multipartite as mp
 from statecone import serialize as sz
 from statecone import states as st
@@ -145,6 +146,21 @@ class TestSuiteCommand:
         assert code == 1
         verdict = report["results"]["monotonicity"]
         assert verdict["witnesses"]
+
+    def test_violation_at_zero_tolerance_leaves_a_witness(self, capsys):
+        # trial 0 on S3 runs the identity channel: a violation of exactly 0
+        code, report = run_cli(
+            capsys, "suite", "--property", "mono", "--algebra", "S3",
+            "--trials", "1", "--seed", "0", "--tol", "0",
+        )
+        assert code == 1
+        verdict = report["results"]["monotonicity"]
+        assert verdict["worst_violation"] == 0.0
+        w, = verdict["witnesses"]
+        assert (w["trial"], w["seed"], w["channel"]) == (0, 0, "identity")
+        algebra, _ = sz.parse_algebra_spec("S3")
+        assert br.replay_monotonicity_trial(
+            br.neg_entropy(), algebra, 0, 0) == w["violation"]
 
     def test_separoid_requires_four_factors(self, capsys):
         code, _ = run_cli(
