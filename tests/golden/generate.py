@@ -86,6 +86,14 @@ COMPOSITES = [
 # label sets of the information cases, interleaved ones included
 MI_LABELS = (("A", "B"), ("B", "A,C"), ("C,A", "B"))
 CMI_LABELS = (("A", "B", "C"), ("A", "C", "B"), ("C", "A", "B"))
+# (property, algebras) of the one-trial-at-a-time suites, six trials each
+TRIAL_SUITES = (
+    ("local", ("C3", "R3", "H3", "P3")),
+    ("identity", ("C2", "S3", "H2", "P3")),
+    ("additivity", ("C2x2", "P2x3")),
+    ("marginal", ("C2x2", "P2x2")),
+    ("suff", ("S3", "R3", "P3")),
+)
 
 
 def _state_doc(spec: dict, shape: str, seed: int) -> dict:
@@ -197,6 +205,23 @@ def cases() -> list[list[str]]:
                       "--algebra", algebra, "--trials", str(trials),
                       "--seed", str(seed)])
     argvs.append(["explore", "--generators", "6", "--trials", "8"])
+    # the named boxes, the optimizer and the embedding audit
+    for box in ("pr", "white", "deterministic", "quantum-opt"):
+        argvs.append(["chsh", "--box", box, "--restarts", "2"])
+    argvs.append(["chsh", "--box", "pr", "--table"])
+    argvs.append(["audit-example1"])
+    for prop, algebras in TRIAL_SUITES:
+        for algebra in algebras:
+            argvs.append(["suite", "--property", prop, "--algebra", algebra,
+                          "--trials", "6"])
+    # trace-power-2 fails locality and sufficiency at rank 3 (exit 1)
+    for prop in ("local", "suff"):
+        argvs.append(["suite", "--property", prop, "--generator",
+                      "trace-power-2", "--algebra", "C3", "--trials", "6"])
+    # no restarts, no samples and a rank-2 locality run: exit 2
+    argvs.append(["chsh", "--box", "quantum-opt", "--restarts", "0"])
+    argvs.append(["audit-example1", "--samples", "0"])
+    argvs.append(["suite", "--property", "local", "--algebra", "S3"])
     return argvs
 
 
