@@ -3,8 +3,9 @@
 A box is the conditional table p(a,b|x,y) for binary inputs and outputs.
 The module provides the extremal examples (deterministic, white noise,
 the algebraically maximal box), boxes induced by measuring a two-qubit
-state at X-Z plane angles, and a coordinate-ascent optimizer that pushes
-the entangled-state value up to its ceiling of 2*sqrt(2).
+state at X-Z plane angles, and a coordinate-ascent optimizer over the
+four measurement angles on the maximally entangled state, which reaches
+the quantum ceiling of 2*sqrt(2).
 """
 
 from __future__ import annotations
@@ -34,6 +35,10 @@ __all__ = [
 BOX_TOL = 1e-12
 # boxes read from files or handed to chsh_value are checked this loosely
 INPUT_BOX_TOL = 1e-10
+# a restart of the CHSH optimizer stops when a round gains less than
+# CHSH_VALUE_TOL, or after CHSH_MAX_ROUNDS rounds
+CHSH_VALUE_TOL = 1e-9
+CHSH_MAX_ROUNDS = 60
 
 
 @dataclass(frozen=True)
@@ -134,20 +139,6 @@ def bell_state() -> State:
     )
 
 
-def product_strategy_state(alpha: float, beta: float) -> State:
-    """Product of two X-Z plane pure qubit states."""
-    qubit = alg.complex_hermitian(2)
-
-    def pure(theta):
-        v = np.array([math.cos(theta / 2.0), math.sin(theta / 2.0)],
-                     dtype=complex)
-        return State.make(
-            alg.element_from_reps(qubit, [np.outer(v, v.conj())])
-        )
-
-    return st.tensor(pure(alpha), pure(beta), _LAYOUT_22)
-
-
 @dataclass(frozen=True)
 class QuantumStrategy:
     """A two-qubit state with one X-Z measurement angle per setting."""
@@ -208,14 +199,8 @@ def _direction(theta: float) -> tuple[float, float]:
 
 def _chsh_of_directions(t, d) -> float:
     """CHSH objective ``a0.T(b0 + b1) + a1.T(b0 - b1)`` of the vectors
-    ``d = (a0, a1, b0, b1)`` and the correlation tensor ``T``.  With
-    ``t`` None, ``d`` also holds the vectors ``u``, ``w`` of the X-Z
-    plane pure states whose product is measured; its tensor is
-    ``u w^T``."""
-    a0, a1, b0, b1 = d[:4]
-    if t is None:
-        u, w = d[4], d[5]
-        t = ((u[0] * w[0], u[0] * w[1]), (u[1] * w[0], u[1] * w[1]))
+    ``d = (a0, a1, b0, b1)`` and the correlation tensor ``T``."""
+    a0, a1, b0, b1 = d
     value = 0.0
     for a, sign in ((a0, 1.0), (a1, -1.0)):
         b = (b0[0] + sign * b1[0], b0[1] + sign * b1[1])
@@ -242,47 +227,37 @@ def _best_angle(t, d, i: int, center: float) -> float:
     return v + 2.0 * math.pi * round((center - v) / (2.0 * math.pi))
 
 
-def maximize_quantum_chsh(
-    seed: int = 0,
-    restarts: int = 10,
-    entangled: bool = True,
-    value_tol: float = 1e-9,
-    max_rounds: int = 60,
-):
-    """Multi-start coordinate ascent over the four measurement angles.
+def maximize_quantum_chsh(seed: int = 0, restarts: int = 10):
+    """Multi-start coordinate ascent over the four measurement angles on
+    the maximally entangled state.
 
-    With ``entangled`` the maximally entangled state is used; otherwise
-    the search also optimizes a product state's two preparation angles,
-    whose ceiling is the classical value 2.  Along each angle the
-    objective is a sinusoid, so every step moves that angle to its exact
-    maximiser; a restart stops when a round gains less than
-    ``value_tol`` or after ``max_rounds`` rounds.
+    Along each angle the objective is a sinusoid, so every step moves
+    that angle to its exact maximiser; a restart stops when a round
+    gains less than ``CHSH_VALUE_TOL`` or after ``CHSH_MAX_ROUNDS``
+    rounds.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
     rng = np.random.default_rng(seed)
-    state = bell_state() if entangled else None
-    tensor = _correlation_tensor(state).tolist() if entangled else None
-    n_params = 4 if entangled else 6
+    state = bell_state()
+    tensor = _correlation_tensor(state).tolist()
     best_value, best = -math.inf, None
 
     for _ in range(restarts):
-        params = rng.uniform(0.0, 2.0 * math.pi, size=n_params).tolist()
+        params = rng.uniform(0.0, 2.0 * math.pi, size=4).tolist()
         dirs = [_direction(v) for v in params]
         current = _chsh_of_directions(tensor, dirs)
-        for _ in range(max_rounds):
+        for _ in range(CHSH_MAX_ROUNDS):
             previous = current
-            for i in range(n_params):
+            for i in range(4):
                 params[i] = _best_angle(tensor, dirs, i, params[i])
                 dirs[i] = _direction(params[i])
             current = _chsh_of_directions(tensor, dirs)
-            if current - previous < value_tol:
+            if current - previous < CHSH_VALUE_TOL:
                 break
         if current > best_value:
             best_value, best = current, params
 
-    if not entangled:
-        state = product_strategy_state(best[4], best[5])
     return best_value, QuantumStrategy(
         state, (best[0], best[1]), (best[2], best[3])
     )

@@ -78,6 +78,13 @@ __all__ = [
 # the weights of an affine combination may miss summing to one by this
 # much
 WEIGHT_SUM_TOL = 1e-10
+# a catalog channel's recovery map must return each sufficiency pair
+# within this norm, or the suite raises
+RECOVERY_TOL = 1e-9
+# the conjecture explorer runs on two qubits and judges both of its
+# checks at this tolerance
+EXPLORER_SIZES = (2, 2)
+EXPLORER_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -681,7 +688,6 @@ def check_sufficiency(
     n_trials: int = 200,
     seed: int = 0,
     tol: float = 1e-8,
-    recovery_tol: float = 1e-9,
 ) -> PropertyVerdict:
     """On recoverable channel pairs the divergence must be preserved.
 
@@ -706,7 +712,7 @@ def check_sufficiency(
                 entry.affinity.apply_element(s.element)
             )
             gap = alg.norm(back - s.element)
-            if gap > recovery_tol:
+            if gap > RECOVERY_TOL:
                 raise RuntimeError(
                     f"catalog pair {entry.name} failed recovery by {gap:.2e}"
                 )
@@ -878,8 +884,6 @@ def explore_additivity_conjecture(
     n_generators: int = 50,
     n_trials: int = 40,
     seed: int = 0,
-    sizes=(2, 2),
-    tol: float = 1e-8,
 ) -> dict:
     """Search the generator family for monotone-but-not-additive members.
 
@@ -890,7 +894,7 @@ def explore_additivity_conjecture(
     """
     from . import multipartite as mp
 
-    layout = st.composite_layout(st.COMPLEX_TENSOR, sizes)
+    layout = st.composite_layout(st.COMPLEX_TENSOR, EXPLORER_SIZES)
     rng = np.random.default_rng([seed, 99])
     generators = _explorer_family(n_generators, rng)
 
@@ -900,7 +904,8 @@ def explore_additivity_conjecture(
     flagged = []
     for idx, G in enumerate(generators):
         mono = check_monotonicity(
-            G, layout.ambient, n_trials=n_trials, seed=seed + idx, tol=tol
+            G, layout.ambient, n_trials=n_trials, seed=seed + idx,
+            tol=EXPLORER_TOL,
         )
         residuals = []
         for trial in range(n_trials):
@@ -911,7 +916,8 @@ def explore_additivity_conjecture(
                 G, rho_a, rho_b, sigma_a, sigma_b, layout
             ))
         add = judge_trials(({"additivity": r} for r in residuals),
-                           seed + idx, {"additivity": tol})["additivity"]
+                           seed + idx,
+                           {"additivity": EXPLORER_TOL})["additivity"]
         add_worst, additive = add.worst_violation, add.passed
         table[(mono.passed, additive)] += 1
         row = {

@@ -61,17 +61,17 @@ class EntropyReport:
         return asdict(self)
 
 
-def shannon_entropy(p, tol: float = NORMALIZATION_TOL) -> float:
+def shannon_entropy(p) -> float:
     """Shannon entropy in nats, with 0 ln 0 = 0.
 
-    The vector is renormalized if its sum is within ``tol`` of one;
-    entries below ``-tol`` are rejected.
+    The vector is renormalized if its sum is within ``NORMALIZATION_TOL``
+    of one; entries below ``-NORMALIZATION_TOL`` are rejected.
     """
     p = np.asarray(p, dtype=float)
-    if np.any(p < -tol):
+    if np.any(p < -NORMALIZATION_TOL):
         raise ValueError(f"negative probability {p.min()!r}")
     total = p.sum()
-    if abs(total - 1.0) > tol:
+    if abs(total - 1.0) > NORMALIZATION_TOL:
         raise ValueError(f"probabilities sum to {total!r}")
     p = np.clip(p, 0.0, None) / total
     mask = p > SUPPORT_CUTOFF
@@ -85,31 +85,10 @@ def spectral_entropy(sigma: State) -> float:
     return float(np.sum(-lam[mask] * np.log(lam[mask])))
 
 
-def decomposition_entropy(
-    sigma: State, cross_check_samples: int = 0, seed=None
-) -> float:
-    """Minimal Shannon entropy over decompositions into pure states.
-
-    The minimum is attained by the fine spectral weights; when
-    ``cross_check_samples`` is positive, random pure decompositions are
-    sampled and each must stay above the returned value.
-    """
-    if cross_check_samples < 0:
-        raise ValueError(
-            f"cross_check_samples must be at least 0, got {cross_check_samples}"
-        )
-    value = shannon_entropy(np.clip(sigma.spectrum(), 0.0, None))
-    if cross_check_samples:
-        rng = st._as_rng(seed)
-        for k in range(cross_check_samples):
-            weights, _ = sample_pure_decomposition(sigma, rng)
-            h = shannon_entropy(weights)
-            if h < value - SQUEEZE_TOL:
-                raise EntropyBoundError(
-                    f"sampled decomposition entropy {h} below spectral "
-                    f"value {value} (sample {k})"
-                )
-    return value
+def decomposition_entropy(sigma: State) -> float:
+    """Minimal Shannon entropy over decompositions into pure states,
+    attained by the fine spectral weights."""
+    return shannon_entropy(np.clip(sigma.spectrum(), 0.0, None))
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from .bregman import (
     PropertyVerdict,
     _divergence,
     _gap,
+    _violation,
     bregman_divergence,
     run_trials,
 )
@@ -449,7 +450,8 @@ def run_dpi_suite(
     return PropertyVerdict(
         property="data-processing",
         trials=per_state * len(states),
-        worst_violation=max(v.worst_violation for v in verdicts),
+        # np.max keeps a NaN worst, which max() drops unless it comes first
+        worst_violation=float(np.max([v.worst_violation for v in verdicts])),
         tolerance=tol,
         witnesses=[w for v in verdicts for w in v.witnesses],
     )
@@ -476,10 +478,7 @@ def check_data_processing(
         moved = State(lifted.apply_element(pstate.state.element), layout)
         after_state = PartitionedState(moved, pstate.labels)
         after = mutual_information(F, after_state, [a_label], [b_label])
-        violation = after - before if math.isfinite(after) else (
-            0.0 if math.isinf(before) else math.inf
-        )
-        return {"data-processing": violation}
+        return {"data-processing": float(_violation(after, before))}
 
     return run_trials(one_trial, n_trials, seed,
                       {"data-processing": tol})["data-processing"]

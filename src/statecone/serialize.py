@@ -7,8 +7,9 @@ vector in the documented basis:
 
 States add ``"kind": "state"`` and, for composites, a ``"layout"`` with
 the embedding name and factor sizes.  Channels carry the raw matrix
-with source and target descriptors; boxes are a 4x4 nesting indexed
-``[x][y][a][b]``.
+with source and target descriptors and a name; the reader ignores any
+other key, such as the ``"trace_preserving"`` flag older writers added.
+Boxes are a 4x4 nesting indexed ``[x][y][a][b]``.
 """
 
 from __future__ import annotations
@@ -192,7 +193,6 @@ def channel_to_json(phi: Affinity) -> dict:
         "source": algebra_to_json(phi.source),
         "target": algebra_to_json(phi.target),
         "matrix": np.asarray(phi.matrix).tolist(),
-        "trace_preserving": bool(phi.trace_preserving),
         "name": phi.name,
     }
 
@@ -215,11 +215,7 @@ def channel_from_json(doc) -> Affinity:
             f"{source} to {target}"
         )
     _require_finite(matrix, "channel matrix entries")
-    return Affinity(
-        matrix, source, target,
-        name=doc.get("name", ""),
-        trace_preserving=bool(doc.get("trace_preserving", True)),
-    )
+    return Affinity(matrix, source, target, name=doc.get("name", ""))
 
 
 # ---------------------------------------------------------------------------

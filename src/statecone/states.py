@@ -65,6 +65,8 @@ __all__ = [
     "trace_vector",
 ]
 
+# eigenvalues of a candidate state in [-CLIP_TOL, 0) are solver noise,
+# clipped to zero; states whose inner product is below it are singular
 CLIP_TOL = 1e-10
 # eigenvalues and probabilities at or below this count as exact zeros
 # for support and entropy purposes, in every module
@@ -190,11 +192,10 @@ class State:
         cls,
         element: JordanElement,
         layout: CompositeLayout | None = None,
-        clip_tol: float = CLIP_TOL,
     ) -> "State":
         """Validate positivity and trace, clipping eigenvalue jitter.
 
-        Eigenvalues in ``[-clip_tol, 0)`` are treated as solver noise and
+        Eigenvalues in ``[-CLIP_TOL, 0)`` are treated as solver noise and
         clipped to zero; anything more negative is rejected.  The element
         is checked on its representations, which the eigensolve reads
         anyway, and its trace is the sum of its fine eigenvalues.
@@ -206,7 +207,7 @@ class State:
         if not all(np.isfinite(x).all() for x in reps):
             raise StateValidationError("state coefficients must be finite")
         dec = spectral_decompose(element)
-        if _check_spectra(dec.values, clip_tol):
+        if _check_spectra(dec.values):
             values = np.maximum(dec.values, 0.0)
             element = dec.function(values)
             element._spectral = SpectralDecomposition(dec.algebra, values,
@@ -218,22 +219,22 @@ class State:
         return spectral_decompose(self.element).fine_spectrum()
 
 
-def _check_spectra(values: np.ndarray, clip_tol: float = CLIP_TOL):
+def _check_spectra(values: np.ndarray):
     """Check the fine spectra ``values`` (last axis; leading axes a stack)
     of candidate states as :meth:`State.make` checks one: the trace, the
     sum of the spectrum, must be one and no eigenvalue may lie below
-    ``-clip_tol``.  The first failing spectrum, in row-major order,
-    raises.  Returns where a spectrum has jitter in ``[-clip_tol, 0)``,
+    ``-CLIP_TOL``.  The first failing spectrum, in row-major order,
+    raises.  Returns where a spectrum has jitter in ``[-CLIP_TOL, 0)``,
     which the caller clips to zero."""
     tr = values.sum(axis=-1)
     lo = values.min(axis=-1)
-    if (~(abs(tr - 1.0) <= NORMALIZATION_TOL) | (lo < -clip_tol)).any():
+    if (~(abs(tr - 1.0) <= NORMALIZATION_TOL) | (lo < -CLIP_TOL)).any():
         for t, m in zip(np.ravel(tr), np.ravel(lo)):
             if not abs(t - 1.0) <= NORMALIZATION_TOL:
                 raise StateValidationError(f"trace {float(t)!r} is not 1")
-            if m < -clip_tol:
+            if m < -CLIP_TOL:
                 raise StateValidationError(
-                    f"minimum eigenvalue {float(m)!r} below -{clip_tol}"
+                    f"minimum eigenvalue {float(m)!r} below -{CLIP_TOL}"
                 )
     return lo < 0.0
 
@@ -317,20 +318,6 @@ class Measurement:
                                  [stack[k] for stack in self.frame])
 
 
-def measurement_from_elements(pairs) -> Measurement:
-    """The measurement with the effects of ``(label, element)`` pairs."""
-    pairs = list(pairs)
-    if not pairs:
-        raise ValueError("a measurement needs at least one outcome")
-    first = pairs[0][1]
-    for _, el in pairs[1:]:
-        first._require_same(el)
-    return Measurement(
-        first.algebra, tuple(label for label, _ in pairs),
-        tuple(np.stack(reps) for reps in zip(*(el.reps() for _, el in pairs))),
-    )
-
-
 def measure(m: Measurement, sigma: State) -> np.ndarray:
     """Outcome probabilities of a measurement on a state."""
     if m.algebra != sigma.algebra:
@@ -379,10 +366,11 @@ def spectral_measurement(sigma: State) -> Measurement:
 # ---------------------------------------------------------------------------
 
 
-def is_fine_grained(m: Measurement,
-                    tol: float = alg.DEFAULT_GROUP_TOL) -> bool:
+def is_fine_grained(m: Measurement) -> bool:
     """True when every effect is a nonnegative multiple of a primitive
-    idempotent (spectral rank one after normalization)."""
+    idempotent (spectral rank one after normalization), eigenvalues
+    within ``DEFAULT_GROUP_TOL`` of zero counting as zero."""
+    tol = alg.DEFAULT_GROUP_TOL
     for k in range(len(m.labels)):
         dec = spectral_decompose(m.effect(k))
         positive = dec.eigenvalues > tol
@@ -422,26 +410,24 @@ def fine_grain(m: Measurement) -> Measurement:
 # ---------------------------------------------------------------------------
 
 
-def are_singular(rho: State, sigma: State, tol: float = CLIP_TOL) -> bool:
+def are_singular(rho: State, sigma: State) -> bool:
     """Mutual singularity; in a self-dual cone this is a vanishing inner
     product of the two positive elements."""
     if rho.algebra != sigma.algebra:
         raise AlgebraMismatchError("states live in different algebras")
-    return inner_product(rho.element, sigma.element) < tol
+    return inner_product(rho.element, sigma.element) < CLIP_TOL
 
 
-def support_projection(element: JordanElement,
-                       cutoff: float = SUPPORT_CUTOFF) -> JordanElement:
+def support_projection(element: JordanElement) -> JordanElement:
     dec = spectral_decompose(element)
-    return dec.function((dec.values > cutoff).astype(float))
+    return dec.function((dec.values > SUPPORT_CUTOFF).astype(float))
 
 
-def singularity_witness(rho: State, sigma: State,
-                        tol: float = CLIP_TOL) -> JordanElement | None:
+def singularity_witness(rho: State, sigma: State) -> JordanElement | None:
     """The support projection of sigma, an effect scoring 1 on sigma,
     when it scores 0 on rho."""
     proj = support_projection(sigma.element)
-    if inner_product(proj, rho.element) < tol:
+    if inner_product(proj, rho.element) < CLIP_TOL:
         return proj
     return None
 
@@ -561,17 +547,16 @@ class Affinity:
     the stored map, so racing fills land the same bits.
     """
 
-    __slots__ = ("source", "target", "name", "trace_preserving",
-                 "_matrix", "_rep_map")
+    __slots__ = ("source", "target", "name", "_matrix", "_rep_map")
 
     def __init__(self, matrix: np.ndarray, source: Algebra, target: Algebra,
-                 name: str = "", trace_preserving: bool = True):
+                 name: str = ""):
         m = np.asarray(matrix, dtype=float)
         if m.shape != (target.dim, source.dim):
             raise ValueError(
                 f"matrix shape {m.shape} does not map {source} to {target}"
             )
-        self._set(source, target, name, trace_preserving, m, None)
+        self._set(source, target, name, m, None)
 
     def _set(self, *values):
         # one value per slot, in the order of __slots__
@@ -584,8 +569,7 @@ class Affinity:
     def __reduce__(self):
         # a rep map may be a closure, so pickling and copying go through
         # the matrix; the copy applies it as a matrix
-        return Affinity, (self.matrix, self.source, self.target, self.name,
-                          self.trace_preserving)
+        return Affinity, (self.matrix, self.source, self.target, self.name)
 
     def __repr__(self):
         return f"Affinity({self.name!r}, {self.source} -> {self.target})"
@@ -647,7 +631,7 @@ def _affinity_from_rep_map(
     algebra the map must be complex-linear: a factor lift pushes
     non-Hermitian matrix units through it."""
     phi = object.__new__(Affinity)
-    phi._set(algebra, algebra, name, True, None, fn)
+    phi._set(algebra, algebra, name, None, fn)
     return phi
 
 

@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from statecone import algebras as alg
 from statecone import boxes as bx
+from statecone import states as st
 
 
 class TestBoxInvariants:
@@ -90,9 +92,20 @@ class TestQuantumBoxes:
             assert box.no_signaling_residual() < 1e-10
 
     def test_product_states_stay_classical(self):
+        qubit = alg.complex_hermitian(2)
+        layout = st.composite_layout(st.COMPLEX_TENSOR, (2, 2))
+
+        def pure(theta):
+            v = np.array([math.cos(theta / 2.0), math.sin(theta / 2.0)],
+                         dtype=complex)
+            return st.State.make(
+                alg.element_from_reps(qubit, [np.outer(v, v.conj())])
+            )
+
         rng = np.random.default_rng(1)
         for _ in range(10):
-            state = bx.product_strategy_state(*rng.uniform(0, 2 * math.pi, 2))
+            alpha, beta = rng.uniform(0, 2 * math.pi, 2)
+            state = st.tensor(pure(alpha), pure(beta), layout)
             strategy = bx.QuantumStrategy(
                 state,
                 tuple(rng.uniform(0, 2 * math.pi, 2)),
@@ -128,13 +141,6 @@ class TestOptimizer:
             value, _ = bx.maximize_quantum_chsh(seed=seed, restarts=3)
             assert value <= ceiling + 1e-7
 
-    def test_product_restriction_capped_at_two(self):
-        value, _ = bx.maximize_quantum_chsh(
-            seed=4, restarts=8, entangled=False
-        )
-        assert value <= 2.0 + 1e-9
-        assert value >= 2.0 - 1e-6
-
     def test_hierarchy_of_correlations(self):
         deterministic = max(
             bx.chsh_value(bx.deterministic_box(fa, fb))
@@ -147,12 +153,8 @@ class TestOptimizer:
 
 
 def _reference_objective(p, tensor):
-    """CHSH at the angles p, with each angle a numpy array: against the
-    tensor, or (tensor None) for the product state at p[4], p[5]."""
-    if tensor is None:
-        ca = [np.cos(p[x] - p[4]) for x in (0, 1)]
-        cb = [np.cos(p[2 + y] - p[5]) for y in (0, 1)]
-        return ca[0] * cb[0] + ca[0] * cb[1] + ca[1] * cb[0] - ca[1] * cb[1]
+    """CHSH at the angles p against the tensor, with each angle a numpy
+    array."""
     a = [(np.cos(p[x]), np.sin(p[x])) for x in (0, 1)]
     b = [(np.cos(p[2 + y]), np.sin(p[2 + y])) for y in (0, 1)]
 
@@ -165,17 +167,14 @@ def _reference_objective(p, tensor):
 
 
 class TestExactCoordinateSteps:
-    @pytest.mark.parametrize("entangled", [True, False])
-    def test_closed_form_angle_beats_the_grid(self, entangled):
-        tensor = bx._correlation_tensor(bx.bell_state()) if entangled \
-            else None
-        t = tensor.tolist() if entangled else None
-        n_params = 4 if entangled else 6
+    def test_closed_form_angle_beats_the_grid(self):
+        tensor = bx._correlation_tensor(bx.bell_state())
+        t = tensor.tolist()
         rng = np.random.default_rng(30)
         for _ in range(25):
-            p = rng.uniform(-10.0, 10.0, size=n_params)
+            p = rng.uniform(-10.0, 10.0, size=4)
             dirs = [(math.cos(v), math.sin(v)) for v in p]
-            for i in range(n_params):
+            for i in range(4):
                 v = bx._best_angle(t, dirs, i, p[i])
                 assert p[i] - math.pi <= v <= p[i] + math.pi
                 at_v = p.copy()
@@ -191,12 +190,10 @@ class TestExactCoordinateSteps:
         tensor = bx._correlation_tensor(bx.bell_state())
         rng = np.random.default_rng(31)
         for _ in range(20):
-            p = rng.uniform(0, 2 * math.pi, 6)
+            p = rng.uniform(0, 2 * math.pi, 4)
             d = [bx._direction(v) for v in p]
-            assert bx._chsh_of_directions(tensor.tolist(), d[:4]) == \
+            assert bx._chsh_of_directions(tensor.tolist(), d) == \
                 pytest.approx(_reference_objective(p, tensor), abs=1e-14)
-            assert bx._chsh_of_directions(None, d) == \
-                pytest.approx(_reference_objective(p, None), abs=1e-14)
 
 
 class TestOptimizerInputs:
@@ -205,21 +202,16 @@ class TestOptimizerInputs:
         with pytest.raises(ValueError, match="restarts"):
             bx.maximize_quantum_chsh(restarts=restarts)
 
-    @pytest.mark.parametrize("entangled,builder", [
-        (True, "bell_state"), (False, "product_strategy_state"),
-    ])
-    def test_state_built_once(self, monkeypatch, entangled, builder):
+    def test_state_built_once(self, monkeypatch):
         calls = []
-        original = getattr(bx, builder)
+        original = bx.bell_state
 
         def counted(*args):
             calls.append(args)
             return original(*args)
 
-        monkeypatch.setattr(bx, builder, counted)
-        value, strategy = bx.maximize_quantum_chsh(
-            seed=6, restarts=5, entangled=entangled
-        )
+        monkeypatch.setattr(bx, "bell_state", counted)
+        value, strategy = bx.maximize_quantum_chsh(seed=6, restarts=5)
         assert len(calls) == 1
         box_value = bx.chsh_value(bx.box_from_quantum(strategy))
         assert box_value == pytest.approx(value, abs=1e-9)

@@ -668,6 +668,31 @@ class TestDataProcessing:
         verdict = mp.run_dpi_suite(NE, LAYOUT_22, n_trials=40, seed=32)
         assert verdict.passed
 
+    def test_nan_after_an_infinite_before_fails(self, monkeypatch):
+        # an infinite information before the channel and NaN after it
+        values = iter([math.inf] + [math.nan] * 3)
+        monkeypatch.setattr(mp, "mutual_information",
+                            lambda *args: next(values))
+        verdict = mp.check_data_processing(
+            NE, bell_partitioned(), n_trials=3, seed=0
+        )
+        assert math.isnan(verdict.worst_violation)
+        assert not verdict.passed
+        assert [w["trial"] for w in verdict.witnesses] == [0, 1, 2]
+
+    def test_suite_keeps_a_nan_worst_of_any_state(self, monkeypatch):
+        # the entangled state's checks pass; the random state's give NaN
+        worsts = iter([0.0, math.nan])
+
+        def check(F, pstate, n_trials, seed, tol):
+            return br.PropertyVerdict("data-processing", n_trials,
+                                      next(worsts), tol)
+
+        monkeypatch.setattr(mp, "check_data_processing", check)
+        verdict = mp.run_dpi_suite(NE, LAYOUT_22, n_trials=4, seed=0)
+        assert math.isnan(verdict.worst_violation)
+        assert not verdict.passed
+
     def test_dpi_run_converts_no_basis_and_derives_no_matrix(self,
                                                            monkeypatch):
         # a Stinespring channel is lifted by pushing the matrix units

@@ -156,6 +156,22 @@ class TestChannels:
         with pytest.raises(sz.FormatError):
             sz.channel_from_json(doc)
 
+    def test_trace_preserving_flag_is_ignored(self):
+        # older writers added a "trace_preserving" key; the matrix alone
+        # defines the map
+        matrix = np.diag([1.0, 1.0, 0.0, 0.0])
+        doc = {"kind": "channel", "source": [{"type": "complex", "n": 2}],
+               "target": [{"type": "complex", "n": 2}],
+               "matrix": matrix.tolist(), "trace_preserving": False,
+               "name": "dephase"}
+        phi = sz.channel_from_json(doc)
+        assert phi.name == "dephase"
+        np.testing.assert_array_equal(phi.matrix, matrix)
+        rho = st.random_state(ja.complex_hermitian(2), seed=6)
+        np.testing.assert_array_equal(phi.apply_element(rho.element).coeffs,
+                                      matrix @ rho.element.coeffs)
+        assert "trace_preserving" not in sz.channel_to_json(phi)
+
     def test_channel_document_without_target(self):
         doc = {"kind": "channel", "source": [{"type": "complex", "n": 2}]}
         with pytest.raises(sz.FormatError, match="target"):
