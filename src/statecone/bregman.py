@@ -16,15 +16,16 @@ outside the support of the second, and gradients are computed on the
 support (the kernel never contributes because the support check has
 already passed).
 
-The randomized suites (monotonicity, sufficiency, statistical locality)
-draw every trial from its own stream, so each is reproducible from
-``(seed, trial)``, and failing trials are recorded as replayable
-witnesses.  Their channels come from the channel catalog and, in the
-monotonicity suite, also from the draws behind
-:func:`statecone.states.random_channel`.  The monotonicity suite draws
-its trials one by one, then checks, pushes and compares them all,
-random-channel and catalog trials alike, as one stack, which gives each
-trial the violation it gets alone.
+Each randomized suite (identity, monotonicity, sufficiency, statistical
+locality) is a generator ``_<suite>_results(F, algebra, seed, trials)``
+of one result per trial, each drawn from the stream of ``(seed, trial)``
+alone, and its verdict is one :func:`judge_trials` pass over
+``range(n_trials)``.  A failing trial becomes a witness with its trial
+and seed, which replays through the same generator.  Channels come from
+the channel catalog and, in the monotonicity suite, also from the draws
+behind :func:`statecone.states.random_channel`.  The monotonicity suite
+draws its trials one by one, then checks, pushes and compares them all
+as one stack, which gives each trial the violation it gets alone.
 """
 
 from __future__ import annotations
@@ -69,7 +70,6 @@ __all__ = [
     "neg_entropy",
     "random_orthogonal_triple",
     "regret",
-    "run_trials",
     "tangent_action",
     "trace_power",
 ]
@@ -424,43 +424,22 @@ def _require_trials(n_trials: int) -> None:
         raise ValueError(f"a suite needs at least one trial, got {n_trials}")
 
 
-def run_trials(
-    trial_fn: Callable[[np.random.Generator, int], dict],
-    n_trials: int,
-    seed: int,
-    tols: dict[str, float],
-) -> dict[str, PropertyVerdict]:
-    """Run a randomized suite and judge each of its checks.
-
-    ``trial_fn(rng, trial)`` computes one trial from a generator derived
-    from ``(seed, trial)`` alone, so any trial replays by itself.  It
-    returns the violation of every check named in ``tols``; its other
-    keys are copied into the witnesses of that trial.  The results are
-    judged by :func:`judge_trials`.
-    """
-    _require_trials(n_trials)
-    return judge_trials(
-        (trial_fn(_trial_rng(seed, trial), trial)
-         for trial in range(n_trials)),
-        seed, tols,
-    )
-
-
-def judge_trials(results, seed: int,
+def judge_trials(results,
                  tols: dict[str, float]) -> dict[str, PropertyVerdict]:
-    """Judge each check of a suite over its trial results, in trial order.
+    """Judge each check of a suite over its trial results, in order.
 
-    ``results`` yields one dict per trial with the violation of every
-    check named in ``tols``; its other keys are copied into the
-    witnesses of that trial.  A check passes when its worst violation
-    stays below its tolerance, and every trial at or over the tolerance
-    is recorded as a witness.  A NaN violation is worse than any number:
-    it becomes the worst violation and a witness, so the check fails.
+    ``results`` yields one dict per trial with its ``trial`` and ``seed``
+    and the violation of every check named in ``tols``; its other keys
+    are copied into the witnesses of that trial.  A check passes when its
+    worst violation stays below its tolerance, and every trial at or over
+    the tolerance is recorded as a witness.  A NaN violation is worse
+    than any number: it becomes the worst violation and a witness, so the
+    check fails.
     """
     worst = dict.fromkeys(tols, -math.inf)
     witnesses = {check: [] for check in tols}
     trials = 0
-    for trial, result in enumerate(results):
+    for result in results:
         trials += 1
         extras = {k: v for k, v in result.items() if k not in tols}
         for check, tol in tols.items():
@@ -468,10 +447,7 @@ def judge_trials(results, seed: int,
             if math.isnan(violation) or violation > worst[check]:
                 worst[check] = violation
             if not violation < tol:
-                witnesses[check].append(
-                    {"trial": trial, "seed": seed, "violation": violation,
-                     **extras}
-                )
+                witnesses[check].append({**extras, "violation": violation})
     return {
         check: PropertyVerdict(
             property=check,
@@ -524,7 +500,8 @@ def _pair_draws(entry, rng):
 
 
 def _monotonicity_trials(F, algebra, catalog, seed, trials) -> list:
-    """The violations and channel names of ``trials``, in order.
+    """The results of ``trials``, in order: each with its violation and
+    channel name.
 
     Each trial draws from its own stream, in trial order.  On complex and
     classical algebras two trials in three are random-channel trials: the
@@ -587,8 +564,9 @@ def _monotonicity_trials(F, algebra, catalog, seed, trials) -> list:
     worse = rise > violation
     random_name = st._RANDOM_CHANNEL_NAMES.get(s.kind)
     return [
-        (v, f"random-{random_name}-env{1 + t % s.size}" if k is None
-         else f"{catalog[k].name}-recovery" if w else catalog[k].name)
+        {"trial": t, "seed": seed, "monotonicity": v,
+         "channel": f"random-{random_name}-env{1 + t % s.size}" if k is None
+         else f"{catalog[k].name}-recovery" if w else catalog[k].name}
         for v, w, k, t in zip(np.where(worse, rise, violation).tolist(),
                               worse.tolist(), picks, trials)
     ]
@@ -599,8 +577,8 @@ _MONOTONICITY_CHUNK = 512
 
 
 def _monotonicity_results(F, algebra, seed, trials):
-    """Yield the violation and channel name of each of ``trials``, in
-    order, each chunk of ``_MONOTONICITY_CHUNK`` trials as one stack."""
+    """Yield the result of each of ``trials``, in order, each chunk of
+    ``_MONOTONICITY_CHUNK`` trials as one stack."""
     catalog = _monotonicity_catalog(algebra, seed)
     trials = list(trials)
     for start in range(0, len(trials), _MONOTONICITY_CHUNK):
@@ -609,20 +587,14 @@ def _monotonicity_results(F, algebra, seed, trials):
             trials[start:start + _MONOTONICITY_CHUNK])
 
 
-def check_identity(
-    F: BregmanGenerator,
-    algebra: Algebra,
-    n_trials: int = 500,
-    seed: int = 0,
-    tol: float = 1e-9,
-) -> PropertyVerdict:
-    """Randomized residuals of the affine decomposition identity.
+def _identity_results(F, algebra, seed, trials):
+    """Yield the identity residual of each of ``trials``, in order.
 
     Every third trial uses an affine combination with a negative weight,
     rejection-sampled to stay inside the cone.
     """
-
-    def one_trial(rng, trial):
+    for trial in trials:
+        rng = _trial_rng(seed, trial)
         sigma = st.random_state(algebra, seed=rng)
         k = 2 + int(rng.integers(0, 2))
         states = [st.random_state(algebra, seed=rng) for _ in range(k)]
@@ -644,11 +616,21 @@ def check_identity(
                 weights = rng.dirichlet(np.ones(k))
         else:
             weights = rng.dirichlet(np.ones(k))
-        return {"bregman-identity":
-                check_bregman_identity(F, states, weights, sigma)}
+        yield {"trial": trial, "seed": seed, "bregman-identity":
+               check_bregman_identity(F, states, weights, sigma)}
 
-    return run_trials(one_trial, n_trials, seed,
-                      {"bregman-identity": tol})["bregman-identity"]
+
+def check_identity(
+    F: BregmanGenerator,
+    algebra: Algebra,
+    n_trials: int = 500,
+    seed: int = 0,
+    tol: float = 1e-9,
+) -> PropertyVerdict:
+    """Randomized residuals of the affine decomposition identity."""
+    _require_trials(n_trials)
+    results = _identity_results(F, algebra, seed, range(n_trials))
+    return judge_trials(results, {"bregman-identity": tol})["bregman-identity"]
 
 
 def check_monotonicity(
@@ -666,11 +648,7 @@ def check_monotonicity(
     """
     _require_trials(n_trials)
     results = _monotonicity_results(F, algebra, seed, range(n_trials))
-    verdict = judge_trials(
-        ({"monotonicity": violation, "channel": name}
-         for violation, name in results),
-        seed, {"monotonicity": tol},
-    )["monotonicity"]
+    verdict = judge_trials(results, {"monotonicity": tol})["monotonicity"]
     if not _supports_random_channels(algebra):
         verdict.details["channel_pool"] = "catalog-only"
     return verdict
@@ -678,34 +656,27 @@ def check_monotonicity(
 
 def replay_monotonicity_trial(F, algebra, seed, trial):
     """Recompute the violation of a recorded witness."""
-    (violation, _), = _monotonicity_results(F, algebra, seed, [trial])
-    return violation
+    result, = _monotonicity_results(F, algebra, seed, [trial])
+    return result["monotonicity"]
 
 
-def check_sufficiency(
-    F: BregmanGenerator,
-    algebra: Algebra,
-    n_trials: int = 200,
-    seed: int = 0,
-    tol: float = 1e-8,
-) -> PropertyVerdict:
-    """On recoverable channel pairs the divergence must be preserved.
+def _sufficiency_results(F, algebra, seed, trials):
+    """Yield the divergence gap and channel name of each of ``trials``.
 
-    Each trial draws a catalog channel that carries a recovery map and a
-    compatible state pair, verifies the recovery on that pair, then
-    compares divergences before and after the channel.
+    Trial ``t`` draws a pair for the ``t``-th catalog channel that carries
+    a recovery map, verifies the recovery on that pair, then compares
+    divergences before and after the channel.
     """
     catalog = [
         c for c in st.channel_catalog(algebra, seed=seed)
         if c.recovery is not None
         and (F.algebra is None or c.affinity.source == algebra)
     ]
-
-    def one_trial(rng, trial):
+    for trial in trials:
         entry = catalog[trial % len(catalog)]
         rho, sigma = (
             State.make(alg.element_from_reps(entry.affinity.source, [rep]))
-            for rep in _pair_draws(entry, rng)
+            for rep in _pair_draws(entry, _trial_rng(seed, trial))
         )
         for s in (rho, sigma):
             back = entry.recovery.apply_element(
@@ -722,10 +693,21 @@ def check_sufficiency(
             entry.affinity.apply_element(rho.element),
             entry.affinity.apply_element(sigma.element),
         )
-        return {"sufficiency": _gap(after, before), "channel": entry.name}
+        yield {"trial": trial, "seed": seed,
+               "sufficiency": _gap(after, before), "channel": entry.name}
 
-    return run_trials(one_trial, n_trials, seed,
-                      {"sufficiency": tol})["sufficiency"]
+
+def check_sufficiency(
+    F: BregmanGenerator,
+    algebra: Algebra,
+    n_trials: int = 200,
+    seed: int = 0,
+    tol: float = 1e-8,
+) -> PropertyVerdict:
+    """On recoverable channel pairs the divergence must be preserved."""
+    _require_trials(n_trials)
+    results = _sufficiency_results(F, algebra, seed, range(n_trials))
+    return judge_trials(results, {"sufficiency": tol})["sufficiency"]
 
 
 def random_orthogonal_triple(algebra: Algebra, rng):
@@ -771,6 +753,32 @@ def random_orthogonal_triple(algebra: Algebra, rng):
     )
 
 
+def _pure_entropy(F: BregmanGenerator) -> bool:
+    return F.entropy_weight == 1.0 and F.name == "neg-entropy"
+
+
+def _locality_results(F, algebra, seed, trials):
+    """Yield the locality gap and mixing weight ``t`` of each of
+    ``trials``, and for the plain entropy generator the residual of the
+    common value against ``-ln(1-t)``."""
+    pure_entropy = _pure_entropy(F)
+    for trial in trials:
+        rng = _trial_rng(seed, trial)
+        rho, sig1, sig2 = random_orthogonal_triple(algebra, rng)
+        t = float(rng.uniform(0.05, 0.95))
+        mix1 = State.make((1.0 - t) * rho.element + t * sig1.element)
+        mix2 = State.make((1.0 - t) * rho.element + t * sig2.element)
+        d1 = bregman_divergence(F, rho, mix1)
+        d2 = bregman_divergence(F, rho, mix2)
+        out = {"trial": trial, "seed": seed,
+               "statistical-locality": _gap(d1, d2), "t": t}
+        if pure_entropy:
+            out["value_residual"] = max(
+                abs(d1 + math.log1p(-t)), abs(d2 + math.log1p(-t))
+            )
+        yield out
+
+
 def check_statistical_locality(
     F: BregmanGenerator,
     algebra: Algebra,
@@ -784,30 +792,16 @@ def check_statistical_locality(
     For the plain entropy generator the common value is also checked
     against ``-ln(1-t)``.
     """
-    pure_entropy = F.entropy_weight == 1.0 and F.name == "neg-entropy"
+    _require_trials(n_trials)
     tols = {"statistical-locality": tol}
-    if pure_entropy:
+    if _pure_entropy(F):
         # tracked but never judged: only an infinite residual reaches the
         # infinite tolerance, and its witnesses are never reported
         tols["value_residual"] = math.inf
-
-    def one_trial(rng, trial):
-        rho, sig1, sig2 = random_orthogonal_triple(algebra, rng)
-        t = float(rng.uniform(0.05, 0.95))
-        mix1 = State.make((1.0 - t) * rho.element + t * sig1.element)
-        mix2 = State.make((1.0 - t) * rho.element + t * sig2.element)
-        d1 = bregman_divergence(F, rho, mix1)
-        d2 = bregman_divergence(F, rho, mix2)
-        out = {"statistical-locality": _gap(d1, d2), "t": t}
-        if pure_entropy:
-            out["value_residual"] = max(
-                abs(d1 + math.log1p(-t)), abs(d2 + math.log1p(-t))
-            )
-        return out
-
-    verdicts = run_trials(one_trial, n_trials, seed, tols)
+    results = _locality_results(F, algebra, seed, range(n_trials))
+    verdicts = judge_trials(results, tols)
     verdict = verdicts["statistical-locality"]
-    if pure_entropy:
+    if "value_residual" in verdicts:
         verdict.details["value_residual"] = (
             verdicts["value_residual"].worst_violation
         )
@@ -915,9 +909,10 @@ def explore_additivity_conjecture(
             residuals.append(mp.check_additivity(
                 G, rho_a, rho_b, sigma_a, sigma_b, layout
             ))
-        add = judge_trials(({"additivity": r} for r in residuals),
-                           seed + idx,
-                           {"additivity": EXPLORER_TOL})["additivity"]
+        add = judge_trials(
+            ({"trial": t, "seed": seed + idx, "additivity": r}
+             for t, r in enumerate(residuals)),
+            {"additivity": EXPLORER_TOL})["additivity"]
         add_worst, additive = add.worst_violation, add.passed
         table[(mono.passed, additive)] += 1
         row = {

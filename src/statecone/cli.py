@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
-import inspect
+import itertools
 import json
 import math
 import os
@@ -240,14 +240,6 @@ _SUITES = {
 }
 
 
-def _separoid_tolerances() -> str:
-    params = inspect.signature(mp.check_separoid).parameters.values()
-    return ", ".join(
-        f"{p.name.removesuffix('_tol')} {p.default:g}"
-        for p in params if p.name.endswith("_tol")
-    )
-
-
 def _cmd_suite(args) -> int:
     _check_at_least_one("--trials", args.trials)
     algebra, layout = sz.parse_algebra_spec(args.algebra)
@@ -272,7 +264,9 @@ def _cmd_suite(args) -> int:
         if args.property == "separoid":
             raise CliError(
                 "--tol does not apply to separoid, which judges with fixed "
-                f"tolerances: {_separoid_tolerances()}"
+                "tolerances: " + ", ".join(
+                    f"{check} {tol:g}"
+                    for check, tol in mp.SEPAROID_TOLS.items())
             )
         kwargs["tol"] = args.tol
 
@@ -315,15 +309,10 @@ def _cmd_explore(args) -> int:
 
 def _cmd_chsh(args) -> int:
     _check_at_least_one("--restarts", args.restarts)
-    if args.box == "pr":
-        box = bx.pr_box()
-        results = {"chsh": bx.chsh_value(box)}
-    elif args.box == "white":
-        box = bx.white_noise_box()
+    if args.box in ("pr", "white"):
+        box = bx.pr_box() if args.box == "pr" else bx.white_noise_box()
         results = {"chsh": bx.chsh_value(box)}
     elif args.box == "deterministic":
-        import itertools
-
         values = [
             bx.chsh_value(bx.deterministic_box(fa, fb))
             for fa in itertools.product((0, 1), repeat=2)
@@ -331,7 +320,7 @@ def _cmd_chsh(args) -> int:
         ]
         box = None
         results = {"chsh": max(values), "all_values": values}
-    elif args.box == "quantum-opt":
+    else:
         value, strategy = bx.maximize_quantum_chsh(
             seed=args.seed, restarts=args.restarts
         )
@@ -341,8 +330,6 @@ def _cmd_chsh(args) -> int:
             "alice_angles": list(strategy.alice_angles),
             "bob_angles": list(strategy.bob_angles),
         }
-    else:
-        raise CliError(f"unknown box {args.box!r}")
     if box is not None:
         results["no_signaling_residual"] = box.no_signaling_residual()
         if args.table:
@@ -363,18 +350,17 @@ def _cmd_audit_example1(args) -> int:
     audit = st.real_embedding_dimension_audit(
         n_samples=args.samples, seed=args.seed
     )
+    passed = audit == {"ambient_state_dim": 9, "product_slice_dim": 8}
     _emit(
         _report(
             "audit-example1",
             {"samples": args.samples, "seed": args.seed},
             audit,
-            passed=(audit["ambient_state_dim"] == 9
-                    and audit["product_slice_dim"] == 8),
+            passed=passed,
         ),
         args.pretty,
     )
-    return 0 if audit == {"ambient_state_dim": 9, "product_slice_dim": 8} \
-        else 1
+    return 0 if passed else 1
 
 
 # ---------------------------------------------------------------------------

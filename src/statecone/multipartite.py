@@ -29,8 +29,10 @@ from .bregman import (
     _divergence,
     _gap,
     _violation,
+    _require_trials,
+    _trial_rng,
     bregman_divergence,
-    run_trials,
+    judge_trials,
 )
 from .states import CompositeLayout, State
 
@@ -51,6 +53,10 @@ __all__ = [
     "run_dpi_suite",
     "run_marginal_identity_suite",
 ]
+
+
+# the separoid suite judges each of its checks at a fixed tolerance
+SEPAROID_TOLS = {"positivity": 1e-8, "symmetry": 1e-10, "chain": 1e-8}
 
 
 class OverlapError(ValueError):
@@ -300,31 +306,18 @@ def conditional_mutual_information(
     return CmiReport(term0 - term1 - term2, components)
 
 
-def check_separoid(
-    F: BregmanGenerator,
-    embedding: str,
-    sizes: Sequence[int],
-    n_trials: int = 200,
-    seed: int = 0,
-    positivity_tol: float = 1e-8,
-    symmetry_tol: float = 1e-10,
-    chain_tol: float = 1e-8,
-) -> dict[str, PropertyVerdict]:
-    """Positivity, symmetry and the chain rule on random 4-factor states.
+def _separoid_results(F, layout, seed, trials):
+    """Yield the positivity, symmetry and chain-rule violations of each of
+    ``trials`` on a random state of the 4-factor ``layout``.
 
     A quarter of the trials use globally pure states, whose marginals
     stress the support handling.
     """
-    if len(sizes) != 4:
-        raise ValueError("the separoid suite runs on four factors")
-    labels = ("A", "B", "C", "D")
-    tols = {"positivity": positivity_tol, "symmetry": symmetry_tol,
-            "chain": chain_tol}
-
-    def one_trial(rng, trial):
+    for trial in trials:
         rank_cap = 1 if trial % 4 == 3 else None
         p = random_partitioned_state(
-            embedding, sizes, labels, seed=rng, rank_cap=rank_cap,
+            layout.embedding, layout.sizes, ("A", "B", "C", "D"),
+            seed=_trial_rng(seed, trial), rank_cap=rank_cap,
         )
         ab_c = conditional_mutual_information(F, p, ["A"], ["B"], ["C"])
         ba_c = conditional_mutual_information(F, p, ["B"], ["A"], ["C"])
@@ -336,24 +329,53 @@ def check_separoid(
             F, p, ["A"], ["C"], ["B", "D"]
         )
 
-        checks = {}
-        checks["positivity"] = -ab_c.value if ab_c.defined else math.inf
-        checks["symmetry"] = (
-            abs(ab_c.value - ba_c.value)
-            if ab_c.defined and ba_c.defined else math.inf
-        )
-        if chain_left.defined and chain_ab.defined and chain_ac.defined:
-            checks["chain"] = abs(
-                chain_left.value - chain_ab.value - chain_ac.value
-            )
-        else:
-            checks["chain"] = math.inf
-        return checks
+        chain = (chain_left, chain_ab, chain_ac)
+        yield {
+            "trial": trial, "seed": seed,
+            "positivity": -ab_c.value if ab_c.defined else math.inf,
+            "symmetry": (abs(ab_c.value - ba_c.value)
+                         if ab_c.defined and ba_c.defined else math.inf),
+            "chain": (abs(chain_left.value - chain_ab.value - chain_ac.value)
+                      if all(c.defined for c in chain) else math.inf),
+        }
 
-    verdicts = run_trials(one_trial, n_trials, seed, tols)
+
+def check_separoid(
+    F: BregmanGenerator,
+    embedding: str,
+    sizes: Sequence[int],
+    n_trials: int = 200,
+    seed: int = 0,
+    positivity_tol: float = SEPAROID_TOLS["positivity"],
+    symmetry_tol: float = SEPAROID_TOLS["symmetry"],
+    chain_tol: float = SEPAROID_TOLS["chain"],
+) -> dict[str, PropertyVerdict]:
+    """Positivity, symmetry and the chain rule on random 4-factor states."""
+    if len(sizes) != 4:
+        raise ValueError("the separoid suite runs on four factors")
+    _require_trials(n_trials)
+    layout = st.composite_layout(embedding, sizes)
+    results = _separoid_results(F, layout, seed, range(n_trials))
+    verdicts = judge_trials(results, {"positivity": positivity_tol,
+                                      "symmetry": symmetry_tol,
+                                      "chain": chain_tol})
     for check, verdict in verdicts.items():
         verdict.property = f"separoid-{check}"
     return verdicts
+
+
+def _additivity_results(F, layout, seed, trials):
+    """Yield the additivity residual of each of ``trials`` over a random
+    product quadruple."""
+    for trial in trials:
+        rng = _trial_rng(seed, trial)
+        rho_a = st.random_state(layout.factors[0], seed=rng)
+        rho_b = st.random_state(layout.factors[1], seed=rng)
+        sigma_a = st.random_state(layout.factors[0], seed=rng)
+        sigma_b = st.random_state(layout.factors[1], seed=rng)
+        yield {"trial": trial, "seed": seed, "additivity": check_additivity(
+            F, rho_a, rho_b, sigma_a, sigma_b, layout
+        )}
 
 
 def run_additivity_suite(
@@ -364,18 +386,22 @@ def run_additivity_suite(
     tol: float = 1e-8,
 ) -> PropertyVerdict:
     """Additivity residuals over random product quadruples."""
+    _require_trials(n_trials)
+    results = _additivity_results(F, layout, seed, range(n_trials))
+    return judge_trials(results, {"additivity": tol})["additivity"]
 
-    def one_trial(rng, trial):
+
+def _marginal_results(F, layout, seed, trials):
+    """Yield the marginal-identity residual of each of ``trials`` over a
+    random joint state and a full-rank product reference."""
+    for trial in trials:
+        rng = _trial_rng(seed, trial)
+        sigma_ab = st.random_state(layout.ambient, seed=rng, layout=layout)
         rho_a = st.random_state(layout.factors[0], seed=rng)
         rho_b = st.random_state(layout.factors[1], seed=rng)
-        sigma_a = st.random_state(layout.factors[0], seed=rng)
-        sigma_b = st.random_state(layout.factors[1], seed=rng)
-        return {"additivity": check_additivity(
-            F, rho_a, rho_b, sigma_a, sigma_b, layout
-        )}
-
-    return run_trials(one_trial, n_trials, seed,
-                      {"additivity": tol})["additivity"]
+        yield {"trial": trial, "seed": seed,
+               "marginal-identity": check_marginal_identity(
+                   F, sigma_ab, rho_a, rho_b)}
 
 
 def run_marginal_identity_suite(
@@ -387,17 +413,10 @@ def run_marginal_identity_suite(
 ) -> PropertyVerdict:
     """Marginal-identity residuals over random joint states and full-rank
     product references."""
-
-    def one_trial(rng, trial):
-        sigma_ab = st.random_state(layout.ambient, seed=rng, layout=layout)
-        rho_a = st.random_state(layout.factors[0], seed=rng)
-        rho_b = st.random_state(layout.factors[1], seed=rng)
-        return {"marginal-identity": check_marginal_identity(
-            F, sigma_ab, rho_a, rho_b
-        )}
-
-    return run_trials(one_trial, n_trials, seed,
-                      {"marginal-identity": tol})["marginal-identity"]
+    _require_trials(n_trials)
+    results = _marginal_results(F, layout, seed, range(n_trials))
+    return judge_trials(results,
+                        {"marginal-identity": tol})["marginal-identity"]
 
 
 def _pairs_equal_complex_factors(layout: CompositeLayout) -> bool:
@@ -417,6 +436,16 @@ def maximally_entangled_state(layout: CompositeLayout) -> State:
     )
 
 
+def _dpi_states(layout: CompositeLayout, seed: int) -> list:
+    """The states the data-processing suite runs on: the maximally
+    entangled state where the factors pair up, then a random state."""
+    states = [st.random_state(layout.ambient, layout=layout,
+                              seed=np.random.default_rng([seed, 1234]))]
+    if _pairs_equal_complex_factors(layout):
+        states.insert(0, maximally_entangled_state(layout))
+    return [PartitionedState(s, ("A", "B")) for s in states]
+
+
 def run_dpi_suite(
     F: BregmanGenerator,
     layout: CompositeLayout,
@@ -424,37 +453,37 @@ def run_dpi_suite(
     seed: int = 0,
     tol: float = 1e-8,
 ) -> PropertyVerdict:
-    """Data processing over both maximally entangled and random states."""
-    states = []
-    if _pairs_equal_complex_factors(layout):
-        states.append(
-            PartitionedState(maximally_entangled_state(layout), ("A", "B"))
-        )
-    states.append(
-        PartitionedState(
-            st.random_state(
-                layout.ambient, seed=np.random.default_rng([seed, 1234]),
-                layout=layout,
-            ),
-            ("A", "B"),
-        )
-    )
-    # one trial per state at least, unless the run asks for none
-    per_state = max(min(n_trials, 1), n_trials // len(states))
-    verdicts = [
-        check_data_processing(
-            F, pstate, n_trials=per_state, seed=seed + idx, tol=tol
-        )
-        for idx, pstate in enumerate(states)
-    ]
-    return PropertyVerdict(
-        property="data-processing",
-        trials=per_state * len(states),
-        # np.max keeps a NaN worst, which max() drops unless it comes first
-        worst_violation=float(np.max([v.worst_violation for v in verdicts])),
-        tolerance=tol,
-        witnesses=[w for v in verdicts for w in v.witnesses],
-    )
+    """Data processing over both maximally entangled and random states.
+
+    The trials are split evenly across the states, at least one each;
+    state ``k`` runs its trials under the seed ``seed + k``.
+    """
+    _require_trials(n_trials)
+    states = _dpi_states(layout, seed)
+    per_state = max(1, n_trials // len(states))
+    results = (result for k, pstate in enumerate(states)
+               for result in _data_processing_results(
+                   F, pstate, seed + k, range(per_state)))
+    return judge_trials(results, {"data-processing": tol})["data-processing"]
+
+
+def _data_processing_results(F, pstate, seed, trials):
+    """Yield, for each of ``trials``, the rise of the mutual information
+    of ``pstate`` under a random channel on its second factor."""
+    layout = pstate.state.layout
+    if len(layout.factors) != 2:
+        raise ValueError("data processing runs on bipartite states")
+    a_label, b_label = pstate.labels
+    before = mutual_information(F, pstate, [a_label], [b_label])
+    for trial in trials:
+        phi = st.random_channel(layout.factors[1],
+                                seed=_trial_rng(seed, trial))
+        lifted = st.extend_to_factor(phi, layout, 1)
+        moved = State(lifted.apply_element(pstate.state.element), layout)
+        after_state = PartitionedState(moved, pstate.labels)
+        after = mutual_information(F, after_state, [a_label], [b_label])
+        yield {"trial": trial, "seed": seed,
+               "data-processing": float(_violation(after, before))}
 
 
 def check_data_processing(
@@ -466,19 +495,6 @@ def check_data_processing(
 ) -> PropertyVerdict:
     """Local channels on the second factor must not raise the mutual
     information between the two factors."""
-    layout = pstate.state.layout
-    if len(layout.factors) != 2:
-        raise ValueError("data processing runs on bipartite states")
-    a_label, b_label = pstate.labels
-    before = mutual_information(F, pstate, [a_label], [b_label])
-
-    def one_trial(rng, trial):
-        phi = st.random_channel(layout.factors[1], seed=rng)
-        lifted = st.extend_to_factor(phi, layout, 1)
-        moved = State(lifted.apply_element(pstate.state.element), layout)
-        after_state = PartitionedState(moved, pstate.labels)
-        after = mutual_information(F, after_state, [a_label], [b_label])
-        return {"data-processing": float(_violation(after, before))}
-
-    return run_trials(one_trial, n_trials, seed,
-                      {"data-processing": tol})["data-processing"]
+    _require_trials(n_trials)
+    results = _data_processing_results(F, pstate, seed, range(n_trials))
+    return judge_trials(results, {"data-processing": tol})["data-processing"]

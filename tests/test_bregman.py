@@ -316,15 +316,68 @@ SUITES = {
 }
 
 
+REPLAY_SEED = 3
+SEPAROID_LAYOUT = st.composite_layout(st.CLASSICAL_TENSOR, (2, 2, 2, 2))
+
+# suite -> (its run at one tolerance for every check, the results of one
+# trial through its results generator)
+REPLAYS = {
+    "mono": (
+        lambda tol: br.check_monotonicity(T2, C3, n_trials=6,
+                                          seed=REPLAY_SEED, tol=tol),
+        lambda seed, trial: br._monotonicity_results(T2, C3, seed, [trial])),
+    "suff": (
+        lambda tol: br.check_sufficiency(NE, C3, n_trials=6,
+                                         seed=REPLAY_SEED, tol=tol),
+        lambda seed, trial: br._sufficiency_results(NE, C3, seed, [trial])),
+    "local": (
+        lambda tol: br.check_statistical_locality(NE, C3, n_trials=6,
+                                                  seed=REPLAY_SEED, tol=tol),
+        lambda seed, trial: br._locality_results(NE, C3, seed, [trial])),
+    "identity": (
+        lambda tol: br.check_identity(NE, C2, n_trials=6, seed=REPLAY_SEED,
+                                      tol=tol),
+        lambda seed, trial: br._identity_results(NE, C2, seed, [trial])),
+    "additivity": (
+        lambda tol: mp.run_additivity_suite(NE, LAYOUT_22, n_trials=4,
+                                            seed=REPLAY_SEED, tol=tol),
+        lambda seed, trial: mp._additivity_results(NE, LAYOUT_22, seed,
+                                                   [trial])),
+    "marginal": (
+        lambda tol: mp.run_marginal_identity_suite(
+            NE, LAYOUT_22, n_trials=4, seed=REPLAY_SEED, tol=tol),
+        lambda seed, trial: mp._marginal_results(NE, LAYOUT_22, seed,
+                                                 [trial])),
+    "separoid": (
+        lambda tol: mp.check_separoid(
+            NE, st.CLASSICAL_TENSOR, (2, 2, 2, 2), n_trials=4,
+            seed=REPLAY_SEED, positivity_tol=tol, symmetry_tol=tol,
+            chain_tol=tol),
+        lambda seed, trial: mp._separoid_results(NE, SEPAROID_LAYOUT, seed,
+                                                 [trial])),
+    # state k of the suite runs under the seed REPLAY_SEED + k
+    "dpi": (
+        lambda tol: mp.run_dpi_suite(NE, LAYOUT_22, n_trials=4,
+                                     seed=REPLAY_SEED, tol=tol),
+        lambda seed, trial: mp._data_processing_results(
+            NE, mp._dpi_states(LAYOUT_22, REPLAY_SEED)[seed - REPLAY_SEED],
+            seed, [trial])),
+}
+
+
+def _results(seed, **checks):
+    """One result per trial, trial ``t`` with ``checks[name][t]``."""
+    n = len(next(iter(checks.values())))
+    return [{"trial": t, "seed": seed,
+             **{name: values[t] for name, values in checks.items()}}
+            for t in range(n)]
+
+
 class TestTrialDriver:
     def test_worst_witnesses_and_extras_per_check(self):
-        values = {"a": [0.1, 0.7, -1.0], "b": [-2.0, -3.0, -1.0]}
-
-        def one_trial(rng, trial):
-            return {"a": values["a"][trial], "b": values["b"][trial],
-                    "tag": f"t{trial}"}
-
-        verdicts = br.run_trials(one_trial, 3, 5, {"a": 0.5, "b": 0.0})
+        results = _results(5, a=[0.1, 0.7, -1.0], b=[-2.0, -3.0, -1.0],
+                           tag=["t0", "t1", "t2"])
+        verdicts = br.judge_trials(results, {"a": 0.5, "b": 0.0})
         assert verdicts["a"].worst_violation == 0.7
         assert not verdicts["a"].passed
         assert verdicts["a"].witnesses == [
@@ -335,11 +388,20 @@ class TestTrialDriver:
         assert {v.property for v in verdicts.values()} == {"a", "b"}
         assert {v.trials for v in verdicts.values()} == {3}
 
+    def test_witnesses_keep_the_trial_and_seed_of_their_result(self):
+        # a replay of trial 7 alone must report trial 7, not position 0
+        results = [{"trial": 7, "seed": 2, "x": 1.0},
+                   {"trial": 3, "seed": 9, "x": 0.0}]
+        verdict = br.judge_trials(results, {"x": 0.5})["x"]
+        assert verdict.trials == 2
+        assert verdict.witnesses == [{"trial": 7, "seed": 2,
+                                      "violation": 1.0}]
+
     def test_violation_at_the_tolerance_fails_with_a_witness(self):
         # a check passes only below its tolerance, so a violation equal to
         # it fails and must leave a trial to replay
-        verdict = br.run_trials(lambda rng, trial: {"x": [0.1, 0.5][trial]},
-                                2, 3, {"x": 0.5})["x"]
+        verdict = br.judge_trials(_results(3, x=[0.1, 0.5]),
+                                  {"x": 0.5})["x"]
         assert not verdict.passed
         assert verdict.witnesses == [{"trial": 1, "seed": 3,
                                       "violation": 0.5}]
@@ -348,8 +410,7 @@ class TestTrialDriver:
                                         [math.nan] * 3])
     def test_nan_violation_is_the_worst_and_a_witness(self, values):
         # every comparison with NaN is false, so it used to pass unseen
-        verdict = br.run_trials(lambda rng, trial: {"x": values[trial]}, 3,
-                                0, {"x": 1e-8})["x"]
+        verdict = br.judge_trials(_results(0, x=values), {"x": 1e-8})["x"]
         assert math.isnan(verdict.worst_violation)
         assert not verdict.passed
         assert [w["trial"] for w in verdict.witnesses] == [0, 1, 2]
@@ -359,15 +420,32 @@ class TestTrialDriver:
 
     def test_trial_streams_match_seed_and_trial(self):
         # every suite used to seed its trials with [seed, trial] or
-        # [seed, trial, 0]; both give the stream the driver hands out
-        drawn = br.run_trials(
-            lambda rng, trial: {"x": rng.random()}, 4, 11,
-            {"x": -math.inf},
-        )["x"].witnesses
-        for w in drawn:
-            for entropy in ([11, w["trial"]], [11, w["trial"], 0]):
-                assert w["violation"] == \
-                    np.random.default_rng(entropy).random()
+        # [seed, trial, 0]; both give the stream each trial draws from
+        for trial in range(4):
+            drawn = br._trial_rng(11, trial).random()
+            for entropy in ([11, trial], [11, trial, 0]):
+                assert drawn == np.random.default_rng(entropy).random()
+
+    @pytest.mark.parametrize("suite", sorted(REPLAYS))
+    def test_every_witness_replays_through_its_results(self, suite):
+        run, replay = REPLAYS[suite]
+        # no violation is below an infinite negative tolerance, so every
+        # trial of every check is a witness
+        verdicts = run(-math.inf)
+        if isinstance(verdicts, br.PropertyVerdict):
+            verdicts = {verdicts.property: verdicts}
+        seeds = set()
+        for name, verdict in verdicts.items():
+            check = name.removeprefix("separoid-")
+            assert len(verdict.witnesses) == verdict.trials
+            for w in verdict.witnesses:
+                result, = replay(w["seed"], w["trial"])
+                extras = {k: result[k] for k in w.keys() - {"violation"}}
+                assert w == {**extras, "violation": result[check]}
+                seeds.add(w["seed"])
+        want = {REPLAY_SEED, REPLAY_SEED + 1} if suite == "dpi" \
+            else {REPLAY_SEED}
+        assert seeds == want
 
     @pytest.mark.parametrize("suite", sorted(SUITES))
     @pytest.mark.parametrize("n_trials", [0, -3])
@@ -491,14 +569,15 @@ class TestMonotonicity:
         # in one stack each get the violation they get alone
         trials = [17, 2, 9, 0, 5, 14, 23, 11]
         results = list(br._monotonicity_results(T2, C3, 4, trials))
-        names = [name for _, name in results]
+        assert [r["trial"] for r in results] == trials
+        names = [r["channel"] for r in results]
         assert any(name.startswith("random-") for name in names)
         assert any(name.endswith("-recovery") for name in names)
         assert any(not name.startswith("random-")
                    and not name.endswith("-recovery") for name in names)
-        for trial, (violation, _) in zip(trials, results):
-            assert violation == br.replay_monotonicity_trial(T2, C3, 4,
-                                                             trial), trial
+        for r in results:
+            assert r["monotonicity"] == br.replay_monotonicity_trial(
+                T2, C3, 4, r["trial"]), r
 
     @pytest.mark.parametrize("spec", ["C3", "R3", "S3"])
     def test_chunks_do_not_change_the_verdict(self, monkeypatch, spec):

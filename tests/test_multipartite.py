@@ -680,18 +680,26 @@ class TestDataProcessing:
         assert not verdict.passed
         assert [w["trial"] for w in verdict.witnesses] == [0, 1, 2]
 
-    def test_suite_keeps_a_nan_worst_of_any_state(self, monkeypatch):
-        # the entangled state's checks pass; the random state's give NaN
-        worsts = iter([0.0, math.nan])
+    @pytest.mark.parametrize("values", [(0.0, math.nan), (math.nan, 0.0)])
+    def test_suite_keeps_a_nan_worst_of_any_state(self, monkeypatch,
+                                                  values):
+        # the trials of one state pass; the other's give NaN
+        per_state = iter(values)
 
-        def check(F, pstate, n_trials, seed, tol):
-            return br.PropertyVerdict("data-processing", n_trials,
-                                      next(worsts), tol)
+        def results(F, pstate, seed, trials):
+            value = next(per_state)
+            for trial in trials:
+                yield {"trial": trial, "seed": seed,
+                       "data-processing": value}
 
-        monkeypatch.setattr(mp, "check_data_processing", check)
-        verdict = mp.run_dpi_suite(NE, LAYOUT_22, n_trials=4, seed=0)
+        monkeypatch.setattr(mp, "_data_processing_results", results)
+        verdict = mp.run_dpi_suite(NE, LAYOUT_22, n_trials=4, seed=5)
         assert math.isnan(verdict.worst_violation)
         assert not verdict.passed
+        # state k runs under the seed 5 + k
+        nan_seed = 5 + [math.isnan(v) for v in values].index(True)
+        assert [(w["trial"], w["seed"]) for w in verdict.witnesses] == [
+            (0, nan_seed), (1, nan_seed)]
 
     def test_dpi_run_converts_no_basis_and_derives_no_matrix(self,
                                                            monkeypatch):
