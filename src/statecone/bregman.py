@@ -481,6 +481,15 @@ def _monotonicity_catalog(algebra, seed):
     return catalog
 
 
+def _require_algebra(F: BregmanGenerator, algebra: Algebra) -> None:
+    """Raise unless ``F`` works on ``algebra``, as :func:`_divergence`
+    checks one element; its stack mode checks nothing."""
+    if F.affine is not None and F.affine.algebra != algebra:
+        raise alg.AlgebraMismatchError(
+            f"operands live in {F.affine.algebra} and {algebra}"
+        )
+
+
 def _stacked_divergences(F, kind, reps, values, frames):
     """The divergences of a stack of pairs (axis 1: rho, sigma) from
     their reps and decompositions, over the leading axes."""
@@ -520,10 +529,7 @@ def _monotonicity_trials(F, algebra, catalog, seed, trials) -> list:
     gets the violation and name, bit for bit, that its channel's
     ``apply_element`` and :func:`bregman_divergence` give it alone.
     """
-    if F.affine is not None and F.affine.algebra != algebra:
-        raise alg.AlgebraMismatchError(
-            f"operands live in {F.affine.algebra} and {algebra}"
-        )
+    _require_algebra(F, algebra)
     randoms = _supports_random_channels(algebra)
     s = st._random_channel_factor(algebra) if randoms else algebra.summands[0]
     # a random-channel trial picks no catalog entry
@@ -573,18 +579,23 @@ def _monotonicity_trials(F, algebra, catalog, seed, trials) -> list:
 
 
 # trials whose draws are held and stacked at once
-_MONOTONICITY_CHUNK = 512
+_TRIAL_CHUNK = 512
+
+
+def _in_chunks(run, trials):
+    """Yield the results ``run`` gives each chunk of ``_TRIAL_CHUNK`` of
+    ``trials``, in order, so a stacked suite holds one chunk at a time."""
+    trials = list(trials)
+    for start in range(0, len(trials), _TRIAL_CHUNK):
+        yield from run(trials[start:start + _TRIAL_CHUNK])
 
 
 def _monotonicity_results(F, algebra, seed, trials):
-    """Yield the result of each of ``trials``, in order, each chunk of
-    ``_MONOTONICITY_CHUNK`` trials as one stack."""
+    """Yield the result of each of ``trials``, in order, each chunk as one
+    stack."""
     catalog = _monotonicity_catalog(algebra, seed)
-    trials = list(trials)
-    for start in range(0, len(trials), _MONOTONICITY_CHUNK):
-        yield from _monotonicity_trials(
-            F, algebra, catalog, seed,
-            trials[start:start + _MONOTONICITY_CHUNK])
+    yield from _in_chunks(
+        partial(_monotonicity_trials, F, algebra, catalog, seed), trials)
 
 
 def _identity_results(F, algebra, seed, trials):

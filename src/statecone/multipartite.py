@@ -5,7 +5,10 @@ references.  A product reference is never built: its fine eigenvalues
 are the products of the group marginals' ones, and the weight the joint
 marginal puts on each of its primitive idempotents is read by
 contracting the joint's matrix with one marginal's idempotents at a
-time, following a plan derived once per layout and grouping.
+time, following a plan derived once per layout and grouping.  The
+separoid suite reads its trials' marginals as stacks, one partial trace
+and one eigensolve of each marginal for all trials of a chunk, and a
+single state is a stack of one.
 All computations share one support convention: a divergence with mass
 outside the reference support is infinite, and a conditional mutual
 information with any infinite component is reported as undefined
@@ -16,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Sequence
 
 import numpy as np
@@ -28,7 +31,9 @@ from .bregman import (
     PropertyVerdict,
     _divergence,
     _gap,
+    _in_chunks,
     _violation,
+    _require_algebra,
     _require_trials,
     _trial_rng,
     bregman_divergence,
@@ -114,6 +119,14 @@ class PartitionedState:
             self._marginals[indices] = cached
         return cached
 
+    def _stack(self, indices: tuple[int, ...]):
+        """The marginal on sorted, distinct factor indices as a stack of
+        one: its rep, fine eigenvalues and idempotent stack, each with a
+        leading state axis, as :func:`_product_divergence` reads them."""
+        element = self._marginal(indices).element
+        dec = alg.spectral_decompose(element)
+        return element.reps()[0][None], dec.values[None], dec.frame[0][None]
+
 
 def random_partitioned_state(
     embedding: str,
@@ -156,60 +169,70 @@ def _disjoint_indices(pstate: PartitionedState,
 @lru_cache
 def _contraction_plan(layout: CompositeLayout,
                       groups: tuple[tuple[int, ...], ...]) -> tuple:
-    """How :func:`_product_divergence` contracts the joint marginal on the
-    factor index ``groups`` with the groups' idempotent stacks.
+    """How :func:`_product_divergence` contracts a stack of joint
+    marginals on the factor index ``groups`` with the groups' stacks of
+    idempotents.
 
-    Returns the joint's factor indices, its rep's shape on the
-    factor-axis map and the axis labels it carries, and per group the
-    shape its stack reshapes to, the stack's labels and the labels left
-    after that step.  Labels are factor axes, and the stack of group
-    ``g`` is labelled ``len(shape) + g``.  The trace pairs the joint's
-    rows with the idempotents' columns, so the joint carries each
-    factor's row and column labels swapped; a classical axis pairs with
-    itself.  A plan holds only labels and shapes.
+    Returns the joint's factor indices, its reps' shape on the
+    factor-axis map and the axis labels they carry, and per group the
+    factor-axis shape its idempotents reshape to, the labels of its
+    stack and the labels left after that step.  Labels are factor axes;
+    the stack of group ``g`` is labelled ``len(shape) + g`` and the state
+    axis, which leads every operand, ``len(shape) + len(groups)``.  The
+    trace pairs the joint's rows with the idempotents' columns, so the
+    joint carries each factor's row and column labels swapped; a
+    classical axis pairs with itself.  A plan holds only labels and
+    shapes.
     """
     shape, axes = layout._axes
     flip = {a: b for own in axes for a, b in zip(own, own[::-1])}
+    batch = (len(shape) + len(groups),)
     joined = tuple(sorted(i for g in groups for i in g))
     joint_axes = layout._axes_of(joined)
-    labels = tuple(flip[a] for a in joint_axes)
+    labels = batch + tuple(flip[a] for a in joint_axes)
     left, steps = labels, []
     for g, indices in enumerate(groups):
         own = layout._axes_of(indices)
         left = tuple(a for a in left if a not in own) + (len(shape) + g,)
-        steps.append(((-1,) + tuple(shape[a] for a in own),
-                      (len(shape) + g,) + tuple(own), left))
+        steps.append((tuple(shape[a] for a in own),
+                      batch + (len(shape) + g,) + tuple(own), left))
     return (joined, tuple(shape[a] for a in joint_axes), labels,
             tuple(steps))
 
 
-def _product_divergence(F: BregmanGenerator, pstate: PartitionedState,
-                        groups: Sequence[tuple[int, ...]]) -> float:
-    """Divergence of the joint marginal on the factor index ``groups``
-    from the product of the group marginals, read from their spectra.
+def _product_divergence(F: BregmanGenerator, layout: CompositeLayout,
+                        marginal, groups: Sequence[tuple[int, ...]]):
+    """Divergences of a stack of joint marginals on the factor index
+    ``groups`` from the products of their group marginals, read from
+    their spectra, as an array over the stack.
 
-    The product's fine eigenvalues are the outer product of the groups'
-    ones.  The joint's weight on each product idempotent is read group
-    by group: each step is one two-operand ``einsum`` that sums a
-    group's factor axes of the joint's rep against the stack of that
+    ``marginal(indices)`` gives the stack's marginals on sorted factor
+    indices as :func:`statecone.states._checked_state_stack` returns
+    them: reps, fine eigenvalues and idempotent stacks behind one state
+    axis.  A product's fine eigenvalues are the outer product of its
+    groups' ones.  The joint's weight on each product idempotent is read
+    group by group: each step is one two-operand ``einsum`` that sums a
+    group's factor axes of the joint's reps against the stack of that
     group's idempotent reps and appends the stack axis, so groups may
     interleave in factor order.  The shapes and labels come from
     :func:`_contraction_plan`, derived once per layout and grouping.
+    Each state gets the bits it gets in a stack of one.
     """
     groups = tuple(groups)
-    joined, joint_shape, labels, steps = _contraction_plan(
-        pstate.state.layout, groups
-    )
-    joint = pstate._marginal(joined)
-    p = joint.element.reps()[0].reshape(joint_shape)
-    mu = np.ones(1)
-    for indices, (stack_shape, own, left) in zip(groups, steps):
-        dec = alg.spectral_decompose(pstate._marginal(indices).element)
-        p = np.einsum(p, labels, dec.frame[0].reshape(stack_shape), own,
-                      left)
+    joined, joint_shape, labels, steps = _contraction_plan(layout, groups)
+    if F.affine is not None:
+        _require_algebra(F, layout._marginal_of(joined)[0])
+    reps, values, _ = marginal(joined)
+    n = len(reps)
+    p = reps.reshape((n,) + joint_shape)
+    mu = np.ones((n, 1))
+    for indices, (dims, own, left) in zip(groups, steps):
+        _, group_values, frames = marginal(indices)
+        p = np.einsum(p, labels, frames.reshape(frames.shape[:2] + dims),
+                      own, left)
         labels = left
-        mu = np.multiply.outer(mu, dec.values).ravel()
-    return _divergence(F, joint.element, mu, p.real.ravel())
+        mu = (mu[:, :, None] * group_values[:, None, :]).reshape(n, -1)
+    return _divergence(F, values, mu, p.real.reshape(n, -1))
 
 
 def check_additivity(
@@ -259,7 +282,8 @@ def mutual_information(
 ) -> float:
     """Divergence of the joint marginal from the product of marginals."""
     groups = _disjoint_indices(pstate, a_labels, b_labels)
-    return _product_divergence(F, pstate, groups)
+    return float(_product_divergence(F, pstate.state.layout, pstate._stack,
+                                     groups)[0])
 
 
 @dataclass(frozen=True)
@@ -294,11 +318,9 @@ def conditional_mutual_information(
     than subtracting infinities.
     """
     a, b, c = _disjoint_indices(pstate, a_labels, b_labels, c_labels)
-
-    components = (
-        _product_divergence(F, pstate, [a, b, c]),
-        _product_divergence(F, pstate, [a, c]),
-        _product_divergence(F, pstate, [b, c]),
+    components = tuple(
+        float(gaps[0]) for gaps in
+        _cmi_terms(F, pstate.state.layout, pstate._stack, a, b, c)
     )
     if not all(map(math.isfinite, components)):
         return CmiReport(math.nan, components, defined=False)
@@ -306,38 +328,73 @@ def conditional_mutual_information(
     return CmiReport(term0 - term1 - term2, components)
 
 
-def _separoid_results(F, layout, seed, trials):
-    """Yield the positivity, symmetry and chain-rule violations of each of
-    ``trials`` on a random state of the 4-factor ``layout``.
+def _cmi_terms(F, layout, marginal, a, b, c) -> list:
+    """The three divergence terms of the conditional mutual information
+    of the factor index groups ``a`` and ``b`` given ``c``, each an array
+    over the stack ``marginal`` reads (see :func:`_product_divergence`)."""
+    return [_product_divergence(F, layout, marginal, groups)
+            for groups in ((a, b, c), (a, c), (b, c))]
 
-    A quarter of the trials use globally pure states, whose marginals
-    stress the support handling.
+
+# the (a, b, c) factor index groups of the conditional mutual
+# informations of a separoid trial: I(A:B|C) and I(B:A|C) for positivity
+# and symmetry, I(A:BC|D), I(A:B|D) and I(A:C|BD) for the chain rule
+_SEPAROID_CMIS = (
+    ((0,), (1,), (2,)), ((1,), (0,), (2,)),
+    ((0,), (1, 2), (3,)), ((0,), (1,), (3,)), ((0,), (2,), (1, 3)),
+)
+
+
+def _separoid_trials(F, layout, seed, trials) -> list:
+    """The positivity, symmetry and chain-rule violations of ``trials``,
+    in order, each on a random state of the 4-factor ``layout``.
+
+    Each trial draws its state from its own stream, in trial order; a
+    quarter of the trials use globally pure states, whose marginals
+    stress the support handling.  The rest runs on the stack of all
+    trials: one check of the states, one partial trace and one check of
+    each distinct marginal, and the 15 divergences over the trial axis.
+    Every trial gets the violations, bit for bit, that it gets alone.
     """
-    for trial in trials:
-        rank_cap = 1 if trial % 4 == 3 else None
-        p = random_partitioned_state(
-            layout.embedding, layout.sizes, ("A", "B", "C", "D"),
-            seed=_trial_rng(seed, trial), rank_cap=rank_cap,
-        )
-        ab_c = conditional_mutual_information(F, p, ["A"], ["B"], ["C"])
-        ba_c = conditional_mutual_information(F, p, ["B"], ["A"], ["C"])
-        chain_left = conditional_mutual_information(
-            F, p, ["A"], ["B", "C"], ["D"]
-        )
-        chain_ab = conditional_mutual_information(F, p, ["A"], ["B"], ["D"])
-        chain_ac = conditional_mutual_information(
-            F, p, ["A"], ["C"], ["B", "D"]
-        )
+    ambient = layout.ambient
+    reps = [st._draw_state_reps(ambient, 1 if t % 4 == 3 else None,
+                                _trial_rng(seed, t))[0] for t in trials]
+    full = tuple(range(len(layout.factors)))
+    marginals = {full: st._checked_state_stack(ambient.summands[0],
+                                               np.array(reps))}
 
-        chain = (chain_left, chain_ab, chain_ac)
-        yield {
-            "trial": trial, "seed": seed,
-            "positivity": -ab_c.value if ab_c.defined else math.inf,
-            "symmetry": (abs(ab_c.value - ba_c.value)
-                         if ab_c.defined and ba_c.defined else math.inf),
-            "chain": (abs(chain_left.value - chain_ab.value - chain_ac.value)
-                      if all(c.defined for c in chain) else math.inf),
-        }
+    def marginal(indices):
+        if indices not in marginals:
+            traced = st._partial_traces(layout, marginals[full][0], indices)
+            marginals[indices] = st._checked_state_stack(
+                layout._marginal_of(indices)[0].summands[0], traced)
+        return marginals[indices]
+
+    # an undefined information, one with an infinite term, is NaN here
+    # and makes every check it enters infinite
+    values = []
+    for a, b, c in _SEPAROID_CMIS:
+        terms = _cmi_terms(F, layout, marginal, a, b, c)
+        with np.errstate(invalid="ignore"):
+            values.append(np.where(np.isfinite(terms).all(axis=0),
+                                   terms[0] - terms[1] - terms[2], math.nan))
+    ab_c, ba_c, chain_left, chain_ab, chain_ac = values
+    checks = {
+        "positivity": -ab_c,
+        "symmetry": abs(ab_c - ba_c),
+        "chain": abs(chain_left - chain_ab - chain_ac),
+    }
+    checks = {k: np.where(np.isnan(v), math.inf, v).tolist()
+              for k, v in checks.items()}
+    return [{"trial": t, "seed": seed,
+             **{check: v[i] for check, v in checks.items()}}
+            for i, t in enumerate(trials)]
+
+
+def _separoid_results(F, layout, seed, trials):
+    """Yield the results of ``trials``, in order, each chunk as one
+    stack."""
+    yield from _in_chunks(partial(_separoid_trials, F, layout, seed), trials)
 
 
 def check_separoid(

@@ -13,6 +13,7 @@ resolve the ambient space).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from typing import Callable, Sequence
@@ -154,6 +155,17 @@ class CompositeLayout:
         """The axes of the factors ``indices``, in the order a rep of
         just those factors has them."""
         return sorted(a for i in indices for a in self._axes[1][i])
+
+    def _marginal_of(
+        self, indices: Sequence[int]
+    ) -> "tuple[Algebra, CompositeLayout | None]":
+        """The algebra and the layout of the marginal on the factors
+        ``indices``: the ambient of :meth:`keep` and its layout, or the
+        one factor's own algebra and no layout."""
+        kept = self.keep(indices)
+        if kept is None:
+            return self.factors[indices[0]], None
+        return kept.ambient, kept
 
     def keep(self, indices: Sequence[int]) -> "CompositeLayout | None":
         kept = tuple(self.factors[i] for i in sorted(indices))
@@ -512,21 +524,34 @@ def marginal(sigma: State, keep: Sequence[int]) -> State:
     keep = sorted(set(int(k) for k in keep))
     if not keep or any(k < 0 or k >= len(layout.factors) for k in keep):
         raise ValueError(f"invalid keep set {keep}")
+    algebra, kept = layout._marginal_of(keep)
+    flat = _partial_traces(layout, sigma.element.reps()[0], keep)
+    return State.make(element_from_reps(algebra, [flat]), kept)
+
+
+def _partial_traces(layout: CompositeLayout, reps: np.ndarray,
+                    keep: Sequence[int]) -> np.ndarray:
+    """The partial traces of ambient reps onto the sorted factor indices
+    ``keep``, as reps of their algebra (see
+    :meth:`CompositeLayout._marginal_of`).  Leading axes of
+    ``reps`` are a batch, and each entry gets the bits it would get
+    alone."""
     shape, axes = layout._axes
+    nd = len(axes[0])
+    lead = reps.shape[:reps.ndim - nd]
     # a dropped factor's axes share one subscript, so a classical axis is
-    # summed and a (row, column) pair is traced
+    # summed and a (row, column) pair is traced; the batch axes take the
+    # subscripts after the factor axes
     subs = list(range(len(shape)))
     for i, own in enumerate(axes):
         if i not in keep:
             for a in own:
                 subs[a] = own[0]
-    rep = sigma.element.reps()[0]
-    reduced = np.einsum(rep.reshape(shape), subs, layout._axes_of(keep))
-    d = int(np.prod(reduced.shape[:len(keep)]))
-    new_layout = layout.keep(keep)
-    ambient = new_layout.ambient if new_layout else layout.factors[keep[0]]
-    flat = reduced.reshape((d,) * rep.ndim)
-    return State.make(element_from_reps(ambient, [flat]), new_layout)
+    batch = list(range(len(shape), len(shape) + len(lead)))
+    reduced = np.einsum(reps.reshape(lead + shape), batch + subs,
+                        batch + layout._axes_of(keep))
+    d = math.prod(reduced.shape[len(lead):len(lead) + len(keep)])
+    return reduced.reshape(lead + (d,) * nd)
 
 
 # ---------------------------------------------------------------------------

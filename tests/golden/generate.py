@@ -78,6 +78,15 @@ MONO_RUNS = (
     ("neg-entropy", "P4", 24, 0),
     ("neg-entropy", "C2x2", 12, 0),
 )
+# (generator, algebra, trials) of separoid runs: trace-power-2 breaks the
+# chain rule and positivity on complex and classical qubits (exit 1), and
+# 5 and 9 trials end inside a 4-trial cycle of pure states
+SEPAROID_RUNS = (
+    ("trace-power-2", "C2x2x2x2", 5),
+    ("trace-power-2", "P2x2x2x2", 5),
+    ("neg-entropy", "C2x3x2x2", 5),
+    ("neg-entropy", "C2x3x2x2", 9),
+)
 # (file stem, embedding, sizes, seed of its full-rank and pure states)
 COMPOSITES = [
     ("C2x2x2", st.COMPLEX_TENSOR, (2, 2, 2), 37),
@@ -205,6 +214,10 @@ def cases() -> list[list[str]]:
                       "--algebra", algebra, "--trials", str(trials),
                       "--seed", str(seed)])
     argvs.append(["explore", "--generators", "6", "--trials", "8"])
+    for generator, algebra, trials in SEPAROID_RUNS:
+        argvs.append(["suite", "--property", "separoid", "--generator",
+                      generator, "--algebra", algebra, "--trials",
+                      str(trials)])
     # the named boxes, the optimizer and the embedding audit
     for box in ("pr", "white", "deterministic", "quantum-opt"):
         argvs.append(["chsh", "--box", box, "--restarts", "2"])

@@ -318,6 +318,8 @@ SUITES = {
 
 REPLAY_SEED = 3
 SEPAROID_LAYOUT = st.composite_layout(st.CLASSICAL_TENSOR, (2, 2, 2, 2))
+# eigensolved marginals, and trial 3 of each 4-trial cycle is pure
+SEPAROID_COMPLEX_LAYOUT = st.composite_layout(st.COMPLEX_TENSOR, (2, 3, 2, 2))
 
 # suite -> (its run at one tolerance for every check, the results of one
 # trial through its results generator)
@@ -355,6 +357,13 @@ REPLAYS = {
             chain_tol=tol),
         lambda seed, trial: mp._separoid_results(NE, SEPAROID_LAYOUT, seed,
                                                  [trial])),
+    "separoid-complex": (
+        lambda tol: mp.check_separoid(
+            NE, st.COMPLEX_TENSOR, (2, 3, 2, 2), n_trials=4,
+            seed=REPLAY_SEED, positivity_tol=tol, symmetry_tol=tol,
+            chain_tol=tol),
+        lambda seed, trial: mp._separoid_results(
+            NE, SEPAROID_COMPLEX_LAYOUT, seed, [trial])),
     # state k of the suite runs under the seed REPLAY_SEED + k
     "dpi": (
         lambda tol: mp.run_dpi_suite(NE, LAYOUT_22, n_trials=4,
@@ -586,7 +595,7 @@ class TestMonotonicity:
                                       tol=-math.inf)
         # chunks of 7 split the stacks of both halves, and a replay runs
         # a stack of one trial
-        monkeypatch.setattr(br, "_MONOTONICITY_CHUNK", 7)
+        monkeypatch.setattr(br, "_TRIAL_CHUNK", 7)
         chunked = br.check_monotonicity(T2, algebra, n_trials=40, seed=9,
                                         tol=-math.inf)
         assert chunked.as_dict() == whole.as_dict()

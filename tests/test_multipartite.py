@@ -472,6 +472,13 @@ class TestSeparoid:
         for key, verdict in verdicts.items():
             assert verdict.passed, (key, verdict.worst_violation)
 
+    def test_generator_pinned_elsewhere_raises(self):
+        # pinned to the ambient algebra, which no proper marginal shares
+        F = br.affine_plus_entropy(1.5, ja.zero(ja.complex_hermitian(16)))
+        with pytest.raises(ja.AlgebraMismatchError):
+            mp.check_separoid(F, st.COMPLEX_TENSOR, (2, 2, 2, 2),
+                              n_trials=4, seed=27)
+
     def test_product_four_party_values_vanish(self):
         layout = st.composite_layout(st.COMPLEX_TENSOR, (2, 2, 2, 2))
         parts = [st.random_state(C2, seed=29 + k) for k in range(4)]
@@ -560,23 +567,30 @@ class TestSharedCaches:
         assert p.marginal(["D", "C", "B", "A"]) is p.state
 
     def test_one_eigensolve_per_marginal(self, monkeypatch):
-        counts = {"eigh": 0, "marginal": 0}
+        eighs, traces = [], []
+        eigh, partial_traces = np.linalg.eigh, st._partial_traces
 
-        def counting(name, fn):
-            def wrapper(*args, **kwargs):
-                counts[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
+        def counting_eigh(a, *args, **kwargs):
+            eighs.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "eigh",
-                            counting("eigh", np.linalg.eigh))
-        monkeypatch.setattr(st, "marginal", counting("marginal", st.marginal))
+        def counting_traces(layout, reps, keep):
+            traces.append((reps.shape[0], tuple(keep)))
+            return partial_traces(layout, reps, keep)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        monkeypatch.setattr(st, "_partial_traces", counting_traces)
         verdicts = mp.check_separoid(
-            NE, st.COMPLEX_TENSOR, (2, 2, 2, 2), n_trials=1, seed=34
+            NE, st.COMPLEX_TENSOR, (2, 2, 2, 2), n_trials=4, seed=34
         )
         assert all(v.passed for v in verdicts.values())
-        # one random state and its 11 distinct proper marginals
-        assert counts == {"eigh": 12, "marginal": 11}
+        # the four random states and their 11 distinct proper marginals,
+        # each decomposed in one stacked eigensolve
+        assert len(eighs) <= 12, eighs
+        assert (4, 16, 16) in eighs
+        # one stacked partial trace of all four trials per marginal
+        assert len(traces) == len(set(traces)) == 11, traces
+        assert all(n == 4 for n, _ in traces)
 
 
 def qubit_entropy(rho, keep):
