@@ -24,8 +24,9 @@ alone, and its verdict is one :func:`judge_trials` pass over
 and seed, which replays through the same generator.  Channels come from
 the channel catalog and, in the monotonicity suite, also from the draws
 behind :func:`statecone.states.random_channel`.  The monotonicity suite
-draws its trials one by one, then checks, pushes and compares them all
-as one stack, which gives each trial the violation it gets alone.
+reads each trial's draws from its stream, then builds, checks, pushes
+and compares a chunk of trials as one stack, which gives each trial the
+violation it gets alone.
 """
 
 from __future__ import annotations
@@ -498,14 +499,15 @@ def _stacked_divergences(F, kind, reps, values, frames):
 
 
 def _pair_draws(entry, rng):
-    """The reps of the state pair a trial of the catalog ``entry`` draws
-    from ``rng``: by its stress sampler, else its pair sampler, else as
-    two states of :func:`~statecone.states.random_state` on its source."""
+    """The state pair a trial of the catalog ``entry`` draws from ``rng``
+    and whether it is built: the reps of its stress sampler, else of its
+    pair sampler, or else the draws of two states of
+    :func:`~statecone.states.random_state` on its source."""
     sampler = entry.stress_sampler or entry.pair_sampler
     if sampler is not None:
-        return sampler(rng)
-    return [st._draw_state_reps(entry.affinity.source, None, rng)[0]
-            for _ in range(2)]
+        return sampler(rng), True
+    s = entry.affinity.source.summands[0]
+    return st._draw_summand(s, None, rng, (2,)), False
 
 
 def _monotonicity_trials(F, algebra, catalog, seed, trials) -> list:
@@ -519,47 +521,55 @@ def _monotonicity_trials(F, algebra, catalog, seed, trials) -> list:
     :func:`~statecone.states.random_state`.  Any other trial ``t`` runs
     ``catalog[(t // 3) % len(catalog)]`` on the pair :func:`_pair_draws`
     draws.  Every channel maps the algebra to itself, so the rest runs on
-    the stack of all trials: one check of the pairs, one push of the
-    random-channel trials and one per catalog entry through its map and
-    its recovery map, one eigensolve of all the images and the
-    divergences over the trial axis.  A recovery map is itself a channel;
-    applying it to the images turns any drop of the divergence into a
-    rise, so sufficiency failures surface here as monotonicity failures
-    too, named ``<entry>-recovery`` where the rise is larger.  Every trial
-    gets the violation and name, bit for bit, that its channel's
-    ``apply_element`` and :func:`bregman_divergence` give it alone.
+    the stack of all trials: one build of the drawn states, one check of
+    the pairs, one push of the random-channel trials, one of the catalog
+    trials through their maps and one through their recovery maps, one
+    eigensolve of all the images and the divergences over the trial
+    axis.  A recovery map is itself a channel; applying it to the
+    images turns any drop of the divergence into a rise, so sufficiency
+    failures surface here as monotonicity failures too, named
+    ``<entry>-recovery`` where the rise is larger.  Every trial gets the
+    violation and name, bit for bit, that its channel's ``apply_element``
+    and :func:`bregman_divergence` give it alone.
     """
     _require_algebra(F, algebra)
     randoms = _supports_random_channels(algebra)
     s = st._random_channel_factor(algebra) if randoms else algebra.summands[0]
-    # a random-channel trial picks no catalog entry
-    picks, draws, reps = [], [], []
-    for trial in trials:
+    # a random-channel trial picks no catalog entry; a trial's pair is
+    # sampled as reps, or drawn and built with the chunk's other draws
+    picks, channels, sampled, drawn = [], [], {}, {}
+    for i, trial in enumerate(trials):
         rng = _trial_rng(seed, trial)
         if randoms and trial % 3 != 2:
             picks.append(None)
-            draws.append(st._draw_channel(s, 1 + trial % s.size, rng))
-            reps.append([st._draw_state_reps(algebra, None, rng)[0]
-                         for _ in range(2)])
-        else:
-            picks.append((trial // 3) % len(catalog))
-            reps.append(_pair_draws(catalog[picks[-1]], rng))
-    # axes (trial, rho or sigma) lead every stack from here on
-    reps, values, frames = st._checked_state_stack(s, np.array(reps))
-    images = np.empty_like(reps)
-    recovered, backs = [], []
-    for k in dict.fromkeys(picks):
-        group = [i for i, pick in enumerate(picks) if pick == k]
-        if k is None:
-            images[group] = st._random_channel_images(s, draws, reps[group])
+            channel, drawn[i] = st._draw_channel(s, 1 + trial % s.size, rng, 2)
+            channels.append(channel)
             continue
-        entry = catalog[k]
-        pushed, coeffs = entry.affinity._push(reps[group])
-        images[group] = pushed
-        if entry.recovery is not None and entry.recovery.source == algebra:
-            recovered += group
-            backs.append(entry.recovery._push(pushed, coeffs)[0])
-    images = np.concatenate([images, *backs])
+        picks.append((trial // 3) % len(catalog))
+        pair, built = _pair_draws(catalog[picks[-1]], rng)
+        (sampled if built else drawn)[i] = pair
+    rep = alg._unit_rep(s.kind, s.size)
+    reps = np.empty((len(picks), 2) + rep.shape, rep.dtype)
+    if drawn:
+        reps[list(drawn)] = st._build_summand(s, np.stack([*drawn.values()]))
+    if sampled:
+        reps[list(sampled)] = list(sampled.values())
+    # axes (trial, rho or sigma) lead every stack from here on
+    reps, values, frames = st._checked_state_stack(s, reps)
+    groups = {k: [i for i, pick in enumerate(picks) if pick == k]
+              for k in dict.fromkeys(picks)}
+    random_rows = groups.pop(None, [])
+    entries = [(catalog[k], group) for k, group in groups.items()]
+    images, coeffs = st._push_rows(
+        s, [(entry.affinity, group) for entry, group in entries], reps)
+    if random_rows:
+        images[random_rows] = st._random_channel_images(s, channels,
+                                                        reps[random_rows])
+    recoverable = [(entry.recovery, group) for entry, group in entries
+                   if entry.recovery is not None]
+    recovered = [i for _, group in recoverable for i in group]
+    backs, _ = st._push_rows(s, recoverable, images, coeffs)
+    images = np.concatenate([images, backs[recovered]])
     spectra = alg._spectral_projections(s.kind, images, s.size)
     before = _stacked_divergences(F, s.kind, reps, values, frames)
     gaps = _stacked_divergences(F, s.kind, images, *spectra)
@@ -578,24 +588,37 @@ def _monotonicity_trials(F, algebra, catalog, seed, trials) -> list:
     ]
 
 
-# trials whose draws are held and stacked at once
+# a chunk of trials, whose draws are held and stacked at once, holds at
+# most _TRIAL_CHUNK trials and _CHUNK_BYTES of their idempotent stacks
 _TRIAL_CHUNK = 512
+_CHUNK_BYTES = 32 * 2**20
 
 
-def _in_chunks(run, trials):
-    """Yield the results ``run`` gives each chunk of ``_TRIAL_CHUNK`` of
-    ``trials``, in order, so a stacked suite holds one chunk at a time."""
-    trials = list(trials)
-    for start in range(0, len(trials), _TRIAL_CHUNK):
-        yield from run(trials[start:start + _TRIAL_CHUNK])
+def _frame_bytes(s) -> int:
+    """The bytes of the idempotent stack of one state on the simple
+    summand ``s``: one rep per primitive idempotent."""
+    return s.rank * alg._unit_rep(s.kind, s.size).nbytes
+
+
+def _in_chunks(run, trials, trial_bytes: int):
+    """Yield the results ``run`` gives each chunk of ``trials``, in order,
+    so a stacked suite holds one chunk at a time: up to ``_TRIAL_CHUNK``
+    trials and ``_CHUNK_BYTES`` of ``trial_bytes`` each, but at least one
+    trial.  Each chunk is a slice, so a range of trials is never listed."""
+    size = max(1, min(_TRIAL_CHUNK, _CHUNK_BYTES // trial_bytes))
+    for start in range(0, len(trials), size):
+        yield from run(trials[start:start + size])
 
 
 def _monotonicity_results(F, algebra, seed, trials):
     """Yield the result of each of ``trials``, in order, each chunk as one
     stack."""
     catalog = _monotonicity_catalog(algebra, seed)
+    # a trial's pair, its images and their recoveries each hold a stack
+    # of idempotents
     yield from _in_chunks(
-        partial(_monotonicity_trials, F, algebra, catalog, seed), trials)
+        partial(_monotonicity_trials, F, algebra, catalog, seed), trials,
+        6 * _frame_bytes(algebra.summands[0]))
 
 
 def _identity_results(F, algebra, seed, trials):
@@ -685,10 +708,12 @@ def _sufficiency_results(F, algebra, seed, trials):
     ]
     for trial in trials:
         entry = catalog[trial % len(catalog)]
-        rho, sigma = (
-            State.make(alg.element_from_reps(entry.affinity.source, [rep]))
-            for rep in _pair_draws(entry, _trial_rng(seed, trial))
-        )
+        source = entry.affinity.source
+        pair, built = _pair_draws(entry, _trial_rng(seed, trial))
+        if not built:
+            pair = st._build_summand(source.summands[0], pair)
+        rho, sigma = (State.make(alg.element_from_reps(source, [rep]))
+                      for rep in pair)
         for s in (rho, sigma):
             back = entry.recovery.apply_element(
                 entry.affinity.apply_element(s.element)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import cache, lru_cache, partial
 from typing import Sequence
 
 import numpy as np
@@ -30,6 +30,7 @@ from .bregman import (
     BregmanGenerator,
     PropertyVerdict,
     _divergence,
+    _frame_bytes,
     _gap,
     _in_chunks,
     _violation,
@@ -318,22 +319,22 @@ def conditional_mutual_information(
     than subtracting infinities.
     """
     a, b, c = _disjoint_indices(pstate, a_labels, b_labels, c_labels)
-    components = tuple(
-        float(gaps[0]) for gaps in
-        _cmi_terms(F, pstate.state.layout, pstate._stack, a, b, c)
-    )
+    divergence = partial(_product_divergence, F, pstate.state.layout,
+                         pstate._stack)
+    components = tuple(float(gaps[0])
+                       for gaps in _cmi_terms(divergence, a, b, c))
     if not all(map(math.isfinite, components)):
         return CmiReport(math.nan, components, defined=False)
     term0, term1, term2 = components
     return CmiReport(term0 - term1 - term2, components)
 
 
-def _cmi_terms(F, layout, marginal, a, b, c) -> list:
+def _cmi_terms(divergence, a, b, c) -> list:
     """The three divergence terms of the conditional mutual information
     of the factor index groups ``a`` and ``b`` given ``c``, each an array
-    over the stack ``marginal`` reads (see :func:`_product_divergence`)."""
-    return [_product_divergence(F, layout, marginal, groups)
-            for groups in ((a, b, c), (a, c), (b, c))]
+    over a stack: ``divergence(groups)`` is :func:`_product_divergence`
+    of the stack on the tuple of factor index groups ``groups``."""
+    return [divergence(groups) for groups in ((a, b, c), (a, c), (b, c))]
 
 
 # the (a, b, c) factor index groups of the conditional mutual
@@ -356,12 +357,11 @@ def _separoid_trials(F, layout, seed, trials) -> list:
     each distinct marginal, and the 15 divergences over the trial axis.
     Every trial gets the violations, bit for bit, that it gets alone.
     """
-    ambient = layout.ambient
-    reps = [st._draw_state_reps(ambient, 1 if t % 4 == 3 else None,
-                                _trial_rng(seed, t))[0] for t in trials]
+    s = layout.ambient.summands[0]
+    reps = [st._build_summand(s, st._draw_summand(
+        s, 1 if t % 4 == 3 else None, _trial_rng(seed, t))) for t in trials]
     full = tuple(range(len(layout.factors)))
-    marginals = {full: st._checked_state_stack(ambient.summands[0],
-                                               np.array(reps))}
+    marginals = {full: st._checked_state_stack(s, np.array(reps))}
 
     def marginal(indices):
         if indices not in marginals:
@@ -370,11 +370,13 @@ def _separoid_trials(F, layout, seed, trials) -> list:
                 layout._marginal_of(indices)[0].summands[0], traced)
         return marginals[indices]
 
+    # three product divergences recur among the informations' terms
+    divergence = cache(partial(_product_divergence, F, layout, marginal))
     # an undefined information, one with an infinite term, is NaN here
     # and makes every check it enters infinite
     values = []
     for a, b, c in _SEPAROID_CMIS:
-        terms = _cmi_terms(F, layout, marginal, a, b, c)
+        terms = _cmi_terms(divergence, a, b, c)
         with np.errstate(invalid="ignore"):
             values.append(np.where(np.isfinite(terms).all(axis=0),
                                    terms[0] - terms[1] - terms[2], math.nan))
@@ -393,8 +395,9 @@ def _separoid_trials(F, layout, seed, trials) -> list:
 
 def _separoid_results(F, layout, seed, trials):
     """Yield the results of ``trials``, in order, each chunk as one
-    stack."""
-    yield from _in_chunks(partial(_separoid_trials, F, layout, seed), trials)
+    stack, its size bounded by the idempotent stacks of the joints."""
+    yield from _in_chunks(partial(_separoid_trials, F, layout, seed), trials,
+                          _frame_bytes(layout.ambient.summands[0]))
 
 
 def check_separoid(

@@ -268,7 +268,8 @@ def _checked_state_stack(s: SimpleFactor, reps: np.ndarray):
     if clipped.any():
         values = np.maximum(values, 0.0)
         nd = alg._REP_NDIM[s.kind]
-        flat = frames[clipped].reshape(frames[clipped].shape[:-nd] + (-1,))
+        picked = frames[clipped]
+        flat = picked.reshape(picked.shape[:-nd] + (-1,))
         rebuilt = (values[clipped][..., None, :] @ flat)[..., 0, :]
         reps[clipped] = rebuilt.reshape(reps[clipped].shape)
     return reps, values, frames
@@ -626,23 +627,6 @@ class Affinity:
             return State.make(self.apply_element(x.element), None)
         return self.apply_element(x)
 
-    def _push(self, reps: np.ndarray, coeffs: np.ndarray | None = None):
-        """The images of a stack of reps of the simple source, each with
-        the bits :meth:`apply_element` gives it alone: a rep map pushes
-        the reps, a matrix the coefficients, read from the reps unless
-        ``coeffs`` holds those the stack was built from.  Returns the
-        image reps and, from a matrix, the image coefficients."""
-        s, t = self.source.summands[0], self.target.summands[0]
-        if self._rep_map is not None:
-            nd = alg._REP_NDIM[s.kind]
-            pushed = self._rep_map(reps.reshape((-1,) + reps.shape[-nd:]))
-            return (alg._SYMMETRIC_PART[t.kind](pushed).reshape(reps.shape),
-                    None)
-        if coeffs is None:
-            coeffs = alg._COERCE_TO_COEFFS[s.kind](reps, s.size)
-        out = (self._matrix @ coeffs[..., None])[..., 0]
-        return alg._COERCE_TO_REP[t.kind](out, t.size), out
-
 
 def identity_affinity(algebra: Algebra) -> Affinity:
     return Affinity(np.eye(algebra.dim), algebra, algebra, name="identity")
@@ -660,6 +644,33 @@ def _affinity_from_rep_map(
     return phi
 
 
+def _push_rows(s: SimpleFactor, pushes, reps: np.ndarray, coeffs=None):
+    """The images of rows of the stack ``reps`` on the simple summand
+    ``s``, each the bits :meth:`Affinity.apply_element` gives it alone:
+    ``pushes`` pairs each affinity with the rows it maps.  Rep maps push
+    reps.  Matrices push the rows of ``coeffs``, the coefficients the
+    reps were built from, or else of one conversion of all their rows,
+    and their images convert back in one call.  Returns the image reps
+    and coefficients; rows no affinity maps are left unset."""
+    nd = alg._REP_NDIM[s.kind]
+    rows = [i for phi, own in pushes if phi._rep_map is None for i in own]
+    if coeffs is None:
+        coeffs = np.empty(reps.shape[:-nd] + (s.dim,))
+        if rows:
+            coeffs[rows] = alg._COERCE_TO_COEFFS[s.kind](reps[rows], s.size)
+    images, out = np.empty_like(reps), np.empty_like(coeffs)
+    for phi, own in pushes:
+        if phi._rep_map is None:
+            out[own] = (phi._matrix @ coeffs[own][..., None])[..., 0]
+        else:
+            pushed = phi._rep_map(reps[own].reshape((-1,) + reps.shape[-nd:]))
+            images[own] = alg._SYMMETRIC_PART[s.kind](pushed).reshape(
+                images[own].shape)
+    if rows:
+        images[rows] = alg._COERCE_TO_REP[s.kind](out[rows], s.size)
+    return images, out
+
+
 # ---------------------------------------------------------------------------
 # random sampling
 # ---------------------------------------------------------------------------
@@ -671,41 +682,58 @@ def _as_rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def _random_summand_rep(s: SimpleFactor, rank_cap, rng):
+# the real component matrices of each entry of the Gaussian behind a
+# random state or frame on a matrix kind
+_GAUSSIAN_PARTS = {"real": (), "complex": (2,), "quaternion": (4,)}
+
+
+def _as_complex(parts: np.ndarray) -> np.ndarray:
+    """The complex matrices with real parts ``parts[..., 0, :, :]`` and
+    imaginary parts ``parts[..., 1, :, :]``."""
+    return parts[..., 0, :, :] + 1j * parts[..., 1, :, :]
+
+
+def _draw_summand(s: SimpleFactor, rank_cap, rng, batch: tuple = ()):
+    """The draws behind ``batch`` random states on ``s``, one after
+    another: on matrix kinds the Gaussians of :func:`_build_summand`,
+    shaped ``batch + parts + (n, rank)`` and read in one call; on spin
+    and classical factors the reps themselves."""
     n = s.size
     r = s.rank if rank_cap is None else max(1, min(rank_cap, s.rank))
+    if s.kind in _GAUSSIAN_PARTS:
+        return rng.normal(size=batch + _GAUSSIAN_PARTS[s.kind] + (n, r))
+    if batch:
+        reps = [_draw_summand(s, rank_cap, rng)
+                for _ in range(math.prod(batch))]
+        return np.reshape(reps, batch + alg._rep_shape(s.kind, n))
     if s.kind == "classical":
         weights = rng.dirichlet(np.ones(r))
         rep = np.zeros(n)
         support = rng.choice(n, size=r, replace=False) if r < n else np.arange(n)
         rep[support] = weights
         return rep
-    if s.kind == "spin":
-        v = rng.normal(size=n)
-        v /= np.linalg.norm(v)
-        radius = 0.5 if r == 1 else 0.5 * rng.uniform() ** (1.0 / n)
-        return np.concatenate(([0.5], radius * v))
-    if s.kind == "real":
-        g = rng.normal(size=(n, r))
-        m = g @ g.T
-        return m / np.trace(m)
-    if s.kind == "complex":
-        g = rng.normal(size=(n, r)) + 1j * rng.normal(size=(n, r))
-    else:
-        g = alg._quaternion_embedding(rng.normal(size=(4, n, r)))
-    m = g @ g.conj().T
+    v = rng.normal(size=n)
+    v /= np.linalg.norm(v)
+    radius = 0.5 if r == 1 else 0.5 * rng.uniform() ** (1.0 / n)
+    return np.concatenate(([0.5], radius * v))
+
+
+def _build_summand(s: SimpleFactor, draws: np.ndarray) -> np.ndarray:
+    """The reps of the states :func:`_draw_summand` drew on ``s``, any
+    leading axes a batch, each the bits it gets alone: ``g g* / tr(g g*)``
+    of each Gaussian ``g``, as a complex or embedded quaternionic matrix
+    on those kinds."""
+    if s.kind not in _GAUSSIAN_PARTS:
+        return draws
+    g = (_as_complex(draws) if s.kind == "complex"
+         else alg._quaternion_embedding(draws) if s.kind == "quaternion"
+         else draws)
+    gt = np.swapaxes(g, -1, -2)
+    # a real g times its own transpose is the symmetric product
+    m = g @ (gt if s.kind == "real" else np.conj(gt))
     # a quaternionic embedding carries every eigenvalue twice
-    return m / np.trace(m).real * (len(m) // n)
-
-
-def _draw_state_reps(algebra: Algebra, rank_cap, rng) -> list:
-    """The reps of one random state of :func:`random_state`, before its
-    symmetric part is taken and it is checked."""
-    reps = [_random_summand_rep(s, rank_cap, rng) for s in algebra.summands]
-    if len(reps) > 1:
-        weights = rng.dirichlet(np.ones(len(reps)))
-        reps = [w * rep for w, rep in zip(weights, reps)]
-    return reps
+    tr = np.trace(m, axis1=-2, axis2=-1).real[..., None, None]
+    return m / tr * (m.shape[-1] // s.size)
 
 
 def random_state(
@@ -716,7 +744,12 @@ def random_state(
 ) -> State:
     """Seeded random state; Hilbert-Schmidt style GG* sampling on matrix
     factors, uniform ball sampling on spin factors."""
-    reps = _draw_state_reps(algebra, rank_cap, _as_rng(seed))
+    rng = _as_rng(seed)
+    draws = [_draw_summand(s, rank_cap, rng) for s in algebra.summands]
+    reps = [_build_summand(s, d) for s, d in zip(algebra.summands, draws)]
+    if len(reps) > 1:
+        weights = rng.dirichlet(np.ones(len(reps)))
+        reps = [w * rep for w, rep in zip(weights, reps)]
     return State.make(element_from_reps(algebra, reps), layout)
 
 
@@ -738,18 +771,26 @@ def _random_channel_factor(algebra: Algebra) -> SimpleFactor:
     return s
 
 
-def _draw_channel(s: SimpleFactor, env: int | None, rng) -> np.ndarray:
-    """The draw behind one random channel on ``s``: a column-stochastic
-    matrix on a classical factor, and on a complex one the Gaussian
-    ``(n * env) x n`` matrix whose orthonormalized columns are the
-    Stinespring isometry (``env`` defaults to ``n``)."""
+def _draw_channel(s: SimpleFactor, env: int | None, rng, states: int = 0):
+    """The draws behind one random channel on ``s`` and then ``states``
+    full-rank random states, stacked as :func:`_draw_summand` stacks
+    them.  A channel's draw is a column-stochastic matrix on a classical
+    factor; on a complex one it is the real and imaginary parts, shape
+    ``(2, n * env, n)``, of the Gaussian whose orthonormalized columns
+    are the Stinespring isometry (``env`` defaults to ``n``), read with
+    the states' Gaussians in one call."""
     n = s.size
     if s.kind == "classical":
-        return np.stack([rng.dirichlet(np.ones(n)) for _ in range(n)], axis=1)
+        channel = np.stack([rng.dirichlet(np.ones(n)) for _ in range(n)],
+                           axis=1)
+        return channel, _draw_summand(s, None, rng, (states,))
     env = n if env is None else int(env)
     if env < 1:
         raise ValueError("environment dimension must be at least 1")
-    return rng.normal(size=(n * env, n)) + 1j * rng.normal(size=(n * env, n))
+    # the channel's 2 n env n numbers fill 2 env matrices of n x n
+    g = rng.normal(size=(2 * env + 2 * states, n, n))
+    return (g[:2 * env].reshape(2, n * env, n),
+            g[2 * env:].reshape(states, 2, n, n))
 
 
 def _stinespring_push(v: np.ndarray, m: np.ndarray, env: int) -> np.ndarray:
@@ -772,12 +813,12 @@ def random_channel(algebra: Algebra, env_dim: int | None = None,
     catalog channels, so they are rejected here.
     """
     s = _random_channel_factor(algebra)
-    draw = _draw_channel(s, env_dim, _as_rng(seed))
+    draw, _ = _draw_channel(s, env_dim, _as_rng(seed))
     name = _RANDOM_CHANNEL_NAMES[s.kind]
     if s.kind == "classical":
         return Affinity(draw, algebra, algebra, name=name)
-    env = len(draw) // s.size
-    v, _ = np.linalg.qr(draw)
+    env = draw.shape[1] // s.size
+    v, _ = np.linalg.qr(_as_complex(draw))
     return _affinity_from_rep_map(lambda m: _stinespring_push(v, m, env),
                                   algebra, name)
 
@@ -791,10 +832,10 @@ def _random_channel_images(s: SimpleFactor, draws: Sequence[np.ndarray],
     if s.kind == "classical":
         return (np.stack(draws)[:, None] @ reps[..., None])[..., 0]
     images = np.empty_like(reps)
-    envs = [len(g) // s.size for g in draws]
+    envs = [g.shape[1] // s.size for g in draws]
     for env in sorted(set(envs)):
         group = [k for k, e in enumerate(envs) if e == env]
-        v, _ = np.linalg.qr(np.stack([draws[k] for k in group]))
+        v, _ = np.linalg.qr(_as_complex(np.stack([draws[k] for k in group])))
         pushed = _stinespring_push(v[:, None], reps[group], env)
         images[group] = alg._SYMMETRIC_PART[s.kind](pushed)
     return images
@@ -811,7 +852,9 @@ class CatalogChannel:
 
     ``pair_sampler(rng)`` draws the reps of a state pair on the source
     that the recovery map restores, and ``stress_sampler(rng)`` those of
-    a pair that exercises the channel in monotonicity searches.
+    a pair that exercises the channel in monotonicity searches.  A
+    recovery map has the form of its channel, a matrix or a rep map, so
+    a stacked recovery reads the images in the form they were built in.
     """
 
     name: str
@@ -893,14 +936,10 @@ def _draw_basis(kind: str, size: int, rng, batch: tuple = ()):
     part then its imaginary part."""
     if kind == "spin":
         return rng.normal(size=batch + (size,))
-    if kind == "real":
-        return rng.normal(size=batch + (size, size))
-    if kind == "complex":
-        g = rng.normal(size=batch + (2, size, size))
-        return g[..., 0, :, :] + 1j * g[..., 1, :, :]
-    if kind == "quaternion":
-        return rng.normal(size=batch + (4, size, size))
-    return None
+    if kind not in _GAUSSIAN_PARTS:
+        return None
+    g = rng.normal(size=batch + _GAUSSIAN_PARTS[kind] + (size, size))
+    return _as_complex(g) if kind == "complex" else g
 
 
 def _random_frames(kind: str, draws: np.ndarray) -> np.ndarray:

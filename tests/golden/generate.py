@@ -69,23 +69,30 @@ CHANNEL_SUITES = (
 # (generator, algebra, trials, seed) of monotonicity runs with witnesses
 # or on classical and composite algebras: a trace-power-3 witness on a
 # Stinespring channel of C4 at trial 37, trace-power-2 merge and
-# split-recovery witnesses on C3 (exit 1), and passing classical and C2x2
-# runs
+# split-recovery witnesses on C3 (exit 1), passing classical and C2x2
+# runs, and passing runs on C5 and H3, whose states and catalog trials
+# draw larger Gaussians
 MONO_RUNS = (
     ("trace-power-3", "C4", 48, 1),
     ("trace-power-2", "C3", 24, 0),
     ("trace-power-3", "P3", 24, 0),
     ("neg-entropy", "P4", 24, 0),
     ("neg-entropy", "C2x2", 12, 0),
+    ("neg-entropy", "C5", 24, 0),
+    ("neg-entropy", "H3", 24, 0),
 )
 # (generator, algebra, trials) of separoid runs: trace-power-2 breaks the
-# chain rule and positivity on complex and classical qubits (exit 1), and
-# 5 and 9 trials end inside a 4-trial cycle of pure states
+# chain rule and positivity on complex and classical qubits (exit 1), 5
+# and 9 trials end inside a 4-trial cycle of pure states, and four qutrits
+# hold 8.5 MB of idempotents per trial, so their trials split into
+# several stacks
 SEPAROID_RUNS = (
     ("trace-power-2", "C2x2x2x2", 5),
     ("trace-power-2", "P2x2x2x2", 5),
     ("neg-entropy", "C2x3x2x2", 5),
     ("neg-entropy", "C2x3x2x2", 9),
+    ("neg-entropy", "C3x3x3x3", 9),
+    ("neg-entropy", "C3x3x3x3", 16),
 )
 # (file stem, embedding, sizes, seed of its full-rank and pure states)
 COMPOSITES = [

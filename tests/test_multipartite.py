@@ -1,6 +1,7 @@
 import copy
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -488,6 +489,35 @@ class TestSeparoid:
         for groups in ((["A"], ["B"], ["C"]), (["A"], ["B", "C"], ["D"])):
             report = mp.conditional_mutual_information(NE, p, *groups)
             assert report.value == pytest.approx(0.0, abs=1e-9)
+
+    def test_a_trial_runs_each_distinct_product_divergence_once(
+            self, monkeypatch):
+        # the five informations have 15 terms, of which 12 differ
+        groups = []
+        divergence = mp._product_divergence
+
+        def recording(F, layout, marginal, g):
+            groups.append(tuple(g))
+            return divergence(F, layout, marginal, g)
+
+        monkeypatch.setattr(mp, "_product_divergence", recording)
+        mp.check_separoid(NE, st.COMPLEX_TENSOR, (2, 2, 2, 2), n_trials=4,
+                          seed=27)
+        assert len(groups) == len(set(groups)) == 12
+
+    def test_four_qutrits_hold_a_bounded_chunk(self):
+        # a trial's joint has 8.5 MB of idempotents, so a chunk of 512
+        # would need gigabytes; chunks bounded by bytes keep the peak of
+        # 32 trials near that of a few
+        tracemalloc.start()
+        try:
+            verdicts = mp.check_separoid(NE, st.COMPLEX_TENSOR, (3, 3, 3, 3),
+                                         n_trials=32, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(v.passed and v.trials == 32 for v in verdicts.values())
+        assert peak < 100e6, peak
 
     def test_chain_rule_via_marginal_identity_route(self):
         # the two assembly routes for the chain rule must agree

@@ -119,6 +119,65 @@ def quaternion_gram_schmidt(g):
     return g
 
 
+def reference_summand_rep(s, rank_cap, rng):
+    """One summand's rep of a random state, by the formulas that pin the
+    stream of :func:`statecone.states.random_state`."""
+    n = s.size
+    r = s.rank if rank_cap is None else max(1, min(rank_cap, s.rank))
+    if s.kind == "classical":
+        weights = rng.dirichlet(np.ones(r))
+        rep = np.zeros(n)
+        support = rng.choice(n, size=r, replace=False) if r < n \
+            else np.arange(n)
+        rep[support] = weights
+        return rep
+    if s.kind == "spin":
+        v = rng.normal(size=n)
+        v /= np.linalg.norm(v)
+        radius = 0.5 if r == 1 else 0.5 * rng.uniform() ** (1.0 / n)
+        return np.concatenate(([0.5], radius * v))
+    if s.kind == "real":
+        g = rng.normal(size=(n, r))
+        m = g @ g.T
+        return m / np.trace(m)
+    if s.kind == "complex":
+        g = rng.normal(size=(n, r)) + 1j * rng.normal(size=(n, r))
+    else:
+        g = ja._quaternion_embedding(rng.normal(size=(4, n, r)))
+    m = g @ g.conj().T
+    return m / np.trace(m).real * (len(m) // n)
+
+
+def reference_state_reps(algebra, rank_cap, rng):
+    """The reps of a random state before it is checked: one per summand,
+    weighted by a Dirichlet draw on a direct sum."""
+    reps = [reference_summand_rep(s, rank_cap, rng)
+            for s in algebra.summands]
+    if len(reps) > 1:
+        weights = rng.dirichlet(np.ones(len(reps)))
+        reps = [w * rep for w, rep in zip(weights, reps)]
+    return reps
+
+
+def reference_stinespring_push(v, m, env):
+    """The image of the rep ``m`` under the isometry ``v`` followed by the
+    trace over an environment of dimension ``env``."""
+    n = v.shape[-1]
+    big = v @ m @ v.conj().T
+    return np.einsum("aebe->ab", big.reshape(n, env, n, env))
+
+
+PINNED_STATE_ALGEBRAS = (
+    [ja.real_hermitian(n) for n in (1, 3, 4)]
+    + [ja.complex_hermitian(n) for n in (1, 3, 5)]
+    + [ja.quaternion_hermitian(n) for n in (1, 2, 3)]
+    + [ja.spin_factor(n) for n in (2, 3, 5)]
+    + [ja.classical(n) for n in (1, 3, 4)]
+    + [C2_P2, ja.Algebra(ja.real_hermitian(2).summands
+                         + ja.quaternion_hermitian(2).summands)]
+)
+
+
 class TestStateValidation:
     def test_clips_tiny_negatives(self):
         el = ja.element_from_reps(
@@ -179,7 +238,7 @@ class TestStateValidation:
         # around zero, which both clip
         s = algebra.summands[0]
         rng = np.random.default_rng(40)
-        reps = np.array([st._draw_state_reps(algebra, cap, rng)[0]
+        reps = np.array([st._build_summand(s, st._draw_summand(s, cap, rng))
                          for cap in (None, 1, None, 1, 1, 1)])
         reps = reps.reshape((2, 3) + reps.shape[1:])
         checked, values, frames = st._checked_state_stack(s, reps)
@@ -665,6 +724,37 @@ class TestRandomStates:
         )
         assert rng.uniform() == reference.uniform()
 
+    @pytest.mark.parametrize("algebra", ALL_SIMPLE + [
+        ja.quaternion_hermitian(3), ja.complex_hermitian(5)], ids=str)
+    def test_stacked_builds_equal_single_ones(self, algebra):
+        # one draw of a stack reads the stream as single draws do, and
+        # one build gives each state the bits it gets alone
+        s = algebra.summands[0]
+        for rank_cap in (None, 1):
+            rng = np.random.default_rng(66)
+            single = np.random.default_rng(66)
+            draws = st._draw_summand(s, rank_cap, rng, (3, 2))
+            built = st._build_summand(s, draws)
+            for index in np.ndindex(3, 2):
+                d = st._draw_summand(s, rank_cap, single)
+                assert np.array_equal(draws[index], d)
+                assert np.array_equal(built[index], st._build_summand(s, d))
+            assert rng.uniform() == single.uniform()
+
+    @pytest.mark.parametrize("algebra", PINNED_STATE_ALGEBRAS, ids=str)
+    def test_states_keep_their_streams(self, algebra):
+        # every rank cap reads the stream and builds the state as the
+        # literal formulas of reference_state_reps do
+        for rank_cap in [None] + list(range(1, algebra.rank + 1)):
+            rng = np.random.default_rng([63, algebra.dim])
+            reference = np.random.default_rng([63, algebra.dim])
+            got = st.random_state(algebra, rank_cap=rank_cap, seed=rng)
+            want = st.State.make(ja.element_from_reps(
+                algebra, reference_state_reps(algebra, rank_cap, reference)))
+            for a, b in zip(got.element.reps(), want.element.reps()):
+                assert np.array_equal(a, b), rank_cap
+            assert rng.uniform() == reference.uniform()
+
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_stacked_quaternion_unitaries_equal_slices(self, n):
@@ -745,14 +835,45 @@ class TestRandomChannels:
         for k in range(7):
             env = 1 + k % s.size
             phi = st.random_channel(algebra, env_dim=env, seed=[90, k])
-            draws.append(st._draw_channel(s, env,
-                                          np.random.default_rng([90, k])))
+            draw, _ = st._draw_channel(s, env, np.random.default_rng([90, k]))
+            draws.append(draw)
             pair = [st.random_state(algebra, seed=[91, k, j]).element
                     for j in range(2)]
             reps.append([el.reps()[0] for el in pair])
             want.append([phi.apply_element(el).reps()[0] for el in pair])
         images = st._random_channel_images(s, draws, np.array(reps))
         assert np.array_equal(images, np.array(want))
+
+    @pytest.mark.parametrize("algebra", [
+        *(ja.complex_hermitian(n) for n in (1, 2, 3, 4)),
+        *(ja.classical(n) for n in (1, 2, 4)),
+    ], ids=str)
+    def test_channels_keep_their_streams(self, algebra):
+        # every environment size reads the stream and builds the channel
+        # as the literal formulas below do
+        s = algebra.summands[0]
+        n = s.size
+        probes = [st.random_state(algebra, seed=[64, k]).element
+                  for k in range(3)]
+        for env in [None] + list(range(1, n + 1)):
+            rng = np.random.default_rng([65, n])
+            reference = np.random.default_rng([65, n])
+            phi = st.random_channel(algebra, env_dim=env, seed=rng)
+            if s.kind == "classical":
+                m = np.stack([reference.dirichlet(np.ones(n))
+                              for _ in range(n)], axis=1)
+                assert np.array_equal(phi.matrix, m)
+            else:
+                e = n if env is None else env
+                g = reference.normal(size=(n * e, n)) \
+                    + 1j * reference.normal(size=(n * e, n))
+                v, _ = np.linalg.qr(g)
+                for el in probes:
+                    want = ja.element_from_reps(algebra, [
+                        reference_stinespring_push(v, el.reps()[0], e)])
+                    got = phi.apply_element(el)
+                    assert np.array_equal(got.reps()[0], want.reps()[0])
+            assert rng.uniform() == reference.uniform()
 
     def test_unital_iff_preserves_maximally_mixed(self):
         phi = st.random_channel(C2, env_dim=1, seed=22)  # unitary: unital
