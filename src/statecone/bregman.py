@@ -500,8 +500,8 @@ def _stacked_divergences(F, kind, reps, values, frames):
 
 def _pair_draws(entry, rng):
     """The state pair a trial of the catalog ``entry`` draws from ``rng``
-    and whether it is built: the reps of its stress sampler, else of its
-    pair sampler, or else the draws of two states of
+    and whether it is built: the diagonals of its stress sampler, else of
+    its pair sampler, or else the draws of two states of
     :func:`~statecone.states.random_state` on its source."""
     sampler = entry.stress_sampler or entry.pair_sampler
     if sampler is not None:
@@ -521,22 +521,24 @@ def _monotonicity_trials(F, algebra, catalog, seed, trials) -> list:
     :func:`~statecone.states.random_state`.  Any other trial ``t`` runs
     ``catalog[(t // 3) % len(catalog)]`` on the pair :func:`_pair_draws`
     draws.  Every channel maps the algebra to itself, so the rest runs on
-    the stack of all trials: one build of the drawn states, one check of
-    the pairs, one push of the random-channel trials, one of the catalog
-    trials through their maps and one through their recovery maps, one
-    eigensolve of all the images and the divergences over the trial
-    axis.  A recovery map is itself a channel; applying it to the
-    images turns any drop of the divergence into a rise, so sufficiency
-    failures surface here as monotonicity failures too, named
-    ``<entry>-recovery`` where the rise is larger.  Every trial gets the
-    violation and name, bit for bit, that its channel's ``apply_element``
-    and :func:`bregman_divergence` give it alone.
+    the stack of all trials: one build of the drawn states, one
+    conversion of the sampled diagonals, one check of the pairs, one
+    push of the random-channel trials, one of the catalog trials through
+    their maps and one through their recovery maps, one eigensolve of
+    all the images and the divergences over the trial axis.  A recovery
+    map is itself a channel; applying it to the images turns any drop of
+    the divergence into a rise, so sufficiency failures surface here as
+    monotonicity failures too, named ``<entry>-recovery`` where the rise
+    is larger.  Every trial gets the violation and name, bit for bit,
+    that its channel's ``apply_element`` and :func:`bregman_divergence`
+    give it alone.
     """
     _require_algebra(F, algebra)
     randoms = _supports_random_channels(algebra)
     s = st._random_channel_factor(algebra) if randoms else algebra.summands[0]
     # a random-channel trial picks no catalog entry; a trial's pair is
-    # sampled as reps, or drawn and built with the chunk's other draws
+    # sampled as diagonals, or drawn, and either way made into reps with
+    # the chunk's other pairs of its kind
     picks, channels, sampled, drawn = [], [], {}, {}
     for i, trial in enumerate(trials):
         rng = _trial_rng(seed, trial)
@@ -553,7 +555,7 @@ def _monotonicity_trials(F, algebra, catalog, seed, trials) -> list:
     if drawn:
         reps[list(drawn)] = st._build_summand(s, np.stack([*drawn.values()]))
     if sampled:
-        reps[list(sampled)] = list(sampled.values())
+        reps[list(sampled)] = st._diag_reps(s, np.stack([*sampled.values()]))
     # axes (trial, rho or sigma) lead every stack from here on
     reps, values, frames = st._checked_state_stack(s, reps)
     groups = {k: [i for i, pick in enumerate(picks) if pick == k]
@@ -710,8 +712,8 @@ def _sufficiency_results(F, algebra, seed, trials):
         entry = catalog[trial % len(catalog)]
         source = entry.affinity.source
         pair, built = _pair_draws(entry, _trial_rng(seed, trial))
-        if not built:
-            pair = st._build_summand(source.summands[0], pair)
+        make = st._diag_reps if built else st._build_summand
+        pair = make(source.summands[0], np.stack(pair))
         rho, sigma = (State.make(alg.element_from_reps(source, [rep]))
                       for rep in pair)
         for s in (rho, sigma):

@@ -267,7 +267,8 @@ def _row_entropies(p: np.ndarray) -> np.ndarray:
     counts = mask.sum(axis=-1)
     starts = np.cumsum(counts) - counts
     h = np.empty(len(p))
-    for k in np.unique(counts):
+    # the distinct counts, sorted; np.unique would import numpy.ma
+    for k in np.flatnonzero(np.bincount(counts)):
         rows = np.flatnonzero(counts == k)
         h[rows] = terms[starts[rows, None] + np.arange(k)].sum(axis=-1)
     return h

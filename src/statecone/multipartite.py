@@ -7,8 +7,9 @@ marginal puts on each of its primitive idempotents is read by
 contracting the joint's matrix with one marginal's idempotents at a
 time, following a plan derived once per layout and grouping.  The
 separoid suite reads its trials' marginals as stacks, one partial trace
-and one eigensolve of each marginal for all trials of a chunk, and a
-single state is a stack of one.
+of each marginal for all trials of a chunk and one eigensolve of all
+the marginals that share an algebra, and a single state is a stack of
+one.
 All computations share one support convention: a divergence with mass
 outside the reference support is infinite, and a conditional mutual
 information with any infinite component is reported as undefined
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache, lru_cache, partial
+from functools import lru_cache, partial
 from typing import Sequence
 
 import numpy as np
@@ -123,7 +124,7 @@ class PartitionedState:
     def _stack(self, indices: tuple[int, ...]):
         """The marginal on sorted, distinct factor indices as a stack of
         one: its rep, fine eigenvalues and idempotent stack, each with a
-        leading state axis, as :func:`_product_divergence` reads them."""
+        leading state axis, as :func:`_product_terms` reads them."""
         element = self._marginal(indices).element
         dec = alg.spectral_decompose(element)
         return element.reps()[0][None], dec.values[None], dec.frame[0][None]
@@ -167,10 +168,15 @@ def _disjoint_indices(pstate: PartitionedState,
         raise UnknownLabelError(f"unknown label in {every!r}") from exc
 
 
+def _joined(groups) -> tuple[int, ...]:
+    """The sorted factor indices of all the factor index ``groups``."""
+    return tuple(sorted(i for g in groups for i in g))
+
+
 @lru_cache
 def _contraction_plan(layout: CompositeLayout,
                       groups: tuple[tuple[int, ...], ...]) -> tuple:
-    """How :func:`_product_divergence` contracts a stack of joint
+    """How :func:`_product_terms` contracts a stack of joint
     marginals on the factor index ``groups`` with the groups' stacks of
     idempotents.
 
@@ -188,7 +194,7 @@ def _contraction_plan(layout: CompositeLayout,
     shape, axes = layout._axes
     flip = {a: b for own in axes for a, b in zip(own, own[::-1])}
     batch = (len(shape) + len(groups),)
-    joined = tuple(sorted(i for g in groups for i in g))
+    joined = _joined(groups)
     joint_axes = layout._axes_of(joined)
     labels = batch + tuple(flip[a] for a in joint_axes)
     left, steps = labels, []
@@ -201,11 +207,13 @@ def _contraction_plan(layout: CompositeLayout,
             tuple(steps))
 
 
-def _product_divergence(F: BregmanGenerator, layout: CompositeLayout,
-                        marginal, groups: Sequence[tuple[int, ...]]):
-    """Divergences of a stack of joint marginals on the factor index
-    ``groups`` from the products of their group marginals, read from
-    their spectra, as an array over the stack.
+def _product_terms(F: BregmanGenerator, layout: CompositeLayout,
+                   marginal, groups: Sequence[tuple[int, ...]]):
+    """The terms of the divergences of a stack of joint marginals on the
+    factor index ``groups`` from the products of their group marginals,
+    as :func:`~statecone.bregman._divergence` reads them: the joints'
+    fine eigenvalues, the products' ones and the weight each joint puts
+    on each product idempotent, each behind one state axis.
 
     ``marginal(indices)`` gives the stack's marginals on sorted factor
     indices as :func:`statecone.states._checked_state_stack` returns
@@ -233,7 +241,7 @@ def _product_divergence(F: BregmanGenerator, layout: CompositeLayout,
                       own, left)
         labels = left
         mu = (mu[:, :, None] * group_values[:, None, :]).reshape(n, -1)
-    return _divergence(F, values, mu, p.real.reshape(n, -1))
+    return values, mu, p.real.reshape(n, -1)
 
 
 def check_additivity(
@@ -283,8 +291,8 @@ def mutual_information(
 ) -> float:
     """Divergence of the joint marginal from the product of marginals."""
     groups = _disjoint_indices(pstate, a_labels, b_labels)
-    return float(_product_divergence(F, pstate.state.layout, pstate._stack,
-                                     groups)[0])
+    terms = _product_terms(F, pstate.state.layout, pstate._stack, groups)
+    return float(_divergence(F, *terms)[0])
 
 
 @dataclass(frozen=True)
@@ -319,22 +327,20 @@ def conditional_mutual_information(
     than subtracting infinities.
     """
     a, b, c = _disjoint_indices(pstate, a_labels, b_labels, c_labels)
-    divergence = partial(_product_divergence, F, pstate.state.layout,
-                         pstate._stack)
-    components = tuple(float(gaps[0])
-                       for gaps in _cmi_terms(divergence, a, b, c))
+    terms = partial(_product_terms, F, pstate.state.layout, pstate._stack)
+    components = tuple(float(_divergence(F, *terms(groups))[0])
+                       for groups in _cmi_groupings(a, b, c))
     if not all(map(math.isfinite, components)):
         return CmiReport(math.nan, components, defined=False)
     term0, term1, term2 = components
     return CmiReport(term0 - term1 - term2, components)
 
 
-def _cmi_terms(divergence, a, b, c) -> list:
-    """The three divergence terms of the conditional mutual information
-    of the factor index groups ``a`` and ``b`` given ``c``, each an array
-    over a stack: ``divergence(groups)`` is :func:`_product_divergence`
-    of the stack on the tuple of factor index groups ``groups``."""
-    return [divergence(groups) for groups in ((a, b, c), (a, c), (b, c))]
+def _cmi_groupings(a, b, c) -> tuple:
+    """The factor index groupings of the three divergence terms of the
+    conditional mutual information of the groups ``a`` and ``b`` given
+    ``c``, each a product reference's groups."""
+    return (a, b, c), (a, c), (b, c)
 
 
 # the (a, b, c) factor index groups of the conditional mutual
@@ -344,6 +350,13 @@ _SEPAROID_CMIS = (
     ((0,), (1,), (2,)), ((1,), (0,), (2,)),
     ((0,), (1, 2), (3,)), ((0,), (1,), (3,)), ((0,), (2,), (1, 3)),
 )
+# the 12 distinct groupings among the informations' 15 terms, and the 11
+# proper marginals they read: each grouping's joint and its groups
+_SEPAROID_GROUPINGS = tuple(dict.fromkeys(
+    groups for cmi in _SEPAROID_CMIS for groups in _cmi_groupings(*cmi)))
+_SEPAROID_MARGINALS = tuple(dict.fromkeys(
+    indices for groups in _SEPAROID_GROUPINGS
+    for indices in (_joined(groups), *groups) if len(indices) < 4))
 
 
 def _separoid_trials(F, layout, seed, trials) -> list:
@@ -353,30 +366,43 @@ def _separoid_trials(F, layout, seed, trials) -> list:
     Each trial draws its state from its own stream, in trial order; a
     quarter of the trials use globally pure states, whose marginals
     stress the support handling.  The rest runs on the stack of all
-    trials: one check of the states, one partial trace and one check of
-    each distinct marginal, and the 15 divergences over the trial axis.
-    Every trial gets the violations, bit for bit, that it gets alone.
+    trials, grouped by shape: one check of the states, one partial trace
+    of each of the 11 marginals, one check and eigensolve of all the
+    marginals on one algebra, the terms of the 12 distinct product
+    divergences and one divergence pass over all the terms of one
+    product size.  Every trial gets the violations, bit for bit, that it
+    gets alone.
     """
     s = layout.ambient.summands[0]
     reps = [st._build_summand(s, st._draw_summand(
         s, 1 if t % 4 == 3 else None, _trial_rng(seed, t))) for t in trials]
-    full = tuple(range(len(layout.factors)))
-    marginals = {full: st._checked_state_stack(s, np.array(reps))}
-
-    def marginal(indices):
-        if indices not in marginals:
-            traced = st._partial_traces(layout, marginals[full][0], indices)
-            marginals[indices] = st._checked_state_stack(
-                layout._marginal_of(indices)[0].summands[0], traced)
-        return marginals[indices]
-
-    # three product divergences recur among the informations' terms
-    divergence = cache(partial(_product_divergence, F, layout, marginal))
+    n = len(reps)
+    joint = st._checked_state_stack(s, np.array(reps))
+    marginals = {(0, 1, 2, 3): joint}
+    # the marginals on one algebra are checked as one stack, and the
+    # terms of the products of one size take one divergence pass
+    by_algebra = {}
+    for indices in _SEPAROID_MARGINALS:
+        by_algebra.setdefault(layout._marginal_of(indices)[0].summands[0],
+                              []).append(indices)
+    for summand, group in by_algebra.items():
+        traced = [st._partial_traces(layout, joint[0], m) for m in group]
+        checked = st._checked_state_stack(summand, np.concatenate(traced))
+        rows = (x.reshape((len(group), n) + x.shape[1:]) for x in checked)
+        marginals.update(zip(group, zip(*rows)))
+    by_size = {}
+    for groups in _SEPAROID_GROUPINGS:
+        terms = _product_terms(F, layout, marginals.__getitem__, groups)
+        by_size.setdefault(terms[0].shape[1], {})[groups] = terms
+    gaps = {}
+    for same in by_size.values():
+        stacked = _divergence(F, *map(np.concatenate, zip(*same.values())))
+        gaps.update(zip(same, stacked.reshape(len(same), n)))
     # an undefined information, one with an infinite term, is NaN here
     # and makes every check it enters infinite
     values = []
-    for a, b, c in _SEPAROID_CMIS:
-        terms = _cmi_terms(divergence, a, b, c)
+    for cmi in _SEPAROID_CMIS:
+        terms = [gaps[groups] for groups in _cmi_groupings(*cmi)]
         with np.errstate(invalid="ignore"):
             values.append(np.where(np.isfinite(terms).all(axis=0),
                                    terms[0] - terms[1] - terms[2], math.nan))

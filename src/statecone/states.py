@@ -850,9 +850,10 @@ def _random_channel_images(s: SimpleFactor, draws: Sequence[np.ndarray],
 class CatalogChannel:
     """A named affinity, optionally with a recovery map.
 
-    ``pair_sampler(rng)`` draws the reps of a state pair on the source
-    that the recovery map restores, and ``stress_sampler(rng)`` those of
-    a pair that exercises the channel in monotonicity searches.  A
+    ``pair_sampler(rng)`` draws the diagonals of a state pair on the
+    source that the recovery map restores, and ``stress_sampler(rng)``
+    those of a pair that exercises the channel in monotonicity searches;
+    :func:`_diag_reps` turns them into reps.  A
     recovery map has the form of its channel, a matrix or a rep map, so
     a stacked recovery reads the images in the form they were built in.
     """
@@ -864,12 +865,13 @@ class CatalogChannel:
     stress_sampler: Callable | None = None
 
 
-def _diag_rep(algebra: Algebra, probs: np.ndarray) -> np.ndarray:
-    """The rep of the state with diagonal ``probs``; the diagonal units
-    come first in the basis of every matrix kind."""
-    s = algebra.summands[0]
-    coeffs = np.zeros(algebra.dim)
-    coeffs[:s.size] = probs
+def _diag_reps(s: SimpleFactor, probs: np.ndarray) -> np.ndarray:
+    """The reps on the simple summand ``s`` of the states with diagonals
+    ``probs`` (last axis; leading axes a batch), each the bits it gets
+    alone; the diagonal units come first in the basis of every matrix
+    kind, and a classical rep is its diagonal."""
+    coeffs = np.zeros(probs.shape[:-1] + (s.dim,))
+    coeffs[..., :s.size] = probs
     return alg._COERCE_TO_REP[s.kind](coeffs, s.size)
 
 
@@ -882,7 +884,7 @@ def _diag_pair_sampler(algebra, support):
             probs[list(support)] = rng.dirichlet(np.ones(len(support))) \
                 * 0.98 + 0.01
             probs[list(support)] /= probs.sum()
-            pair.append(_diag_rep(algebra, probs))
+            pair.append(probs)
         return tuple(pair)
     return sampler
 
@@ -897,7 +899,7 @@ def _merge_stress_sampler(algebra):
         jitter = rng.dirichlet(np.ones(n)) * 0.02
         p = (p + jitter) / (1 + 0.02)
         q = (q + jitter) / (1 + 0.02)
-        return _diag_rep(algebra, p), _diag_rep(algebra, q)
+        return p, q
     return sampler
 
 

@@ -540,8 +540,9 @@ class TestMonotonicity:
                 rho = st.random_state(algebra, seed=rng)
                 sigma = st.random_state(algebra, seed=rng)
             else:
-                rho, sigma = (st.State.make(ja.element_from_reps(algebra, [r]))
-                              for r in sampler(rng))
+                rho, sigma = (st.State.make(ja.element_from_reps(
+                    algebra, [st._diag_reps(algebra.summands[0], probs)]))
+                              for probs in sampler(rng))
             images = [entry.affinity.apply_element(s.element)
                       for s in (rho, sigma)]
             after = br.bregman_divergence(F, *images)
@@ -638,15 +639,14 @@ class TestMonotonicity:
             )
             assert after == pytest.approx(before, abs=1e-10)
 
-    def test_mono_run_converts_9_times(self, monkeypatch):
+    def test_mono_run_converts_4_times(self, monkeypatch):
         # divergences pair the reference's frame with the first argument
         # in reps and rep-map channels act on reps, so only matrix-built
-        # channels convert, all entries' trials at once: their inputs to
-        # coefficients, their images to reps and their recoveries' images
-        # to reps; the samplers' six diagonal states convert to reps one
-        # at a time; no matrix is derived.  The trace vector, which the
-        # depolarizing channels read, converts once per algebra, so it is
-        # read first.
+        # channels convert, all entries' trials at once: the samplers'
+        # diagonals to reps, the inputs to coefficients, their images to
+        # reps and their recoveries' images to reps; no matrix is
+        # derived.  The trace vector, which the depolarizing channels
+        # read, converts once per algebra, so it is read first.
         C3.trace_vector
         calls = []
         for table in (ja._COERCE_TO_REP, ja._COERCE_TO_COEFFS):
@@ -665,7 +665,8 @@ class TestMonotonicity:
 
         monkeypatch.setattr(st.Affinity, "matrix", property(recording_matrix))
         br.check_monotonicity(NE, C3, n_trials=24, seed=0)
-        assert len(calls) == 9, calls
+        # the three sampled pairs, then the six matrix-built trials
+        assert calls == [(3, 2, 9), (6, 2, 3, 3), (6, 2, 9), (3, 2, 9)]
         assert derived == []
 
     def test_catalog_only_pool_is_reported(self):

@@ -547,6 +547,23 @@ def test_file_commands_exit_cleanly_on_any_state_file(doc):
                 assert "error" in json.loads(err)
 
 
+def test_entropy_run_leaves_numpy_ma_unimported(state_files):
+    # importing numpy.ma is a large share of a fresh entropy process's
+    # wall time, and np.unique imports it on its first call
+    script = (
+        "import sys\n"
+        "from statecone.cli import main\n"
+        f"main(['entropy', '--state', {str(state_files['rho'])!r}, "
+        "'--samples', '20'])\n"
+        "sys.stderr.write(str('numpy.ma' in sys.modules))\n"
+    )
+    fresh = subprocess.run([sys.executable, "-c", script],
+                           capture_output=True, text=True, env=_cli_env(),
+                           timeout=120)
+    assert fresh.returncode == 0, fresh.stderr
+    assert fresh.stderr == "False"
+
+
 def test_closed_pipe_exits_quietly():
     proc = subprocess.Popen(
         [sys.executable, "-m", "statecone.cli", "suite", "--property",

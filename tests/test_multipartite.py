@@ -494,16 +494,74 @@ class TestSeparoid:
             self, monkeypatch):
         # the five informations have 15 terms, of which 12 differ
         groups = []
-        divergence = mp._product_divergence
+        product_terms = mp._product_terms
 
         def recording(F, layout, marginal, g):
             groups.append(tuple(g))
-            return divergence(F, layout, marginal, g)
+            return product_terms(F, layout, marginal, g)
 
-        monkeypatch.setattr(mp, "_product_divergence", recording)
+        monkeypatch.setattr(mp, "_product_terms", recording)
         mp.check_separoid(NE, st.COMPLEX_TENSOR, (2, 2, 2, 2), n_trials=4,
                           seed=27)
         assert len(groups) == len(set(groups)) == 12
+
+    @pytest.mark.parametrize("embedding,sizes,eighs,passes", [
+        # the joints, then the marginals on C8, C2 and C4; products of
+        # sizes 16, 8 and 4
+        (st.COMPLEX_TENSOR, (2, 2, 2, 2),
+         [(4, 16, 16), (12, 8, 8), (16, 2, 2), (16, 4, 4)],
+         [(8, 16), (16, 4), (24, 8)]),
+        # C12, C2, C3, C4 and C6: factor counts do not decide the algebra
+        (st.COMPLEX_TENSOR, (2, 3, 2, 2),
+         [(4, 24, 24), (12, 12, 12), (12, 2, 2), (4, 3, 3), (8, 4, 4),
+          (8, 6, 6)],
+         [(8, 4), (8, 6), (8, 24), (24, 12)]),
+        # classical spectra need no eigensolve
+        (st.CLASSICAL_TENSOR, (2, 2, 2, 2), [],
+         [(8, 16), (16, 4), (24, 8)]),
+    ])
+    def test_a_chunk_groups_its_work_by_shape(self, monkeypatch, embedding,
+                                              sizes, eighs, passes):
+        # one eigensolve per algebra of the marginals and one divergence
+        # pass per product size, each over all trials of the chunk
+        solved, divided = [], []
+        eigh, divergence = np.linalg.eigh, mp._divergence
+
+        def counting_eigh(a, *args, **kwargs):
+            solved.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        def counting_divergence(F, x, mu, p):
+            divided.append(np.shape(x))
+            return divergence(F, x, mu, p)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        monkeypatch.setattr(mp, "_divergence", counting_divergence)
+        layout = st.composite_layout(embedding, sizes)
+        mp._separoid_trials(NE, layout, 34, range(4))
+        assert sorted(solved) == sorted(eighs)
+        assert sorted(divided) == passes
+
+    @pytest.mark.parametrize("embedding,sizes", [
+        (st.COMPLEX_TENSOR, (2, 2, 2, 2)),
+        (st.CLASSICAL_TENSOR, (2, 2, 2, 2)),
+        (st.COMPLEX_TENSOR, (2, 3, 2, 2)),
+        (st.COMPLEX_TENSOR, (1, 1, 1, 1)),
+    ])
+    @pytest.mark.parametrize("F", [NE, br.trace_power(2)],
+                             ids=["neg-entropy", "trace-power-2"])
+    def test_chunked_trials_equal_trials_alone(self, embedding, sizes, F):
+        layout = st.composite_layout(embedding, sizes)
+        chunk = mp._separoid_trials(F, layout, 35, range(13))
+        alone = [result for t in range(13)
+                 for result in mp._separoid_trials(F, layout, 35, [t])]
+        assert chunk == alone
+
+    def test_trace_power_breaks_the_chain_rule(self):
+        # so the chunked comparison above covers failing trials
+        layout = st.composite_layout(st.COMPLEX_TENSOR, (2, 2, 2, 2))
+        chunk = mp._separoid_trials(br.trace_power(2), layout, 35, range(13))
+        assert any(r["chain"] > mp.SEPAROID_TOLS["chain"] for r in chunk)
 
     def test_four_qutrits_hold_a_bounded_chunk(self):
         # a trial's joint has 8.5 MB of idempotents, so a chunk of 512
@@ -614,10 +672,9 @@ class TestSharedCaches:
             NE, st.COMPLEX_TENSOR, (2, 2, 2, 2), n_trials=4, seed=34
         )
         assert all(v.passed for v in verdicts.values())
-        # the four random states and their 11 distinct proper marginals,
-        # each decomposed in one stacked eigensolve
-        assert len(eighs) <= 12, eighs
-        assert (4, 16, 16) in eighs
+        # the four random states, then their 11 distinct proper
+        # marginals, one stacked eigensolve per algebra: C8, C2 and C4
+        assert eighs == [(4, 16, 16), (12, 8, 8), (16, 2, 2), (16, 4, 4)]
         # one stacked partial trace of all four trials per marginal
         assert len(traces) == len(set(traces)) == 11, traces
         assert all(n == 4 for n, _ in traces)

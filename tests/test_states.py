@@ -40,9 +40,11 @@ def is_trace_preserving(phi):
 
 
 def sampled_pair(entry, rng):
-    """The states of the reps an entry's pair sampler draws."""
-    return [st.State.make(ja.element_from_reps(entry.affinity.source, [rep]))
-            for rep in entry.pair_sampler(rng)]
+    """The states of the diagonals an entry's pair sampler draws."""
+    source = entry.affinity.source
+    return [st.State.make(ja.element_from_reps(
+                source, [st._diag_reps(source.summands[0], probs)]))
+            for probs in entry.pair_sampler(rng)]
 
 
 def complexified_tensor(phi):
@@ -883,6 +885,20 @@ class TestRandomChannels:
 
 
 class TestCatalog:
+    @pytest.mark.parametrize("algebra", [
+        ja.complex_hermitian(4), ja.real_hermitian(3),
+        ja.quaternion_hermitian(3), ja.classical(4)], ids=str)
+    def test_stacked_diagonals_convert_as_single_ones(self, algebra):
+        # a chunk converts its sampled diagonals in one call, and each
+        # rep keeps the bytes it gets alone, signed zeros included
+        s = algebra.summands[0]
+        probs = np.random.default_rng(67).dirichlet(np.ones(s.size), (3, 2))
+        probs[0, 1, 0] = -0.0
+        stacked = st._diag_reps(s, probs)
+        for index in np.ndindex(3, 2):
+            alone = st._diag_reps(s, probs[index])
+            assert stacked[index].tobytes() == alone.tobytes()
+
     @pytest.mark.parametrize("algebra", ALL_SIMPLE)
     def test_entries_are_trace_preserving(self, algebra):
         for entry in st.channel_catalog(algebra, seed=0):
