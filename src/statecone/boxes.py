@@ -148,49 +148,51 @@ class QuantumStrategy:
     bob_angles: tuple[float, float]
 
 
-def _angle_projectors(theta: float):
-    """Eigenprojectors of cos(theta) Z + sin(theta) X, outcome 0 first."""
+def _angle_projectors(thetas) -> np.ndarray:
+    """Eigenprojectors of cos(theta) Z + sin(theta) X for each of the
+    angles ``thetas``, indexed ``[setting, outcome]``, outcome 0 first."""
     direction = np.array(
-        [[math.cos(theta), math.sin(theta)],
-         [math.sin(theta), -math.cos(theta)]],
+        [[[math.cos(theta), math.sin(theta)],
+          [math.sin(theta), -math.cos(theta)]] for theta in thetas],
         dtype=complex,
     )
     eye = np.eye(2, dtype=complex)
-    return 0.5 * (eye + direction), 0.5 * (eye - direction)
+    return 0.5 * np.stack((eye + direction, eye - direction), axis=1)
 
 
 def box_from_quantum(strategy: QuantumStrategy) -> NoSignalingBox:
-    """Outcome table of the strategy via the trace inner product."""
-    layout = strategy.state.layout
-    t = np.zeros((2, 2, 2, 2))
-    for x, theta in enumerate(strategy.alice_angles):
-        pa = _angle_projectors(theta)
-        for y, phi in enumerate(strategy.bob_angles):
-            pb = _angle_projectors(phi)
-            for a in range(2):
-                for b in range(2):
-                    effect = alg.element_from_reps(
-                        layout.ambient, [np.kron(pa[a], pb[b])]
-                    )
-                    t[x, y, a, b] = alg.inner_product(
-                        effect, strategy.state.element
-                    )
-    return NoSignalingBox(np.clip(t, 0.0, None))
+    """Outcome table of the strategy via the trace inner product: the 16
+    products of the parties' projectors are built, converted to
+    coefficients and paired with the state as one stack."""
+    state = strategy.state
+    if state.algebra != _LAYOUT_22.ambient:
+        raise alg.AlgebraMismatchError(
+            f"a strategy measures a state of {_LAYOUT_22.ambient}, got one "
+            f"of {state.algebra}"
+        )
+    pa = _angle_projectors(strategy.alice_angles)
+    pb = _angle_projectors(strategy.bob_angles)
+    # effects[x, y, a, b] = kron(pa[x, a], pb[y, b])
+    effects = (pa[:, None, :, None, :, None, :, None]
+               * pb[None, :, None, :, None, :, None, :]).reshape(
+                   2, 2, 2, 2, 4, 4)
+    coeffs = alg._complex_to_coeffs(alg._complex_hermitian_part(effects), 4)
+    return NoSignalingBox(np.clip(alg._dots(coeffs, state.element.coeffs),
+                                  0.0, None))
 
 
 _Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 _X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+# kron(s_i, s_j) for s in (Z, X), indexed [i, j]
+_ZX_PAIRS = np.array([[np.kron(si, sj) for sj in (_Z, _X)]
+                      for si in (_Z, _X)])
 
 
 def _correlation_tensor(state: State) -> np.ndarray:
     """Expectations <s_i x s_j> for s in (Z, X); correlators at X-Z plane
     angles are bilinear in (cos, sin) against this tensor."""
-    rep = state.element.reps()[0]
-    t = np.empty((2, 2))
-    for i, si in enumerate((_Z, _X)):
-        for j, sj in enumerate((_Z, _X)):
-            t[i, j] = float(np.trace(np.kron(si, sj) @ rep).real)
-    return t
+    products = _ZX_PAIRS @ state.element.reps()[0]
+    return np.trace(products, axis1=-2, axis2=-1).real
 
 
 def _direction(theta: float) -> tuple[float, float]:

@@ -54,9 +54,10 @@ def _scrub(value):
 
 
 def _emit(report: dict, pretty: bool) -> None:
+    """Print a :func:`_report`, whose payloads are already JSON-clean."""
     indent = 2 if pretty else None
     try:
-        print(json.dumps(_scrub(report), sort_keys=True, indent=indent))
+        print(json.dumps(report, sort_keys=True, indent=indent))
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader is gone (``statecone ... | head``).  Point stdout at

@@ -5,11 +5,12 @@ references.  A product reference is never built: its fine eigenvalues
 are the products of the group marginals' ones, and the weight the joint
 marginal puts on each of its primitive idempotents is read by
 contracting the joint's matrix with one marginal's idempotents at a
-time, following a plan derived once per layout and grouping.  The
-separoid suite reads its trials' marginals as stacks, one partial trace
-of each marginal for all trials of a chunk and one eigensolve of all
-the marginals that share an algebra, and a single state is a stack of
-one.
+time, following a plan derived once per layout and set of groupings.
+Every information runs on a stack of states, one partial trace of each
+marginal for all states and one eigensolve of all the marginals that
+share an algebra: the separoid suite stacks the trials of a chunk, and
+a single state's mutual and conditional mutual informations are a
+stack of one.
 All computations share one support convention: a divergence with mass
 outside the reference support is infinite, and a conditional mutual
 information with any infinite component is reported as undefined
@@ -83,7 +84,8 @@ class PartitionedState:
     """A composite state with named factors and cached marginals.
 
     Marginals are cached by their sorted factor indices, so each is
-    computed once per state, whichever quantity asks first.
+    computed once per state.  The information quantities do not read
+    the cache: they trace out the marginals they need as one stack.
     """
 
     state: State
@@ -111,23 +113,12 @@ class PartitionedState:
             raise UnknownLabelError(f"unknown label in {subset!r}") from exc
 
     def marginal(self, subset: Sequence[str]) -> State:
-        return self._marginal(self.indices(subset))
-
-    def _marginal(self, indices: tuple[int, ...]) -> State:
-        """The marginal on sorted, distinct factor indices."""
+        indices = self.indices(subset)
         cached = self._marginals.get(indices)
         if cached is None:
             cached = st.marginal(self.state, indices)
             self._marginals[indices] = cached
         return cached
-
-    def _stack(self, indices: tuple[int, ...]):
-        """The marginal on sorted, distinct factor indices as a stack of
-        one: its rep, fine eigenvalues and idempotent stack, each with a
-        leading state axis, as :func:`_product_terms` reads them."""
-        element = self._marginal(indices).element
-        dec = alg.spectral_decompose(element)
-        return element.reps()[0][None], dec.values[None], dec.frame[0][None]
 
 
 def random_partitioned_state(
@@ -145,7 +136,8 @@ def random_partitioned_state(
 
 
 def _disjoint_indices(pstate: PartitionedState,
-                      *label_sets: Sequence[str]) -> list[tuple[int, ...]]:
+                      *label_sets: Sequence[str]
+                      ) -> tuple[tuple[int, ...], ...]:
     """The factor indices of each label set, once the sets are checked to
     be disjoint and free of repeats; an unknown label is reported with
     every label of the call."""
@@ -163,7 +155,7 @@ def _disjoint_indices(pstate: PartitionedState,
             own.add(l)
         seen |= own
     try:
-        return [pstate.indices(labels) for labels in label_sets]
+        return tuple(pstate.indices(labels) for labels in label_sets)
     except UnknownLabelError as exc:
         raise UnknownLabelError(f"unknown label in {every!r}") from exc
 
@@ -173,7 +165,6 @@ def _joined(groups) -> tuple[int, ...]:
     return tuple(sorted(i for g in groups for i in g))
 
 
-@lru_cache
 def _contraction_plan(layout: CompositeLayout,
                       groups: tuple[tuple[int, ...], ...]) -> tuple:
     """How :func:`_product_terms` contracts a stack of joint
@@ -207,41 +198,113 @@ def _contraction_plan(layout: CompositeLayout,
             tuple(steps))
 
 
-def _product_terms(F: BregmanGenerator, layout: CompositeLayout,
-                   marginal, groups: Sequence[tuple[int, ...]]):
+@lru_cache
+def _grouping_plan(layout: CompositeLayout, groupings: tuple) -> tuple:
+    """What :func:`_grouping_divergences` derives from the layout and the
+    groupings alone, once per pair: the algebras of the groupings'
+    joints, the proper marginals the groupings read, each with its
+    joint and groups in the order of first use, grouped by their simple
+    algebra, and the :func:`_contraction_plan` of each grouping.
+
+    Partial traces are not defined on the real-into-larger layout, so
+    no plan is made for it.
+    """
+    st._require_partial_traces(layout)
+    everything = tuple(range(len(layout.factors)))
+    joints = tuple(dict.fromkeys(
+        layout._marginal_of(_joined(groups))[0] for groups in groupings))
+    by_algebra = {}
+    for indices in dict.fromkeys(
+            indices for groups in groupings
+            for indices in (_joined(groups), *groups)):
+        if indices != everything:
+            summand = layout._marginal_of(indices)[0].summands[0]
+            by_algebra.setdefault(summand, []).append(indices)
+    return (joints, tuple((s, tuple(m)) for s, m in by_algebra.items()),
+            tuple(_contraction_plan(layout, groups) for groups in groupings))
+
+
+def _product_terms(marginals: dict, groups: tuple[tuple[int, ...], ...],
+                   plan: tuple):
     """The terms of the divergences of a stack of joint marginals on the
     factor index ``groups`` from the products of their group marginals,
     as :func:`~statecone.bregman._divergence` reads them: the joints'
     fine eigenvalues, the products' ones and the weight each joint puts
     on each product idempotent, each behind one state axis.
 
-    ``marginal(indices)`` gives the stack's marginals on sorted factor
-    indices as :func:`statecone.states._checked_state_stack` returns
-    them: reps, fine eigenvalues and idempotent stacks behind one state
-    axis.  A product's fine eigenvalues are the outer product of its
-    groups' ones.  The joint's weight on each product idempotent is read
-    group by group: each step is one two-operand ``einsum`` that sums a
+    ``marginals`` maps sorted factor indices to the stack's marginals on
+    them as :func:`statecone.states._checked_state_stack` returns them:
+    reps, fine eigenvalues and idempotent stacks behind one state axis.
+    A product's fine eigenvalues are the outer product of its groups'
+    ones.  The joint's weight on each product idempotent is read group
+    by group: each step is one two-operand ``einsum`` that sums a
     group's factor axes of the joint's reps against the stack of that
     group's idempotent reps and appends the stack axis, so groups may
-    interleave in factor order.  The shapes and labels come from
-    :func:`_contraction_plan`, derived once per layout and grouping.
-    Each state gets the bits it gets in a stack of one.
+    interleave in factor order.  The shapes and labels come from the
+    grouping's :func:`_contraction_plan`.  Each state gets the bits it
+    gets in a stack of one.
     """
-    groups = tuple(groups)
-    joined, joint_shape, labels, steps = _contraction_plan(layout, groups)
-    if F.affine is not None:
-        _require_algebra(F, layout._marginal_of(joined)[0])
-    reps, values, _ = marginal(joined)
+    joined, joint_shape, labels, steps = plan
+    reps, values, _ = marginals[joined]
     n = len(reps)
     p = reps.reshape((n,) + joint_shape)
     mu = np.ones((n, 1))
     for indices, (dims, own, left) in zip(groups, steps):
-        _, group_values, frames = marginal(indices)
+        _, group_values, frames = marginals[indices]
         p = np.einsum(p, labels, frames.reshape(frames.shape[:2] + dims),
                       own, left)
         labels = left
         mu = (mu[:, :, None] * group_values[:, None, :]).reshape(n, -1)
     return values, mu, p.real.reshape(n, -1)
+
+
+def _grouping_divergences(F: BregmanGenerator, layout: CompositeLayout,
+                          joint, groupings: tuple) -> dict:
+    """The divergence of each state of a stack from each product
+    reference of ``groupings``: per grouping of factor index groups, the
+    divergences of the states' marginals on the joined groups from the
+    products of their group marginals, one per state.
+
+    ``joint`` is the stack of checked states on the whole ``layout``, as
+    :func:`statecone.states._checked_state_stack` returns it.  The rest
+    runs on the stack: one partial trace of each proper marginal the
+    groupings read, one check and eigensolve of all the marginals on
+    one algebra, the terms of each grouping's product divergence and
+    one divergence pass over all the terms of one product size.  Every
+    state gets the divergences, bit for bit, that it gets in a stack of
+    one.
+    """
+    joints, by_algebra, plans = _grouping_plan(layout, groupings)
+    if F.affine is not None:
+        for algebra in joints:
+            _require_algebra(F, algebra)
+    n = len(joint[0])
+    marginals = {tuple(range(len(layout.factors))): joint}
+    for summand, group in by_algebra:
+        traced = [st._partial_traces(layout, joint[0], m) for m in group]
+        checked = st._checked_state_stack(summand, np.concatenate(traced))
+        rows = (x.reshape((len(group), n) + x.shape[1:]) for x in checked)
+        marginals.update(zip(group, zip(*rows)))
+    by_size = {}
+    for groups, plan in zip(groupings, plans):
+        terms = _product_terms(marginals, groups, plan)
+        by_size.setdefault(terms[0].shape[1], {})[groups] = terms
+    gaps = {}
+    for same in by_size.values():
+        stacked = _divergence(F, *map(np.concatenate, zip(*same.values())))
+        gaps.update(zip(same, stacked.reshape(len(same), n)))
+    return gaps
+
+
+def _state_divergences(F: BregmanGenerator, state: State,
+                       groupings: tuple) -> dict:
+    """:func:`_grouping_divergences` of one state, as a stack of one
+    read from its element and its cached spectral decomposition."""
+    element = state.element
+    dec = alg.spectral_decompose(element)
+    joint = element.reps()[0][None], dec.values[None], dec.frame[0][None]
+    gaps = _grouping_divergences(F, state.layout, joint, groupings)
+    return {groups: float(gap[0]) for groups, gap in gaps.items()}
 
 
 def check_additivity(
@@ -291,8 +354,7 @@ def mutual_information(
 ) -> float:
     """Divergence of the joint marginal from the product of marginals."""
     groups = _disjoint_indices(pstate, a_labels, b_labels)
-    terms = _product_terms(F, pstate.state.layout, pstate._stack, groups)
-    return float(_divergence(F, *terms)[0])
+    return _state_divergences(F, pstate.state, (groups,))[groups]
 
 
 @dataclass(frozen=True)
@@ -326,10 +388,10 @@ def conditional_mutual_information(
     If any component is infinite the report is marked undefined rather
     than subtracting infinities.
     """
-    a, b, c = _disjoint_indices(pstate, a_labels, b_labels, c_labels)
-    terms = partial(_product_terms, F, pstate.state.layout, pstate._stack)
-    components = tuple(float(_divergence(F, *terms(groups))[0])
-                       for groups in _cmi_groupings(a, b, c))
+    groupings = _cmi_groupings(*_disjoint_indices(pstate, a_labels,
+                                                  b_labels, c_labels))
+    gaps = _state_divergences(F, pstate.state, groupings)
+    components = tuple(gaps[groups] for groups in groupings)
     if not all(map(math.isfinite, components)):
         return CmiReport(math.nan, components, defined=False)
     term0, term1, term2 = components
@@ -350,13 +412,10 @@ _SEPAROID_CMIS = (
     ((0,), (1,), (2,)), ((1,), (0,), (2,)),
     ((0,), (1, 2), (3,)), ((0,), (1,), (3,)), ((0,), (2,), (1, 3)),
 )
-# the 12 distinct groupings among the informations' 15 terms, and the 11
-# proper marginals they read: each grouping's joint and its groups
+# the 12 distinct groupings among the informations' 15 terms; they read
+# 11 proper marginals
 _SEPAROID_GROUPINGS = tuple(dict.fromkeys(
     groups for cmi in _SEPAROID_CMIS for groups in _cmi_groupings(*cmi)))
-_SEPAROID_MARGINALS = tuple(dict.fromkeys(
-    indices for groups in _SEPAROID_GROUPINGS
-    for indices in (_joined(groups), *groups) if len(indices) < 4))
 
 
 def _separoid_trials(F, layout, seed, trials) -> list:
@@ -366,38 +425,16 @@ def _separoid_trials(F, layout, seed, trials) -> list:
     Each trial draws its state from its own stream, in trial order; a
     quarter of the trials use globally pure states, whose marginals
     stress the support handling.  The rest runs on the stack of all
-    trials, grouped by shape: one check of the states, one partial trace
-    of each of the 11 marginals, one check and eigensolve of all the
-    marginals on one algebra, the terms of the 12 distinct product
-    divergences and one divergence pass over all the terms of one
-    product size.  Every trial gets the violations, bit for bit, that it
+    trials: one check of the states, then the 12 distinct product
+    divergences of :func:`_grouping_divergences`, which read 11 proper
+    marginals.  Every trial gets the violations, bit for bit, that it
     gets alone.
     """
     s = layout.ambient.summands[0]
     reps = [st._build_summand(s, st._draw_summand(
         s, 1 if t % 4 == 3 else None, _trial_rng(seed, t))) for t in trials]
-    n = len(reps)
     joint = st._checked_state_stack(s, np.array(reps))
-    marginals = {(0, 1, 2, 3): joint}
-    # the marginals on one algebra are checked as one stack, and the
-    # terms of the products of one size take one divergence pass
-    by_algebra = {}
-    for indices in _SEPAROID_MARGINALS:
-        by_algebra.setdefault(layout._marginal_of(indices)[0].summands[0],
-                              []).append(indices)
-    for summand, group in by_algebra.items():
-        traced = [st._partial_traces(layout, joint[0], m) for m in group]
-        checked = st._checked_state_stack(summand, np.concatenate(traced))
-        rows = (x.reshape((len(group), n) + x.shape[1:]) for x in checked)
-        marginals.update(zip(group, zip(*rows)))
-    by_size = {}
-    for groups in _SEPAROID_GROUPINGS:
-        terms = _product_terms(F, layout, marginals.__getitem__, groups)
-        by_size.setdefault(terms[0].shape[1], {})[groups] = terms
-    gaps = {}
-    for same in by_size.values():
-        stacked = _divergence(F, *map(np.concatenate, zip(*same.values())))
-        gaps.update(zip(same, stacked.reshape(len(same), n)))
+    gaps = _grouping_divergences(F, layout, joint, _SEPAROID_GROUPINGS)
     # an undefined information, one with an infinite term, is NaN here
     # and makes every check it enters infinite
     values = []

@@ -518,16 +518,20 @@ def marginal(sigma: State, keep: Sequence[int]) -> State:
     layout = sigma.layout
     if layout is None:
         raise ValueError("state carries no composite layout")
-    if layout.embedding == REAL_INTO_LARGER:
-        raise UnsupportedAlgebraError(
-            "partial traces are not defined for the real-into-larger layout"
-        )
+    _require_partial_traces(layout)
     keep = sorted(set(int(k) for k in keep))
     if not keep or any(k < 0 or k >= len(layout.factors) for k in keep):
         raise ValueError(f"invalid keep set {keep}")
     algebra, kept = layout._marginal_of(keep)
     flat = _partial_traces(layout, sigma.element.reps()[0], keep)
     return State.make(element_from_reps(algebra, [flat]), kept)
+
+
+def _require_partial_traces(layout: CompositeLayout) -> None:
+    if layout.embedding == REAL_INTO_LARGER:
+        raise UnsupportedAlgebraError(
+            "partial traces are not defined for the real-into-larger layout"
+        )
 
 
 def _partial_traces(layout: CompositeLayout, reps: np.ndarray,

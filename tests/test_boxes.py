@@ -92,25 +92,7 @@ class TestQuantumBoxes:
             assert box.no_signaling_residual() < 1e-10
 
     def test_product_states_stay_classical(self):
-        qubit = alg.complex_hermitian(2)
-        layout = st.composite_layout(st.COMPLEX_TENSOR, (2, 2))
-
-        def pure(theta):
-            v = np.array([math.cos(theta / 2.0), math.sin(theta / 2.0)],
-                         dtype=complex)
-            return st.State.make(
-                alg.element_from_reps(qubit, [np.outer(v, v.conj())])
-            )
-
-        rng = np.random.default_rng(1)
-        for _ in range(10):
-            alpha, beta = rng.uniform(0, 2 * math.pi, 2)
-            state = st.tensor(pure(alpha), pure(beta), layout)
-            strategy = bx.QuantumStrategy(
-                state,
-                tuple(rng.uniform(0, 2 * math.pi, 2)),
-                tuple(rng.uniform(0, 2 * math.pi, 2)),
-            )
+        for strategy in _product_strategies(1, 10):
             assert bx.chsh_value(bx.box_from_quantum(strategy)) <= 2.0 + 1e-9
 
     def test_correlation_tensor_matches_box(self):
@@ -124,6 +106,99 @@ class TestQuantumBoxes:
                     bx.bell_state(), tuple(angles[:2]), tuple(angles[2:])))),
                 abs=1e-10
             )
+
+
+def _reference_projectors(theta):
+    direction = np.array(
+        [[math.cos(theta), math.sin(theta)],
+         [math.sin(theta), -math.cos(theta)]],
+        dtype=complex,
+    )
+    eye = np.eye(2, dtype=complex)
+    return 0.5 * (eye + direction), 0.5 * (eye - direction)
+
+
+def _reference_table(strategy):
+    """The outcome table built one entry at a time: one Kronecker
+    product, one element and one inner product per entry."""
+    layout = strategy.state.layout
+    t = np.zeros((2, 2, 2, 2))
+    for x, theta in enumerate(strategy.alice_angles):
+        pa = _reference_projectors(theta)
+        for y, phi in enumerate(strategy.bob_angles):
+            pb = _reference_projectors(phi)
+            for a in range(2):
+                for b in range(2):
+                    effect = alg.element_from_reps(
+                        layout.ambient, [np.kron(pa[a], pb[b])]
+                    )
+                    t[x, y, a, b] = alg.inner_product(
+                        effect, strategy.state.element
+                    )
+    return np.clip(t, 0.0, None)
+
+
+def _reference_tensor(state):
+    rep = state.element.reps()[0]
+    paulis = (np.diag([1.0, -1.0]).astype(complex),
+              np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
+    t = np.empty((2, 2))
+    for i, si in enumerate(paulis):
+        for j, sj in enumerate(paulis):
+            t[i, j] = float(np.trace(np.kron(si, sj) @ rep).real)
+    return t
+
+
+def _product_strategies(seed, count):
+    """Strategies on product states of two pure qubits, as in
+    ``test_product_states_stay_classical``."""
+    qubit = alg.complex_hermitian(2)
+    layout = st.composite_layout(st.COMPLEX_TENSOR, (2, 2))
+
+    def pure(theta):
+        v = np.array([math.cos(theta / 2.0), math.sin(theta / 2.0)],
+                     dtype=complex)
+        return st.State.make(
+            alg.element_from_reps(qubit, [np.outer(v, v.conj())])
+        )
+
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        alpha, beta = rng.uniform(0, 2 * math.pi, 2)
+        yield bx.QuantumStrategy(
+            st.tensor(pure(alpha), pure(beta), layout),
+            tuple(rng.uniform(0, 2 * math.pi, 2)),
+            tuple(rng.uniform(0, 2 * math.pi, 2)),
+        )
+
+
+class TestStackedTable:
+    """The table and the correlation tensor are each built in a few
+    stacked calls, with the bits of the per-entry loop."""
+
+    def test_optimizer_strategies(self):
+        for seed in range(100):
+            _, strategy = bx.maximize_quantum_chsh(seed=seed, restarts=2)
+            got = bx.box_from_quantum(strategy).table
+            assert got.tobytes() == _reference_table(strategy).tobytes()
+
+    def test_product_strategies(self):
+        for strategy in _product_strategies(1, 20):
+            got = bx.box_from_quantum(strategy).table
+            assert got.tobytes() == _reference_table(strategy).tobytes()
+            got = bx._correlation_tensor(strategy.state)
+            assert got.tobytes() == _reference_tensor(strategy.state).tobytes()
+
+    def test_bell_state_tensor(self):
+        state = bx.bell_state()
+        got = bx._correlation_tensor(state)
+        assert got.tobytes() == _reference_tensor(state).tobytes()
+
+    def test_state_must_be_two_qubits(self):
+        qubit = st.random_state(alg.complex_hermitian(2), seed=3)
+        strategy = bx.QuantumStrategy(qubit, (0.0, 1.0), (0.5, 2.0))
+        with pytest.raises(alg.AlgebraMismatchError):
+            bx.box_from_quantum(strategy)
 
 
 class TestOptimizer:

@@ -2,6 +2,7 @@ import copy
 import math
 import pickle
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from statecone import algebras as ja
 from statecone import bregman as br
 from statecone import multipartite as mp
+from statecone import serialize as sz
 from statecone import states as st
 from test_states import diag_state
 
@@ -430,12 +432,13 @@ class TestProductReader:
             for seed in (48, 49)
         ]
         assert states[0].state.layout is not states[1].state.layout
-        mp._contraction_plan.cache_clear()
+        mp._grouping_plan.cache_clear()
         for p in states:
             mp.conditional_mutual_information(NE, p, ["A"], ["B", "C"], ["D"])
-        # one entry per grouping of the three terms, shared by both states
-        info = mp._contraction_plan.cache_info()
-        assert (info.currsize, info.misses, info.hits) == (3, 3, 3)
+        # one entry for the groupings of the three terms, shared by both
+        # states
+        info = mp._grouping_plan.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
 
         def leaves(x):
             if isinstance(x, tuple):
@@ -496,9 +499,9 @@ class TestSeparoid:
         groups = []
         product_terms = mp._product_terms
 
-        def recording(F, layout, marginal, g):
-            groups.append(tuple(g))
-            return product_terms(F, layout, marginal, g)
+        def recording(marginals, g, plan):
+            groups.append(g)
+            return product_terms(marginals, g, plan)
 
         monkeypatch.setattr(mp, "_product_terms", recording)
         mp.check_separoid(NE, st.COMPLEX_TENSOR, (2, 2, 2, 2), n_trials=4,
@@ -678,6 +681,89 @@ class TestSharedCaches:
         # one stacked partial trace of all four trials per marginal
         assert len(traces) == len(set(traces)) == 11, traces
         assert all(n == 4 for n, _ in traces)
+
+
+GOLDEN_STATES = Path(__file__).parent / "golden" / "states"
+
+
+def golden_partitioned(name):
+    state = sz.state_from_json(sz.load_json(GOLDEN_STATES / name))
+    return mp.PartitionedState(
+        state, tuple("ABCD"[:len(state.layout.factors)]))
+
+
+def reference_divergence(F, pstate, groups):
+    """The divergence of the marginal on the label ``groups`` from the
+    product of their marginals, each marginal built on its own by
+    ``st.marginal`` and each divergence run alone."""
+    layout = pstate.state.layout
+    indices = tuple(pstate.indices(g) for g in groups)
+    marginals = {}
+    for m in (mp._joined(indices), *indices):
+        state = pstate.state if len(m) == len(pstate.labels) \
+            else st.marginal(pstate.state, m)
+        dec = ja.spectral_decompose(state.element)
+        marginals[m] = (state.element.reps()[0][None], dec.values[None],
+                        dec.frame[0][None])
+    terms = mp._product_terms(marginals, indices,
+                              mp._contraction_plan(layout, indices))
+    return float(br._divergence(F, *terms)[0])
+
+
+class TestSingleStateInformation:
+    """A single state's informations run on a stack of one, with the
+    separoid suite's helper, and give the bits of marginals built one at
+    a time."""
+
+    @pytest.mark.parametrize("F", [NE, br.trace_power(2), br.trace_power(3)],
+                             ids=["neg-entropy", "trace-power-2",
+                                  "trace-power-3"])
+    @pytest.mark.parametrize("name", ["C2x2x2-full.json", "C2x2x2-pure.json",
+                                      "P2x3x2-full.json", "P2x3x2-pure.json"])
+    def test_equal_marginals_built_one_at_a_time(self, F, name):
+        p = golden_partitioned(name)
+        for a, b in ((["A"], ["B", "C"]), (["B"], ["A"]), (["C"], ["A"])):
+            assert mp.mutual_information(F, p, a, b) == \
+                reference_divergence(F, p, [a, b])
+        for a, b, c in ((["A"], ["B"], ["C"]), (["B"], ["C"], ["A"]),
+                        (["C"], ["A"], ["B"]), (["A"], ["C"], ["B"])):
+            report = mp.conditional_mutual_information(F, p, a, b, c)
+            want = tuple(reference_divergence(F, p, groups)
+                         for groups in ([a, b, c], [a, c], [b, c]))
+            assert report.components == want
+            if report.defined:
+                assert report.value == want[0] - want[1] - want[2]
+
+    @pytest.mark.parametrize("rank_cap", [1, 2])
+    def test_equal_on_low_rank_states(self, rank_cap):
+        # their rank-deficient marginals have eigenvalue jitter below
+        # zero, which both routes clip and rebuild
+        for seed in range(20):
+            p = mp.random_partitioned_state(
+                st.COMPLEX_TENSOR, (2, 2, 2), ("A", "B", "C"),
+                seed=np.random.default_rng([50, seed]), rank_cap=rank_cap,
+            )
+            for a, b, c in ((["A"], ["B"], ["C"]), (["A"], ["C"], ["B"])):
+                report = mp.conditional_mutual_information(NE, p, a, b, c)
+                assert report.components == tuple(
+                    reference_divergence(NE, p, groups)
+                    for groups in ([a, b, c], [a, c], [b, c]))
+
+    def test_cmi_makes_one_eigensolve_per_marginal_algebra(
+            self, monkeypatch):
+        p = golden_partitioned("C2x2x2-full.json")
+        eighs = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(a, *args, **kwargs):
+            eighs.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        mp.conditional_mutual_information(NE, p, ["A"], ["B"], ["C"])
+        # the loaded state keeps its spectrum; the marginals on A, B and
+        # C, then those on AC and BC
+        assert eighs == [(3, 2, 2), (2, 4, 4)]
 
 
 def qubit_entropy(rho, keep):
@@ -923,6 +1009,9 @@ class TestPickling:
         report = mp.conditional_mutual_information(
             NE, pstate, ["A"], ["B"], ["C"]
         )
+        # cached marginals travel with the state
+        pstate.marginal(["A"])
+        pstate.marginal(["B", "C"])
         assert len(pstate._marginals) > 1
         back = ROUND_TRIPS[how](pstate)
         assert back.labels == pstate.labels
