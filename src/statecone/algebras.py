@@ -834,6 +834,26 @@ def _spectral_projections(kind, rep, size):
     gets the bits it would get alone: on real, complex and classical
     factors one stacked eigensolve decomposes them all, on spin and
     quaternionic ones each rep goes through the single-rep code."""
+    values, frame = _spectral_frames(kind, rep, size)
+    return values, _frame_idempotents(kind, frame)
+
+
+def _frame_idempotents(kind, frame):
+    """The idempotent stacks of frames as :func:`_spectral_frames` returns
+    them: projected from the eigenvectors on real and complex factors,
+    as they are on the other kinds.  Each frame of the stack gets the
+    bits it would get alone, so a caller projects only the rows it
+    reads."""
+    if kind in ("real", "complex"):
+        return _frame_projections(kind, frame)
+    return frame
+
+
+def _spectral_frames(kind, rep, size):
+    """:func:`_spectral_projections` up to the idempotents of real and
+    complex factors: there the frame is the eigensolver's eigenvectors,
+    one column per fine eigenvalue, which :func:`_frame_idempotents`
+    projects; the other kinds return their idempotent stacks."""
     if kind == "classical":
         eye = np.eye(size)
         if rep.ndim > 1:
@@ -859,16 +879,15 @@ def _spectral_projections(kind, rep, size):
         w, vecs = np.linalg.eigh(rep)
         picked, frame = _kramers_frame(vecs)
         return w[picked], _frame_projections(kind, _kramers_pairs(frame))
-    w, vecs = np.linalg.eigh(rep)
-    return w, _frame_projections(kind, vecs)
+    return np.linalg.eigh(rep)
 
 
 def _each_rep(kind, reps, size):
-    """:func:`_spectral_projections` of each rep of the stack ``reps``
-    alone, stacked again."""
+    """:func:`_spectral_frames` of each rep of the stack ``reps`` alone,
+    stacked again."""
     nd = _REP_NDIM[kind]
     lead = reps.shape[:-nd]
-    parts = [_spectral_projections(kind, rep, size)
+    parts = [_spectral_frames(kind, rep, size)
              for rep in reps.reshape((-1,) + reps.shape[-nd:])]
     values, frames = (np.stack(x) for x in zip(*parts))
     return (values.reshape(lead + values.shape[1:]),

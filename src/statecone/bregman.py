@@ -493,8 +493,11 @@ def _require_algebra(F: BregmanGenerator, algebra: Algebra) -> None:
 
 def _stacked_divergences(F, kind, reps, values, frames):
     """The divergences of a stack of pairs (axis 1: rho, sigma) from
-    their reps and decompositions, over the leading axes."""
-    p = alg._pairings(kind, frames[:, 1], reps[:, 0])
+    their reps, fine eigenvalues and frames as
+    :func:`~statecone.algebras._spectral_frames` returns them, over the
+    leading axes.  Only the sigma side's idempotents are built."""
+    idempotents = alg._frame_idempotents(kind, frames[:, 1])
+    p = alg._pairings(kind, idempotents, reps[:, 0])
     return _divergence(F, values[:, 0], values[:, 1], p)
 
 
@@ -525,7 +528,10 @@ def _monotonicity_trials(F, algebra, catalog, seed, trials) -> list:
     conversion of the sampled diagonals, one check of the pairs, one
     push of the random-channel trials, one of the catalog trials through
     their maps and one through their recovery maps, one eigensolve of
-    all the images and the divergences over the trial axis.  A recovery
+    all the images and the divergences over the trial axis.  On real
+    and complex algebras the eigensolves keep their eigenvectors, and
+    idempotents are built only for the sigma side of each pair, the one
+    a divergence pairs, and for clipped states.  A recovery
     map is itself a channel; applying it to the images turns any drop of
     the divergence into a rise, so sufficiency failures surface here as
     monotonicity failures too, named ``<entry>-recovery`` where the rise
@@ -572,7 +578,7 @@ def _monotonicity_trials(F, algebra, catalog, seed, trials) -> list:
     recovered = [i for _, group in recoverable for i in group]
     backs, _ = st._push_rows(s, recoverable, images, coeffs)
     images = np.concatenate([images, backs[recovered]])
-    spectra = alg._spectral_projections(s.kind, images, s.size)
+    spectra = alg._spectral_frames(s.kind, images, s.size)
     before = _stacked_divergences(F, s.kind, reps, values, frames)
     gaps = _stacked_divergences(F, s.kind, images, *spectra)
     after = gaps[:len(picks)]
@@ -616,8 +622,9 @@ def _monotonicity_results(F, algebra, seed, trials):
     """Yield the result of each of ``trials``, in order, each chunk as one
     stack."""
     catalog = _monotonicity_catalog(algebra, seed)
-    # a trial's pair, its images and their recoveries each hold a stack
-    # of idempotents
+    # a trial's pair, its images and their recoveries each count a stack
+    # of idempotents, though real and complex trials build only the sigma
+    # sides'
     yield from _in_chunks(
         partial(_monotonicity_trials, F, algebra, catalog, seed), trials,
         6 * _frame_bytes(algebra.summands[0]))

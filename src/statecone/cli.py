@@ -378,6 +378,20 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(f"{self.prog}: {message}")
 
 
+def _seed(text: str) -> int:
+    """A ``--seed`` value: numpy seeds streams with non-negative
+    integers only."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative integer, got {seed}")
+    return seed
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The parser, built once per process.  Every default is immutable
@@ -393,7 +407,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--pretty", action="store_true",
                        help="indent the JSON report")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_seed, default=0)
 
     p = sub.add_parser("entropy", help="entropy report for a state file")
     common(p)

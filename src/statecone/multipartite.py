@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
+from itertools import zip_longest
 from typing import Sequence
 
 import numpy as np
@@ -202,9 +203,12 @@ def _contraction_plan(layout: CompositeLayout,
 def _grouping_plan(layout: CompositeLayout, groupings: tuple) -> tuple:
     """What :func:`_grouping_divergences` derives from the layout and the
     groupings alone, once per pair: the algebras of the groupings'
-    joints, the proper marginals the groupings read, each with its
-    joint and groups in the order of first use, grouped by their simple
-    algebra, and the :func:`_contraction_plan` of each grouping.
+    joints, the proper marginals the groupings read, grouped by their
+    simple algebra, and the :func:`_contraction_plan` of each grouping.
+    On each algebra the marginals that some grouping reads as a group,
+    whose idempotents the product terms pair, come first and are
+    counted; the rest are read only as joints.  Each part keeps the
+    order of first use.
 
     Partial traces are not defined on the real-into-larger layout, so
     no plan is made for it.
@@ -213,6 +217,7 @@ def _grouping_plan(layout: CompositeLayout, groupings: tuple) -> tuple:
     everything = tuple(range(len(layout.factors)))
     joints = tuple(dict.fromkeys(
         layout._marginal_of(_joined(groups))[0] for groups in groupings))
+    grouped = {indices for groups in groupings for indices in groups}
     by_algebra = {}
     for indices in dict.fromkeys(
             indices for groups in groupings
@@ -220,7 +225,10 @@ def _grouping_plan(layout: CompositeLayout, groupings: tuple) -> tuple:
         if indices != everything:
             summand = layout._marginal_of(indices)[0].summands[0]
             by_algebra.setdefault(summand, []).append(indices)
-    return (joints, tuple((s, tuple(m)) for s, m in by_algebra.items()),
+    return (joints,
+            tuple((s, tuple(sorted(m, key=lambda x: x not in grouped)),
+                   sum(x in grouped for x in m))
+                  for s, m in by_algebra.items()),
             tuple(_contraction_plan(layout, groups) for groups in groupings))
 
 
@@ -233,8 +241,8 @@ def _product_terms(marginals: dict, groups: tuple[tuple[int, ...], ...],
     on each product idempotent, each behind one state axis.
 
     ``marginals`` maps sorted factor indices to the stack's marginals on
-    them as :func:`statecone.states._checked_state_stack` returns them:
-    reps, fine eigenvalues and idempotent stacks behind one state axis.
+    them: reps, fine eigenvalues and idempotent stacks behind one state
+    axis.  Only the groups' idempotents are read.
     A product's fine eigenvalues are the outer product of its groups'
     ones.  The joint's weight on each product idempotent is read group
     by group: each step is one two-operand ``einsum`` that sums a
@@ -265,14 +273,18 @@ def _grouping_divergences(F: BregmanGenerator, layout: CompositeLayout,
     divergences of the states' marginals on the joined groups from the
     products of their group marginals, one per state.
 
-    ``joint`` is the stack of checked states on the whole ``layout``, as
-    :func:`statecone.states._checked_state_stack` returns it.  The rest
-    runs on the stack: one partial trace of each proper marginal the
-    groupings read, one check and eigensolve of all the marginals on
-    one algebra, the terms of each grouping's product divergence and
-    one divergence pass over all the terms of one product size.  Every
-    state gets the divergences, bit for bit, that it gets in a stack of
-    one.
+    ``joint`` is the stack of checked states on the whole ``layout``:
+    reps and fine eigenvalues as
+    :func:`statecone.states._checked_state_stack` returns them, and
+    idempotent stacks, read only where a grouping reads the whole
+    layout as a group, which needs an empty group (``None`` where no
+    grouping does).  The rest runs on the stack: one partial trace of
+    each proper marginal the groupings read, one check and eigensolve
+    of all the marginals on one algebra, idempotents built only for the
+    marginals some grouping reads as a group, the terms of each
+    grouping's product divergence and one divergence pass over all the
+    terms of one product size.  Every state gets the divergences, bit
+    for bit, that it gets in a stack of one.
     """
     joints, by_algebra, plans = _grouping_plan(layout, groupings)
     if F.affine is not None:
@@ -280,11 +292,15 @@ def _grouping_divergences(F: BregmanGenerator, layout: CompositeLayout,
             _require_algebra(F, algebra)
     n = len(joint[0])
     marginals = {tuple(range(len(layout.factors))): joint}
-    for summand, group in by_algebra:
+    for summand, group, read in by_algebra:
         traced = [st._partial_traces(layout, joint[0], m) for m in group]
         checked = st._checked_state_stack(summand, np.concatenate(traced))
-        rows = (x.reshape((len(group), n) + x.shape[1:]) for x in checked)
-        marginals.update(zip(group, zip(*rows)))
+        reps, values, frames = (x.reshape((len(group), n) + x.shape[1:])
+                                for x in checked)
+        # the groups come first; a marginal read only as a joint gets none
+        idempotents = (alg._frame_idempotents(summand.kind, frames[:read])
+                       if read else ())
+        marginals.update(zip(group, zip_longest(reps, values, idempotents)))
     by_size = {}
     for groups, plan in zip(groupings, plans):
         terms = _product_terms(marginals, groups, plan)
@@ -427,13 +443,16 @@ def _separoid_trials(F, layout, seed, trials) -> list:
     stress the support handling.  The rest runs on the stack of all
     trials: one check of the states, then the 12 distinct product
     divergences of :func:`_grouping_divergences`, which read 11 proper
-    marginals.  Every trial gets the violations, bit for bit, that it
-    gets alone.
+    marginals and pair the idempotents of 6 of them.  No grouping pairs
+    the joints' idempotents, so only clipped joints build them.  Every
+    trial gets the violations, bit for bit, that it gets alone.
     """
     s = layout.ambient.summands[0]
     reps = [st._build_summand(s, st._draw_summand(
         s, 1 if t % 4 == 3 else None, _trial_rng(seed, t))) for t in trials]
-    joint = st._checked_state_stack(s, np.array(reps))
+    # no separoid grouping reads the whole layout as a group, so the
+    # joints' frames are never projected
+    joint = st._checked_state_stack(s, np.array(reps))[:2] + (None,)
     gaps = _grouping_divergences(F, layout, joint, _SEPAROID_GROUPINGS)
     # an undefined information, one with an infinite term, is NaN here
     # and makes every check it enters infinite
@@ -458,7 +477,10 @@ def _separoid_trials(F, layout, seed, trials) -> list:
 
 def _separoid_results(F, layout, seed, trials):
     """Yield the results of ``trials``, in order, each chunk as one
-    stack, its size bounded by the idempotent stacks of the joints."""
+    stack, its size bounded by the idempotent stacks of the joints.
+    On real and complex layouts only clipped joints build theirs, and a
+    chunk holds the other joints' eigenvectors; the budget still counts
+    every joint's stack."""
     yield from _in_chunks(partial(_separoid_trials, F, layout, seed), trials,
                           _frame_bytes(layout.ambient.summands[0]))
 

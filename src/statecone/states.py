@@ -256,19 +256,22 @@ def _checked_state_stack(s: SimpleFactor, reps: np.ndarray):
     as :meth:`State.make` checks ``element_from_reps`` of each: their
     symmetric parts, which must be finite, with the spectra of one
     stacked decomposition checked by :func:`_check_spectra`.  Returns the
-    reps, their fine eigenvalues and their idempotent stacks, with
+    reps, their fine eigenvalues and their frames as
+    :func:`~statecone.algebras._spectral_frames` returns them, with
     eigenvalue jitter clipped and the clipped reps rebuilt from their
     spectra, as the states' elements and decompositions would hold
-    them."""
+    them.  :func:`~statecone.algebras._frame_idempotents` of a frame
+    gives the idempotent stack the state's decomposition holds; only the
+    clipped rows are projected here."""
     reps = alg._SYMMETRIC_PART[s.kind](reps)
     if not np.isfinite(reps).all():
         raise StateValidationError("state coefficients must be finite")
-    values, frames = alg._spectral_projections(s.kind, reps, s.size)
+    values, frames = alg._spectral_frames(s.kind, reps, s.size)
     clipped = _check_spectra(values)
     if clipped.any():
         values = np.maximum(values, 0.0)
         nd = alg._REP_NDIM[s.kind]
-        picked = frames[clipped]
+        picked = alg._frame_idempotents(s.kind, frames[clipped])
         flat = picked.reshape(picked.shape[:-nd] + (-1,))
         rebuilt = (values[clipped][..., None, :] @ flat)[..., 0, :]
         reps[clipped] = rebuilt.reshape(reps[clipped].shape)

@@ -860,6 +860,20 @@ class TestBatchedLayer:
             assert np.array_equal(frames[index], projs)
 
     @pytest.mark.parametrize("kind,n", ALL_FACTORS)
+    def test_frames_project_row_by_row(self, kind, n):
+        # any rows of a stack of frames project to those rows of the
+        # stack's idempotents, so a caller projects only what it reads
+        rng = np.random.default_rng([25, ja._KINDS.index(kind), n])
+        reps = ja._SYMMETRIC_PART[kind](random_reps(kind, n, 6, rng))
+        values, frames = ja._spectral_frames(kind, reps, n)
+        whole = ja._frame_idempotents(kind, frames)
+        assert np.array_equal(
+            whole, ja._spectral_projections(kind, reps, n)[1])
+        for rows in ([0], [1, 4], [5, 2, 3]):
+            assert np.array_equal(ja._frame_idempotents(kind, frames[rows]),
+                                  whole[rows])
+
+    @pytest.mark.parametrize("kind,n", ALL_FACTORS)
     def test_stacked_pairings_equal_single_ones(self, kind, n):
         rng = np.random.default_rng([24, ja._KINDS.index(kind), n])
         stacks = random_reps(kind, n, 12, rng).reshape(

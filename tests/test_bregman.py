@@ -574,6 +574,36 @@ class TestMonotonicity:
         assert (24, 2, 3, 3) in calls
         assert (29, 2, 3, 3) in calls
 
+    def test_mono_chunk_projects_only_the_sigma_sides(self, monkeypatch):
+        # both eigensolves of a 24-trial chunk keep their eigenvectors; a
+        # divergence pairs only its sigma's idempotents, so each projects
+        # half of its states, and no state of this chunk is clipped
+        decomposed, projected, clipped = [], [], []
+        frames = ja._spectral_frames
+        projections = ja._frame_projections
+        check = st._check_spectra
+
+        def decomposing(kind, rep, size):
+            decomposed.append(rep.shape[:-2])
+            return frames(kind, rep, size)
+
+        def projecting(kind, q):
+            projected.append(q.shape)
+            return projections(kind, q)
+
+        def checking(values):
+            out = check(values)
+            clipped.append(int(out.sum()))
+            return out
+
+        monkeypatch.setattr(ja, "_spectral_frames", decomposing)
+        monkeypatch.setattr(ja, "_frame_projections", projecting)
+        monkeypatch.setattr(st, "_check_spectra", checking)
+        br.check_monotonicity(NE, C3, n_trials=24, seed=0)
+        assert clipped == [0]
+        assert decomposed == [(24, 2), (29, 2)]
+        assert projected == [(24, 3, 3), (29, 3, 3)]
+
     def test_shuffled_mixed_trials_equal_their_replays(self):
         # random-channel, catalog and recovery-named trials out of order
         # in one stack each get the violation they get alone

@@ -360,6 +360,8 @@ class TestBadInput:
         (("entropy",), "required: --state"),
         (("suite", "--property", "mono", "--trials", "abc"),
          "invalid int value: 'abc'"),
+        (("chsh", "--box", "pr", "--seed", "abc"),
+         "argument --seed: invalid int value: 'abc'"),
         (("nosuch",), "invalid choice: 'nosuch'"),
         ((), "required: subcommand"),
         (("chsh", "--box", "pr", "--extra"), "unrecognized arguments"),
@@ -367,7 +369,7 @@ class TestBadInput:
          "unrecognized arguments: --json"),
         (("mi", "--a", "A,A", "--b", "B"),
          "label 'A' is repeated in the set ['A', 'A']"),
-    ], ids=["unknown-property", "missing-option", "bad-int",
+    ], ids=["unknown-property", "missing-option", "bad-int", "bad-seed",
             "unknown-command", "no-command", "extra-argument",
             "removed-json-flag", "label-repeated-in-a-set"])
     def test_argument_errors_are_json(self, capsys, state_files, argv,
@@ -377,6 +379,18 @@ class TestBadInput:
         code, error = run_cli_error(capsys, *argv)
         assert code == 2
         assert named in error["error"]
+
+    @pytest.mark.parametrize("command", [
+        "entropy", "divergence", "mi", "cmi", "suite", "explore", "chsh",
+        "audit-example1"])
+    def test_negative_seed_is_named(self, capsys, command):
+        # numpy rejects a negative seed without naming the option, and
+        # some commands read no seed at all; the parser names it for all,
+        # before it looks for missing options
+        code, error = run_cli_error(capsys, command, "--seed", "-1")
+        assert code == 2
+        assert error["error"] == (f"statecone {command}: argument --seed: "
+                                  "must be a non-negative integer, got -1")
 
     def test_pretty_indents(self, capsys):
         assert main(["chsh", "--box", "pr"]) == 0

@@ -2,6 +2,7 @@ import copy
 import math
 import pickle
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -508,6 +509,35 @@ class TestSeparoid:
                           seed=27)
         assert len(groups) == len(set(groups)) == 12
 
+    def test_a_chunk_projects_only_the_frames_a_grouping_pairs(
+            self, monkeypatch):
+        # the single qubits and the marginals (1, 2) and (1, 3) are groups;
+        # the joints, the three-qubit marginals, (0, 2) and (0, 3) are
+        # read only as joints, so only their clipped rows, rebuilt from
+        # their spectra, are projected
+        projected, clipped = Counter(), Counter()
+        projections = ja._frame_projections
+        check = st._check_spectra
+
+        def projecting(kind, q):
+            projected[q.shape[-1]] += math.prod(q.shape[:-2])
+            return projections(kind, q)
+
+        def checking(values):
+            out = check(values)
+            clipped[values.shape[-1]] += int(out.sum())
+            return out
+
+        monkeypatch.setattr(ja, "_frame_projections", projecting)
+        monkeypatch.setattr(st, "_check_spectra", checking)
+        mp.check_separoid(NE, st.COMPLEX_TENSOR, (2, 2, 2, 2), n_trials=4,
+                          seed=27)
+        # the pure fourth trial's joint is clipped
+        assert clipped[16] == 1
+        assert projected == Counter({16: clipped[16], 8: clipped[8],
+                                     4: 2 * 4 + clipped[4],
+                                     2: 4 * 4 + clipped[2]})
+
     @pytest.mark.parametrize("embedding,sizes,eighs,passes", [
         # the joints, then the marginals on C8, C2 and C4; products of
         # sizes 16, 8 and 4
@@ -567,9 +597,10 @@ class TestSeparoid:
         assert any(r["chain"] > mp.SEPAROID_TOLS["chain"] for r in chunk)
 
     def test_four_qutrits_hold_a_bounded_chunk(self):
-        # a trial's joint has 8.5 MB of idempotents, so a chunk of 512
-        # would need gigabytes; chunks bounded by bytes keep the peak of
-        # 32 trials near that of a few
+        # chunks are bounded by the 8.5 MB of a joint's idempotents, which
+        # clipped joints still build, so a chunk of 512 would need
+        # gigabytes; chunks bounded by bytes keep the peak of 32 trials
+        # near that of a few
         tracemalloc.start()
         try:
             verdicts = mp.check_separoid(NE, st.COMPLEX_TENSOR, (3, 3, 3, 3),
@@ -579,6 +610,18 @@ class TestSeparoid:
             tracemalloc.stop()
         assert all(v.passed and v.trials == 32 for v in verdicts.values())
         assert peak < 100e6, peak
+
+    def test_four_qutrits_build_only_the_frames_they_pair(self):
+        # a joint's eigenvectors take 105 kB and its idempotents 8.5 MB;
+        # only the pure trials' clipped joints build the latter
+        tracemalloc.start()
+        try:
+            mp.check_separoid(NE, st.COMPLEX_TENSOR, (3, 3, 3, 3),
+                              n_trials=32, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6, peak
 
     def test_chain_rule_via_marginal_identity_route(self):
         # the two assembly routes for the chain rule must agree

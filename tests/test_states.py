@@ -252,7 +252,10 @@ class TestStateValidation:
             dec = ja.spectral_decompose(state.element)
             assert np.array_equal(checked[index], state.element.reps()[0])
             assert np.array_equal(values[index], dec.values)
-            assert np.array_equal(frames[index], dec.frame[0])
+            # real and complex frames are eigenvectors; their projections
+            # are the decomposition's idempotents
+            assert np.array_equal(
+                ja._frame_idempotents(s.kind, frames[index]), dec.frame[0])
         # classical draws carry no jitter, and these pure spin draws none
         # below zero
         if s.kind not in ("classical", "spin"):
