@@ -241,14 +241,10 @@ def _divergence(F: BregmanGenerator, x, mu: np.ndarray, p: np.ndarray):
     The affine and tilt parts of the generator cancel in the gap.  For
     support-sensitive generators a reference outside the positive cone
     raises, and mass of ``x`` outside the reference's support gives
-    ``inf``.  ``x`` is an element, decomposed only when its gap is
-    finite, or the fine eigenvalues ``lam_x`` of a stack of elements:
-    then ``mu`` and ``p`` carry the same leading axes, the gaps come back
-    as an array, and each gets the bits it would get alone.
+    ``inf``.  ``x`` holds the fine eigenvalues ``lam_x`` over any leading
+    axes, which ``mu`` and ``p`` share; the gaps come back as an array of
+    those axes, and each gets the bits it would get alone.
     """
-    single = isinstance(x, JordanElement)
-    if single and F.affine is not None:
-        F.affine._require_same(x)
     inside = np.True_
     if F.support_sensitive:
         if (mu < -SUPPORT_TOL).any():
@@ -257,16 +253,11 @@ def _divergence(F: BregmanGenerator, x, mu: np.ndarray, p: np.ndarray):
                 value=float(mu.min()),
             )
         inside = ~(abs(alg._dots(mu <= SUPPORT_CUTOFF, p)) > SUPPORT_TOL)
-    if single:
-        if not inside:
-            return math.inf
-        lam = spectral_decompose(x).values
-    else:
-        # an element outside the support is never read, as alone
-        lam = np.where(inside[..., None], x, 0.0)
+    # an element outside the support is never read
+    lam = np.where(inside[..., None], x, 0.0)
     gap = (F.f(lam).sum(axis=-1) - F.f(mu).sum(axis=-1)
            - alg._dots(F.df(mu), p - mu))
-    return float(gap) if single else np.where(inside, gap, math.inf)
+    return np.where(inside, gap, math.inf)
 
 
 def bregman_divergence(
@@ -276,8 +267,10 @@ def bregman_divergence(
     x = rho.element if isinstance(rho, State) else rho
     y = sigma.element if isinstance(sigma, State) else sigma
     x._require_same(y)
+    _require_algebra(F, x.algebra)
     dec = spectral_decompose(y)
-    return _divergence(F, x, dec.values, dec.weights(x))
+    return float(_divergence(F, spectral_decompose(x).values, dec.values,
+                             dec.weights(x)))
 
 
 def information_divergence(
@@ -483,8 +476,8 @@ def _monotonicity_catalog(algebra, seed):
 
 
 def _require_algebra(F: BregmanGenerator, algebra: Algebra) -> None:
-    """Raise unless ``F`` works on ``algebra``, as :func:`_divergence`
-    checks one element; its stack mode checks nothing."""
+    """Raise unless ``F`` works on ``algebra``: an affine part pins it to
+    one."""
     if F.affine is not None and F.affine.algebra != algebra:
         raise alg.AlgebraMismatchError(
             f"operands live in {F.affine.algebra} and {algebra}"

@@ -2,8 +2,10 @@
 
 Every run prints a single JSON report with the command, the effective
 configuration (including seeds and tolerances), the results payload and,
-for suites, a pass flag.  Identical configurations reproduce identical
-reports.  Exit codes: 0 success or suite pass, 1 suite failure, 2 usage
+for suites and the audit, a pass flag.  Identical configurations
+reproduce identical reports.  Each subcommand returns its configuration
+and results (and pass flag); :func:`main` builds and prints the report.
+Exit codes: 0 success, 1 when the report's pass flag is false, 2 usage
 or input errors.
 """
 
@@ -111,7 +113,9 @@ def _maybe_bits(value: float, bits: bool) -> float:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns the arguments of :func:`_report` after the
+# command: its configuration, its results and, for suites and the
+# audit, its pass flag
 # ---------------------------------------------------------------------------
 
 
@@ -120,7 +124,7 @@ def _check_at_least_one(name: str, value: int) -> None:
         raise CliError(f"{name} must be at least 1, got {value}")
 
 
-def _cmd_entropy(args) -> int:
+def _cmd_entropy(args):
     _check_at_least_one("--samples", args.samples)
     state = sz.state_from_json(_load(args.state))
     report = en.fine_grained_entropy_bound(
@@ -131,33 +135,18 @@ def _cmd_entropy(args) -> int:
         for key in ("spectral", "decomposition", "fine_grained_upper",
                     "fine_grained_lower"):
             values[key] = values[key] / LN2
-    _emit(
-        _report(
-            "entropy",
-            {"state": args.state, "samples": args.samples,
-             "seed": args.seed, "bits": args.bits},
-            values,
-        ),
-        args.pretty,
-    )
-    return 0
+    return ({"state": args.state, "samples": args.samples,
+             "seed": args.seed, "bits": args.bits}, values)
 
 
-def _cmd_divergence(args) -> int:
+def _cmd_divergence(args):
     rho = sz.state_from_json(_load(args.rho))
     sigma = sz.state_from_json(_load(args.sigma))
     F = _generator(args.generator)
     value = br.bregman_divergence(F, rho, sigma)
-    _emit(
-        _report(
-            "divergence",
-            {"rho": args.rho, "sigma": args.sigma,
+    return ({"rho": args.rho, "sigma": args.sigma,
              "generator": args.generator, "bits": args.bits},
-            {"divergence": _maybe_bits(value, args.bits)},
-        ),
-        args.pretty,
-    )
-    return 0
+            {"divergence": _maybe_bits(value, args.bits)})
 
 
 def _parse_labels(raw: str) -> list[str]:
@@ -177,25 +166,18 @@ def _partitioned(path: str) -> mp.PartitionedState:
     return mp.PartitionedState(state, labels)
 
 
-def _cmd_mi(args) -> int:
+def _cmd_mi(args):
     pstate = _partitioned(args.state)
     F = _generator(args.generator)
     value = mp.mutual_information(
         F, pstate, _parse_labels(args.a), _parse_labels(args.b)
     )
-    _emit(
-        _report(
-            "mi",
-            {"state": args.state, "a": args.a, "b": args.b,
+    return ({"state": args.state, "a": args.a, "b": args.b,
              "generator": args.generator, "bits": args.bits},
-            {"mutual_information": _maybe_bits(value, args.bits)},
-        ),
-        args.pretty,
-    )
-    return 0
+            {"mutual_information": _maybe_bits(value, args.bits)})
 
 
-def _cmd_cmi(args) -> int:
+def _cmd_cmi(args):
     pstate = _partitioned(args.state)
     F = _generator(args.generator)
     report = mp.conditional_mutual_information(
@@ -206,16 +188,8 @@ def _cmd_cmi(args) -> int:
     if args.bits and report.defined:
         payload["value"] = payload["value"] / LN2
         payload["components"] = [c / LN2 for c in payload["components"]]
-    _emit(
-        _report(
-            "cmi",
-            {"state": args.state, "a": args.a, "b": args.b, "c": args.c,
-             "generator": args.generator, "bits": args.bits},
-            payload,
-        ),
-        args.pretty,
-    )
-    return 0
+    return ({"state": args.state, "a": args.a, "b": args.b, "c": args.c,
+             "generator": args.generator, "bits": args.bits}, payload)
 
 
 # property -> (factors the algebra spec needs, None for a simple
@@ -241,7 +215,7 @@ _SUITES = {
 }
 
 
-def _cmd_suite(args) -> int:
+def _cmd_suite(args):
     _check_at_least_one("--trials", args.trials)
     algebra, layout = sz.parse_algebra_spec(args.algebra)
     F = _generator(args.generator)
@@ -274,41 +248,24 @@ def _cmd_suite(args) -> int:
     verdicts = run(F, algebra, layout, **kwargs)
     if isinstance(verdicts, br.PropertyVerdict):
         verdicts = {verdicts.property: verdicts}
-    passed = all(v.passed for v in verdicts.values())
-    _emit(
-        _report(
-            "suite",
-            {"property": args.property, "generator": args.generator,
+    return ({"property": args.property, "generator": args.generator,
              "algebra": args.algebra, "trials": args.trials,
              "seed": args.seed, "tol": args.tol},
             {key: v.as_dict() for key, v in verdicts.items()},
-            passed=passed,
-        ),
-        args.pretty,
-    )
-    return 0 if passed else 1
+            all(v.passed for v in verdicts.values()))
 
 
-def _cmd_explore(args) -> int:
+def _cmd_explore(args):
     _check_at_least_one("--generators", args.generators)
-    report = br.explore_additivity_conjecture(
-        n_generators=args.generators,
-        n_trials=args.trials,
-        seed=args.seed,
-    )
-    _emit(
-        _report(
-            "explore",
-            {"generators": args.generators, "trials": args.trials,
+    _check_at_least_one("--trials", args.trials)
+    return ({"generators": args.generators, "trials": args.trials,
              "seed": args.seed},
-            report,
-        ),
-        args.pretty,
-    )
-    return 0
+            br.explore_additivity_conjecture(
+                n_generators=args.generators, n_trials=args.trials,
+                seed=args.seed))
 
 
-def _cmd_chsh(args) -> int:
+def _cmd_chsh(args):
     _check_at_least_one("--restarts", args.restarts)
     if args.box in ("pr", "white"):
         box = bx.pr_box() if args.box == "pr" else bx.white_noise_box()
@@ -335,33 +292,17 @@ def _cmd_chsh(args) -> int:
         results["no_signaling_residual"] = box.no_signaling_residual()
         if args.table:
             results["table"] = box.table.tolist()
-    _emit(
-        _report(
-            "chsh",
-            {"box": args.box, "seed": args.seed, "restarts": args.restarts},
-            results,
-        ),
-        args.pretty,
-    )
-    return 0
+    return ({"box": args.box, "seed": args.seed,
+             "restarts": args.restarts}, results)
 
 
-def _cmd_audit_example1(args) -> int:
+def _cmd_audit_example1(args):
     _check_at_least_one("--samples", args.samples)
     audit = st.real_embedding_dimension_audit(
         n_samples=args.samples, seed=args.seed
     )
-    passed = audit == {"ambient_state_dim": 9, "product_slice_dim": 8}
-    _emit(
-        _report(
-            "audit-example1",
-            {"samples": args.samples, "seed": args.seed},
-            audit,
-            passed=passed,
-        ),
-        args.pretty,
-    )
-    return 0 if passed else 1
+    return ({"samples": args.samples, "seed": args.seed}, audit,
+            audit == {"ambient_state_dim": 9, "product_slice_dim": 8})
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +428,9 @@ def main(argv=None) -> int:
             "chsh": _cmd_chsh,
             "audit-example1": _cmd_audit_example1,
         }[args.subcommand]
-        return command(args)
+        report = _report(args.subcommand, *command(args))
+        _emit(report, args.pretty)
+        return 0 if report.get("pass", True) else 1
     except (CliError, ValueError, KeyError) as exc:
         # every library error (format, mismatch, validation, unsupported
         # algebra, overlap) is a ValueError

@@ -36,6 +36,11 @@ def state_files(tmp_path):
     bell = mp.maximally_entangled_state(layout)
     paths["bell"] = tmp_path / "bell.json"
     paths["bell"].write_text(json.dumps(sz.state_to_json(bell)))
+
+    layout = st.composite_layout(st.COMPLEX_TENSOR, (2, 2, 2))
+    qubits = st.random_state(layout.ambient, seed=7, layout=layout)
+    paths["qubits"] = tmp_path / "qubits.json"
+    paths["qubits"].write_text(json.dumps(sz.state_to_json(qubits)))
     return paths
 
 
@@ -224,13 +229,18 @@ class TestOtherCommands:
             2 * np.sqrt(2), abs=1e-6
         )
 
-    def test_audit(self, capsys):
-        code, report = run_cli(capsys, "audit-example1")
-        assert code == 0
-        assert report["results"] == {
-            "ambient_state_dim": 9, "product_slice_dim": 8,
-        }
-        assert report["pass"] is True
+    # one sample is one difference from the base state, so both ranks
+    # read 1 and the audit fails
+    @pytest.mark.parametrize("argv,dims,passed,exit_code", [
+        ((), (9, 8), True, 0),
+        (("--samples", "1"), (1, 1), False, 1),
+    ], ids=["default", "one-sample"])
+    def test_audit(self, capsys, argv, dims, passed, exit_code):
+        code, report = run_cli(capsys, "audit-example1", *argv)
+        assert code == exit_code
+        assert report["results"] == dict(
+            zip(("ambient_state_dim", "product_slice_dim"), dims))
+        assert report["pass"] is passed
 
     def test_explore_smoke(self, capsys):
         code, report = run_cli(
@@ -281,7 +291,7 @@ class TestBadInput:
     @pytest.mark.parametrize("argv,named", [
         (("--generators", "0"), "--generators"),
         (("--generators", "-2", "--trials", "3"), "--generators"),
-        (("--generators", "2", "--trials", "0"), "trial"),
+        (("--generators", "2", "--trials", "0"), "--trials"),
     ])
     def test_explore_needs_generators_and_trials(self, capsys, argv, named):
         code, error = run_cli_error(capsys, "explore", *argv)
@@ -369,9 +379,12 @@ class TestBadInput:
          "unrecognized arguments: --json"),
         (("mi", "--a", "A,A", "--b", "B"),
          "label 'A' is repeated in the set ['A', 'A']"),
+        (("explore", "--generators", "2", "--trials", "-3"),
+         "--trials must be at least 1, got -3"),
     ], ids=["unknown-property", "missing-option", "bad-int", "bad-seed",
             "unknown-command", "no-command", "extra-argument",
-            "removed-json-flag", "label-repeated-in-a-set"])
+            "removed-json-flag", "label-repeated-in-a-set",
+            "explore-negative-trials"])
     def test_argument_errors_are_json(self, capsys, state_files, argv,
                                       named):
         if argv[:1] == ("mi",):
@@ -392,14 +405,30 @@ class TestBadInput:
         assert error["error"] == (f"statecone {command}: argument --seed: "
                                   "must be a non-negative integer, got -1")
 
-    def test_pretty_indents(self, capsys):
-        assert main(["chsh", "--box", "pr"]) == 0
+    @pytest.mark.parametrize("argv", [
+        ("entropy", "--state", "mixed", "--samples", "20", "--bits"),
+        ("divergence", "--rho", "rho", "--sigma", "mixed"),
+        ("mi", "--state", "bell", "--a", "A", "--b", "B"),
+        ("cmi", "--state", "qubits", "--a", "A", "--b", "B", "--c", "C"),
+        ("suite", "--property", "mono", "--generator", "trace-power-2",
+         "--algebra", "C3", "--trials", "24"),
+        ("explore", "--generators", "2", "--trials", "3"),
+        ("chsh", "--box", "pr"),
+        ("audit-example1", "--samples", "1"),
+    ], ids=lambda argv: argv[0])
+    def test_pretty_indents(self, capsys, state_files, argv):
+        # every subcommand's report goes through one path in ``main``:
+        # the same document either way, and exit 1 exactly on pass false
+        argv = [str(state_files.get(a, a)) for a in argv]
+        code = main(argv)
         plain = capsys.readouterr().out
-        assert main(["chsh", "--box", "pr", "--pretty"]) == 0
+        assert main(argv + ["--pretty"]) == code
         pretty = capsys.readouterr().out
         assert "\n" not in plain.rstrip("\n")
         assert pretty.startswith('{\n  "')
-        assert json.loads(pretty) == json.loads(plain)
+        report = json.loads(plain)
+        assert json.loads(pretty) == report
+        assert code == (1 if report.get("pass") is False else 0)
 
     @pytest.mark.parametrize("argv", [("--help",), ("--version",),
                                       ("suite", "--help")])
