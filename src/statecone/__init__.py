@@ -12,11 +12,9 @@ from .algebras import (
     JordanElement,
     SimpleFactor,
     SpectralDecomposition,
-    apply_function,
     classical,
     complex_hermitian,
     direct_sum,
-    embed_quaternion,
     inner_product,
     jordan_product,
     quaternion_hermitian,
@@ -31,10 +29,7 @@ from .states import (
     CompositeLayout,
     Measurement,
     State,
-    are_singular,
     channel_catalog,
-    fine_grain,
-    is_fine_grained,
     marginal,
     measure,
     random_channel,
@@ -49,7 +44,6 @@ from .entropy import (
     spectral_entropy,
 )
 from .bregman import (
-    Action,
     BregmanGenerator,
     PropertyVerdict,
     affine_plus_entropy,
@@ -61,10 +55,8 @@ from .bregman import (
     check_statistical_locality,
     check_sufficiency,
     explore_additivity_conjecture,
-    free_energy,
     information_divergence,
     neg_entropy,
-    regret,
     trace_power,
 )
 from .multipartite import (

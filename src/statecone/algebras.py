@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -47,12 +47,10 @@ __all__ = [
     "JordanElement",
     "SimpleFactor",
     "SpectralDecomposition",
-    "apply_function",
     "basis_element",
     "classical",
     "complex_hermitian",
     "direct_sum",
-    "embed_quaternion",
     "inner_product",
     "jordan_product",
     "norm",
@@ -908,38 +906,3 @@ def spectral_decompose(a: JordanElement) -> SpectralDecomposition:
         )
     return a._spectral
 
-
-def apply_function(
-    a: JordanElement,
-    f: Callable[[float], float],
-    domain: Callable[[float], bool] | None = None,
-) -> JordanElement:
-    """Evaluate a scalar function through the spectral decomposition.
-
-    When ``domain`` is given, every eigenvalue must satisfy it; the first
-    offender is reported in a :class:`DomainError`.
-    """
-    dec = spectral_decompose(a)
-    if domain is not None:
-        for lam in dec.values:
-            if not domain(lam):
-                raise DomainError(
-                    f"eigenvalue {lam!r} outside the domain of {f!r}",
-                    value=lam,
-                )
-    return dec.function(np.array([f(lam) for lam in dec.values], dtype=float))
-
-
-def embed_quaternion(a: JordanElement) -> JordanElement:
-    """Symplectic embedding of a quaternionic element into complex
-    Hermitian matrices of twice the size.
-
-    The embedding is a unital Jordan homomorphism that doubles traces and
-    preserves eigenvalues with doubled multiplicity.
-    """
-    if len(a.algebra.summands) != 1 or a.algebra.summands[0].kind != "quaternion":
-        raise AlgebraMismatchError(
-            f"expected a single quaternion summand, got {a.algebra}"
-        )
-    n = a.algebra.summands[0].size
-    return element_from_reps(complex_hermitian(2 * n), a.reps())

@@ -52,7 +52,6 @@ from . import states as st
 from .states import SUPPORT_CUTOFF, SUPPORT_TOL, State
 
 __all__ = [
-    "Action",
     "BregmanGenerator",
     "PropertyVerdict",
     "affine_plus_entropy",
@@ -65,13 +64,10 @@ __all__ = [
     "check_sufficiency",
     "combine_generators",
     "explore_additivity_conjecture",
-    "free_energy",
     "information_divergence",
     "judge_trials",
     "neg_entropy",
     "random_orthogonal_triple",
-    "regret",
-    "tangent_action",
     "trace_power",
 ]
 
@@ -294,44 +290,6 @@ def information_divergence(
     value -= float(_log_on_support(dy.values) @ p)
     value -= trace(x) - trace(y)
     return value
-
-
-# ---------------------------------------------------------------------------
-# actions, free energy, regret
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Action:
-    """A linear functional on states, acting through the inner product."""
-
-    functional: JordanElement
-
-    def __call__(self, rho: State | JordanElement) -> float:
-        x = rho.element if isinstance(rho, State) else rho
-        return inner_product(self.functional, x)
-
-
-def tangent_action(F: BregmanGenerator, sigma: State) -> tuple[Action, float]:
-    """Optimal action at sigma: the gradient functional plus the affine
-    intercept that makes the tangent exact at sigma."""
-    g = F.gradient(sigma.element)
-    intercept = F.value(sigma.element) - inner_product(g, sigma.element)
-    return Action(g), intercept
-
-
-def free_energy(actions, rho: State) -> float:
-    """Best payoff over a finite action list; convex in the state."""
-    actions = list(actions)
-    if not actions:
-        raise ValueError("the action list is empty")
-    return max(a(rho) for a in actions)
-
-
-def regret(F: BregmanGenerator, rho: State, action: Action,
-           intercept: float) -> float:
-    """Payoff lost by acting on ``action`` when the state is ``rho``."""
-    return F.value(rho.element) - (intercept + action(rho))
 
 
 def check_bregman_identity(F, states, weights, sigma: State) -> float:

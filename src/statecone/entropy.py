@@ -15,13 +15,11 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from . import algebras as alg
-from .algebras import Algebra, SimpleFactor, spectral_decompose
+from .algebras import SimpleFactor, spectral_decompose
 from . import states as st
 from .states import (
     NORMALIZATION_TOL,
     SUPPORT_CUTOFF,
-    Measurement,
     State,
     measure,
 )
@@ -31,8 +29,6 @@ __all__ = [
     "EntropyReport",
     "decomposition_entropy",
     "fine_grained_entropy_bound",
-    "random_fine_grained_measurement",
-    "sample_pure_decomposition",
     "shannon_entropy",
     "spectral_entropy",
 ]
@@ -92,95 +88,6 @@ def decomposition_entropy(sigma: State) -> float:
 
 
 # ---------------------------------------------------------------------------
-# random pure decompositions
-# ---------------------------------------------------------------------------
-
-
-def _pure_vectors(sigma: State):
-    """The fine eigenvalues above the support cutoff with the reps of
-    their primitive idempotents, by descending eigenvalue."""
-    dec = spectral_decompose(sigma.element)
-    order, _ = dec.groups
-    kept = order[dec.values[order] > SUPPORT_CUTOFF]
-    return dec.values[kept], dec.frame[0][kept]
-
-
-def sample_pure_decomposition(sigma: State, rng):
-    """A random decomposition sigma = sum_j q_j pi_j into pure states.
-
-    Mixes the spectral pure decomposition by a random unitary (orthogonal,
-    symplectic) matrix, which doubly-stochastically reshuffles the
-    weights; on spin factors a random chord through the state is used.
-    Returns ``(q, pure_elements)``.
-    """
-    algebra = sigma.algebra
-    if len(algebra.summands) != 1:
-        raise st.UnsupportedAlgebraError(
-            "pure decompositions are sampled on simple algebras"
-        )
-    kind = algebra.summands[0].kind
-
-    if kind == "classical":
-        p = sigma.element.reps()[0]
-        weights, elements = [], []
-        for j, pj in enumerate(p):
-            if pj <= SUPPORT_CUTOFF:
-                continue
-            t = rng.uniform(0.2, 0.8)
-            for portion in (t * pj, (1 - t) * pj):
-                e = np.zeros(len(p))
-                e[j] = 1.0
-                weights.append(portion)
-                elements.append(alg.element_from_reps(algebra, [e]))
-        return np.array(weights), elements
-
-    if kind == "spin":
-        d = algebra.summands[0].size
-        rep = sigma.element.reps()[0]
-        v = rep[1:]
-        u = st._random_frames(kind, st._draw_basis(kind, d, rng))
-        # chord through 2v in direction pair (u, w): p*u + (1-p)*w = 2v
-        p = (1.0 - 4.0 * v @ v) / (2.0 - 4.0 * (u @ v))
-        p = float(np.clip(p, 0.0, 1.0))
-        if p in (0.0, 1.0):
-            u = v / np.linalg.norm(v) if np.linalg.norm(v) > 0 else u
-            p = 0.5 + np.linalg.norm(v)
-        w = (2.0 * v - p * u) / (1.0 - p) if p < 1.0 else -u
-        top = np.concatenate(([0.5], 0.5 * u))
-        bottom = np.concatenate(([0.5], 0.5 * w))
-        return (
-            np.array([p, 1.0 - p]),
-            [
-                alg.element_from_reps(algebra, [top]),
-                alg.element_from_reps(algebra, [bottom]),
-            ],
-        )
-
-    weights, projections = _pure_vectors(sigma)
-    # a unit vector in the range of each projection: its fullest column,
-    # scaled
-    columns = []
-    for rep in projections:
-        j = int(np.argmax(np.real(np.diag(rep))))
-        columns.append(rep[:, j] / np.sqrt(np.real(rep[j, j])))
-    columns = np.stack(columns, axis=1)
-    mix = st._random_frames(kind, st._draw_basis(kind, len(weights), rng))
-    step = len(mix) // len(weights)  # 2 for Kramers pairs of columns
-    if kind == "quaternion":
-        columns = alg._kramers_pairs(columns)
-    phi = (columns * np.repeat(np.sqrt(weights), step)) @ mix
-    out_weights, out_elements = [], []
-    for j in range(0, len(mix), step):
-        pair = phi[:, j:j + step]
-        qj = float(np.real(pair[:, 0] @ pair[:, 0].conj()))
-        out_weights.append(qj)
-        out_elements.append(
-            alg.element_from_reps(algebra, [pair @ pair.conj().T / qj])
-        )
-    return np.array(out_weights), out_elements
-
-
-# ---------------------------------------------------------------------------
 # random fine-grained measurements
 # ---------------------------------------------------------------------------
 
@@ -209,36 +116,6 @@ def _fine_draws(s: SimpleFactor, n_samples: int, rng, bases):
     draws = st._draw_basis(s.kind, s.size, bases,
                            (int(n_samples + blend.sum()),))
     return blend, t, st._random_frames(s.kind, draws)
-
-
-def random_fine_grained_measurement(algebra: Algebra, rng) -> Measurement:
-    """A random rank-one measurement: projective, or an overcomplete blend
-    of two projective bases.
-
-    It is the first measurement that :func:`fine_grained_entropy_bound`
-    samples with seed ``rng``: ``rng`` draws the coin and the blend
-    weight, and a stream spawned from it the bases.
-    """
-    if len(algebra.summands) != 1:
-        raise st.UnsupportedAlgebraError(
-            "fine-grained sampling works on simple algebras"
-        )
-    s = algebra.summands[0]
-    blend, t, frames = _fine_draws(s, 1, rng, rng.spawn(1)[0])
-    if frames is None:
-        bases = [np.eye(s.size)] * 2
-    elif s.kind == "spin":
-        bases = [0.5 * np.stack([np.insert(q, 0, 1.0), np.insert(-q, 0, 1.0)])
-                 for q in frames]
-    else:
-        bases = [alg._frame_projections(s.kind, q) for q in frames]
-    outcomes = range(len(bases[0]))
-    if not blend[0]:
-        return Measurement(algebra, tuple(outcomes), (bases[0],))
-    return Measurement(
-        algebra, tuple((tag, k) for tag in "ab" for k in outcomes),
-        (np.concatenate([t[0] * bases[0], (1.0 - t[0]) * bases[1]]),),
-    )
 
 
 def _basis_probs(kind: str, m: np.ndarray, q: np.ndarray) -> np.ndarray:

@@ -20,7 +20,7 @@ instead of being assembled from infinities.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import zip_longest
 from typing import Sequence
@@ -57,7 +57,6 @@ __all__ = [
     "conditional_mutual_information",
     "maximally_entangled_state",
     "mutual_information",
-    "random_partitioned_state",
     "run_additivity_suite",
     "run_dpi_suite",
     "run_marginal_identity_suite",
@@ -82,16 +81,10 @@ class UnknownLabelError(KeyError):
 
 @dataclass(frozen=True)
 class PartitionedState:
-    """A composite state with named factors and cached marginals.
-
-    Marginals are cached by their sorted factor indices, so each is
-    computed once per state.  The information quantities do not read
-    the cache: they trace out the marginals they need as one stack.
-    """
+    """A composite state with named factors."""
 
     state: State
     labels: tuple[str, ...]
-    _marginals: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         layout = self.state.layout
@@ -103,7 +96,6 @@ class PartitionedState:
             )
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("labels must be distinct")
-        self._marginals.setdefault(tuple(range(len(self.labels))), self.state)
 
     def indices(self, subset: Sequence[str]) -> tuple[int, ...]:
         """The factor indices of the labels in ``subset``, sorted, each
@@ -112,28 +104,6 @@ class PartitionedState:
             return tuple(sorted({self.labels.index(l) for l in subset}))
         except ValueError as exc:
             raise UnknownLabelError(f"unknown label in {subset!r}") from exc
-
-    def marginal(self, subset: Sequence[str]) -> State:
-        indices = self.indices(subset)
-        cached = self._marginals.get(indices)
-        if cached is None:
-            cached = st.marginal(self.state, indices)
-            self._marginals[indices] = cached
-        return cached
-
-
-def random_partitioned_state(
-    embedding: str,
-    sizes: Sequence[int],
-    labels: Sequence[str],
-    seed=None,
-    rank_cap: int | None = None,
-) -> PartitionedState:
-    layout = st.composite_layout(embedding, sizes)
-    state = st.random_state(
-        layout.ambient, rank_cap=rank_cap, seed=seed, layout=layout
-    )
-    return PartitionedState(state, tuple(labels))
 
 
 def _disjoint_indices(pstate: PartitionedState,
@@ -600,15 +570,17 @@ def run_dpi_suite(
 ) -> PropertyVerdict:
     """Data processing over both maximally entangled and random states.
 
-    The trials are split evenly across the states, at least one each;
-    state ``k`` runs its trials under the seed ``seed + k``.
+    The trials are split evenly across the states, the first states
+    taking one more each when the count does not divide, and every
+    state runs at least one; state ``k`` runs its trials under the seed
+    ``seed + k``.
     """
     _require_trials(n_trials)
     states = _dpi_states(layout, seed)
-    per_state = max(1, n_trials // len(states))
+    share, extra = divmod(n_trials, len(states))
     results = (result for k, pstate in enumerate(states)
                for result in _data_processing_results(
-                   F, pstate, seed + k, range(per_state)))
+                   F, pstate, seed + k, range(max(1, share + (k < extra)))))
     return judge_trials(results, {"data-processing": tol})["data-processing"]
 
 

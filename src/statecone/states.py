@@ -30,7 +30,6 @@ from .algebras import (
     classical,
     complex_hermitian,
     element_from_reps,
-    inner_product,
     real_hermitian,
     spectral_decompose,
     trace,
@@ -45,21 +44,16 @@ __all__ = [
     "State",
     "StateValidationError",
     "UnsupportedAlgebraError",
-    "are_singular",
     "channel_catalog",
     "extend_to_factor",
-    "fine_grain",
     "identity_affinity",
-    "is_fine_grained",
     "marginal",
     "maximally_mixed",
     "measure",
     "random_channel",
     "random_state",
     "real_embedding_dimension_audit",
-    "singularity_witness",
     "spectral_measurement",
-    "support_projection",
     "tensor",
     "tensor_elements",
     "tensor_state",
@@ -67,7 +61,7 @@ __all__ = [
 ]
 
 # eigenvalues of a candidate state in [-CLIP_TOL, 0) are solver noise,
-# clipped to zero; states whose inner product is below it are singular
+# clipped to zero
 CLIP_TOL = 1e-10
 # eigenvalues and probabilities at or below this count as exact zeros
 # for support and entropy purposes, in every module
@@ -375,77 +369,6 @@ def spectral_measurement(sigma: State) -> Measurement:
     order, _ = dec.groups
     return Measurement(sigma.algebra, tuple(range(len(order))),
                        tuple(_effect_stacks(dec.frame, order)))
-
-
-# ---------------------------------------------------------------------------
-# primitive idempotents and fine-graining
-# ---------------------------------------------------------------------------
-
-
-def is_fine_grained(m: Measurement) -> bool:
-    """True when every effect is a nonnegative multiple of a primitive
-    idempotent (spectral rank one after normalization), eigenvalues
-    within ``DEFAULT_GROUP_TOL`` of zero counting as zero."""
-    tol = alg.DEFAULT_GROUP_TOL
-    for k in range(len(m.labels)):
-        dec = spectral_decompose(m.effect(k))
-        positive = dec.eigenvalues > tol
-        if (np.any(dec.eigenvalues < -tol)
-                or list(dec.multiplicities[positive]) != [1]):
-            return False
-    return True
-
-
-def fine_grain(m: Measurement) -> Measurement:
-    """Refine a measurement by spectrally splitting every effect.
-
-    Output labels are ``(label, i, j)`` for eigenvalue group ``i`` and
-    primitive part ``j``; summing the refined effects per original label
-    recovers the original effect.
-    """
-    labels, parts = [], []
-    for k, label in enumerate(m.labels):
-        dec = spectral_decompose(m.effect(k))
-        order, starts = dec.groups
-        bounds = starts + [len(order)]
-        kept = []
-        for i, lam in enumerate(dec.eigenvalues):
-            if lam > SUPPORT_CUTOFF:
-                group = order[bounds[i]:bounds[i + 1]]
-                labels += [(label, i, j) for j in range(len(group))]
-                kept += list(group)
-        scale = dec.values[kept]
-        parts.append([scale.reshape((-1,) + (1,) * (x.ndim - 1)) * x
-                      for x in _effect_stacks(dec.frame, kept)])
-    return Measurement(m.algebra, tuple(labels),
-                       tuple(np.concatenate(x) for x in zip(*parts)))
-
-
-# ---------------------------------------------------------------------------
-# singularity
-# ---------------------------------------------------------------------------
-
-
-def are_singular(rho: State, sigma: State) -> bool:
-    """Mutual singularity; in a self-dual cone this is a vanishing inner
-    product of the two positive elements."""
-    if rho.algebra != sigma.algebra:
-        raise AlgebraMismatchError("states live in different algebras")
-    return inner_product(rho.element, sigma.element) < CLIP_TOL
-
-
-def support_projection(element: JordanElement) -> JordanElement:
-    dec = spectral_decompose(element)
-    return dec.function((dec.values > SUPPORT_CUTOFF).astype(float))
-
-
-def singularity_witness(rho: State, sigma: State) -> JordanElement | None:
-    """The support projection of sigma, an effect scoring 1 on sigma,
-    when it scores 0 on rho."""
-    proj = support_projection(sigma.element)
-    if inner_product(proj, rho.element) < CLIP_TOL:
-        return proj
-    return None
 
 
 # ---------------------------------------------------------------------------

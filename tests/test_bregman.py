@@ -9,6 +9,7 @@ from statecone import bregman as br
 from statecone import multipartite as mp
 from statecone import serialize as sz
 from statecone import states as st
+from test_algebras import apply_function
 from test_states import diag_state, sampled_pair
 
 C2 = ja.complex_hermitian(2)
@@ -181,7 +182,7 @@ class TestGradients:
             )
 
         numeric = (trace_f(a + h * b) - trace_f(a - h * b)) / (2 * h)
-        analytic = ja.inner_product(ja.apply_function(a, fprime), b)
+        analytic = ja.inner_product(apply_function(a, fprime), b)
         assert numeric == pytest.approx(analytic, rel=1e-6, abs=1e-6)
 
     @pytest.mark.parametrize("F", [NE, T2, T3])
@@ -197,57 +198,37 @@ class TestGradients:
             )
 
 
+def tangent_regret(F, rho, sigma):
+    """Payoff lost by acting on the tangent of F at sigma when the state
+    is rho: F(rho) - F(sigma) - <grad F(sigma), rho - sigma>."""
+    x, y = rho.element, sigma.element
+    return F.value(x) - F.value(y) - ja.inner_product(F.gradient(y), x - y)
+
+
 class TestActions:
+    """The regret of the tangent action is the Bregman divergence."""
+
     def test_tangent_at_self_has_zero_regret(self):
         sigma = st.random_state(C2, seed=11)
-        action, intercept = br.tangent_action(NE, sigma)
-        assert br.regret(NE, sigma, action, intercept) == pytest.approx(
+        assert tangent_regret(NE, sigma, sigma) == pytest.approx(
             0.0, abs=1e-12
         )
+        for k in range(5):
+            rho = st.random_state(C2, seed=20 + k)
+            assert tangent_regret(NE, rho, sigma) > 0.0
 
     def test_tangent_regret_is_divergence(self):
         rho = st.random_state(C2, seed=12)
         sigma = st.random_state(C2, seed=13)
-        action, intercept = br.tangent_action(NE, sigma)
-        assert br.regret(NE, rho, action, intercept) == pytest.approx(
-            br.bregman_divergence(NE, rho, sigma), abs=1e-10
+        assert br.bregman_divergence(NE, rho, sigma) == pytest.approx(
+            tangent_regret(NE, rho, sigma), abs=1e-10
         )
 
     def test_qubit_tangent_at_maximally_mixed(self):
         rho = diag_state(C2, [0.7, 0.3])
-        action, intercept = br.tangent_action(NE, st.maximally_mixed(C2))
-        assert br.regret(NE, rho, action, intercept) == pytest.approx(
-            0.08228287850505178, abs=1e-9
-        )
-
-    def test_free_energy_of_zero_and_unit(self):
-        rho = st.random_state(C2, seed=14)
-        zero_action = br.Action(ja.zero(C2))
-        unit_action = br.Action(ja.unit(C2))
-        assert br.free_energy([zero_action], rho) == 0.0
-        assert br.free_energy([unit_action], rho) == pytest.approx(1.0)
-        with pytest.raises(ValueError):
-            br.free_energy([], rho)
-
-    def test_fenchel_envelope_approximates_from_below(self):
-        # each tangent's intercept folded into its functional, exact on
-        # trace-one states since the unit evaluates to the trace
-        tangents = [br.tangent_action(NE, st.random_state(C2, seed=k))
-                    for k in range(120)]
-        actions = [br.Action(a.functional + c * ja.unit(C2))
-                   for a, c in tangents]
-        rng = np.random.default_rng(15)
-        mm = st.maximally_mixed(C2)
-        for _ in range(10):
-            # stay away from the boundary, where a finite tangent grid
-            # underestimates the steep entropy walls
-            raw = st.random_state(C2, seed=rng)
-            rho = st.State.make(
-                0.7 * raw.element + 0.3 * mm.element
-            )
-            envelope = br.free_energy(actions, rho)
-            assert envelope <= NE.value(rho.element) + 1e-10
-            assert envelope >= NE.value(rho.element) - 0.1
+        assert br.bregman_divergence(
+            NE, rho, st.maximally_mixed(C2)
+        ) == pytest.approx(0.08228287850505178, abs=1e-9)
 
 
 class TestBregmanIdentity:

@@ -205,6 +205,16 @@ class TestSuiteCommand:
         assert report["config"]["tol"] == 0.25
         assert [v["tolerance"] for v in report["results"].values()] == [0.25]
 
+    # the trials are shared out over the layout's two states, each
+    # running at least one, so one trial asked for runs two
+    @pytest.mark.parametrize("trials,ran", [(1, 2), (3, 3), (5, 5)])
+    def test_dpi_runs_every_trial_asked_for(self, capsys, trials, ran):
+        _, report = run_cli(
+            capsys, "suite", "--property", "dpi", "--algebra", "C2x2",
+            "--trials", str(trials),
+        )
+        assert report["results"]["data-processing"]["trials"] == ran
+
     def test_determinism(self, capsys):
         argv = ("suite", "--property", "identity", "--generator",
                 "trace-power-2", "--algebra", "C2", "--trials", "10",

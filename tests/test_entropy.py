@@ -9,7 +9,7 @@ from statecone import entropy as en
 from statecone import serialize as sz
 from statecone import states as st
 from test_algebras import embed_quaternion_parts, kramers_columns, readme_coeffs
-from test_states import diag_state
+from test_states import assert_primitive_effects, diag_state
 
 C2 = ja.complex_hermitian(2)
 C3 = ja.complex_hermitian(3)
@@ -121,6 +121,73 @@ class TestSpectralEntropy:
             assert -1e-12 <= h <= np.log(algebra.rank) + 1e-12
 
 
+def sample_pure_decomposition(sigma, rng):
+    """A random decomposition sigma = sum_j q_j pi_j into pure states,
+    returned as ``(q, pure_elements)``.
+
+    Mixes the spectral pure decomposition by a random unitary (orthogonal,
+    symplectic) matrix, which doubly-stochastically reshuffles the
+    weights; classical weights are split in two, and on spin factors a
+    random chord through the state is used.
+    """
+    algebra = sigma.algebra
+    kind = algebra.summands[0].kind
+
+    if kind == "classical":
+        p = sigma.element.reps()[0]
+        weights, elements = [], []
+        for j, pj in enumerate(p):
+            if pj <= st.SUPPORT_CUTOFF:
+                continue
+            t = rng.uniform(0.2, 0.8)
+            for portion in (t * pj, (1 - t) * pj):
+                weights.append(portion)
+                elements.append(ja.element_from_reps(algebra, [np.eye(len(p))[j]]))
+        return np.array(weights), elements
+
+    if kind == "spin":
+        d = algebra.summands[0].size
+        v = sigma.element.reps()[0][1:]
+        u = st._random_frames(kind, st._draw_basis(kind, d, rng))
+        # chord through 2v in direction pair (u, w): p*u + (1-p)*w = 2v
+        p = float(np.clip((1.0 - 4.0 * v @ v) / (2.0 - 4.0 * (u @ v)),
+                          0.0, 1.0))
+        if p in (0.0, 1.0):
+            u = v / np.linalg.norm(v) if np.linalg.norm(v) > 0 else u
+            p = 0.5 + np.linalg.norm(v)
+        w = (2.0 * v - p * u) / (1.0 - p) if p < 1.0 else -u
+        return np.array([p, 1.0 - p]), [
+            ja.element_from_reps(algebra, [np.concatenate(([0.5], 0.5 * x))])
+            for x in (u, w)
+        ]
+
+    dec = ja.spectral_decompose(sigma.element)
+    order, _ = dec.groups
+    kept = order[dec.values[order] > st.SUPPORT_CUTOFF]
+    weights, projections = dec.values[kept], dec.frame[0][kept]
+    # a unit vector in the range of each projection: its fullest column,
+    # scaled
+    columns = []
+    for rep in projections:
+        j = int(np.argmax(np.real(np.diag(rep))))
+        columns.append(rep[:, j] / np.sqrt(np.real(rep[j, j])))
+    columns = np.stack(columns, axis=1)
+    mix = st._random_frames(kind, st._draw_basis(kind, len(weights), rng))
+    step = len(mix) // len(weights)  # 2 for Kramers pairs of columns
+    if kind == "quaternion":
+        columns = ja._kramers_pairs(columns)
+    phi = (columns * np.repeat(np.sqrt(weights), step)) @ mix
+    out_weights, out_elements = [], []
+    for j in range(0, len(mix), step):
+        pair = phi[:, j:j + step]
+        qj = float(np.real(pair[:, 0] @ pair[:, 0].conj()))
+        out_weights.append(qj)
+        out_elements.append(
+            ja.element_from_reps(algebra, [pair @ pair.conj().T / qj])
+        )
+    return np.array(out_weights), out_elements
+
+
 class TestDecompositionEntropy:
     @pytest.mark.parametrize("algebra", SIX_ALGEBRAS)
     def test_equals_spectral(self, algebra):
@@ -137,26 +204,29 @@ class TestDecompositionEntropy:
         value = en.decomposition_entropy(rho)
         rng = np.random.default_rng(8)
         for _ in range(20):
-            weights, _ = en.sample_pure_decomposition(rho, rng)
+            weights, _ = sample_pure_decomposition(rho, rng)
             assert en.shannon_entropy(weights) >= value - en.SQUEEZE_TOL
 
     def test_uniform_qubit_cross_check(self):
         mm = st.maximally_mixed(C2)
         rng = np.random.default_rng(9)
         for _ in range(20):
-            weights, _ = en.sample_pure_decomposition(mm, rng)
+            weights, _ = sample_pure_decomposition(mm, rng)
             assert en.shannon_entropy(weights) >= np.log(2) - 1e-9
 
     @pytest.mark.parametrize("algebra", SIX_ALGEBRAS)
     def test_sampled_decomposition_reconstructs(self, algebra):
+        # the sampler above is an oracle for the minimum only if its
+        # output is a decomposition of the state into pure states
         rho = st.random_state(algebra, seed=10)
-        weights, elements = en.sample_pure_decomposition(
+        weights, elements = sample_pure_decomposition(
             rho, np.random.default_rng(11)
         )
         assert weights.sum() == pytest.approx(1.0, abs=1e-9)
         total = ja.zero(algebra)
         for w, el in zip(weights, elements):
             assert ja.trace(el) == pytest.approx(1.0, abs=1e-8)
+            assert ja.norm(ja.jordan_product(el, el) - el) < 1e-8
             total = total + float(w) * el
         assert ja.norm(total - rho.element) < 1e-8
 
@@ -189,7 +259,7 @@ class TestDegenerateQuaternionFrames:
         sigma = self.STATES[name]()
         m = st.spectral_measurement(sigma)
         assert len(m.labels) == sigma.algebra.rank
-        assert st.is_fine_grained(m)
+        assert_primitive_effects(m)
         assert en.shannon_entropy(st.measure(m, sigma)) == pytest.approx(
             en.spectral_entropy(sigma), rel=0, abs=1e-12
         )
@@ -199,7 +269,7 @@ class TestDegenerateQuaternionFrames:
         sigma = self.STATES[name]()
         rng = np.random.default_rng(27)
         for _ in range(10):
-            weights, _ = en.sample_pure_decomposition(sigma, rng)
+            weights, _ = sample_pure_decomposition(sigma, rng)
             assert weights.sum() == pytest.approx(1.0, rel=0, abs=1e-12)
 
 
@@ -279,23 +349,59 @@ class TestFineGrainedBound:
         assert calls == []
 
 
+def random_fine_grained_measurement(algebra, rng):
+    """The first measurement that :func:`en.fine_grained_entropy_bound`
+    samples with seed ``rng``, as a :class:`st.Measurement`: ``rng``
+    draws the coin and the blend weight, and a stream spawned from it
+    the bases.  Projective, or an overcomplete blend of two bases."""
+    s = algebra.summands[0]
+    blend, t, frames = en._fine_draws(s, 1, rng, rng.spawn(1)[0])
+    if frames is None:
+        bases = [np.eye(s.size)] * 2
+    elif s.kind == "spin":
+        bases = [0.5 * np.stack([np.insert(q, 0, 1.0), np.insert(-q, 0, 1.0)])
+                 for q in frames]
+    else:
+        bases = [ja._frame_projections(s.kind, q) for q in frames]
+    outcomes = range(len(bases[0]))
+    if not blend[0]:
+        return st.Measurement(algebra, tuple(outcomes), (bases[0],))
+    return st.Measurement(
+        algebra, tuple((tag, k) for tag in "ab" for k in outcomes),
+        (np.concatenate([t[0] * bases[0], (1.0 - t[0]) * bases[1]]),),
+    )
+
+
+def assert_rank_one_effects(m, tol=1e-10):
+    """Each effect of ``m`` is a positive multiple of a primitive
+    idempotent: scaled to trace one, it is idempotent."""
+    for k in range(len(m.labels)):
+        e = m.effect(k)
+        c = ja.trace(e)
+        assert c > tol
+        assert ja.norm(ja.jordan_product(e, e) - c * e) < tol
+
+
 class TestRandomFineGrainedMeasurements:
     @pytest.mark.parametrize("algebra", SIX_ALGEBRAS)
     def test_sampled_measurements_are_fine_grained(self, algebra):
         rng = np.random.default_rng(18)
         for _ in range(5):
-            m = en.random_fine_grained_measurement(algebra, rng)
-            assert st.is_fine_grained(m)
+            m = random_fine_grained_measurement(algebra, rng)
+            assert_rank_one_effects(m)
+            np.testing.assert_allclose(sum(m.effect(k).coeffs
+                                           for k in range(len(m.labels))),
+                                       ja.unit(algebra).coeffs, atol=1e-10)
 
     @pytest.mark.parametrize("algebra", SIX_ALGEBRAS + [ja.classical(4)],
                              ids=str)
     def test_measurement_is_the_first_sample(self, algebra):
-        # the measurement scores what the stacked sampler gives the first
-        # sample of the same two streams, projective and blended alike
+        # the stacked sampler scores its first sample as measuring the
+        # state in the frames it drew, projective and blended alike
         blends = set()
         for seed in range(8):
             sigma = st.random_state(algebra, seed=seed + 40)
-            m = en.random_fine_grained_measurement(
+            m = random_fine_grained_measurement(
                 algebra, np.random.default_rng(seed)
             )
             rng = np.random.default_rng(seed)
@@ -311,7 +417,7 @@ class TestRandomFineGrainedMeasurements:
         h = en.spectral_entropy(rho)
         rng = np.random.default_rng(20)
         for _ in range(10):
-            m = en.random_fine_grained_measurement(algebra, rng)
+            m = random_fine_grained_measurement(algebra, rng)
             assert en.shannon_entropy(st.measure(m, rho)) >= h - 1e-9
 
 

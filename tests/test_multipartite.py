@@ -27,6 +27,22 @@ def bell_partitioned():
     return mp.PartitionedState(state, ("A", "B"))
 
 
+def random_partitioned_state(embedding, sizes, labels, seed=None,
+                             rank_cap=None):
+    """A random state on the layout ``embedding`` of ``sizes``, its
+    factors named by ``labels``."""
+    layout = st.composite_layout(embedding, sizes)
+    state = st.random_state(
+        layout.ambient, rank_cap=rank_cap, seed=seed, layout=layout
+    )
+    return mp.PartitionedState(state, tuple(labels))
+
+
+def marginal_of(pstate, labels):
+    """The marginal of ``pstate`` on the factors named by ``labels``."""
+    return st.marginal(pstate.state, pstate.indices(labels))
+
+
 def classical_table(probs, sizes):
     layout = st.composite_layout(st.CLASSICAL_TENSOR, sizes)
     el = ja.element_from_reps(
@@ -186,14 +202,14 @@ class TestMutualInformation:
     def test_nonnegative_for_entropy(self):
         rng = np.random.default_rng(17)
         for _ in range(10):
-            p = mp.random_partitioned_state(
+            p = random_partitioned_state(
                 st.COMPLEX_TENSOR, (2, 2), ("A", "B"), seed=rng
             )
             assert mp.mutual_information(NE, p, ["A"], ["B"]) >= -1e-9
 
     def test_interleaved_label_sets(self):
         rng = np.random.default_rng(18)
-        p = mp.random_partitioned_state(
+        p = random_partitioned_state(
             st.COMPLEX_TENSOR, (2, 2, 2), ("A", "B", "C"), seed=rng
         )
         # {A, C} vs {B} forces a factor permutation in the reference
@@ -228,7 +244,7 @@ class TestConditionalMutualInformation:
 
     def test_components_assemble(self):
         rng = np.random.default_rng(21)
-        p = mp.random_partitioned_state(
+        p = random_partitioned_state(
             st.COMPLEX_TENSOR, (2, 2, 2), ("A", "B", "C"), seed=rng
         )
         report = mp.conditional_mutual_information(NE, p, ["A"], ["B"], ["C"])
@@ -294,7 +310,7 @@ class TestConditionalMutualInformation:
 
     def test_spectator_factor_leaves_mi_unchanged(self):
         rng = np.random.default_rng(25)
-        p3 = mp.random_partitioned_state(
+        p3 = random_partitioned_state(
             st.COMPLEX_TENSOR, (2, 2, 2), ("A", "B", "C"), seed=rng
         )
         base = mp.conditional_mutual_information(NE, p3, ["A"], ["B"], ["C"])
@@ -315,7 +331,7 @@ class TestConditionalMutualInformation:
 
     def test_trivial_pure_conditioner_reduces_to_mi(self):
         rng = np.random.default_rng(26)
-        pab = mp.random_partitioned_state(
+        pab = random_partitioned_state(
             st.COMPLEX_TENSOR, (2, 2), ("A", "B"), seed=rng
         )
         pure = st.random_state(C2, rank_cap=1, seed=rng)
@@ -339,7 +355,7 @@ def built_product(pstate, groups):
     marginals, then the rep's axes transposed back to factor order."""
     order = [l for g in groups for l in sorted(g, key=pstate.labels.index)]
     labels = sorted(order, key=pstate.labels.index)
-    marginals = [pstate.marginal(g) for g in groups]
+    marginals = [marginal_of(pstate, g) for g in groups]
     layout = pstate.state.layout
     coarse = st.CompositeLayout(
         tuple(m.algebra for m in marginals), layout.embedding
@@ -354,7 +370,7 @@ def built_product(pstate, groups):
         moved = rep.reshape(sizes * 2).transpose(
             perm + [k + i for i in perm]
         ).reshape(rep.shape)
-    return ja.element_from_reps(pstate.marginal(labels).algebra, [moved])
+    return ja.element_from_reps(marginal_of(pstate, labels).algebra, [moved])
 
 
 def assert_same_divergence(got, want):
@@ -388,7 +404,7 @@ class TestProductReader:
     @pytest.mark.parametrize("sizes", sorted(CASES))
     def test_matches_built_product(self, F, rank_cap, embedding, sizes):
         labels = ("A", "B", "C", "D")[:len(sizes)]
-        p = mp.random_partitioned_state(
+        p = random_partitioned_state(
             embedding, sizes, labels,
             seed=np.random.default_rng([45, len(sizes)]), rank_cap=rank_cap,
         )
@@ -397,14 +413,14 @@ class TestProductReader:
             assert_same_divergence(
                 mp.mutual_information(F, p, a, b),
                 br.bregman_divergence(
-                    F, p.marginal(a + b), built_product(p, [a, b])
+                    F, marginal_of(p, a + b), built_product(p, [a, b])
                 ),
             )
         for a, b, c in cmis:
             report = mp.conditional_mutual_information(F, p, a, b, c)
             for got, groups in zip(report.components,
                                    ([a, b, c], [a, c], [b, c])):
-                joint = p.marginal([l for g in groups for l in g])
+                joint = marginal_of(p, [l for g in groups for l in g])
                 assert_same_divergence(
                     got,
                     br.bregman_divergence(F, joint, built_product(p, groups)),
@@ -428,8 +444,8 @@ class TestProductReader:
     def test_equal_layouts_share_one_plan_of_labels_and_shapes(self):
         # two states whose equal layouts were built separately
         states = [
-            mp.random_partitioned_state(st.COMPLEX_TENSOR, (2, 3, 2, 2),
-                                        ("A", "B", "C", "D"), seed=seed)
+            random_partitioned_state(st.COMPLEX_TENSOR, (2, 3, 2, 2),
+                                     ("A", "B", "C", "D"), seed=seed)
             for seed in (48, 49)
         ]
         assert states[0].state.layout is not states[1].state.layout
@@ -454,7 +470,7 @@ class TestProductReader:
 
     def test_pinned_generator_on_another_algebra(self):
         F = br.affine_plus_entropy(1.5, ja.zero(ja.complex_hermitian(4)))
-        p = mp.random_partitioned_state(
+        p = random_partitioned_state(
             st.COMPLEX_TENSOR, (2, 3), ("A", "B"), seed=46
         )
         with pytest.raises(ja.AlgebraMismatchError):
@@ -626,7 +642,7 @@ class TestSeparoid:
     def test_chain_rule_via_marginal_identity_route(self):
         # the two assembly routes for the chain rule must agree
         rng = np.random.default_rng(30)
-        p = mp.random_partitioned_state(
+        p = random_partitioned_state(
             st.COMPLEX_TENSOR, (2, 2, 2, 2), ("A", "B", "C", "D"), seed=rng
         )
         left = mp.conditional_mutual_information(
@@ -652,12 +668,12 @@ SEPAROID_CMIS = [
 
 
 class TestSharedCaches:
-    """Marginals are cached on the state by label names, so each is
-    computed once per state."""
+    """Each marginal a state's informations read is traced and
+    decomposed once, and every route to it gives the same one."""
 
     @staticmethod
     def four_party(embedding, seed, rank_cap=None):
-        return mp.random_partitioned_state(
+        return random_partitioned_state(
             embedding, (2, 2, 2, 2), ("A", "B", "C", "D"),
             seed=np.random.default_rng(seed), rank_cap=rank_cap,
         )
@@ -693,12 +709,6 @@ class TestSharedCaches:
             alone = mp.conditional_mutual_information(NE, fresh, a, b, c)
             assert shared.value == pytest.approx(alone.value, rel=0,
                                                  abs=1e-13)
-
-    def test_marginals_are_cached_by_label_names(self):
-        p = self.four_party(st.COMPLEX_TENSOR, 33)
-        assert p.marginal(["D", "A"]) is p.marginal(["A", "D"])
-        assert p.marginal(["B", "A", "D"]) is p.marginal(["A", "B", "D"])
-        assert p.marginal(["D", "C", "B", "A"]) is p.state
 
     def test_one_eigensolve_per_marginal(self, monkeypatch):
         eighs, traces = [], []
@@ -782,7 +792,7 @@ class TestSingleStateInformation:
         # their rank-deficient marginals have eigenvalue jitter below
         # zero, which both routes clip and rebuild
         for seed in range(20):
-            p = mp.random_partitioned_state(
+            p = random_partitioned_state(
                 st.COMPLEX_TENSOR, (2, 2, 2), ("A", "B", "C"),
                 seed=np.random.default_rng([50, seed]), rank_cap=rank_cap,
             )
@@ -838,7 +848,7 @@ class TestSeparoidChainDefect:
     @staticmethod
     def trial_state():
         rng = np.random.default_rng([3045832050, 3, 0])
-        return mp.random_partitioned_state(
+        return random_partitioned_state(
             st.COMPLEX_TENSOR, (2, 2, 2, 2), ("A", "B", "C", "D"),
             seed=rng, rank_cap=1,
         )
@@ -1045,23 +1055,15 @@ class TestPickling:
 
     @pytest.mark.parametrize("how", sorted(ROUND_TRIPS))
     def test_partitioned_state(self, how):
-        pstate = mp.random_partitioned_state(
+        pstate = random_partitioned_state(
             st.COMPLEX_TENSOR, (2, 2, 2), ("A", "B", "C"),
             seed=np.random.default_rng(44),
         )
         report = mp.conditional_mutual_information(
             NE, pstate, ["A"], ["B"], ["C"]
         )
-        # cached marginals travel with the state
-        pstate.marginal(["A"])
-        pstate.marginal(["B", "C"])
-        assert len(pstate._marginals) > 1
         back = ROUND_TRIPS[how](pstate)
         assert back.labels == pstate.labels
-        assert set(back._marginals) == set(pstate._marginals)
-        for key, marg in pstate._marginals.items():
-            assert back._marginals[key].layout == marg.layout
-            assert_same_element(back._marginals[key].element, marg.element)
         again = mp.conditional_mutual_information(
             NE, back, ["A"], ["B"], ["C"]
         )

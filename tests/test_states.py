@@ -329,15 +329,15 @@ class TestMeasurement:
 
     @pytest.mark.parametrize("algebra", ALL_SIMPLE + [C2_P2], ids=str)
     def test_pairing_matches_inner_product(self, algebra):
-        # the spectral measurement of one state, and the fine-graining of
-        # a two-outcome measurement, scored on another
+        # the spectral measurement of one state, and a two-outcome
+        # measurement, scored on another
         rng = np.random.default_rng(13)
         sigma = st.random_state(algebra, seed=rng)
         x = st.random_state(algebra, seed=rng).element * 0.7
         coarse = st.Measurement(algebra, ("x", "rest"),
                                 effect_frame(x, ja.unit(algebra) - x))
         for m in (st.spectral_measurement(st.random_state(algebra, seed=rng)),
-                  coarse, st.fine_grain(coarse)):
+                  coarse):
             want = [ja.inner_product(m.effect(k), sigma.element)
                     for k in range(len(m.labels))]
             np.testing.assert_allclose(st.measure(m, sigma), want,
@@ -363,56 +363,18 @@ class TestMeasurement:
         np.testing.assert_allclose(probs, fine, atol=1e-9)
 
 
+def assert_primitive_effects(m, tol=1e-10):
+    """Each effect of ``m`` is an idempotent of trace one."""
+    for k in range(len(m.labels)):
+        e = m.effect(k)
+        assert ja.trace(e) == pytest.approx(1.0, abs=tol)
+        assert ja.norm(ja.jordan_product(e, e) - e) < tol
+
+
 class TestFineGraining:
     def test_projector_povm_is_fine_grained(self):
         sigma = st.random_state(C3, seed=4)
-        assert st.is_fine_grained(st.spectral_measurement(sigma))
-
-    def test_unit_measurement_is_not(self):
-        coarse = st.Measurement(C2, ("all",), effect_frame(ja.unit(C2)))
-        assert not st.is_fine_grained(coarse)
-
-    def test_fine_grain_of_unit_splits(self):
-        coarse = st.Measurement(C2, ("all",), effect_frame(ja.unit(C2)))
-        fine = st.fine_grain(coarse)
-        assert st.is_fine_grained(fine)
-        assert len(fine.labels) == 2
-
-    def test_fine_grain_of_direct_sum_unit(self):
-        coarse = st.Measurement(C2_P2, ("all",), effect_frame(ja.unit(C2_P2)))
-        assert not st.is_fine_grained(coarse)
-        fine = st.fine_grain(coarse)
-        assert st.is_fine_grained(fine)
-        assert fine.labels == (("all", 0, 0), ("all", 0, 1), ("all", 0, 2),
-                               ("all", 0, 3))
-        sigma = st.random_state(C2_P2, seed=15)
-        assert st.measure(fine, sigma).sum() == pytest.approx(1.0, abs=1e-14)
-
-    def test_refinement_preserves_probabilities(self):
-        rng = np.random.default_rng(5)
-        t1 = st.random_state(C3, seed=rng).element * 0.55
-        m = st.Measurement(C3, ("a", "b"), effect_frame(t1, ja.unit(C3) - t1))
-        fine = st.fine_grain(m)
-        assert st.is_fine_grained(fine)
-        for k in range(25):
-            sigma = st.random_state(C3, seed=100 + k)
-            coarse_probs = dict(zip(m.labels, st.measure(m, sigma)))
-            regrouped = {}
-            for (label, _, _), p in zip(fine.labels,
-                                        st.measure(fine, sigma)):
-                regrouped[label] = regrouped.get(label, 0.0) + p
-            for key, value in coarse_probs.items():
-                assert regrouped[key] == pytest.approx(value, abs=1e-10)
-
-    def test_already_fine_is_stable(self):
-        sigma = st.random_state(C2, seed=6)
-        m = st.spectral_measurement(sigma)
-        fine = st.fine_grain(m)
-        assert len(fine.labels) == len(m.labels)
-        probs = np.sort(st.measure(fine, sigma))
-        np.testing.assert_allclose(
-            probs, np.sort(st.measure(m, sigma)), atol=1e-10
-        )
+        assert_primitive_effects(st.spectral_measurement(sigma))
 
     @pytest.mark.parametrize("algebra", ALL_SIMPLE)
     def test_primitive_split(self, algebra):
@@ -432,13 +394,22 @@ class TestFineGraining:
         assert ja.norm(total - u) < 1e-9
 
 
+def support_projection(element):
+    """The idempotent onto the support of ``element``."""
+    dec = ja.spectral_decompose(element)
+    return dec.function((dec.values > st.SUPPORT_CUTOFF).astype(float))
+
+
 class TestSingularity:
+    """In a self-dual cone two states are mutually singular exactly when
+    their inner product vanishes; the support projection of one is then
+    an effect scoring 1 on it and 0 on the other."""
+
     def test_orthogonal_projectors(self):
         a = diag_state(C2, [1, 0])
         b = diag_state(C2, [0, 1])
-        assert st.are_singular(a, b)
-        witness = st.singularity_witness(a, b)
-        assert isinstance(witness, ja.JordanElement)
+        assert ja.inner_product(a.element, b.element) < st.CLIP_TOL
+        witness = support_projection(b.element)
         assert ja.inner_product(witness, b.element) == pytest.approx(
             1.0, abs=1e-12)
         assert ja.inner_product(witness, a.element) == pytest.approx(
@@ -446,15 +417,19 @@ class TestSingularity:
 
     def test_state_not_singular_with_itself(self):
         rho = st.random_state(C3, seed=7)
-        assert not st.are_singular(rho, rho)
-        assert st.singularity_witness(rho, rho) is None
+        assert ja.inner_product(rho.element, rho.element) > st.CLIP_TOL
+        assert ja.inner_product(support_projection(rho.element),
+                                rho.element) == pytest.approx(1.0, abs=1e-12)
 
     def test_overlapping_pure_states(self):
         u = np.array([1.0, 0.0], dtype=complex)
         v = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
         a = st.State.make(ja.element_from_reps(C2, [np.outer(u, u.conj())]))
         b = st.State.make(ja.element_from_reps(C2, [np.outer(v, v.conj())]))
-        assert not st.are_singular(a, b)
+        assert ja.inner_product(a.element, b.element) == pytest.approx(
+            0.5, abs=1e-12)
+        assert ja.inner_product(support_projection(b.element),
+                                a.element) == pytest.approx(0.5, abs=1e-12)
 
 
 class TestTensorMarginal:
