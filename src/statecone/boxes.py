@@ -55,6 +55,8 @@ class NoSignalingBox:
 
     def validate(self, tol: float = BOX_TOL) -> None:
         t = self.table
+        if not np.all(np.isfinite(t)):
+            raise ValueError("probabilities must be finite numbers")
         if np.any(t < -tol):
             raise ValueError(f"negative probability {t.min()!r}")
         sums = t.sum(axis=(2, 3))

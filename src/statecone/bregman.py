@@ -12,7 +12,7 @@ sigma and ``p`` the weights rho puts on their idempotents it is
 
 Generators whose value contains an ``<x, ln x>`` part are support
 sensitive: the divergence is ``+inf`` when the first argument has mass
-outside the support of the second, and gradients are computed on the
+outside the support of the second, and ``f'(mu)`` is read on the
 support (the kernel never contributes because the support check has
 already passed).
 
@@ -123,10 +123,6 @@ class BregmanGenerator:
         return float(self.f(lam).sum()) + inner_product(
             self._affine_part(x.algebra), x
         )
-
-    def gradient(self, x: JordanElement) -> JordanElement:
-        dec = spectral_decompose(x)
-        return dec.function(self.df(dec.values)) + self._affine_part(x.algebra)
 
 
 def _log_on_support(lam: np.ndarray) -> np.ndarray:
@@ -368,7 +364,18 @@ def _gap(a: float, b: float) -> float:
 
 
 def _trial_rng(seed, trial: int, stream: int = 0) -> np.random.Generator:
-    return np.random.default_rng([int(seed), int(trial), int(stream)])
+    """The generator of ``default_rng([seed, trial, stream])``, seeded
+    with the uint32 words numpy splits those integers into: each one low
+    word first, zero as one word."""
+    words = []
+    for value in (int(seed), int(trial), int(stream)):
+        if value < 0:
+            raise ValueError(f"expected non-negative integer, got {value}")
+        words.append(value & 0xFFFFFFFF)
+        while value > 0xFFFFFFFF:
+            value >>= 32
+            words.append(value & 0xFFFFFFFF)
+    return np.random.default_rng(np.array(words, dtype=np.uint32))
 
 
 def _require_trials(n_trials: int) -> None:

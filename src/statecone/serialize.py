@@ -7,9 +7,11 @@ vector in the documented basis:
 
 States add ``"kind": "state"`` and, for composites, a ``"layout"`` with
 the embedding name and factor sizes.  Channels carry the raw matrix
-with source and target descriptors and a name; the reader ignores any
-other key, such as the ``"trace_preserving"`` flag older writers added.
-Boxes are a 4x4 nesting indexed ``[x][y][a][b]``.
+with source and target descriptors and a string name; the reader
+ignores any other key, such as the ``"trace_preserving"`` flag older
+writers added.  Boxes are a 4x4 nesting indexed ``[x][y][a][b]``.
+Every number a reader takes must be finite: numpy reads a JSON ``null``
+as NaN, which no later comparison would catch.
 """
 
 from __future__ import annotations
@@ -215,7 +217,10 @@ def channel_from_json(doc) -> Affinity:
             f"{source} to {target}"
         )
     _require_finite(matrix, "channel matrix entries")
-    return Affinity(matrix, source, target, name=doc.get("name", ""))
+    name = doc.get("name", "")
+    if not isinstance(name, str):
+        raise FormatError(f"channel name {name!r} is not a string")
+    return Affinity(matrix, source, target, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +236,11 @@ def box_from_json(doc) -> NoSignalingBox:
     _require_kind(doc, "box")
     if "table" not in doc:
         raise FormatError('box documents need a "table"')
-    box = NoSignalingBox(np.asarray(doc["table"], dtype=float))
+    try:
+        table = np.asarray(doc["table"], dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise FormatError(f"bad box table: {exc}") from exc
+    _require_finite(table, "box table entries")
+    box = NoSignalingBox(table)
     box.validate(tol=INPUT_BOX_TOL)
     return box

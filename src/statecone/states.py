@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 from typing import Callable, Sequence
 
 import numpy as np
@@ -833,23 +833,35 @@ def _merge_stress_sampler(algebra):
     return sampler
 
 
-def _automorphism(algebra: Algebra, rng) -> tuple[Affinity, Affinity]:
+def _automorphism_frames(algebra: Algebra, rng):
+    """The frames of the catalog's two automorphisms of the simple
+    ``algebra``: two permutations on a classical factor, else the two
+    frames of one stacked draw, a rotation of the ball on a spin factor
+    and the unitary on a matrix kind.  Each frame is the one its single
+    draw gives, and ``rng`` ends where two single draws leave it."""
     s = algebra.summands[0]
-    n = s.size
     if s.kind == "classical":
-        perm = rng.permutation(n)
-        m = np.eye(n)[perm]
+        return [rng.permutation(s.size) for _ in range(2)]
+    kind = "real" if s.kind == "spin" else s.kind
+    return _random_frames(kind, _draw_basis(kind, s.size, rng, (2,)))
+
+
+def _automorphism(algebra: Algebra, frame) -> tuple[Affinity, Affinity]:
+    """The automorphism of the simple ``algebra`` that a frame of
+    :func:`_automorphism_frames` defines, and its inverse."""
+    s = algebra.summands[0]
+    if s.kind == "classical":
+        m = np.eye(s.size)[frame]
         fwd = Affinity(m, algebra, algebra, name="permutation")
         rev = Affinity(m.T, algebra, algebra, name="permutation-inv")
         return fwd, rev
     if s.kind == "spin":
-        m = np.eye(n + 1)
-        m[1:, 1:] = _random_frames("real", _draw_basis("real", n, rng))
+        m = np.eye(s.size + 1)
+        m[1:, 1:] = frame
         fwd = Affinity(m, algebra, algebra, name="ball-rotation")
         rev = Affinity(m.T, algebra, algebra, name="ball-rotation-inv")
         return fwd, rev
-    q = _random_frames(s.kind, _draw_basis(s.kind, n, rng))
-    qh = q.conj().T
+    q, qh = frame, frame.conj().T
     fwd = _affinity_from_rep_map(lambda m: q @ m @ qh, algebra, "automorphism")
     rev = _affinity_from_rep_map(lambda m: qh @ m @ q, algebra,
                                  "automorphism-inv")
@@ -972,20 +984,13 @@ def _classical_pair_sampler(r):
     return sampler
 
 
-def channel_catalog(algebra: Algebra, seed: int = 0) -> list[CatalogChannel]:
-    """Named affinities on a simple algebra, with recovery maps where the
-    construction provides one."""
-    if len(algebra.summands) != 1:
-        raise UnsupportedAlgebraError("the catalog covers simple algebras")
-    rng = _as_rng(seed)
+@lru_cache
+def _fixed_entries(algebra: Algebra) -> tuple[CatalogChannel, ...]:
+    """The catalog entries of the simple ``algebra`` that no seed
+    changes, built once per algebra and shared by every catalog, in
+    catalog order; their matrices are read-only."""
     ident = identity_affinity(algebra)
     entries = [CatalogChannel("identity", ident, recovery=ident)]
-
-    for k in range(2):
-        fwd, rev = _automorphism(algebra, rng)
-        entries.append(
-            CatalogChannel(f"automorphism-{k}", fwd, recovery=rev)
-        )
 
     for t in (0.3, 0.7):
         entries.append(CatalogChannel(f"depolarize-{t}", _depolarize(algebra, t)))
@@ -1025,7 +1030,29 @@ def channel_catalog(algebra: Algebra, seed: int = 0) -> list[CatalogChannel]:
                 pair_sampler=_classical_pair_sampler(algebra.summands[0].rank),
             )
         )
-    return entries
+    for entry in entries:
+        for phi in (entry.affinity, entry.recovery):
+            if phi is not None:
+                phi.matrix.flags.writeable = False
+    return tuple(entries)
+
+
+def channel_catalog(algebra: Algebra, seed: int = 0) -> list[CatalogChannel]:
+    """Named affinities on a simple algebra, with recovery maps where the
+    construction provides one.
+
+    Each call returns a fresh list, in which only the two automorphisms
+    are drawn from ``seed``; the other entries are shared by every
+    catalog of the algebra."""
+    if len(algebra.summands) != 1:
+        raise UnsupportedAlgebraError("the catalog covers simple algebras")
+    identity, *fixed = _fixed_entries(algebra)
+    automorphisms = [
+        CatalogChannel(f"automorphism-{k}", *_automorphism(algebra, frame))
+        for k, frame in enumerate(
+            _automorphism_frames(algebra, _as_rng(seed)))
+    ]
+    return [identity, *automorphisms, *fixed]
 
 
 # ---------------------------------------------------------------------------

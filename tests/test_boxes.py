@@ -34,6 +34,17 @@ class TestBoxInvariants:
         with pytest.raises(ValueError):
             bx.NoSignalingBox(signaling).validate()
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_tables_rejected(self, bad):
+        # every comparison with NaN is false, so a NaN table would pass
+        # the sign, sum and signaling checks
+        table = bx.pr_box().table.copy()
+        table[1, 0, 1, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            bx.NoSignalingBox(table).validate()
+        with pytest.raises(ValueError, match="finite"):
+            bx.NoSignalingBox(np.full((2, 2, 2, 2), math.nan)).validate()
+
     def test_shape_checked(self):
         with pytest.raises(ValueError):
             bx.NoSignalingBox(np.zeros((2, 2, 2)))

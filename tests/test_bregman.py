@@ -19,6 +19,13 @@ T2 = br.trace_power(2)
 T3 = br.trace_power(3)
 
 
+def gradient(F, x):
+    """The gradient of ``F`` at the element ``x``: ``f'`` of its
+    spectrum plus the affine part."""
+    dec = ja.spectral_decompose(x)
+    return dec.function(F.df(dec.values)) + F._affine_part(x.algebra)
+
+
 class TestDivergenceValues:
     @pytest.mark.parametrize("F", [NE, T2, T3])
     def test_zero_on_equal_arguments(self, F):
@@ -150,14 +157,14 @@ class TestGradients:
             numeric = (
                 F.value(x + h * direction) - F.value(x - h * direction)
             ) / (2 * h)
-            analytic = ja.inner_product(F.gradient(x), direction)
+            analytic = ja.inner_product(gradient(F, x), direction)
             assert numeric == pytest.approx(
                 analytic, rel=1e-5, abs=1e-7
             )
 
     def test_entropy_gradient_is_log_plus_unit(self):
         sigma = st.random_state(C3, seed=8)
-        g = NE.gradient(sigma.element)
+        g = gradient(NE, sigma.element)
         dec = ja.spectral_decompose(sigma.element)
         expected = dec.function(np.log(dec.values)) + ja.unit(C3)
         assert ja.norm(g - expected) < 1e-12
@@ -202,7 +209,7 @@ def tangent_regret(F, rho, sigma):
     """Payoff lost by acting on the tangent of F at sigma when the state
     is rho: F(rho) - F(sigma) - <grad F(sigma), rho - sigma>."""
     x, y = rho.element, sigma.element
-    return F.value(x) - F.value(y) - ja.inner_product(F.gradient(y), x - y)
+    return F.value(x) - F.value(y) - ja.inner_product(gradient(F, y), x - y)
 
 
 class TestActions:
@@ -416,6 +423,22 @@ class TestTrialDriver:
             for entropy in ([11, trial], [11, trial, 0]):
                 assert drawn == np.random.default_rng(entropy).random()
 
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 5, 10**30])
+    def test_trial_streams_equal_the_list_seeded_ones(self, seed):
+        # the uint32 words of each integer, low word first and zero as
+        # one word, are what numpy makes of a list of integers
+        for trial in (0, 1, 2**32 + 3):
+            for stream in (0, 1, 7):
+                got = br._trial_rng(seed, trial, stream)
+                want = np.random.default_rng([seed, trial, stream])
+                assert (got.bit_generator.state
+                        == want.bit_generator.state), (trial, stream)
+                assert got.random(3).tobytes() == want.random(3).tobytes()
+
+    def test_negative_trial_seeds_are_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            br._trial_rng(-1, 0)
+
     @pytest.mark.parametrize("suite", sorted(REPLAYS))
     def test_every_witness_replays_through_its_results(self, suite):
         run, replay = REPLAYS[suite]
@@ -541,7 +564,9 @@ class TestMonotonicity:
         # the 24 trials of a run, random-channel and catalog trials alike,
         # check their 48 states in one stacked eigensolve; a second one
         # decomposes their 48 images with the 10 that recovery maps bring
-        # back (106 trial by trial)
+        # back (106 trial by trial); the catalog's seed-free entries are
+        # built once per algebra, so they are built first
+        st.channel_catalog(C3, seed=0)
         calls = []
         eigh = np.linalg.eigh
 
@@ -558,7 +583,10 @@ class TestMonotonicity:
     def test_mono_chunk_projects_only_the_sigma_sides(self, monkeypatch):
         # both eigensolves of a 24-trial chunk keep their eigenvectors; a
         # divergence pairs only its sigma's idempotents, so each projects
-        # half of its states, and no state of this chunk is clipped
+        # half of its states, and no state of this chunk is clipped; the
+        # catalog's seed-free entries are built once per algebra, so they
+        # are built first
+        st.channel_catalog(C3, seed=0)
         decomposed, projected, clipped = [], [], []
         frames = ja._spectral_frames
         projections = ja._frame_projections
@@ -656,9 +684,10 @@ class TestMonotonicity:
         # channels convert, all entries' trials at once: the samplers'
         # diagonals to reps, the inputs to coefficients, their images to
         # reps and their recoveries' images to reps; no matrix is
-        # derived.  The trace vector, which the depolarizing channels
-        # read, converts once per algebra, so it is read first.
-        C3.trace_vector
+        # derived.  The catalog's seed-free entries, whose depolarizing
+        # channels convert the trace vector, are built once per algebra,
+        # so they are built first.
+        st.channel_catalog(C3, seed=0)
         calls = []
         for table in (ja._COERCE_TO_REP, ja._COERCE_TO_COEFFS):
             def recording(c, n, convert=table["complex"]):

@@ -2,11 +2,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from statecone import algebras as ja
 from statecone import boxes as bx
 from statecone import serialize as sz
 from statecone import states as st
+from test_cli import _JSON
 
 
 class TestAlgebraDescriptors:
@@ -172,6 +175,13 @@ class TestChannels:
                                       matrix @ rho.element.coeffs)
         assert "trace_preserving" not in sz.channel_to_json(phi)
 
+    @pytest.mark.parametrize("name", [5, [1], None, {"a": "b"}])
+    def test_channel_name_must_be_a_string(self, name):
+        doc = sz.channel_to_json(st.identity_affinity(ja.complex_hermitian(2)))
+        doc["name"] = name
+        with pytest.raises(sz.FormatError, match="not a string"):
+            sz.channel_from_json(doc)
+
     def test_channel_document_without_target(self):
         doc = {"kind": "channel", "source": [{"type": "complex", "n": 2}]}
         with pytest.raises(sz.FormatError, match="target"):
@@ -193,3 +203,74 @@ class TestBoxes:
     def test_box_needs_a_table(self):
         with pytest.raises(sz.FormatError, match="table"):
             sz.box_from_json({"kind": "box"})
+
+    def test_null_table_rejected(self):
+        # json.load reads null as None, which numpy turns into NaN
+        table = np.full((2, 2, 2, 2), None).tolist()
+        with pytest.raises(sz.FormatError, match="finite"):
+            sz.box_from_json({"kind": "box", "table": table})
+
+    @pytest.mark.parametrize("table", [
+        [[[[0.5, {}], [0, 0.5]]] * 2] * 2, [[1] * 3, [1] * 2], [10 ** 400],
+    ], ids=["object", "ragged", "overflow"])
+    def test_unreadable_tables(self, table):
+        with pytest.raises(sz.FormatError, match="bad box table"):
+            sz.box_from_json({"kind": "box", "table": table})
+
+
+# ---------------------------------------------------------------------------
+# fuzzed channel and box documents
+# ---------------------------------------------------------------------------
+
+_CHANNELS = [
+    sz.channel_to_json(st.random_channel(ja.complex_hermitian(2), seed=8)),
+    sz.channel_to_json(st.random_channel(ja.classical(3), seed=9)),
+    sz.channel_to_json(st.identity_affinity(ja.real_hermitian(2))),
+]
+_BOXES = [sz.box_to_json(box) for box in (
+    bx.pr_box(), bx.white_noise_box(), bx.deterministic_box((0, 1), (1, 0)))]
+
+
+@hst.composite
+def _mutated(draw, docs):
+    """One of ``docs`` with the value at a random path, one to five keys
+    or indices deep, replaced by arbitrary JSON."""
+    doc = json.loads(json.dumps(draw(hst.sampled_from(docs))))
+    holder, key = None, None
+    node = doc
+    for _ in range(draw(hst.integers(1, 5))):
+        keys = (list(node) if isinstance(node, dict)
+                else list(range(len(node))) if isinstance(node, list)
+                else [])
+        if not keys:
+            break
+        holder, key = node, draw(hst.sampled_from(keys))
+        node = holder[key]
+    holder[key] = draw(_JSON)
+    return doc
+
+
+def _loads_or_rejects(load, doc):
+    """Load ``doc``; a rejection must be a ``ValueError``, and any other
+    exception fails the test."""
+    try:
+        return load(doc)
+    except ValueError:
+        return None
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(doc=_mutated(_CHANNELS) | _JSON)
+def test_channel_loader_accepts_or_rejects_any_document(doc):
+    phi = _loads_or_rejects(sz.channel_from_json, doc)
+    if phi is not None:
+        assert isinstance(phi.name, str)
+        assert np.isfinite(phi.matrix).all()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(doc=_mutated(_BOXES) | _JSON)
+def test_box_loader_accepts_or_rejects_any_document(doc):
+    box = _loads_or_rejects(sz.box_from_json, doc)
+    if box is not None:
+        assert np.isfinite(box.table).all()

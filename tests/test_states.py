@@ -862,6 +862,34 @@ class TestRandomChannels:
         assert ja.norm(out.element - mm.element) < 1e-10
 
 
+CATALOG_ALGEBRAS = [
+    ja.real_hermitian(3), C3, ja.complex_hermitian(4),
+    ja.quaternion_hermitian(2), ja.spin_factor(3), ja.classical(3),
+]
+
+
+def single_automorphism_frames(algebra, rng):
+    """The frames of the catalog's two automorphisms, one draw each."""
+    s = algebra.summands[0]
+    if s.kind == "classical":
+        return [rng.permutation(s.size) for _ in range(2)]
+    kind = "real" if s.kind == "spin" else s.kind
+    return [st._random_frames(kind, st._draw_basis(kind, s.size, rng))
+            for _ in range(2)]
+
+
+def uncached_catalog(algebra, seed):
+    """The catalog built from its helpers with no cache, one draw per
+    automorphism."""
+    identity, *fixed = st._fixed_entries.__wrapped__(algebra)
+    frames = single_automorphism_frames(algebra, np.random.default_rng(seed))
+    automorphisms = [
+        st.CatalogChannel(f"automorphism-{k}", *st._automorphism(algebra, q))
+        for k, q in enumerate(frames)
+    ]
+    return [identity, *automorphisms, *fixed]
+
+
 class TestCatalog:
     @pytest.mark.parametrize("algebra", [
         ja.complex_hermitian(4), ja.real_hermitian(3),
@@ -876,6 +904,58 @@ class TestCatalog:
         for index in np.ndindex(3, 2):
             alone = st._diag_reps(s, probs[index])
             assert stacked[index].tobytes() == alone.tobytes()
+
+    @pytest.mark.parametrize("algebra", CATALOG_ALGEBRAS, ids=str)
+    def test_seed_free_entries_are_shared_and_read_only(self, algebra):
+        first = st.channel_catalog(algebra, seed=3)
+        second = st.channel_catalog(algebra, seed=4)
+        assert first is not second
+        assert [c.name for c in first] == [c.name for c in second]
+        for a, b in zip(first, second):
+            if a.name.startswith("automorphism"):
+                assert a is not b
+                assert not np.array_equal(a.affinity.matrix, b.affinity.matrix)
+                continue
+            assert a is b, a.name
+            for phi in (a.affinity, a.recovery):
+                if phi is not None:
+                    assert not phi.matrix.flags.writeable, a.name
+
+    @pytest.mark.parametrize("algebra", CATALOG_ALGEBRAS, ids=str)
+    def test_catalog_equals_an_uncached_build(self, algebra):
+        for seed in (0, 11):
+            got = st.channel_catalog(algebra, seed=seed)
+            want = uncached_catalog(algebra, seed)
+            assert [c.name for c in got] == [c.name for c in want]
+            for a, b in zip(got, want):
+                assert a.affinity.name == b.affinity.name
+                assert a.affinity.matrix.tobytes() == b.affinity.matrix.tobytes()
+                assert (a.recovery is None) == (b.recovery is None), a.name
+                if a.recovery is not None:
+                    assert a.recovery.name == b.recovery.name
+                    assert (a.recovery.matrix.tobytes()
+                            == b.recovery.matrix.tobytes()), a.name
+                assert (a.pair_sampler is None) == (b.pair_sampler is None)
+                assert (a.stress_sampler is None) == (b.stress_sampler is None)
+
+    def test_catalog_order(self):
+        assert [c.name for c in st.channel_catalog(C3, seed=0)] == [
+            "identity", "automorphism-0", "automorphism-1", "depolarize-0.3",
+            "depolarize-0.7", "dephase", "split", "merge",
+            "classical-section"]
+
+    @pytest.mark.parametrize("algebra", CATALOG_ALGEBRAS + [
+        ja.quaternion_hermitian(3), ja.spin_factor(5)], ids=str)
+    def test_stacked_automorphisms_equal_single_draws(self, algebra):
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            single = np.random.default_rng(seed)
+            stacked = st._automorphism_frames(algebra, rng)
+            for q, alone in zip(stacked,
+                                single_automorphism_frames(algebra, single),
+                                strict=True):
+                assert q.tobytes() == alone.tobytes()
+            assert rng.bit_generator.state == single.bit_generator.state
 
     @pytest.mark.parametrize("algebra", ALL_SIMPLE)
     def test_entries_are_trace_preserving(self, algebra):
@@ -920,7 +1000,8 @@ class TestCatalog:
         ja.real_hermitian(3), C3, ja.quaternion_hermitian(3),
     ])
     def test_automorphism_matrix_matches_per_element_map(self, algebra):
-        fwd, rev = st._automorphism(algebra, np.random.default_rng(31))
+        frames = st._automorphism_frames(algebra, np.random.default_rng(31))
+        fwd, rev = st._automorphism(algebra, frames[0])
         s = algebra.summands[0]
         n = s.size
         rng = np.random.default_rng(31)
@@ -999,7 +1080,8 @@ def _rep_map_channels():
             channels[f"stinespring-C{n}-env{env}"] = st.random_channel(
                 algebra, env_dim=env, seed=90 + 10 * n + env)
     for algebra in (ja.real_hermitian(3), C3, ja.quaternion_hermitian(2)):
-        fwd, rev = st._automorphism(algebra, np.random.default_rng(95))
+        frames = st._automorphism_frames(algebra, np.random.default_rng(95))
+        fwd, rev = st._automorphism(algebra, frames[0])
         channels[f"{fwd.name}-{algebra}"] = fwd
         channels[f"{rev.name}-{algebra}"] = rev
     layout = st.composite_layout(st.COMPLEX_TENSOR, (2, 3))
