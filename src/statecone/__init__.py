@@ -1,7 +1,8 @@
 """Entropy, Bregman divergences and information quantities on the state
-spaces of finite Euclidean Jordan algebras, with randomized checkers for
-monotonicity, sufficiency, statistical locality, additivity and the
-separoid axioms, plus a small CHSH nonlocality demo."""
+spaces of finite Euclidean Jordan algebras, with randomized suites for
+monotonicity, sufficiency, statistical locality, additivity, data
+processing and the separoid axioms, all run by :func:`run_suite` from
+the :data:`SUITES` table, plus a small CHSH nonlocality demo."""
 
 __version__ = "0.1.0"
 
@@ -49,11 +50,7 @@ from .bregman import (
     affine_plus_entropy,
     bregman_divergence,
     check_bregman_identity,
-    check_identity,
     check_locality_theorem,
-    check_monotonicity,
-    check_statistical_locality,
-    check_sufficiency,
     explore_additivity_conjecture,
     information_divergence,
     neg_entropy,
@@ -62,12 +59,13 @@ from .bregman import (
 from .multipartite import (
     CmiReport,
     PartitionedState,
+    SUITES,
     check_additivity,
     check_data_processing,
     check_marginal_identity,
-    check_separoid,
     conditional_mutual_information,
     mutual_information,
+    run_suite,
 )
 from .boxes import (
     NoSignalingBox,

@@ -16,10 +16,12 @@ outside the support of the second, and ``f'(mu)`` is read on the
 support (the kernel never contributes because the support check has
 already passed).
 
-Each randomized suite (identity, monotonicity, sufficiency, statistical
-locality) is a generator ``_<suite>_results(F, algebra, seed, trials)``
-of one result per trial, each drawn from the stream of ``(seed, trial)``
-alone, and its verdict is one :func:`judge_trials` pass over
+Each randomized suite here (identity, monotonicity, sufficiency,
+statistical locality) is a generator
+``_<suite>_results(F, algebra, seed, trials)`` of one result per trial,
+each drawn from the stream of ``(seed, trial)`` alone.
+:func:`statecone.multipartite.run_suite` runs it from the suite table
+and judges it in one :func:`judge_trials` pass over
 ``range(n_trials)``.  A failing trial becomes a witness with its trial
 and seed, which replays through the same generator.  Channels come from
 the channel catalog and, in the monotonicity suite, also from the draws
@@ -57,11 +59,7 @@ __all__ = [
     "affine_plus_entropy",
     "bregman_divergence",
     "check_bregman_identity",
-    "check_identity",
     "check_locality_theorem",
-    "check_monotonicity",
-    "check_statistical_locality",
-    "check_sufficiency",
     "combine_generators",
     "explore_additivity_conjecture",
     "information_divergence",
@@ -621,40 +619,6 @@ def _identity_results(F, algebra, seed, trials):
                check_bregman_identity(F, states, weights, sigma)}
 
 
-def check_identity(
-    F: BregmanGenerator,
-    algebra: Algebra,
-    n_trials: int = 500,
-    seed: int = 0,
-    tol: float = 1e-9,
-) -> PropertyVerdict:
-    """Randomized residuals of the affine decomposition identity."""
-    _require_trials(n_trials)
-    results = _identity_results(F, algebra, seed, range(n_trials))
-    return judge_trials(results, {"bregman-identity": tol})["bregman-identity"]
-
-
-def check_monotonicity(
-    F: BregmanGenerator,
-    algebra: Algebra,
-    n_trials: int = 1000,
-    seed: int = 0,
-    tol: float = 1e-8,
-) -> PropertyVerdict:
-    """Sample channels and state pairs; the divergence must not grow.
-
-    On complex and classical algebras the pool mixes Stinespring-style
-    random channels with the catalog; elsewhere only catalog channels
-    exist, which the verdict records.
-    """
-    _require_trials(n_trials)
-    results = _monotonicity_results(F, algebra, seed, range(n_trials))
-    verdict = judge_trials(results, {"monotonicity": tol})["monotonicity"]
-    if not _supports_random_channels(algebra):
-        verdict.details["channel_pool"] = "catalog-only"
-    return verdict
-
-
 def replay_monotonicity_trial(F, algebra, seed, trial):
     """Recompute the violation of a recorded witness."""
     result, = _monotonicity_results(F, algebra, seed, [trial])
@@ -698,19 +662,6 @@ def _sufficiency_results(F, algebra, seed, trials):
         )
         yield {"trial": trial, "seed": seed,
                "sufficiency": _gap(after, before), "channel": entry.name}
-
-
-def check_sufficiency(
-    F: BregmanGenerator,
-    algebra: Algebra,
-    n_trials: int = 200,
-    seed: int = 0,
-    tol: float = 1e-8,
-) -> PropertyVerdict:
-    """On recoverable channel pairs the divergence must be preserved."""
-    _require_trials(n_trials)
-    results = _sufficiency_results(F, algebra, seed, range(n_trials))
-    return judge_trials(results, {"sufficiency": tol})["sufficiency"]
 
 
 def random_orthogonal_triple(algebra: Algebra, rng):
@@ -780,35 +731,6 @@ def _locality_results(F, algebra, seed, trials):
                 abs(d1 + math.log1p(-t)), abs(d2 + math.log1p(-t))
             )
         yield out
-
-
-def check_statistical_locality(
-    F: BregmanGenerator,
-    algebra: Algebra,
-    n_trials: int = 200,
-    seed: int = 0,
-    tol: float = 1e-8,
-) -> PropertyVerdict:
-    """The divergence to a mixture with a singular state must not depend
-    on which singular state was mixed in.
-
-    For the plain entropy generator the common value is also checked
-    against ``-ln(1-t)``.
-    """
-    _require_trials(n_trials)
-    tols = {"statistical-locality": tol}
-    if _pure_entropy(F):
-        # tracked but never judged: only an infinite residual reaches the
-        # infinite tolerance, and its witnesses are never reported
-        tols["value_residual"] = math.inf
-    results = _locality_results(F, algebra, seed, range(n_trials))
-    verdicts = judge_trials(results, tols)
-    verdict = verdicts["statistical-locality"]
-    if "value_residual" in verdicts:
-        verdict.details["value_residual"] = (
-            verdicts["value_residual"].worst_violation
-        )
-    return verdict
 
 
 def check_locality_theorem(
@@ -900,10 +822,9 @@ def explore_additivity_conjecture(
              (False, True): 0, (False, False): 0}
     flagged = []
     for idx, G in enumerate(generators):
-        mono = check_monotonicity(
-            G, layout.ambient, n_trials=n_trials, seed=seed + idx,
-            tol=EXPLORER_TOL,
-        )
+        mono, = mp.run_suite(
+            "mono", G, layout.ambient, n_trials, seed=seed + idx,
+            tols={"monotonicity": EXPLORER_TOL}).values()
         residuals = []
         for trial in range(n_trials):
             trial_rng = _trial_rng(seed + idx, trial, stream=7)

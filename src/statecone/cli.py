@@ -5,6 +5,9 @@ configuration (including seeds and tolerances), the results payload and,
 for suites and the audit, a pass flag.  Identical configurations
 reproduce identical reports.  Each subcommand returns its configuration
 and results (and pass flag); :func:`main` builds and prints the report.
+``suite`` reads its property choices, factor counts and default
+tolerances from :data:`statecone.multipartite.SUITES` and runs every
+property through :func:`statecone.multipartite.run_suite`.
 Exit codes: 0 success, 1 when the report's pass flag is false, 2 usage
 or input errors.
 """
@@ -192,62 +195,30 @@ def _cmd_cmi(args):
              "generator": args.generator, "bits": args.bits}, payload)
 
 
-# property -> (factors the algebra spec needs, None for a simple
-# algebra; the suite run).  Suites are looked up on their modules at call
-# time, so wrappers installed there by profilers apply.
-_SUITES = {
-    "mono": (None, lambda F, algebra, layout, **kw:
-             br.check_monotonicity(F, algebra, **kw)),
-    "suff": (None, lambda F, algebra, layout, **kw:
-             br.check_sufficiency(F, algebra, **kw)),
-    "local": (None, lambda F, algebra, layout, **kw:
-              br.check_statistical_locality(F, algebra, **kw)),
-    "identity": (None, lambda F, algebra, layout, **kw:
-                 br.check_identity(F, algebra, **kw)),
-    "additivity": (2, lambda F, algebra, layout, **kw:
-                   mp.run_additivity_suite(F, layout, **kw)),
-    "marginal": (2, lambda F, algebra, layout, **kw:
-                 mp.run_marginal_identity_suite(F, layout, **kw)),
-    "separoid": (4, lambda F, algebra, layout, **kw:
-                 mp.check_separoid(F, layout.embedding, layout.sizes, **kw)),
-    "dpi": (2, lambda F, algebra, layout, **kw:
-            mp.run_dpi_suite(F, layout, **kw)),
-}
-
-
 def _cmd_suite(args):
     _check_at_least_one("--trials", args.trials)
+    suite = mp.SUITES[args.property]
     algebra, layout = sz.parse_algebra_spec(args.algebra)
     F = _generator(args.generator)
-    n_factors, run = _SUITES[args.property]
-    if n_factors is not None:
-        if layout is None:
-            raise CliError(
-                f"property {args.property!r} needs a composite algebra "
-                f"spec such as C2x2"
-            )
-        if len(layout.factors) != n_factors:
-            raise CliError(
-                f"property {args.property!r} needs {n_factors} factors"
-            )
-    kwargs = {"n_trials": args.trials, "seed": args.seed}
+    tols = None
     if args.tol is not None:
         if not (math.isfinite(args.tol) and args.tol >= 0.0):
             raise CliError(
                 f"--tol must be a finite number >= 0, got {args.tol!r}"
             )
-        if args.property == "separoid":
+        if len(suite.tols) > 1:
             raise CliError(
-                "--tol does not apply to separoid, which judges with fixed "
-                "tolerances: " + ", ".join(
-                    f"{check} {tol:g}"
-                    for check, tol in mp.SEPAROID_TOLS.items())
+                f"--tol does not apply to {args.property}, which judges "
+                "with fixed tolerances: " + ", ".join(
+                    f"{check} {tol:g}" for check, tol in suite.tols.items())
             )
-        kwargs["tol"] = args.tol
+        tols = dict.fromkeys(suite.tols, args.tol)
 
-    verdicts = run(F, algebra, layout, **kwargs)
-    if isinstance(verdicts, br.PropertyVerdict):
-        verdicts = {verdicts.property: verdicts}
+    # looked up on the module at call time, so wrappers installed there
+    # by profilers apply
+    verdicts = mp.run_suite(
+        args.property, F, algebra if suite.factors is None else layout,
+        args.trials, seed=args.seed, tols=tols)
     return ({"property": args.property, "generator": args.generator,
              "algebra": args.algebra, "trials": args.trials,
              "seed": args.seed, "tol": args.tol},
@@ -383,7 +354,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("suite", help="randomized property suite")
     common(p)
-    p.add_argument("--property", required=True, choices=tuple(_SUITES))
+    p.add_argument("--property", required=True, choices=tuple(mp.SUITES))
     p.add_argument("--generator", default="neg-entropy")
     p.add_argument("--algebra", default="C3",
                    help="algebra spec, e.g. C2, R4, H2, S3, P4, C2x4")

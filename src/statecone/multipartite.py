@@ -15,6 +15,11 @@ All computations share one support convention: a divergence with mass
 outside the reference support is infinite, and a conditional mutual
 information with any infinite component is reported as undefined
 instead of being assembled from infinities.
+
+The module also holds the suite table, :data:`SUITES`: one entry per
+property, each a results generator with the default tolerances of its
+checks and the number of factors it needs, all run and judged by one
+:func:`run_suite`.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import zip_longest
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -35,36 +40,37 @@ from .bregman import (
     _divergence,
     _frame_bytes,
     _gap,
+    _identity_results,
     _in_chunks,
-    _violation,
+    _locality_results,
+    _monotonicity_results,
+    _pure_entropy,
     _require_algebra,
     _require_trials,
+    _sufficiency_results,
+    _supports_random_channels,
     _trial_rng,
+    _violation,
     bregman_divergence,
     judge_trials,
 )
 from .states import CompositeLayout, State
 
 __all__ = [
+    "SUITES",
     "CmiReport",
     "OverlapError",
     "PartitionedState",
+    "Suite",
     "UnknownLabelError",
     "check_additivity",
     "check_data_processing",
     "check_marginal_identity",
-    "check_separoid",
     "conditional_mutual_information",
     "maximally_entangled_state",
     "mutual_information",
-    "run_additivity_suite",
-    "run_dpi_suite",
-    "run_marginal_identity_suite",
+    "run_suite",
 ]
-
-
-# the separoid suite judges each of its checks at a fixed tolerance
-SEPAROID_TOLS = {"positivity": 1e-8, "symmetry": 1e-10, "chain": 1e-8}
 
 
 class OverlapError(ValueError):
@@ -455,30 +461,6 @@ def _separoid_results(F, layout, seed, trials):
                           _frame_bytes(layout.ambient.summands[0]))
 
 
-def check_separoid(
-    F: BregmanGenerator,
-    embedding: str,
-    sizes: Sequence[int],
-    n_trials: int = 200,
-    seed: int = 0,
-    positivity_tol: float = SEPAROID_TOLS["positivity"],
-    symmetry_tol: float = SEPAROID_TOLS["symmetry"],
-    chain_tol: float = SEPAROID_TOLS["chain"],
-) -> dict[str, PropertyVerdict]:
-    """Positivity, symmetry and the chain rule on random 4-factor states."""
-    if len(sizes) != 4:
-        raise ValueError("the separoid suite runs on four factors")
-    _require_trials(n_trials)
-    layout = st.composite_layout(embedding, sizes)
-    results = _separoid_results(F, layout, seed, range(n_trials))
-    verdicts = judge_trials(results, {"positivity": positivity_tol,
-                                      "symmetry": symmetry_tol,
-                                      "chain": chain_tol})
-    for check, verdict in verdicts.items():
-        verdict.property = f"separoid-{check}"
-    return verdicts
-
-
 def _additivity_results(F, layout, seed, trials):
     """Yield the additivity residual of each of ``trials`` over a random
     product quadruple."""
@@ -493,19 +475,6 @@ def _additivity_results(F, layout, seed, trials):
         )}
 
 
-def run_additivity_suite(
-    F: BregmanGenerator,
-    layout: CompositeLayout,
-    n_trials: int = 500,
-    seed: int = 0,
-    tol: float = 1e-8,
-) -> PropertyVerdict:
-    """Additivity residuals over random product quadruples."""
-    _require_trials(n_trials)
-    results = _additivity_results(F, layout, seed, range(n_trials))
-    return judge_trials(results, {"additivity": tol})["additivity"]
-
-
 def _marginal_results(F, layout, seed, trials):
     """Yield the marginal-identity residual of each of ``trials`` over a
     random joint state and a full-rank product reference."""
@@ -517,21 +486,6 @@ def _marginal_results(F, layout, seed, trials):
         yield {"trial": trial, "seed": seed,
                "marginal-identity": check_marginal_identity(
                    F, sigma_ab, rho_a, rho_b)}
-
-
-def run_marginal_identity_suite(
-    F: BregmanGenerator,
-    layout: CompositeLayout,
-    n_trials: int = 500,
-    seed: int = 0,
-    tol: float = 1e-8,
-) -> PropertyVerdict:
-    """Marginal-identity residuals over random joint states and full-rank
-    product references."""
-    _require_trials(n_trials)
-    results = _marginal_results(F, layout, seed, range(n_trials))
-    return judge_trials(results,
-                        {"marginal-identity": tol})["marginal-identity"]
 
 
 def _pairs_equal_complex_factors(layout: CompositeLayout) -> bool:
@@ -561,27 +515,21 @@ def _dpi_states(layout: CompositeLayout, seed: int) -> list:
     return [PartitionedState(s, ("A", "B")) for s in states]
 
 
-def run_dpi_suite(
-    F: BregmanGenerator,
-    layout: CompositeLayout,
-    n_trials: int = 500,
-    seed: int = 0,
-    tol: float = 1e-8,
-) -> PropertyVerdict:
-    """Data processing over both maximally entangled and random states.
+def _dpi_results(F, layout, seed, trials):
+    """Yield the data-processing results of as many trials as ``trials``
+    holds, over both maximally entangled and random states.
 
     The trials are split evenly across the states, the first states
     taking one more each when the count does not divide, and every
     state runs at least one; state ``k`` runs its trials under the seed
-    ``seed + k``.
+    ``seed + k``, numbered from 0, so its witnesses replay through
+    :func:`_data_processing_results`.
     """
-    _require_trials(n_trials)
     states = _dpi_states(layout, seed)
-    share, extra = divmod(n_trials, len(states))
-    results = (result for k, pstate in enumerate(states)
-               for result in _data_processing_results(
-                   F, pstate, seed + k, range(max(1, share + (k < extra)))))
-    return judge_trials(results, {"data-processing": tol})["data-processing"]
+    share, extra = divmod(len(trials), len(states))
+    for k, pstate in enumerate(states):
+        yield from _data_processing_results(
+            F, pstate, seed + k, range(max(1, share + (k < extra))))
 
 
 def _data_processing_results(F, pstate, seed, trials):
@@ -615,3 +563,80 @@ def check_data_processing(
     _require_trials(n_trials)
     results = _data_processing_results(F, pstate, seed, range(n_trials))
     return judge_trials(results, {"data-processing": tol})["data-processing"]
+
+
+# ---------------------------------------------------------------------------
+# the suite table
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Suite:
+    """A property suite: its results generator ``(F, target, seed,
+    trials)``, the default tolerance of each check it judges, and the
+    number of factors of its layout (``None`` for an algebra).  Each
+    verdict carries ``details(target)`` and, as details rather than
+    witness extras, the worst values of the result keys ``tracked(F)``
+    names; its property is ``prefix`` and its check's name."""
+
+    results: Callable
+    tols: dict[str, float]
+    factors: int | None = None
+    tracked: Callable = lambda F: ()
+    details: Callable = lambda target: {}
+    prefix: str = ""
+
+
+# property -> its suite, one entry per ``statecone suite --property``
+SUITES = {
+    # only complex and classical algebras mix random channels into the
+    # catalog's pool
+    "mono": Suite(_monotonicity_results, {"monotonicity": 1e-8},
+                  details=lambda algebra: (
+                      {} if _supports_random_channels(algebra)
+                      else {"channel_pool": "catalog-only"})),
+    "suff": Suite(_sufficiency_results, {"sufficiency": 1e-8}),
+    # the plain entropy's common value is also compared with -ln(1-t)
+    "local": Suite(_locality_results, {"statistical-locality": 1e-8},
+                   tracked=lambda F: (
+                       ("value_residual",) if _pure_entropy(F) else ())),
+    "identity": Suite(_identity_results, {"bregman-identity": 1e-9}),
+    "additivity": Suite(_additivity_results, {"additivity": 1e-8}, 2),
+    "marginal": Suite(_marginal_results, {"marginal-identity": 1e-8}, 2),
+    "separoid": Suite(_separoid_results, {"positivity": 1e-8,
+                                          "symmetry": 1e-10, "chain": 1e-8},
+                      4, prefix="separoid-"),
+    "dpi": Suite(_dpi_results, {"data-processing": 1e-8}, 2),
+}
+
+
+def run_suite(prop: str, F: BregmanGenerator, target, n_trials: int,
+              seed: int = 0, tols: dict[str, float] | None = None
+              ) -> dict[str, PropertyVerdict]:
+    """Judge trials ``0 .. n_trials-1`` of ``seed`` of the suite of
+    ``prop`` on ``target``, an algebra or a layout of the suite's number
+    of factors, each check at its default tolerance or the one ``tols``
+    gives it.  Returns the verdicts keyed by check."""
+    suite = SUITES[prop]
+    _require_trials(n_trials)
+    factors = (len(target.factors) if isinstance(target, CompositeLayout)
+               else None)
+    if factors != suite.factors:
+        raise ValueError(f"property {prop!r} runs on " + (
+            f"a layout of {suite.factors} factors" if suite.factors
+            else "an algebra"))
+    tols = {**suite.tols, **(tols or {})}
+    if tols.keys() != suite.tols.keys():
+        raise ValueError(f"property {prop!r} judges no check "
+                         f"{sorted(tols.keys() - suite.tols.keys())}")
+    # tracked but never judged: only an infinite value reaches the
+    # infinite tolerance, and its witnesses are never reported
+    tracked = suite.tracked(F)
+    verdicts = judge_trials(suite.results(F, target, seed, range(n_trials)),
+                            {**tols, **dict.fromkeys(tracked, math.inf)})
+    details = {**suite.details(target),
+               **{key: verdicts.pop(key).worst_violation for key in tracked}}
+    for check, verdict in verdicts.items():
+        verdict.property = suite.prefix + check
+        verdict.details.update(details)
+    return verdicts

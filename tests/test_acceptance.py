@@ -104,9 +104,9 @@ def test_criterion_03_bregman_identity():
     worst = 0.0
     for F in generators:
         for algebra, trials in ((C2, 250), (C3, 250)):
-            verdict = br.check_identity(
-                F, algebra, n_trials=trials, seed=4, tol=1e-9
-            )
+            verdict = mp.run_suite(
+                "identity", F, algebra, n_trials=trials, seed=4,
+                tols={"bregman-identity": 1e-9})["bregman-identity"]
             worst = max(worst, verdict.worst_violation)
     report(
         3, "affine decomposition identity (500 combos x 4 generators)",
@@ -117,10 +117,10 @@ def test_criterion_03_bregman_identity():
 def test_criterion_04_monotonicity():
     """Entropy divergence never grows under 1000 sampled channels on C2
     and C3; the squared-norm generator is caught with a witness."""
-    ne_c2 = br.check_monotonicity(NE, C2, n_trials=1000, seed=5)
-    ne_c3 = br.check_monotonicity(NE, C3, n_trials=1000, seed=5)
-    t2_c3 = br.check_monotonicity(T2, C3, n_trials=1000, seed=5)
-    t2_c2 = br.check_monotonicity(T2, C2, n_trials=1000, seed=5)
+    ne_c2 = mp.run_suite("mono", NE, C2, n_trials=1000, seed=5)["monotonicity"]
+    ne_c3 = mp.run_suite("mono", NE, C3, n_trials=1000, seed=5)["monotonicity"]
+    t2_c3 = mp.run_suite("mono", T2, C3, n_trials=1000, seed=5)["monotonicity"]
+    t2_c2 = mp.run_suite("mono", T2, C2, n_trials=1000, seed=5)["monotonicity"]
     replayed = (
         br.replay_monotonicity_trial(
             T2, C3, t2_c3.witnesses[0]["seed"], t2_c3.witnesses[0]["trial"]
@@ -144,14 +144,14 @@ def test_criterion_04_monotonicity():
 def test_criterion_05_additivity_and_marginal_identity():
     """Additivity and marginal-identity residuals below 1e-8 over 500
     instances each on 2x2 and 2x3, plus the real-embedding additivity."""
-    add_22 = mp.run_additivity_suite(NE, LAYOUT_22, n_trials=250, seed=6)
-    add_23 = mp.run_additivity_suite(NE, LAYOUT_23, n_trials=250, seed=6)
-    marg_22 = mp.run_marginal_identity_suite(
-        NE, LAYOUT_22, n_trials=250, seed=6
-    )
-    marg_23 = mp.run_marginal_identity_suite(
-        NE, LAYOUT_23, n_trials=250, seed=6
-    )
+    add_22 = mp.run_suite(
+        "additivity", NE, LAYOUT_22, n_trials=250, seed=6)["additivity"]
+    add_23 = mp.run_suite(
+        "additivity", NE, LAYOUT_23, n_trials=250, seed=6)["additivity"]
+    marg_22 = mp.run_suite(
+        "marginal", NE, LAYOUT_22, n_trials=250, seed=6)["marginal-identity"]
+    marg_23 = mp.run_suite(
+        "marginal", NE, LAYOUT_23, n_trials=250, seed=6)["marginal-identity"]
     real_layout = st.composite_layout(st.REAL_INTO_LARGER, (2, 2))
     real_worst = 0.0
     for k in range(25):
@@ -180,15 +180,14 @@ def test_criterion_06_separoid():
     states within stated tolerances and 2 minutes; classical tables at
     chain residual below 1e-10."""
     start = time.perf_counter()
-    quantum = mp.check_separoid(
-        NE, st.COMPLEX_TENSOR, (2, 2, 2, 2), n_trials=200, seed=8,
-        positivity_tol=1e-8, symmetry_tol=1e-10, chain_tol=1e-8,
-    )
+    quantum = mp.run_suite(
+        "separoid", NE, st.composite_layout(st.COMPLEX_TENSOR, (2, 2, 2, 2)),
+        n_trials=200, seed=8,
+        tols={"positivity": 1e-8, "symmetry": 1e-10, "chain": 1e-8})
     elapsed = time.perf_counter() - start
-    classical = mp.check_separoid(
-        NE, st.CLASSICAL_TENSOR, (2, 2, 2, 2), n_trials=100, seed=8,
-        chain_tol=1e-10,
-    )
+    classical = mp.run_suite(
+        "separoid", NE, st.composite_layout(st.CLASSICAL_TENSOR, (2, 2, 2, 2)),
+        n_trials=100, seed=8, tols={"chain": 1e-10})
     passed = (
         all(v.passed for v in quantum.values())
         and all(v.passed for v in classical.values())
@@ -237,12 +236,14 @@ def test_criterion_08_hierarchy_ordering():
     rows = []
     for algebra_name, algebra in (("C2", C2), ("C3", C3)):
         for F in generators:
-            mono = br.check_monotonicity(F, algebra, n_trials=150, seed=12)
-            suff = br.check_sufficiency(F, algebra, n_trials=75, seed=12)
+            mono = mp.run_suite(
+                "mono", F, algebra, n_trials=150, seed=12)["monotonicity"]
+            suff = mp.run_suite(
+                "suff", F, algebra, n_trials=75, seed=12)["sufficiency"]
             if algebra.rank >= 3:
-                local = br.check_statistical_locality(
-                    F, algebra, n_trials=75, seed=12
-                ).passed
+                local = mp.run_suite(
+                    "local", F, algebra, n_trials=75,
+                    seed=12)["statistical-locality"].passed
             else:
                 local = True  # no distinct singular companions at rank 2
             rows.append(

@@ -6,6 +6,7 @@ import pytest
 
 from statecone import algebras as ja
 from statecone import bregman as br
+from statecone import cli
 from statecone import multipartite as mp
 from statecone import serialize as sz
 from statecone import states as st
@@ -282,83 +283,45 @@ class TestBregmanIdentity:
                                       st.maximally_mixed(C2))
 
     def test_identity_suite(self):
-        verdict = br.check_identity(NE, C2, n_trials=60, seed=21)
+        verdict = mp.run_suite(
+            "identity", NE, C2, n_trials=60, seed=21)["bregman-identity"]
         assert verdict.passed
         assert verdict.trials == 60
 
 
 LAYOUT_22 = st.composite_layout(st.COMPLEX_TENSOR, (2, 2))
-
-SUITES = {
-    "mono": lambda n: br.check_monotonicity(NE, C2, n_trials=n),
-    "suff": lambda n: br.check_sufficiency(NE, C2, n_trials=n),
-    "local": lambda n: br.check_statistical_locality(NE, C3, n_trials=n),
-    "identity": lambda n: br.check_identity(NE, C2, n_trials=n),
-    "additivity": lambda n: mp.run_additivity_suite(NE, LAYOUT_22,
-                                                    n_trials=n),
-    "marginal": lambda n: mp.run_marginal_identity_suite(NE, LAYOUT_22,
-                                                          n_trials=n),
-    "separoid": lambda n: mp.check_separoid(
-        NE, st.CLASSICAL_TENSOR, (2, 2, 2, 2), n_trials=n),
-    "dpi": lambda n: mp.run_dpi_suite(NE, LAYOUT_22, n_trials=n),
-}
-
-
-REPLAY_SEED = 3
 SEPAROID_LAYOUT = st.composite_layout(st.CLASSICAL_TENSOR, (2, 2, 2, 2))
 # eigensolved marginals, and trial 3 of each 4-trial cycle is pure
 SEPAROID_COMPLEX_LAYOUT = st.composite_layout(st.COMPLEX_TENSOR, (2, 3, 2, 2))
 
-# suite -> (its run at one tolerance for every check, the results of one
-# trial through its results generator)
+# property -> the algebra or layout its suite runs on here
+TARGETS = {
+    "mono": C2, "suff": C2, "local": C3, "identity": C2,
+    "additivity": LAYOUT_22, "marginal": LAYOUT_22,
+    "separoid": SEPAROID_LAYOUT, "dpi": LAYOUT_22,
+}
+
+REPLAY_SEED = 3
+
+# replay case -> (property, generator, target, trials) of a run whose
+# every trial is replayed through its results generator
 REPLAYS = {
-    "mono": (
-        lambda tol: br.check_monotonicity(T2, C3, n_trials=6,
-                                          seed=REPLAY_SEED, tol=tol),
-        lambda seed, trial: br._monotonicity_results(T2, C3, seed, [trial])),
-    "suff": (
-        lambda tol: br.check_sufficiency(NE, C3, n_trials=6,
-                                         seed=REPLAY_SEED, tol=tol),
-        lambda seed, trial: br._sufficiency_results(NE, C3, seed, [trial])),
-    "local": (
-        lambda tol: br.check_statistical_locality(NE, C3, n_trials=6,
-                                                  seed=REPLAY_SEED, tol=tol),
-        lambda seed, trial: br._locality_results(NE, C3, seed, [trial])),
-    "identity": (
-        lambda tol: br.check_identity(NE, C2, n_trials=6, seed=REPLAY_SEED,
-                                      tol=tol),
-        lambda seed, trial: br._identity_results(NE, C2, seed, [trial])),
-    "additivity": (
-        lambda tol: mp.run_additivity_suite(NE, LAYOUT_22, n_trials=4,
-                                            seed=REPLAY_SEED, tol=tol),
-        lambda seed, trial: mp._additivity_results(NE, LAYOUT_22, seed,
-                                                   [trial])),
-    "marginal": (
-        lambda tol: mp.run_marginal_identity_suite(
-            NE, LAYOUT_22, n_trials=4, seed=REPLAY_SEED, tol=tol),
-        lambda seed, trial: mp._marginal_results(NE, LAYOUT_22, seed,
-                                                 [trial])),
-    "separoid": (
-        lambda tol: mp.check_separoid(
-            NE, st.CLASSICAL_TENSOR, (2, 2, 2, 2), n_trials=4,
-            seed=REPLAY_SEED, positivity_tol=tol, symmetry_tol=tol,
-            chain_tol=tol),
-        lambda seed, trial: mp._separoid_results(NE, SEPAROID_LAYOUT, seed,
-                                                 [trial])),
-    "separoid-complex": (
-        lambda tol: mp.check_separoid(
-            NE, st.COMPLEX_TENSOR, (2, 3, 2, 2), n_trials=4,
-            seed=REPLAY_SEED, positivity_tol=tol, symmetry_tol=tol,
-            chain_tol=tol),
-        lambda seed, trial: mp._separoid_results(
-            NE, SEPAROID_COMPLEX_LAYOUT, seed, [trial])),
-    # state k of the suite runs under the seed REPLAY_SEED + k
-    "dpi": (
-        lambda tol: mp.run_dpi_suite(NE, LAYOUT_22, n_trials=4,
-                                     seed=REPLAY_SEED, tol=tol),
-        lambda seed, trial: mp._data_processing_results(
-            NE, mp._dpi_states(LAYOUT_22, REPLAY_SEED)[seed - REPLAY_SEED],
-            seed, [trial])),
+    "mono": ("mono", T2, C3, 6),
+    "suff": ("suff", NE, C3, 6),
+    "local": ("local", NE, C3, 6),
+    "identity": ("identity", NE, C2, 6),
+    "additivity": ("additivity", NE, LAYOUT_22, 4),
+    "marginal": ("marginal", NE, LAYOUT_22, 4),
+    "separoid": ("separoid", NE, SEPAROID_LAYOUT, 4),
+    "separoid-complex": ("separoid", NE, SEPAROID_COMPLEX_LAYOUT, 4),
+    "dpi": ("dpi", NE, LAYOUT_22, 4),
+}
+# the data-processing suite's state k runs under the seed REPLAY_SEED + k,
+# so a witness replays through the results of that state alone
+OWN_REPLAYS = {
+    "dpi": lambda F, layout, seed, trials: mp._data_processing_results(
+        F, mp._dpi_states(layout, REPLAY_SEED)[seed - REPLAY_SEED], seed,
+        trials),
 }
 
 
@@ -439,44 +402,88 @@ class TestTrialDriver:
         with pytest.raises(ValueError, match="non-negative"):
             br._trial_rng(-1, 0)
 
-    @pytest.mark.parametrize("suite", sorted(REPLAYS))
-    def test_every_witness_replays_through_its_results(self, suite):
-        run, replay = REPLAYS[suite]
+    @pytest.mark.parametrize("case", sorted(REPLAYS))
+    def test_every_witness_replays_through_its_results(self, case):
+        prop, F, target, n_trials = REPLAYS[case]
         # no violation is below an infinite negative tolerance, so every
         # trial of every check is a witness
-        verdicts = run(-math.inf)
-        if isinstance(verdicts, br.PropertyVerdict):
-            verdicts = {verdicts.property: verdicts}
+        verdicts = mp.run_suite(
+            prop, F, target, n_trials, seed=REPLAY_SEED,
+            tols=dict.fromkeys(mp.SUITES[prop].tols, -math.inf))
+        replay = OWN_REPLAYS.get(prop, mp.SUITES[prop].results)
         seeds = set()
-        for name, verdict in verdicts.items():
-            check = name.removeprefix("separoid-")
+        for check, verdict in verdicts.items():
             assert len(verdict.witnesses) == verdict.trials
             for w in verdict.witnesses:
-                result, = replay(w["seed"], w["trial"])
+                result, = replay(F, target, w["seed"], [w["trial"]])
                 extras = {k: result[k] for k in w.keys() - {"violation"}}
                 assert w == {**extras, "violation": result[check]}
                 seeds.add(w["seed"])
-        want = {REPLAY_SEED, REPLAY_SEED + 1} if suite == "dpi" \
+        want = {REPLAY_SEED, REPLAY_SEED + 1} if prop == "dpi" \
             else {REPLAY_SEED}
         assert seeds == want
 
-    @pytest.mark.parametrize("suite", sorted(SUITES))
+    @pytest.mark.parametrize("prop", sorted(mp.SUITES))
     @pytest.mark.parametrize("n_trials", [0, -3])
-    def test_empty_suite_is_rejected(self, suite, n_trials):
+    def test_empty_suite_is_rejected(self, prop, n_trials):
         with pytest.raises(ValueError, match="at least one trial"):
-            SUITES[suite](n_trials)
+            mp.run_suite(prop, NE, TARGETS[prop], n_trials)
+
+
+class TestSuiteTable:
+    def test_every_property_has_a_target(self):
+        assert TARGETS.keys() == mp.SUITES.keys()
+
+    @pytest.mark.parametrize("prop", sorted(mp.SUITES))
+    def test_entry_is_a_cli_choice_and_refuses_bad_runs(self, prop):
+        suite_parser = cli._build_parser()._subparsers._group_actions[0] \
+            .choices["suite"]
+        choices, = (a.choices for a in suite_parser._actions
+                    if a.dest == "property")
+        assert tuple(choices) == tuple(mp.SUITES)
+        target = TARGETS[prop]
+        with pytest.raises(ValueError, match="at least one trial"):
+            mp.run_suite(prop, NE, target, 0)
+        with pytest.raises(ValueError, match="judges no check"):
+            mp.run_suite(prop, NE, target, 1, tols={"no-such-check": 1.0})
+        # an algebra suite refuses a layout; a layout suite refuses an
+        # algebra and a layout of another number of factors
+        factors = mp.SUITES[prop].factors
+        wrong = [LAYOUT_22] if factors is None else [
+            C2, SEPAROID_LAYOUT if factors == 2 else LAYOUT_22]
+        for other in wrong:
+            with pytest.raises(ValueError, match=repr(prop)):
+                mp.run_suite(prop, NE, other, 1)
+
+    def test_a_tolerance_reaches_only_its_check(self):
+        verdicts = mp.run_suite("separoid", NE, SEPAROID_LAYOUT, 2,
+                                tols={"chain": 0.5})
+        assert {k: v.tolerance for k, v in verdicts.items()} == {
+            **mp.SUITES["separoid"].tols, "chain": 0.5}
+        assert [v.property for v in verdicts.values()] == [
+            "separoid-positivity", "separoid-symmetry", "separoid-chain"]
+
+    def test_tracked_residual_is_a_detail_not_a_witness_extra(self):
+        verdict, = mp.run_suite("local", NE, C3, 4,
+                                tols={"statistical-locality": -math.inf}
+                                ).values()
+        assert verdict.details["value_residual"] < 1e-8
+        assert len(verdict.witnesses) == 4
+        assert all("value_residual" not in w for w in verdict.witnesses)
+        plain, = mp.run_suite("local", T2, C3, 4).values()
+        assert "value_residual" not in plain.details
 
 
 class TestMonotonicity:
     def test_entropy_passes_on_qubits_and_qutrits(self):
         for algebra in (C2, C3):
-            verdict = br.check_monotonicity(
-                NE, algebra, n_trials=150, seed=22
-            )
+            verdict = mp.run_suite(
+                "mono", NE, algebra, n_trials=150, seed=22)["monotonicity"]
             assert verdict.passed, verdict.worst_violation
 
     def test_trace_power_fails_with_witness_on_qutrits(self):
-        verdict = br.check_monotonicity(T2, C3, n_trials=150, seed=23)
+        verdict = mp.run_suite(
+            "mono", T2, C3, n_trials=150, seed=23)["monotonicity"]
         assert not verdict.passed
         assert verdict.witnesses
         for w in verdict.witnesses:
@@ -486,7 +493,8 @@ class TestMonotonicity:
 
     def test_random_channel_witness_replays(self):
         C4 = ja.complex_hermitian(4)
-        verdict = br.check_monotonicity(T3, C4, n_trials=48, seed=1)
+        verdict = mp.run_suite(
+            "mono", T3, C4, n_trials=48, seed=1)["monotonicity"]
         w = next(w for w in verdict.witnesses if w["trial"] == 37)
         assert w["channel"] == "random-stinespring-env2"
         assert br.replay_monotonicity_trial(T3, C4, 1, 37) == w["violation"]
@@ -498,8 +506,9 @@ class TestMonotonicity:
         n = algebra.summands[0].size
         seed = 7
         # an infinite tolerance below every value keeps every trial
-        verdict = br.check_monotonicity(F, algebra, n_trials=30, seed=seed,
-                                        tol=-math.inf)
+        verdict = mp.run_suite(
+            "mono", F, algebra, n_trials=30, seed=seed,
+            tols={"monotonicity": -math.inf})["monotonicity"]
         random = [w for w in verdict.witnesses if w["trial"] % 3 != 2]
         assert len(random) == 20
         for w in random:
@@ -523,8 +532,9 @@ class TestMonotonicity:
         algebra, _ = sz.parse_algebra_spec(spec)
         seed = 5
         # an infinite tolerance below every value keeps every trial
-        verdict = br.check_monotonicity(F, algebra, n_trials=30, seed=seed,
-                                        tol=-math.inf)
+        verdict = mp.run_suite(
+            "mono", F, algebra, n_trials=30, seed=seed,
+            tols={"monotonicity": -math.inf})["monotonicity"]
         catalog = br._monotonicity_catalog(algebra, seed)
         listed = [w for w in verdict.witnesses
                   if not w["channel"].startswith("random-")]
@@ -575,7 +585,7 @@ class TestMonotonicity:
             return eigh(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", counting)
-        br.check_monotonicity(NE, C3, n_trials=24, seed=0)
+        mp.run_suite("mono", NE, C3, n_trials=24, seed=0)
         assert len(calls) <= 2, len(calls)
         assert (24, 2, 3, 3) in calls
         assert (29, 2, 3, 3) in calls
@@ -608,7 +618,7 @@ class TestMonotonicity:
         monkeypatch.setattr(ja, "_spectral_frames", decomposing)
         monkeypatch.setattr(ja, "_frame_projections", projecting)
         monkeypatch.setattr(st, "_check_spectra", checking)
-        br.check_monotonicity(NE, C3, n_trials=24, seed=0)
+        mp.run_suite("mono", NE, C3, n_trials=24, seed=0)
         assert clipped == [0]
         assert decomposed == [(24, 2), (29, 2)]
         assert projected == [(24, 3, 3), (29, 3, 3)]
@@ -631,13 +641,15 @@ class TestMonotonicity:
     @pytest.mark.parametrize("spec", ["C3", "R3", "S3"])
     def test_chunks_do_not_change_the_verdict(self, monkeypatch, spec):
         algebra, _ = sz.parse_algebra_spec(spec)
-        whole = br.check_monotonicity(T2, algebra, n_trials=40, seed=9,
-                                      tol=-math.inf)
+        whole = mp.run_suite(
+            "mono", T2, algebra, n_trials=40, seed=9,
+            tols={"monotonicity": -math.inf})["monotonicity"]
         # chunks of 7 split the stacks of both halves, and a replay runs
         # a stack of one trial
         monkeypatch.setattr(br, "_TRIAL_CHUNK", 7)
-        chunked = br.check_monotonicity(T2, algebra, n_trials=40, seed=9,
-                                        tol=-math.inf)
+        chunked = mp.run_suite(
+            "mono", T2, algebra, n_trials=40, seed=9,
+            tols={"monotonicity": -math.inf})["monotonicity"]
         assert chunked.as_dict() == whole.as_dict()
         for w in whole.witnesses:
             assert br.replay_monotonicity_trial(
@@ -704,33 +716,35 @@ class TestMonotonicity:
             return matrix.fget(phi)
 
         monkeypatch.setattr(st.Affinity, "matrix", property(recording_matrix))
-        br.check_monotonicity(NE, C3, n_trials=24, seed=0)
+        mp.run_suite("mono", NE, C3, n_trials=24, seed=0)
         # the three sampled pairs, then the six matrix-built trials
         assert calls == [(3, 2, 9), (6, 2, 3, 3), (6, 2, 9), (3, 2, 9)]
         assert derived == []
 
     def test_catalog_only_pool_is_reported(self):
-        verdict = br.check_monotonicity(
-            NE, ja.spin_factor(3), n_trials=40, seed=26
-        )
+        verdict = mp.run_suite(
+            "mono", NE, ja.spin_factor(3), n_trials=40,
+            seed=26)["monotonicity"]
         assert verdict.details.get("channel_pool") == "catalog-only"
         assert verdict.passed
 
     def test_quaternion_catalog_passes_for_entropy(self):
-        verdict = br.check_monotonicity(
-            NE, ja.quaternion_hermitian(2), n_trials=40, seed=27
-        )
+        verdict = mp.run_suite(
+            "mono", NE, ja.quaternion_hermitian(2), n_trials=40,
+            seed=27)["monotonicity"]
         assert verdict.passed, verdict.worst_violation
 
 
 class TestSufficiency:
     def test_entropy_equal_on_recoverable_pairs(self):
         for algebra in (C2, C3, ja.classical(3)):
-            verdict = br.check_sufficiency(NE, algebra, n_trials=60, seed=28)
+            verdict = mp.run_suite(
+                "suff", NE, algebra, n_trials=60, seed=28)["sufficiency"]
             assert verdict.passed, (algebra, verdict.worst_violation)
 
     def test_trace_power_fails_on_qutrits(self):
-        verdict = br.check_sufficiency(T2, C3, n_trials=60, seed=29)
+        verdict = mp.run_suite(
+            "suff", T2, C3, n_trials=60, seed=29)["sufficiency"]
         assert not verdict.passed
         assert any(w["channel"] == "split" for w in verdict.witnesses)
 
@@ -748,15 +762,16 @@ class TestSufficiency:
 
 class TestStatisticalLocality:
     def test_entropy_passes_and_matches_log_value(self):
-        verdict = br.check_statistical_locality(NE, C3, n_trials=80, seed=32)
+        verdict = mp.run_suite(
+            "local", NE, C3, n_trials=80, seed=32)["statistical-locality"]
         assert verdict.passed
         assert verdict.details["value_residual"] < 1e-8
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_entropy_passes_on_quaternions(self, n):
-        verdict = br.check_statistical_locality(
-            NE, ja.quaternion_hermitian(n), n_trials=12, seed=50
-        )
+        verdict = mp.run_suite(
+            "local", NE, ja.quaternion_hermitian(n), n_trials=12,
+            seed=50)["statistical-locality"]
         assert verdict.passed, verdict.worst_violation
         assert verdict.details["value_residual"] < 1e-12
 
@@ -782,7 +797,8 @@ class TestStatisticalLocality:
         )
 
     def test_trace_power_fails_on_qutrits(self):
-        verdict = br.check_statistical_locality(T2, C3, n_trials=80, seed=33)
+        verdict = mp.run_suite(
+            "local", T2, C3, n_trials=80, seed=33)["statistical-locality"]
         assert not verdict.passed
         assert verdict.witnesses
 
@@ -874,12 +890,14 @@ class TestHierarchy:
                       br.combine_generators([0.6, 0.4, 0.0], [NE, T2, T3],
                                             name="blend")]
         for F in generators:
-            mono = br.check_monotonicity(F, algebra, n_trials=90, seed=39)
-            suff = br.check_sufficiency(F, algebra, n_trials=45, seed=39)
+            mono = mp.run_suite(
+                "mono", F, algebra, n_trials=90, seed=39)["monotonicity"]
+            suff = mp.run_suite(
+                "suff", F, algebra, n_trials=45, seed=39)["sufficiency"]
             if algebra.rank >= 3:
-                local = br.check_statistical_locality(
-                    F, algebra, n_trials=45, seed=39
-                ).passed
+                local = mp.run_suite(
+                    "local", F, algebra, n_trials=45,
+                    seed=39)["statistical-locality"].passed
             else:
                 local = True
             assert not (mono.passed and not suff.passed), F.name
@@ -920,11 +938,11 @@ class TestExplorer:
         assert math.isnan(witness["residual"])
 
     def test_scaled_entropy_matches_plain_verdicts(self):
-        plain = br.check_monotonicity(NE, C2, n_trials=60, seed=41)
-        scaled = br.check_monotonicity(
-            br.combine_generators([3.0], [NE], name="3NE"),
-            C2, n_trials=60, seed=41,
-        )
+        plain = mp.run_suite(
+            "mono", NE, C2, n_trials=60, seed=41)["monotonicity"]
+        scaled = mp.run_suite(
+            "mono", br.combine_generators([3.0], [NE], name="3NE"), C2,
+            n_trials=60, seed=41)["monotonicity"]
         assert plain.passed == scaled.passed
 
 

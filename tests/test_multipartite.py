@@ -20,6 +20,9 @@ C2 = ja.complex_hermitian(2)
 LAYOUT_22 = st.composite_layout(st.COMPLEX_TENSOR, (2, 2))
 LAYOUT_23 = st.composite_layout(st.COMPLEX_TENSOR, (2, 3))
 CLASSICAL_222 = st.composite_layout(st.CLASSICAL_TENSOR, (2, 2, 2))
+CLASSICAL_2222 = st.composite_layout(st.CLASSICAL_TENSOR, (2, 2, 2, 2))
+QUBITS_4 = st.composite_layout(st.COMPLEX_TENSOR, (2, 2, 2, 2))
+QUTRITS_4 = st.composite_layout(st.COMPLEX_TENSOR, (3, 3, 3, 3))
 
 
 def bell_partitioned():
@@ -117,7 +120,8 @@ class TestAdditivity:
         assert residual == 0.0
 
     def test_suite_wrapper(self):
-        verdict = mp.run_additivity_suite(NE, LAYOUT_22, n_trials=25, seed=8)
+        verdict = mp.run_suite(
+            "additivity", NE, LAYOUT_22, n_trials=25, seed=8)["additivity"]
         assert verdict.passed
         assert verdict.trials == 25
 
@@ -169,9 +173,9 @@ class TestMarginalIdentity:
         assert mp.check_marginal_identity(NE, sab, ra, rb) < 1e-8
 
     def test_suite_wrapper(self):
-        verdict = mp.run_marginal_identity_suite(
-            NE, LAYOUT_23, n_trials=20, seed=14
-        )
+        verdict = mp.run_suite(
+            "marginal", NE, LAYOUT_23, n_trials=20,
+            seed=14)["marginal-identity"]
         assert verdict.passed
 
 
@@ -436,9 +440,7 @@ class TestProductReader:
                 return convert(c, n)
 
             monkeypatch.setitem(table, "complex", recording)
-        mp.check_separoid(
-            NE, st.COMPLEX_TENSOR, (2, 2, 2, 2), n_trials=4, seed=27
-        )
+        mp.run_suite("separoid", NE, QUBITS_4, n_trials=4, seed=27)
         assert len(calls) <= 8, calls
 
     def test_equal_layouts_share_one_plan_of_labels_and_shapes(self):
@@ -479,17 +481,14 @@ class TestProductReader:
 
 class TestSeparoid:
     def test_four_qubit_small_run(self):
-        verdicts = mp.check_separoid(
-            NE, st.COMPLEX_TENSOR, (2, 2, 2, 2), n_trials=12, seed=27
-        )
+        verdicts = mp.run_suite("separoid", NE, QUBITS_4, n_trials=12, seed=27)
         for key, verdict in verdicts.items():
             assert verdict.passed, (key, verdict.worst_violation)
 
     def test_classical_small_run(self):
-        verdicts = mp.check_separoid(
-            NE, st.CLASSICAL_TENSOR, (2, 2, 2, 2), n_trials=12, seed=28,
-            chain_tol=1e-10,
-        )
+        verdicts = mp.run_suite(
+            "separoid", NE, CLASSICAL_2222, n_trials=12, seed=28,
+            tols={"chain": 1e-10})
         for key, verdict in verdicts.items():
             assert verdict.passed, (key, verdict.worst_violation)
 
@@ -497,8 +496,7 @@ class TestSeparoid:
         # pinned to the ambient algebra, which no proper marginal shares
         F = br.affine_plus_entropy(1.5, ja.zero(ja.complex_hermitian(16)))
         with pytest.raises(ja.AlgebraMismatchError):
-            mp.check_separoid(F, st.COMPLEX_TENSOR, (2, 2, 2, 2),
-                              n_trials=4, seed=27)
+            mp.run_suite("separoid", F, QUBITS_4, n_trials=4, seed=27)
 
     def test_product_four_party_values_vanish(self):
         layout = st.composite_layout(st.COMPLEX_TENSOR, (2, 2, 2, 2))
@@ -521,8 +519,7 @@ class TestSeparoid:
             return product_terms(marginals, g, plan)
 
         monkeypatch.setattr(mp, "_product_terms", recording)
-        mp.check_separoid(NE, st.COMPLEX_TENSOR, (2, 2, 2, 2), n_trials=4,
-                          seed=27)
+        mp.run_suite("separoid", NE, QUBITS_4, n_trials=4, seed=27)
         assert len(groups) == len(set(groups)) == 12
 
     def test_a_chunk_projects_only_the_frames_a_grouping_pairs(
@@ -546,8 +543,7 @@ class TestSeparoid:
 
         monkeypatch.setattr(ja, "_frame_projections", projecting)
         monkeypatch.setattr(st, "_check_spectra", checking)
-        mp.check_separoid(NE, st.COMPLEX_TENSOR, (2, 2, 2, 2), n_trials=4,
-                          seed=27)
+        mp.run_suite("separoid", NE, QUBITS_4, n_trials=4, seed=27)
         # the pure fourth trial's joint is clipped
         assert clipped[16] == 1
         assert projected == Counter({16: clipped[16], 8: clipped[8],
@@ -610,7 +606,8 @@ class TestSeparoid:
         # so the chunked comparison above covers failing trials
         layout = st.composite_layout(st.COMPLEX_TENSOR, (2, 2, 2, 2))
         chunk = mp._separoid_trials(br.trace_power(2), layout, 35, range(13))
-        assert any(r["chain"] > mp.SEPAROID_TOLS["chain"] for r in chunk)
+        tol = mp.SUITES["separoid"].tols["chain"]
+        assert any(r["chain"] > tol for r in chunk)
 
     def test_four_qutrits_hold_a_bounded_chunk(self):
         # chunks are bounded by the 8.5 MB of a joint's idempotents, which
@@ -619,8 +616,8 @@ class TestSeparoid:
         # near that of a few
         tracemalloc.start()
         try:
-            verdicts = mp.check_separoid(NE, st.COMPLEX_TENSOR, (3, 3, 3, 3),
-                                         n_trials=32, seed=1)
+            verdicts = mp.run_suite(
+                "separoid", NE, QUTRITS_4, n_trials=32, seed=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -632,8 +629,7 @@ class TestSeparoid:
         # only the pure trials' clipped joints build the latter
         tracemalloc.start()
         try:
-            mp.check_separoid(NE, st.COMPLEX_TENSOR, (3, 3, 3, 3),
-                              n_trials=32, seed=1)
+            mp.run_suite("separoid", NE, QUTRITS_4, n_trials=32, seed=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -724,9 +720,7 @@ class TestSharedCaches:
 
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         monkeypatch.setattr(st, "_partial_traces", counting_traces)
-        verdicts = mp.check_separoid(
-            NE, st.COMPLEX_TENSOR, (2, 2, 2, 2), n_trials=4, seed=34
-        )
+        verdicts = mp.run_suite("separoid", NE, QUBITS_4, n_trials=4, seed=34)
         assert all(v.passed for v in verdicts.values())
         # the four random states, then their 11 distinct proper
         # marginals, one stacked eigensolve per algebra: C8, C2 and C4
@@ -905,7 +899,8 @@ class TestDataProcessing:
         assert verdict.passed, verdict.worst_violation
 
     def test_suite_wrapper(self):
-        verdict = mp.run_dpi_suite(NE, LAYOUT_22, n_trials=40, seed=32)
+        verdict = mp.run_suite(
+            "dpi", NE, LAYOUT_22, n_trials=40, seed=32)["data-processing"]
         assert verdict.passed
 
     def test_nan_after_an_infinite_before_fails(self, monkeypatch):
@@ -933,7 +928,8 @@ class TestDataProcessing:
                        "data-processing": value}
 
         monkeypatch.setattr(mp, "_data_processing_results", results)
-        verdict = mp.run_dpi_suite(NE, LAYOUT_22, n_trials=4, seed=5)
+        verdict = mp.run_suite(
+            "dpi", NE, LAYOUT_22, n_trials=4, seed=5)["data-processing"]
         assert math.isnan(verdict.worst_violation)
         assert not verdict.passed
         # state k runs under the seed 5 + k
@@ -961,7 +957,8 @@ class TestDataProcessing:
             return matrix.fget(phi)
 
         monkeypatch.setattr(st.Affinity, "matrix", property(recording_matrix))
-        verdict = mp.run_dpi_suite(NE, LAYOUT_23, n_trials=4, seed=0)
+        verdict = mp.run_suite(
+            "dpi", NE, LAYOUT_23, n_trials=4, seed=0)["data-processing"]
         assert verdict.trials == 4
         assert calls == []
         assert derived == []
