@@ -66,6 +66,8 @@ __all__ = [
 DEFAULT_GROUP_TOL = 1e-8
 
 _KINDS = ("real", "complex", "quaternion", "spin", "classical")
+# the letter that names each kind in ``str`` and in algebra specs
+_KIND_LETTERS = dict(zip(_KINDS, "RCHSP"))
 
 
 class AlgebraMismatchError(ValueError):
@@ -110,9 +112,7 @@ class SimpleFactor:
         return 2 if self.kind == "spin" else self.size
 
     def __str__(self):
-        letter = {"real": "R", "complex": "C", "quaternion": "H",
-                  "spin": "S", "classical": "P"}[self.kind]
-        return f"{letter}{self.size}"
+        return f"{_KIND_LETTERS[self.kind]}{self.size}"
 
 
 @dataclass(frozen=True)
@@ -778,24 +778,34 @@ def _remove_kramers_pair(cols, v):
 
 
 def _kramers_frame(vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pick ``n`` of the ``2n`` eigenvector columns of a quaternionic
-    embedding whose Kramers pairs ``(v, Jv)`` span the space.
+    """Pick ``n`` of the ``2n`` eigenvector columns of each quaternionic
+    embedding of the stack ``vecs`` whose Kramers pairs ``(v, Jv)`` span
+    the space.  Leading axes are a batch, and each entry gets the bits
+    it would get alone.
 
     The embedding commutes with ``J``, so projecting a picked pair out of
-    every column keeps each column in its own eigenspace.  Returns the
-    picked column indices, ascending, and the normalised vectors as the
-    columns of a ``2n x n`` matrix.
+    every column keeps each column in its own eigenspace.  Returns a mask
+    of the picked columns and the normalised vectors, in column order, as
+    the columns of ``2n x n`` matrices.
     """
-    cols = vecs.copy()
-    picked, frame = [], []
-    for _ in range(len(vecs) // 2):
-        k = int(np.argmax(np.einsum("ij,ij->j", cols.conj(), cols).real))
-        v = cols[:, k:k + 1] / np.linalg.norm(cols[:, k])
-        cols = _remove_kramers_pair(cols, v)
-        picked.append(k)
-        frame.append(v)
-    order = np.argsort(picked)
-    return np.array(picked)[order], np.concatenate(frame, axis=1)[:, order]
+    m = vecs.shape[-1]
+    cols = vecs.reshape((-1, m, m)).copy()
+    rows = np.arange(len(cols))
+    picked = np.zeros((len(cols), m), dtype=bool)
+    # the vector picked from column k, as row k
+    frame = np.empty_like(cols)
+    for _ in range(m // 2):
+        residual = np.einsum("...ij,...ij->...j", cols.conj(), cols).real
+        k = residual.argmax(axis=-1)
+        v = cols[rows, :, k]
+        # the norm as np.linalg.norm sums it on one column
+        v = v / np.sqrt(_dots(v.real, v.real) + _dots(v.imag, v.imag))[:, None]
+        cols = _remove_kramers_pair(cols, v[..., None])
+        picked[rows, k] = True
+        frame[rows, k] = v
+    lead = vecs.shape[:-2]
+    return (picked.reshape(lead + (m,)),
+            np.swapaxes(frame[picked].reshape(lead + (m // 2, m)), -1, -2))
 
 
 def _kramers_orthonormalize(g: np.ndarray) -> np.ndarray:
@@ -826,70 +836,49 @@ def _frame_projections(kind, q):
     return np.einsum("...ik,...jk->...kij", q, q.conj())
 
 
-def _spectral_projections(kind, rep, size):
-    """Per-summand fine eigenvalues and the stack of their primitive
-    idempotent reps.  Leading axes of ``rep`` are a batch, and each entry
-    gets the bits it would get alone: on real, complex and classical
-    factors one stacked eigensolve decomposes them all, on spin and
-    quaternionic ones each rep goes through the single-rep code."""
-    values, frame = _spectral_frames(kind, rep, size)
-    return values, _frame_idempotents(kind, frame)
-
-
 def _frame_idempotents(kind, frame):
     """The idempotent stacks of frames as :func:`_spectral_frames` returns
-    them: projected from the eigenvectors on real and complex factors,
-    as they are on the other kinds.  Each frame of the stack gets the
-    bits it would get alone, so a caller projects only the rows it
-    reads."""
-    if kind in ("real", "complex"):
+    them: projected from the eigenvectors on the matrix kinds (real,
+    complex and quaternionic), as they are on spin and classical
+    factors.  Each frame of the stack gets the bits it would get alone,
+    so a caller projects only the rows it reads."""
+    if kind in ("real", "complex", "quaternion"):
         return _frame_projections(kind, frame)
     return frame
 
 
 def _spectral_frames(kind, rep, size):
-    """:func:`_spectral_projections` up to the idempotents of real and
-    complex factors: there the frame is the eigensolver's eigenvectors,
-    one column per fine eigenvalue, which :func:`_frame_idempotents`
-    projects; the other kinds return their idempotent stacks."""
+    """Per-summand fine eigenvalues and their Jordan frame.  Leading axes
+    of ``rep`` are a batch, and each entry gets the bits it would get
+    alone.  On the matrix kinds the frame is eigenvectors, one column per
+    fine eigenvalue (on quaternionic factors the Kramers-paired columns
+    of the embedding), which :func:`_frame_idempotents` projects; spin
+    and classical factors return their idempotent stacks."""
     if kind == "classical":
-        eye = np.eye(size)
-        if rep.ndim > 1:
-            eye = np.broadcast_to(eye, rep.shape + (size,))
-        return rep, eye
+        return rep, np.broadcast_to(np.eye(size), rep.shape + (size,))
 
     if kind == "spin":
-        if rep.ndim > 1:
-            return _each_rep(kind, rep, size)
-        t, v = rep[0], rep[1:]
-        r = float(np.linalg.norm(v))
+        # eigenvalues t +- r with idempotents (1, +-axis) / 2
+        t, v = rep[..., :1], rep[..., 1:]
+        r = np.sqrt(_dots(v, v))[..., None]
         # at r == 0 both eigenvalues are t and any ball axis will do
-        axis = v / r if r > 0.0 else np.eye(size)[0]
-        top = np.concatenate(([0.5], 0.5 * axis))
-        bottom = np.concatenate(([0.5], -0.5 * axis))
-        return np.array([t + r, t - r]), np.stack([top, bottom])
+        axis = np.zeros_like(v)
+        axis[..., 0] = 1.0
+        np.divide(v, r, out=axis, where=r > 0.0)
+        sign = np.array([1.0, -1.0])
+        frame = np.empty(rep.shape[:-1] + (2, size + 1))
+        frame[..., 0] = 0.5
+        frame[..., 1:] = 0.5 * sign[:, None] * axis[..., None, :]
+        return t + sign * r, frame
 
+    w, vecs = np.linalg.eigh(rep)
     if kind == "quaternion":
-        if rep.ndim > 2:
-            return _each_rep(kind, rep, size)
         # the eigenvalues of the embedding come in Kramers pairs; each
         # picked vector with its partner spans a primitive idempotent
-        w, vecs = np.linalg.eigh(rep)
         picked, frame = _kramers_frame(vecs)
-        return w[picked], _frame_projections(kind, _kramers_pairs(frame))
-    return np.linalg.eigh(rep)
-
-
-def _each_rep(kind, reps, size):
-    """:func:`_spectral_frames` of each rep of the stack ``reps`` alone,
-    stacked again."""
-    nd = _REP_NDIM[kind]
-    lead = reps.shape[:-nd]
-    parts = [_spectral_frames(kind, rep, size)
-             for rep in reps.reshape((-1,) + reps.shape[-nd:])]
-    values, frames = (np.stack(x) for x in zip(*parts))
-    return (values.reshape(lead + values.shape[1:]),
-            frames.reshape(lead + frames.shape[1:]))
+        values = w[picked].reshape(frame.shape[:-2] + (-1,))
+        return values, _kramers_pairs(frame)
+    return w, vecs
 
 
 def spectral_decompose(a: JordanElement) -> SpectralDecomposition:
@@ -898,11 +887,12 @@ def spectral_decompose(a: JordanElement) -> SpectralDecomposition:
     The result is cached on the element.
     """
     if a._spectral is None:
-        parts = [_spectral_projections(s.kind, rep, s.size)
+        parts = [_spectral_frames(s.kind, rep, s.size)
                  for s, rep in zip(a.algebra.summands, a.reps())]
         a._spectral = SpectralDecomposition(
             a.algebra, np.concatenate([lam for lam, _ in parts]),
-            [projs for _, projs in parts],
+            [_frame_idempotents(s.kind, frame)
+             for s, (_, frame) in zip(a.algebra.summands, parts)],
         )
     return a._spectral
 

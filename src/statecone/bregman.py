@@ -484,16 +484,16 @@ def _monotonicity_trials(F, algebra, catalog, seed, trials) -> list:
     conversion of the sampled diagonals, one check of the pairs, one
     push of the random-channel trials, one of the catalog trials through
     their maps and one through their recovery maps, one eigensolve of
-    all the images and the divergences over the trial axis.  On real
-    and complex algebras the eigensolves keep their eigenvectors, and
-    idempotents are built only for the sigma side of each pair, the one
-    a divergence pairs, and for clipped states.  A recovery
-    map is itself a channel; applying it to the images turns any drop of
-    the divergence into a rise, so sufficiency failures surface here as
-    monotonicity failures too, named ``<entry>-recovery`` where the rise
-    is larger.  Every trial gets the violation and name, bit for bit,
-    that its channel's ``apply_element`` and :func:`bregman_divergence`
-    give it alone.
+    all the images and the divergences over the trial axis.  On the
+    matrix kinds (real, complex and quaternionic) the eigensolves keep
+    their eigenvectors, and idempotents are built only for the sigma
+    side of each pair, the one a divergence pairs, and for clipped
+    states.  A recovery map is itself a channel; applying it to the
+    images turns any drop of the divergence into a rise, so sufficiency
+    failures surface here as monotonicity failures too, named
+    ``<entry>-recovery`` where the rise is larger.  Every trial gets the
+    violation and name, bit for bit, that its channel's
+    ``apply_element`` and :func:`bregman_divergence` give it alone.
     """
     _require_algebra(F, algebra)
     randoms = _supports_random_channels(algebra)
@@ -579,8 +579,8 @@ def _monotonicity_results(F, algebra, seed, trials):
     stack."""
     catalog = _monotonicity_catalog(algebra, seed)
     # a trial's pair, its images and their recoveries each count a stack
-    # of idempotents, though real and complex trials build only the sigma
-    # sides'
+    # of idempotents, though trials on the matrix kinds build only the
+    # sigma sides'
     yield from _in_chunks(
         partial(_monotonicity_trials, F, algebra, catalog, seed), trials,
         6 * _frame_bytes(algebra.summands[0]))

@@ -454,9 +454,9 @@ def _separoid_trials(F, layout, seed, trials) -> list:
 def _separoid_results(F, layout, seed, trials):
     """Yield the results of ``trials``, in order, each chunk as one
     stack, its size bounded by the idempotent stacks of the joints.
-    On real and complex layouts only clipped joints build theirs, and a
-    chunk holds the other joints' eigenvectors; the budget still counts
-    every joint's stack."""
+    On complex layouts, as on every matrix kind, only clipped joints
+    build theirs, and a chunk holds the other joints' eigenvectors; the
+    budget still counts every joint's stack."""
     yield from _in_chunks(partial(_separoid_trials, F, layout, seed), trials,
                           _frame_bytes(layout.ambient.summands[0]))
 

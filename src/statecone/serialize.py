@@ -17,10 +17,11 @@ as NaN, which no later comparison would catch.
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 
-from .algebras import Algebra, JordanElement, SimpleFactor
+from .algebras import _KIND_LETTERS, Algebra, JordanElement, SimpleFactor
 from . import states as st
 from .states import Affinity, CompositeLayout, State
 from .boxes import INPUT_BOX_TOL, NoSignalingBox
@@ -79,8 +80,7 @@ def algebra_from_json(doc) -> Algebra:
     return Algebra(tuple(summands))
 
 
-_SPEC_KINDS = {"C": "complex", "R": "real", "H": "quaternion",
-               "S": "spin", "P": "classical"}
+_SPEC_KINDS = {letter: kind for kind, letter in _KIND_LETTERS.items()}
 _TENSOR_KINDS = {"C": st.COMPLEX_TENSOR, "P": st.CLASSICAL_TENSOR}
 
 
@@ -90,14 +90,13 @@ def parse_algebra_spec(spec: str):
     tensor.  Returns ``(algebra, layout)`` with layout ``None`` for simple
     algebras."""
     spec = spec.strip()
-    if not spec or spec[0].upper() not in _SPEC_KINDS:
+    # sizes are ASCII digit runs: int() alone would also read "1_0", "+3",
+    # other scripts' digits and inner spaces
+    if (not spec or spec[0].upper() not in _SPEC_KINDS
+            or not re.fullmatch(r"[0-9]+(x[0-9]+)*", spec[1:])):
         raise FormatError(f"unknown algebra spec {spec!r}")
     letter = spec[0].upper()
-    body = spec[1:]
-    try:
-        sizes = [int(part) for part in body.split("x")]
-    except ValueError as exc:
-        raise FormatError(f"unknown algebra spec {spec!r}") from exc
+    sizes = [int(part) for part in spec[1:].split("x")]
     kind = _SPEC_KINDS[letter]
     if len(sizes) == 1:
         return Algebra((SimpleFactor(kind, sizes[0]),)), None

@@ -251,9 +251,10 @@ def _checked_state_stack(s: SimpleFactor, reps: np.ndarray):
     symmetric parts, which must be finite, with the spectra of one
     stacked decomposition checked by :func:`_check_spectra`.  Returns the
     reps, their fine eigenvalues and their frames as
-    :func:`~statecone.algebras._spectral_frames` returns them, with
-    eigenvalue jitter clipped and the clipped reps rebuilt from their
-    spectra, as the states' elements and decompositions would hold
+    :func:`~statecone.algebras._spectral_frames` returns them
+    (eigenvectors on the matrix kinds, idempotent stacks on the others),
+    with eigenvalue jitter clipped and the clipped reps rebuilt from
+    their spectra, as the states' elements and decompositions would hold
     them.  :func:`~statecone.algebras._frame_idempotents` of a frame
     gives the idempotent stack the state's decomposition holds; only the
     clipped rows are projected here."""

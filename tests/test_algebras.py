@@ -689,7 +689,7 @@ class TestBasisMaps:
         (stored,) = dec.frame
         assert len(stored) == algebra.rank
         np.testing.assert_array_equal(
-            stored, ja._spectral_projections(s.kind, el.reps()[0], s.size)[1],
+            stored, spectral_projections(s.kind, el.reps()[0], s.size)[1],
             strict=True,
         )
         assert not stored.flags.writeable
@@ -808,6 +808,13 @@ def random_reps(kind, n, count, rng):
     return reps
 
 
+def spectral_projections(kind, rep, size):
+    """The fine eigenvalues and idempotent stacks of ``rep``, any leading
+    axes a batch."""
+    values, frames = ja._spectral_frames(kind, rep, size)
+    return values, ja._frame_idempotents(kind, frames)
+
+
 def rep_trace(kind, rep):
     """The trace read off a concrete representation."""
     if kind in ("real", "complex"):
@@ -855,12 +862,21 @@ class TestBatchedLayer:
     def test_stacked_spectral_projections_equal_single_ones(self, kind, n):
         rng = np.random.default_rng([23, ja._KINDS.index(kind), n])
         reps = ja._SYMMETRIC_PART[kind](random_reps(kind, n, 6, rng))
+        # two fully degenerate rows: the maximally mixed state, whose
+        # quaternionic Kramers pairs all tie, and a negative multiple of
+        # the unit; on spin factors both have a zero radius
+        unit = ja._unit_rep(kind, n)
+        reps[1] = unit / ja.SimpleFactor(kind, n).rank
+        reps[4] = -2.5 * unit
         reps = reps.reshape((2, 3) + reps.shape[1:])
-        values, frames = ja._spectral_projections(kind, reps, n)
+        values, frames = spectral_projections(kind, reps, n)
         for index in np.ndindex(2, 3):
-            w, projs = ja._spectral_projections(kind, reps[index], n)
+            w, projs = spectral_projections(kind, reps[index], n)
             assert np.array_equal(values[index], w)
             assert np.array_equal(frames[index], projs)
+        np.testing.assert_allclose(values[0, 1], 1 / len(values[0, 1]),
+                                   rtol=0, atol=1e-14)
+        np.testing.assert_allclose(values[1, 1], -2.5, rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("kind,n", ALL_FACTORS)
     def test_frames_project_row_by_row(self, kind, n):
@@ -870,8 +886,7 @@ class TestBatchedLayer:
         reps = ja._SYMMETRIC_PART[kind](random_reps(kind, n, 6, rng))
         values, frames = ja._spectral_frames(kind, reps, n)
         whole = ja._frame_idempotents(kind, frames)
-        assert np.array_equal(
-            whole, ja._spectral_projections(kind, reps, n)[1])
+        assert np.array_equal(whole, spectral_projections(kind, reps, n)[1])
         for rows in ([0], [1, 4], [5, 2, 3]):
             assert np.array_equal(ja._frame_idempotents(kind, frames[rows]),
                                   whole[rows])

@@ -15,6 +15,7 @@ from test_states import diag_state, sampled_pair
 
 C2 = ja.complex_hermitian(2)
 C3 = ja.complex_hermitian(3)
+H2 = ja.quaternion_hermitian(2)
 NE = br.neg_entropy()
 T2 = br.trace_power(2)
 T3 = br.trace_power(3)
@@ -570,13 +571,17 @@ class TestMonotonicity:
             assert w["violation"] == want, w
             assert w["channel"] == name, w
 
-    def test_mono_run_makes_at_most_2_eigensolves(self, monkeypatch):
+    @pytest.mark.parametrize("algebra,recovered", [(C3, 5), (H2, 18)],
+                             ids=str)
+    def test_mono_run_makes_at_most_2_eigensolves(self, monkeypatch, algebra,
+                                                  recovered):
         # the 24 trials of a run, random-channel and catalog trials alike,
         # check their 48 states in one stacked eigensolve; a second one
-        # decomposes their 48 images with the 10 that recovery maps bring
-        # back (106 trial by trial); the catalog's seed-free entries are
-        # built once per algebra, so they are built first
-        st.channel_catalog(C3, seed=0)
+        # decomposes their 48 images with those that recovery maps bring
+        # back (on C3 10 more, 106 trial by trial); quaternionic stacks
+        # decompose as one too; the catalog's seed-free entries are built
+        # once per algebra, so they are built first
+        st.channel_catalog(algebra, seed=0)
         calls = []
         eigh = np.linalg.eigh
 
@@ -585,10 +590,11 @@ class TestMonotonicity:
             return eigh(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", counting)
-        mp.run_suite("mono", NE, C3, n_trials=24, seed=0)
+        mp.run_suite("mono", NE, algebra, n_trials=24, seed=0)
+        rep = ja._unit_rep(algebra.summands[0].kind, algebra.summands[0].size)
         assert len(calls) <= 2, len(calls)
-        assert (24, 2, 3, 3) in calls
-        assert (29, 2, 3, 3) in calls
+        assert (24, 2) + rep.shape in calls
+        assert (24 + recovered, 2) + rep.shape in calls
 
     def test_mono_chunk_projects_only_the_sigma_sides(self, monkeypatch):
         # both eigensolves of a 24-trial chunk keep their eigenvectors; a

@@ -62,6 +62,16 @@ class TestAlgebraSpecGrammar:
             with pytest.raises(sz.FormatError):
                 sz.parse_algebra_spec(spec)
 
+    @pytest.mark.parametrize("spec", [
+        "C1_0", "C+3", "C-3", "C\uff13", "C\u0663", "C3x 2", "C3 x2", "C 3",
+        "P2x2_0", "C3x", "Cx3", "C3xx2", "C3\tx2", "C3.0", "C0x3 2",
+    ])
+    def test_sizes_are_ascii_digit_runs(self, spec):
+        # int() reads the sizes of most of these, which would run "C1_0"
+        # as C10 and "C3x 2" as C3x2 under the raw spec's name
+        with pytest.raises(sz.FormatError, match="unknown algebra spec"):
+            sz.parse_algebra_spec(spec)
+
 
 class TestElementsAndStates:
     def test_element_round_trip(self):

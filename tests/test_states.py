@@ -252,7 +252,7 @@ class TestStateValidation:
             dec = ja.spectral_decompose(state.element)
             assert np.array_equal(checked[index], state.element.reps()[0])
             assert np.array_equal(values[index], dec.values)
-            # real and complex frames are eigenvectors; their projections
+            # matrix kinds' frames are eigenvectors; their projections
             # are the decomposition's idempotents
             assert np.array_equal(
                 ja._frame_idempotents(s.kind, frames[index]), dec.frame[0])
