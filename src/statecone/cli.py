@@ -87,13 +87,16 @@ def _report(command: str, config: dict, results, passed=None) -> dict:
 def _load(path: str):
     try:
         return sz.load_json(path)
-    except FileNotFoundError as exc:
+    except OSError as exc:
+        # a missing file, a directory, a file without read permission
         raise CliError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise CliError(
             f"malformed JSON in {path} at line {exc.lineno}, "
             f"column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise CliError(f"malformed JSON in {path}: nested too deeply") from exc
 
 
 def _generator(name: str) -> br.BregmanGenerator:

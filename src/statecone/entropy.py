@@ -128,7 +128,11 @@ def _basis_probs(kind: str, m: np.ndarray, q: np.ndarray) -> np.ndarray:
         return np.stack([0.5 + overlap, 0.5 - overlap], axis=-1)
     if kind == "quaternion":
         q = q[..., ::2]  # both vectors of a Kramers pair score the same
-    return np.einsum("sji,jk,ski->si", q.conj(), m, q).real
+    # every basis vector of the stack in one product with m; each basis
+    # gets the bits its own product q^H m would give
+    rows = np.swapaxes(q, -1, -2)
+    mq = (rows.conj().reshape(-1, m.shape[0]) @ m).reshape(rows.shape)
+    return np.einsum("sik,sik->si", mq, rows).real
 
 
 def _row_entropies(p: np.ndarray) -> np.ndarray:

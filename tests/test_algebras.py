@@ -880,13 +880,21 @@ class TestBatchedLayer:
 
     @pytest.mark.parametrize("kind,n", ALL_FACTORS)
     def test_frames_project_row_by_row(self, kind, n):
-        # any rows of a stack of frames project to those rows of the
-        # stack's idempotents, so a caller projects only what it reads
+        # each row's idempotents weighted by its values rebuild its rep
+        # and sum to the unit; any rows of a stack of frames project to
+        # those rows of the stack's idempotents, so a caller projects
+        # only what it reads
         rng = np.random.default_rng([25, ja._KINDS.index(kind), n])
         reps = ja._SYMMETRIC_PART[kind](random_reps(kind, n, 6, rng))
         values, frames = ja._spectral_frames(kind, reps, n)
         whole = ja._frame_idempotents(kind, frames)
-        assert np.array_equal(whole, spectral_projections(kind, reps, n)[1])
+        for rep, row_values, row_whole in zip(reps, values, whole):
+            np.testing.assert_allclose(
+                np.tensordot(row_values, row_whole, axes=1), rep,
+                rtol=0, atol=1e-12)
+            np.testing.assert_allclose(row_whole.sum(axis=0),
+                                       ja._unit_rep(kind, n),
+                                       rtol=0, atol=1e-12)
         for rows in ([0], [1, 4], [5, 2, 3]):
             assert np.array_equal(ja._frame_idempotents(kind, frames[rows]),
                                   whole[rows])

@@ -259,11 +259,21 @@ class TestOtherCommands:
         assert code == 0
         assert report["results"]["n_generators"] == 4
 
-    def test_malformed_json_is_usage_error(self, capsys, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text('{"broken": ')
-        code, _ = run_cli(capsys, "entropy", "--state", str(bad))
+    @pytest.mark.parametrize("name,text", [
+        ("bad.json", '{"broken": '),
+        ("deep.json", "[" * 100_000 + "]" * 100_000),
+        ("folder", None),
+    ], ids=["truncated", "deep", "directory"])
+    def test_malformed_json_is_usage_error(self, capsys, tmp_path, name,
+                                           text):
+        bad = tmp_path / name
+        if text is None:
+            bad.mkdir()
+        else:
+            bad.write_text(text)
+        code, error = run_cli_error(capsys, "entropy", "--state", str(bad))
         assert code == 2
+        assert str(bad) in error["error"]
 
 
 def run_cli_error(capsys, *argv):

@@ -298,20 +298,24 @@ class TestFineGrainedBound:
                       report.fine_grained_upper, report.fine_grained_lower):
             assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
-    def test_maximally_mixed_qubit_projective_values(self):
-        # every rank-one projective basis scores exactly ln 2, one basis
-        # at a time and as one stack
-        mm = st.maximally_mixed(C2)
-        m = mm.element.reps()[0]
+    @pytest.mark.parametrize("algebra", [
+        C2, ja.real_hermitian(3), ja.complex_hermitian(4),
+        ja.quaternion_hermitian(2),
+    ], ids=str)
+    def test_maximally_mixed_projective_values(self, algebra):
+        # every projective basis of the maximally mixed state scores
+        # exactly ln n, one basis at a time and as one stack
+        s = algebra.summands[0]
+        m = st.maximally_mixed(algebra).element.reps()[0]
         rng = np.random.default_rng(14)
-        draws = [st._draw_basis("complex", 2, rng) for _ in range(30)]
+        draws = [st._draw_basis(s.kind, s.size, rng) for _ in range(30)]
         inputs = [[d] for d in draws] + [draws]
         for batch in inputs:
-            frames = st._random_frames("complex", np.array(batch))
-            probs = en._basis_probs("complex", m, frames)
-            assert probs.shape == (len(batch), 2)
+            frames = st._random_frames(s.kind, np.array(batch))
+            probs = en._basis_probs(s.kind, m, frames)
+            assert probs.shape == (len(batch), s.size)
             for h in en._row_entropies(np.clip(probs, 0, None)):
-                assert h == pytest.approx(np.log(2), abs=1e-10)
+                assert h == pytest.approx(np.log(s.size), abs=1e-10)
 
     def test_seventy_thirty_attained_by_eigenbasis(self):
         sigma = diag_state(C2, np.array([0.7, 0.3]))
@@ -432,15 +436,16 @@ def _reference_basis_probs(kind, size, m, rng):
         return np.array([0.5 + overlap, 0.5 - overlap])
     if kind == "real":
         q, _ = np.linalg.qr(rng.normal(size=(size, size)))
-        return np.einsum("ji,jk,ki->i", q, m, q)
-    if kind == "complex":
+    elif kind == "complex":
         g = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
         q, _ = np.linalg.qr(g)
-        return np.einsum("ji,jk,ki->i", q.conj(), m, q).real
-    # one vector of each Kramers pair of the orthonormalized draw
-    g = embed_quaternion_parts(rng.normal(size=(4, size, size)))
-    q = ja._kramers_orthonormalize(g)[:, ::2]
-    return np.einsum("ji,jk,ki->i", q.conj(), m, q).real
+    else:
+        # one vector of each Kramers pair of the orthonormalized draw
+        g = embed_quaternion_parts(rng.normal(size=(4, size, size)))
+        q = ja._kramers_orthonormalize(g)[:, ::2]
+    # q^H m, then each row's dot with its basis vector
+    rows = q.T
+    return np.einsum("ik,ik->i", rows.conj() @ m, rows).real
 
 
 def _reference_fine_entropies(sigma, n_samples, rng, bases):
@@ -504,6 +509,29 @@ class TestBatchedSampler:
             # the batched sampler leaves both streams where the loop does
             assert rng_batched.uniform() == rng_loop.uniform()
             assert bases_batched.uniform() == bases_loop.uniform()
+
+    @pytest.mark.parametrize("algebra", [
+        a for a in BATCHED_ALGEBRAS
+        if a.summands[0].kind in ("real", "complex", "quaternion")
+    ], ids=str)
+    def test_stacked_scoring_is_per_basis_scoring(self, algebra):
+        # one product over the whole stack gives each basis the bits it
+        # gets alone, and stays within 1e-14 of the three-operand contraction
+        s = algebra.summands[0]
+        m = st.random_state(algebra, seed=31).element.reps()[0]
+        rng = np.random.default_rng(32)
+        frames = st._random_frames(
+            s.kind, st._draw_basis(s.kind, s.size, rng, (300,))
+        )
+        stacked = en._basis_probs(s.kind, m, frames)
+        alone = np.concatenate([
+            en._basis_probs(s.kind, m, frames[i:i + 1])
+            for i in range(len(frames))
+        ])
+        np.testing.assert_array_equal(stacked, alone)
+        q = frames[..., ::2] if s.kind == "quaternion" else frames
+        contracted = np.einsum("sji,jk,ski->si", q.conj(), m, q).real
+        np.testing.assert_allclose(stacked, contracted, rtol=0, atol=1e-14)
 
     def test_reduction_matches_rowwise_sum_on_partial_support(self):
         # rows of eight outcomes with entries at and below the cutoff:
