@@ -12,6 +12,9 @@ spin         pairs (t, v) with v in R^d                 d + 1       2
 classical    R^n with the pointwise product             n           n
 ===========  =========================================  ==========  ====
 
+Each kind's facts and maps are one record of the kind table ``_KINDS``,
+read through :attr:`SimpleFactor.ops`.
+
 Elements have real coefficient vectors in a fixed basis that is
 orthonormal for the trace inner product ``<a, b> = tr(a o b)``, so the
 coefficient map is an isometry.  The basis layout per factor is:
@@ -36,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -65,10 +68,6 @@ __all__ = [
 
 DEFAULT_GROUP_TOL = 1e-8
 
-_KINDS = ("real", "complex", "quaternion", "spin", "classical")
-# the letter that names each kind in ``str`` and in algebra specs
-_KIND_LETTERS = dict(zip(_KINDS, "RCHSP"))
-
 
 class AlgebraMismatchError(ValueError):
     """Operands live in different algebras."""
@@ -90,29 +89,27 @@ class SimpleFactor:
     size: int
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if not isinstance(self.kind, str) or self.kind not in _KINDS:
             raise ValueError(f"unknown factor kind {self.kind!r}")
         minimum = 2 if self.kind == "spin" else 1
         if self.size < minimum:
             raise ValueError(f"{self.kind} factor needs size >= {minimum}")
 
     @property
+    def ops(self) -> _KindOps:
+        """The kind's record in :data:`_KINDS`, looked up on every read."""
+        return _KINDS[self.kind]
+
+    @property
     def dim(self) -> int:
-        n = self.size
-        return {
-            "real": n * (n + 1) // 2,
-            "complex": n * n,
-            "quaternion": n * (2 * n - 1),
-            "spin": n + 1,
-            "classical": n,
-        }[self.kind]
+        return self.ops.dim(self.size)
 
     @property
     def rank(self) -> int:
         return 2 if self.kind == "spin" else self.size
 
     def __str__(self):
-        return f"{_KIND_LETTERS[self.kind]}{self.size}"
+        return f"{self.ops.letter}{self.size}"
 
 
 @dataclass(frozen=True)
@@ -152,10 +149,8 @@ class Algebra:
         The basis is orthonormal for ``<a, b> = tr(a o b)``, so
         ``tr(x) = <unit, x>`` and t holds the coefficients of the unit.
         """
-        t = np.concatenate([
-            _COERCE_TO_COEFFS[s.kind](_unit_rep(s.kind, s.size), s.size)
-            for s in self.summands
-        ])
+        t = np.concatenate([s.ops.to_coeffs(s.ops.unit(s.size), s.size)
+                            for s in self.summands])
         t.flags.writeable = False
         return t
 
@@ -247,7 +242,7 @@ class JordanElement:
             coeffs = np.empty(self.algebra.dim)
             for s, sl, rep in zip(self.algebra.summands,
                                   self.algebra.slices(), self._reps):
-                coeffs[sl] = _COERCE_TO_COEFFS[s.kind](rep, s.size)
+                coeffs[sl] = s.ops.to_coeffs(rep, s.size)
             coeffs.flags.writeable = False
             object.__setattr__(self, "_coeffs", coeffs)
         return self._coeffs
@@ -291,7 +286,7 @@ class JordanElement:
         most once per element."""
         if self._reps is None:
             reps = tuple(
-                _COERCE_TO_REP[s.kind](self.coeffs[sl], s.size)
+                s.ops.to_rep(self.coeffs[sl], s.size)
                 for s, sl in zip(self.algebra.summands, self.algebra.slices())
             )
             for rep in reps:
@@ -329,8 +324,8 @@ def element_from_reps(algebra: Algebra, reps: Sequence) -> JordanElement:
         )
     parts = []
     for s, rep in zip(algebra.summands, reps):
-        part = _SYMMETRIC_PART[s.kind](rep)
-        if part.shape != _rep_shape(s.kind, s.size):
+        part = s.ops.symmetric_part(rep)
+        if part.shape != s.ops.unit(s.size).shape:
             raise ValueError(
                 f"representation of shape {part.shape} does not match "
                 f"summand {s}"
@@ -473,22 +468,6 @@ def _embed_blocks(z, w):
     return out.reshape(batch + (2 * n, 2 * m))
 
 
-def _spin_to_rep(c, d):
-    return c / _SQRT2
-
-
-def _spin_to_coeffs(rep, d):
-    return np.asarray(rep, dtype=float) * _SQRT2
-
-
-def _classical_to_rep(c, n):
-    return c.copy()
-
-
-def _classical_to_coeffs(rep, n):
-    return np.asarray(rep, dtype=float).copy()
-
-
 def _real_symmetric_part(m):
     m = np.real(m)
     return 0.5 * (m + np.swapaxes(m, -1, -2))
@@ -507,77 +486,26 @@ def _vector_copy(rep):
     return np.array(rep, dtype=float)
 
 
-# the projection of an arbitrary representation onto the algebra, as a
-# new array: the map rep -> coeffs -> rep without the coefficients
-_SYMMETRIC_PART = {
-    "real": _real_symmetric_part,
-    "complex": _complex_hermitian_part,
-    "quaternion": _quaternion_hermitian_part,
-    "spin": _vector_copy,
-    "classical": _vector_copy,
-}
-
-
-def _rep_shape(kind, size):
-    if kind == "spin":
-        return (size + 1,)
-    if kind == "classical":
-        return (size,)
-    if kind == "quaternion":
-        return (2 * size, 2 * size)
-    return (size, size)
-
-
-_COERCE_TO_REP = {
-    "real": _real_to_rep,
-    "complex": _complex_to_rep,
-    "quaternion": _quaternion_to_rep,
-    "spin": _spin_to_rep,
-    "classical": _classical_to_rep,
-}
-_COERCE_TO_COEFFS = {
-    "real": _real_to_coeffs,
-    "complex": _complex_to_coeffs,
-    "quaternion": _quaternion_to_coeffs,
-    "spin": _spin_to_coeffs,
-    "classical": _classical_to_coeffs,
-}
-
-
 # ---------------------------------------------------------------------------
 # products, traces, units
 # ---------------------------------------------------------------------------
 
 
-def _product_rep(kind, ra, rb):
-    if kind in ("real", "complex", "quaternion"):
-        return 0.5 * (ra @ rb + rb @ ra)
-    if kind == "spin":
-        s, u = ra[0], ra[1:]
-        t, v = rb[0], rb[1:]
-        return np.concatenate(([s * t + u @ v], s * v + t * u))
-    return ra * rb
+def _matrix_product(ra, rb):
+    return 0.5 * (ra @ rb + rb @ ra)
 
 
-def _unit_rep(kind, size):
-    if kind == "spin":
-        rep = np.zeros(size + 1)
-        rep[0] = 1.0
-        return rep
-    if kind == "classical":
-        return np.ones(size)
-    if kind == "quaternion":
-        return np.eye(2 * size, dtype=complex)
-    return np.eye(size, dtype=float if kind == "real" else complex)
+def _spin_product(ra, rb):
+    s, u = ra[0], ra[1:]
+    t, v = rb[0], rb[1:]
+    return np.concatenate(([s * t + u @ v], s * v + t * u))
 
 
 def jordan_product(a: JordanElement, b: JordanElement) -> JordanElement:
     """The symmetrized product, evaluated blockwise per summand."""
     a._require_same(b)
-    reps = [
-        _product_rep(s.kind, ra, rb)
-        for s, ra, rb in zip(a.algebra.summands, a.reps(), b.reps())
-    ]
+    reps = [s.ops.product(ra, rb)
+            for s, ra, rb in zip(a.algebra.summands, a.reps(), b.reps())]
     return element_from_reps(a.algebra, reps)
 
 
@@ -620,35 +548,12 @@ def direct_sum(a: JordanElement, b: JordanElement) -> JordanElement:
 # ---------------------------------------------------------------------------
 
 
-# Frobenius pairing of two reps times this constant is the trace inner
-# product: the quaternionic embedding doubles traces, and a spin rep is
-# its coefficient vector over sqrt(2)
-_PAIRING_SCALE = {"real": 1.0, "complex": 1.0, "quaternion": 0.5,
-                  "spin": 2.0, "classical": 1.0}
-# the number of axes of one rep of each kind
-_REP_NDIM = {"real": 2, "complex": 2, "quaternion": 2, "spin": 1,
-             "classical": 1}
-
-
 def _dots(a, b):
     """The dot products of the last axes of ``a`` and ``b``, any leading
     axes a batch, each the bits of ``a @ b`` on its two vectors."""
     if a.ndim == b.ndim == 1:
         return a @ b
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
-
-
-def _pairings(kind, stack, rep):
-    """The trace inner products of each rep of ``stack`` with ``rep``, on
-    one summand of kind ``kind``.  Leading axes of ``rep``, and the same
-    ones before the stack axis of ``stack``, are a batch; each batch entry
-    gets the bits it would get alone."""
-    lead = rep.shape[:rep.ndim - _REP_NDIM[kind]]
-    flat = stack.reshape(lead + (stack.shape[len(lead)], -1))
-    if lead:
-        column = rep.reshape(lead + (-1, 1)).conj()
-        return _PAIRING_SCALE[kind] * (flat @ column)[..., 0].real
-    return _PAIRING_SCALE[kind] * (flat @ rep.ravel().conj()).real
 
 
 class SpectralDecomposition:
@@ -696,7 +601,7 @@ class SpectralDecomposition:
     def weights(self, x: JordanElement) -> np.ndarray:
         """The trace inner products ``<E_k, x>``."""
         return np.concatenate([
-            _pairings(s.kind, stack, rep)
+            s.ops.pairings(stack, rep)
             for s, stack, rep in zip(self.algebra.summands, self.frame,
                                      x.reps())
         ])
@@ -826,59 +731,48 @@ def _kramers_orthonormalize(g: np.ndarray) -> np.ndarray:
     return _kramers_pairs(x)
 
 
-def _frame_projections(kind, q):
-    """The primitive idempotent reps of a frame: the projections onto the
-    columns of ``q``, or onto its Kramers pairs of columns on quaternionic
-    factors.  Leading axes of ``q`` are a batch."""
-    if kind == "quaternion":
-        pairs = q.reshape(q.shape[:-1] + (-1, 2))
-        return np.einsum("...ikp,...jkp->...kij", pairs, pairs.conj())
+def _eigh_frames(rep, n):
+    # read at each call, so a wrapper of np.linalg.eigh sees every solve
+    return np.linalg.eigh(rep)
+
+
+def _quaternion_frames(rep, n):
+    # the eigenvalues of the embedding come in Kramers pairs; each picked
+    # vector with its partner spans a primitive idempotent
+    w, vecs = np.linalg.eigh(rep)
+    picked, frame = _kramers_frame(vecs)
+    values = w[picked].reshape(frame.shape[:-2] + (-1,))
+    return values, _kramers_pairs(frame)
+
+
+def _spin_frames(rep, d):
+    # eigenvalues t +- r with idempotents (1, +-axis) / 2
+    t, v = rep[..., :1], rep[..., 1:]
+    r = np.sqrt(_dots(v, v))[..., None]
+    # at r == 0 both eigenvalues are t and any ball axis will do
+    axis = np.zeros_like(v)
+    axis[..., 0] = 1.0
+    np.divide(v, r, out=axis, where=r > 0.0)
+    sign = np.array([1.0, -1.0])
+    frame = np.empty(rep.shape[:-1] + (2, d + 1))
+    frame[..., 0] = 0.5
+    frame[..., 1:] = 0.5 * sign[:, None] * axis[..., None, :]
+    return t + sign * r, frame
+
+
+def _classical_frames(rep, n):
+    return rep, np.broadcast_to(np.eye(n), rep.shape + (n,))
+
+
+def _column_projections(q):
+    """The projections onto the columns of ``q``."""
     return np.einsum("...ik,...jk->...kij", q, q.conj())
 
 
-def _frame_idempotents(kind, frame):
-    """The idempotent stacks of frames as :func:`_spectral_frames` returns
-    them: projected from the eigenvectors on the matrix kinds (real,
-    complex and quaternionic), as they are on spin and classical
-    factors.  Each frame of the stack gets the bits it would get alone,
-    so a caller projects only the rows it reads."""
-    if kind in ("real", "complex", "quaternion"):
-        return _frame_projections(kind, frame)
-    return frame
-
-
-def _spectral_frames(kind, rep, size):
-    """Per-summand fine eigenvalues and their Jordan frame.  Leading axes
-    of ``rep`` are a batch, and each entry gets the bits it would get
-    alone.  On the matrix kinds the frame is eigenvectors, one column per
-    fine eigenvalue (on quaternionic factors the Kramers-paired columns
-    of the embedding), which :func:`_frame_idempotents` projects; spin
-    and classical factors return their idempotent stacks."""
-    if kind == "classical":
-        return rep, np.broadcast_to(np.eye(size), rep.shape + (size,))
-
-    if kind == "spin":
-        # eigenvalues t +- r with idempotents (1, +-axis) / 2
-        t, v = rep[..., :1], rep[..., 1:]
-        r = np.sqrt(_dots(v, v))[..., None]
-        # at r == 0 both eigenvalues are t and any ball axis will do
-        axis = np.zeros_like(v)
-        axis[..., 0] = 1.0
-        np.divide(v, r, out=axis, where=r > 0.0)
-        sign = np.array([1.0, -1.0])
-        frame = np.empty(rep.shape[:-1] + (2, size + 1))
-        frame[..., 0] = 0.5
-        frame[..., 1:] = 0.5 * sign[:, None] * axis[..., None, :]
-        return t + sign * r, frame
-
-    w, vecs = np.linalg.eigh(rep)
-    if kind == "quaternion":
-        # the eigenvalues of the embedding come in Kramers pairs; each
-        # picked vector with its partner spans a primitive idempotent
-        picked, frame = _kramers_frame(vecs)
-        values = w[picked].reshape(frame.shape[:-2] + (-1,))
-        return values, _kramers_pairs(frame)
-    return w, vecs
+def _kramers_projections(q):
+    """The projections onto the Kramers pairs of columns of ``q``."""
+    pairs = q.reshape(q.shape[:-1] + (-1, 2))
+    return np.einsum("...ikp,...jkp->...kij", pairs, pairs.conj())
 
 
 def spectral_decompose(a: JordanElement) -> SpectralDecomposition:
@@ -887,12 +781,99 @@ def spectral_decompose(a: JordanElement) -> SpectralDecomposition:
     The result is cached on the element.
     """
     if a._spectral is None:
-        parts = [_spectral_frames(s.kind, rep, s.size)
+        parts = [s.ops.frames(rep, s.size)
                  for s, rep in zip(a.algebra.summands, a.reps())]
         a._spectral = SpectralDecomposition(
             a.algebra, np.concatenate([lam for lam, _ in parts]),
-            [_frame_idempotents(s.kind, frame)
+            [s.ops.idempotents(frame)
              for s, (_, frame) in zip(a.algebra.summands, parts)],
         )
     return a._spectral
+
+
+# ---------------------------------------------------------------------------
+# the kind table
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _KindOps:
+    """The facts and maps of one simple kind, read through
+    :attr:`SimpleFactor.ops`; ``n`` is the factor's size, and every map
+    but ``product`` takes leading batch axes, each entry getting the bits
+    it would get alone.
+
+    ``letter`` names the kind in ``str`` and in algebra specs, and
+    ``unit(n)`` is the unit rep, whose shape is the rep shape.
+    ``symmetric_part(m)`` is the map rep -> coeffs -> rep without the
+    coefficients, as a new array.  ``frames(rep, n)`` gives the fine
+    eigenvalues and the Jordan frame: on the matrix kinds eigenvectors,
+    one column per fine eigenvalue (on quaternionic factors the
+    Kramers-paired columns of the embedding), which ``idempotents``
+    projects, so a caller projects only the rows it reads; spin and
+    classical factors return their idempotent stacks.  A rep has
+    ``rep_ndim`` axes, and the Frobenius pairing of two reps times
+    ``pairing_scale`` is the trace inner product: the quaternionic
+    embedding doubles traces, and a spin rep is its coefficient vector
+    over sqrt(2).
+    """
+
+    letter: str
+    dim: Callable[[int], int]
+    unit: Callable[[int], np.ndarray]
+    to_rep: Callable
+    to_coeffs: Callable
+    symmetric_part: Callable
+    product: Callable
+    frames: Callable
+    idempotents: Callable = lambda frame: frame
+    rep_ndim: int = 1
+    pairing_scale: float = 1.0
+
+    def pairings(self, stack, rep):
+        """The trace inner products of each rep of ``stack`` with ``rep``.
+        Leading axes of ``rep``, and the same ones before the stack axis
+        of ``stack``, are a batch; each batch entry gets the bits it would
+        get alone."""
+        lead = rep.shape[:rep.ndim - self.rep_ndim]
+        flat = stack.reshape(lead + (stack.shape[len(lead)], -1))
+        if lead:
+            column = rep.reshape(lead + (-1, 1)).conj()
+            return self.pairing_scale * (flat @ column)[..., 0].real
+        return self.pairing_scale * (flat @ rep.ravel().conj()).real
+
+
+_KINDS = {
+    "real": _KindOps(
+        letter="R", dim=lambda n: n * (n + 1) // 2, unit=np.eye,
+        to_rep=_real_to_rep, to_coeffs=_real_to_coeffs,
+        symmetric_part=_real_symmetric_part, product=_matrix_product,
+        frames=_eigh_frames, idempotents=_column_projections, rep_ndim=2),
+    "complex": _KindOps(
+        letter="C", dim=lambda n: n * n,
+        unit=lambda n: np.eye(n, dtype=complex),
+        to_rep=_complex_to_rep, to_coeffs=_complex_to_coeffs,
+        symmetric_part=_complex_hermitian_part, product=_matrix_product,
+        frames=_eigh_frames, idempotents=_column_projections, rep_ndim=2),
+    "quaternion": _KindOps(
+        letter="H", dim=lambda n: n * (2 * n - 1),
+        unit=lambda n: np.eye(2 * n, dtype=complex),
+        to_rep=_quaternion_to_rep, to_coeffs=_quaternion_to_coeffs,
+        symmetric_part=_quaternion_hermitian_part, product=_matrix_product,
+        frames=_quaternion_frames, idempotents=_kramers_projections,
+        rep_ndim=2, pairing_scale=0.5),
+    "spin": _KindOps(
+        letter="S", dim=lambda d: d + 1,
+        unit=lambda d: np.r_[1.0, np.zeros(d)],
+        to_rep=lambda c, d: c / _SQRT2,
+        to_coeffs=lambda m, d: np.asarray(m, dtype=float) * _SQRT2,
+        symmetric_part=_vector_copy, product=_spin_product,
+        frames=_spin_frames, pairing_scale=2.0),
+    "classical": _KindOps(
+        letter="P", dim=lambda n: n, unit=np.ones,
+        to_rep=lambda c, n: c.copy(),
+        to_coeffs=lambda m, n: np.asarray(m, dtype=float).copy(),
+        symmetric_part=_vector_copy, product=np.multiply,
+        frames=_classical_frames),
+}
 

@@ -178,7 +178,8 @@ def box_from_quantum(strategy: QuantumStrategy) -> NoSignalingBox:
     effects = (pa[:, None, :, None, :, None, :, None]
                * pb[None, :, None, :, None, :, None, :]).reshape(
                    2, 2, 2, 2, 4, 4)
-    coeffs = alg._complex_to_coeffs(alg._complex_hermitian_part(effects), 4)
+    ops = state.algebra.summands[0].ops
+    coeffs = ops.to_coeffs(ops.symmetric_part(effects), 4)
     return NoSignalingBox(np.clip(alg._dots(coeffs, state.element.coeffs),
                                   0.0, None))
 

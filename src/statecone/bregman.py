@@ -447,13 +447,13 @@ def _require_algebra(F: BregmanGenerator, algebra: Algebra) -> None:
         )
 
 
-def _stacked_divergences(F, kind, reps, values, frames):
-    """The divergences of a stack of pairs (axis 1: rho, sigma) from
-    their reps, fine eigenvalues and frames as
-    :func:`~statecone.algebras._spectral_frames` returns them, over the
-    leading axes.  Only the sigma side's idempotents are built."""
-    idempotents = alg._frame_idempotents(kind, frames[:, 1])
-    p = alg._pairings(kind, idempotents, reps[:, 0])
+def _stacked_divergences(F, s, reps, values, frames):
+    """The divergences of a stack of pairs (axis 1: rho, sigma) on the
+    simple summand ``s`` from their reps, fine eigenvalues and frames as
+    ``s.ops.frames`` returns them, over the leading axes.  Only the sigma
+    side's idempotents are built."""
+    idempotents = s.ops.idempotents(frames[:, 1])
+    p = s.ops.pairings(idempotents, reps[:, 0])
     return _divergence(F, values[:, 0], values[:, 1], p)
 
 
@@ -512,7 +512,7 @@ def _monotonicity_trials(F, algebra, catalog, seed, trials) -> list:
         picks.append((trial // 3) % len(catalog))
         pair, built = _pair_draws(catalog[picks[-1]], rng)
         (sampled if built else drawn)[i] = pair
-    rep = alg._unit_rep(s.kind, s.size)
+    rep = s.ops.unit(s.size)
     reps = np.empty((len(picks), 2) + rep.shape, rep.dtype)
     if drawn:
         reps[list(drawn)] = st._build_summand(s, np.stack([*drawn.values()]))
@@ -534,9 +534,9 @@ def _monotonicity_trials(F, algebra, catalog, seed, trials) -> list:
     recovered = [i for _, group in recoverable for i in group]
     backs, _ = st._push_rows(s, recoverable, images, coeffs)
     images = np.concatenate([images, backs[recovered]])
-    spectra = alg._spectral_frames(s.kind, images, s.size)
-    before = _stacked_divergences(F, s.kind, reps, values, frames)
-    gaps = _stacked_divergences(F, s.kind, images, *spectra)
+    spectra = s.ops.frames(images, s.size)
+    before = _stacked_divergences(F, s, reps, values, frames)
+    gaps = _stacked_divergences(F, s, images, *spectra)
     after = gaps[:len(picks)]
     violation = _violation(after, before)
     rise = np.full(len(picks), -math.inf)
@@ -561,7 +561,7 @@ _CHUNK_BYTES = 32 * 2**20
 def _frame_bytes(s) -> int:
     """The bytes of the idempotent stack of one state on the simple
     summand ``s``: one rep per primitive idempotent."""
-    return s.rank * alg._unit_rep(s.kind, s.size).nbytes
+    return s.rank * s.ops.unit(s.size).nbytes
 
 
 def _in_chunks(run, trials, trial_bytes: int):

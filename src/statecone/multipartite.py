@@ -274,7 +274,7 @@ def _grouping_divergences(F: BregmanGenerator, layout: CompositeLayout,
         reps, values, frames = (x.reshape((len(group), n) + x.shape[1:])
                                 for x in checked)
         # the groups come first; a marginal read only as a joint gets none
-        idempotents = (alg._frame_idempotents(summand.kind, frames[:read])
+        idempotents = (summand.ops.idempotents(frames[:read])
                        if read else ())
         marginals.update(zip(group, zip_longest(reps, values, idempotents)))
     by_size = {}

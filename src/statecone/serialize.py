@@ -21,7 +21,7 @@ import re
 
 import numpy as np
 
-from .algebras import _KIND_LETTERS, Algebra, JordanElement, SimpleFactor
+from .algebras import _KINDS, Algebra, JordanElement, SimpleFactor
 from . import states as st
 from .states import Affinity, CompositeLayout, State
 from .boxes import INPUT_BOX_TOL, NoSignalingBox
@@ -80,7 +80,7 @@ def algebra_from_json(doc) -> Algebra:
     return Algebra(tuple(summands))
 
 
-_SPEC_KINDS = {letter: kind for kind, letter in _KIND_LETTERS.items()}
+_SPEC_KINDS = {ops.letter: kind for kind, ops in _KINDS.items()}
 _TENSOR_KINDS = {"C": st.COMPLEX_TENSOR, "P": st.CLASSICAL_TENSOR}
 
 

@@ -57,7 +57,6 @@ __all__ = [
     "tensor",
     "tensor_elements",
     "tensor_state",
-    "trace_vector",
 ]
 
 # eigenvalues of a candidate state in [-CLIP_TOL, 0) are solver noise,
@@ -250,24 +249,23 @@ def _checked_state_stack(s: SimpleFactor, reps: np.ndarray):
     as :meth:`State.make` checks ``element_from_reps`` of each: their
     symmetric parts, which must be finite, with the spectra of one
     stacked decomposition checked by :func:`_check_spectra`.  Returns the
-    reps, their fine eigenvalues and their frames as
-    :func:`~statecone.algebras._spectral_frames` returns them
-    (eigenvectors on the matrix kinds, idempotent stacks on the others),
-    with eigenvalue jitter clipped and the clipped reps rebuilt from
-    their spectra, as the states' elements and decompositions would hold
-    them.  :func:`~statecone.algebras._frame_idempotents` of a frame
+    reps, their fine eigenvalues and their frames as ``s.ops.frames``
+    returns them (eigenvectors on the matrix kinds, idempotent stacks on
+    the others), with eigenvalue jitter clipped and the clipped reps
+    rebuilt from their spectra, as the states' elements and
+    decompositions would hold them.  ``s.ops.idempotents`` of a frame
     gives the idempotent stack the state's decomposition holds; only the
     clipped rows are projected here."""
-    reps = alg._SYMMETRIC_PART[s.kind](reps)
+    ops = s.ops
+    reps = ops.symmetric_part(reps)
     if not np.isfinite(reps).all():
         raise StateValidationError("state coefficients must be finite")
-    values, frames = alg._spectral_frames(s.kind, reps, s.size)
+    values, frames = ops.frames(reps, s.size)
     clipped = _check_spectra(values)
     if clipped.any():
         values = np.maximum(values, 0.0)
-        nd = alg._REP_NDIM[s.kind]
-        picked = alg._frame_idempotents(s.kind, frames[clipped])
-        flat = picked.reshape(picked.shape[:-nd] + (-1,))
+        picked = ops.idempotents(frames[clipped])
+        flat = picked.reshape(picked.shape[:-ops.rep_ndim] + (-1,))
         rebuilt = (values[clipped][..., None, :] @ flat)[..., 0, :]
         reps[clipped] = rebuilt.reshape(reps[clipped].shape)
     return reps, values, frames
@@ -278,11 +276,6 @@ def maximally_mixed(
 ) -> State:
     u = unit(algebra)
     return State(u / trace(u), layout)
-
-
-def trace_vector(algebra: Algebra) -> np.ndarray:
-    """Read-only vector t with tr(x) = t . coeffs(x)."""
-    return algebra.trace_vector
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +300,7 @@ class Measurement:
     def __post_init__(self):
         if not self.labels:
             raise ValueError("a measurement needs at least one outcome")
-        shapes = [(len(self.labels),) + alg._rep_shape(s.kind, s.size)
+        shapes = [(len(self.labels),) + s.ops.unit(s.size).shape
                   for s in self.algebra.summands]
         if [stack.shape for stack in self.frame] != shapes:
             raise ValueError(
@@ -317,8 +310,8 @@ class Measurement:
         squared = 0.0
         for s, stack in zip(self.algebra.summands, self.frame):
             stack.flags.writeable = False
-            diff = stack.sum(axis=0) - alg._unit_rep(s.kind, s.size)
-            squared += alg._pairings(s.kind, diff[None], diff)[0]
+            diff = stack.sum(axis=0) - s.ops.unit(s.size)
+            squared += s.ops.pairings(diff[None], diff)[0]
         gap = np.sqrt(squared)
         if gap > NORMALIZATION_TOL:
             raise ValueError(f"effects sum to unit only within {gap:.3e}")
@@ -336,7 +329,7 @@ def measure(m: Measurement, sigma: State) -> np.ndarray:
             f"measurement on {m.algebra}, state on {sigma.algebra}"
         )
     probs = sum(
-        alg._pairings(s.kind, stack, rep)
+        s.ops.pairings(stack, rep)
         for s, stack, rep in zip(m.algebra.summands, m.frame,
                                  sigma.element.reps())
     )
@@ -536,10 +529,8 @@ class Affinity:
         """The coefficient matrix, derived once from a rep map."""
         if self._matrix is None:
             s = self.source.summands[0]
-            basis = alg._COERCE_TO_REP[s.kind](np.eye(self.source.dim),
-                                               s.size)
-            images = alg._COERCE_TO_COEFFS[s.kind](self._rep_map(basis),
-                                                   s.size)
+            basis = s.ops.to_rep(np.eye(self.source.dim), s.size)
+            images = s.ops.to_coeffs(self._rep_map(basis), s.size)
             object.__setattr__(self, "_matrix", images.T)
         return self._matrix
 
@@ -583,22 +574,23 @@ def _push_rows(s: SimpleFactor, pushes, reps: np.ndarray, coeffs=None):
     reps were built from, or else of one conversion of all their rows,
     and their images convert back in one call.  Returns the image reps
     and coefficients; rows no affinity maps are left unset."""
-    nd = alg._REP_NDIM[s.kind]
+    ops = s.ops
+    nd = ops.rep_ndim
     rows = [i for phi, own in pushes if phi._rep_map is None for i in own]
     if coeffs is None:
         coeffs = np.empty(reps.shape[:-nd] + (s.dim,))
         if rows:
-            coeffs[rows] = alg._COERCE_TO_COEFFS[s.kind](reps[rows], s.size)
+            coeffs[rows] = ops.to_coeffs(reps[rows], s.size)
     images, out = np.empty_like(reps), np.empty_like(coeffs)
     for phi, own in pushes:
         if phi._rep_map is None:
             out[own] = (phi._matrix @ coeffs[own][..., None])[..., 0]
         else:
             pushed = phi._rep_map(reps[own].reshape((-1,) + reps.shape[-nd:]))
-            images[own] = alg._SYMMETRIC_PART[s.kind](pushed).reshape(
+            images[own] = ops.symmetric_part(pushed).reshape(
                 images[own].shape)
     if rows:
-        images[rows] = alg._COERCE_TO_REP[s.kind](out[rows], s.size)
+        images[rows] = ops.to_rep(out[rows], s.size)
     return images, out
 
 
@@ -636,7 +628,7 @@ def _draw_summand(s: SimpleFactor, rank_cap, rng, batch: tuple = ()):
     if batch:
         reps = [_draw_summand(s, rank_cap, rng)
                 for _ in range(math.prod(batch))]
-        return np.reshape(reps, batch + alg._rep_shape(s.kind, n))
+        return np.reshape(reps, batch + s.ops.unit(n).shape)
     if s.kind == "classical":
         weights = rng.dirichlet(np.ones(r))
         rep = np.zeros(n)
@@ -768,7 +760,7 @@ def _random_channel_images(s: SimpleFactor, draws: Sequence[np.ndarray],
         group = [k for k, e in enumerate(envs) if e == env]
         v, _ = np.linalg.qr(_as_complex(np.stack([draws[k] for k in group])))
         pushed = _stinespring_push(v[:, None], reps[group], env)
-        images[group] = alg._SYMMETRIC_PART[s.kind](pushed)
+        images[group] = s.ops.symmetric_part(pushed)
     return images
 
 
@@ -803,7 +795,7 @@ def _diag_reps(s: SimpleFactor, probs: np.ndarray) -> np.ndarray:
     kind, and a classical rep is its diagonal."""
     coeffs = np.zeros(probs.shape[:-1] + (s.dim,))
     coeffs[..., :s.size] = probs
-    return alg._COERCE_TO_REP[s.kind](coeffs, s.size)
+    return s.ops.to_rep(coeffs, s.size)
 
 
 def _diag_pair_sampler(algebra, support):
@@ -908,7 +900,7 @@ def _depolarize(algebra: Algebra, t: float) -> Affinity:
     u = unit(algebra)
     fixed = u / trace(u)
     m = (1.0 - t) * np.eye(algebra.dim) + t * np.outer(
-        fixed.coeffs, trace_vector(algebra)
+        fixed.coeffs, algebra.trace_vector
     )
     return Affinity(m, algebra, algebra, name=f"depolarize-{t}")
 
@@ -960,11 +952,7 @@ def _classical_section(algebra: Algebra) -> tuple[Affinity, Affinity] | None:
     if s.kind == "spin":
         top = np.concatenate(([0.5], np.eye(s.size)[0] * 0.5))
         bottom = np.concatenate(([0.5], -np.eye(s.size)[0] * 0.5))
-        cols = [
-            alg._spin_to_coeffs(top, s.size),
-            alg._spin_to_coeffs(bottom, s.size),
-        ]
-        section = np.array(cols).T
+        section = s.ops.to_coeffs(np.array([top, bottom]), s.size).T
     else:
         section = np.zeros((algebra.dim, r))
         for j in range(r):
@@ -1124,8 +1112,7 @@ def _factor_kernel(phi: Affinity) -> np.ndarray:
         images = phi._rep_map(units)
     else:
         def f(x):
-            coeffs = alg._COERCE_TO_COEFFS[s.kind](x, m)
-            return alg._COERCE_TO_REP[s.kind](coeffs @ phi.matrix.T, m)
+            return s.ops.to_rep(s.ops.to_coeffs(x, m) @ phi.matrix.T, m)
 
         images = f(units) + 1j * f(-1j * units)
     return np.moveaxis(images.reshape(m, m, m, m), (0, 1), (2, 3))

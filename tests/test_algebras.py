@@ -1,3 +1,4 @@
+import dataclasses
 import pickle
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from statecone import algebras as ja
+from statecone import serialize as sz
 
 ALL_SIMPLE = [
     ja.real_hermitian(3),
@@ -607,7 +609,7 @@ def coefficient_rows(dec):
     rows, start = np.zeros((len(dec.values), dec.algebra.dim)), 0
     for s, sl, stack in zip(dec.algebra.summands, dec.algebra.slices(),
                             dec.frame):
-        rows[start:start + len(stack), sl] = ja._COERCE_TO_COEFFS[s.kind](
+        rows[start:start + len(stack), sl] = ja._KINDS[s.kind].to_coeffs(
             stack, s.size
         )
         start += len(stack)
@@ -669,7 +671,7 @@ class TestBasisMaps:
     def test_reps_cached_read_only(self, algebra):
         el = random_element(algebra, 17)
         first = el.reps()
-        fresh = [ja._COERCE_TO_REP[s.kind](el.coeffs[sl], s.size)
+        fresh = [ja._KINDS[s.kind].to_rep(el.coeffs[sl], s.size)
                  for s, sl in zip(algebra.summands, algebra.slices())]
         for cached, again, expected in zip(first, el.reps(), fresh):
             assert cached is again
@@ -733,7 +735,7 @@ class TestBasisMaps:
         assert built.coeffs is coeffs and not coeffs.flags.writeable
         s = algebra.summands[0]
         np.testing.assert_array_equal(
-            coeffs, ja._COERCE_TO_COEFFS[s.kind](stored[0], s.size),
+            coeffs, ja._KINDS[s.kind].to_coeffs(stored[0], s.size),
             strict=True,
         )
         np.testing.assert_allclose(coeffs, el.coeffs, rtol=0,
@@ -811,8 +813,28 @@ def random_reps(kind, n, count, rng):
 def spectral_projections(kind, rep, size):
     """The fine eigenvalues and idempotent stacks of ``rep``, any leading
     axes a batch."""
-    values, frames = ja._spectral_frames(kind, rep, size)
-    return values, ja._frame_idempotents(kind, frames)
+    values, frames = ja._KINDS[kind].frames(rep, size)
+    return values, ja._KINDS[kind].idempotents(frames)
+
+
+def record_conversions(monkeypatch, kinds=("complex",),
+                       maps=("to_rep", "to_coeffs")):
+    """Swap the basis ``maps`` of each of ``kinds`` in the kind table for
+    ones that record the shape of every input they convert; returns the
+    list that collects the shapes."""
+    calls = []
+
+    def recording(convert):
+        def record(c, n):
+            calls.append(c.shape)
+            return convert(c, n)
+        return record
+
+    for kind in kinds:
+        ops = ja._KINDS[kind]
+        monkeypatch.setitem(ja._KINDS, kind, dataclasses.replace(
+            ops, **{name: recording(getattr(ops, name)) for name in maps}))
+    return calls
 
 
 def rep_trace(kind, rep):
@@ -827,12 +849,36 @@ def rep_trace(kind, rep):
     return float(np.sum(rep))
 
 
+class TestKindTable:
+    """The facts of each record of the kind table agree with each other,
+    the checks a new kind's record must pass."""
+
+    @pytest.mark.parametrize("kind,n", ALL_FACTORS)
+    def test_record_facts_agree(self, kind, n):
+        s = ja.SimpleFactor(kind, n)
+        ops = s.ops
+        unit = ops.unit(n)
+        assert unit.ndim == ops.rep_ndim
+        coeffs = ops.to_coeffs(unit, n)
+        assert coeffs.shape == (s.dim,)
+        np.testing.assert_array_equal(coeffs, ja.Algebra((s,)).trace_vector)
+        np.testing.assert_array_equal(ops.to_rep(coeffs, n), unit,
+                                      strict=True)
+        # tr 1 = rank
+        assert ops.pairing_scale * np.vdot(unit, unit).real == s.rank
+        assert sz.parse_algebra_spec(str(s)) == (ja.Algebra((s,)), None)
+
+    def test_letters_are_distinct(self):
+        letters = [ops.letter for ops in ja._KINDS.values()]
+        assert len(set(letters)) == len(letters) == 5
+
+
 class TestBatchedLayer:
     @pytest.mark.parametrize("kind,n", ALL_FACTORS)
     def test_batched_maps_equal_rowwise_maps(self, kind, n):
-        to_rep = ja._COERCE_TO_REP[kind]
-        to_coeffs = ja._COERCE_TO_COEFFS[kind]
-        rng = np.random.default_rng([17, ja._KINDS.index(kind), n])
+        to_rep = ja._KINDS[kind].to_rep
+        to_coeffs = ja._KINDS[kind].to_coeffs
+        rng = np.random.default_rng([17, list(ja._KINDS).index(kind), n])
         coeffs = rng.normal(size=(6, ja.SimpleFactor(kind, n).dim))
         reps = random_reps(kind, n, 6, rng)
         batched_reps = to_rep(coeffs, n)
@@ -860,12 +906,12 @@ class TestBatchedLayer:
 
     @pytest.mark.parametrize("kind,n", ALL_FACTORS)
     def test_stacked_spectral_projections_equal_single_ones(self, kind, n):
-        rng = np.random.default_rng([23, ja._KINDS.index(kind), n])
-        reps = ja._SYMMETRIC_PART[kind](random_reps(kind, n, 6, rng))
+        rng = np.random.default_rng([23, list(ja._KINDS).index(kind), n])
+        reps = ja._KINDS[kind].symmetric_part(random_reps(kind, n, 6, rng))
         # two fully degenerate rows: the maximally mixed state, whose
         # quaternionic Kramers pairs all tie, and a negative multiple of
         # the unit; on spin factors both have a zero radius
-        unit = ja._unit_rep(kind, n)
+        unit = ja._KINDS[kind].unit(n)
         reps[1] = unit / ja.SimpleFactor(kind, n).rank
         reps[4] = -2.5 * unit
         reps = reps.reshape((2, 3) + reps.shape[1:])
@@ -884,32 +930,32 @@ class TestBatchedLayer:
         # and sum to the unit; any rows of a stack of frames project to
         # those rows of the stack's idempotents, so a caller projects
         # only what it reads
-        rng = np.random.default_rng([25, ja._KINDS.index(kind), n])
-        reps = ja._SYMMETRIC_PART[kind](random_reps(kind, n, 6, rng))
-        values, frames = ja._spectral_frames(kind, reps, n)
-        whole = ja._frame_idempotents(kind, frames)
+        rng = np.random.default_rng([25, list(ja._KINDS).index(kind), n])
+        reps = ja._KINDS[kind].symmetric_part(random_reps(kind, n, 6, rng))
+        values, frames = ja._KINDS[kind].frames(reps, n)
+        whole = ja._KINDS[kind].idempotents(frames)
         for rep, row_values, row_whole in zip(reps, values, whole):
             np.testing.assert_allclose(
                 np.tensordot(row_values, row_whole, axes=1), rep,
                 rtol=0, atol=1e-12)
             np.testing.assert_allclose(row_whole.sum(axis=0),
-                                       ja._unit_rep(kind, n),
+                                       ja._KINDS[kind].unit(n),
                                        rtol=0, atol=1e-12)
         for rows in ([0], [1, 4], [5, 2, 3]):
-            assert np.array_equal(ja._frame_idempotents(kind, frames[rows]),
+            assert np.array_equal(ja._KINDS[kind].idempotents(frames[rows]),
                                   whole[rows])
 
     @pytest.mark.parametrize("kind,n", ALL_FACTORS)
     def test_stacked_pairings_equal_single_ones(self, kind, n):
-        rng = np.random.default_rng([24, ja._KINDS.index(kind), n])
+        rng = np.random.default_rng([24, list(ja._KINDS).index(kind), n])
         stacks = random_reps(kind, n, 12, rng).reshape(
             (3, 4) + _REP_SHAPES[kind](n))
         reps = random_reps(kind, n, 3, rng)
-        pairings = ja._pairings(kind, stacks, reps)
+        pairings = ja._KINDS[kind].pairings(stacks, reps)
         assert pairings.shape == (3, 4)
         for k in range(3):
             assert np.array_equal(pairings[k],
-                                  ja._pairings(kind, stacks[k], reps[k]))
+                                  ja._KINDS[kind].pairings(stacks[k], reps[k]))
 
     def test_trace_matches_reps_on_direct_sum(self):
         algebra = ja.Algebra(tuple(

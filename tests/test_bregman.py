@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import pickle
 
@@ -10,7 +11,7 @@ from statecone import cli
 from statecone import multipartite as mp
 from statecone import serialize as sz
 from statecone import states as st
-from test_algebras import apply_function
+from test_algebras import apply_function, record_conversions
 from test_states import diag_state, sampled_pair
 
 C2 = ja.complex_hermitian(2)
@@ -591,7 +592,8 @@ class TestMonotonicity:
 
         monkeypatch.setattr(np.linalg, "eigh", counting)
         mp.run_suite("mono", NE, algebra, n_trials=24, seed=0)
-        rep = ja._unit_rep(algebra.summands[0].kind, algebra.summands[0].size)
+        s = algebra.summands[0]
+        rep = s.ops.unit(s.size)
         assert len(calls) <= 2, len(calls)
         assert (24, 2) + rep.shape in calls
         assert (24 + recovered, 2) + rep.shape in calls
@@ -604,25 +606,24 @@ class TestMonotonicity:
         # are built first
         st.channel_catalog(C3, seed=0)
         decomposed, projected, clipped = [], [], []
-        frames = ja._spectral_frames
-        projections = ja._frame_projections
+        ops = ja._KINDS["complex"]
         check = st._check_spectra
 
-        def decomposing(kind, rep, size):
+        def decomposing(rep, size):
             decomposed.append(rep.shape[:-2])
-            return frames(kind, rep, size)
+            return ops.frames(rep, size)
 
-        def projecting(kind, q):
+        def projecting(q):
             projected.append(q.shape)
-            return projections(kind, q)
+            return ops.idempotents(q)
 
         def checking(values):
             out = check(values)
             clipped.append(int(out.sum()))
             return out
 
-        monkeypatch.setattr(ja, "_spectral_frames", decomposing)
-        monkeypatch.setattr(ja, "_frame_projections", projecting)
+        monkeypatch.setitem(ja._KINDS, "complex", dataclasses.replace(
+            ops, frames=decomposing, idempotents=projecting))
         monkeypatch.setattr(st, "_check_spectra", checking)
         mp.run_suite("mono", NE, C3, n_trials=24, seed=0)
         assert clipped == [0]
@@ -706,13 +707,7 @@ class TestMonotonicity:
         # channels convert the trace vector, are built once per algebra,
         # so they are built first.
         st.channel_catalog(C3, seed=0)
-        calls = []
-        for table in (ja._COERCE_TO_REP, ja._COERCE_TO_COEFFS):
-            def recording(c, n, convert=table["complex"]):
-                calls.append(c.shape)
-                return convert(c, n)
-
-            monkeypatch.setitem(table, "complex", recording)
+        calls = record_conversions(monkeypatch)
         derived = []
         matrix = st.Affinity.matrix
 

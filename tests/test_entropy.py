@@ -8,7 +8,8 @@ from statecone import algebras as ja
 from statecone import entropy as en
 from statecone import serialize as sz
 from statecone import states as st
-from test_algebras import embed_quaternion_parts, kramers_columns, readme_coeffs
+from test_algebras import (embed_quaternion_parts, kramers_columns,
+                           readme_coeffs, record_conversions)
 from test_states import assert_primitive_effects, diag_state
 
 C2 = ja.complex_hermitian(2)
@@ -342,13 +343,8 @@ class TestFineGrainedBound:
         # and checks its unit sum by pairing reps
         states = Path(__file__).parent / "golden" / "states"
         sigma = sz.state_from_json(sz.load_json(states / f"{stem}-full.json"))
-        calls = []
-        for kind, convert in list(ja._COERCE_TO_COEFFS.items()):
-            def recording(c, n, convert=convert):
-                calls.append(c.shape)
-                return convert(c, n)
-
-            monkeypatch.setitem(ja._COERCE_TO_COEFFS, kind, recording)
+        calls = record_conversions(monkeypatch, kinds=list(ja._KINDS),
+                                   maps=("to_coeffs",))
         en.fine_grained_entropy_bound(sigma, n_samples=200, seed=0)
         assert calls == []
 
@@ -366,7 +362,7 @@ def random_fine_grained_measurement(algebra, rng):
         bases = [0.5 * np.stack([np.insert(q, 0, 1.0), np.insert(-q, 0, 1.0)])
                  for q in frames]
     else:
-        bases = [ja._frame_projections(s.kind, q) for q in frames]
+        bases = [ja._KINDS[s.kind].idempotents(q) for q in frames]
     outcomes = range(len(bases[0]))
     if not blend[0]:
         return st.Measurement(algebra, tuple(outcomes), (bases[0],))

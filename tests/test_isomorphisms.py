@@ -126,19 +126,3 @@ def test_isomorphism_keeps_spectra_products_and_divergences(source, target,
               "neg-entropy": NEG_ENTROPY_TOL}
     assert {k: v for k, v in gaps.items() if not v <= bounds[k]} == {}, gaps
 
-
-def test_twelve_maps_reach_every_kind():
-    kinds = {s.kind for source, target, _ in MAPS
-             for s in source.summands + target.summands}
-    assert len(MAPS) == 12
-    assert kinds == {"real", "complex", "quaternion", "spin", "classical"}
-
-
-@pytest.mark.parametrize(
-    "source,target,fn", MAPS,
-    ids=[f"{source}-{target}" for source, target, _ in MAPS])
-def test_map_keeps_the_unit(source, target, fn):
-    # the unit goes to the unit, so the trace and the rank are kept
-    image = _transport(target, fn, ja.unit(source))
-    assert np.allclose(image.coeffs, target.trace_vector, rtol=0,
-                       atol=1e-15)

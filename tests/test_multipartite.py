@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import math
 import pickle
 import tracemalloc
@@ -13,6 +14,7 @@ from statecone import bregman as br
 from statecone import multipartite as mp
 from statecone import serialize as sz
 from statecone import states as st
+from test_algebras import record_conversions
 from test_states import diag_state
 
 NE = br.neg_entropy()
@@ -433,13 +435,7 @@ class TestProductReader:
     def test_separoid_run_converts_at_most_eight_times(self, monkeypatch):
         # states, marginals and their Jordan frames stay matrices from the
         # sampler to the divergence, so coefficients are rarely derived
-        calls = []
-        for table in (ja._COERCE_TO_REP, ja._COERCE_TO_COEFFS):
-            def recording(c, n, convert=table["complex"]):
-                calls.append(c.shape)
-                return convert(c, n)
-
-            monkeypatch.setitem(table, "complex", recording)
+        calls = record_conversions(monkeypatch)
         mp.run_suite("separoid", NE, QUBITS_4, n_trials=4, seed=27)
         assert len(calls) <= 8, calls
 
@@ -529,19 +525,20 @@ class TestSeparoid:
         # read only as joints, so only their clipped rows, rebuilt from
         # their spectra, are projected
         projected, clipped = Counter(), Counter()
-        projections = ja._frame_projections
+        ops = ja._KINDS["complex"]
         check = st._check_spectra
 
-        def projecting(kind, q):
+        def projecting(q):
             projected[q.shape[-1]] += math.prod(q.shape[:-2])
-            return projections(kind, q)
+            return ops.idempotents(q)
 
         def checking(values):
             out = check(values)
             clipped[values.shape[-1]] += int(out.sum())
             return out
 
-        monkeypatch.setattr(ja, "_frame_projections", projecting)
+        monkeypatch.setitem(ja._KINDS, "complex",
+                            dataclasses.replace(ops, idempotents=projecting))
         monkeypatch.setattr(st, "_check_spectra", checking)
         mp.run_suite("separoid", NE, QUBITS_4, n_trials=4, seed=27)
         # the pure fourth trial's joint is clipped
@@ -941,13 +938,7 @@ class TestDataProcessing:
                                                            monkeypatch):
         # a Stinespring channel is lifted by pushing the matrix units
         # through its rep map, so the factor kernel needs no coefficients
-        calls = []
-        for table in (ja._COERCE_TO_REP, ja._COERCE_TO_COEFFS):
-            def recording(c, n, convert=table["complex"]):
-                calls.append(c.shape)
-                return convert(c, n)
-
-            monkeypatch.setitem(table, "complex", recording)
+        calls = record_conversions(monkeypatch)
         derived = []
         matrix = st.Affinity.matrix
 

@@ -35,7 +35,7 @@ def effect_frame(*effects):
 
 
 def is_trace_preserving(phi):
-    t_src, t_tgt = st.trace_vector(phi.source), st.trace_vector(phi.target)
+    t_src, t_tgt = phi.source.trace_vector, phi.target.trace_vector
     return np.max(np.abs(t_tgt @ phi.matrix - t_src)) <= st.CLIP_TOL
 
 
@@ -255,7 +255,7 @@ class TestStateValidation:
             # matrix kinds' frames are eigenvectors; their projections
             # are the decomposition's idempotents
             assert np.array_equal(
-                ja._frame_idempotents(s.kind, frames[index]), dec.frame[0])
+                ja._KINDS[s.kind].idempotents(frames[index]), dec.frame[0])
         # classical draws carry no jitter, and these pure spin draws none
         # below zero
         if s.kind not in ("classical", "spin"):
@@ -1028,8 +1028,7 @@ class TestCatalog:
     def test_trace_vector_is_the_algebras_own(self):
         for algebra in ALL_SIMPLE + [ja.Algebra(C2.summands
                                                 + ja.spin_factor(3).summands)]:
-            t = st.trace_vector(algebra)
-            assert t is algebra.trace_vector
+            t = algebra.trace_vector
             assert not t.flags.writeable
             # tr(x) = <unit, x> in the orthonormal basis
             np.testing.assert_array_equal(t, ja.unit(algebra).coeffs)
