@@ -38,7 +38,7 @@ to the other only when something reads it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -107,6 +107,11 @@ class SimpleFactor:
     @property
     def rank(self) -> int:
         return 2 if self.kind == "spin" else self.size
+
+    @cached_property
+    def rep_shape(self) -> tuple[int, ...]:
+        """The shape of a rep, read once off the unit rep."""
+        return self.ops.unit(self.size).shape
 
     def __str__(self):
         return f"{self.ops.letter}{self.size}"
@@ -325,7 +330,7 @@ def element_from_reps(algebra: Algebra, reps: Sequence) -> JordanElement:
     parts = []
     for s, rep in zip(algebra.summands, reps):
         part = s.ops.symmetric_part(rep)
-        if part.shape != s.ops.unit(s.size).shape:
+        if part.shape != s.rep_shape:
             raise ValueError(
                 f"representation of shape {part.shape} does not match "
                 f"summand {s}"
@@ -792,6 +797,73 @@ def spectral_decompose(a: JordanElement) -> SpectralDecomposition:
 
 
 # ---------------------------------------------------------------------------
+# random states and frames
+# ---------------------------------------------------------------------------
+#
+# A batch of draws reads the generator as that many single draws, one
+# after another in row-major order, and each entry's build or frame gets
+# the bits it gets alone.
+
+
+def _as_complex(parts):
+    """The complex matrices with real parts ``parts[..., 0, :, :]`` and
+    imaginary parts ``parts[..., 1, :, :]``."""
+    return parts[..., 0, :, :] + 1j * parts[..., 1, :, :]
+
+
+def _gram_states(embed, draws):
+    """``g g* / tr(g g*)`` of each Gaussian ``g = embed(draws)``."""
+    g = embed(draws)
+    gt = np.swapaxes(g, -1, -2)
+    # a real g times its own transpose is the symmetric product
+    m = g @ (np.conj(gt) if np.iscomplexobj(g) else gt)
+    # a quaternionic embedding carries every eigenvalue twice
+    tr = np.trace(m, axis1=-2, axis2=-1).real[..., None, None]
+    return m / tr * (m.shape[-1] // draws.shape[-2])
+
+
+def _matrix_sampling(parts, embed, orthonormalize) -> dict:
+    """The sampling fields of a matrix kind: a state or frame reads one
+    Gaussian, the real components ``parts`` of each entry of its ``n x
+    cols`` matrix in one call, and ``embed`` builds the matrix."""
+    def gaussian(n, cols, rng, batch=()):
+        return rng.normal(size=batch + parts + (n, cols))
+
+    return dict(draw_states=gaussian,
+                build_states=partial(_gram_states, embed),
+                random_frames=lambda n, rng, batch=(): orthonormalize(
+                    embed(gaussian(n, n, rng, batch))))
+
+
+def _spin_states(d, r, rng, batch=()):
+    # uniform in the ball of states, or on its sphere of pure states
+    out = np.full(batch + (d + 1,), 0.5)
+    for index in np.ndindex(batch):
+        v = rng.normal(size=d)
+        v /= np.linalg.norm(v)
+        radius = 0.5 if r == 1 else 0.5 * rng.uniform() ** (1.0 / d)
+        out[index][1:] = radius * v
+    return out
+
+
+def _unit_vectors(d, rng, batch=()):
+    # (1, d) @ (d, 1) products per row sum as the 1-D dots of one vector
+    # do, so a stack normalizes as each vector on its own
+    u = rng.normal(size=batch + (1, d))
+    return (u / np.sqrt(u @ np.swapaxes(u, -1, -2)))[..., 0, :]
+
+
+def _classical_states(n, r, rng, batch=()):
+    # Dirichlet weights on r coordinates drawn without replacement
+    out = np.zeros(batch + (n,))
+    for index in np.ndindex(batch):
+        weights = rng.dirichlet(np.ones(r))
+        support = rng.choice(n, r, replace=False) if r < n else np.arange(n)
+        out[index][support] = weights
+    return out
+
+
+# ---------------------------------------------------------------------------
 # the kind table
 # ---------------------------------------------------------------------------
 
@@ -816,6 +888,14 @@ class _KindOps:
     ``pairing_scale`` is the trace inner product: the quaternionic
     embedding doubles traces, and a spin rep is its coefficient vector
     over sqrt(2).
+
+    ``draw_states(n, r, rng, batch=())`` reads the draws behind ``batch``
+    random states of rank at most ``r``, Gaussians ``g`` on the matrix
+    kinds and else the reps, and ``build_states`` makes the reps, ``g g* /
+    tr(g g*)``.  ``random_frames(n, rng, batch=())`` draws ``batch``
+    frames: unitaries whose columns (Kramers pairs of columns on
+    quaternionic factors) are the frame, unit ball axes on spin factors,
+    and ``None``, reading nothing, on classical ones.
     """
 
     letter: str
@@ -826,7 +906,10 @@ class _KindOps:
     symmetric_part: Callable
     product: Callable
     frames: Callable
+    draw_states: Callable
     idempotents: Callable = lambda frame: frame
+    build_states: Callable = lambda draws: draws
+    random_frames: Callable = lambda n, rng, batch=(): None
     rep_ndim: int = 1
     pairing_scale: float = 1.0
 
@@ -848,32 +931,36 @@ _KINDS = {
         letter="R", dim=lambda n: n * (n + 1) // 2, unit=np.eye,
         to_rep=_real_to_rep, to_coeffs=_real_to_coeffs,
         symmetric_part=_real_symmetric_part, product=_matrix_product,
-        frames=_eigh_frames, idempotents=_column_projections, rep_ndim=2),
+        frames=_eigh_frames, idempotents=_column_projections, rep_ndim=2,
+        **_matrix_sampling((), lambda g: g, lambda g: np.linalg.qr(g)[0])),
     "complex": _KindOps(
         letter="C", dim=lambda n: n * n,
         unit=lambda n: np.eye(n, dtype=complex),
         to_rep=_complex_to_rep, to_coeffs=_complex_to_coeffs,
         symmetric_part=_complex_hermitian_part, product=_matrix_product,
-        frames=_eigh_frames, idempotents=_column_projections, rep_ndim=2),
+        frames=_eigh_frames, idempotents=_column_projections, rep_ndim=2,
+        **_matrix_sampling((2,), _as_complex, lambda g: np.linalg.qr(g)[0])),
     "quaternion": _KindOps(
         letter="H", dim=lambda n: n * (2 * n - 1),
         unit=lambda n: np.eye(2 * n, dtype=complex),
         to_rep=_quaternion_to_rep, to_coeffs=_quaternion_to_coeffs,
         symmetric_part=_quaternion_hermitian_part, product=_matrix_product,
         frames=_quaternion_frames, idempotents=_kramers_projections,
-        rep_ndim=2, pairing_scale=0.5),
+        rep_ndim=2, pairing_scale=0.5,
+        **_matrix_sampling((4,), _quaternion_embedding,
+                           _kramers_orthonormalize)),
     "spin": _KindOps(
         letter="S", dim=lambda d: d + 1,
         unit=lambda d: np.r_[1.0, np.zeros(d)],
         to_rep=lambda c, d: c / _SQRT2,
         to_coeffs=lambda m, d: np.asarray(m, dtype=float) * _SQRT2,
         symmetric_part=_vector_copy, product=_spin_product,
-        frames=_spin_frames, pairing_scale=2.0),
+        frames=_spin_frames, pairing_scale=2.0,
+        draw_states=_spin_states, random_frames=_unit_vectors),
     "classical": _KindOps(
         letter="P", dim=lambda n: n, unit=np.ones,
         to_rep=lambda c, n: c.copy(),
         to_coeffs=lambda m, n: np.asarray(m, dtype=float).copy(),
         symmetric_part=_vector_copy, product=np.multiply,
-        frames=_classical_frames),
+        frames=_classical_frames, draw_states=_classical_states),
 }
-

@@ -466,7 +466,7 @@ def _pair_draws(entry, rng):
     if sampler is not None:
         return sampler(rng), True
     s = entry.affinity.source.summands[0]
-    return st._draw_summand(s, None, rng, (2,)), False
+    return s.ops.draw_states(s.size, s.rank, rng, (2,)), False
 
 
 def _monotonicity_trials(F, algebra, catalog, seed, trials) -> list:
@@ -515,7 +515,7 @@ def _monotonicity_trials(F, algebra, catalog, seed, trials) -> list:
     rep = s.ops.unit(s.size)
     reps = np.empty((len(picks), 2) + rep.shape, rep.dtype)
     if drawn:
-        reps[list(drawn)] = st._build_summand(s, np.stack([*drawn.values()]))
+        reps[list(drawn)] = s.ops.build_states(np.stack([*drawn.values()]))
     if sampled:
         reps[list(sampled)] = st._diag_reps(s, np.stack([*sampled.values()]))
     # axes (trial, rho or sigma) lead every stack from here on
@@ -641,8 +641,9 @@ def _sufficiency_results(F, algebra, seed, trials):
         entry = catalog[trial % len(catalog)]
         source = entry.affinity.source
         pair, built = _pair_draws(entry, _trial_rng(seed, trial))
-        make = st._diag_reps if built else st._build_summand
-        pair = make(source.summands[0], np.stack(pair))
+        summand = source.summands[0]
+        pair = (st._diag_reps(summand, np.stack(pair)) if built
+                else summand.ops.build_states(np.stack(pair)))
         rho, sigma = (State.make(alg.element_from_reps(source, [rep]))
                       for rep in pair)
         for s in (rho, sigma):
@@ -674,7 +675,7 @@ def random_orthogonal_triple(algebra: Algebra, rng):
     :class:`~statecone.states.UnsupportedAlgebraError`.
     """
     s = algebra.summands[0]
-    kind, n, rank = s.kind, s.size, s.rank
+    n, rank = s.size, s.rank
     if rank < 3:
         raise st.UnsupportedAlgebraError(
             "singular companions with varying shape need rank at least 3"
@@ -688,18 +689,15 @@ def random_orthogonal_triple(algebra: Algebra, rng):
         w[block] = rng.dirichlet(np.ones(len(block)))
         return w
 
-    if kind == "classical":
-        out = [weights(head), weights(tail), weights(tail)]
-        return tuple(
-            State.make(alg.element_from_reps(algebra, [w[:n]]))
-            for w in out
+    q = s.ops.random_frames(n, rng)
+    if q is None:
+        # a classical state is its weights
+        make = lambda w: alg.element_from_reps(algebra, [w[:n]])
+    else:
+        # a quaternionic weight sits on a Kramers pair of columns
+        make = lambda w: alg.element_from_reps(
+            algebra, [(q * np.repeat(w, len(q) // n)) @ q.conj().T]
         )
-
-    q = st._random_frames(kind, st._draw_basis(kind, n, rng))
-    # a quaternionic weight sits on a Kramers pair of columns
-    make = lambda w: alg.element_from_reps(
-        algebra, [(q * np.repeat(w, len(q) // n)) @ q.conj().T]
-    )
     return (
         State.make(make(weights(head))),
         State.make(make(weights(tail))),

@@ -111,16 +111,13 @@ def _fine_draws(s: SimpleFactor, n_samples: int, rng, bases):
     coin, u = rng.uniform(size=(n_samples, 2)).T
     blend = coin >= 0.5
     t = np.where(blend, 0.2 + 0.6 * u, 1.0)
-    if s.kind == "classical":
-        return blend, t, None
-    draws = st._draw_basis(s.kind, s.size, bases,
-                           (int(n_samples + blend.sum()),))
-    return blend, t, st._random_frames(s.kind, draws)
+    return blend, t, s.ops.random_frames(s.size, bases,
+                                         (int(n_samples + blend.sum()),))
 
 
 def _basis_probs(kind: str, m: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Outcome probabilities of the state with representation ``m`` in a
-    stack of frames of :func:`states._random_frames`, one row per
+    stack of frames of the kind's ``random_frames``, one row per
     basis."""
     if kind == "spin":
         # a matrix-vector product would not sum as the 1-D dots do

@@ -424,8 +424,9 @@ def _separoid_trials(F, layout, seed, trials) -> list:
     trial gets the violations, bit for bit, that it gets alone.
     """
     s = layout.ambient.summands[0]
-    reps = [st._build_summand(s, st._draw_summand(
-        s, 1 if t % 4 == 3 else None, _trial_rng(seed, t))) for t in trials]
+    reps = [s.ops.build_states(s.ops.draw_states(
+        s.size, 1 if t % 4 == 3 else s.rank, _trial_rng(seed, t)))
+        for t in trials]
     # no separoid grouping reads the whole layout as a group, so the
     # joints' frames are never projected
     joint = st._checked_state_stack(s, np.array(reps))[:2] + (None,)

@@ -300,7 +300,7 @@ class Measurement:
     def __post_init__(self):
         if not self.labels:
             raise ValueError("a measurement needs at least one outcome")
-        shapes = [(len(self.labels),) + s.ops.unit(s.size).shape
+        shapes = [(len(self.labels),) + s.rep_shape
                   for s in self.algebra.summands]
         if [stack.shape for stack in self.frame] != shapes:
             raise ValueError(
@@ -605,71 +605,20 @@ def _as_rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-# the real component matrices of each entry of the Gaussian behind a
-# random state or frame on a matrix kind
-_GAUSSIAN_PARTS = {"real": (), "complex": (2,), "quaternion": (4,)}
-
-
-def _as_complex(parts: np.ndarray) -> np.ndarray:
-    """The complex matrices with real parts ``parts[..., 0, :, :]`` and
-    imaginary parts ``parts[..., 1, :, :]``."""
-    return parts[..., 0, :, :] + 1j * parts[..., 1, :, :]
-
-
-def _draw_summand(s: SimpleFactor, rank_cap, rng, batch: tuple = ()):
-    """The draws behind ``batch`` random states on ``s``, one after
-    another: on matrix kinds the Gaussians of :func:`_build_summand`,
-    shaped ``batch + parts + (n, rank)`` and read in one call; on spin
-    and classical factors the reps themselves."""
-    n = s.size
-    r = s.rank if rank_cap is None else max(1, min(rank_cap, s.rank))
-    if s.kind in _GAUSSIAN_PARTS:
-        return rng.normal(size=batch + _GAUSSIAN_PARTS[s.kind] + (n, r))
-    if batch:
-        reps = [_draw_summand(s, rank_cap, rng)
-                for _ in range(math.prod(batch))]
-        return np.reshape(reps, batch + s.ops.unit(n).shape)
-    if s.kind == "classical":
-        weights = rng.dirichlet(np.ones(r))
-        rep = np.zeros(n)
-        support = rng.choice(n, size=r, replace=False) if r < n else np.arange(n)
-        rep[support] = weights
-        return rep
-    v = rng.normal(size=n)
-    v /= np.linalg.norm(v)
-    radius = 0.5 if r == 1 else 0.5 * rng.uniform() ** (1.0 / n)
-    return np.concatenate(([0.5], radius * v))
-
-
-def _build_summand(s: SimpleFactor, draws: np.ndarray) -> np.ndarray:
-    """The reps of the states :func:`_draw_summand` drew on ``s``, any
-    leading axes a batch, each the bits it gets alone: ``g g* / tr(g g*)``
-    of each Gaussian ``g``, as a complex or embedded quaternionic matrix
-    on those kinds."""
-    if s.kind not in _GAUSSIAN_PARTS:
-        return draws
-    g = (_as_complex(draws) if s.kind == "complex"
-         else alg._quaternion_embedding(draws) if s.kind == "quaternion"
-         else draws)
-    gt = np.swapaxes(g, -1, -2)
-    # a real g times its own transpose is the symmetric product
-    m = g @ (gt if s.kind == "real" else np.conj(gt))
-    # a quaternionic embedding carries every eigenvalue twice
-    tr = np.trace(m, axis1=-2, axis2=-1).real[..., None, None]
-    return m / tr * (m.shape[-1] // s.size)
-
-
 def random_state(
     algebra: Algebra,
     rank_cap: int | None = None,
     seed=None,
     layout: CompositeLayout | None = None,
 ) -> State:
-    """Seeded random state; Hilbert-Schmidt style GG* sampling on matrix
-    factors, uniform ball sampling on spin factors."""
+    """Seeded random state, each summand drawn and built by its kind's
+    record: Hilbert-Schmidt style GG* sampling on matrix factors, uniform
+    ball sampling on spin factors."""
     rng = _as_rng(seed)
-    draws = [_draw_summand(s, rank_cap, rng) for s in algebra.summands]
-    reps = [_build_summand(s, d) for s, d in zip(algebra.summands, draws)]
+    reps = []
+    for s in algebra.summands:
+        r = s.rank if rank_cap is None else max(1, min(rank_cap, s.rank))
+        reps.append(s.ops.build_states(s.ops.draw_states(s.size, r, rng)))
     if len(reps) > 1:
         weights = rng.dirichlet(np.ones(len(reps)))
         reps = [w * rep for w, rep in zip(weights, reps)]
@@ -696,7 +645,7 @@ def _random_channel_factor(algebra: Algebra) -> SimpleFactor:
 
 def _draw_channel(s: SimpleFactor, env: int | None, rng, states: int = 0):
     """The draws behind one random channel on ``s`` and then ``states``
-    full-rank random states, stacked as :func:`_draw_summand` stacks
+    full-rank random states, stacked as ``s.ops.draw_states`` stacks
     them.  A channel's draw is a column-stochastic matrix on a classical
     factor; on a complex one it is the real and imaginary parts, shape
     ``(2, n * env, n)``, of the Gaussian whose orthonormalized columns
@@ -706,7 +655,7 @@ def _draw_channel(s: SimpleFactor, env: int | None, rng, states: int = 0):
     if s.kind == "classical":
         channel = np.stack([rng.dirichlet(np.ones(n)) for _ in range(n)],
                            axis=1)
-        return channel, _draw_summand(s, None, rng, (states,))
+        return channel, s.ops.draw_states(n, s.rank, rng, (states,))
     env = n if env is None else int(env)
     if env < 1:
         raise ValueError("environment dimension must be at least 1")
@@ -741,7 +690,7 @@ def random_channel(algebra: Algebra, env_dim: int | None = None,
     if s.kind == "classical":
         return Affinity(draw, algebra, algebra, name=name)
     env = draw.shape[1] // s.size
-    v, _ = np.linalg.qr(_as_complex(draw))
+    v, _ = np.linalg.qr(alg._as_complex(draw))
     return _affinity_from_rep_map(lambda m: _stinespring_push(v, m, env),
                                   algebra, name)
 
@@ -758,7 +707,8 @@ def _random_channel_images(s: SimpleFactor, draws: Sequence[np.ndarray],
     envs = [g.shape[1] // s.size for g in draws]
     for env in sorted(set(envs)):
         group = [k for k, e in enumerate(envs) if e == env]
-        v, _ = np.linalg.qr(_as_complex(np.stack([draws[k] for k in group])))
+        v, _ = np.linalg.qr(
+            alg._as_complex(np.stack([draws[k] for k in group])))
         pushed = _stinespring_push(v[:, None], reps[group], env)
         images[group] = s.ops.symmetric_part(pushed)
     return images
@@ -835,8 +785,8 @@ def _automorphism_frames(algebra: Algebra, rng):
     s = algebra.summands[0]
     if s.kind == "classical":
         return [rng.permutation(s.size) for _ in range(2)]
-    kind = "real" if s.kind == "spin" else s.kind
-    return _random_frames(kind, _draw_basis(kind, s.size, rng, (2,)))
+    ops = alg._KINDS["real"] if s.kind == "spin" else s.ops
+    return ops.random_frames(s.size, rng, (2,))
 
 
 def _automorphism(algebra: Algebra, frame) -> tuple[Affinity, Affinity]:
@@ -861,41 +811,6 @@ def _automorphism(algebra: Algebra, frame) -> tuple[Affinity, Affinity]:
     return fwd, rev
 
 
-def _draw_basis(kind: str, size: int, rng, batch: tuple = ()):
-    """The Gaussian draw behind one random frame of :func:`_random_frames`
-    (``None`` on classical factors, whose basis is fixed): a vector on
-    spin factors, a square matrix on real and complex ones, and the four
-    real component matrices of a quaternionic one.
-
-    A ``batch`` shape draws that many frames in one call, in row-major
-    order; they equal as many single draws made one after another and
-    leave ``rng`` where those leave it.  A complex matrix is its real
-    part then its imaginary part."""
-    if kind == "spin":
-        return rng.normal(size=batch + (size,))
-    if kind not in _GAUSSIAN_PARTS:
-        return None
-    g = rng.normal(size=batch + _GAUSSIAN_PARTS[kind] + (size, size))
-    return _as_complex(g) if kind == "complex" else g
-
-
-def _random_frames(kind: str, draws: np.ndarray) -> np.ndarray:
-    """Orthonormalize draws of :func:`_draw_basis`, any leading axes a
-    batch: the unit vector on spin factors, else the unitary, in the
-    layout of the reps, whose columns (Kramers pairs of columns on
-    quaternionic factors) are the frame.  Each frame is the one its draw
-    alone gives."""
-    if kind == "spin":
-        # (1, d) @ (d, 1) products per row sum as the 1-D dots of one
-        # vector do, so a stack normalizes as each vector on its own
-        u = draws[..., None, :]
-        return (u / np.sqrt(u @ np.swapaxes(u, -1, -2)))[..., 0, :]
-    if kind == "quaternion":
-        return alg._kramers_orthonormalize(alg._quaternion_embedding(draws))
-    q, _ = np.linalg.qr(draws)
-    return q
-
-
 def _depolarize(algebra: Algebra, t: float) -> Affinity:
     u = unit(algebra)
     fixed = u / trace(u)
@@ -907,7 +822,7 @@ def _depolarize(algebra: Algebra, t: float) -> Affinity:
 
 def _dephase(algebra: Algebra) -> Affinity | None:
     s = algebra.summands[0]
-    if s.kind not in ("real", "complex", "quaternion"):
+    if s.ops.rep_ndim != 2:
         return None
     keep = np.zeros(algebra.dim)
     keep[:s.size] = 1.0
@@ -923,7 +838,7 @@ def _split_merge(algebra: Algebra) -> tuple[Affinity, Affinity] | None:
     """
     s = algebra.summands[0]
     n = s.size
-    if s.kind not in ("real", "complex", "quaternion", "classical") or n < 3:
+    if s.rank < 3:
         return None
 
     # Diagonal coefficients come first in the basis, so e[k] is the k-th

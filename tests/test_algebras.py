@@ -8,6 +8,7 @@ from hypothesis import strategies as hst
 
 from statecone import algebras as ja
 from statecone import serialize as sz
+from statecone import states as st
 
 ALL_SIMPLE = [
     ja.real_hermitian(3),
@@ -867,6 +868,51 @@ class TestKindTable:
         # tr 1 = rank
         assert ops.pairing_scale * np.vdot(unit, unit).real == s.rank
         assert sz.parse_algebra_spec(str(s)) == (ja.Algebra((s,)), None)
+        assert s.rep_shape == _REP_SHAPES[kind](n)
+
+    @pytest.mark.parametrize("kind,n", ALL_FACTORS)
+    def test_record_draws_keep_their_contract(self, kind, n):
+        # a batch of draws reads the stream as single draws do, and each
+        # build or frame of a stack is the one its single draw gives
+        s = ja.SimpleFactor(kind, n)
+        ops = s.ops
+        seed = [24, list(ja._KINDS).index(kind), n]
+        for r in sorted({1, s.rank}):
+            rng = np.random.default_rng(seed)
+            single = np.random.default_rng(seed)
+            draws = ops.draw_states(n, r, rng, (3, 2))
+            built = ops.build_states(draws)
+            assert built.shape == (3, 2) + s.rep_shape
+            for index in np.ndindex(3, 2):
+                d = ops.draw_states(n, r, single)
+                assert np.array_equal(draws[index], d)
+                assert np.array_equal(built[index], ops.build_states(d))
+            assert rng.bit_generator.state == single.bit_generator.state
+            st._checked_state_stack(s, built)
+        rng = np.random.default_rng(seed)
+        single = np.random.default_rng(seed)
+        frames = ops.random_frames(n, rng, (3, 2))
+        singles = [ops.random_frames(n, single) for _ in range(6)]
+        assert rng.bit_generator.state == single.bit_generator.state
+        if kind == "classical":
+            assert frames is None and singles == [None] * 6
+            assert (rng.bit_generator.state
+                    == np.random.default_rng(seed).bit_generator.state)
+        else:
+            for q, alone in zip(frames.reshape((6,) + frames.shape[2:]),
+                                singles, strict=True):
+                assert np.array_equal(q, alone)
+            if ops.rep_ndim == 2:
+                gram = np.swapaxes(frames.conj(), -1, -2) @ frames
+                eye = np.broadcast_to(np.eye(s.rep_shape[0]), gram.shape)
+                np.testing.assert_allclose(gram, eye, rtol=0, atol=1e-12)
+            else:
+                np.testing.assert_allclose(np.linalg.norm(frames, axis=-1),
+                                           1.0, rtol=0, atol=1e-12)
+            assert ops.random_frames(n, rng, (0,)).shape[0] == 0
+        # an empty batch draws an empty stack
+        empty = ops.build_states(ops.draw_states(n, s.rank, rng, (0,)))
+        assert empty.shape == (0,) + s.rep_shape
 
     def test_letters_are_distinct(self):
         letters = [ops.letter for ops in ja._KINDS.values()]

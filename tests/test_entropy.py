@@ -149,7 +149,7 @@ def sample_pure_decomposition(sigma, rng):
     if kind == "spin":
         d = algebra.summands[0].size
         v = sigma.element.reps()[0][1:]
-        u = st._random_frames(kind, st._draw_basis(kind, d, rng))
+        u = ja._KINDS[kind].random_frames(d, rng)
         # chord through 2v in direction pair (u, w): p*u + (1-p)*w = 2v
         p = float(np.clip((1.0 - 4.0 * v @ v) / (2.0 - 4.0 * (u @ v)),
                           0.0, 1.0))
@@ -173,7 +173,7 @@ def sample_pure_decomposition(sigma, rng):
         j = int(np.argmax(np.real(np.diag(rep))))
         columns.append(rep[:, j] / np.sqrt(np.real(rep[j, j])))
     columns = np.stack(columns, axis=1)
-    mix = st._random_frames(kind, st._draw_basis(kind, len(weights), rng))
+    mix = ja._KINDS[kind].random_frames(len(weights), rng)
     step = len(mix) // len(weights)  # 2 for Kramers pairs of columns
     if kind == "quaternion":
         columns = ja._kramers_pairs(columns)
@@ -309,12 +309,12 @@ class TestFineGrainedBound:
         s = algebra.summands[0]
         m = st.maximally_mixed(algebra).element.reps()[0]
         rng = np.random.default_rng(14)
-        draws = [st._draw_basis(s.kind, s.size, rng) for _ in range(30)]
-        inputs = [[d] for d in draws] + [draws]
-        for batch in inputs:
-            frames = st._random_frames(s.kind, np.array(batch))
+        singles = [s.ops.random_frames(s.size, rng)[None] for _ in range(30)]
+        stacked = s.ops.random_frames(s.size, np.random.default_rng(14),
+                                      (30,))
+        for frames in singles + [stacked]:
             probs = en._basis_probs(s.kind, m, frames)
-            assert probs.shape == (len(batch), s.size)
+            assert probs.shape == (len(frames), s.size)
             for h in en._row_entropies(np.clip(probs, 0, None)):
                 assert h == pytest.approx(np.log(s.size), abs=1e-10)
 
@@ -516,9 +516,7 @@ class TestBatchedSampler:
         s = algebra.summands[0]
         m = st.random_state(algebra, seed=31).element.reps()[0]
         rng = np.random.default_rng(32)
-        frames = st._random_frames(
-            s.kind, st._draw_basis(s.kind, s.size, rng, (300,))
-        )
+        frames = s.ops.random_frames(s.size, rng, (300,))
         stacked = en._basis_probs(s.kind, m, frames)
         alone = np.concatenate([
             en._basis_probs(s.kind, m, frames[i:i + 1])

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from statecone import algebras as ja
+from statecone import serialize as sz
 from statecone import states as st
 from test_algebras import embed_quaternion_parts
 
@@ -240,8 +241,8 @@ class TestStateValidation:
         # around zero, which both clip
         s = algebra.summands[0]
         rng = np.random.default_rng(40)
-        reps = np.array([st._build_summand(s, st._draw_summand(s, cap, rng))
-                         for cap in (None, 1, None, 1, 1, 1)])
+        reps = np.array([s.ops.build_states(s.ops.draw_states(s.size, r, rng))
+                         for r in (s.rank, 1, s.rank, 1, 1, 1)])
         reps = reps.reshape((2, 3) + reps.shape[1:])
         checked, values, frames = st._checked_state_stack(s, reps)
         clipped = 0
@@ -681,8 +682,9 @@ class TestRandomStates:
     def test_batched_draw_equals_single_draws(self, kind, n):
         batch_rng = np.random.default_rng(60 + n)
         single_rng = np.random.default_rng(60 + n)
-        batched = st._draw_basis(kind, n, batch_rng, (7,))
-        singles = [st._draw_basis(kind, n, single_rng) for _ in range(7)]
+        ops = ja._KINDS[kind]
+        batched = ops.random_frames(n, batch_rng, (7,))
+        singles = [ops.random_frames(n, single_rng) for _ in range(7)]
         if kind == "classical":
             assert batched is None and singles == [None] * 7
         else:
@@ -696,12 +698,10 @@ class TestRandomStates:
         # factors
         rng = np.random.default_rng(62)
         reference = np.random.default_rng(62)
-        g = st._draw_basis("complex", 3, rng)
-        assert np.array_equal(
-            g,
-            reference.normal(size=(3, 3))
-            + 1j * reference.normal(size=(3, 3)),
-        )
+        q = ja._KINDS["complex"].random_frames(3, rng)
+        g = (reference.normal(size=(3, 3))
+             + 1j * reference.normal(size=(3, 3)))
+        assert np.array_equal(q, np.linalg.qr(g)[0])
         assert rng.uniform() == reference.uniform()
 
     @pytest.mark.parametrize("algebra", ALL_SIMPLE + [
@@ -710,15 +710,16 @@ class TestRandomStates:
         # one draw of a stack reads the stream as single draws do, and
         # one build gives each state the bits it gets alone
         s = algebra.summands[0]
-        for rank_cap in (None, 1):
+        ops = s.ops
+        for r in (s.rank, 1):
             rng = np.random.default_rng(66)
             single = np.random.default_rng(66)
-            draws = st._draw_summand(s, rank_cap, rng, (3, 2))
-            built = st._build_summand(s, draws)
+            draws = ops.draw_states(s.size, r, rng, (3, 2))
+            built = ops.build_states(draws)
             for index in np.ndindex(3, 2):
-                d = st._draw_summand(s, rank_cap, single)
+                d = ops.draw_states(s.size, r, single)
                 assert np.array_equal(draws[index], d)
-                assert np.array_equal(built[index], st._build_summand(s, d))
+                assert np.array_equal(built[index], ops.build_states(d))
             assert rng.uniform() == single.uniform()
 
     @pytest.mark.parametrize("algebra", PINNED_STATE_ALGEBRAS, ids=str)
@@ -738,24 +739,32 @@ class TestRandomStates:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_stacked_quaternion_unitaries_equal_slices(self, n):
-        g = np.random.default_rng(40 + n).normal(size=(3, 2, 4, n, n))
-        kept = g.copy()
-        stacked = st._random_frames("quaternion", g)
-        assert np.array_equal(g, kept)  # the draws are not overwritten
+        ops = ja._KINDS["quaternion"]
+        rng = np.random.default_rng(40 + n)
+        single = np.random.default_rng(40 + n)
+        stacked = ops.random_frames(n, rng, (3, 2))
+        embedded = ja._quaternion_embedding(
+            np.random.default_rng(40 + n).normal(size=(3, 2, 4, n, n)))
+        kept = embedded.copy()
+        assert np.array_equal(stacked, ja._kramers_orthonormalize(embedded))
+        assert np.array_equal(embedded, kept)  # the draws are not overwritten
         assert stacked.shape == (3, 2, 2 * n, 2 * n)
         eye = np.eye(2 * n)
         for index in np.ndindex(3, 2):
             q = stacked[index]
-            assert np.array_equal(q, st._random_frames("quaternion", g[index]))
+            assert np.array_equal(q, ops.random_frames(n, single))
             gram = q.conj().T @ q
             np.testing.assert_allclose(gram, eye, atol=1e-12)
+        assert rng.bit_generator.state == single.bit_generator.state
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_quaternion_unitaries_match_quaternion_gram_schmidt(self, n):
         # a seed gives the quaternionic unitary that Gram-Schmidt in
-        # quaternion arithmetic gives, in its complex embedding
+        # quaternion arithmetic gives, in its complex embedding; g read
+        # from the same seed pins the stream
+        got = ja._KINDS["quaternion"].random_frames(
+            n, np.random.default_rng(50 + n), (4, 3))
         g = np.random.default_rng(50 + n).normal(size=(4, 3, 4, n, n))
-        got = st._random_frames("quaternion", g)
         expected = embed_quaternion_parts(quaternion_gram_schmidt(g))
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-14)
 
@@ -867,15 +876,27 @@ CATALOG_ALGEBRAS = [
     ja.quaternion_hermitian(2), ja.spin_factor(3), ja.classical(3),
 ]
 
+# the catalog entries after the depolarizing ones: dephasing needs
+# matrices, and split and merge rank 3
+CATALOG_TAILS = {
+    "P2": [], "P3": ["split", "merge"],
+    "R2": ["dephase", "classical-section"],
+    "R3": ["dephase", "split", "merge", "classical-section"],
+    "C2": ["dephase", "classical-section"],
+    "C3": ["dephase", "split", "merge", "classical-section"],
+    "H2": ["dephase", "classical-section"],
+    "H3": ["dephase", "split", "merge", "classical-section"],
+    "S3": ["classical-section"], "S5": ["classical-section"],
+}
+
 
 def single_automorphism_frames(algebra, rng):
     """The frames of the catalog's two automorphisms, one draw each."""
     s = algebra.summands[0]
     if s.kind == "classical":
         return [rng.permutation(s.size) for _ in range(2)]
-    kind = "real" if s.kind == "spin" else s.kind
-    return [st._random_frames(kind, st._draw_basis(kind, s.size, rng))
-            for _ in range(2)]
+    ops = ja._KINDS["real"] if s.kind == "spin" else s.ops
+    return [ops.random_frames(s.size, rng) for _ in range(2)]
 
 
 def uncached_catalog(algebra, seed):
@@ -938,11 +959,12 @@ class TestCatalog:
                 assert (a.pair_sampler is None) == (b.pair_sampler is None)
                 assert (a.stress_sampler is None) == (b.stress_sampler is None)
 
-    def test_catalog_order(self):
-        assert [c.name for c in st.channel_catalog(C3, seed=0)] == [
+    @pytest.mark.parametrize("spec", CATALOG_TAILS)
+    def test_catalog_order(self, spec):
+        algebra, _ = sz.parse_algebra_spec(spec)
+        assert [c.name for c in st.channel_catalog(algebra, seed=0)] == [
             "identity", "automorphism-0", "automorphism-1", "depolarize-0.3",
-            "depolarize-0.7", "dephase", "split", "merge",
-            "classical-section"]
+            "depolarize-0.7", *CATALOG_TAILS[spec]]
 
     @pytest.mark.parametrize("algebra", CATALOG_ALGEBRAS + [
         ja.quaternion_hermitian(3), ja.spin_factor(5)], ids=str)
